@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import BrokenSpace
 from .dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system, facet_alpha
-from .embedding import build_embedding
+from .embedding import GlobalEmbedding, build_embedding
 from .local_ops import AR, KINDS, operator_row_count
 from .quadrature import facet_quadrature
 from .solver import solve_block_coupled, solve_embedded_trefftz
@@ -42,6 +42,7 @@ class DiagnosticsReport:
     construction), ``sigma_min_rel`` the relative size of the smallest used
     singular value (local stability), ``block_equivalence_gap`` the norm
     distance between the embedded and the coupled block solution.
+    ``embedding`` is the global embedding the witnesses were computed on.
     """
 
     rho_max: float
@@ -52,6 +53,7 @@ class DiagnosticsReport:
     p: int
     kind: str
     n_elements: int
+    embedding: GlobalEmbedding = field(default=None, repr=False)
 
 
 def _facet_error_terms(solution, coeffs, weight_fn):
@@ -229,4 +231,5 @@ def run_diagnostics(
         p=p,
         kind=kind,
         n_elements=mesh.n_elements,
+        embedding=embedding,
     )

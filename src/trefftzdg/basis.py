@@ -2,10 +2,14 @@
 evaluation.
 
 Each element carries monomials in the shifted/scaled coordinates
-``(x - x_K)/h_K`` which are orthonormalized in L2(K) through a Cholesky
-factorization of the exact Gram matrix. The scaling keeps the Gram
+``(x - x_K)/h_K`` which are orthonormalized in L2(K) through a QR
+factorization of the weighted point values. The scaling keeps the Gram
 condition number independent of the mesh size, and the first basis
 function is the constant ``1/sqrt(area)``.
+
+All evaluation goes through one batched path, :func:`evaluate_basis` over
+per-element point sets; :class:`BrokenSpace` calls it for many elements,
+and the per-element :class:`ElementBasis` methods are a batch of one.
 """
 
 from __future__ import annotations
@@ -44,30 +48,67 @@ def _power_table(values, max_power):
     return table
 
 
-def _monomial_table(X, Y, exponents, dx=0, dy=0, scale=1.0):
-    """Derivative ``D^(dx,dy)`` of each scaled monomial at given points.
+def scaled_monomials(points, centers, scales, degree, dx=0, dy=0):
+    """Derivative ``D^(dx,dy)`` of each scaled monomial at per-element points.
 
-    ``X``/``Y`` are already shifted/scaled coordinates; the chain-rule factor
-    ``scale**-(dx+dy)`` is applied here. Powers come from cumulative
-    product tables (integer exponents only), which is considerably faster
-    than float ``**`` on large point sets.
+    ``points`` has shape ``(E, nq, 2)``, ``centers`` ``(E, 2)`` and
+    ``scales`` ``(E,)``; the result is ``(E, nq, dim)`` over the
+    graded-lex monomials ``((x - c)/s)^a ((y - c)/s)^b`` of total degree at
+    most ``degree``, including the chain-rule factor ``s**-(dx+dy)``.
+    Powers come from cumulative product tables (integer exponents only),
+    which is considerably faster than float ``**`` on large point sets.
     """
-    exps = np.asarray(exponents)
-    a, b = exps[:, 0], exps[:, 1]
-    coeff = _falling(a, dx) * _falling(b, dy) / scale ** (dx + dy)
-    pa = np.maximum(a - dx, 0)
-    pb = np.maximum(b - dy, 0)
-    degree = int(max(a.max(initial=0), b.max(initial=0)))
-    px = _power_table(X, degree)
-    py = _power_table(Y, degree)
-    vals = px[..., pa] * py[..., pb]
-    return vals * coeff
+    pts = np.asarray(points, dtype=float)
+    c = np.asarray(centers, dtype=float)
+    s = np.asarray(scales, dtype=float)
+    X = (pts[..., 0] - c[:, None, 0]) / s[:, None]
+    Y = (pts[..., 1] - c[:, None, 1]) / s[:, None]
+    powers_x, powers_y, factor = _derivative_table(degree, dx, dy)
+    vals = _power_table(X, degree)[..., powers_x] * _power_table(Y, degree)[..., powers_y]
+    if dx or dy:
+        vals = vals * (factor / s[:, None, None] ** (dx + dy))
+    return vals
 
 
-def _falling(n, k):
-    out = np.ones_like(n, dtype=float)
-    for i in range(k):
-        out = out * np.maximum(n - i, 0)
+@lru_cache(maxsize=None)
+def _derivative_table(degree, dx, dy):
+    """Remaining powers and constant factors of ``D^(dx,dy) x^a y^b`` for
+    every monomial of total degree at most ``degree``; read-only, as every
+    evaluation shares them."""
+    a, b = np.array(polynomial_exponents(degree)).T
+    factor = np.ones(len(a))
+    for i in range(dx):
+        factor *= np.maximum(a - i, 0)
+    for i in range(dy):
+        factor *= np.maximum(b - i, 0)
+    table = (np.maximum(a - dx, 0), np.maximum(b - dy, 0), factor)
+    for array in table:
+        array.flags.writeable = False
+    return table
+
+
+def basis_derivative(points, centers, scales, G, degree, dx=0, dy=0):
+    """``D^(dx,dy)`` of the orthonormal bases ``phi = G m`` of a batch of
+    elements at per-element points: ``(E, nq, 2)`` in, ``(E, nq, n)`` out."""
+    mono = scaled_monomials(points, centers, scales, degree, dx, dy)
+    return mono @ np.swapaxes(G, -1, -2)
+
+
+def evaluate_basis(points, centers, scales, G, degree, gradients=False, hessians=False):
+    """Orthonormal basis values (and optionally first/second derivatives)
+    of a batch of elements; arguments as in :func:`basis_derivative`."""
+
+    def d(dx, dy):
+        return basis_derivative(points, centers, scales, G, degree, dx, dy)
+
+    out = BasisEval(values=d(0, 0))
+    if gradients:
+        out.gradients = np.stack([d(1, 0), d(0, 1)], axis=-1)
+    if hessians:
+        hxx, hxy, hyy = d(2, 0), d(1, 1), d(0, 2)
+        out.hessians = np.stack(
+            [np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)], axis=-2
+        )
     return out
 
 
@@ -134,44 +175,26 @@ class ElementBasis:
         (e.g. boxes); ``rule`` must be exact to degree ``2 * degree`` on its
         domain.
         """
-        exps = polynomial_exponents(degree)
-        X = (rule.points[:, 0] - center[0]) / scale
-        Y = (rule.points[:, 1] - center[1]) / scale
-        mono = _monomial_table(X, Y, exps)
-        G = _orthonormalizer(rule.weights[None, ...], mono[None, ...])[0]
+        mono = scaled_monomials(rule.points[None], [center], [scale], degree)
+        G = _orthonormalizer(rule.weights[None], mono)[0]
         return cls(center=center, scale=scale, G=G, degree=degree, element=element)
 
-    def _local(self, points):
-        pts = np.asarray(points, dtype=float)
-        X = (pts[..., 0] - self.center[0]) / self.scale
-        Y = (pts[..., 1] - self.center[1]) / self.scale
-        return X, Y
+    def _as_batch(self, points):
+        """Arguments of the batched evaluators for this element alone."""
+        pts = np.asarray(points, dtype=float).reshape(1, -1, 2)
+        return pts, self.center[None], [self.scale], self.G[None], self.degree
 
     def eval(self, points, gradients=False, hessians=False):
         """Values (and optionally first/second derivatives) at ``points``."""
-        X, Y = self._local(points)
-        mono = _monomial_table(X, Y, self.exponents)
-        out = BasisEval(values=mono @ self.G.T)
-        if gradients:
-            gx = _monomial_table(X, Y, self.exponents, 1, 0, self.scale) @ self.G.T
-            gy = _monomial_table(X, Y, self.exponents, 0, 1, self.scale) @ self.G.T
-            out.gradients = np.stack([gx, gy], axis=-1)
-        if hessians:
-            hxx = _monomial_table(X, Y, self.exponents, 2, 0, self.scale) @ self.G.T
-            hxy = _monomial_table(X, Y, self.exponents, 1, 1, self.scale) @ self.G.T
-            hyy = _monomial_table(X, Y, self.exponents, 0, 2, self.scale) @ self.G.T
-            hess = np.stack(
-                [np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)],
-                axis=-2,
-            )
-            out.hessians = hess
-        return out
+        shape = np.shape(points)[:-1]
+        ev = evaluate_basis(*self._as_batch(points), gradients, hessians)
+        drop = lambda a: None if a is None else a.reshape(shape + a.shape[2:])
+        return BasisEval(drop(ev.values), drop(ev.gradients), drop(ev.hessians))
 
     def derivative(self, points, order):
         """Exact partial derivative ``D^order`` of each basis function."""
-        dx, dy = order
-        X, Y = self._local(points)
-        return _monomial_table(X, Y, self.exponents, dx, dy, self.scale) @ self.G.T
+        vals = basis_derivative(*self._as_batch(points), *order)
+        return vals.reshape(np.shape(points)[:-1] + vals.shape[2:])
 
 
 def l2_project(f, basis, rule):
@@ -208,27 +231,15 @@ class BrokenSpace:
         self.volume_points, self.volume_weights = volume_quadrature(
             mesh, self.volume_degree
         )
-        mono = self.scaled_monomials(self.volume_points)
+        mono = scaled_monomials(self.volume_points, self.centers, self.scales, self.degree)
         self.G = _orthonormalizer(self.volume_weights, mono)
 
     def scaled_monomials(self, points, elems=None, dx=0, dy=0):
         """Scaled-monomial table ``(m, nq, ndof)`` for per-element point sets."""
-        pts = np.asarray(points, dtype=float)
-        if elems is None:
-            elems = np.arange(pts.shape[0])
-        c = self.centers[elems]
-        s = self.scales[elems]
-        X = (pts[..., 0] - c[:, None, 0]) / s[:, None]
-        Y = (pts[..., 1] - c[:, None, 1]) / s[:, None]
-        exps = np.asarray(self.exponents)
-        a, b = exps[:, 0], exps[:, 1]
-        px = _power_table(X, self.degree)
-        py = _power_table(Y, self.degree)
-        vals = px[..., np.maximum(a - dx, 0)] * py[..., np.maximum(b - dy, 0)]
-        if dx or dy:
-            coeff = _falling(a, dx) * _falling(b, dy)
-            vals = vals * (coeff / s[:, None, None] ** (dx + dy))
-        return vals
+        elems = np.arange(np.shape(points)[0]) if elems is None else np.asarray(elems)
+        return scaled_monomials(
+            points, self.centers[elems], self.scales[elems], self.degree, dx, dy
+        )
 
     def eval_elements(self, elems, points, gradients=False, hessians=False):
         """Orthonormal basis values on a batch of elements.
@@ -237,21 +248,10 @@ class BrokenSpace:
         ``elems``; results have a trailing basis axis (and derivative axes).
         """
         elems = np.asarray(elems)
-        G = self.G[elems]
-        mono = self.scaled_monomials(points, elems)
-        out = BasisEval(values=np.einsum("eqm,enm->eqn", mono, G))
-        if gradients:
-            gx = np.einsum("eqm,enm->eqn", self.scaled_monomials(points, elems, 1, 0), G)
-            gy = np.einsum("eqm,enm->eqn", self.scaled_monomials(points, elems, 0, 1), G)
-            out.gradients = np.stack([gx, gy], axis=-1)
-        if hessians:
-            hxx = np.einsum("eqm,enm->eqn", self.scaled_monomials(points, elems, 2, 0), G)
-            hxy = np.einsum("eqm,enm->eqn", self.scaled_monomials(points, elems, 1, 1), G)
-            hyy = np.einsum("eqm,enm->eqn", self.scaled_monomials(points, elems, 0, 2), G)
-            out.hessians = np.stack(
-                [np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)], axis=-2
-            )
-        return out
+        return evaluate_basis(
+            points, self.centers[elems], self.scales[elems], self.G[elems],
+            self.degree, gradients, hessians,
+        )
 
     def element_basis(self, k):
         return ElementBasis(

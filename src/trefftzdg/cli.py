@@ -281,10 +281,7 @@ def _cmd_diagnose(args):
         f"(relative {report.block_equivalence_gap_rel:.3e})"
     )
     if args.out:
-        embedding = build_embedding(
-            BrokenSpace(mesh, args.p), coeffs, kind, box_scale=args.box_scale
-        )
-        export_sigma_csv(embedding.embeddings, args.out)
+        export_sigma_csv(report.embedding.embeddings, args.out)
         print(f"sigma spectra written to {args.out}")
     return 0
 

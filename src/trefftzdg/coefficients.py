@@ -138,6 +138,23 @@ class VectorField:
         )
 
 
+def require_positive(values, field, entity, indices):
+    """Fail unless every value of ``field`` is finite and strictly positive.
+
+    ``values`` has one leading row per entry of ``indices``, the ids of the
+    elements or facets (named by ``entity``) the values were taken on; the
+    error names the first offending one.
+    """
+    values = np.asarray(values)
+    bad = ~(np.isfinite(values) & (values > 0.0))
+    if np.any(bad):
+        row = np.unravel_index(np.argmax(bad), values.shape)
+        raise ValueError(
+            f"{field} must be finite and strictly positive on all evaluation points; "
+            f"{entity} {int(np.asarray(indices)[row[0]])} has {field} = {float(values[row])}"
+        )
+
+
 @dataclass
 class PdeCoefficients:
     """Data of a scalar advection-reaction / diffusion problem.

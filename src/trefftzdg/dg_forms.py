@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .basis import BrokenSpace
+from .coefficients import require_positive
 from .quadrature import facet_quadrature
 
 AR_UPWIND = "AR_UPWIND"
@@ -64,13 +65,6 @@ def facet_alpha(space, coeffs):
         means[mesh.facet_left[interior]] + means[mesh.facet_right[interior]]
     )
     return af
-
-
-def _check_alpha_positive(vals):
-    if np.any(vals <= 0.0):
-        raise ValueError(
-            "diffusion coefficient must be strictly positive on all quadrature points"
-        )
 
 
 class _CooAccumulator:
@@ -139,7 +133,7 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
         blocks = np.zeros((len(elems), nd, nd))
         if diffusive:
             alpha = coeffs.alpha(x, y)
-            _check_alpha_positive(alpha)
+            require_positive(alpha, "alpha", "element", elems)
             blocks += np.einsum(
                 "eq,eqid,eqjd->eij", w * alpha, ev.gradients, ev.gradients
             )
@@ -172,7 +166,7 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
             b = np.einsum("fqd,fd->fq", coeffs.beta(x, y), normals)
         if diffusive:
             alpha = coeffs.alpha(x, y)
-            _check_alpha_positive(alpha)
+            require_positive(alpha, "alpha", "facet", facets)
             pen = sigma * af[facets] / mesh.facet_lengths[facets]
             gn_l = np.einsum("fqid,fd->fqi", ev_l.gradients, normals)
             gn_r = np.einsum("fqid,fd->fqi", ev_r.gradients, normals)
@@ -216,7 +210,7 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
         blocks = None
         if diffusive:
             alpha = coeffs.alpha(x, y)
-            _check_alpha_positive(alpha)
+            require_positive(alpha, "alpha", "facet", facets)
             pen = sigma * af[facets] / mesh.facet_lengths[facets]
             coef += pen[:, None]
             load_coef += pen[:, None] * g

@@ -34,13 +34,19 @@ class RankDeficiencyError(RuntimeError):
 
 @dataclass
 class ElementEmbedding:
-    """Kernel basis, particular solution and spectrum of one element."""
+    """Kernel basis, particular solution and spectrum of one element.
+
+    ``Vt_used`` and ``U_used`` keep the right and left singular vectors of
+    the ``rank_used`` singular values kept, ``Vt[:k]`` and ``U[:, :k]``.
+    """
 
     element: int
     T: np.ndarray
     uL: np.ndarray
     sigma: np.ndarray
     rank_used: int
+    Vt_used: np.ndarray = field(default=None, repr=False)
+    U_used: np.ndarray = field(default=None, repr=False)
 
 
 def compute_embedding(op, rank_rule=EXPECT_FULL_ROW_RANK, allow_fallback=True):
@@ -69,13 +75,15 @@ def compute_embedding(op, rank_rule=EXPECT_FULL_ROW_RANK, allow_fallback=True):
             k = _threshold_rank(sigma, _GUARD_REL)
     else:
         k = _threshold_rank(sigma, float(rank_rule))
-    T = Vt[k:, :].T
-    if k > 0:
-        uL = Vt[:k, :].T @ ((U[:, :k].T @ op.rhs) / sigma[:k])
-    else:
-        uL = np.zeros(n)
+    Vt_used, U_used = Vt[:k], U[:, :k]
     return ElementEmbedding(
-        element=op.element, T=T, uL=uL, sigma=sigma, rank_used=k
+        element=op.element,
+        T=Vt[k:, :].T,
+        uL=Vt_used.T @ ((U_used.T @ op.rhs) / sigma[:k]),
+        sigma=sigma,
+        rank_used=k,
+        Vt_used=Vt_used,
+        U_used=U_used,
     )
 
 
@@ -111,32 +119,14 @@ def assemble_global_embedding(mesh, per_element):
         raise ValueError(
             f"expected {mesh.n_elements} element embeddings, got {len(per_element)}"
         )
-    dims = [emb.T.shape[0] for emb in per_element]
     cols = [emb.T.shape[1] for emb in per_element]
-    row_offsets = np.concatenate([[0], np.cumsum(dims)])
-    col_offsets = np.concatenate([[0], np.cumsum(cols)])
-    n_total = int(row_offsets[-1])
-    nt_total = int(col_offsets[-1])
-    rows, columns, values = [], [], []
-    u_L = np.zeros(n_total)
-    for k, emb in enumerate(per_element):
-        nk, tk = emb.T.shape
-        r = np.repeat(np.arange(nk) + row_offsets[k], tk)
-        c = np.tile(np.arange(tk) + col_offsets[k], nk)
-        rows.append(r)
-        columns.append(c)
-        values.append(emb.T.ravel())
-        u_L[row_offsets[k] : row_offsets[k] + nk] = emb.uL
-    prolongation = sparse.coo_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(columns))),
-        shape=(n_total, nt_total),
-    ).tocsr()
+    offsets = np.concatenate([[0], np.cumsum(cols)])
     return GlobalEmbedding(
         embeddings=list(per_element),
-        offsets=col_offsets,
-        prolongation=prolongation,
-        u_L=u_L,
-        ndof_trefftz=nt_total,
+        offsets=offsets,
+        prolongation=sparse.block_diag([emb.T for emb in per_element], format="csr"),
+        u_L=np.concatenate([emb.uL for emb in per_element]),
+        ndof_trefftz=int(offsets[-1]),
     )
 
 

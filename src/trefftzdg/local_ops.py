@@ -7,6 +7,10 @@ test space (or the plain multi-index entries for the quasi-Trefftz
 kind), so dual norms of A_K u reduce to Euclidean vector norms. The
 mesh-size scalings baked into each kind keep the induced norms uniform
 in h; diagnostics downstream rely on them.
+
+The volume-projected and box-restricted kinds share one batched kernel
+over per-element test rules; the per-element entry point
+:func:`assemble_local_operator` is a batch of one of it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import ElementBasis, polynomial_exponents, space_dimension
+from .basis import (
+    _orthonormalizer,
+    evaluate_basis,
+    polynomial_exponents,
+    scaled_monomials,
+    space_dimension,
+)
+from .coefficients import require_positive
 from .quadrature import box_rule, triangle_rule
 
 AR = "AR"
@@ -24,6 +35,8 @@ DAR = "DAR"
 DAR_BOX = "DAR_BOX"
 QT_DIFFUSION = "QT_DIFFUSION"
 KINDS = frozenset({AR, DAR, DAR_BOX, QT_DIFFUSION})
+
+_CHUNK = 2048
 
 
 class MultiIndexSet:
@@ -115,200 +128,141 @@ def compute_box(mesh, element, scale):
     )
 
 
-def _require_positive_alpha(alpha_vals):
-    if np.any(alpha_vals <= 0.0):
-        raise ValueError("diffusion coefficient must be strictly positive on all quadrature points")
-
-
-def _second_order_integrand(basis, coeffs, points, scale):
-    """scale * (-div(alpha grad phi) + beta.grad phi + gamma phi) at points."""
-    x, y = points[:, 0], points[:, 1]
-    ev = basis.eval(points, gradients=True, hessians=True)
-    alpha_vals = coeffs.alpha(x, y)
-    _require_positive_alpha(alpha_vals)
-    ax = coeffs.alpha.derivative(1, 0)(x, y)
-    ay = coeffs.alpha.derivative(0, 1)(x, y)
-    lap = ev.hessians[..., 0, 0] + ev.hessians[..., 1, 1]
-    vals = -(
-        alpha_vals[:, None] * lap
-        + ax[:, None] * ev.gradients[..., 0]
-        + ay[:, None] * ev.gradients[..., 1]
-    )
-    if coeffs.beta is not None:
-        b = coeffs.beta(x, y)
-        vals += b[:, None, 0] * ev.gradients[..., 0] + b[:, None, 1] * ev.gradients[..., 1]
-    if coeffs.gamma is not None:
-        vals += coeffs.gamma(x, y)[:, None] * ev.values
-    return scale * vals
-
-
-def assemble_local_operator(
-    kind, mesh, element, basis, coeffs, rule=None, box_scale=0.25, box=None
-):
-    """Matrix representation of the local operator on one element.
-
-    ``basis`` is the element's orthonormal trial basis of degree p. The
-    returned rows are tested against an orthonormal basis of the kind's
-    test space; the load vector carries the same mesh-size scaling as the
-    operator.
-    """
+def _validate(kind, p, coeffs):
+    """Preconditions of each operator kind on the degree and the data."""
     if kind not in KINDS:
         raise ValueError(f"unknown local operator kind {kind!r}")
-    p = basis.degree
-    h_k = mesh.h[element]
-
     if kind == AR:
         if p < 1:
             raise ValueError("AR local operator requires degree p >= 1")
         if coeffs.beta is None:
             raise ValueError("AR local operator requires an advection field beta")
-        if rule is None:
-            rule = triangle_rule(
-                mesh.vertices[mesh.triangles[element]], 2 * p + 4, positive=True
-            )
-        q_basis = ElementBasis.from_rule(
-            basis.center, basis.scale, p - 1, rule, element=element
-        )
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        ev = basis.eval(rule.points, gradients=True)
-        b = coeffs.beta(x, y)
-        vals = b[:, None, 0] * ev.gradients[..., 0] + b[:, None, 1] * ev.gradients[..., 1]
-        if coeffs.gamma is not None:
-            vals += coeffs.gamma(x, y)[:, None] * ev.values
-        scale = math.sqrt(h_k)
-        qv = q_basis.eval(rule.points).values
-        matrix = np.einsum("q,qi,qj->ij", rule.weights, qv, scale * vals)
-        rhs = np.einsum("q,q,qi->i", rule.weights, scale * coeffs.f(x, y), qv)
-        return LocalOperator(kind=kind, element=element, matrix=matrix, rhs=rhs)
-
+        return
     if p < 2:
         raise ValueError(f"{kind} local operator requires degree p >= 2")
-
-    if kind == DAR:
-        if coeffs.alpha is None:
-            raise ValueError("DAR local operator requires a diffusion field alpha")
-        if rule is None:
-            rule = triangle_rule(
-                mesh.vertices[mesh.triangles[element]], 2 * p + 4, positive=True
-            )
-        q_basis = ElementBasis.from_rule(
-            basis.center, basis.scale, p - 2, rule, element=element
-        )
-        vals = _second_order_integrand(basis, coeffs, rule.points, h_k)
-        qv = q_basis.eval(rule.points).values
-        matrix = np.einsum("q,qi,qj->ij", rule.weights, qv, vals)
-        x, y = rule.points[:, 0], rule.points[:, 1]
-        rhs = np.einsum("q,q,qi->i", rule.weights, h_k * coeffs.f(x, y), qv)
-        return LocalOperator(kind=kind, element=element, matrix=matrix, rhs=rhs)
-
-    if kind == DAR_BOX:
-        if coeffs.alpha is None:
-            raise ValueError("DAR_BOX local operator requires a diffusion field alpha")
-        if box is None:
-            box = compute_box(mesh, element, box_scale)
-        brule = box_rule(box.center, box.side, 2 * p + 4)
-        q_basis = ElementBasis.from_rule(box.center, box.h, p - 2, brule, element=element)
-        vals = _second_order_integrand(basis, coeffs, brule.points, box.h)
-        qv = q_basis.eval(brule.points).values
-        matrix = np.einsum("q,qi,qj->ij", brule.weights, qv, vals)
-        x, y = brule.points[:, 0], brule.points[:, 1]
-        rhs = np.einsum("q,q,qi->i", brule.weights, box.h * coeffs.f(x, y), qv)
-        return LocalOperator(kind=kind, element=element, matrix=matrix, rhs=rhs, box=box)
-
-    # quasi-Trefftz: scaled point derivatives of the PDE residual at the
-    # element center; no quadrature involved
     if coeffs.alpha is None:
-        raise ValueError("QT_DIFFUSION local operator requires a diffusion field alpha")
-    if not coeffs.alpha.has_derivatives(p - 1):
-        raise ValueError("quasi-Trefftz assembly needs alpha derivatives up to order p-1")
-    if not coeffs.f.has_derivatives(p - 2):
-        raise ValueError("quasi-Trefftz assembly needs source derivatives up to order p-2")
-    indices = MultiIndexSet(p - 2)
+        raise ValueError(f"{kind} local operator requires a diffusion field alpha")
+    if kind == QT_DIFFUSION:
+        if not coeffs.alpha.has_derivatives(p - 1):
+            raise ValueError("quasi-Trefftz assembly needs alpha derivatives up to order p-1")
+        if not coeffs.f.has_derivatives(p - 2):
+            raise ValueError("quasi-Trefftz assembly needs source derivatives up to order p-2")
+
+
+def _operator_kernel(kind, coeffs, p, elems, trial, test):
+    """Matrices and loads of the AR, DAR or DAR_BOX operator on a batch of
+    elements.
+
+    ``trial`` holds the centers ``(E, 2)``, scales ``(E,)`` and
+    orthonormalization matrices ``(E, n, n)`` of the degree-``p`` trial
+    bases. ``test`` holds, per element, a positive-weight rule on the test
+    domain (points ``(E, nq, 2)``, weights ``(E, nq)``) and the center and
+    scale ``s`` of the test monomials; the test basis is orthonormalized on
+    that rule, so it must be exact to twice the test degree. Rows and loads
+    carry the kind's mesh-size factor, ``sqrt(s)`` for AR and ``s`` otherwise.
+    """
+    centers, scales, G = trial
+    pts, w, test_centers, test_scales = test
+    x, y = pts[..., 0], pts[..., 1]
+    ev = evaluate_basis(pts, centers, scales, G, p, gradients=True, hessians=kind != AR)
+    mono_q = scaled_monomials(pts, test_centers, test_scales, p - 1 if kind == AR else p - 2)
+    qv = mono_q @ np.swapaxes(_orthonormalizer(w, mono_q), -1, -2)
+    if kind == AR:
+        vals = np.einsum("eqjd,eqd->eqj", ev.gradients, coeffs.beta(x, y))
+        scale = np.sqrt(test_scales)
+    else:
+        # -div(alpha grad phi) = -(alpha lap phi + grad alpha . grad phi)
+        alpha_vals = coeffs.alpha(x, y)
+        require_positive(alpha_vals, "alpha", "element", elems)
+        ax = coeffs.alpha.derivative(1, 0)(x, y)
+        ay = coeffs.alpha.derivative(0, 1)(x, y)
+        lap = ev.hessians[..., 0, 0] + ev.hessians[..., 1, 1]
+        vals = -(
+            alpha_vals[..., None] * lap
+            + ax[..., None] * ev.gradients[..., 0]
+            + ay[..., None] * ev.gradients[..., 1]
+        )
+        if coeffs.beta is not None:
+            vals += np.einsum("eqjd,eqd->eqj", ev.gradients, coeffs.beta(x, y))
+        scale = np.asarray(test_scales, dtype=float)
+    if coeffs.gamma is not None:
+        vals += coeffs.gamma(x, y)[..., None] * ev.values
+    # scaled, weighted test values: A = Q_w^T V and l = Q_w^T f per element
+    qw = qv * (scale[:, None] * w)[..., None]
+    return np.swapaxes(qw, -1, -2) @ vals, np.einsum("eqi,eq->ei", qw, coeffs.f(x, y))
+
+
+def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
+    """Matrix representation of the local operator on one element.
+
+    ``basis`` is the element's orthonormal trial basis of degree p. The
+    returned rows are tested against an orthonormal basis of the kind's
+    test space; the load vector carries the same mesh-size scaling as the
+    operator. The AR, DAR and DAR_BOX kinds are a batch of one of the
+    kernel that :func:`assemble_local_operators` uses.
+    """
+    p = basis.degree
+    _validate(kind, p, coeffs)
+    if kind == QT_DIFFUSION:
+        return _qt_operator(mesh, element, basis, coeffs)
+    box = None
+    if kind == DAR_BOX:
+        box = compute_box(mesh, element, box_scale)
+        rule = box_rule(box.center, box.side, 2 * p + 4)
+        center, scale = box.center, box.h
+    else:
+        rule = triangle_rule(mesh.vertices[mesh.triangles[element]], 2 * p + 4, positive=True)
+        center, scale = mesh.centroids[element], mesh.h[element]
+    trial = (basis.center[None], np.array([basis.scale]), basis.G[None])
+    test = (rule.points[None], rule.weights[None], np.array([center]), np.array([scale]))
+    matrices, loads = _operator_kernel(kind, coeffs, p, [element], trial, test)
+    return LocalOperator(kind=kind, element=element, matrix=matrices[0], rhs=loads[0], box=box)
+
+
+def _qt_operator(mesh, element, basis, coeffs):
+    """Quasi-Trefftz rows: scaled point derivatives of the PDE residual at
+    the element center; no quadrature involved."""
+    p = basis.degree
+    h_k = mesh.h[element]
     point = basis.center
+    require_positive(coeffs.alpha(point[0], point[1])[None], "alpha", "element", [element])
+    indices = MultiIndexSet(p - 2)
     matrix = np.empty((len(indices), basis.dim))
     rhs = np.empty(len(indices))
     for row, idx in enumerate(indices):
         scale = h_k ** (1.5 + idx[0] + idx[1])
         matrix[row] = -scale * _leibniz_basis_rows(idx, basis, coeffs.alpha, point)
         rhs[row] = scale * coeffs.f.derivative(*idx)(point[0], point[1])
-    return LocalOperator(kind=kind, element=element, matrix=matrix, rhs=rhs)
+    return LocalOperator(kind=QT_DIFFUSION, element=element, matrix=matrix, rhs=rhs)
 
 
 def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
     """Local operators for every element of a broken space.
 
-    The volume-projected kinds are assembled in element batches (shared
-    quadrature, batched test-basis orthonormalization); the box and
-    point-derivative kinds fall back to the per-element path.
+    The volume-projected kinds run through the operator kernel in element
+    batches, with the space's volume rule as test domain; the box and
+    point-derivative kinds go element by element.
     """
     mesh = space.mesh
-    if kind in (AR, DAR):
-        return _batch_volume_operators(kind, space, coeffs)
-    ops = []
-    for k in range(mesh.n_elements):
-        ops.append(
+    _validate(kind, space.degree, coeffs)
+    if kind in (DAR_BOX, QT_DIFFUSION):
+        return [
             assemble_local_operator(
                 kind, mesh, k, space.element_basis(k), coeffs, box_scale=box_scale
             )
-        )
-    return ops
-
-
-def _batch_volume_operators(kind, space, coeffs, chunk=2048):
-    from .basis import _orthonormalizer
-
-    mesh = space.mesh
-    p = space.degree
-    if kind == AR:
-        if p < 1:
-            raise ValueError("AR local operator requires degree p >= 1")
-        if coeffs.beta is None:
-            raise ValueError("AR local operator requires an advection field beta")
-    else:
-        if p < 2:
-            raise ValueError(f"{kind} local operator requires degree p >= 2")
-        if coeffs.alpha is None:
-            raise ValueError("DAR local operator requires a diffusion field alpha")
-    m_dim = operator_row_count(kind, p)
+            for k in range(mesh.n_elements)
+        ]
     ops = []
-    for start in range(0, mesh.n_elements, chunk):
-        elems = np.arange(start, min(start + chunk, mesh.n_elements))
-        pts = space.volume_points[elems]
-        w = space.volume_weights[elems]
-        x, y = pts[..., 0], pts[..., 1]
-        ev = space.eval_elements(elems, pts, gradients=True, hessians=(kind == DAR))
-        # test-space monomials are a graded-lex prefix of the trial ones
-        mono_q = space.scaled_monomials(pts, elems)[..., :m_dim]
-        Gq = _orthonormalizer(w, mono_q)
-        qv = np.einsum("eqm,enm->eqn", mono_q, Gq)
-        if kind == AR:
-            b = coeffs.beta(x, y)
-            vals = np.einsum("eqjd,eqd->eqj", ev.gradients, b)
-            if coeffs.gamma is not None:
-                vals += coeffs.gamma(x, y)[..., None] * ev.values
-            scale = np.sqrt(mesh.h[elems])
-        else:
-            alpha_vals = coeffs.alpha(x, y)
-            _require_positive_alpha(alpha_vals)
-            ax = coeffs.alpha.derivative(1, 0)(x, y)
-            ay = coeffs.alpha.derivative(0, 1)(x, y)
-            lap = ev.hessians[..., 0, 0] + ev.hessians[..., 1, 1]
-            vals = -(
-                alpha_vals[..., None] * lap
-                + ax[..., None] * ev.gradients[..., 0]
-                + ay[..., None] * ev.gradients[..., 1]
-            )
-            if coeffs.beta is not None:
-                vals += np.einsum("eqjd,eqd->eqj", ev.gradients, coeffs.beta(x, y))
-            if coeffs.gamma is not None:
-                vals += coeffs.gamma(x, y)[..., None] * ev.values
-            scale = mesh.h[elems]
-        matrices = np.einsum("e,eq,eqi,eqj->eij", scale, w, qv, vals)
-        loads = np.einsum("e,eq,eq,eqi->ei", scale, w, coeffs.f(x, y), qv)
-        for j, k in enumerate(elems):
-            ops.append(
-                LocalOperator(kind=kind, element=int(k), matrix=matrices[j], rhs=loads[j])
-            )
+    for start in range(0, mesh.n_elements, _CHUNK):
+        elems = np.arange(start, min(start + _CHUNK, mesh.n_elements))
+        centers, scales = space.centers[elems], space.scales[elems]
+        trial = (centers, scales, space.G[elems])
+        test = (space.volume_points[elems], space.volume_weights[elems], centers, scales)
+        matrices, loads = _operator_kernel(kind, coeffs, space.degree, elems, trial, test)
+        ops.extend(
+            LocalOperator(kind=kind, element=int(k), matrix=m, rhs=r)
+            for k, m, r in zip(elems, matrices, loads)
+        )
     return ops
 
 

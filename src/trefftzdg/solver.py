@@ -115,14 +115,14 @@ def solve_embedded_trefftz(system, embedding):
     )
 
 
-def _complement_basis(op, embedding_k, complement_rule):
-    """Basis of the element-local complement space (columns, orthonormal)."""
-    U, S, Vt = np.linalg.svd(op.matrix, full_matrices=False)
-    k = embedding_k.rank_used
+def _complement_basis(emb_k, complement_rule):
+    """Basis of the element-local complement space (columns, orthonormal),
+    from the singular vectors the element embedding kept."""
     if complement_rule == SVD_COMPLEMENT:
-        return Vt[:k].T
+        return emb_k.Vt_used.T
     if complement_rule == MINNORM_IMAGE:
-        image = Vt[:k].T @ np.diag(1.0 / S[:k]) @ U[:, :k].T
+        k = emb_k.rank_used
+        image = emb_k.Vt_used.T @ np.diag(1.0 / emb_k.sigma[:k]) @ emb_k.U_used.T
         q, _ = np.linalg.qr(image)
         return q[:, :k]
     raise ValueError(f"unknown complement rule {complement_rule!r}")
@@ -140,60 +140,29 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
     mesh = space.mesh
     if len(local_ops) != mesh.n_elements or len(embedding.embeddings) != mesh.n_elements:
         raise ValueError("local operators, embedding, and mesh sizes do not match")
-    nd = space.ndof_local
-    n_total = space.ndof_total
-    rows_l, cols_l, vals_l = [], [], []
-    rows_loc, cols_loc, vals_loc = [], [], []
-    rows_lt, cols_lt, vals_lt = [], [], []
-    rhs_local = []
-    col_off = 0
-    row_off = 0
+    complements, local_complement, local_trefftz = [], [], []
     for k, op in enumerate(local_ops):
         emb_k = embedding.embeddings[k]
-        m = op.n_rows
-        if emb_k.rank_used != m:
+        if emb_k.rank_used != op.n_rows:
             raise SolverError(
                 f"element {k}: local operator is rank deficient "
-                f"({emb_k.rank_used} < {m} rows); block system would be singular"
+                f"({emb_k.rank_used} < {op.n_rows} rows); block system would be singular"
             )
-        L = _complement_basis(op, emb_k, complement_rule)
-        # global complement prolongation (block diagonal)
-        r = np.repeat(np.arange(nd) + k * nd, m)
-        c = np.tile(np.arange(m) + col_off, nd)
-        rows_l.append(r)
-        cols_l.append(c)
-        vals_l.append(L.ravel())
+        L = _complement_basis(emb_k, complement_rule)
+        complements.append(L)
         # local rows applied to complement and Trefftz columns
-        AL = op.matrix @ L
-        AT = op.matrix @ emb_k.T
-        rows_loc.append(np.repeat(np.arange(m) + row_off, m))
-        cols_loc.append(np.tile(np.arange(m) + col_off, m))
-        vals_loc.append(AL.ravel())
-        tk = AT.shape[1]
-        rows_lt.append(np.repeat(np.arange(m) + row_off, tk))
-        cols_lt.append(np.tile(np.arange(tk) + embedding.offsets[k], m))
-        vals_lt.append(AT.ravel())
-        rhs_local.append(op.rhs)
-        col_off += m
-        row_off += m
-    k_total = col_off
-    L_global = sparse.coo_matrix(
-        (np.concatenate(vals_l), (np.concatenate(rows_l), np.concatenate(cols_l))),
-        shape=(n_total, k_total),
-    ).tocsr()
-    A11 = sparse.coo_matrix(
-        (np.concatenate(vals_loc), (np.concatenate(rows_loc), np.concatenate(cols_loc))),
-        shape=(row_off, k_total),
-    ).tocsr()
-    A12 = sparse.coo_matrix(
-        (np.concatenate(vals_lt), (np.concatenate(rows_lt), np.concatenate(cols_lt))),
-        shape=(row_off, embedding.ndof_trefftz),
-    ).tocsr()
+        local_complement.append(op.matrix @ L)
+        local_trefftz.append(op.matrix @ emb_k.T)
+    # global complement prolongation and the local row blocks (block diagonal)
+    L_global = sparse.block_diag(complements, format="csr")
+    A11 = sparse.block_diag(local_complement, format="csr")
+    A12 = sparse.block_diag(local_trefftz, format="csr")
+    k_total = L_global.shape[1]
     T_global = embedding.prolongation
     A21 = (T_global.T @ system.matrix @ L_global).tocsr()
     A22 = (T_global.T @ system.matrix @ T_global).tocsr()
     block = sparse.bmat([[A11, A12], [A21, A22]], format="csc")
-    rhs = np.concatenate([np.concatenate(rhs_local), T_global.T @ system.load])
+    rhs = np.concatenate([op.rhs for op in local_ops] + [T_global.T @ system.load])
     x = _direct_solve(block, rhs, "coupled block solve")
     c_l, c_t = x[:k_total], x[k_total:]
     u_l = L_global @ c_l
@@ -202,7 +171,7 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
         coeffs=u_l + u_t,
         space=space,
         method=BLOCK_COUPLED,
-        ndof_full=n_total,
+        ndof_full=space.ndof_total,
         ndof_trefftz=embedding.ndof_trefftz,
         sigma=system.sigma,
         block_parts={"u_L": u_l, "u_T": u_t, "c_L": c_l, "c_T": c_t},

@@ -97,6 +97,26 @@ def test_diagnose_sigma_csv(tmp_path):
     assert len(lines) == 1 + 8  # one singular value per element at p=2
 
 
+def test_diagnose_out_builds_the_embedding_once(tmp_path, monkeypatch):
+    import trefftzdg.analysis as analysis
+    import trefftzdg.cli as cli
+
+    builds = []
+    original = analysis.build_embedding
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    for module in (analysis, cli):
+        monkeypatch.setattr(module, "build_embedding", counting)
+    out = tmp_path / "sigma.csv"
+    assert main(["diagnose", "--case", "DAR_EXAMPLE", "--p", "3", "--n", "2",
+                 "--out", str(out)]) == 0
+    assert len(builds) == 1
+    assert len(out.read_text().splitlines()) == 1 + 8 * 3  # dim Q = 3 at p=3
+
+
 def test_dump_mesh(tmp_path):
     out = tmp_path / "mesh.txt"
     assert main(["dump-mesh", "--n", "2", "--out", str(out)]) == 0

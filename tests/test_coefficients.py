@@ -139,3 +139,24 @@ def test_manufactured_case_builds_g_d_and_f():
     pts = SAMPLES[:8]
     assert np.allclose(coeffs.f(pts[:, 0], pts[:, 1]), 0.0, atol=1e-13)
     assert np.allclose(coeffs.g_D(pts[:, 0], pts[:, 1]), pts[:, 0] ** 2 - pts[:, 1] ** 2)
+
+
+@pytest.mark.parametrize("entry", ["DAR_SIP", "DAR", "DAR_BOX", "QT_DIFFUSION"])
+def test_non_finite_alpha_rejected_at_entry(entry):
+    # alpha is NaN wherever x < 1/2; every entry point must name the field
+    # and the first offending element or facet instead of failing later
+    from trefftzdg.basis import BrokenSpace
+    from trefftzdg.dg_forms import DAR_SIP, assemble_global_system
+    from trefftzdg.embedding import build_embedding
+    from trefftzdg.mesh import build_structured_mesh
+
+    x = sp.Symbol("x")
+    coeffs = manufactured_case(alpha=1 + sp.sqrt(x - sp.Rational(1, 2)), exact=x)
+    mesh = build_structured_mesh(4)
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
+        ValueError, match=r"alpha must be finite .* (element|facet) \d+ has alpha = nan"
+    ):
+        if entry == DAR_SIP:
+            assemble_global_system(DAR_SIP, mesh, 2, coeffs, sigma=50.0)
+        else:
+            build_embedding(BrokenSpace(mesh, 3), coeffs, entry)

@@ -20,7 +20,7 @@ from trefftzdg.local_ops import (
     operator_row_count as q_dimension,
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
-from trefftzdg.quadrature import triangle_rule
+from trefftzdg.quadrature import box_rule, triangle_rule
 
 UNIT_RIGHT = Mesh2D(
     vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -269,6 +269,76 @@ def test_batch_matches_single_element():
     single = assemble_local_operator(DAR, mesh, k, space.element_basis(k), coeffs)
     assert np.allclose(ops[k].matrix, single.matrix, atol=1e-11)
     assert np.allclose(ops[k].rhs, single.rhs, atol=1e-11)
+
+
+def perturbed_grid_mesh():
+    """3x3 grid of the unit square with its four interior vertices moved,
+    orientation kept; only the two corner triangles without an interior
+    vertex stay congruent."""
+    xs = np.linspace(0.0, 1.0, 4)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    interior = [5, 6, 9, 10]
+    verts[interior] += [[0.07, -0.05], [-0.06, 0.03], [0.04, 0.06], [-0.03, -0.08]]
+    tris = []
+    for i in range(3):
+        for j in range(3):
+            a, b, c, d = 4 * i + j, 4 * (i + 1) + j, 4 * (i + 1) + j + 1, 4 * i + j + 1
+            tris += [[a, b, c], [a, c, d]]
+    return Mesh2D(vertices=verts, triangles=np.array(tris))
+
+
+def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
+    """Per-element AR/DAR/DAR_BOX operator written out directly: the test
+    basis is orthonormalized on the test domain's own rule, and the strong
+    form is evaluated term by term from the trial basis derivatives."""
+    p = basis.degree
+    if kind == DAR_BOX:
+        box = compute_box(mesh, k, box_scale)
+        rule = box_rule(box.center, box.side, 2 * p + 4)
+        q_basis = ElementBasis.from_rule(box.center, box.h, p - 2, rule)
+        scale = box.h
+    else:
+        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4, positive=True)
+        q_degree = p - 1 if kind == AR else p - 2
+        q_basis = ElementBasis.from_rule(basis.center, basis.scale, q_degree, rule)
+        scale = math.sqrt(mesh.h[k]) if kind == AR else mesh.h[k]
+    x, y = rule.points[:, 0], rule.points[:, 1]
+    ev = basis.eval(rule.points, gradients=True, hessians=True)
+    gx, gy = ev.gradients[..., 0], ev.gradients[..., 1]
+    vals = np.zeros_like(ev.values)
+    if kind != AR:
+        a = coeffs.alpha
+        lap = ev.hessians[..., 0, 0] + ev.hessians[..., 1, 1]
+        vals -= a(x, y)[:, None] * lap
+        vals -= a.derivative(1, 0)(x, y)[:, None] * gx + a.derivative(0, 1)(x, y)[:, None] * gy
+    if coeffs.beta is not None:
+        b = coeffs.beta(x, y)
+        vals += b[:, None, 0] * gx + b[:, None, 1] * gy
+    if coeffs.gamma is not None:
+        vals += coeffs.gamma(x, y)[:, None] * ev.values
+    qv = q_basis.eval(rule.points).values
+    matrix = np.einsum("q,qi,qj->ij", rule.weights, qv, scale * vals)
+    rhs = np.einsum("q,q,qi->i", rule.weights, scale * coeffs.f(x, y), qv)
+    return matrix, rhs
+
+
+@pytest.mark.parametrize(
+    "kind,case", [(AR, "AR_EXAMPLE"), (DAR, "DAR_EXAMPLE"), (DAR_BOX, "DAR_EXAMPLE")]
+)
+def test_batch_and_single_match_reference(kind, case):
+    coeffs = builtin_case(case)
+    mesh = perturbed_grid_mesh()
+    space = BrokenSpace(mesh, 3)
+    ops = assemble_local_operators(kind, space, coeffs)
+    for k in range(mesh.n_elements):
+        basis = space.element_basis(k)
+        matrix, rhs = reference_operator(kind, mesh, k, basis, coeffs)
+        single = assemble_local_operator(kind, mesh, k, basis, coeffs)
+        for op in (ops[k], single):
+            assert op.element == k
+            np.testing.assert_allclose(op.matrix, matrix, rtol=1e-10, atol=1e-11)
+            np.testing.assert_allclose(op.rhs, rhs, rtol=1e-10, atol=1e-11)
 
 
 @pytest.mark.parametrize("kind,case", [(AR, "AR_EXAMPLE"), (DAR, "DAR_EXAMPLE")])
