@@ -133,7 +133,9 @@ def compute_errors(solution, coeffs, kind):
         sigma = solution.sigma
         if sigma is None:
             sigma = 50.0 * space.degree**2
-        af = facet_alpha(space, coeffs)
+        af = solution.alpha_facet
+        if af is None:
+            af = facet_alpha(space, coeffs)
 
         def weight_pen(pts, normals, facets):
             base = sigma * af[facets] / mesh.facet_lengths[facets]

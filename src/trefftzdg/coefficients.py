@@ -146,11 +146,22 @@ def require_positive(values, field, entity, indices):
     error names the first offending one.
     """
     values = np.asarray(values)
-    bad = ~(np.isfinite(values) & (values > 0.0))
-    if np.any(bad):
-        row = np.unravel_index(np.argmax(bad), values.shape)
+    _require(values, np.isfinite(values) & (values > 0.0), "finite and strictly positive",
+             field, entity, indices)
+
+
+def require_finite(values, field, entity, indices):
+    """Fail unless every value of ``field`` is finite; arguments as for
+    :func:`require_positive`."""
+    values = np.asarray(values)
+    _require(values, np.isfinite(values), "finite", field, entity, indices)
+
+
+def _require(values, ok, condition, field, entity, indices):
+    if not np.all(ok):
+        row = np.unravel_index(np.argmin(ok), values.shape)
         raise ValueError(
-            f"{field} must be finite and strictly positive on all evaluation points; "
+            f"{field} must be {condition} on all evaluation points; "
             f"{entity} {int(np.asarray(indices)[row[0]])} has {field} = {float(values[row])}"
         )
 

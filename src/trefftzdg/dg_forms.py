@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .basis import BrokenSpace
-from .coefficients import require_positive
+from .coefficients import require_finite, require_positive
 from .quadrature import facet_quadrature
 
 AR_UPWIND = "AR_UPWIND"
@@ -91,6 +91,11 @@ class _CooAccumulator:
         ).tocsr()
 
 
+def _gram(w, a, b):
+    """``sum_q w[e, q] a[e, q, i] b[e, q, j]`` for every batch entry ``e``."""
+    return np.swapaxes(a * w[..., None], -1, -2) @ b
+
+
 def _chunks(total, size=_CHUNK):
     for start in range(0, total, size):
         yield np.arange(start, min(start + size, total))
@@ -134,19 +139,20 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
         if diffusive:
             alpha = coeffs.alpha(x, y)
             require_positive(alpha, "alpha", "element", elems)
-            blocks += np.einsum(
-                "eq,eqid,eqjd->eij", w * alpha, ev.gradients, ev.gradients
-            )
+            for d in range(2):
+                blocks += _gram(w * alpha, ev.gradients[..., d], ev.gradients[..., d])
         if has_beta:
             b = coeffs.beta(x, y)
+            require_finite(b, "beta", "element", elems)
             badv = np.einsum("eqjd,eqd->eqj", ev.gradients, b)
-            blocks += np.einsum("eq,eqi,eqj->eij", w, ev.values, badv)
+            blocks += _gram(w, ev.values, badv)
         if has_gamma:
-            blocks += np.einsum(
-                "eq,eqi,eqj->eij", w * coeffs.gamma(x, y), ev.values, ev.values
-            )
+            gamma = coeffs.gamma(x, y)
+            require_finite(gamma, "gamma", "element", elems)
+            blocks += _gram(w * gamma, ev.values, ev.values)
         acc.add(space.offsets[elems], space.offsets[elems], blocks)
         fv = coeffs.f(x, y)
+        require_finite(fv, "f", "element", elems)
         contrib = np.einsum("eq,eqi->ei", w * fv, ev.values)
         np.add.at(load, space.offsets[elems][:, None] + np.arange(nd)[None, :], contrib)
 
@@ -163,7 +169,9 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
         ev_r = space.eval_elements(right, pts, gradients=diffusive)
         b = None
         if has_beta:
-            b = np.einsum("fqd,fd->fq", coeffs.beta(x, y), normals)
+            beta = coeffs.beta(x, y)
+            require_finite(beta, "beta", "facet", facets)
+            b = np.einsum("fqd,fd->fq", beta, normals)
         if diffusive:
             alpha = coeffs.alpha(x, y)
             require_positive(alpha, "alpha", "facet", facets)
@@ -179,16 +187,12 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
                     coef += -0.5 * b * sb + 0.5 * np.abs(b) * sa * sb
                 if diffusive:
                     coef += pen[:, None] * sa * sb
-                blocks = np.einsum("fq,fqi,fqj->fij", w * coef, ev_a.values, ev_b.values)
+                blocks = _gram(w * coef, ev_a.values, ev_b.values)
                 if diffusive:
                     gn_b = gn_l if sb > 0 else gn_r
                     gn_a = gn_l if sa > 0 else gn_r
-                    blocks += np.einsum(
-                        "fq,fqi,fqj->fij", w * (-0.5 * alpha * sa), ev_a.values, gn_b
-                    )
-                    blocks += np.einsum(
-                        "fq,fqi,fqj->fij", w * (-0.5 * alpha * sb), gn_a, ev_b.values
-                    )
+                    blocks += _gram(w * (-0.5 * alpha * sa), ev_a.values, gn_b)
+                    blocks += _gram(w * (-0.5 * alpha * sb), gn_a, ev_b.values)
                 acc.add(space.offsets[elems_a], space.offsets[elems_b], blocks)
 
     # boundary facets
@@ -200,10 +204,13 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
         left = mesh.facet_left[facets]
         ev = space.eval_elements(left, pts, gradients=diffusive)
         g = coeffs.g_D(x, y)
+        require_finite(g, "g_D", "facet", facets)
         coef = np.zeros_like(w)
         load_coef = np.zeros_like(w)
         if has_beta:
-            b = np.einsum("fqd,fd->fq", coeffs.beta(x, y), normals)
+            beta = coeffs.beta(x, y)
+            require_finite(beta, "beta", "facet", facets)
+            b = np.einsum("fqd,fd->fq", beta, normals)
             inflow = np.where(b < 0.0, -b, 0.0)
             coef += inflow
             load_coef += inflow * g
@@ -215,11 +222,11 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
             coef += pen[:, None]
             load_coef += pen[:, None] * g
             gn = np.einsum("fqid,fd->fqi", ev.gradients, normals)
-            blocks = np.einsum("fq,fqi,fqj->fij", w * (-alpha), ev.values, gn)
-            blocks += np.einsum("fq,fqi,fqj->fij", w * (-alpha), gn, ev.values)
+            blocks = _gram(w * (-alpha), ev.values, gn)
+            blocks += _gram(w * (-alpha), gn, ev.values)
             lb = np.einsum("fq,fqi->fi", w * (-alpha) * g, gn)
             np.add.at(load, space.offsets[left][:, None] + np.arange(nd)[None, :], lb)
-        vv = np.einsum("fq,fqi,fqj->fij", w * coef, ev.values, ev.values)
+        vv = _gram(w * coef, ev.values, ev.values)
         blocks = vv if blocks is None else blocks + vv
         acc.add(space.offsets[left], space.offsets[left], blocks)
         lb = np.einsum("fq,fqi->fi", w * load_coef, ev.values)

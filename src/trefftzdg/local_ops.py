@@ -27,7 +27,7 @@ from .basis import (
     scaled_monomials,
     space_dimension,
 )
-from .coefficients import require_positive
+from .coefficients import require_finite, require_positive
 from .quadrature import box_rule, triangle_rule
 
 AR = "AR"
@@ -167,8 +167,12 @@ def _operator_kernel(kind, coeffs, p, elems, trial, test):
     ev = evaluate_basis(pts, centers, scales, G, p, gradients=True, hessians=kind != AR)
     mono_q = scaled_monomials(pts, test_centers, test_scales, p - 1 if kind == AR else p - 2)
     qv = mono_q @ np.swapaxes(_orthonormalizer(w, mono_q), -1, -2)
+    beta = None
+    if coeffs.beta is not None:
+        beta = coeffs.beta(x, y)
+        require_finite(beta, "beta", "element", elems)
     if kind == AR:
-        vals = np.einsum("eqjd,eqd->eqj", ev.gradients, coeffs.beta(x, y))
+        vals = np.einsum("eqjd,eqd->eqj", ev.gradients, beta)
         scale = np.sqrt(test_scales)
     else:
         # -div(alpha grad phi) = -(alpha lap phi + grad alpha . grad phi)
@@ -182,14 +186,18 @@ def _operator_kernel(kind, coeffs, p, elems, trial, test):
             + ax[..., None] * ev.gradients[..., 0]
             + ay[..., None] * ev.gradients[..., 1]
         )
-        if coeffs.beta is not None:
-            vals += np.einsum("eqjd,eqd->eqj", ev.gradients, coeffs.beta(x, y))
+        if beta is not None:
+            vals += np.einsum("eqjd,eqd->eqj", ev.gradients, beta)
         scale = np.asarray(test_scales, dtype=float)
     if coeffs.gamma is not None:
-        vals += coeffs.gamma(x, y)[..., None] * ev.values
+        gamma = coeffs.gamma(x, y)
+        require_finite(gamma, "gamma", "element", elems)
+        vals += gamma[..., None] * ev.values
+    f = coeffs.f(x, y)
+    require_finite(f, "f", "element", elems)
     # scaled, weighted test values: A = Q_w^T V and l = Q_w^T f per element
     qw = qv * (scale[:, None] * w)[..., None]
-    return np.swapaxes(qw, -1, -2) @ vals, np.einsum("eqi,eq->ei", qw, coeffs.f(x, y))
+    return np.swapaxes(qw, -1, -2) @ vals, np.einsum("eqi,eq->ei", qw, f)
 
 
 def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):

@@ -2,8 +2,9 @@
 embedded-Trefftz reduced system, and the generic coupled block system.
 
 All variants return coefficient vectors over the full broken basis, so
-error computation downstream is method-agnostic. Sparse LU with one step
-of iterative refinement enforces the residual contract.
+error computation downstream is method-agnostic. Sparse LU in the mesh's
+nested-dissection element order, with one step of iterative refinement
+and a pivoting LU as the fallback, enforces the residual contract.
 """
 
 from __future__ import annotations
@@ -30,7 +31,11 @@ class SolverError(RuntimeError):
 
 @dataclass
 class DiscreteSolution:
-    """Coefficient vector over the full broken basis plus bookkeeping."""
+    """Coefficient vector over the full broken basis plus bookkeeping.
+
+    ``sigma`` and ``alpha_facet`` are the penalty data of the solved system,
+    which the error norms reuse.
+    """
 
     coeffs: np.ndarray
     space: object
@@ -38,6 +43,7 @@ class DiscreteSolution:
     ndof_full: int
     ndof_trefftz: int = None
     sigma: float = None
+    alpha_facet: np.ndarray = field(default=None, repr=False)
     block_parts: dict = field(default=None, repr=False)
 
     def element_values(self, elems, points, gradients=False):
@@ -52,11 +58,37 @@ class DiscreteSolution:
         return vals
 
 
-def _direct_solve(matrix, rhs, label):
+def _direct_solve(matrix, rhs, label, perm):
+    """Solve ``matrix x = rhs`` by sparse LU under the residual contract.
+
+    The unknowns are reordered by ``perm`` and factored without pivoting,
+    which keeps the fill of the ordering. If that factorization fails, or
+    its solution misses the residual contract after one refinement step,
+    the solve is repeated with the default COLAMD ordering and partial
+    pivoting; a matrix that fails both raises :class:`SolverError`.
+    """
     csc = sparse.csc_matrix(matrix)
     try:
-        lu = splu(csc)
-        x = lu.solve(rhs)
+        return _lu_solve(csc, rhs, label, perm)
+    except SolverError:
+        return _lu_solve(csc, rhs, label, None)
+
+
+def _lu_solve(csc, rhs, label, perm):
+    """One factorization, solve and refinement step; ``perm`` None keeps
+    SuperLU's default ordering and pivoting."""
+    try:
+        if perm is None:
+            solve = splu(csc).solve
+        else:
+            lu = splu(csc[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+            def solve(b):
+                x = np.empty_like(b)
+                x[perm] = lu.solve(b[perm])
+                return x
+
+        x = solve(rhs)
     except (RuntimeError, ValueError) as exc:
         raise SolverError(
             f"{label}: sparse LU factorization failed ({exc}); "
@@ -70,9 +102,9 @@ def _direct_solve(matrix, rhs, label):
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     residual = np.linalg.norm(csc @ x - rhs)
     if residual > _RESIDUAL_TOL * denom:
-        x = x + lu.solve(rhs - csc @ x)
+        x = x + solve(rhs - csc @ x)
         residual = np.linalg.norm(csc @ x - rhs)
-    if residual > _RESIDUAL_TOL * denom:
+    if not residual <= _RESIDUAL_TOL * denom:
         raise SolverError(
             f"{label}: relative residual {residual / denom:.3e} exceeds "
             f"{_RESIDUAL_TOL:.0e}; matrix likely ill-conditioned or singular"
@@ -80,15 +112,29 @@ def _direct_solve(matrix, rhs, label):
     return x
 
 
+def _block_permutation(order, *bounds):
+    """Unknowns in element ``order``: for each element ``k`` the ranges
+    ``b[k]:b[k + 1]`` of every boundary array ``b`` in ``bounds``, in turn."""
+    starts = np.stack([b[:-1][order] for b in bounds], axis=1).ravel()
+    sizes = np.stack([np.diff(b)[order] for b in bounds], axis=1).ravel()
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
+
+
 def solve_standard_dg(system):
     """Solve the full DG system directly."""
-    x = _direct_solve(system.matrix, system.load, "standard DG solve")
+    space = system.space
+    perm = _block_permutation(
+        space.mesh.element_order, np.append(space.offsets, space.ndof_total)
+    )
+    x = _direct_solve(system.matrix, system.load, "standard DG solve", perm)
     return DiscreteSolution(
         coeffs=x,
         space=system.space,
         method=STANDARD_DG,
         ndof_full=system.space.ndof_total,
         sigma=system.sigma,
+        alpha_facet=system.alpha_facet,
     )
 
 
@@ -104,7 +150,8 @@ def solve_embedded_trefftz(system, embedding):
         raise ValueError("embedding and system dimensions do not match")
     reduced = (T.T @ system.matrix @ T).tocsc()
     rhs = T.T @ (system.load - system.matrix @ embedding.u_L)
-    x = _direct_solve(reduced, rhs, "embedded Trefftz solve")
+    perm = _block_permutation(system.space.mesh.element_order, embedding.offsets)
+    x = _direct_solve(reduced, rhs, "embedded Trefftz solve", perm)
     return DiscreteSolution(
         coeffs=T @ x + embedding.u_L,
         space=system.space,
@@ -112,6 +159,7 @@ def solve_embedded_trefftz(system, embedding):
         ndof_full=system.space.ndof_total,
         ndof_trefftz=embedding.ndof_trefftz,
         sigma=system.sigma,
+        alpha_facet=system.alpha_facet,
     )
 
 
@@ -163,7 +211,12 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
     A22 = (T_global.T @ system.matrix @ T_global).tocsr()
     block = sparse.bmat([[A11, A12], [A21, A22]], format="csc")
     rhs = np.concatenate([op.rhs for op in local_ops] + [T_global.T @ system.load])
-    x = _direct_solve(block, rhs, "coupled block solve")
+    # per element: its complement unknowns, then its Trefftz unknowns
+    complement_offsets = np.concatenate([[0], np.cumsum([L.shape[1] for L in complements])])
+    perm = _block_permutation(
+        mesh.element_order, complement_offsets, k_total + embedding.offsets
+    )
+    x = _direct_solve(block, rhs, "coupled block solve", perm)
     c_l, c_t = x[:k_total], x[k_total:]
     u_l = L_global @ c_l
     u_t = T_global @ c_t
@@ -174,5 +227,6 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
         ndof_full=space.ndof_total,
         ndof_trefftz=embedding.ndof_trefftz,
         sigma=system.sigma,
+        alpha_facet=system.alpha_facet,
         block_parts={"u_L": u_l, "u_T": u_t, "c_L": c_l, "c_T": c_t},
     )

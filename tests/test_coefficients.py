@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -158,5 +159,34 @@ def test_non_finite_alpha_rejected_at_entry(entry):
     ):
         if entry == DAR_SIP:
             assemble_global_system(DAR_SIP, mesh, 2, coeffs, sigma=50.0)
+        else:
+            build_embedding(BrokenSpace(mesh, 3), coeffs, entry)
+
+
+@pytest.mark.parametrize(
+    "field,entry",
+    [(f, e) for f in ("beta", "gamma", "f") for e in ("AR_UPWIND", "DAR_SIP", "AR", "DAR", "DAR_BOX")]
+    + [("g_D", "AR_UPWIND"), ("g_D", "DAR_SIP")],
+)
+def test_non_finite_data_rejected_at_entry(field, entry):
+    # one field is NaN wherever x < 1/2, the others are smooth; every entry
+    # point must name that field and the first offending element or facet
+    # instead of handing a NaN matrix to the sparse LU
+    from trefftzdg.basis import BrokenSpace
+    from trefftzdg.dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system
+    from trefftzdg.embedding import build_embedding
+    from trefftzdg.mesh import build_structured_mesh
+
+    x, y = sp.symbols("x y")
+    bad = 1 + sp.sqrt(x - sp.Rational(1, 2))
+    smooth = manufactured_case(alpha=1, beta=(1, y), gamma=1, exact=x * y)
+    replacement = VectorField(bad, y) if field == "beta" else ScalarField(bad)
+    coeffs = dataclasses.replace(smooth, **{field: replacement})
+    mesh = build_structured_mesh(4)
+    with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
+        ValueError, match=rf"^{field} must be finite on .* (element|facet) \d+ has {field} = nan"
+    ):
+        if entry in (AR_UPWIND, DAR_SIP):
+            assemble_global_system(entry, mesh, 2, coeffs, sigma=50.0)
         else:
             build_embedding(BrokenSpace(mesh, 3), coeffs, entry)

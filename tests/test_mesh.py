@@ -155,3 +155,24 @@ def test_dump_plain_text():
     float(first[1]), float(first[2])
     tri = tlines[0].split()
     assert tri[0] == "t" and all(0 <= int(i) < 4 for i in tri[1:])
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 12])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_element_order_is_a_reproducible_permutation(n, perturbed, perturbed_mesh):
+    build = perturbed_mesh if perturbed else build_structured_mesh
+    mesh = build(n)
+    order = mesh.element_order
+    assert sorted(order.tolist()) == list(range(mesh.n_elements))
+    assert mesh.element_order is order
+    assert not order.flags.writeable
+    np.testing.assert_array_equal(build(n).element_order, order)
+
+
+def test_element_order_puts_the_first_separator_last():
+    # 16 x 16 cells: the first bisection splits at x = 1/2, and its
+    # separator is the column of triangles left of x = 1/2 with a facet on it
+    mesh = build_structured_mesh(16)
+    on_cut = np.flatnonzero(np.isclose(mesh.centroids[:, 0], (7 + 2 / 3) / 16))
+    assert len(on_cut) == 16
+    np.testing.assert_array_equal(np.sort(mesh.element_order[-16:]), on_cut)

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 import sympy as sp
+from scipy.sparse.linalg import splu
 
+from trefftzdg import solver
+from trefftzdg.analysis import compute_errors
 from trefftzdg.basis import BrokenSpace, l2_project
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import AR_UPWIND, DAR_SIP, DgSystem, assemble_global_system
@@ -185,3 +188,98 @@ def test_singular_matrix_raises():
     )
     with pytest.raises(SolverError):
         solve_standard_dg(singular)
+
+
+def count_factorizations(monkeypatch):
+    """Record the keyword options of every LU factorization the solver makes."""
+    calls = []
+    original = solver.splu
+
+    def counting(matrix, **options):
+        calls.append(options)
+        return original(matrix, **options)
+
+    monkeypatch.setattr(solver, "splu", counting)
+    return calls
+
+
+def test_pivoting_fallback_when_unpivoted_lu_fails(monkeypatch):
+    # each element block is nonsingular and well conditioned, but its
+    # subnormal leading pivot overflows the unpivoted multipliers; SuperLU
+    # still swaps rows on an exactly zero pivot, so a zero would not fail
+    block = np.array([[1e-320, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+    space = BrokenSpace(build_structured_mesh(2), 1)
+    matrix = sparse.block_diag([block] * space.mesh.n_elements, format="csr")
+    load = np.linspace(1.0, 2.0, space.ndof_total)
+    system = DgSystem(kind=AR_UPWIND, matrix=matrix, load=load, space=space)
+    calls = count_factorizations(monkeypatch)
+    u = solve_standard_dg(system)
+    assert calls == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}, {}]
+    assert np.linalg.norm(matrix @ u.coeffs - load) <= 1e-10 * np.linalg.norm(load)
+
+
+def test_singular_matrix_fails_both_factorizations(monkeypatch):
+    space = BrokenSpace(build_structured_mesh(1), 1)
+    n = space.ndof_total
+    singular = DgSystem(kind=AR_UPWIND, matrix=sparse.csr_matrix((n, n)), load=np.ones(n), space=space)
+    calls = count_factorizations(monkeypatch)
+    with pytest.raises(SolverError, match="factorization failed"):
+        solve_standard_dg(singular)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize(
+    "case,kind,local_kind,sigma",
+    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
+)
+def test_ordered_solves_match_plain_lu(
+    monkeypatch, perturbed_mesh, perturbed, case, kind, local_kind, sigma
+):
+    coeffs = builtin_case(case)
+    mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
+    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    emb = build_embedding(sys.space, coeffs, local_kind)
+    solves = []
+    direct_solve = solver._direct_solve
+
+    def recording(matrix, rhs, label, perm):
+        x = direct_solve(matrix, rhs, label, perm)
+        solves.append((matrix, rhs, perm, x))
+        return x
+
+    monkeypatch.setattr(solver, "_direct_solve", recording)
+    calls = count_factorizations(monkeypatch)
+    solve_standard_dg(sys)
+    solve_embedded_trefftz(sys, emb)
+    solve_block_coupled(emb.local_operators, sys, emb)
+    # one unpivoted factorization per solve: the fallback never ran
+    assert [c.get("permc_spec") for c in calls] == ["NATURAL"] * 3
+    assert len(solves) == 3
+    for matrix, rhs, perm, x in solves:
+        assert sorted(perm) == list(range(len(rhs)))
+        assert np.any(perm != np.arange(len(rhs)))
+        reference = splu(sparse.csc_matrix(matrix)).solve(rhs)
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+def test_solution_carries_the_systems_facet_alpha(monkeypatch):
+    coeffs = builtin_case("DAR_EXAMPLE")
+    sys = assemble_global_system(DAR_SIP, build_structured_mesh(2), p=2, coeffs=coeffs, sigma=200.0)
+    u = solve_standard_dg(sys)
+    assert u.alpha_facet is sys.alpha_facet
+    recomputed = compute_errors(
+        solver.DiscreteSolution(
+            coeffs=u.coeffs, space=u.space, method=u.method, ndof_full=u.ndof_full, sigma=u.sigma
+        ),
+        coeffs,
+        DAR,
+    )
+
+    def no_recompute(*_args):
+        raise AssertionError("facet alpha recomputed")
+
+    monkeypatch.setattr("trefftzdg.analysis.facet_alpha", no_recompute)
+    report = compute_errors(u, coeffs, DAR)
+    assert report.vh_error == recomputed.vh_error
+    assert report.l2_error == recomputed.l2_error
