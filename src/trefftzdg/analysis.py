@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BrokenSpace
+from .coefficients import require_finite, require_positive
 from .dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
 from .local_ops import AR, KINDS, operator_row_count
@@ -80,10 +81,17 @@ def _facet_error_terms(solution, coeffs, weight_fn):
     if len(boundary):
         pts = fpts[boundary]
         tr = solution.element_values(mesh.facet_left[boundary], pts)
-        err = exact(pts[..., 0], pts[..., 1]) - tr
+        exact_vals = exact(pts[..., 0], pts[..., 1])
+        err = require_finite(exact_vals, "exact solution", "facet", boundary) - tr
         wvals = weight_fn(pts, mesh.facet_normals[boundary], boundary)
         total += np.sum(fw[boundary] * wvals * err**2)
     return total
+
+
+def _beta_normal(coeffs, pts, normals, facets):
+    """Normal component of beta at the facet points ``(F, nq, 2)``."""
+    beta = require_finite(coeffs.beta(pts[..., 0], pts[..., 1]), "beta", "facet", facets)
+    return np.einsum("fqd,fd->fq", beta, normals)
 
 
 def compute_errors(solution, coeffs, kind):
@@ -100,34 +108,32 @@ def compute_errors(solution, coeffs, kind):
     vals, grads = solution.element_values(elems, space.volume_points, gradients=True)
     x, y = space.volume_points[..., 0], space.volume_points[..., 1]
     w = space.volume_weights
-    err = exact(x, y) - vals
-    err_grad = exact_grad(x, y) - grads
+    err = require_finite(exact(x, y), "exact solution", "element", elems) - vals
+    err_grad = require_finite(exact_grad(x, y), "exact gradient", "element", elems) - grads
     l2_sq = np.sum(w * err**2)
 
     if kind == AR:
         if coeffs.beta is None:
             raise ValueError("the advection-reaction error norm requires beta")
-        beta_vals = coeffs.beta(x, y)
+        beta_vals = require_finite(coeffs.beta(x, y), "beta", "element", elems)
         beta_sup = float(np.max(np.linalg.norm(beta_vals, axis=-1)))
         directional = np.einsum("eqd,eqd->eq", beta_vals, err_grad) / beta_sup
         vh_sq = l2_sq
         vh_sq += np.sum(mesh.h[:, None] * w * directional**2)
 
         def weight(pts, normals, facets):
-            b = np.einsum(
-                "fqd,fd->fq", coeffs.beta(pts[..., 0], pts[..., 1]), normals
-            )
-            return np.abs(b) / beta_sup
+            return np.abs(_beta_normal(coeffs, pts, normals, facets)) / beta_sup
 
         vh_sq += _facet_error_terms(solution, coeffs, weight)
     else:
-        alpha_vals = coeffs.alpha(x, y)
+        alpha_vals = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
         vh_sq = np.sum(w * alpha_vals * np.einsum("eqd,eqd->eq", err_grad, err_grad))
         gamma0 = 0.0
         if coeffs.gamma is not None:
-            stab = coeffs.gamma(x, y)
+            stab = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
             if coeffs.beta is not None:
-                stab = stab - 0.5 * coeffs.beta.divergence()(x, y)
+                div_beta = coeffs.beta.divergence()(x, y)
+                stab = stab - 0.5 * require_finite(div_beta, "div beta", "element", elems)
             gamma0 = max(0.0, float(np.min(stab)))
         vh_sq += gamma0 * l2_sq
         sigma = solution.sigma
@@ -145,10 +151,7 @@ def compute_errors(solution, coeffs, kind):
         if coeffs.beta is not None:
 
             def weight_upw(pts, normals, facets):
-                b = np.einsum(
-                    "fqd,fd->fq", coeffs.beta(pts[..., 0], pts[..., 1]), normals
-                )
-                return 0.5 * np.abs(b)
+                return 0.5 * np.abs(_beta_normal(coeffs, pts, normals, facets))
 
             vh_sq += _facet_error_terms(solution, coeffs, weight_upw)
 

@@ -148,12 +148,11 @@ class ElementBasis:
     extension: points are not required to lie inside the element.
     """
 
-    def __init__(self, center, scale, G, degree, element=None):
+    def __init__(self, center, scale, G, degree):
         self.center = np.asarray(center, dtype=float)
         self.scale = float(scale)
         self.G = np.asarray(G, dtype=float)
         self.degree = int(degree)
-        self.element = element
         self.exponents = polynomial_exponents(self.degree)
 
     @property
@@ -161,14 +160,13 @@ class ElementBasis:
         return len(self.exponents)
 
     @classmethod
-    def from_element(cls, mesh, k, degree, rule=None):
+    def from_element(cls, mesh, k, degree):
         geo = mesh.element_geometry(k)
-        if rule is None:
-            rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * degree, positive=True)
-        return cls.from_rule(geo.centroid, geo.h, degree, rule, element=k)
+        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * degree, positive=True)
+        return cls.from_rule(geo.centroid, geo.h, degree, rule)
 
     @classmethod
-    def from_rule(cls, center, scale, degree, rule, element=None):
+    def from_rule(cls, center, scale, degree, rule):
         """Basis orthonormal w.r.t. the (positive-weight) quadrature domain.
 
         Used both for element bases and for test bases on other domains
@@ -177,7 +175,7 @@ class ElementBasis:
         """
         mono = scaled_monomials(rule.points[None], [center], [scale], degree)
         G = _orthonormalizer(rule.weights[None], mono)[0]
-        return cls(center=center, scale=scale, G=G, degree=degree, element=element)
+        return cls(center=center, scale=scale, G=G, degree=degree)
 
     def _as_batch(self, points):
         """Arguments of the batched evaluators for this element alone."""
@@ -216,21 +214,16 @@ class BrokenSpace:
     out element by element (``offsets[k] = k * ndof_local``).
     """
 
-    def __init__(self, mesh, degree, volume_degree=None):
+    def __init__(self, mesh, degree):
         self.mesh = mesh
         self.degree = int(degree)
-        self.volume_degree = (
-            2 * self.degree + 4 if volume_degree is None else int(volume_degree)
-        )
         self.exponents = polynomial_exponents(self.degree)
         self.ndof_local = len(self.exponents)
         self.ndof_total = self.ndof_local * mesh.n_elements
         self.offsets = np.arange(mesh.n_elements) * self.ndof_local
         self.centers = mesh.centroids
         self.scales = mesh.h
-        self.volume_points, self.volume_weights = volume_quadrature(
-            mesh, self.volume_degree
-        )
+        self.volume_points, self.volume_weights = volume_quadrature(mesh, 2 * self.degree + 4)
         mono = scaled_monomials(self.volume_points, self.centers, self.scales, self.degree)
         self.G = _orthonormalizer(self.volume_weights, mono)
 
@@ -254,10 +247,4 @@ class BrokenSpace:
         )
 
     def element_basis(self, k):
-        return ElementBasis(
-            center=self.centers[k],
-            scale=self.scales[k],
-            G=self.G[k],
-            degree=self.degree,
-            element=k,
-        )
+        return ElementBasis(self.centers[k], self.scales[k], self.G[k], self.degree)

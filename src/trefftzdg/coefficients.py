@@ -143,18 +143,18 @@ def require_positive(values, field, entity, indices):
 
     ``values`` has one leading row per entry of ``indices``, the ids of the
     elements or facets (named by ``entity``) the values were taken on; the
-    error names the first offending one.
+    error names the first offending one. Returns the checked values.
     """
     values = np.asarray(values)
-    _require(values, np.isfinite(values) & (values > 0.0), "finite and strictly positive",
-             field, entity, indices)
+    return _require(values, np.isfinite(values) & (values > 0.0), "finite and strictly positive",
+                    field, entity, indices)
 
 
 def require_finite(values, field, entity, indices):
     """Fail unless every value of ``field`` is finite; arguments as for
     :func:`require_positive`."""
     values = np.asarray(values)
-    _require(values, np.isfinite(values), "finite", field, entity, indices)
+    return _require(values, np.isfinite(values), "finite", field, entity, indices)
 
 
 def _require(values, ok, condition, field, entity, indices):
@@ -164,6 +164,7 @@ def _require(values, ok, condition, field, entity, indices):
             f"{field} must be {condition} on all evaluation points; "
             f"{entity} {int(np.asarray(indices)[row[0]])} has {field} = {float(values[row])}"
         )
+    return values
 
 
 @dataclass

@@ -9,12 +9,15 @@ mesh-size scalings baked into each kind keep the induced norms uniform
 in h; diagnostics downstream rely on them.
 
 The volume-projected and box-restricted kinds share one batched kernel
-over per-element test rules; the per-element entry point
-:func:`assemble_local_operator` is a batch of one of it.
+over per-element test rules, the quasi-Trefftz kind one batched
+point-derivative kernel at the element centers. The per-element entry
+points :func:`assemble_local_operator` and :func:`leibniz_point_derivative`
+are batches of one of them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +25,7 @@ import numpy as np
 
 from .basis import (
     _orthonormalizer,
+    basis_derivative,
     evaluate_basis,
     polynomial_exponents,
     scaled_monomials,
@@ -84,7 +88,6 @@ class LocalOperator:
     element: int
     matrix: np.ndarray
     rhs: np.ndarray
-    box: ElementBox = None
 
     @property
     def n_rows(self):
@@ -169,15 +172,13 @@ def _operator_kernel(kind, coeffs, p, elems, trial, test):
     qv = mono_q @ np.swapaxes(_orthonormalizer(w, mono_q), -1, -2)
     beta = None
     if coeffs.beta is not None:
-        beta = coeffs.beta(x, y)
-        require_finite(beta, "beta", "element", elems)
+        beta = require_finite(coeffs.beta(x, y), "beta", "element", elems)
     if kind == AR:
         vals = np.einsum("eqjd,eqd->eqj", ev.gradients, beta)
         scale = np.sqrt(test_scales)
     else:
         # -div(alpha grad phi) = -(alpha lap phi + grad alpha . grad phi)
-        alpha_vals = coeffs.alpha(x, y)
-        require_positive(alpha_vals, "alpha", "element", elems)
+        alpha_vals = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
         ax = coeffs.alpha.derivative(1, 0)(x, y)
         ay = coeffs.alpha.derivative(0, 1)(x, y)
         lap = ev.hessians[..., 0, 0] + ev.hessians[..., 1, 1]
@@ -190,14 +191,54 @@ def _operator_kernel(kind, coeffs, p, elems, trial, test):
             vals += np.einsum("eqjd,eqd->eqj", ev.gradients, beta)
         scale = np.asarray(test_scales, dtype=float)
     if coeffs.gamma is not None:
-        gamma = coeffs.gamma(x, y)
-        require_finite(gamma, "gamma", "element", elems)
+        gamma = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
         vals += gamma[..., None] * ev.values
-    f = coeffs.f(x, y)
-    require_finite(f, "f", "element", elems)
+    f = require_finite(coeffs.f(x, y), "f", "element", elems)
     # scaled, weighted test values: A = Q_w^T V and l = Q_w^T f per element
     qw = qv * (scale[:, None] * w)[..., None]
     return np.swapaxes(qw, -1, -2) @ vals, np.einsum("eqi,eq->ei", qw, f)
+
+
+def _qt_kernel(coeffs, p, elems, trial, h):
+    """Quasi-Trefftz rows and loads on a batch of elements: the derivatives
+    ``D^i``, ``|i| <= p - 2``, of the PDE residual at the trial centers,
+    scaled by ``h**(1.5 + |i|)`` with the element diameters ``h`` ``(E,)``;
+    ``trial`` is as for :func:`_operator_kernel`. No quadrature involved.
+    """
+    x, y = trial[0].T
+    require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
+    indices = MultiIndexSet(p - 2).indices
+    scale = np.asarray(h, dtype=float)[:, None] ** (1.5 + np.sum(indices, axis=1))
+    f = np.stack([coeffs.f.derivative(*i)(x, y) for i in indices], axis=1)
+    require_finite(f, "f", "element", elems)
+    rows = _leibniz_rows(indices, coeffs.alpha, p, trial[0], trial)
+    return -scale[..., None] * rows, scale * f
+
+
+def _leibniz_rows(indices, alpha, p, points, trial):
+    """``D^i div(alpha grad phi_j)`` at one point per element, for every
+    multi-index ``i`` of ``indices`` and every trial basis function ``j``:
+    points ``(E, 2)`` in, ``(E, len(indices), n)`` out.
+
+    Expands div(alpha grad w) = alpha lap(w) + grad(alpha).grad(w) and
+    applies the Leibniz product rule; all polynomial derivatives are exact.
+    Each basis and alpha derivative is evaluated once for the whole batch,
+    so the loops run over multi-indices only.
+    """
+    pts = np.asarray(points, dtype=float)[:, None]
+    top = max(ix + iy for ix, iy in indices) + 1
+    a = {d: alpha.derivative(*d)(pts[..., 0], pts[..., 1]) for d in polynomial_exponents(top)}
+    phi = {d: basis_derivative(pts, *trial, p, *d)[:, 0] for d in polynomial_exponents(top + 1)}
+    rows = np.zeros((len(pts), len(indices), trial[2].shape[-1]))
+    for row, (ix, iy) in enumerate(indices):
+        for lx, ly in itertools.product(range(ix + 1), range(iy + 1)):
+            binom = math.comb(ix, lx) * math.comb(iy, ly)
+            rx, ry = ix - lx, iy - ly
+            rows[:, row] += binom * a[lx, ly] * (phi[rx + 2, ry] + phi[rx, ry + 2])
+            rows[:, row] += binom * (
+                a[lx + 1, ly] * phi[rx + 1, ry] + a[lx, ly + 1] * phi[rx, ry + 1]
+            )
+    return rows
 
 
 def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
@@ -206,54 +247,40 @@ def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
     ``basis`` is the element's orthonormal trial basis of degree p. The
     returned rows are tested against an orthonormal basis of the kind's
     test space; the load vector carries the same mesh-size scaling as the
-    operator. The AR, DAR and DAR_BOX kinds are a batch of one of the
-    kernel that :func:`assemble_local_operators` uses.
+    operator. Every kind is a batch of one of the kernel that
+    :func:`assemble_local_operators` uses.
     """
     p = basis.degree
     _validate(kind, p, coeffs)
-    if kind == QT_DIFFUSION:
-        return _qt_operator(mesh, element, basis, coeffs)
-    box = None
-    if kind == DAR_BOX:
-        box = compute_box(mesh, element, box_scale)
-        rule = box_rule(box.center, box.side, 2 * p + 4)
-        center, scale = box.center, box.h
-    else:
-        rule = triangle_rule(mesh.vertices[mesh.triangles[element]], 2 * p + 4, positive=True)
-        center, scale = mesh.centroids[element], mesh.h[element]
     trial = (basis.center[None], np.array([basis.scale]), basis.G[None])
-    test = (rule.points[None], rule.weights[None], np.array([center]), np.array([scale]))
-    matrices, loads = _operator_kernel(kind, coeffs, p, [element], trial, test)
-    return LocalOperator(kind=kind, element=element, matrix=matrices[0], rhs=loads[0], box=box)
-
-
-def _qt_operator(mesh, element, basis, coeffs):
-    """Quasi-Trefftz rows: scaled point derivatives of the PDE residual at
-    the element center; no quadrature involved."""
-    p = basis.degree
-    h_k = mesh.h[element]
-    point = basis.center
-    require_positive(coeffs.alpha(point[0], point[1])[None], "alpha", "element", [element])
-    indices = MultiIndexSet(p - 2)
-    matrix = np.empty((len(indices), basis.dim))
-    rhs = np.empty(len(indices))
-    for row, idx in enumerate(indices):
-        scale = h_k ** (1.5 + idx[0] + idx[1])
-        matrix[row] = -scale * _leibniz_basis_rows(idx, basis, coeffs.alpha, point)
-        rhs[row] = scale * coeffs.f.derivative(*idx)(point[0], point[1])
-    return LocalOperator(kind=QT_DIFFUSION, element=element, matrix=matrix, rhs=rhs)
+    if kind == QT_DIFFUSION:
+        matrices, loads = _qt_kernel(coeffs, p, [element], trial, [mesh.h[element]])
+    else:
+        if kind == DAR_BOX:
+            box = compute_box(mesh, element, box_scale)
+            rule = box_rule(box.center, box.side, 2 * p + 4)
+            center, scale = box.center, box.h
+        else:
+            rule = triangle_rule(mesh.vertices[mesh.triangles[element]], 2 * p + 4, positive=True)
+            center, scale = mesh.centroids[element], mesh.h[element]
+        test = (rule.points[None], rule.weights[None], np.array([center]), np.array([scale]))
+        matrices, loads = _operator_kernel(kind, coeffs, p, [element], trial, test)
+    return LocalOperator(kind=kind, element=element, matrix=matrices[0], rhs=loads[0])
 
 
 def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
     """Local operators for every element of a broken space.
 
-    The volume-projected kinds run through the operator kernel in element
-    batches, with the space's volume rule as test domain; the box and
-    point-derivative kinds go element by element.
+    All kinds but the box one run in element batches: the volume-projected
+    kinds through the operator kernel with the space's volume rule as test
+    domain, the quasi-Trefftz kind through the point-derivative kernel at
+    the element centers. The box kind goes element by element, as each
+    element has its own box.
     """
     mesh = space.mesh
-    _validate(kind, space.degree, coeffs)
-    if kind in (DAR_BOX, QT_DIFFUSION):
+    p = space.degree
+    _validate(kind, p, coeffs)
+    if kind == DAR_BOX:
         return [
             assemble_local_operator(
                 kind, mesh, k, space.element_basis(k), coeffs, box_scale=box_scale
@@ -265,8 +292,11 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
         elems = np.arange(start, min(start + _CHUNK, mesh.n_elements))
         centers, scales = space.centers[elems], space.scales[elems]
         trial = (centers, scales, space.G[elems])
-        test = (space.volume_points[elems], space.volume_weights[elems], centers, scales)
-        matrices, loads = _operator_kernel(kind, coeffs, space.degree, elems, trial, test)
+        if kind == QT_DIFFUSION:
+            matrices, loads = _qt_kernel(coeffs, p, elems, trial, scales)
+        else:
+            test = (space.volume_points[elems], space.volume_weights[elems], centers, scales)
+            matrices, loads = _operator_kernel(kind, coeffs, p, elems, trial, test)
         ops.extend(
             LocalOperator(kind=kind, element=int(k), matrix=m, rhs=r)
             for k, m, r in zip(elems, matrices, loads)
@@ -274,42 +304,11 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
     return ops
 
 
-def _leibniz_basis_rows(index, basis, alpha, point):
-    """D^index div(alpha grad phi_j)(point) for every basis function.
-
-    Expands div(alpha grad w) = alpha lap(w) + grad(alpha).grad(w) and
-    applies the Leibniz product rule; all polynomial derivatives are exact.
-    """
-    ix, iy = index
-    pt = np.asarray(point, dtype=float)[None, :]
-    cache = {}
-
-    def dphi(a, b):
-        if (a, b) not in cache:
-            cache[(a, b)] = basis.derivative(pt, (a, b))[0]
-        return cache[(a, b)]
-
-    px, py = float(point[0]), float(point[1])
-    rows = np.zeros(basis.dim)
-    for lx in range(ix + 1):
-        for ly in range(iy + 1):
-            binom = math.comb(ix, lx) * math.comb(iy, ly)
-            rx, ry = ix - lx, iy - ly
-            a_l = float(alpha.derivative(lx, ly)(px, py))
-            rows += binom * a_l * (dphi(rx + 2, ry) + dphi(rx, ry + 2))
-            a_x = float(alpha.derivative(lx + 1, ly)(px, py))
-            a_y = float(alpha.derivative(lx, ly + 1)(px, py))
-            rows += binom * (a_x * dphi(rx + 1, ry) + a_y * dphi(rx, ry + 1))
-    return rows
-
-
 def leibniz_point_derivative(index, basis, coefficients, alpha, point):
     """Exact value of D^index div(alpha grad w)(point) for the polynomial
-    ``w`` given by coefficients in the element basis."""
-    order = index[0] + index[1]
-    if not alpha.has_derivatives(order + 1):
-        raise ValueError(
-            f"alpha derivative oracle does not reach order {order + 1}"
-        )
-    rows = _leibniz_basis_rows(index, basis, alpha, point)
-    return float(rows @ np.asarray(coefficients, dtype=float))
+    ``w`` given by coefficients in the element basis; a batch of one of the
+    Leibniz rows of the quasi-Trefftz kernel. Fails if ``alpha`` has no
+    derivative oracle of order ``|index| + 1``."""
+    trial = (basis.center[None], np.array([basis.scale]), basis.G[None])
+    rows = _leibniz_rows([tuple(index)], alpha, basis.degree, np.reshape(point, (1, 2)), trial)
+    return float(rows[0, 0] @ np.asarray(coefficients, dtype=float))

@@ -145,17 +145,14 @@ def edge_rule(p0, p1, degree):
     return QuadratureRule(points=pts, weights=w * float(np.hypot(*(p1 - p0))), degree=degree)
 
 
-def volume_quadrature(mesh, degree, positive=True):
-    """Batched triangle rule over all mesh elements.
+def volume_quadrature(mesh, degree):
+    """Batched positive-weight triangle rule over all mesh elements.
 
     Returns physical points ``(n_elements, nq, 2)`` and weights
-    ``(n_elements, nq)``. Defaults to the positive-weight rule, which
-    global assembly and basis orthonormalization rely on.
+    ``(n_elements, nq)``. Global assembly and basis orthonormalization rely
+    on the positive weights.
     """
-    if positive:
-        bary, w = duffy_rule_barycentric(degree)
-    else:
-        bary, w = simplex_rule_barycentric(degree)
+    bary, w = duffy_rule_barycentric(degree)
     tri = mesh.vertices[mesh.triangles]
     pts = np.einsum("qc,ecd->eqd", bary, tri)
     wts = w[None, :] * mesh.areas[:, None]

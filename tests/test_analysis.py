@@ -12,7 +12,7 @@ from trefftzdg.analysis import (
     run_diagnostics,
 )
 from trefftzdg.basis import BrokenSpace, l2_project
-from trefftzdg.coefficients import builtin_case, manufactured_case
+from trefftzdg.coefficients import ScalarField, VectorField, builtin_case, manufactured_case
 from trefftzdg.dg_forms import DAR_SIP, assemble_global_system
 from trefftzdg.local_ops import AR, DAR, DAR_BOX, QT_DIFFUSION
 from trefftzdg.mesh import build_structured_mesh
@@ -126,6 +126,48 @@ def test_ar_norm_requires_advection_field():
     )
     with pytest.raises(ValueError, match="beta"):
         compute_errors(u, coeffs, AR)
+
+
+@pytest.mark.parametrize(
+    "field,kind,name",
+    [
+        ("exact_solution", AR, "exact solution"),
+        ("exact_solution", DAR, "exact solution"),
+        ("exact_gradient", AR, "exact gradient"),
+        ("exact_gradient", DAR, "exact gradient"),
+        ("beta", AR, "beta"),
+        ("beta", DAR, "div beta"),
+        ("gamma", DAR, "gamma"),
+        ("alpha", DAR, "alpha"),
+        ("alpha_nonpositive", DAR, "alpha"),
+    ],
+)
+def test_error_norms_reject_bad_data(field, kind, name):
+    # one field is NaN wherever x < 1/2 (alpha_nonpositive: negative there);
+    # the error norms must name it and the first offending element instead
+    # of returning a NaN or meaningless error
+    x, y = sp.symbols("x y")
+    bad = 1 + sp.sqrt(x - sp.Rational(1, 2))
+    coeffs = manufactured_case(alpha=1, beta=(1, y), gamma=1, exact=x * y)
+    if field == "exact_gradient":
+        coeffs.exact_gradient = lambda: VectorField(bad, y)
+    elif field == "beta":
+        coeffs.beta = VectorField(bad, y)
+    elif field == "alpha_nonpositive":
+        coeffs.alpha = ScalarField(x - sp.Rational(1, 2))
+    else:
+        setattr(coeffs, field, ScalarField(bad))
+    mesh = build_structured_mesh(4)
+    space = BrokenSpace(mesh, 2)
+    # a solver hands over its facet weights, so alpha is not re-evaluated there
+    u = DiscreteSolution(
+        coeffs=np.zeros(space.ndof_total), space=space, method="STANDARD_DG",
+        ndof_full=space.ndof_total, sigma=50.0, alpha_facet=np.ones(mesh.n_facets),
+    )
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValueError, match=rf"^{name} must be finite.* element \d+ has {name} = "
+    ):
+        compute_errors(u, coeffs, kind)
 
 
 def test_eoc_simple_cases():

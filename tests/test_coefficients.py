@@ -166,7 +166,7 @@ def test_non_finite_alpha_rejected_at_entry(entry):
 @pytest.mark.parametrize(
     "field,entry",
     [(f, e) for f in ("beta", "gamma", "f") for e in ("AR_UPWIND", "DAR_SIP", "AR", "DAR", "DAR_BOX")]
-    + [("g_D", "AR_UPWIND"), ("g_D", "DAR_SIP")],
+    + [("g_D", "AR_UPWIND"), ("g_D", "DAR_SIP"), ("f", "QT_DIFFUSION")],
 )
 def test_non_finite_data_rejected_at_entry(field, entry):
     # one field is NaN wherever x < 1/2, the others are smooth; every entry

@@ -1,10 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 import sympy as sp
 
-from trefftzdg.basis import BrokenSpace, ElementBasis, l2_project, space_dimension
+from trefftzdg.basis import (
+    BrokenSpace,
+    ElementBasis,
+    l2_project,
+    polynomial_exponents,
+    space_dimension,
+)
 from trefftzdg.coefficients import ScalarField, builtin_case, manufactured_case
 from trefftzdg.local_ops import (
     AR,
@@ -289,10 +296,14 @@ def perturbed_grid_mesh():
 
 
 def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
-    """Per-element AR/DAR/DAR_BOX operator written out directly: the test
+    """Per-element operator written out directly. AR/DAR/DAR_BOX: the test
     basis is orthonormalized on the test domain's own rule, and the strong
-    form is evaluated term by term from the trial basis derivatives."""
+    form is evaluated term by term from the trial basis derivatives.
+    QT_DIFFUSION: symbolic derivatives of the strong form at the centroid,
+    as in :func:`test_qt_row_against_symbolic_oracle`."""
     p = basis.degree
+    if kind == QT_DIFFUSION:
+        return reference_qt_operator(mesh, k, basis, coeffs)
     if kind == DAR_BOX:
         box = compute_box(mesh, k, box_scale)
         rule = box_rule(box.center, box.side, 2 * p + 4)
@@ -323,13 +334,44 @@ def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
     return matrix, rhs
 
 
-@pytest.mark.parametrize(
-    "kind,case", [(AR, "AR_EXAMPLE"), (DAR, "DAR_EXAMPLE"), (DAR_BOX, "DAR_EXAMPLE")]
-)
-def test_batch_and_single_match_reference(kind, case):
-    coeffs = builtin_case(case)
+def reference_qt_operator(mesh, k, basis, coeffs):
+    """Rows ``-h^(1.5+|i|) D^i div(alpha grad phi_j)`` and loads
+    ``h^(1.5+|i|) D^i f`` at the centroid for ``|i| <= p - 2``, each
+    monomial of the trial basis differentiated symbolically as a whole."""
+    oracle = symbolic_qt_oracle(coeffs.alpha.expr, coeffs.f.expr, basis.degree)
+    point = mesh.centroids[k]
+    matrix, rhs = [], []
+    for (ix, iy), mono_rows, f_derivative in oracle:
+        scale = mesh.h[k] ** (1.5 + ix + iy)
+        mono = np.array(mono_rows(*point, *basis.center, basis.scale), dtype=float)
+        matrix.append(-scale * (basis.G @ mono))
+        rhs.append(scale * float(f_derivative(*point)))
+    return np.array(matrix), np.array(rhs)
+
+
+@functools.lru_cache(maxsize=None)
+def symbolic_qt_oracle(alpha, f, p):
+    """Per multi-index ``i``: ``D^i div(alpha grad m)`` of every scaled
+    monomial ``m`` of degree ``<= p`` as a function of the point, the center
+    and the scale, and ``D^i f`` as a function of the point."""
+    x, y, cx, cy, s = sp.symbols("x y cx cy s", real=True)
+    divs = []
+    for a, b in polynomial_exponents(p):
+        m = ((x - cx) / s) ** a * ((y - cy) / s) ** b
+        divs.append(sp.diff(alpha * sp.diff(m, x), x) + sp.diff(alpha * sp.diff(m, y), y))
+    return [
+        (
+            (ix, iy),
+            sp.lambdify((x, y, cx, cy, s), [sp.diff(d, x, ix, y, iy) for d in divs]),
+            sp.lambdify((x, y), sp.diff(f, x, ix, y, iy)),
+        )
+        for ix, iy in MultiIndexSet(p - 2)
+    ]
+
+
+def assert_batch_and_single_match_reference(kind, coeffs, p):
     mesh = perturbed_grid_mesh()
-    space = BrokenSpace(mesh, 3)
+    space = BrokenSpace(mesh, p)
     ops = assemble_local_operators(kind, space, coeffs)
     for k in range(mesh.n_elements):
         basis = space.element_basis(k)
@@ -339,6 +381,46 @@ def test_batch_and_single_match_reference(kind, case):
             assert op.element == k
             np.testing.assert_allclose(op.matrix, matrix, rtol=1e-10, atol=1e-11)
             np.testing.assert_allclose(op.rhs, rhs, rtol=1e-10, atol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "kind,case",
+    [(AR, "AR_EXAMPLE"), (DAR, "DAR_EXAMPLE"), (DAR_BOX, "DAR_EXAMPLE"),
+     (QT_DIFFUSION, "QT_DIFFUSION")],
+)
+def test_batch_and_single_match_reference(kind, case):
+    assert_batch_and_single_match_reference(kind, builtin_case(case), 3)
+
+
+def test_qt_batch_and_single_match_reference_for_curved_alpha():
+    # every partial derivative of alpha up to the order 3 used at p = 4 is
+    # nonzero, so every Leibniz term D^l alpha * D^(i-l) (...) enters a row
+    x, y = sp.symbols("x y", real=True)
+    coeffs = manufactured_case(
+        alpha=2 + x**3 + x**2 * y + x * y**2 + sp.sin(y), exact=sp.sin(sp.pi * (x + y))
+    )
+    assert_batch_and_single_match_reference(QT_DIFFUSION, coeffs, 4)
+
+
+def test_qt_coefficient_evaluations_do_not_grow_with_the_mesh(monkeypatch):
+    # every coefficient field is evaluated once per element batch, not once
+    # per element
+    calls = []
+    original = ScalarField.__call__
+
+    def counting(self, x, y):
+        calls.append(1)
+        return original(self, x, y)
+
+    monkeypatch.setattr(ScalarField, "__call__", counting)
+    coeffs = builtin_case("QT_DIFFUSION")
+    counts = []
+    for n in (2, 8):
+        space = BrokenSpace(build_structured_mesh(n), 3)
+        before = len(calls)
+        assemble_local_operators(QT_DIFFUSION, space, coeffs)
+        counts.append(len(calls) - before)
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("kind,case", [(AR, "AR_EXAMPLE"), (DAR, "DAR_EXAMPLE")])
