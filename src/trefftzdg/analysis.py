@@ -198,23 +198,20 @@ def run_diagnostics(
         raise ValueError(f"unknown operator kind {kind!r}")
     space = BrokenSpace(mesh, p)
     embedding = build_embedding(space, coeffs, kind, box_scale=box_scale)
-    rho_max = 0.0
-    sigma_min_rel = np.inf
-    nt_values = set()
-    for op, emb in zip(embedding.local_operators, embedding.embeddings):
-        a_norm = np.linalg.norm(op.matrix)
-        rho_max = max(rho_max, np.linalg.norm(op.matrix @ emb.T) / (1.0 + a_norm))
-        if emb.rank_used > 0 and emb.sigma[0] > 0:
-            sigma_min_rel = min(
-                sigma_min_rel, emb.sigma[emb.rank_used - 1] / emb.sigma[0]
-            )
-        nt_values.add(emb.T.shape[1])
-    sigma_min_rel = float(sigma_min_rel) if np.isfinite(sigma_min_rel) else float("nan")
+    factors = embedding.factors
+    A = np.stack([op.matrix for op in embedding.local_operators])
+    a_norm = np.linalg.norm(A, axis=(1, 2))
+    rho = np.linalg.norm(A @ factors.kernels, axis=(1, 2)) / (1.0 + a_norm)
+    # a kept singular value is positive, so sigma_1 > 0 wherever rank > 0
+    rank, spectra = factors.rank[factors.rank > 0], factors.sigma[factors.rank > 0]
+    smallest_kept = np.take_along_axis(spectra, rank[:, None] - 1, axis=1)[:, 0]
+    sigma_min_rel = float(np.min(smallest_kept / spectra[:, 0])) if rank.size else float("nan")
     n_local = space.ndof_local
     dim_q = operator_row_count(kind, p)
     dim_table = {p: (n_local, n_local - dim_q, dim_q)}
-    if nt_values != {n_local - dim_q}:
-        dim_table[p] = (n_local, sorted(nt_values), dim_q)
+    nt_values = np.unique(n_local - factors.rank).tolist()
+    if nt_values != [n_local - dim_q]:
+        dim_table[p] = (n_local, nt_values, dim_q)
 
     gap = gap_rel = float("nan")
     if with_block_gap:
@@ -228,7 +225,7 @@ def run_diagnostics(
         denom = float(np.linalg.norm(u_emb.coeffs))
         gap_rel = gap / denom if denom > 0 else gap
     return DiagnosticsReport(
-        rho_max=float(rho_max),
+        rho_max=float(rho.max()),
         sigma_min_rel=sigma_min_rel,
         dim_table=dim_table,
         block_equivalence_gap=gap,

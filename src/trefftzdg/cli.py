@@ -76,21 +76,22 @@ class ExperimentConfig:
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.p_list or not self.n_list:
             raise UsageError("p and n lists must be nonempty")
-        p_min = 1 if self.case in _AR_CASES else 2
-        for p in self.p_list:
-            if not p_min <= p <= MAX_DEGREE:
-                raise UsageError(
-                    f"degree p={p} outside supported range [{p_min}, {MAX_DEGREE}]"
-                )
-        for n in self.n_list:
-            if not 1 <= n <= MAX_SUBDIVISIONS:
-                raise UsageError(
-                    f"subdivision n={n} outside supported range [1, {MAX_SUBDIVISIONS}]"
-                )
+        _check_sizes(self.n_list, self.p_list, self.case)
         if self.sigma is not None and self.sigma <= 0:
             raise UsageError("sigma must be positive")
         if self.box_scale <= 0:
             raise UsageError("box scale must be positive")
+
+
+def _check_sizes(n_list, p_list=(), case=None):
+    """Reject mesh subdivisions and degrees (for ``case``) out of range."""
+    p_min = 1 if case in _AR_CASES else 2
+    for p in p_list:
+        if not p_min <= p <= MAX_DEGREE:
+            raise UsageError(f"degree p={p} outside supported range [{p_min}, {MAX_DEGREE}]")
+    for n in n_list:
+        if not 1 <= n <= MAX_SUBDIVISIONS:
+            raise UsageError(f"subdivision n={n} outside supported range [1, {MAX_SUBDIVISIONS}]")
 
 
 def _family(case):
@@ -266,6 +267,7 @@ def _cmd_diagnose(args):
         kind = _family(case)[1]
     if kind not in KINDS:
         raise UsageError(f"unknown operator kind {kind!r}")
+    _check_sizes([args.n], [args.p], case)
     coeffs = builtin_case(case)
     mesh = build_structured_mesh(args.n)
     report = run_diagnostics(
@@ -287,6 +289,7 @@ def _cmd_diagnose(args):
 
 
 def _cmd_dump_mesh(args):
+    _check_sizes([args.n])
     mesh = build_structured_mesh(args.n)
     if args.out:
         mesh.dump(args.out)

@@ -1,10 +1,11 @@
-"""Element-wise weak Trefftz kernels and particular solutions via SVD,
-and their aggregation into the global block-diagonal embedding.
+"""Element-wise weak Trefftz kernels and particular solutions from one
+stacked SVD, and their aggregation into the global block-diagonal embedding.
 
 The kernel basis of each element is taken from the trailing right
 singular vectors, so its columns are orthonormal and the singular-value
 spectrum doubles as a stability diagnostic. Particular solutions are
-min-norm (pseudo-inverse) solves, hence orthogonal to the kernel.
+min-norm (pseudo-inverse) solves, hence orthogonal to the kernel. The
+singular vectors stay in this module.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from .local_ops import assemble_local_operators
 #: dimensions (guarded; falls back to a relative threshold with a warning).
 EXPECT_FULL_ROW_RANK = "expect_full_row_rank"
 
+#: Complement-space rules of the coupled block solver: the right singular
+#: vectors kept, or the orthonormalized image of the pseudo-inverse.
+SVD_COMPLEMENT = "svd_complement"
+MINNORM_IMAGE = "minnorm_image"
+
 _GUARD_REL = 1e-9
 
 
@@ -34,68 +40,105 @@ class RankDeficiencyError(RuntimeError):
 
 @dataclass
 class ElementEmbedding:
-    """Kernel basis, particular solution and spectrum of one element.
-
-    ``Vt_used`` and ``U_used`` keep the right and left singular vectors of
-    the ``rank_used`` singular values kept, ``Vt[:k]`` and ``U[:, :k]``.
-    """
+    """Kernel basis, particular solution and spectrum of one element."""
 
     element: int
     T: np.ndarray
     uL: np.ndarray
     sigma: np.ndarray
     rank_used: int
-    Vt_used: np.ndarray = field(default=None, repr=False)
-    U_used: np.ndarray = field(default=None, repr=False)
+
+
+@dataclass
+class LocalFactors:
+    """Stacked SVDs ``A_K = U diag(sigma) Vt`` of the local operators of
+    ``elements`` and the ``rank`` each keeps. ``kernels`` ``(E, n, n -
+    min(rank))`` holds each kernel basis ``Vt[rank:].T`` in its last columns
+    and zeros in front; ``uL`` ``(E, n)`` are the particular solutions."""
+
+    elements: np.ndarray
+    U: np.ndarray
+    sigma: np.ndarray
+    Vt: np.ndarray
+    rank: np.ndarray
+    kernels: np.ndarray
+    uL: np.ndarray
+
+    def embeddings(self):
+        """Per-element views of the batch."""
+        r0 = self.rank.min()
+        batch = zip(self.elements, self.kernels, self.uL, self.sigma, self.rank)
+        return [ElementEmbedding(int(e), T[:, k - r0:], uL, s, int(k)) for e, T, uL, s, k in batch]
+
+    def complement(self, complement_rule):
+        """Orthonormal bases ``(E, n, m)`` of the element complement spaces;
+        every element must keep all ``m`` operator rows."""
+        V = np.swapaxes(self.Vt[:, : self.U.shape[1]], 1, 2)
+        if complement_rule == SVD_COMPLEMENT:
+            return V
+        if complement_rule == MINNORM_IMAGE:
+            return np.linalg.qr((V / self.sigma[:, None]) @ np.swapaxes(self.U, 1, 2))[0]
+        raise ValueError(f"unknown complement rule {complement_rule!r}")
+
+
+def _factor(matrices, rhs, elements, rank_rule, allow_fallback):
+    """Kernels, min-norm particular solutions and spectra of the local
+    operators ``matrices`` ``(E, m, n)`` with loads ``rhs`` ``(E, m)`` from
+    one stacked SVD; see :func:`compute_embedding` for the rank rules."""
+    if matrices.size == 0:
+        raise ValueError("local operator matrix is empty")
+    _, m, n = matrices.shape
+    strict = rank_rule == EXPECT_FULL_ROW_RANK
+    tau = _GUARD_REL if strict else float(rank_rule)
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"threshold rank rule tau = {rank_rule!r} must satisfy 0 < tau <= 1")
+    U, sigma, Vt = np.linalg.svd(matrices, full_matrices=True)
+    # the threshold rank is m wherever the full-row-rank guard passes
+    rank = np.count_nonzero((sigma >= tau * sigma[:, :1]) & (sigma > 0), axis=1)
+    bad = np.flatnonzero((sigma[:, -1] <= tau * sigma[:, 0]) | (m > n)) if strict else []
+    if len(bad):
+        k = bad[0]
+        if not allow_fallback:
+            raise RankDeficiencyError(
+                f"element {elements[k]}: operator rows are numerically rank deficient "
+                f"(sigma = {sigma[k]}); strict rank rule failed",
+                sigma[k],
+            )
+        s1 = sigma[bad, 0]
+        rel = np.divide(sigma[bad, -1], s1, out=np.zeros_like(s1), where=s1 > 0)
+        k = bad[np.argmin(rel)]
+        warnings.warn(
+            f"{len(bad)} of {len(sigma)} elements have numerically rank deficient operator "
+            f"rows; worst element {elements[k]} (sigma_min/sigma_1 = {rel.min():.3e}, "
+            f"sigma = {sigma[k]}); falling back to threshold {_GUARD_REL}"
+        )
+    # stacked matrix-vector products give the per-element results bit for bit
+    s = sigma.shape[1]
+    coef = (np.swapaxes(U[:, :, :s], 1, 2) @ rhs[..., None])[..., 0]
+    coef = np.divide(coef, sigma, out=np.zeros_like(sigma), where=np.arange(s) < rank[:, None])
+    r0 = rank.min()
+    kernels = np.where(np.arange(r0, n) >= rank[:, None, None], np.swapaxes(Vt[:, r0:], 1, 2), 0.0)
+    uL = (np.swapaxes(Vt[:, :s], 1, 2) @ coef[..., None])[..., 0]
+    return LocalFactors(np.asarray(elements), U, sigma, Vt, rank, kernels, uL)
 
 
 def compute_embedding(op, rank_rule=EXPECT_FULL_ROW_RANK, allow_fallback=True):
-    """Kernel basis and min-norm particular solution of a local operator.
+    """Kernel basis and min-norm particular solution of a local operator;
+    a batch of one of the stacked factorization.
 
     ``rank_rule`` is either :data:`EXPECT_FULL_ROW_RANK` or a relative
-    threshold ``tau``; in the latter case the rank is the number of
-    singular values at least ``tau * sigma_1``.
+    threshold ``tau`` with ``0 < tau <= 1``; in the latter case the rank is
+    the number of singular values at least ``tau * sigma_1``.
     """
-    matrix = np.asarray(op.matrix, dtype=float)
-    if matrix.size == 0:
-        raise ValueError("local operator matrix is empty")
-    m, n = matrix.shape
-    U, sigma, Vt = np.linalg.svd(matrix, full_matrices=True)
-    if rank_rule == EXPECT_FULL_ROW_RANK:
-        if sigma[0] > 0 and sigma[min(m, n) - 1] > _GUARD_REL * sigma[0] and m <= n:
-            k = m
-        else:
-            message = (
-                f"element {op.element}: operator rows are numerically rank "
-                f"deficient (sigma = {sigma}); "
-            )
-            if not allow_fallback:
-                raise RankDeficiencyError(message + "strict rank rule failed", sigma)
-            warnings.warn(message + f"falling back to threshold {_GUARD_REL}")
-            k = _threshold_rank(sigma, _GUARD_REL)
-    else:
-        k = _threshold_rank(sigma, float(rank_rule))
-    Vt_used, U_used = Vt[:k], U[:, :k]
-    return ElementEmbedding(
-        element=op.element,
-        T=Vt[k:, :].T,
-        uL=Vt_used.T @ ((U_used.T @ op.rhs) / sigma[:k]),
-        sigma=sigma,
-        rank_used=k,
-        Vt_used=Vt_used,
-        U_used=U_used,
-    )
-
-
-def _threshold_rank(sigma, tau_rel):
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return 0
-    return int(np.sum(sigma >= tau_rel * sigma[0]))
+    matrix, rhs = np.asarray(op.matrix, dtype=float), np.asarray(op.rhs, dtype=float)
+    factors = _factor(matrix[None], rhs[None], [op.element], rank_rule, allow_fallback)
+    return factors.embeddings()[0]
 
 
 @dataclass
 class GlobalEmbedding:
-    """Block-diagonal prolongation from Trefftz to broken coefficients."""
+    """Block-diagonal prolongation from Trefftz to broken coefficients;
+    :func:`build_embedding` also keeps the local operators and their factors."""
 
     embeddings: list
     offsets: np.ndarray
@@ -103,6 +146,7 @@ class GlobalEmbedding:
     u_L: np.ndarray
     ndof_trefftz: int
     local_operators: list = field(default=None, repr=False)
+    factors: LocalFactors = field(default=None, repr=False)
 
     def element_columns(self, k):
         return slice(self.offsets[k], self.offsets[k + 1])
@@ -130,14 +174,15 @@ def assemble_global_embedding(mesh, per_element):
     )
 
 
-def build_embedding(space, coeffs, kind, box_scale=0.25, rank_rule=EXPECT_FULL_ROW_RANK):
-    """Local operators, per-element kernels, and the global embedding in
-    one sweep. Returns the :class:`GlobalEmbedding`; the local operators
-    are kept on the result as ``local_operators``."""
+def build_embedding(space, coeffs, kind, box_scale=0.25):
+    """Local operators, their stacked factorization, and the global
+    embedding in one sweep. Returns the :class:`GlobalEmbedding`; the local
+    operators are kept on the result as ``local_operators``."""
     ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
-    embeddings = [compute_embedding(op, rank_rule=rank_rule) for op in ops]
-    glob = assemble_global_embedding(space.mesh, embeddings)
-    glob.local_operators = ops
+    matrices, rhs = np.stack([op.matrix for op in ops]), np.stack([op.rhs for op in ops])
+    factors = _factor(matrices, rhs, [op.element for op in ops], EXPECT_FULL_ROW_RANK, True)
+    glob = assemble_global_embedding(space.mesh, factors.embeddings())
+    glob.local_operators, glob.factors = ops, factors
     return glob
 
 

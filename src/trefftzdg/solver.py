@@ -15,12 +15,11 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
+from .embedding import MINNORM_IMAGE, SVD_COMPLEMENT  # noqa: F401  (re-exported)
+
 STANDARD_DG = "STANDARD_DG"
 EMBEDDED_TREFFTZ = "EMBEDDED_TREFFTZ"
 BLOCK_COUPLED = "BLOCK_COUPLED"
-
-SVD_COMPLEMENT = "svd_complement"
-MINNORM_IMAGE = "minnorm_image"
 
 _RESIDUAL_TOL = 1e-10
 
@@ -163,48 +162,37 @@ def solve_embedded_trefftz(system, embedding):
     )
 
 
-def _complement_basis(emb_k, complement_rule):
-    """Basis of the element-local complement space (columns, orthonormal),
-    from the singular vectors the element embedding kept."""
-    if complement_rule == SVD_COMPLEMENT:
-        return emb_k.Vt_used.T
-    if complement_rule == MINNORM_IMAGE:
-        k = emb_k.rank_used
-        image = emb_k.Vt_used.T @ np.diag(1.0 / emb_k.sigma[:k]) @ emb_k.U_used.T
-        q, _ = np.linalg.qr(image)
-        return q[:, :k]
-    raise ValueError(f"unknown complement rule {complement_rule!r}")
-
-
 def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLEMENT):
     """Assemble and solve the coupled 2x2 local/global block system.
 
     The unknowns are split per element into a complement-space part (spanned
     per ``complement_rule``) and the Trefftz part; by the weak-coupling
     property of the kernels the result matches the embedded solve, which the
-    diagnostics verify numerically.
+    diagnostics verify numerically. ``embedding`` comes from
+    :func:`build_embedding`.
     """
     space = system.space
     mesh = space.mesh
     if len(local_ops) != mesh.n_elements or len(embedding.embeddings) != mesh.n_elements:
         raise ValueError("local operators, embedding, and mesh sizes do not match")
-    complements, local_complement, local_trefftz = [], [], []
-    for k, op in enumerate(local_ops):
-        emb_k = embedding.embeddings[k]
-        if emb_k.rank_used != op.n_rows:
-            raise SolverError(
-                f"element {k}: local operator is rank deficient "
-                f"({emb_k.rank_used} < {op.n_rows} rows); block system would be singular"
-            )
-        L = _complement_basis(emb_k, complement_rule)
-        complements.append(L)
-        # local rows applied to complement and Trefftz columns
-        local_complement.append(op.matrix @ L)
-        local_trefftz.append(op.matrix @ emb_k.T)
-    # global complement prolongation and the local row blocks (block diagonal)
-    L_global = sparse.block_diag(complements, format="csr")
-    A11 = sparse.block_diag(local_complement, format="csr")
-    A12 = sparse.block_diag(local_trefftz, format="csr")
+    if embedding.factors is None:
+        raise ValueError("the block solve needs the local factors build_embedding keeps")
+    A = np.stack([op.matrix for op in local_ops])
+    n_rows = A.shape[1]
+    factors = embedding.factors
+    deficient = np.flatnonzero(factors.rank != n_rows)
+    if deficient.size:
+        k = deficient[0]
+        raise SolverError(
+            f"element {k}: local operator is rank deficient "
+            f"({factors.rank[k]} < {n_rows} rows); block system would be singular"
+        )
+    L = factors.complement(complement_rule)
+    # global complement prolongation and the local rows applied to the
+    # complement and Trefftz columns (block diagonal)
+    L_global = sparse.block_diag(L, format="csr")
+    A11 = sparse.block_diag(A @ L, format="csr")
+    A12 = sparse.block_diag(A @ factors.kernels, format="csr")
     k_total = L_global.shape[1]
     T_global = embedding.prolongation
     A21 = (T_global.T @ system.matrix @ L_global).tocsr()
@@ -212,9 +200,8 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
     block = sparse.bmat([[A11, A12], [A21, A22]], format="csc")
     rhs = np.concatenate([op.rhs for op in local_ops] + [T_global.T @ system.load])
     # per element: its complement unknowns, then its Trefftz unknowns
-    complement_offsets = np.concatenate([[0], np.cumsum([L.shape[1] for L in complements])])
     perm = _block_permutation(
-        mesh.element_order, complement_offsets, k_total + embedding.offsets
+        mesh.element_order, n_rows * np.arange(mesh.n_elements + 1), k_total + embedding.offsets
     )
     x = _direct_solve(block, rhs, "coupled block solve", perm)
     c_l, c_t = x[:k_total], x[k_total:]

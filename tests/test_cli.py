@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trefftzdg.cli import ExperimentConfig, main, run_experiment
+from trefftzdg.cli import MAX_DEGREE, MAX_SUBDIVISIONS, ExperimentConfig, main, run_experiment
 
 HEADER = "method,p,h,ndof_full,ndof_trefftz,l2error,dgerror"
 
@@ -123,6 +123,25 @@ def test_dump_mesh(tmp_path):
     lines = out.read_text().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 9
     assert sum(1 for l in lines if l.startswith("t ")) == 8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagnose", "--case", "DAR_EXAMPLE", "--p", "3", "--n", str(MAX_SUBDIVISIONS + 1)],
+        ["diagnose", "--case", "DAR_EXAMPLE", "--p", str(MAX_DEGREE + 1), "--n", "2"],
+        ["dump-mesh", "--n", str(MAX_SUBDIVISIONS + 1)],
+    ],
+)
+def test_out_of_range_input_is_rejected_before_meshing(monkeypatch, capsys, argv):
+    import trefftzdg.cli as cli
+
+    def no_mesh(n):
+        raise AssertionError(f"mesh with n={n} built")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
+    assert main(argv) == 2
+    assert "outside supported range" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -1,10 +1,13 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy as sp
 from scipy.linalg import subspace_angles
 
+from trefftzdg import embedding as embedding_module
+from trefftzdg.analysis import run_diagnostics
 from trefftzdg.basis import BrokenSpace, l2_project
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.embedding import (
@@ -115,6 +118,98 @@ def test_rank_deficiency_error_carries_spectrum():
     with pytest.warns(UserWarning):
         emb = compute_embedding(op)
     assert emb.rank_used == 1
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), 2.0])
+def test_invalid_threshold_rank_rule_rejected(tau):
+    matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    op = LocalOperator(kind=AR, element=0, matrix=matrix, rhs=np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=repr(tau)):
+        compute_embedding(op, rank_rule=tau)
+
+
+def test_rank_fallback_warns_once_per_build():
+    coeffs = manufactured_case(beta=(0, 0), gamma=0, exact=sp.Integer(0))
+    space = BrokenSpace(build_structured_mesh(2), 3)
+    with pytest.warns(UserWarning) as record:
+        glob = build_embedding(space, coeffs, AR)
+    assert len(record) == 1
+    assert "8 of 8 elements" in str(record[0].message)
+    assert [emb.rank_used for emb in glob.embeddings] == [0] * 8
+
+
+def reference_embedding(op):
+    """Per-element SVD formula under the full-row-rank rule with its
+    threshold fallback: kernel, min-norm particular solution, spectrum and
+    rank of one local operator."""
+    matrix = np.asarray(op.matrix)
+    m, n = matrix.shape
+    U, sigma, Vt = np.linalg.svd(matrix, full_matrices=True)
+    if sigma[0] > 0 and sigma[min(m, n) - 1] > 1e-9 * sigma[0] and m <= n:
+        k = m
+    else:
+        k = int(np.sum(sigma >= 1e-9 * sigma[0])) if sigma[0] > 0 else 0
+    uL = Vt[:k].T @ ((U[:, :k].T @ op.rhs) / sigma[:k])
+    return Vt[k:].T, uL, sigma, k
+
+
+def assert_matches_reference(glob):
+    for op, emb in zip(glob.local_operators, glob.embeddings):
+        T, uL, sigma, k = reference_embedding(op)
+        assert emb.rank_used == k, op.element
+        assert np.array_equal(emb.T, T), op.element
+        assert np.array_equal(emb.sigma, sigma), op.element
+        assert np.linalg.norm(emb.uL - uL) <= 1e-13 * np.linalg.norm(uL), op.element
+    assert np.array_equal(glob.u_L, np.concatenate([emb.uL for emb in glob.embeddings]))
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize(
+    "kind,case",
+    [(AR, "AR_EXAMPLE"), (DAR, "DAR_EXAMPLE"),
+     (DAR_BOX, "BOX_DIFFUSION_2D"), (QT_DIFFUSION, "QT_DIFFUSION")],
+)
+def test_build_embedding_matches_per_element_reference(perturbed_mesh, perturbed, kind, case):
+    mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
+    assert_matches_reference(build_embedding(BrokenSpace(mesh, 3), builtin_case(case), kind))
+
+
+def test_mixed_rank_build_matches_reference(monkeypatch):
+    # every odd element gets a zero operator, so kernel widths differ
+    assemble = embedding_module.assemble_local_operators
+
+    def half_zero(*args, **kwargs):
+        ops = assemble(*args, **kwargs)
+        return [replace(op, matrix=0.0 * op.matrix) if op.element % 2 else op for op in ops]
+
+    monkeypatch.setattr(embedding_module, "assemble_local_operators", half_zero)
+    mesh = build_structured_mesh(2)
+    coeffs = builtin_case("AR_EXAMPLE")
+    with pytest.warns(UserWarning, match="4 of 8 elements"):
+        glob = build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
+    assert_matches_reference(glob)
+    assert list(np.diff(glob.offsets)) == [4, 10] * 4
+    T = glob.prolongation.toarray()
+    assert np.allclose(T.T @ T, np.eye(glob.ndof_trefftz), atol=1e-12)
+    with pytest.warns(UserWarning, match="4 of 8 elements"):
+        report = run_diagnostics(mesh, 3, AR, coeffs, with_block_gap=False)
+    assert report.rho_max <= 1e-12
+    assert report.dim_table == {3: (10, [4, 10], 6)}
+    spectra = [emb.sigma for emb in glob.embeddings[::2]]
+    assert report.sigma_min_rel == min(s[-1] / s[0] for s in spectra)
+
+
+def test_build_embedding_makes_one_svd_call(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    build_embedding(BrokenSpace(build_structured_mesh(4), 3), builtin_case("AR_EXAMPLE"), AR)
+    assert shapes == [(32, 6, 10)]
 
 
 def test_classical_trefftz_recovery():

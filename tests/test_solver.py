@@ -9,8 +9,8 @@ from trefftzdg.analysis import compute_errors
 from trefftzdg.basis import BrokenSpace, l2_project
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import AR_UPWIND, DAR_SIP, DgSystem, assemble_global_system
-from trefftzdg.embedding import build_embedding
-from trefftzdg.local_ops import AR, DAR
+from trefftzdg.embedding import assemble_global_embedding, build_embedding, compute_embedding
+from trefftzdg.local_ops import AR, DAR, assemble_local_operators
 from trefftzdg.mesh import build_structured_mesh
 from trefftzdg.quadrature import triangle_rule
 from trefftzdg.solver import (
@@ -119,13 +119,14 @@ def test_local_rows_satisfied_by_embedded_solution():
         assert res <= 1e-8 * (1.0 + np.linalg.norm(op.rhs))
 
 
+@pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize(
     "case,kind,local_kind,sigma",
     [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
 )
-def test_block_solver_matches_embedded(case, kind, local_kind, sigma):
+def test_block_solver_matches_embedded(perturbed_mesh, perturbed, case, kind, local_kind, sigma):
     coeffs = builtin_case(case)
-    mesh = build_structured_mesh(4)
+    mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
     sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     u_et = solve_embedded_trefftz(sys, emb)
@@ -173,6 +174,15 @@ def test_embedding_dimension_mismatch_rejected():
     emb2 = build_embedding(space2, coeffs, AR)
     with pytest.raises(ValueError):
         solve_embedded_trefftz(sys4, emb2)
+
+
+def test_block_solver_rejects_embedding_without_factors():
+    coeffs = builtin_case("AR_EXAMPLE")
+    sys = assemble_global_system(AR_UPWIND, build_structured_mesh(2), p=3, coeffs=coeffs)
+    ops = assemble_local_operators(AR, sys.space, coeffs)
+    glob = assemble_global_embedding(sys.space.mesh, [compute_embedding(op) for op in ops])
+    with pytest.raises(ValueError, match="build_embedding"):
+        solve_block_coupled(ops, sys, glob)
 
 
 def test_singular_matrix_raises():
