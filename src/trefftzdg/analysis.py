@@ -57,35 +57,34 @@ class DiagnosticsReport:
     embedding: GlobalEmbedding = field(default=None, repr=False)
 
 
-def _facet_error_terms(solution, coeffs, weight_fn):
-    """Sum of facet integrals weight(x, b_n) * jump(e)^2 over all facets.
+def _facet_error_jumps(solution, coeffs):
+    """Facet points, normals, weights and squared error jumps, as
+    ``(facets, points, normals, weights, jump**2)`` per facet group.
 
     On interior facets the jump of the error reduces to the (negated) jump
     of u_h; on boundary facets the single-valued exact trace stays, giving
-    the deviation of u_h from the Dirichlet data.
+    the deviation of u_h from the Dirichlet data. Every norm sums
+    ``weight(x, b_n) * jump**2`` over these groups.
     """
     space = solution.space
     mesh = space.mesh
-    exact = coeffs.exact_solution
     fpts, fw = facet_quadrature(mesh, 2 * space.degree + 2)
-    total = 0.0
+    groups = []
     interior = mesh.interior_facets
     if len(interior):
         pts = fpts[interior]
         tr_l = solution.element_values(mesh.facet_left[interior], pts)
         tr_r = solution.element_values(mesh.facet_right[interior], pts)
         jump = tr_r - tr_l  # exact solution cancels across the facet
-        wvals = weight_fn(pts, mesh.facet_normals[interior], interior)
-        total += np.sum(fw[interior] * wvals * jump**2)
+        groups.append((interior, pts, jump))
     boundary = mesh.boundary_facets
     if len(boundary):
         pts = fpts[boundary]
         tr = solution.element_values(mesh.facet_left[boundary], pts)
-        exact_vals = exact(pts[..., 0], pts[..., 1])
+        exact_vals = coeffs.exact_solution(pts[..., 0], pts[..., 1])
         err = require_finite(exact_vals, "exact solution", "facet", boundary) - tr
-        wvals = weight_fn(pts, mesh.facet_normals[boundary], boundary)
-        total += np.sum(fw[boundary] * wvals * err**2)
-    return total
+        groups.append((boundary, pts, err))
+    return [(f, pts, mesh.facet_normals[f], fw[f], jump**2) for f, pts, jump in groups]
 
 
 def _beta_normal(coeffs, pts, normals, facets):
@@ -105,7 +104,7 @@ def compute_errors(solution, coeffs, kind):
     exact = coeffs.exact_solution
     exact_grad = coeffs.exact_gradient()
     elems = np.arange(mesh.n_elements)
-    vals, grads = solution.element_values(elems, space.volume_points, gradients=True)
+    vals, grads = solution.element_values(slice(None), gradients=True)
     x, y = space.volume_points[..., 0], space.volume_points[..., 1]
     w = space.volume_weights
     err = require_finite(exact(x, y), "exact solution", "element", elems) - vals
@@ -121,10 +120,9 @@ def compute_errors(solution, coeffs, kind):
         vh_sq = l2_sq
         vh_sq += np.sum(mesh.h[:, None] * w * directional**2)
 
-        def weight(pts, normals, facets):
+        def facet_weight(facets, pts, normals):
             return np.abs(_beta_normal(coeffs, pts, normals, facets)) / beta_sup
 
-        vh_sq += _facet_error_terms(solution, coeffs, weight)
     else:
         alpha_vals = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
         vh_sq = np.sum(w * alpha_vals * np.einsum("eqd,eqd->eq", err_grad, err_grad))
@@ -143,17 +141,15 @@ def compute_errors(solution, coeffs, kind):
         if af is None:
             af = facet_alpha(space, coeffs)
 
-        def weight_pen(pts, normals, facets):
-            base = sigma * af[facets] / mesh.facet_lengths[facets]
-            return base[:, None] * np.ones(pts.shape[:2])
+        def facet_weight(facets, pts, normals):
+            # penalty weight, plus the upwind weight where there is advection
+            weight = (sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
+            if coeffs.beta is not None:
+                weight = weight + 0.5 * np.abs(_beta_normal(coeffs, pts, normals, facets))
+            return weight
 
-        vh_sq += _facet_error_terms(solution, coeffs, weight_pen)
-        if coeffs.beta is not None:
-
-            def weight_upw(pts, normals, facets):
-                return 0.5 * np.abs(_beta_normal(coeffs, pts, normals, facets))
-
-            vh_sq += _facet_error_terms(solution, coeffs, weight_upw)
+    for facets, pts, normals, fw, jump_sq in _facet_error_jumps(solution, coeffs):
+        vh_sq += np.sum(fw * facet_weight(facets, pts, normals) * jump_sq)
 
     return ErrorReport(
         l2_error=math.sqrt(l2_sq),

@@ -7,9 +7,13 @@ factorization of the weighted point values. The scaling keeps the Gram
 condition number independent of the mesh size, and the first basis
 function is the constant ``1/sqrt(area)``.
 
-All evaluation goes through one batched path, :func:`evaluate_basis` over
-per-element point sets; :class:`BrokenSpace` calls it for many elements,
-and the per-element :class:`ElementBasis` methods are a batch of one.
+All evaluation goes through one batched path, :func:`tabulate`: a table of
+scaled monomials at per-element points times a small per-element matrix
+``(D^T G^T) / s^k``, with ``D`` an exact differentiation matrix in the
+monomial basis. :class:`BrokenSpace` keeps the table at its volume points,
+so values, gradients and Laplacians there cost one matmul each time;
+:func:`evaluate_basis` builds the table at other points, and the
+per-element :class:`ElementBasis` methods are a batch of one.
 """
 
 from __future__ import annotations
@@ -37,6 +41,14 @@ class BasisEval:
     values: np.ndarray
     gradients: np.ndarray = None
     hessians: np.ndarray = None
+    laplacians: np.ndarray = None
+
+
+#: differential operators for :func:`tabulate`
+_VALUES = ((0, 0),)
+_GRADIENT = (((1, 0),), ((0, 1),))
+_HESSIAN = (((2, 0),), ((1, 1),), ((0, 2),))
+_LAPLACIAN = ((2, 0), (0, 2))
 
 
 def _power_table(values, max_power):
@@ -48,26 +60,24 @@ def _power_table(values, max_power):
     return table
 
 
-def scaled_monomials(points, centers, scales, degree, dx=0, dy=0):
-    """Derivative ``D^(dx,dy)`` of each scaled monomial at per-element points.
+def scaled_monomials(points, centers, scales, degree):
+    """Scaled monomials at per-element points.
 
     ``points`` has shape ``(E, nq, 2)``, ``centers`` ``(E, 2)`` and
     ``scales`` ``(E,)``; the result is ``(E, nq, dim)`` over the
     graded-lex monomials ``((x - c)/s)^a ((y - c)/s)^b`` of total degree at
-    most ``degree``, including the chain-rule factor ``s**-(dx+dy)``.
-    Powers come from cumulative product tables (integer exponents only),
-    which is considerably faster than float ``**`` on large point sets.
+    most ``degree``. Powers come from cumulative product tables (integer
+    exponents only), which is considerably faster than float ``**`` on
+    large point sets. Derivatives are exact linear maps of this table, see
+    :func:`tabulate`.
     """
     pts = np.asarray(points, dtype=float)
     c = np.asarray(centers, dtype=float)
     s = np.asarray(scales, dtype=float)
     X = (pts[..., 0] - c[:, None, 0]) / s[:, None]
     Y = (pts[..., 1] - c[:, None, 1]) / s[:, None]
-    powers_x, powers_y, factor = _derivative_table(degree, dx, dy)
-    vals = _power_table(X, degree)[..., powers_x] * _power_table(Y, degree)[..., powers_y]
-    if dx or dy:
-        vals = vals * (factor / s[:, None, None] ** (dx + dy))
-    return vals
+    powers_x, powers_y, _ = _derivative_table(degree, 0, 0)
+    return _power_table(X, degree)[..., powers_x] * _power_table(Y, degree)[..., powers_y]
 
 
 @lru_cache(maxsize=None)
@@ -87,29 +97,87 @@ def _derivative_table(degree, dx, dy):
     return table
 
 
-def basis_derivative(points, centers, scales, G, degree, dx=0, dy=0):
-    """``D^(dx,dy)`` of the orthonormal bases ``phi = G m`` of a batch of
-    elements at per-element points: ``(E, nq, 2)`` in, ``(E, nq, n)`` out."""
-    mono = scaled_monomials(points, centers, scales, degree, dx, dy)
-    return mono @ np.swapaxes(G, -1, -2)
+@lru_cache(maxsize=None)
+def derivative_matrix(degree, dx, dy):
+    """Exact differentiation matrix ``D`` of the monomials of total degree
+    at most ``degree``: row ``j`` holds the monomial coefficients of
+    ``D^(dx,dy) m_j``, without the chain-rule factor of the scaling.
+    Read-only, as every evaluation shares it."""
+    exponents = polynomial_exponents(degree)
+    powers_x, powers_y, factor = _derivative_table(degree, dx, dy)
+    cols = [exponents.index(e) for e in zip(powers_x.tolist(), powers_y.tolist())]
+    D = np.zeros((len(exponents), len(exponents)))
+    D[np.arange(len(exponents)), cols] = factor
+    D.flags.writeable = False
+    return D
 
 
-def evaluate_basis(points, centers, scales, G, degree, gradients=False, hessians=False):
-    """Orthonormal basis values (and optionally first/second derivatives)
-    of a batch of elements; arguments as in :func:`basis_derivative`."""
+def tabulate(mono, coefficients, scales, degree, operators):
+    """Differential operators applied to polynomials given by their
+    scaled-monomial coefficients, at the points of a monomial table.
 
-    def d(dx, dy):
-        return basis_derivative(points, centers, scales, G, degree, dx, dy)
+    ``mono`` ``(E, nq, dim)`` comes from :func:`scaled_monomials`,
+    ``coefficients`` is ``(E, dim, m)`` (``G^T`` for the orthonormal basis
+    itself) and ``scales`` ``(E,)``; each of the ``k`` operators is a tuple
+    of multi-indices of one order, summed (``((2, 0), (0, 2))`` is the
+    Laplacian). The result ``(E, nq, k, m)`` is one batched matmul of the
+    table with the per-element ``(D^T coefficients) / s^order``, or, with
+    fewer points than functions, of the differentiated tables
+    ``(m D^T) / s^order`` with the coefficients: ``D`` goes on the smaller
+    factor.
+    """
+    s = np.asarray(scales, dtype=float)[:, None, None]
+    on_table = mono.shape[-2] < coefficients.shape[-1]
+    maps = []
+    for terms in operators:
+        D = sum(derivative_matrix(degree, dx, dy) for dx, dy in terms)
+        maps.append((mono @ D.T if on_table else D.T @ coefficients) / s ** sum(terms[0]))
+    stacked = np.stack(maps, axis=-2)
+    E, nq, k, m = mono.shape[0], mono.shape[-2], len(maps), coefficients.shape[-1]
+    if on_table:
+        out = stacked.reshape(E, nq * k, -1) @ coefficients
+    else:
+        out = mono @ stacked.reshape(E, -1, k * m)
+    return out.reshape(E, nq, k, m)
 
-    out = BasisEval(values=d(0, 0))
+
+def _basis_eval(mono, G, scales, degree, gradients=False, hessians=False, laplacians=False):
+    """Orthonormal basis ``phi = G m`` and the requested derivatives from a
+    monomial table, as views of one :func:`tabulate` result."""
+    operators = [_VALUES, *(_GRADIENT * gradients), *(_HESSIAN * hessians)]
+    operators += [_LAPLACIAN] * laplacians
+    tab = tabulate(mono, np.swapaxes(G, -1, -2), scales, degree, operators)
+    out = BasisEval(values=tab[..., 0, :])
+    k = 1
     if gradients:
-        out.gradients = np.stack([d(1, 0), d(0, 1)], axis=-1)
+        out.gradients = np.swapaxes(tab[..., 1:3, :], -1, -2)
+        k = 3
     if hessians:
-        hxx, hxy, hyy = d(2, 0), d(1, 1), d(0, 2)
+        hxx, hxy, hyy = (tab[..., k + i, :] for i in range(3))
         out.hessians = np.stack(
             [np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)], axis=-2
         )
+        k += 3
+    if laplacians:
+        out.laplacians = tab[..., k, :]
     return out
+
+
+def basis_derivative(points, centers, scales, G, degree, dx=0, dy=0):
+    """``D^(dx,dy)`` of the orthonormal bases ``phi = G m`` of a batch of
+    elements at per-element points: ``(E, nq, 2)`` in, ``(E, nq, n)`` out."""
+    mono = scaled_monomials(points, centers, scales, degree)
+    return tabulate(mono, np.swapaxes(G, -1, -2), scales, degree, [((dx, dy),)])[..., 0, :]
+
+
+def evaluate_basis(
+    points, centers, scales, G, degree, gradients=False, hessians=False, laplacians=False
+):
+    """Orthonormal basis values (and optionally first derivatives, second
+    derivatives and Laplacians) of a batch of elements from one monomial
+    table; arguments as in :func:`basis_derivative`."""
+    mono = scaled_monomials(points, centers, scales, degree)
+    return _basis_eval(mono, G, scales, degree, gradients, hessians, laplacians)
 
 
 def _orthonormalizer(weights, mono):
@@ -209,9 +277,10 @@ def l2_project(f, basis, rule):
 class BrokenSpace:
     """Element-wise polynomial space of uniform degree over a mesh.
 
-    Bundles the shared volume quadrature and the per-element
-    orthonormalization matrices; coefficient vectors over the space are laid
-    out element by element (``offsets[k] = k * ndof_local``).
+    Bundles the shared volume quadrature, the scaled-monomial table at its
+    points (read-only) and the per-element orthonormalization matrices;
+    coefficient vectors over the space are laid out element by element
+    (``offsets[k] = k * ndof_local``).
     """
 
     def __init__(self, mesh, degree):
@@ -224,15 +293,39 @@ class BrokenSpace:
         self.centers = mesh.centroids
         self.scales = mesh.h
         self.volume_points, self.volume_weights = volume_quadrature(mesh, 2 * self.degree + 4)
-        mono = scaled_monomials(self.volume_points, self.centers, self.scales, self.degree)
-        self.G = _orthonormalizer(self.volume_weights, mono)
-
-    def scaled_monomials(self, points, elems=None, dx=0, dy=0):
-        """Scaled-monomial table ``(m, nq, ndof)`` for per-element point sets."""
-        elems = np.arange(np.shape(points)[0]) if elems is None else np.asarray(elems)
-        return scaled_monomials(
-            points, self.centers[elems], self.scales[elems], self.degree, dx, dy
+        self.monomials = scaled_monomials(
+            self.volume_points, self.centers, self.scales, self.degree
         )
+        self.monomials.flags.writeable = False
+        self.G = _orthonormalizer(self.volume_weights, self.monomials)
+
+    def scaled_monomials(self, points, elems=None):
+        """Scaled-monomial table ``(m, nq, ndof)`` for per-element point sets."""
+        elems = np.arange(np.shape(points)[0]) if elems is None else elems
+        return scaled_monomials(points, self.centers[elems], self.scales[elems], self.degree)
+
+    def volume_basis(self, elems=slice(None), gradients=False, laplacians=False):
+        """Orthonormal basis values (and optionally gradients and
+        Laplacians) at the volume points of ``elems``, from the kept
+        monomial table; a slice views the table where an index array would
+        copy it."""
+        return _basis_eval(
+            self.monomials[elems], self.G[elems], self.scales[elems], self.degree,
+            gradients=gradients, laplacians=laplacians,
+        )
+
+    def eval_function(self, coeffs, elems=slice(None), points=None, gradients=False):
+        """Values ``(m, nq)`` and optionally gradients ``(m, nq, 2)`` of the
+        function with per-element basis coefficients ``coeffs``
+        ``(n_elements, ndof_local)`` on ``elems``: at per-element ``points``
+        ``(m, nq, 2)``, or at the volume points from the kept table. Works
+        on the monomial coefficients ``G^T c``, so no basis table is built.
+        """
+        mono = self.monomials[elems] if points is None else self.scaled_monomials(points, elems)
+        a = np.swapaxes(self.G[elems], -1, -2) @ coeffs[elems][..., None]
+        operators = [_VALUES, *(_GRADIENT * gradients)]
+        tab = tabulate(mono, a, self.scales[elems], self.degree, operators)[..., 0]
+        return (tab[..., 0], tab[..., 1:]) if gradients else tab[..., 0]
 
     def eval_elements(self, elems, points, gradients=False, hessians=False):
         """Orthonormal basis values on a batch of elements.

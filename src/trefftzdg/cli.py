@@ -9,6 +9,7 @@ sorted before writing, LF line endings.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -77,10 +78,7 @@ class ExperimentConfig:
         if not self.p_list or not self.n_list:
             raise UsageError("p and n lists must be nonempty")
         _check_sizes(self.n_list, self.p_list, self.case)
-        if self.sigma is not None and self.sigma <= 0:
-            raise UsageError("sigma must be positive")
-        if self.box_scale <= 0:
-            raise UsageError("box scale must be positive")
+        _check_positive_finite(sigma=self.sigma, box_scale=self.box_scale)
 
 
 def _check_sizes(n_list, p_list=(), case=None):
@@ -92,6 +90,15 @@ def _check_sizes(n_list, p_list=(), case=None):
     for n in n_list:
         if not 1 <= n <= MAX_SUBDIVISIONS:
             raise UsageError(f"subdivision n={n} outside supported range [1, {MAX_SUBDIVISIONS}]")
+
+
+def _check_positive_finite(**options):
+    """Reject option values outside ``0 < x < inf`` (nan included); None
+    means the option is unset."""
+    for name, value in options.items():
+        if value is not None and not 0 < value < math.inf:
+            option = "--" + name.replace("_", "-")
+            raise UsageError(f"{option} must be positive and finite, got {value}")
 
 
 def _family(case):
@@ -268,6 +275,7 @@ def _cmd_diagnose(args):
     if kind not in KINDS:
         raise UsageError(f"unknown operator kind {kind!r}")
     _check_sizes([args.n], [args.p], case)
+    _check_positive_finite(sigma=args.sigma, box_scale=args.box_scale)
     coeffs = builtin_case(case)
     mesh = build_structured_mesh(args.n)
     report = run_diagnostics(

@@ -9,6 +9,7 @@ detected pointwise from the sign of beta.n at facet quadrature nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,17 +98,19 @@ def _gram(w, a, b):
 
 
 def _chunks(total, size=_CHUNK):
+    """Consecutive slices of at most ``size`` entries; a slice views the
+    arrays it indexes."""
     for start in range(0, total, size):
-        yield np.arange(start, min(start + size, total))
+        yield slice(start, min(start + size, total))
 
 
 def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
     """Assemble the DG matrix and load vector.
 
-    For :data:`DAR_SIP` the penalty ``sigma`` must be positive and a
-    diffusion coefficient must be present; advection/reaction terms are
-    included whenever the coefficients carry them. For :data:`AR_UPWIND`
-    an advection field is required.
+    For :data:`DAR_SIP` the penalty ``sigma`` must be positive and finite,
+    and a diffusion coefficient must be present; advection/reaction terms
+    are included whenever the coefficients carry them. For
+    :data:`AR_UPWIND` an advection field is required.
     """
     if kind not in (AR_UPWIND, DAR_SIP):
         raise ValueError(f"unknown DG form kind {kind!r}")
@@ -117,8 +120,10 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
     if diffusive:
         if coeffs.alpha is None:
             raise ValueError("DAR_SIP requires a diffusion field alpha")
-        if sigma is None or sigma <= 0:
-            raise ValueError("DAR_SIP requires a positive penalty parameter sigma")
+        if sigma is None or not 0 < sigma < math.inf:
+            raise ValueError(
+                f"DAR_SIP requires a positive finite penalty parameter sigma, got {sigma}"
+            )
     if space is None:
         space = BrokenSpace(mesh, p)
     nd = space.ndof_local
@@ -130,11 +135,12 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
     af = facet_alpha(space, coeffs) if diffusive else None
 
     # volume terms
-    for elems in _chunks(mesh.n_elements):
-        pts = space.volume_points[elems]
-        w = space.volume_weights[elems]
+    for chunk in _chunks(mesh.n_elements):
+        elems = np.arange(chunk.start, chunk.stop)
+        pts = space.volume_points[chunk]
+        w = space.volume_weights[chunk]
         x, y = pts[..., 0], pts[..., 1]
-        ev = space.eval_elements(elems, pts, gradients=True)
+        ev = space.volume_basis(chunk, gradients=True)
         blocks = np.zeros((len(elems), nd, nd))
         if diffusive:
             alpha = coeffs.alpha(x, y)

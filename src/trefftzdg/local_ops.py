@@ -9,10 +9,12 @@ mesh-size scalings baked into each kind keep the induced norms uniform
 in h; diagnostics downstream rely on them.
 
 The volume-projected and box-restricted kinds share one batched kernel
-over per-element test rules, the quasi-Trefftz kind one batched
-point-derivative kernel at the element centers. The per-element entry
-points :func:`assemble_local_operator` and :func:`leibniz_point_derivative`
-are batches of one of them.
+over per-element test rules, which takes the trial basis tabulated on the
+rule. On the space's volume rule that is one product with the space's
+kept monomial table, and the test basis is its leading columns. The
+quasi-Trefftz kind has one batched point-derivative kernel at the element
+centers. The per-element entry points :func:`assemble_local_operator` and
+:func:`leibniz_point_derivative` are batches of one of them.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import numpy as np
 
 from .basis import (
     _orthonormalizer,
-    basis_derivative,
     evaluate_basis,
     polynomial_exponents,
     scaled_monomials,
     space_dimension,
+    tabulate,
 )
 from .coefficients import require_finite, require_positive
 from .quadrature import box_rule, triangle_rule
@@ -110,8 +112,8 @@ def compute_box(mesh, element, scale):
     and shrinks by factor 0.9 until all four corners lie in the closed
     element. Fails after 50 shrink steps (degenerate element).
     """
-    if scale <= 0:
-        raise ValueError("box scale must be positive")
+    if not 0 < scale < math.inf:
+        raise ValueError(f"box scale must be positive and finite, got {scale}")
     geo = mesh.element_geometry(element)
     verts = mesh.vertices[mesh.triangles[element]]
     T = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
@@ -152,58 +154,69 @@ def _validate(kind, p, coeffs):
             raise ValueError("quasi-Trefftz assembly needs source derivatives up to order p-2")
 
 
-def _operator_kernel(kind, coeffs, p, elems, trial, test):
+def _operator_kernel(kind, coeffs, elems, rule, trial, test, scale):
     """Matrices and loads of the AR, DAR or DAR_BOX operator on a batch of
     elements.
 
-    ``trial`` holds the centers ``(E, 2)``, scales ``(E,)`` and
-    orthonormalization matrices ``(E, n, n)`` of the degree-``p`` trial
-    bases. ``test`` holds, per element, a positive-weight rule on the test
-    domain (points ``(E, nq, 2)``, weights ``(E, nq)``) and the center and
-    scale ``s`` of the test monomials; the test basis is orthonormalized on
-    that rule, so it must be exact to twice the test degree. Rows and loads
-    carry the kind's mesh-size factor, ``sqrt(s)`` for AR and ``s`` otherwise.
+    ``rule`` is a positive-weight rule per element on the test domain
+    (points ``(E, nq, 2)``, weights ``(E, nq)``). ``trial`` is the
+    degree-``p`` trial basis tabulated at its points (a ``BasisEval`` with
+    values, gradients and, but for AR, Laplacians), and ``test`` holds the
+    values ``(E, nq, m)`` of a test basis orthonormal on the rule. Rows and
+    loads carry the kind's mesh-size factor ``scale`` ``(E,)``, see
+    :func:`_row_scale`.
     """
-    centers, scales, G = trial
-    pts, w, test_centers, test_scales = test
+    pts, w = rule
     x, y = pts[..., 0], pts[..., 1]
-    ev = evaluate_basis(pts, centers, scales, G, p, gradients=True, hessians=kind != AR)
-    mono_q = scaled_monomials(pts, test_centers, test_scales, p - 1 if kind == AR else p - 2)
-    qv = mono_q @ np.swapaxes(_orthonormalizer(w, mono_q), -1, -2)
     beta = None
     if coeffs.beta is not None:
         beta = require_finite(coeffs.beta(x, y), "beta", "element", elems)
     if kind == AR:
-        vals = np.einsum("eqjd,eqd->eqj", ev.gradients, beta)
-        scale = np.sqrt(test_scales)
+        vals = np.einsum("eqjd,eqd->eqj", trial.gradients, beta)
     else:
         # -div(alpha grad phi) = -(alpha lap phi + grad alpha . grad phi)
         alpha_vals = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
         ax = coeffs.alpha.derivative(1, 0)(x, y)
         ay = coeffs.alpha.derivative(0, 1)(x, y)
-        lap = ev.hessians[..., 0, 0] + ev.hessians[..., 1, 1]
         vals = -(
-            alpha_vals[..., None] * lap
-            + ax[..., None] * ev.gradients[..., 0]
-            + ay[..., None] * ev.gradients[..., 1]
+            alpha_vals[..., None] * trial.laplacians
+            + ax[..., None] * trial.gradients[..., 0]
+            + ay[..., None] * trial.gradients[..., 1]
         )
         if beta is not None:
-            vals += np.einsum("eqjd,eqd->eqj", ev.gradients, beta)
-        scale = np.asarray(test_scales, dtype=float)
+            vals += np.einsum("eqjd,eqd->eqj", trial.gradients, beta)
     if coeffs.gamma is not None:
         gamma = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
-        vals += gamma[..., None] * ev.values
+        vals += gamma[..., None] * trial.values
     f = require_finite(coeffs.f(x, y), "f", "element", elems)
     # scaled, weighted test values: A = Q_w^T V and l = Q_w^T f per element
-    qw = qv * (scale[:, None] * w)[..., None]
+    qw = test * (scale[:, None] * w)[..., None]
     return np.swapaxes(qw, -1, -2) @ vals, np.einsum("eqi,eq->ei", qw, f)
+
+
+def _row_scale(kind, s):
+    """Mesh-size factor of the rows for test monomials of scale ``s``:
+    ``sqrt(s)`` for AR and ``s`` otherwise."""
+    s = np.asarray(s, dtype=float)
+    return np.sqrt(s) if kind == AR else s
+
+
+def _test_basis(kind, p, rule, centers, scales):
+    """Values of the kind's test basis, orthonormalized on ``rule`` (points
+    and weights per element, exact to twice the test degree), over the
+    monomials of the given centers and scales."""
+    pts, w = rule
+    mono = scaled_monomials(pts, centers, scales, p - 1 if kind == AR else p - 2)
+    return mono @ np.swapaxes(_orthonormalizer(w, mono), -1, -2)
 
 
 def _qt_kernel(coeffs, p, elems, trial, h):
     """Quasi-Trefftz rows and loads on a batch of elements: the derivatives
     ``D^i``, ``|i| <= p - 2``, of the PDE residual at the trial centers,
-    scaled by ``h**(1.5 + |i|)`` with the element diameters ``h`` ``(E,)``;
-    ``trial`` is as for :func:`_operator_kernel`. No quadrature involved.
+    scaled by ``h**(1.5 + |i|)`` with the element diameters ``h`` ``(E,)``.
+    ``trial`` holds the centers ``(E, 2)``, scales ``(E,)`` and
+    orthonormalization matrices ``(E, n, n)`` of the degree-``p`` trial
+    bases. No quadrature involved.
     """
     x, y = trial[0].T
     require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
@@ -228,8 +241,12 @@ def _leibniz_rows(indices, alpha, p, points, trial):
     pts = np.asarray(points, dtype=float)[:, None]
     top = max(ix + iy for ix, iy in indices) + 1
     a = {d: alpha.derivative(*d)(pts[..., 0], pts[..., 1]) for d in polynomial_exponents(top)}
-    phi = {d: basis_derivative(pts, *trial, p, *d)[:, 0] for d in polynomial_exponents(top + 1)}
-    rows = np.zeros((len(pts), len(indices), trial[2].shape[-1]))
+    centers, scales, G = trial
+    derivatives = polynomial_exponents(top + 1)
+    mono = scaled_monomials(pts, centers, scales, p)
+    tab = tabulate(mono, np.swapaxes(G, -1, -2), scales, p, [(d,) for d in derivatives])
+    phi = dict(zip(derivatives, np.moveaxis(tab[:, 0], 1, 0)))
+    rows = np.zeros((len(pts), len(indices), G.shape[-1]))
     for row, (ix, iy) in enumerate(indices):
         for lx, ly in itertools.product(range(ix + 1), range(iy + 1)):
             binom = math.comb(ix, lx) * math.comb(iy, ly)
@@ -263,8 +280,12 @@ def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
         else:
             rule = triangle_rule(mesh.vertices[mesh.triangles[element]], 2 * p + 4, positive=True)
             center, scale = mesh.centroids[element], mesh.h[element]
-        test = (rule.points[None], rule.weights[None], np.array([center]), np.array([scale]))
-        matrices, loads = _operator_kernel(kind, coeffs, p, [element], trial, test)
+        rule = (rule.points[None], rule.weights[None])
+        tab = evaluate_basis(rule[0], *trial, p, gradients=True, laplacians=kind != AR)
+        test = _test_basis(kind, p, rule, [center], [scale])
+        matrices, loads = _operator_kernel(
+            kind, coeffs, [element], rule, tab, test, _row_scale(kind, [scale])
+        )
     return LocalOperator(kind=kind, element=element, matrix=matrices[0], rhs=loads[0])
 
 
@@ -289,14 +310,19 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
         ]
     ops = []
     for start in range(0, mesh.n_elements, _CHUNK):
-        elems = np.arange(start, min(start + _CHUNK, mesh.n_elements))
-        centers, scales = space.centers[elems], space.scales[elems]
-        trial = (centers, scales, space.G[elems])
+        chunk = slice(start, min(start + _CHUNK, mesh.n_elements))
+        elems = np.arange(chunk.start, chunk.stop)
         if kind == QT_DIFFUSION:
-            matrices, loads = _qt_kernel(coeffs, p, elems, trial, scales)
+            trial = (space.centers[chunk], space.scales[chunk], space.G[chunk])
+            matrices, loads = _qt_kernel(coeffs, p, elems, trial, space.scales[chunk])
         else:
-            test = (space.volume_points[elems], space.volume_weights[elems], centers, scales)
-            matrices, loads = _operator_kernel(kind, coeffs, p, elems, trial, test)
+            # the space's basis is orthonormal on the same rule and graded by
+            # degree, so its leading columns are the test basis
+            tab = space.volume_basis(chunk, gradients=True, laplacians=kind != AR)
+            test = tab.values[..., : operator_row_count(kind, p)]
+            rule = (space.volume_points[chunk], space.volume_weights[chunk])
+            scale = _row_scale(kind, space.scales[chunk])
+            matrices, loads = _operator_kernel(kind, coeffs, elems, rule, tab, test, scale)
         ops.extend(
             LocalOperator(kind=kind, element=int(k), matrix=m, rhs=r)
             for k, m, r in zip(elems, matrices, loads)

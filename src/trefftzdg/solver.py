@@ -45,16 +45,11 @@ class DiscreteSolution:
     alpha_facet: np.ndarray = field(default=None, repr=False)
     block_parts: dict = field(default=None, repr=False)
 
-    def element_values(self, elems, points, gradients=False):
-        """Evaluate the discrete function on per-element point sets."""
-        elems = np.asarray(elems)
-        ev = self.space.eval_elements(elems, points, gradients=gradients)
-        local = self.coeffs.reshape(self.space.mesh.n_elements, -1)[elems]
-        vals = np.einsum("eqn,en->eq", ev.values, local)
-        if gradients:
-            grads = np.einsum("eqnd,en->eqd", ev.gradients, local)
-            return vals, grads
-        return vals
+    def element_values(self, elems, points=None, gradients=False):
+        """Evaluate the discrete function on per-element point sets, or
+        without ``points`` at the space's volume points."""
+        local = self.coeffs.reshape(self.space.mesh.n_elements, -1)
+        return self.space.eval_function(local, elems, points, gradients)
 
 
 def _direct_solve(matrix, rhs, label, perm):

@@ -170,6 +170,58 @@ def test_error_norms_reject_bad_data(field, kind, name):
         compute_errors(u, coeffs, kind)
 
 
+def two_pass_dg_error(solution, coeffs):
+    """Diffusion-family error norm with the penalty and the upwind facet
+    terms summed in two separate passes over the facets."""
+    space = solution.space
+    mesh = space.mesh
+    x, y = space.volume_points[..., 0], space.volume_points[..., 1]
+    w = space.volume_weights
+    vals, grads = solution.element_values(np.arange(mesh.n_elements), space.volume_points, True)
+    err = coeffs.exact_solution(x, y) - vals
+    err_grad = coeffs.exact_gradient()(x, y) - grads
+    vh_sq = np.sum(w * coeffs.alpha(x, y) * np.einsum("eqd,eqd->eq", err_grad, err_grad))
+    stab = coeffs.gamma(x, y) - 0.5 * coeffs.beta.divergence()(x, y)
+    vh_sq += max(0.0, float(np.min(stab))) * np.sum(w * err**2)
+    fpts, fw = facet_quadrature(mesh, 2 * space.degree + 2)
+    left, right = mesh.facet_left, mesh.facet_right
+
+    def facet_pass(weight):
+        total = 0.0
+        inner, bnd = mesh.interior_facets, mesh.boundary_facets
+        jump = solution.element_values(right[inner], fpts[inner]) - solution.element_values(
+            left[inner], fpts[inner]
+        )
+        total += np.sum(fw[inner] * weight(inner) * jump**2)
+        pts = fpts[bnd]
+        dev = coeffs.exact_solution(pts[..., 0], pts[..., 1]) - solution.element_values(
+            left[bnd], pts
+        )
+        return total + np.sum(fw[bnd] * weight(bnd) * dev**2)
+
+    def penalty(facets):
+        base = solution.sigma * solution.alpha_facet[facets] / mesh.facet_lengths[facets]
+        return base[:, None] * np.ones(fpts.shape[1])
+
+    def upwind(facets):
+        pts = fpts[facets]
+        beta = coeffs.beta(pts[..., 0], pts[..., 1])
+        return 0.5 * np.abs(np.einsum("fqd,fd->fq", beta, mesh.facet_normals[facets]))
+
+    return math.sqrt(vh_sq + facet_pass(penalty) + facet_pass(upwind))
+
+
+@pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D"])
+def test_shared_facet_jumps_match_two_pass_norm(case):
+    coeffs = builtin_case(case)
+    mesh = build_structured_mesh(3)
+    system = assemble_global_system(DAR_SIP, mesh, 3, coeffs, sigma=450.0)
+    solution = solve_standard_dg(system)
+    report = compute_errors(solution, coeffs, DAR)
+    expected = two_pass_dg_error(solution, coeffs)
+    assert report.vh_error == pytest.approx(expected, rel=1e-13)
+
+
 def test_eoc_simple_cases():
     est = estimate_eoc([(1.0, 1.0), (0.5, 0.25)])
     assert isinstance(est, EocEstimate)

@@ -7,9 +7,15 @@ import pytest
 from trefftzdg.basis import (
     BrokenSpace,
     ElementBasis,
+    _derivative_table,
+    _orthonormalizer,
+    derivative_matrix,
+    evaluate_basis,
     l2_project,
     polynomial_exponents,
+    scaled_monomials,
     space_dimension,
+    tabulate,
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
 from trefftzdg.quadrature import triangle_rule
@@ -220,3 +226,114 @@ def test_broken_space_offsets_and_basis():
     assert isinstance(b3, ElementBasis)
     vals = b3.eval(mesh.centroids[3][None, :]).values
     assert vals[0, 0] == pytest.approx(1.0 / math.sqrt(mesh.areas[3]))
+
+
+def reference_basis_derivative(space, dx, dy):
+    """``D^(dx,dy)`` of the space's basis at its volume points: each
+    monomial's derivative gathered from the kept table with its constant
+    factor, then mapped by ``G^T``."""
+    exps = polynomial_exponents(space.degree)
+    cols = [exps.index((max(a - dx, 0), max(b - dy, 0))) for a, b in exps]
+    factor = np.array([math.perm(a, dx) * math.perm(b, dy) for a, b in exps], dtype=float)
+    mono = space.monomials[..., cols] * factor / space.scales[:, None, None] ** (dx + dy)
+    return mono @ np.swapaxes(space.G, -1, -2)
+
+
+def assert_rel_close(actual, expected, rtol):
+    scale = max(float(np.max(np.abs(expected))), 1.0e-300)
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_volume_table_matches_evaluate_basis(p, perturbed, perturbed_mesh):
+    mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
+    space = BrokenSpace(mesh, p)
+    tab = space.volume_basis(gradients=True, laplacians=True)
+    ref = evaluate_basis(
+        space.volume_points, space.centers, space.scales, space.G, p,
+        gradients=True, hessians=True,
+    )
+    assert_rel_close(tab.values, ref.values, 1e-12)
+    assert_rel_close(tab.gradients, ref.gradients, 1e-12)
+    assert_rel_close(tab.laplacians, ref.hessians[..., 0, 0] + ref.hessians[..., 1, 1], 1e-12)
+    assert_rel_close(tab.values, reference_basis_derivative(space, 0, 0), 1e-12)
+    for d, (dx, dy) in enumerate([(1, 0), (0, 1)]):
+        assert_rel_close(tab.gradients[..., d], reference_basis_derivative(space, dx, dy), 1e-12)
+    if p >= 2:
+        lap = reference_basis_derivative(space, 2, 0) + reference_basis_derivative(space, 0, 2)
+        assert_rel_close(tab.laplacians, lap, 1e-12)
+    else:
+        assert np.all(tab.laplacians == 0.0)
+
+
+def test_volume_function_matches_basis_table(perturbed_mesh):
+    space = BrokenSpace(perturbed_mesh(3), 4)
+    coeffs = np.random.default_rng(3).standard_normal((space.mesh.n_elements, space.ndof_local))
+    vals, grads = space.eval_function(coeffs, gradients=True)
+    tab = space.volume_basis(gradients=True)
+    assert_rel_close(vals, np.einsum("eqn,en->eq", tab.values, coeffs), 1e-12)
+    assert_rel_close(grads, np.einsum("eqnd,en->eqd", tab.gradients, coeffs), 1e-12)
+    elems = [4, 0, 7]
+    at_points = space.eval_function(coeffs, elems, space.volume_points[elems])
+    assert_rel_close(at_points, vals[elems], 1e-12)
+
+
+@pytest.mark.parametrize("degree", range(7))
+def test_derivative_matrix_agrees_with_derivative_table(degree):
+    exps = polynomial_exponents(degree)
+    for dx, dy in polynomial_exponents(degree + 1):
+        D = derivative_matrix(degree, dx, dy)
+        powers_x, powers_y, factor = _derivative_table(degree, dx, dy)
+        assert not D.flags.writeable
+        for j in range(len(exps)):
+            expected = np.zeros(len(exps))
+            if factor[j]:
+                expected[exps.index((powers_x[j], powers_y[j]))] = factor[j]
+            np.testing.assert_array_equal(D[j], expected)
+    # applied to a monomial table: the closed-form derivative of each monomial
+    pts = np.random.default_rng(degree).uniform(-1.0, 1.0, size=(1, 7, 2))
+    mono = scaled_monomials(pts, [[0.0, 0.0]], [1.0], degree)
+    X, Y = pts[0, :, :1], pts[0, :, 1:]
+    a, b = np.array(exps).T
+    np.testing.assert_allclose(
+        (mono @ derivative_matrix(degree, 1, 1).T)[0],
+        a * b * X ** np.maximum(a - 1, 0) * Y ** np.maximum(b - 1, 0),
+        rtol=1e-13, atol=1e-13,
+    )
+
+
+@pytest.mark.parametrize("npoints", [3, None])
+def test_tabulate_applies_the_derivative_matrix(npoints):
+    # D goes on the table for fewer points than basis functions (3 < 15),
+    # on the coefficients otherwise (49 points); both equal the product
+    space = BrokenSpace(build_structured_mesh(2), 4)
+    mono = space.monomials[:, :npoints]
+    Gt = np.swapaxes(space.G, -1, -2)
+    laplacian = ((2, 0), (0, 2))
+    tab = tabulate(mono, Gt, space.scales, 4, [((1, 0),), ((0, 1),), laplacian])
+    for i, terms in enumerate([((1, 0),), ((0, 1),), laplacian]):
+        D = sum(derivative_matrix(4, dx, dy) for dx, dy in terms)
+        expected = mono @ (D.T @ Gt) / space.scales[:, None, None] ** sum(terms[0])
+        assert_rel_close(tab[..., i, :], expected, 1e-14)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_leading_basis_columns_are_the_lower_degree_basis(p, perturbed, perturbed_mesh):
+    # the AR and DAR test bases: dim P_(p-1) and dim P_(p-2) leading columns
+    mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
+    space = BrokenSpace(mesh, p)
+    values = space.volume_basis().values
+    for q in (p - 1, p - 2):
+        if q < 0:
+            continue
+        mono = scaled_monomials(space.volume_points, space.centers, space.scales, q)
+        lower = mono @ np.swapaxes(_orthonormalizer(space.volume_weights, mono), -1, -2)
+        assert_rel_close(values[..., : space_dimension(q)], lower, 1e-12)
+
+
+def test_volume_table_is_kept_read_only():
+    space = BrokenSpace(build_structured_mesh(2), 3)
+    assert space.monomials.shape == space.volume_points.shape[:2] + (space.ndof_local,)
+    assert not space.monomials.flags.writeable

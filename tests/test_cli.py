@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,62 @@ def test_out_of_range_input_is_rejected_before_meshing(monkeypatch, capsys, argv
     monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
     assert main(argv) == 2
     assert "outside supported range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["run", "--case", "BOX_DIFFUSION_2D", "--methods", "dg", "--sigma", "nan"], "--sigma"),
+        (["run", "--case", "BOX_DIFFUSION_2D", "--methods", "dg", "--sigma", "inf"], "--sigma"),
+        (["run", "--case", "BOX_DIFFUSION_2D", "--methods", "etbox", "--box-scale", "nan"],
+         "--box-scale"),
+        (["run", "--case", "BOX_DIFFUSION_2D", "--methods", "etbox", "--box-scale", "inf"],
+         "--box-scale"),
+        (["diagnose", "--case", "DAR_EXAMPLE", "--sigma", "-1"], "--sigma"),
+        (["diagnose", "--case", "DAR_EXAMPLE", "--sigma", "nan"], "--sigma"),
+        (["diagnose", "--case", "DAR_EXAMPLE", "--kind", "DAR_BOX", "--box-scale", "nan"],
+         "--box-scale"),
+    ],
+    ids=["run-sigma-nan", "run-sigma-inf", "run-box-nan", "run-box-inf",
+         "diagnose-sigma-negative", "diagnose-sigma-nan", "diagnose-box-nan"],
+)
+def test_non_finite_penalty_and_box_scale_rejected_before_meshing(
+    tmp_path, monkeypatch, capsys, argv, option
+):
+    import trefftzdg.cli as cli
+
+    def no_mesh(n):
+        raise AssertionError(f"mesh with n={n} built")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
+    out = ["--out", str(tmp_path / "x.csv")] if argv[0] == "run" else []
+    assert main(argv + ["--p", "2", "--n", "1"] + out) == 2
+    err = capsys.readouterr().err
+    assert f"{option} must be positive and finite, got {float(argv[-1])}" in err
+
+
+def test_run_tabulates_volume_monomials_once_per_space(tmp_path, monkeypatch):
+    # every volume-point evaluation of assembly, local operators and error
+    # norms reads the table that the broken space builds
+    import trefftzdg.basis as basis
+    from trefftzdg.quadrature import duffy_rule_barycentric
+
+    nq = len(duffy_rule_barycentric(2 * 3 + 4)[1])
+    volume_calls = []
+    original = basis.scaled_monomials
+
+    def counting(points, *args, **kwargs):
+        if np.shape(points)[1] == nq:
+            volume_calls.append(np.shape(points)[0])
+        return original(points, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("trefftzdg"):
+            if getattr(module, "scaled_monomials", None) is original:
+                monkeypatch.setattr(module, "scaled_monomials", counting)
+    assert main(["run", "--case", "AR_EXAMPLE", "--methods", "dg,et", "--p", "3",
+                 "--n", "2,4", "--out", str(tmp_path / "ar.csv")]) == 0
+    assert volume_calls == [8, 32]
 
 
 def test_config_file_with_flag_override(tmp_path):

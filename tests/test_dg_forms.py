@@ -181,6 +181,14 @@ def test_parameter_validation():
         assemble_global_system("SOMETHING", mesh, p=2, coeffs=coeffs, sigma=1.0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+def test_non_finite_penalty_rejected(sigma):
+    coeffs = builtin_case("DAR_EXAMPLE")
+    mesh = build_structured_mesh(1)
+    with pytest.raises(ValueError, match=f"sigma, got {sigma}"):
+        assemble_global_system(DAR_SIP, mesh, p=2, coeffs=coeffs, sigma=sigma)
+
+
 def test_nonpositive_alpha_detected_at_assembly():
     coeffs = manufactured_case(alpha=sp.sympify("x - 2"), exact=sp.sympify("x*y"))
     mesh = build_structured_mesh(2)

@@ -224,6 +224,12 @@ def test_compute_box_errors_and_contract():
         assert box.h == pytest.approx(box.side * math.sqrt(2.0))
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf])
+def test_compute_box_rejects_non_finite_scale(scale):
+    with pytest.raises(ValueError, match=f"box scale must be positive and finite, got {scale}"):
+        compute_box(UNIT_RIGHT, 0, scale=scale)
+
+
 def test_kind_preconditions():
     coeffs = builtin_case("DAR_EXAMPLE")
     basis1 = ElementBasis.from_element(UNIT_RIGHT, 0, degree=1)
