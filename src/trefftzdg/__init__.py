@@ -48,7 +48,6 @@ from .local_ops import (
     QT_DIFFUSION,
     ElementBox,
     LocalOperator,
-    MultiIndexSet,
     assemble_local_operator,
     assemble_local_operators,
     compute_box,
@@ -58,7 +57,6 @@ from .mesh import BOUNDARY, Mesh2D, build_structured_mesh
 from .quadrature import (
     QuadratureRule,
     box_rule,
-    edge_rule,
     facet_quadrature,
     triangle_rule,
     volume_quadrature,

@@ -9,7 +9,7 @@ import numpy as np
 
 from .basis import BrokenSpace
 from .coefficients import require_finite, require_positive
-from .dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system, facet_alpha
+from .dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system, default_sigma, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
 from .local_ops import AR, KINDS, operator_row_count
 from .quadrature import facet_quadrature
@@ -134,9 +134,7 @@ def compute_errors(solution, coeffs, kind):
                 stab = stab - 0.5 * require_finite(div_beta, "div beta", "element", elems)
             gamma0 = max(0.0, float(np.min(stab)))
         vh_sq += gamma0 * l2_sq
-        sigma = solution.sigma
-        if sigma is None:
-            sigma = 50.0 * space.degree**2
+        sigma = solution.sigma if solution.sigma is not None else default_sigma(space.degree)
         af = solution.alpha_facet
         if af is None:
             af = facet_alpha(space, coeffs)
@@ -213,7 +211,7 @@ def run_diagnostics(
     if with_block_gap:
         form = AR_UPWIND if kind == AR else DAR_SIP
         if form == DAR_SIP and sigma is None:
-            sigma = 50.0 * p * p
+            sigma = default_sigma(p)
         system = assemble_global_system(form, mesh, p, coeffs, sigma=sigma, space=space)
         u_emb = solve_embedded_trefftz(system, embedding)
         u_block = solve_block_coupled(embedding.local_operators, system, embedding)

@@ -40,14 +40,12 @@ def space_dimension(degree):
 class BasisEval:
     values: np.ndarray
     gradients: np.ndarray = None
-    hessians: np.ndarray = None
     laplacians: np.ndarray = None
 
 
 #: differential operators for :func:`tabulate`
 _VALUES = ((0, 0),)
 _GRADIENT = (((1, 0),), ((0, 1),))
-_HESSIAN = (((2, 0),), ((1, 1),), ((0, 2),))
 _LAPLACIAN = ((2, 0), (0, 2))
 
 
@@ -141,25 +139,16 @@ def tabulate(mono, coefficients, scales, degree, operators):
     return out.reshape(E, nq, k, m)
 
 
-def _basis_eval(mono, G, scales, degree, gradients=False, hessians=False, laplacians=False):
+def _basis_eval(mono, G, scales, degree, gradients=False, laplacians=False):
     """Orthonormal basis ``phi = G m`` and the requested derivatives from a
     monomial table, as views of one :func:`tabulate` result."""
-    operators = [_VALUES, *(_GRADIENT * gradients), *(_HESSIAN * hessians)]
-    operators += [_LAPLACIAN] * laplacians
+    operators = [_VALUES, *(_GRADIENT * gradients), *([_LAPLACIAN] * laplacians)]
     tab = tabulate(mono, np.swapaxes(G, -1, -2), scales, degree, operators)
     out = BasisEval(values=tab[..., 0, :])
-    k = 1
     if gradients:
         out.gradients = np.swapaxes(tab[..., 1:3, :], -1, -2)
-        k = 3
-    if hessians:
-        hxx, hxy, hyy = (tab[..., k + i, :] for i in range(3))
-        out.hessians = np.stack(
-            [np.stack([hxx, hxy], axis=-1), np.stack([hxy, hyy], axis=-1)], axis=-2
-        )
-        k += 3
     if laplacians:
-        out.laplacians = tab[..., k, :]
+        out.laplacians = tab[..., -1, :]
     return out
 
 
@@ -170,14 +159,12 @@ def basis_derivative(points, centers, scales, G, degree, dx=0, dy=0):
     return tabulate(mono, np.swapaxes(G, -1, -2), scales, degree, [((dx, dy),)])[..., 0, :]
 
 
-def evaluate_basis(
-    points, centers, scales, G, degree, gradients=False, hessians=False, laplacians=False
-):
-    """Orthonormal basis values (and optionally first derivatives, second
-    derivatives and Laplacians) of a batch of elements from one monomial
-    table; arguments as in :func:`basis_derivative`."""
+def evaluate_basis(points, centers, scales, G, degree, gradients=False, laplacians=False):
+    """Orthonormal basis values (and optionally gradients and Laplacians)
+    of a batch of elements from one monomial table; arguments as in
+    :func:`basis_derivative`."""
     mono = scaled_monomials(points, centers, scales, degree)
-    return _basis_eval(mono, G, scales, degree, gradients, hessians, laplacians)
+    return _basis_eval(mono, G, scales, degree, gradients, laplacians)
 
 
 def _orthonormalizer(weights, mono):
@@ -229,9 +216,10 @@ class ElementBasis:
 
     @classmethod
     def from_element(cls, mesh, k, degree):
-        geo = mesh.element_geometry(k)
-        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * degree, positive=True)
-        return cls.from_rule(geo.centroid, geo.h, degree, rule)
+        if not 0 <= k < mesh.n_elements:
+            raise IndexError(f"element index {k} out of range")
+        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * degree)
+        return cls.from_rule(mesh.centroids[k], mesh.h[k], degree, rule)
 
     @classmethod
     def from_rule(cls, center, scale, degree, rule):
@@ -250,12 +238,12 @@ class ElementBasis:
         pts = np.asarray(points, dtype=float).reshape(1, -1, 2)
         return pts, self.center[None], [self.scale], self.G[None], self.degree
 
-    def eval(self, points, gradients=False, hessians=False):
-        """Values (and optionally first/second derivatives) at ``points``."""
+    def eval(self, points, gradients=False):
+        """Values (and optionally gradients) at ``points``."""
         shape = np.shape(points)[:-1]
-        ev = evaluate_basis(*self._as_batch(points), gradients, hessians)
+        ev = evaluate_basis(*self._as_batch(points), gradients)
         drop = lambda a: None if a is None else a.reshape(shape + a.shape[2:])
-        return BasisEval(drop(ev.values), drop(ev.gradients), drop(ev.hessians))
+        return BasisEval(drop(ev.values), drop(ev.gradients))
 
     def derivative(self, points, order):
         """Exact partial derivative ``D^order`` of each basis function."""
@@ -327,7 +315,7 @@ class BrokenSpace:
         tab = tabulate(mono, a, self.scales[elems], self.degree, operators)[..., 0]
         return (tab[..., 0], tab[..., 1:]) if gradients else tab[..., 0]
 
-    def eval_elements(self, elems, points, gradients=False, hessians=False):
+    def eval_elements(self, elems, points, gradients=False):
         """Orthonormal basis values on a batch of elements.
 
         ``points`` has shape ``(m, nq, 2)`` with one point set per entry of
@@ -336,7 +324,7 @@ class BrokenSpace:
         elems = np.asarray(elems)
         return evaluate_basis(
             points, self.centers[elems], self.scales[elems], self.G[elems],
-            self.degree, gradients, hessians,
+            self.degree, gradients,
         )
 
     def element_basis(self, k):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .analysis import compute_errors, estimate_eoc, run_diagnostics
 from .basis import BrokenSpace
 from .coefficients import BUILTIN_CASES, builtin_case
-from .dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system
+from .dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system, default_sigma
 from .embedding import build_embedding, export_sigma_csv
 from .local_ops import AR, DAR, DAR_BOX, KINDS, QT_DIFFUSION
 from .mesh import build_structured_mesh
@@ -121,7 +121,7 @@ def run_experiment(config, write=True, stream=None):
     form_kind, et_kind = _family(config.case)
     rows = []
     for p in config.p_list:
-        sigma = config.sigma if config.sigma is not None else 50.0 * p * p
+        sigma = config.sigma if config.sigma is not None else default_sigma(p)
         for n in config.n_list:
             mesh = build_structured_mesh(n)
             space = BrokenSpace(mesh, p)

@@ -46,6 +46,11 @@ class DgSystem:
         return self.space.degree
 
 
+def default_sigma(p):
+    """Default interior-penalty parameter ``50 p^2`` for degree ``p``."""
+    return 50.0 * p * p
+
+
 def element_alpha_means(space, coeffs):
     """Mean of the diffusion coefficient over each element."""
     x = space.volume_points[..., 0]

@@ -8,7 +8,6 @@ precomputed as arrays indexed by element or facet.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,15 +16,6 @@ BOUNDARY = -1
 
 #: Element sets of at most this size are not dissected further.
 _ND_LEAF = 16
-
-
-@dataclass(frozen=True)
-class ElementGeometry:
-    h: float
-    area: float
-    centroid: np.ndarray
-    incenter: np.ndarray
-    inradius: float
 
 
 class Mesh2D:
@@ -167,17 +157,6 @@ class Mesh2D:
         order = np.concatenate(parts)
         order.flags.writeable = False
         return order
-
-    def element_geometry(self, k):
-        if not 0 <= k < self.n_elements:
-            raise IndexError(f"element index {k} out of range")
-        return ElementGeometry(
-            h=float(self.h[k]),
-            area=float(self.areas[k]),
-            centroid=self.centroids[k].copy(),
-            incenter=self.incenters[k].copy(),
-            inradius=float(self.inradii[k]),
-        )
 
     def dump(self, target):
         """Write the mesh as plain text: ``v x y`` and ``t i j k`` lines."""

@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-#: Largest exactness degree served by :func:`triangle_rule`.
-MAX_TRIANGLE_DEGREE = 25
 
 
 @dataclass(frozen=True)
@@ -25,51 +20,6 @@ class QuadratureRule:
     points: np.ndarray
     weights: np.ndarray
     degree: int
-
-
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
-@lru_cache(maxsize=None)
-def simplex_rule_barycentric(degree):
-    """Symmetric Grundmann-Moeller rule on the triangle.
-
-    Returns barycentric points ``(nq, 3)`` and weights ``(nq,)`` normalized
-    to sum to one; mapping them affinely to any triangle and scaling by its
-    area yields a rule of the requested exactness. Weights are evaluated in
-    rational arithmetic before the final float conversion.
-    """
-    if degree < 0:
-        raise ValueError("quadrature degree must be nonnegative")
-    if degree > MAX_TRIANGLE_DEGREE:
-        raise ValueError(
-            f"triangle quadrature supports exactness up to degree "
-            f"{MAX_TRIANGLE_DEGREE}, got {degree}"
-        )
-    s = max(0, math.ceil((degree - 1) / 2))
-    d = 2 * s + 1
-    n = 2
-    points, weights = [], []
-    for i in range(s + 1):
-        w = Fraction(
-            (-1) ** i * (d + n - 2 * i) ** d,
-            4**s * math.factorial(i) * math.factorial(d + n - i),
-        )
-        denom = d + n - 2 * i
-        for k in _compositions(s - i, n + 1):
-            points.append(tuple(Fraction(2 * kj + 1, denom) for kj in k))
-            weights.append(w)
-    total = sum(weights)
-    bary = np.array([[float(c) for c in pt] for pt in points])
-    wts = np.array([float(wi / total) for wi in weights])
-    return bary, wts
 
 
 @lru_cache(maxsize=None)
@@ -92,17 +42,11 @@ def duffy_rule_barycentric(degree):
     return bary, 2.0 * wts
 
 
-def triangle_rule(vertices, degree, positive=False):
-    """Quadrature on a ccw triangle, exact for polynomials up to ``degree``.
-
-    The default rule is symmetric; ``positive=True`` selects the collapsed
-    tensor rule with positive weights instead.
-    """
+def triangle_rule(vertices, degree):
+    """Collapsed tensor rule with positive weights on a ccw triangle,
+    exact for polynomials up to ``degree``."""
     verts = np.asarray(vertices, dtype=float)
-    if positive:
-        bary, w = duffy_rule_barycentric(degree)
-    else:
-        bary, w = simplex_rule_barycentric(degree)
+    bary, w = duffy_rule_barycentric(degree)
     e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
     area = 0.5 * float(e1[0] * e2[1] - e1[1] * e2[0])
     if area <= 0.0:
@@ -132,17 +76,6 @@ def box_rule(center, side, degree):
     ww = np.outer(w, w).ravel() * side * side
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     return QuadratureRule(points=pts, weights=ww, degree=degree)
-
-
-def edge_rule(p0, p1, degree):
-    """Gauss-Legendre rule mapped onto the segment from ``p0`` to ``p1``."""
-    if degree < 0:
-        raise ValueError("quadrature degree must be nonnegative")
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t, w = _gauss_legendre_unit(degree // 2 + 1)
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    return QuadratureRule(points=pts, weights=w * float(np.hypot(*(p1 - p0))), degree=degree)
 
 
 def volume_quadrature(mesh, degree):

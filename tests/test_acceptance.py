@@ -208,7 +208,7 @@ def test_criterion_08_classical_trefftz_recovery():
             op = assemble_local_operator(DAR, mesh, 0, basis, coeffs)
             emb = compute_embedding(op)
             assert emb.T.shape[1] == 2 * p + 1
-            rule = triangle_rule(verts, 2 * p + 6, positive=True)
+            rule = triangle_rule(verts, 2 * p + 6)
             harmonics = [lambda x, y: np.ones_like(x)]
             for m in range(1, p + 1):
                 harmonics.append(lambda x, y, m=m: np.real((x + 1j * y) ** m))
@@ -261,7 +261,7 @@ def test_criterion_10_property_suites(tmp_path):
         mesh = Mesh2D(vertices=verts, triangles=np.array([[0, 1, 2]]))
         for p in range(1, 7):
             basis = ElementBasis.from_element(mesh, 0, degree=p)
-            rule = triangle_rule(verts, 2 * p, positive=True)
+            rule = triangle_rule(verts, 2 * p)
             vals = basis.eval(rule.points).values
             gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
             dev = np.max(np.abs(gram - np.eye(basis.dim)))

@@ -24,9 +24,7 @@ def project_globally(space, f):
     c = np.zeros(space.ndof_total)
     mesh = space.mesh
     for k in range(mesh.n_elements):
-        rule = triangle_rule(
-            mesh.vertices[mesh.triangles[k]], 2 * space.degree + 6, positive=True
-        )
+        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * space.degree + 6)
         c[space.offsets[k] : space.offsets[k] + space.ndof_local] = l2_project(
             f, space.element_basis(k), rule
         )

@@ -9,6 +9,7 @@ from trefftzdg.basis import (
     ElementBasis,
     _derivative_table,
     _orthonormalizer,
+    basis_derivative,
     derivative_matrix,
     evaluate_basis,
     l2_project,
@@ -43,9 +44,8 @@ def reference_orthonormal_basis(mesh, degree):
     Gram-Schmidt produces an orthonormal basis independent of the package's
     Cholesky construction. Returns a callable evaluating the basis.
     """
-    geo = mesh.element_geometry(0)
-    cx, cy = geo.centroid
-    hk = geo.h
+    cx, cy = mesh.centroids[0]
+    hk = mesh.h[0]
     exps = polynomial_exponents(degree)
     dim = len(exps)
     gram = np.empty((dim, dim))
@@ -141,7 +141,8 @@ def test_matches_gram_schmidt_oracle(seed):
 def test_orthonormality_random_elements(degree, seed):
     mesh = random_triangle_mesh(seed)
     basis = ElementBasis.from_element(mesh, 0, degree=degree)
-    rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * degree)
+    # a finer rule than the one the basis was orthonormalized on
+    rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * degree + 2)
     vals = basis.eval(rule.points).values
     gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
     assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-10
@@ -150,17 +151,31 @@ def test_orthonormality_random_elements(degree, seed):
 def test_degree_one_gradients_constant_hessian_zero():
     basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=1)
     pts = np.random.default_rng(0).uniform(size=(7, 2))
-    ev = basis.eval(pts, gradients=True, hessians=True)
+    ev = basis.eval(pts, gradients=True)
     for j in range(basis.dim):
         assert np.allclose(ev.gradients[:, j, :], ev.gradients[0, j, :], atol=1e-13)
-    assert np.allclose(ev.hessians, 0.0, atol=1e-13)
+    for order in ((2, 0), (1, 1), (0, 2)):
+        assert np.allclose(basis.derivative(pts, order), 0.0, atol=1e-13)
+
+
+def test_from_element_rejects_out_of_range_element():
+    with pytest.raises(IndexError, match="element index -1 out of range"):
+        ElementBasis.from_element(UNIT_RIGHT, -1, degree=1)
+    with pytest.raises(IndexError, match="element index 1 out of range"):
+        ElementBasis.from_element(UNIT_RIGHT, 1, degree=1)
 
 
 def test_derivatives_match_finite_differences():
     mesh = random_triangle_mesh(7)
     basis = ElementBasis.from_element(mesh, 0, degree=4)
     pts = np.random.default_rng(1).uniform(0.2, 0.8, size=(5, 2))
-    ev = basis.eval(pts, gradients=True, hessians=True)
+    ev = basis.eval(pts, gradients=True)
+    # hessians[..., e, d] = D_e D_d phi
+    hessians = np.stack(
+        [np.stack([basis.derivative(pts, (2 - e - d, e + d)) for d in range(2)], axis=-1)
+         for e in range(2)],
+        axis=-2,
+    )
     eps = 1e-6
     for d, unit in enumerate(np.eye(2)):
         vp = basis.eval(pts + eps * unit, gradients=True)
@@ -169,8 +184,8 @@ def test_derivatives_match_finite_differences():
         scale = np.maximum(np.abs(ev.gradients[..., d]), 1.0)
         assert np.max(np.abs(fd_grad - ev.gradients[..., d]) / scale) < 1e-6
         fd_hess = (vp.gradients - vm.gradients) / (2 * eps)
-        hscale = np.maximum(np.abs(ev.hessians[..., d]), 1.0)
-        assert np.max(np.abs(fd_hess - ev.hessians[..., d]) / hscale) < 1e-6
+        hscale = np.maximum(np.abs(hessians[..., d]), 1.0)
+        assert np.max(np.abs(fd_hess - hessians[..., d]) / hscale) < 1e-6
 
 
 def test_higher_order_derivative_evaluation():
@@ -250,13 +265,12 @@ def test_volume_table_matches_evaluate_basis(p, perturbed, perturbed_mesh):
     mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
     space = BrokenSpace(mesh, p)
     tab = space.volume_basis(gradients=True, laplacians=True)
-    ref = evaluate_basis(
-        space.volume_points, space.centers, space.scales, space.G, p,
-        gradients=True, hessians=True,
-    )
+    args = (space.volume_points, space.centers, space.scales, space.G, p)
+    ref = evaluate_basis(*args, gradients=True)
     assert_rel_close(tab.values, ref.values, 1e-12)
     assert_rel_close(tab.gradients, ref.gradients, 1e-12)
-    assert_rel_close(tab.laplacians, ref.hessians[..., 0, 0] + ref.hessians[..., 1, 1], 1e-12)
+    laplacians = basis_derivative(*args, 2, 0) + basis_derivative(*args, 0, 2)
+    assert_rel_close(tab.laplacians, laplacians, 1e-12)
     assert_rel_close(tab.values, reference_basis_derivative(space, 0, 0), 1e-12)
     for d, (dx, dy) in enumerate([(1, 0), (0, 1)]):
         assert_rel_close(tab.gradients[..., d], reference_basis_derivative(space, dx, dy), 1e-12)

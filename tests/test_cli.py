@@ -1,8 +1,12 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trefftzdg
 from trefftzdg.cli import MAX_DEGREE, MAX_SUBDIVISIONS, ExperimentConfig, main, run_experiment
 
 HEADER = "method,p,h,ndof_full,ndof_trefftz,l2error,dgerror"
@@ -117,6 +121,35 @@ def test_diagnose_out_builds_the_embedding_once(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     assert len(builds) == 1
     assert len(out.read_text().splitlines()) == 1 + 8 * 3  # dim Q = 3 at p=3
+
+
+def test_default_penalty_is_50_p_squared(tmp_path):
+    args = ["run", "--case", "BOX_DIFFUSION_2D", "--methods", "dg,et",
+            "--p", "3", "--n", "2", "--out"]
+    default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+    assert main(args + [str(default)]) == 0
+    assert main(args + [str(explicit), "--sigma", "450"]) == 0
+    assert read(default) == read(explicit)
+
+
+def test_diagnose_box_scale_beyond_the_element_is_clipped(capsys):
+    assert main(["diagnose", "--case", "DAR_EXAMPLE", "--kind", "DAR_BOX", "--p", "2",
+                 "--n", "1", "--box-scale", "1e300"]) == 0
+    captured = capsys.readouterr()
+    assert "rho_max" in captured.out and captured.err == ""
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    src = str(Path(trefftzdg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "trefftzdg", "dump-mesh", "--n", "1"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert sum(1 for l in proc.stdout.splitlines() if l.startswith("t ")) == 2
 
 
 def test_dump_mesh(tmp_path):

@@ -159,7 +159,7 @@ def test_galerkin_consistency_smoke():
         space = sys.space
         c = np.zeros(space.ndof_total)
         for k in range(mesh.n_elements):
-            rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 10, positive=True)
+            rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 10)
             c[space.offsets[k] : space.offsets[k] + space.ndof_local] = l2_project(
                 coeffs.exact_solution, space.element_basis(k), rule
             )

@@ -19,7 +19,6 @@ from trefftzdg.local_ops import (
     DAR_BOX,
     KINDS,
     QT_DIFFUSION,
-    MultiIndexSet,
     assemble_local_operator,
     assemble_local_operators,
     compute_box,
@@ -36,10 +35,9 @@ UNIT_RIGHT = Mesh2D(
 
 
 def test_multi_index_set():
-    mis = MultiIndexSet(2)
-    assert tuple(mis) == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
-    assert len(MultiIndexSet(3)) == 10
-    assert len(MultiIndexSet(0)) == 1
+    assert polynomial_exponents(2) == ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    assert len(polynomial_exponents(3)) == 10
+    assert len(polynomial_exponents(0)) == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
@@ -82,7 +80,7 @@ def test_dar_harmonic_column_is_annihilated():
     space = BrokenSpace(mesh, 2)
     basis = space.element_basis(3)
     op = assemble_local_operator(DAR, mesh, 3, basis, coeffs)
-    rule = triangle_rule(mesh.vertices[mesh.triangles[3]], 8, positive=True)
+    rule = triangle_rule(mesh.vertices[mesh.triangles[3]], 8)
     c = l2_project(lambda x, y: x * x - y * y, basis, rule)
     assert np.max(np.abs(op.matrix @ c)) < 1e-12
 
@@ -115,7 +113,7 @@ def test_qt_row_for_x_squared_combination():
     coeffs = manufactured_case(alpha=1, exact=sp.sympify("x**2"))
     basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=2)
     op = assemble_local_operator(QT_DIFFUSION, UNIT_RIGHT, 0, basis, coeffs)
-    rule = triangle_rule(UNIT_RIGHT.vertices[UNIT_RIGHT.triangles[0]], 8, positive=True)
+    rule = triangle_rule(UNIT_RIGHT.vertices[UNIT_RIGHT.triangles[0]], 8)
     c = l2_project(lambda x, y: x * x, basis, rule)
     h = UNIT_RIGHT.h[0]
     # Laplacian of x^2 is 2; the row carries the -div(alpha grad .) sign
@@ -140,7 +138,7 @@ def test_leibniz_constant_alpha_collapses():
 def test_leibniz_linear_alpha_example():
     # alpha = x, w = x^2, i = (1,0): D(div(x * (2x, 0))) = D(4x) = 4
     basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=2)
-    rule = triangle_rule(UNIT_RIGHT.vertices[UNIT_RIGHT.triangles[0]], 8, positive=True)
+    rule = triangle_rule(UNIT_RIGHT.vertices[UNIT_RIGHT.triangles[0]], 8)
     c = l2_project(lambda x, y: x * x, basis, rule)
     alpha = ScalarField(sp.Symbol("x"))
     got = leibniz_point_derivative((1, 0), basis, c, alpha, np.array([0.4, 0.2]))
@@ -222,6 +220,30 @@ def test_compute_box_errors_and_contract():
         assert np.all(lam >= -1e-12)
         assert box.side >= 0.9**50 * 0.9 * mesh.h[k]
         assert box.h == pytest.approx(box.side * math.sqrt(2.0))
+
+
+def test_compute_box_clips_to_the_largest_square_inside(perturbed_mesh):
+    mesh = perturbed_mesh(3)
+    for k in range(mesh.n_elements):
+        fit = compute_box(mesh, k, scale=1e300)
+        lam = barycentric(mesh, k, fit.corners)
+        # inside, and a corner on an edge: no larger square fits
+        assert np.all(lam >= -1e-12) and np.min(lam) <= 1e-12
+        assert np.allclose(fit.center, mesh.incenters[k])
+        half = compute_box(mesh, k, scale=0.5 * fit.side / mesh.h[k])
+        assert half.side == pytest.approx(0.5 * fit.side, rel=1e-14)
+    # structured meshes fit sides up to (1 - 1/sqrt(2)) h_K = 0.2929 h_K
+    mesh = build_structured_mesh(2)
+    for k in range(mesh.n_elements):
+        assert compute_box(mesh, k, scale=0.25).side == 0.25 * mesh.h[k]
+        limit = (1 - 1 / math.sqrt(2.0)) * mesh.h[k]
+        assert compute_box(mesh, k, scale=0.3).side == pytest.approx(limit, rel=1e-14)
+
+
+def test_compute_box_rejects_out_of_range_element():
+    for k in (-1, 1):
+        with pytest.raises(IndexError, match=f"element index {k} out of range"):
+            compute_box(UNIT_RIGHT, k, scale=0.25)
 
 
 @pytest.mark.parametrize("scale", [math.nan, math.inf])
@@ -316,17 +338,17 @@ def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
         q_basis = ElementBasis.from_rule(box.center, box.h, p - 2, rule)
         scale = box.h
     else:
-        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4, positive=True)
+        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4)
         q_degree = p - 1 if kind == AR else p - 2
         q_basis = ElementBasis.from_rule(basis.center, basis.scale, q_degree, rule)
         scale = math.sqrt(mesh.h[k]) if kind == AR else mesh.h[k]
     x, y = rule.points[:, 0], rule.points[:, 1]
-    ev = basis.eval(rule.points, gradients=True, hessians=True)
+    ev = basis.eval(rule.points, gradients=True)
     gx, gy = ev.gradients[..., 0], ev.gradients[..., 1]
     vals = np.zeros_like(ev.values)
     if kind != AR:
         a = coeffs.alpha
-        lap = ev.hessians[..., 0, 0] + ev.hessians[..., 1, 1]
+        lap = basis.derivative(rule.points, (2, 0)) + basis.derivative(rule.points, (0, 2))
         vals -= a(x, y)[:, None] * lap
         vals -= a.derivative(1, 0)(x, y)[:, None] * gx + a.derivative(0, 1)(x, y)[:, None] * gy
     if coeffs.beta is not None:
@@ -371,7 +393,7 @@ def symbolic_qt_oracle(alpha, f, p):
             sp.lambdify((x, y, cx, cy, s), [sp.diff(d, x, ix, y, iy) for d in divs]),
             sp.lambdify((x, y), sp.diff(f, x, ix, y, iy)),
         )
-        for ix, iy in MultiIndexSet(p - 2)
+        for ix, iy in polynomial_exponents(p - 2)
     ]
 
 
@@ -440,7 +462,7 @@ def test_projection_residual_shrinks_under_refinement(kind, case):
         ops = assemble_local_operators(kind, space, coeffs)
         total = 0.0
         for k, op in enumerate(ops):
-            rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 8, positive=True)
+            rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 8)
             c = l2_project(u, space.element_basis(k), rule)
             total += np.sum((op.matrix @ c - op.rhs) ** 2)
         residuals.append(math.sqrt(total))

@@ -101,13 +101,12 @@ def test_element_geometry_right_triangle():
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
         triangles=np.array([[0, 1, 2]]),
     )
-    geo = mesh.element_geometry(0)
-    assert geo.h == pytest.approx(math.sqrt(2.0))
-    assert geo.area == pytest.approx(0.5)
-    assert np.allclose(geo.centroid, [1 / 3, 1 / 3])
-    assert geo.inradius == pytest.approx((2 - math.sqrt(2.0)) / 2)
+    assert mesh.h[0] == pytest.approx(math.sqrt(2.0))
+    assert mesh.areas[0] == pytest.approx(0.5)
+    assert np.allclose(mesh.centroids[0], [1 / 3, 1 / 3])
     r = (2 - math.sqrt(2.0)) / 2
-    assert np.allclose(geo.incenter, [r, r])
+    assert mesh.inradii[0] == pytest.approx(r)
+    assert np.allclose(mesh.incenters[0], [r, r])
 
 
 def test_element_geometry_equilateral():
@@ -115,15 +114,8 @@ def test_element_geometry_equilateral():
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2]]),
         triangles=np.array([[0, 1, 2]]),
     )
-    geo = mesh.element_geometry(0)
-    assert geo.h == pytest.approx(1.0)
-    assert geo.area == pytest.approx(math.sqrt(3.0) / 4)
-
-
-def test_element_geometry_out_of_range():
-    mesh = build_structured_mesh(1)
-    with pytest.raises(IndexError):
-        mesh.element_geometry(2)
+    assert mesh.h[0] == pytest.approx(1.0)
+    assert mesh.areas[0] == pytest.approx(math.sqrt(3.0) / 4)
 
 
 def test_collinear_vertices_rejected():

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from trefftzdg.quadrature import (
-    MAX_TRIANGLE_DEGREE,
     box_rule,
-    edge_rule,
     facet_quadrature,
     triangle_rule,
     volume_quadrature,
 )
-from trefftzdg.mesh import build_structured_mesh
+from trefftzdg.mesh import Mesh2D, build_structured_mesh
 
 REF_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -110,7 +108,7 @@ def test_triangle_points_inside():
 
 @pytest.mark.parametrize("degree", [0, 3, 7, 12, 16])
 def test_positive_triangle_rule_exactness(degree):
-    rule = triangle_rule(REF_TRIANGLE, degree, positive=True)
+    rule = triangle_rule(REF_TRIANGLE, degree)
     assert np.all(rule.weights > 0)
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
@@ -119,9 +117,7 @@ def test_positive_triangle_rule_exactness(degree):
             assert abs(got - exact) <= 1e-13 * abs(exact) + 1e-16
 
 
-def test_unsupported_degree_reports_maximum():
-    with pytest.raises(ValueError, match=str(MAX_TRIANGLE_DEGREE)):
-        triangle_rule(REF_TRIANGLE, MAX_TRIANGLE_DEGREE + 1)
+def test_negative_degree_rejected():
     with pytest.raises(ValueError):
         triangle_rule(REF_TRIANGLE, -1)
 
@@ -145,13 +141,16 @@ def _interval_monomial(center, side, n):
     return (hi ** (n + 1) - lo ** (n + 1)) / (n + 1)
 
 
-def test_edge_rule_polynomial():
+def test_facet_quadrature_segment_polynomial():
     p0, p1 = np.array([0.0, 1.0]), np.array([2.0, 0.0])
-    rule = edge_rule(p0, p1, 5)
+    mesh = Mesh2D(vertices=np.array([p0, p1, [2.0, 1.0]]), triangles=np.array([[0, 1, 2]]))
+    f = int(np.flatnonzero((mesh.facet_vertices == [0, 1]).all(axis=1))[0])
+    pts, w = facet_quadrature(mesh, 5)
+    pts, w = pts[f], w[f]
     length = np.hypot(2.0, 1.0)
-    assert rule.weights.sum() == pytest.approx(length, rel=1e-14)
+    assert w.sum() == pytest.approx(length, rel=1e-14)
     # integral of x^2 y along the segment, parametrized by arclength
-    got = np.sum(rule.weights * rule.points[:, 0] ** 2 * rule.points[:, 1])
+    got = np.sum(w * pts[:, 0] ** 2 * pts[:, 1])
     t = np.linspace(0, 1, 200001)
     x, y = p0[0] + t * 2.0, p0[1] - t
     trapz = np.trapezoid(x * x * y, t) * length

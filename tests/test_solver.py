@@ -64,7 +64,7 @@ def test_exactly_representable_solution():
     space = sys.space
     c = np.zeros(space.ndof_total)
     for k in range(mesh.n_elements):
-        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4, positive=True)
+        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4)
         c[space.offsets[k] : space.offsets[k] + space.ndof_local] = l2_project(
             exact, space.element_basis(k), rule
         )
