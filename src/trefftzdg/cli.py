@@ -77,6 +77,11 @@ class ExperimentConfig:
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.p_list or not self.n_list:
             raise UsageError("p and n lists must be nonempty")
+        for option, values in (("--methods", self.methods), ("--p", self.p_list),
+                               ("--n", self.n_list)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise UsageError(f"{option} lists {repeated[0]} more than once")
         _check_sizes(self.n_list, self.p_list, self.case)
         _check_positive_finite(sigma=self.sigma, box_scale=self.box_scale)
 

@@ -5,12 +5,15 @@ discretization of diffusion-advection-reaction.
 Assembly walks elements and facets in fixed order, evaluating every term
 of the bilinear/linear forms by quadrature; inflow boundary portions are
 detected pointwise from the sign of beta.n at facet quadrature nodes.
+The operator is kept as element-pair blocks: each element's self terms sum
+into its diagonal block, and only coupling blocks with a nonzero entry are
+stored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
@@ -31,7 +34,9 @@ class DgSystem:
 
     ``alpha_facet`` stores the facet-averaged diffusion coefficient used in
     the penalty terms (None for the pure advection form); error norms reuse
-    it together with ``sigma``.
+    it together with ``sigma``. ``blocks`` holds the same operator as
+    element-pair blocks in BSR layout; without it, it is cut from
+    ``matrix``.
     """
 
     kind: str
@@ -40,6 +45,12 @@ class DgSystem:
     space: BrokenSpace
     sigma: float = None
     alpha_facet: np.ndarray = None
+    blocks: sparse.bsr_matrix = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.blocks is None:
+            nd = self.space.ndof_local
+            self.blocks = sparse.bsr_matrix(self.matrix, blocksize=(nd, nd))
 
     @property
     def p(self):
@@ -73,28 +84,28 @@ def facet_alpha(space, coeffs):
     return af
 
 
-class _CooAccumulator:
-    def __init__(self, ndof_local):
-        self.nd = ndof_local
-        self.rows, self.cols, self.vals = [], [], []
-
-    def add(self, off_test, off_trial, blocks):
-        nd = self.nd
-        local = np.arange(nd, dtype=np.int32)
-        r = (off_test[:, None] + local[None, :]).astype(np.int32)
-        c = (off_trial[:, None] + local[None, :]).astype(np.int32)
-        self.rows.append(np.repeat(r, nd, axis=1).ravel())
-        self.cols.append(np.tile(c, (1, nd)).ravel())
-        self.vals.append(blocks.ravel())
-
-    def matrix(self, n):
-        return sparse.coo_matrix(
-            (
-                np.concatenate(self.vals),
-                (np.concatenate(self.rows), np.concatenate(self.cols)),
-            ),
-            shape=(n, n),
-        ).tocsr()
+def _block_matrix(n_elements, own, pairs):
+    """BSR matrix of the element self terms ``own`` ``(elements, blocks)``
+    and the coupling terms ``pairs`` ``(test, trial, blocks)``. The self
+    terms sum into the diagonal blocks in term order; a coupling block is
+    stored only if it has a nonzero entry, so the exactly zero upwind
+    outflow blocks are dropped."""
+    elems = np.concatenate([e for e, _ in own])
+    terms = np.concatenate([b for _, b in own])
+    m, nd, _ = terms.shape
+    incidence = sparse.csr_matrix((np.ones(m), (elems, np.arange(m))), shape=(n_elements, m))
+    rows, cols = [np.arange(n_elements)], [np.arange(n_elements)]
+    data = [(incidence @ terms.reshape(m, -1)).reshape(n_elements, nd, nd)]
+    for test, trial, blocks in pairs:
+        keep = np.any(blocks != 0.0, axis=(1, 2))
+        rows.append(test[keep])
+        cols.append(trial[keep])
+        data.append(blocks[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_elements))])
+    n = n_elements * nd
+    return sparse.bsr_matrix((np.concatenate(data)[order], cols[order], indptr), shape=(n, n))
 
 
 def _gram(w, a, b):
@@ -115,7 +126,8 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
     For :data:`DAR_SIP` the penalty ``sigma`` must be positive and finite,
     and a diffusion coefficient must be present; advection/reaction terms
     are included whenever the coefficients carry them. For
-    :data:`AR_UPWIND` an advection field is required.
+    :data:`AR_UPWIND` an advection field is required. A given ``space``
+    must be the degree-``p`` space on ``mesh``.
     """
     if kind not in (AR_UPWIND, DAR_SIP):
         raise ValueError(f"unknown DG form kind {kind!r}")
@@ -131,10 +143,14 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
             )
     if space is None:
         space = BrokenSpace(mesh, p)
+    elif space.degree != p or space.mesh is not mesh:
+        raise ValueError(
+            f"space of degree {space.degree} on a mesh of {space.mesh.n_elements} elements "
+            f"does not match p = {p} on the given mesh of {mesh.n_elements} elements"
+        )
     nd = space.ndof_local
-    n_total = space.ndof_total
-    acc = _CooAccumulator(nd)
-    load = np.zeros(n_total)
+    own, pairs = [], []
+    load = np.zeros(space.ndof_total)
     has_beta = coeffs.beta is not None
     has_gamma = coeffs.gamma is not None
     af = facet_alpha(space, coeffs) if diffusive else None
@@ -161,7 +177,7 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
             gamma = coeffs.gamma(x, y)
             require_finite(gamma, "gamma", "element", elems)
             blocks += _gram(w * gamma, ev.values, ev.values)
-        acc.add(space.offsets[elems], space.offsets[elems], blocks)
+        own.append((elems, blocks))
         fv = coeffs.f(x, y)
         require_finite(fv, "f", "element", elems)
         contrib = np.einsum("eq,eqi->ei", w * fv, ev.values)
@@ -204,7 +220,10 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
                     gn_a = gn_l if sa > 0 else gn_r
                     blocks += _gram(w * (-0.5 * alpha * sa), ev_a.values, gn_b)
                     blocks += _gram(w * (-0.5 * alpha * sb), gn_a, ev_b.values)
-                acc.add(space.offsets[elems_a], space.offsets[elems_b], blocks)
+                if sa == sb:
+                    own.append((elems_a, blocks))
+                else:
+                    pairs.append((elems_a, elems_b, blocks))
 
     # boundary facets
     for chunk in _chunks(len(mesh.boundary_facets)):
@@ -239,17 +258,19 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
             np.add.at(load, space.offsets[left][:, None] + np.arange(nd)[None, :], lb)
         vv = _gram(w * coef, ev.values, ev.values)
         blocks = vv if blocks is None else blocks + vv
-        acc.add(space.offsets[left], space.offsets[left], blocks)
+        own.append((left, blocks))
         lb = np.einsum("fq,fqi->fi", w * load_coef, ev.values)
         np.add.at(load, space.offsets[left][:, None] + np.arange(nd)[None, :], lb)
 
+    blocks = _block_matrix(mesh.n_elements, own, pairs)
     return DgSystem(
         kind=kind,
-        matrix=acc.matrix(n_total),
+        matrix=blocks.tocsr(),
         load=load,
         space=space,
         sigma=sigma,
         alpha_facet=af,
+        blocks=blocks,
     )
 
 

@@ -135,16 +135,49 @@ def compute_embedding(op, rank_rule=EXPECT_FULL_ROW_RANK, allow_fallback=True):
     return factors.embeddings()[0]
 
 
+def block_matrix(data, indices, indptr, row_widths=None, col_widths=None):
+    """CSR matrix of the blocks ``data`` ``(B, r, c)`` in BSR layout over
+    ``E x E`` block positions: block row ``k`` holds ``data[indptr[k]:
+    indptr[k + 1]]`` in block columns ``indices[indptr[k]:indptr[k + 1]]``.
+    Blocks padded in front, as :attr:`LocalFactors.kernels` are, keep only
+    the last ``row_widths[k]`` rows of block row ``k`` and the last
+    ``col_widths[l]`` columns of block column ``l``."""
+    n_blocks = len(indptr) - 1
+    _, r, c = data.shape
+    csr = sparse.bsr_matrix((data, indices, indptr), shape=(n_blocks * r, n_blocks * c)).tocsr()
+    if row_widths is not None and np.any(row_widths != r):
+        csr = csr[_trailing(row_widths, r)]
+    if col_widths is not None and np.any(col_widths != c):
+        csr = csr[:, _trailing(col_widths, c)]
+    return csr
+
+
+def block_diagonal(blocks, widths=None):
+    """CSR matrix with the blocks ``(E, r, c)`` on its diagonal; see
+    :func:`block_matrix` for ``widths``."""
+    k = np.arange(len(blocks) + 1)
+    return block_matrix(blocks, k[:-1], k, col_widths=widths)
+
+
+def _trailing(widths, size):
+    """Indices of the last ``widths[k]`` entries of every block ``k`` of
+    ``size`` consecutive entries."""
+    return np.flatnonzero(np.arange(size) >= size - np.asarray(widths)[:, None])
+
+
 @dataclass
 class GlobalEmbedding:
     """Block-diagonal prolongation from Trefftz to broken coefficients;
-    :func:`build_embedding` also keeps the local operators and their factors."""
+    ``kernels`` ``(E, n, w)`` stacks the kernel bases, each in its last
+    columns behind zeros as in :class:`LocalFactors`. :func:`build_embedding`
+    also keeps the local operators and their factors."""
 
     embeddings: list
     offsets: np.ndarray
     prolongation: sparse.csr_matrix
     u_L: np.ndarray
     ndof_trefftz: int
+    kernels: np.ndarray = field(repr=False)
     local_operators: list = field(default=None, repr=False)
     factors: LocalFactors = field(default=None, repr=False)
 
@@ -163,14 +196,19 @@ def assemble_global_embedding(mesh, per_element):
         raise ValueError(
             f"expected {mesh.n_elements} element embeddings, got {len(per_element)}"
         )
-    cols = [emb.T.shape[1] for emb in per_element]
-    offsets = np.concatenate([[0], np.cumsum(cols)])
+    widths = np.array([emb.T.shape[1] for emb in per_element])
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    width = widths.max()
+    kernels = np.zeros((len(per_element), per_element[0].T.shape[0], width))
+    for k, emb in enumerate(per_element):
+        kernels[k, :, width - widths[k]:] = emb.T
     return GlobalEmbedding(
         embeddings=list(per_element),
         offsets=offsets,
-        prolongation=sparse.block_diag([emb.T for emb in per_element], format="csr"),
+        prolongation=block_diagonal(kernels, widths),
         u_L=np.concatenate([emb.uL for emb in per_element]),
         ndof_trefftz=int(offsets[-1]),
+        kernels=kernels,
     )
 
 

@@ -2,7 +2,9 @@
 embedded-Trefftz reduced system, and the generic coupled block system.
 
 All variants return coefficient vectors over the full broken basis, so
-error computation downstream is method-agnostic. Sparse LU in the mesh's
+error computation downstream is method-agnostic. The Trefftz systems are
+projected block by block from the DG operator's element-pair blocks, never
+through a product of sparse matrices. Sparse LU in the mesh's
 nested-dissection element order, with one step of iterative refinement
 and a pivoting LU as the fallback, enforces the residual contract.
 """
@@ -15,7 +17,12 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .embedding import MINNORM_IMAGE, SVD_COMPLEMENT  # noqa: F401  (re-exported)
+from .embedding import (  # noqa: F401  (complement rules re-exported)
+    MINNORM_IMAGE,
+    SVD_COMPLEMENT,
+    block_diagonal,
+    block_matrix,
+)
 
 STANDARD_DG = "STANDARD_DG"
 EMBEDDED_TREFFTZ = "EMBEDDED_TREFFTZ"
@@ -57,7 +64,7 @@ def _direct_solve(matrix, rhs, label, perm):
 
     The unknowns are reordered by ``perm`` and factored without pivoting,
     which keeps the fill of the ordering. If that factorization fails, or
-    its solution misses the residual contract after one refinement step,
+    its solution misses the residual contract after the refinement step,
     the solve is repeated with the default COLAMD ordering and partial
     pivoting; a matrix that fails both raises :class:`SolverError`.
     """
@@ -70,7 +77,9 @@ def _direct_solve(matrix, rhs, label, perm):
 
 def _lu_solve(csc, rhs, label, perm):
     """One factorization, solve and refinement step; ``perm`` None keeps
-    SuperLU's default ordering and pivoting."""
+    SuperLU's default ordering and pivoting. The refinement residual is
+    accumulated in ``np.longdouble``, which takes the error of the refined
+    solution well below the ``cond(A) * eps`` of the first solve."""
     try:
         if perm is None:
             solve = splu(csc).solve
@@ -93,11 +102,9 @@ def _lu_solve(csc, rhs, label, perm):
             f"{label}: non-finite solution entries, matrix is numerically singular "
             f"(shape {csc.shape})"
         )
+    x = x + solve((rhs - csc.astype(np.longdouble) @ x).astype(float))
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     residual = np.linalg.norm(csc @ x - rhs)
-    if residual > _RESIDUAL_TOL * denom:
-        x = x + solve(rhs - csc @ x)
-        residual = np.linalg.norm(csc @ x - rhs)
     if not residual <= _RESIDUAL_TOL * denom:
         raise SolverError(
             f"{label}: relative residual {residual / denom:.3e} exceeds "
@@ -132,6 +139,28 @@ def solve_standard_dg(system):
     )
 
 
+def _project(system, left, right, left_widths=None, right_widths=None):
+    """``left' A right`` for element stacks ``left``, ``right`` ``(E, n, w)``,
+    one batched block ``left_K' B_KL right_L`` per stored block ``B_KL`` of
+    the system; see :func:`block_matrix` for the widths."""
+    A = system.blocks
+    rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
+    data = np.swapaxes(left, 1, 2)[rows] @ (A.data @ right[A.indices])
+    return block_matrix(data, A.indices, A.indptr, left_widths, right_widths)
+
+
+def reduced_system(system, embedding):
+    """The embedded Trefftz system ``T' A T`` and ``T' (l - A u_L)``,
+    formed from the system's blocks and the stacked kernels."""
+    space = system.space
+    T = embedding.kernels
+    if T.shape[:2] != (space.mesh.n_elements, space.ndof_local):
+        raise ValueError("embedding and system dimensions do not match")
+    widths = np.diff(embedding.offsets)
+    rhs = embedding.prolongation.T @ (system.load - system.blocks @ embedding.u_L)
+    return _project(system, T, T, widths, widths), rhs
+
+
 def solve_embedded_trefftz(system, embedding):
     """Solve the reduced Galerkin problem on the embedded Trefftz space.
 
@@ -139,15 +168,11 @@ def solve_embedded_trefftz(system, embedding):
     construction of the particular solution and the kernel, the global
     rows to solver tolerance.
     """
-    T = embedding.prolongation
-    if T.shape[0] != system.space.ndof_total:
-        raise ValueError("embedding and system dimensions do not match")
-    reduced = (T.T @ system.matrix @ T).tocsc()
-    rhs = T.T @ (system.load - system.matrix @ embedding.u_L)
+    reduced, rhs = reduced_system(system, embedding)
     perm = _block_permutation(system.space.mesh.element_order, embedding.offsets)
     x = _direct_solve(reduced, rhs, "embedded Trefftz solve", perm)
     return DiscreteSolution(
-        coeffs=T @ x + embedding.u_L,
+        coeffs=embedding.prolongation @ x + embedding.u_L,
         space=system.space,
         method=EMBEDDED_TREFFTZ,
         ndof_full=system.space.ndof_total,
@@ -182,17 +207,18 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
             f"element {k}: local operator is rank deficient "
             f"({factors.rank[k]} < {n_rows} rows); block system would be singular"
         )
-    L = factors.complement(complement_rule)
-    # global complement prolongation and the local rows applied to the
-    # complement and Trefftz columns (block diagonal)
-    L_global = sparse.block_diag(L, format="csr")
-    A11 = sparse.block_diag(A @ L, format="csr")
-    A12 = sparse.block_diag(A @ factors.kernels, format="csr")
+    # every element keeps all rows, so every kernel has the full width
+    L, T = factors.complement(complement_rule), embedding.kernels
+    L_global = block_diagonal(L)
     k_total = L_global.shape[1]
+    block = sparse.bmat(
+        [
+            [block_diagonal(A @ L), block_diagonal(A @ T)],
+            [_project(system, T, L), _project(system, T, T)],
+        ],
+        format="csc",
+    )
     T_global = embedding.prolongation
-    A21 = (T_global.T @ system.matrix @ L_global).tocsr()
-    A22 = (T_global.T @ system.matrix @ T_global).tocsr()
-    block = sparse.bmat([[A11, A12], [A21, A22]], format="csc")
     rhs = np.concatenate([op.rhs for op in local_ops] + [T_global.T @ system.load])
     # per element: its complement unknowns, then its Trefftz unknowns
     perm = _block_permutation(

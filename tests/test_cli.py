@@ -211,6 +211,30 @@ def test_non_finite_penalty_and_box_scale_rejected_before_meshing(
     assert f"{option} must be positive and finite, got {float(argv[-1])}" in err
 
 
+@pytest.mark.parametrize(
+    "p,n,methods,message",
+    [
+        ("1", "2,2", "dg", "--n lists 2 more than once"),
+        ("1,3,1", "2", "dg", "--p lists 1 more than once"),
+        ("1", "2", "dg,et,dg", "--methods lists dg more than once"),
+    ],
+    ids=["n", "p", "methods"],
+)
+def test_repeated_values_rejected_before_meshing(tmp_path, monkeypatch, capsys, p, n, methods,
+                                                 message):
+    import trefftzdg.cli as cli
+
+    def no_mesh(n):
+        raise AssertionError(f"mesh with n={n} built")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
+    out = tmp_path / "x.csv"
+    argv = ["run", "--case", "AR_EXAMPLE", "--p", p, "--n", n, "--methods", methods]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_tabulates_volume_monomials_once_per_space(tmp_path, monkeypatch):
     # every volume-point evaluation of assembly, local operators and error
     # norms reads the table that the broken space builds

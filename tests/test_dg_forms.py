@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import sympy as sp
 
+from trefftzdg import dg_forms
 from trefftzdg.basis import BrokenSpace
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import (
@@ -94,6 +96,57 @@ def test_block_sparsity_pattern():
     coo = sys.matrix.tocoo()
     pairs = set(zip(coo.row // nd, coo.col // nd))
     assert pairs <= allowed
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize(
+    "case,kind,sigma", [("AR_EXAMPLE", AR_UPWIND, None), ("DAR_EXAMPLE", DAR_SIP, 200.0)]
+)
+def test_matrix_is_the_coo_sum_of_its_terms_without_zero_blocks(
+    monkeypatch, perturbed_mesh, perturbed, case, kind, sigma
+):
+    captured = []
+    block_matrix = dg_forms._block_matrix
+
+    def capture(n_elements, own, pairs):
+        captured.append((own, pairs))
+        return block_matrix(n_elements, own, pairs)
+
+    monkeypatch.setattr(dg_forms, "_block_matrix", capture)
+    mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
+    sys = assemble_global_system(kind, mesh, p=2, coeffs=builtin_case(case), sigma=sigma)
+    own, pairs = captured[0]
+    # every entry of every term as one COO entry, duplicates summed
+    nd = sys.space.ndof_local
+    local = np.arange(nd)
+    rows, cols, vals = [], [], []
+    for test, trial, blocks in [(e, e, b) for e, b in own] + pairs:
+        rows.append(np.broadcast_to((test * nd)[:, None, None] + local[:, None], blocks.shape))
+        cols.append(np.broadcast_to((trial * nd)[:, None, None] + local, blocks.shape))
+        vals.append(blocks)
+    rows, cols, vals = (np.concatenate([a.ravel() for a in x]) for x in (rows, cols, vals))
+    coo = sparse.coo_matrix((vals, (rows, cols)), shape=sys.matrix.shape).tocsr()
+    assert abs(sys.matrix - coo).max() <= 1e-14 * abs(coo).max()
+    # the stored blocks are the matrix entries, and none of them is all zero
+    blocks = sys.blocks
+    assert sys.matrix.nnz == blocks.data.size
+    assert np.all(np.any(blocks.data != 0.0, axis=(1, 2)))
+    couplings = blocks.data.shape[0] - mesh.n_elements
+    if kind == AR_UPWIND:
+        # beta = (-x, y) keeps one sign of beta.n along every interior facet
+        # of these meshes, so each facet couples in its upwind direction only
+        assert couplings == len(mesh.interior_facets)
+    else:
+        assert couplings == 2 * len(mesh.interior_facets)
+
+
+def test_space_must_be_the_degree_p_space_on_the_mesh():
+    coeffs = builtin_case("AR_EXAMPLE")
+    mesh2, mesh3 = build_structured_mesh(2), build_structured_mesh(3)
+    with pytest.raises(ValueError, match="degree 3 .* p = 1"):
+        assemble_global_system(AR_UPWIND, mesh2, p=1, coeffs=coeffs, space=BrokenSpace(mesh2, 3))
+    with pytest.raises(ValueError, match="18 elements .* 8 elements"):
+        assemble_global_system(AR_UPWIND, mesh2, p=3, coeffs=coeffs, space=BrokenSpace(mesh3, 3))
 
 
 @pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D"])

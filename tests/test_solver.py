@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 import sympy as sp
 from scipy.sparse.linalg import splu
 
+from trefftzdg import embedding as embedding_module
 from trefftzdg import solver
 from trefftzdg.analysis import compute_errors
 from trefftzdg.basis import BrokenSpace, l2_project
@@ -20,6 +23,7 @@ from trefftzdg.solver import (
     STANDARD_DG,
     SVD_COMPLEMENT,
     SolverError,
+    reduced_system,
     solve_block_coupled,
     solve_embedded_trefftz,
     solve_standard_dg,
@@ -174,6 +178,91 @@ def test_embedding_dimension_mismatch_rejected():
     emb2 = build_embedding(space2, coeffs, AR)
     with pytest.raises(ValueError):
         solve_embedded_trefftz(sys4, emb2)
+
+
+def assert_entrywise_close(got, want, rtol=1e-14):
+    got = got.toarray() if sparse.issparse(got) else got
+    want = want.toarray() if sparse.issparse(want) else want
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+def zero_odd_operators(monkeypatch):
+    """Give every odd element a zero local operator, so its kernel is the
+    whole local space: kernel widths 4 and 10 alternate at AR p = 3."""
+    assemble = embedding_module.assemble_local_operators
+
+    def half_zero(*args, **kwargs):
+        ops = assemble(*args, **kwargs)
+        return [replace(op, matrix=0.0 * op.matrix) if op.element % 2 else op for op in ops]
+
+    monkeypatch.setattr(embedding_module, "assemble_local_operators", half_zero)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize(
+    "case,kind,local_kind,sigma",
+    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
+)
+def test_reduced_system_matches_the_triple_product(
+    perturbed_mesh, perturbed, case, kind, local_kind, sigma
+):
+    coeffs = builtin_case(case)
+    mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
+    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    emb = build_embedding(sys.space, coeffs, local_kind)
+    matrix, rhs = reduced_system(sys, emb)
+    T = emb.prolongation
+    assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
+    assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
+
+
+def test_reduced_system_with_mixed_kernel_widths(monkeypatch):
+    zero_odd_operators(monkeypatch)
+    coeffs = builtin_case("AR_EXAMPLE")
+    sys = assemble_global_system(AR_UPWIND, build_structured_mesh(2), p=3, coeffs=coeffs)
+    with pytest.warns(UserWarning, match="4 of 8 elements"):
+        emb = build_embedding(sys.space, coeffs, AR)
+    assert list(np.diff(emb.offsets)) == [4, 10] * 4
+    matrix, rhs = reduced_system(sys, emb)
+    T = emb.prolongation
+    assert matrix.shape == (56, 56)
+    assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
+    assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
+
+
+class Untouchable:
+    """Stands in for a matrix that must not be used."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"system.matrix.{name} used")
+
+
+@pytest.mark.parametrize(
+    "case,kind,local_kind,sigma",
+    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
+)
+def test_trefftz_solves_never_use_the_assembled_matrix(case, kind, local_kind, sigma):
+    coeffs = builtin_case(case)
+    sys = assemble_global_system(kind, build_structured_mesh(3), p=3, coeffs=coeffs, sigma=sigma)
+    emb = build_embedding(sys.space, coeffs, local_kind)
+    blocks_only = replace(sys, matrix=Untouchable())
+    with pytest.raises(AssertionError):
+        blocks_only.matrix.tocsc()
+    u_et = solve_embedded_trefftz(blocks_only, emb)
+    assert np.array_equal(u_et.coeffs, solve_embedded_trefftz(sys, emb).coeffs)
+    u_bl = solve_block_coupled(emb.local_operators, blocks_only, emb)
+    assert np.array_equal(u_bl.coeffs, solve_block_coupled(emb.local_operators, sys, emb).coeffs)
+
+
+def test_hand_gathered_embedding_solves_like_build_embedding():
+    coeffs = builtin_case("AR_EXAMPLE")
+    sys = assemble_global_system(AR_UPWIND, build_structured_mesh(4), p=3, coeffs=coeffs)
+    ops = assemble_local_operators(AR, sys.space, coeffs)
+    gathered = assemble_global_embedding(sys.space.mesh, [compute_embedding(op) for op in ops])
+    assert gathered.factors is None
+    u = solve_embedded_trefftz(sys, gathered).coeffs
+    reference = solve_embedded_trefftz(sys, build_embedding(sys.space, coeffs, AR)).coeffs
+    assert np.linalg.norm(u - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_block_solver_rejects_embedding_without_factors():
