@@ -197,16 +197,23 @@ def assemble_global_embedding(mesh, per_element):
             f"expected {mesh.n_elements} element embeddings, got {len(per_element)}"
         )
     widths = np.array([emb.T.shape[1] for emb in per_element])
-    offsets = np.concatenate([[0], np.cumsum(widths)])
     width = widths.max()
     kernels = np.zeros((len(per_element), per_element[0].T.shape[0], width))
     for k, emb in enumerate(per_element):
         kernels[k, :, width - widths[k]:] = emb.T
+    u_L = np.concatenate([emb.uL for emb in per_element])
+    return _global_embedding(list(per_element), kernels, widths, u_L)
+
+
+def _global_embedding(embeddings, kernels, widths, u_L):
+    """The global embedding of stacked ``kernels`` padded in front to the
+    kernel ``widths``."""
+    offsets = np.concatenate([[0], np.cumsum(widths)])
     return GlobalEmbedding(
-        embeddings=list(per_element),
+        embeddings=embeddings,
         offsets=offsets,
         prolongation=block_diagonal(kernels, widths),
-        u_L=np.concatenate([emb.uL for emb in per_element]),
+        u_L=u_L,
         ndof_trefftz=int(offsets[-1]),
         kernels=kernels,
     )
@@ -219,7 +226,8 @@ def build_embedding(space, coeffs, kind, box_scale=0.25):
     ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
     matrices, rhs = np.stack([op.matrix for op in ops]), np.stack([op.rhs for op in ops])
     factors = _factor(matrices, rhs, [op.element for op in ops], EXPECT_FULL_ROW_RANK, True)
-    glob = assemble_global_embedding(space.mesh, factors.embeddings())
+    widths = space.ndof_local - factors.rank
+    glob = _global_embedding(factors.embeddings(), factors.kernels, widths, factors.uL.ravel())
     glob.local_operators, glob.factors = ops, factors
     return glob
 
@@ -235,7 +243,9 @@ def export_sigma_csv(embeddings, target):
 
 
 def _write_sigma(embeddings, fh):
-    fh.write("element_id,sigma_index,sigma_value\n")
-    for emb in embeddings:
-        for i, s in enumerate(emb.sigma):
-            fh.write(f"{emb.element},{i},{s:.16e}\n")
+    rows = [
+        f"{emb.element},{i},{s:.16e}\n"
+        for emb in embeddings
+        for i, s in enumerate(emb.sigma.tolist())
+    ]
+    fh.write("element_id,sigma_index,sigma_value\n" + "".join(rows))

@@ -121,8 +121,12 @@ class Mesh2D:
         longer extent. The elements of the first half that share a facet
         with the second half form the separator and come after both
         halves, so a sparse LU of a DG matrix in this block order fills in
-        only along the separators. Only centroids and facet adjacency are
-        used, so any triangulation works. Read-only; computed on first use.
+        only along the separators. The solver orders each strongly
+        connected component of a system's element graph this way and puts
+        the components in dependency order, so a connected (SIP) system is
+        factored in exactly this order. Only centroids and facet adjacency
+        are used, so any triangulation works. Read-only; computed on first
+        use.
         """
         n = self.n_elements
         # neighbours across each element's facets; n marks "no neighbour"

@@ -4,9 +4,13 @@ embedded-Trefftz reduced system, and the generic coupled block system.
 All variants return coefficient vectors over the full broken basis, so
 error computation downstream is method-agnostic. The Trefftz systems are
 projected block by block from the DG operator's element-pair blocks, never
-through a product of sparse matrices. Sparse LU in the mesh's
-nested-dissection element order, with one step of iterative refinement
-and a pivoting LU as the fallback, enforces the residual contract.
+through a product of sparse matrices. Every sparse LU runs in one element
+order (:func:`_solve_order`): the block-triangular form of the element-pair
+graph, with the mesh's nested-dissection order inside each strongly
+connected component. An acyclic upwind system then factors with no fill,
+and a connected one (SIP, cyclic flow) keeps the nested-dissection order.
+One step of iterative refinement and a pivoting LU as the fallback enforce
+the residual contract.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .embedding import (  # noqa: F401  (complement rules re-exported)
@@ -122,12 +127,36 @@ def _block_permutation(order, *bounds):
     return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
 
 
+def _solve_order(system):
+    """Element order of the LU solves of ``system``: the strongly connected
+    components of its element-pair graph (block row ``K`` stores ``B_KL``:
+    ``K`` depends on ``L``) in dependency order, upwind component first
+    (the block-triangular form of KLU, Davis and Palamadai Natarajan 2010),
+    each component in :attr:`Mesh2D.element_order`. An acyclic upwind
+    operator becomes block lower triangular (Lesaint and Raviart 1974), so
+    its unpivoted LU has no fill; a connected graph keeps the mesh order.
+
+    The order relies on scipy labelling the components so that every
+    block's column component is at most its row component, which
+    ``tests/test_solver.py`` checks on random graphs.
+    """
+    mesh = system.space.mesh
+    n = mesh.n_elements
+    blocks = system.blocks
+    # copies: a graph sharing the index arrays would let an edit reach the blocks
+    graph = sparse.csr_matrix(
+        (np.ones(len(blocks.indices)), blocks.indices.copy(), blocks.indptr.copy()), shape=(n, n)
+    )
+    _, labels = connected_components(graph, connection="strong")
+    rank = np.empty(n, dtype=np.intp)
+    rank[mesh.element_order] = np.arange(n)
+    return np.lexsort((rank, labels))
+
+
 def solve_standard_dg(system):
     """Solve the full DG system directly."""
     space = system.space
-    perm = _block_permutation(
-        space.mesh.element_order, np.append(space.offsets, space.ndof_total)
-    )
+    perm = _block_permutation(_solve_order(system), np.append(space.offsets, space.ndof_total))
     x = _direct_solve(system.matrix, system.load, "standard DG solve", perm)
     return DiscreteSolution(
         coeffs=x,
@@ -169,7 +198,7 @@ def solve_embedded_trefftz(system, embedding):
     rows to solver tolerance.
     """
     reduced, rhs = reduced_system(system, embedding)
-    perm = _block_permutation(system.space.mesh.element_order, embedding.offsets)
+    perm = _block_permutation(_solve_order(system), embedding.offsets)
     x = _direct_solve(reduced, rhs, "embedded Trefftz solve", perm)
     return DiscreteSolution(
         coeffs=embedding.prolongation @ x + embedding.u_L,
@@ -222,7 +251,7 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
     rhs = np.concatenate([op.rhs for op in local_ops] + [T_global.T @ system.load])
     # per element: its complement unknowns, then its Trefftz unknowns
     perm = _block_permutation(
-        mesh.element_order, n_rows * np.arange(mesh.n_elements + 1), k_total + embedding.offsets
+        _solve_order(system), n_rows * np.arange(mesh.n_elements + 1), k_total + embedding.offsets
     )
     x = _direct_solve(block, rhs, "coupled block solve", perm)
     c_l, c_t = x[:k_total], x[k_total:]

@@ -1,4 +1,5 @@
 import io
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -173,8 +174,8 @@ def test_build_embedding_matches_per_element_reference(perturbed_mesh, perturbed
     assert_matches_reference(build_embedding(BrokenSpace(mesh, 3), builtin_case(case), kind))
 
 
-def test_mixed_rank_build_matches_reference(monkeypatch):
-    # every odd element gets a zero operator, so kernel widths differ
+def zero_odd_operators(monkeypatch):
+    """Give every odd element a zero local operator, so kernel widths differ."""
     assemble = embedding_module.assemble_local_operators
 
     def half_zero(*args, **kwargs):
@@ -182,6 +183,10 @@ def test_mixed_rank_build_matches_reference(monkeypatch):
         return [replace(op, matrix=0.0 * op.matrix) if op.element % 2 else op for op in ops]
 
     monkeypatch.setattr(embedding_module, "assemble_local_operators", half_zero)
+
+
+def test_mixed_rank_build_matches_reference(monkeypatch):
+    zero_odd_operators(monkeypatch)
     mesh = build_structured_mesh(2)
     coeffs = builtin_case("AR_EXAMPLE")
     with pytest.warns(UserWarning, match="4 of 8 elements"):
@@ -295,3 +300,44 @@ def test_build_embedding_pipeline_and_sigma_csv():
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "0"
     float(first[2])
+
+
+@pytest.mark.parametrize("mixed", [False, True])
+def test_build_embedding_reads_the_stacked_factors(monkeypatch, mixed):
+    if mixed:
+        zero_odd_operators(monkeypatch)
+    mesh = build_structured_mesh(4)
+    with warnings.catch_warnings():
+        # the rank fallback of the zero operators warns; tested above
+        warnings.simplefilter("ignore")
+        glob = build_embedding(BrokenSpace(mesh, 3), builtin_case("AR_EXAMPLE"), AR)
+    assert len(set(np.diff(glob.offsets))) == (2 if mixed else 1)
+    factors = glob.factors
+    assert glob.kernels is factors.kernels
+    gathered = assemble_global_embedding(mesh, factors.embeddings())
+    assert np.array_equal(glob.offsets, gathered.offsets)
+    assert np.array_equal(glob.u_L, gathered.u_L)
+    assert glob.ndof_trefftz == gathered.ndof_trefftz
+    P, Q = glob.prolongation, gathered.prolongation
+    assert P.shape == Q.shape
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(P, attr), getattr(Q, attr))
+
+
+def per_row_sigma_csv(embeddings):
+    """The sigma CSV written one formatted numpy scalar per row."""
+    lines = ["element_id,sigma_index,sigma_value\n"]
+    for emb in embeddings:
+        for i, s in enumerate(emb.sigma):
+            lines.append(f"{emb.element},{i},{s:.16e}\n")
+    return "".join(lines)
+
+
+def test_sigma_csv_matches_the_per_row_writer(tmp_path):
+    report = run_diagnostics(
+        build_structured_mesh(2), 6, DAR, builtin_case("DAR_EXAMPLE"), sigma=1800.0,
+        with_block_gap=False,
+    )
+    target = tmp_path / "sigma.csv"
+    export_sigma_csv(report.embedding.embeddings, target)
+    assert target.read_bytes() == per_row_sigma_csv(report.embedding.embeddings).encode()

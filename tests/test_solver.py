@@ -1,15 +1,19 @@
 from dataclasses import replace
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 import sympy as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from trefftzdg import embedding as embedding_module
 from trefftzdg import solver
 from trefftzdg.analysis import compute_errors
 from trefftzdg.basis import BrokenSpace, l2_project
+from trefftzdg.cli import main
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import AR_UPWIND, DAR_SIP, DgSystem, assemble_global_system
 from trefftzdg.embedding import assemble_global_embedding, build_embedding, compute_embedding
@@ -382,3 +386,121 @@ def test_solution_carries_the_systems_facet_alpha(monkeypatch):
     report = compute_errors(u, coeffs, DAR)
     assert report.vh_error == recomputed.vh_error
     assert report.l2_error == recomputed.l2_error
+
+
+def element_graph(blocks):
+    """Directed element graph of stored blocks: an arc ``K -> L`` per block
+    ``B_KL``, built on copies so the blocks' index arrays stay untouched."""
+    n = len(blocks.indptr) - 1
+    data = np.ones(len(blocks.indices))
+    return sparse.csr_matrix((data, blocks.indices.copy(), blocks.indptr.copy()), shape=(n, n))
+
+
+def recording_factorizations(monkeypatch):
+    """Record every matrix the solver factors, its options and its LU."""
+    factored = []
+    original = solver.splu
+
+    def recording(matrix, **options):
+        lu = original(matrix, **options)
+        factored.append((matrix, options, lu))
+        return lu
+
+    monkeypatch.setattr(solver, "splu", recording)
+    return factored
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_upwind_order_is_block_triangular_and_factors_without_fill(
+    monkeypatch, perturbed_mesh, perturbed
+):
+    coeffs = builtin_case("AR_EXAMPLE")
+    mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
+    sys = assemble_global_system(AR_UPWIND, mesh, p=3, coeffs=coeffs)
+    n = mesh.n_elements
+    n_components, _ = connected_components(element_graph(sys.blocks), connection="strong")
+    assert n_components == n
+    order = solver._solve_order(sys)
+    assert sorted(order) == list(range(n))
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
+    rows = np.repeat(np.arange(n), np.diff(sys.blocks.indptr))
+    # no stored block above the block diagonal: every upwind element comes first
+    assert np.all(position[sys.blocks.indices] <= position[rows])
+    emb = build_embedding(sys.space, coeffs, AR)
+    factored = recording_factorizations(monkeypatch)
+    solve_standard_dg(sys)
+    solve_embedded_trefftz(sys, emb)
+    assert [matrix.shape[0] for matrix, _, _ in factored] == [
+        sys.space.ndof_total,
+        emb.ndof_trefftz,
+    ]
+    for matrix, options, lu in factored:
+        assert options["permc_spec"] == "NATURAL"
+        # no fill: every entry of L and U lies on a stored entry of the
+        # permuted matrix; scipy drops factor entries that are exactly zero,
+        # so an explicit zero of the matrix can make the count smaller
+        stored = sparse.csc_matrix((np.ones(matrix.nnz), matrix.indices, matrix.indptr))
+        factors = abs(lu.L) + abs(lu.U)
+        assert (factors - factors.multiply(stored)).count_nonzero() == 0
+        assert lu.L.nnz + lu.U.nnz <= matrix.nnz + matrix.shape[0]
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D", "QT_DIFFUSION"])
+def test_sip_order_is_the_mesh_order(perturbed_mesh, perturbed, case):
+    mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
+    sys = assemble_global_system(DAR_SIP, mesh, p=3, coeffs=builtin_case(case), sigma=450.0)
+    assert np.array_equal(solver._solve_order(sys), mesh.element_order)
+
+
+def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
+    coeffs = manufactured_case(
+        beta=(sp.sympify("1/2 - y"), sp.sympify("x - 1/2")),
+        gamma=1,
+        exact=sp.sympify("sin(pi*(x + y))"),
+        name="rotating",
+    )
+    mesh = build_structured_mesh(6)
+    sys = assemble_global_system(AR_UPWIND, mesh, p=3, coeffs=coeffs)
+    # the flow circles the centre, so the element graph is one component
+    assert np.array_equal(solver._solve_order(sys), mesh.element_order)
+    emb = build_embedding(sys.space, coeffs, AR)
+    factored = recording_factorizations(monkeypatch)
+    u_dg = solve_standard_dg(sys)
+    u_et = solve_embedded_trefftz(sys, emb)
+    assert [options["permc_spec"] for _, options, _ in factored] == ["NATURAL"] * 2
+    reduced, rhs = reduced_system(sys, emb)
+    # the kernel columns are orthonormal, so T' recovers the Trefftz unknowns
+    x_t = emb.prolongation.T @ (u_et.coeffs - emb.u_L)
+    for matrix, load, x in ((sys.matrix, sys.load, u_dg.coeffs), (reduced, rhs, x_t)):
+        residual = np.linalg.norm(matrix @ x - load)
+        assert residual <= solver._RESIDUAL_TOL * np.linalg.norm(load)
+
+
+def test_ar_diagnose_block_gap_stays_at_rounding_level(capsys):
+    assert main(["diagnose", "--case", "AR_EXAMPLE", "--p", "3", "--n", "8"]) == 0
+    text = capsys.readouterr().out
+    gap_rel = float(text.split("(relative ")[1].split(")")[0])
+    assert gap_rel <= 1e-12
+
+
+@hypothesis.seed(20261018)
+@hypothesis.settings(max_examples=300, deadline=None, database=None)
+@hypothesis.given(data=st.data(), acyclic=st.booleans())
+def test_strong_component_labels_follow_the_arcs(data, acyclic):
+    # the solve order sorts elements by these labels, so an arc's head must
+    # never be labelled after its tail, on cyclic and acyclic graphs alike
+    n = data.draw(st.integers(1, 40))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arcs = data.draw(st.lists(pair, max_size=4 * n))
+    if acyclic:
+        rank = np.array(data.draw(st.permutations(range(n))))
+        arcs = [(i, j) for i, j in arcs if rank[i] > rank[j]]
+    tails = np.array([i for i, _ in arcs], dtype=int)
+    heads = np.array([j for _, j in arcs], dtype=int)
+    graph = sparse.csr_matrix((np.ones(len(arcs)), (tails, heads)), shape=(n, n))
+    n_components, labels = connected_components(graph, connection="strong")
+    assert np.all(labels[heads] <= labels[tails])
+    if acyclic:
+        assert n_components == n
