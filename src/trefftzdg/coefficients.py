@@ -28,7 +28,8 @@ def _canonicalize(expr):
 
 
 def _lambdify(expr):
-    fn = sp.lambdify((X, Y), expr, modules="numpy")
+    # the generated docstring is never read and costs as much as the rest
+    fn = sp.lambdify((X, Y), expr, modules="numpy", docstring_limit=0)
 
     def wrapped(x, y):
         x = np.asarray(x, dtype=float)

@@ -11,9 +11,13 @@ in h; diagnostics downstream rely on them.
 The volume-projected and box-restricted kinds share one batched kernel
 over per-element test rules, which takes the trial basis tabulated on the
 rule. On the space's volume rule that is one product with the space's
-kept monomial table, and the test basis is its leading columns. The
-quasi-Trefftz kind has one batched point-derivative kernel at the element
-centers. The per-element entry points :func:`assemble_local_operator` and
+kept monomial table, and the test basis is its leading columns. The box
+kind runs element by element, but its rule and test basis are those of
+the unit square, built once per degree and mapped to each box, so per
+element only the box, the mapped rule, the trial basis at its points and
+the kernel remain. The quasi-Trefftz kind has one batched
+point-derivative kernel at the element centers. The per-element entry
+points :func:`assemble_local_operator` and
 :func:`leibniz_point_derivative` are batches of one of them.
 """
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,6 +189,26 @@ def _test_basis(kind, p, rule, centers, scales):
     return mono @ np.swapaxes(_orthonormalizer(w, mono), -1, -2)
 
 
+@lru_cache(maxsize=None)
+def _unit_box_test_basis(p):
+    """Values ``(nq, m)`` of the box kind's test basis on the unit square,
+    at the points of its degree-``2p + 4`` rule; read-only, as every box
+    shares them.
+
+    A box of side ``s`` is the unit square scaled by ``s``: its rule has the
+    same points in box coordinates and weights scaled by ``s**2``, and its
+    test monomials, of scale ``s sqrt(2)``, take the same values. Graded
+    Gram-Schmidt commutes with that scaling, so the box's test values are
+    these divided by ``s``.
+    """
+    unit = ElementBox(center=np.array([0.5, 0.5]), side=1.0)
+    rule = box_rule(unit.center, unit.side, 2 * p + 4)
+    rule = (rule.points[None], rule.weights[None])
+    values = _test_basis(DAR_BOX, p, rule, [unit.center], [unit.h])[0]
+    values.flags.writeable = False
+    return values
+
+
 def _qt_kernel(coeffs, p, elems, trial, h):
     """Quasi-Trefftz rows and loads on a batch of elements: the derivatives
     ``D^i``, ``|i| <= p - 2``, of the PDE residual at the trial centers,
@@ -250,13 +275,13 @@ def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
         if kind == DAR_BOX:
             box = compute_box(mesh, element, box_scale)
             rule = box_rule(box.center, box.side, 2 * p + 4)
-            center, scale = box.center, box.h
+            rule, scale = (rule.points[None], rule.weights[None]), box.h
+            test = _unit_box_test_basis(p)[None] / box.side
         else:
             rule = triangle_rule(mesh.vertices[mesh.triangles[element]], 2 * p + 4)
-            center, scale = mesh.centroids[element], mesh.h[element]
-        rule = (rule.points[None], rule.weights[None])
+            rule, scale = (rule.points[None], rule.weights[None]), mesh.h[element]
+            test = _test_basis(kind, p, rule, [mesh.centroids[element]], [scale])
         tab = evaluate_basis(rule[0], *trial, p, gradients=True, laplacians=kind != AR)
-        test = _test_basis(kind, p, rule, [center], [scale])
         matrices, loads = _operator_kernel(
             kind, coeffs, [element], rule, tab, test, _row_scale(kind, [scale])
         )
@@ -270,7 +295,9 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
     kinds through the operator kernel with the space's volume rule as test
     domain, the quasi-Trefftz kind through the point-derivative kernel at
     the element centers. The box kind goes element by element, as each
-    element has its own box.
+    element has its own box; per element it computes the box, maps the
+    unit-square rule and test basis (cached per degree) onto it, tabulates
+    the trial basis at the mapped points and runs the kernel.
     """
     mesh = space.mesh
     p = space.degree

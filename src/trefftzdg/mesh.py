@@ -34,6 +34,17 @@ class Mesh2D:
             raise ValueError("vertices must have shape (n, 2)")
         if self.triangles.ndim != 2 or self.triangles.shape[1] != 3:
             raise ValueError("triangles must have shape (n, 3)")
+        bad = ~np.isfinite(self.vertices).all(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"vertex {k} has non-finite coordinates {self.vertices[k].tolist()}")
+        bad = ((self.triangles < 0) | (self.triangles >= len(self.vertices))).any(axis=1)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(
+                f"triangle {k} has vertex indices {self.triangles[k].tolist()} outside "
+                f"[0, {len(self.vertices)})"
+            )
         self._build_geometry()
         self._build_facets()
 
@@ -63,30 +74,26 @@ class Mesh2D:
         self.inradii = self.areas / (0.5 * perim)
 
     def _build_facets(self):
-        order = {}
-        adjacency = {}
-        for e in range(len(self.triangles)):
-            tri = self.triangles[e]
-            for k in range(3):
-                va, vb = int(tri[k]), int(tri[(k + 1) % 3])
-                key = (va, vb) if va < vb else (vb, va)
-                if key not in order:
-                    order[key] = len(order)
-                    adjacency[key] = []
-                adjacency[key].append((e, va, vb))
-        nf = len(order)
-        self.facet_vertices = np.empty((nf, 2), dtype=np.int64)
-        self.facet_left = np.empty(nf, dtype=np.int64)
-        self.facet_right = np.full(nf, BOUNDARY, dtype=np.int64)
-        for key, owners in adjacency.items():
-            if len(owners) > 2:
-                raise ValueError(f"edge {key} is shared by more than two triangles")
-            f = order[key]
-            e1, va, vb = owners[0]
-            self.facet_vertices[f] = (va, vb)
-            self.facet_left[f] = e1
-            if len(owners) == 2:
-                self.facet_right[f] = owners[1][0]
+        # edge 3e + k runs from local vertex k to k + 1 of triangle e
+        start = self.triangles.ravel()
+        end = np.roll(self.triangles, -1, axis=1).ravel()
+        key = np.minimum(start, end) * self.n_vertices + np.maximum(start, end)
+        # the edges of each facet side by side in triangle order; facets are
+        # numbered by their first edge, whose triangle is K1
+        edges = np.argsort(key, kind="stable")
+        heads = np.flatnonzero(np.diff(key[edges], prepend=-1))
+        counts = np.diff(heads, append=len(edges))
+        by_appearance = np.argsort(edges[heads])
+        heads, counts = heads[by_appearance], counts[by_appearance]
+        first = edges[heads]
+        if np.any(counts > 2):
+            e = first[np.argmax(counts > 2)]
+            edge = (int(min(start[e], end[e])), int(max(start[e], end[e])))
+            raise ValueError(f"edge {edge} is shared by more than two triangles")
+        self.facet_vertices = np.column_stack([start[first], end[first]])
+        self.facet_left = first // 3
+        second = edges[np.minimum(heads + 1, len(edges) - 1)]
+        self.facet_right = np.where(counts == 2, second // 3, BOUNDARY)
         p0 = self.vertices[self.facet_vertices[:, 0]]
         p1 = self.vertices[self.facet_vertices[:, 1]]
         tangent = p1 - p0
@@ -190,14 +197,13 @@ def build_structured_mesh(n):
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
 
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ur, ul = vid(i + 1, j + 1), vid(i, j + 1)
-            triangles.append((ll, lr, ur))
-            triangles.append((ll, ur, ul))
-    return Mesh2D(vertices=vertices, triangles=np.array(triangles))
+    # lower-left, lower-right, upper-right and upper-left corners of the
+    # cells, row by row
+    j, i = np.divmod(np.arange(n * n), n)
+    ll = j * (n + 1) + i
+    lr, ul = ll + 1, ll + n + 1
+    ur = ul + 1
+    lower = np.column_stack([ll, lr, ur])
+    upper = np.column_stack([ll, ur, ul])
+    triangles = np.stack([lower, upper], axis=1).reshape(-1, 3)
+    return Mesh2D(vertices=vertices, triangles=triangles)

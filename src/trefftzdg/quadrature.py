@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,6 +47,8 @@ def triangle_rule(vertices, degree):
     """Collapsed tensor rule with positive weights on a ccw triangle,
     exact for polynomials up to ``degree``."""
     verts = np.asarray(vertices, dtype=float)
+    if not np.isfinite(verts).all():
+        raise ValueError(f"triangle vertices must be finite, got {verts.tolist()}")
     bary, w = duffy_rule_barycentric(degree)
     e1, e2 = verts[1] - verts[0], verts[2] - verts[0]
     area = 0.5 * float(e1[0] * e2[1] - e1[1] * e2[0])
@@ -61,21 +64,36 @@ def _gauss_legendre_unit(npoints):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+@lru_cache(maxsize=None)
+def unit_box_rule(npoints):
+    """Tensor Gauss-Legendre rule with ``npoints`` points per axis on the
+    unit square ``[0, 1]^2``: points ``(npoints^2, 2)`` and weights
+    ``(npoints^2,)``, read-only, as every box rule maps them."""
+    t, w = _gauss_legendre_unit(npoints)
+    tx, ty = np.meshgrid(t, t, indexing="ij")
+    points = np.column_stack([tx.ravel(), ty.ravel()])
+    weights = np.outer(w, w).ravel()
+    for array in (points, weights):
+        array.flags.writeable = False
+    return points, weights
+
+
 def box_rule(center, side, degree):
-    """Tensor Gauss-Legendre rule on an axis-aligned square."""
+    """Tensor Gauss-Legendre rule on an axis-aligned square: the unit
+    square rule of :func:`unit_box_rule` mapped to the lower corner
+    ``center - side/2``, its weights scaled by ``side**2``."""
     if degree < 0:
         raise ValueError("quadrature degree must be nonnegative")
-    if side <= 0.0:
-        raise ValueError("box side must be positive")
-    n1 = degree // 2 + 1
-    t, w = _gauss_legendre_unit(n1)
+    if not 0.0 < side < math.inf:
+        raise ValueError(f"box side must be positive and finite, got {side}")
     cx, cy = float(center[0]), float(center[1])
-    x = cx - side / 2 + side * t
-    y = cy - side / 2 + side * t
-    xx, yy = np.meshgrid(x, y, indexing="ij")
-    ww = np.outer(w, w).ravel() * side * side
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    return QuadratureRule(points=pts, weights=ww, degree=degree)
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise ValueError(f"box center must be finite, got ({cx}, {cy})")
+    points, weights = unit_box_rule(degree // 2 + 1)
+    corner = np.array([cx - side / 2, cy - side / 2])
+    return QuadratureRule(
+        points=corner + side * points, weights=weights * side * side, degree=degree
+    )
 
 
 def volume_quadrature(mesh, degree):

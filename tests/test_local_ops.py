@@ -19,6 +19,8 @@ from trefftzdg.local_ops import (
     DAR_BOX,
     KINDS,
     QT_DIFFUSION,
+    ElementBox,
+    _unit_box_test_basis,
     assemble_local_operator,
     assemble_local_operators,
     compute_box,
@@ -397,14 +399,14 @@ def symbolic_qt_oracle(alpha, f, p):
     ]
 
 
-def assert_batch_and_single_match_reference(kind, coeffs, p):
+def assert_batch_and_single_match_reference(kind, coeffs, p, box_scale=0.25):
     mesh = perturbed_grid_mesh()
     space = BrokenSpace(mesh, p)
-    ops = assemble_local_operators(kind, space, coeffs)
+    ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
     for k in range(mesh.n_elements):
         basis = space.element_basis(k)
-        matrix, rhs = reference_operator(kind, mesh, k, basis, coeffs)
-        single = assemble_local_operator(kind, mesh, k, basis, coeffs)
+        matrix, rhs = reference_operator(kind, mesh, k, basis, coeffs, box_scale=box_scale)
+        single = assemble_local_operator(kind, mesh, k, basis, coeffs, box_scale=box_scale)
         for op in (ops[k], single):
             assert op.element == k
             np.testing.assert_allclose(op.matrix, matrix, rtol=1e-10, atol=1e-11)
@@ -484,3 +486,37 @@ def test_qt_dar_kernels_agree_for_constant_alpha():
     k_dar = null_space(op_dar.matrix)
     assert k_qt.shape == k_dar.shape
     assert np.max(subspace_angles(k_qt, k_dar)) < 1e-8
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+@pytest.mark.parametrize("box_scale", [0.25, 1e-3, 1e300])
+def test_box_operators_match_reference_across_degrees_and_box_sizes(p, box_scale):
+    """``box_scale = 1e300`` clips every box to the largest square inside
+    its element."""
+    assert_batch_and_single_match_reference(
+        DAR_BOX, builtin_case("DAR_EXAMPLE"), p, box_scale=box_scale
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("side", [1e-3, 0.05, 1.0])
+@pytest.mark.parametrize("center", [(0.3, 0.7), (0.81, 0.12)])
+def test_unit_box_test_basis_scales_to_every_box(p, side, center):
+    """The cached unit-square test values over the side are the test basis
+    orthonormalized on the box's own rule. Off the origin, forming
+    ``x - c`` costs the per-box reference about ``eps |c| / side``
+    relative, hence the ``1e-12`` bound at ``side = 1e-3``."""
+    box = ElementBox(center=np.array(center), side=side)
+    rule = box_rule(box.center, box.side, 2 * p + 4)
+    reference = ElementBasis.from_rule(box.center, box.h, p - 2, rule).eval(rule.points).values
+    scaled = _unit_box_test_basis(p) / side
+    assert scaled.shape == reference.shape
+    np.testing.assert_allclose(scaled, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
+
+
+def test_unit_box_test_basis_is_read_only():
+    values = _unit_box_test_basis(3)
+    assert _unit_box_test_basis(3) is values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 0.0

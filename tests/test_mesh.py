@@ -168,3 +168,87 @@ def test_element_order_puts_the_first_separator_last():
     on_cut = np.flatnonzero(np.isclose(mesh.centroids[:, 0], (7 + 2 / 3) / 16))
     assert len(on_cut) == 16
     np.testing.assert_array_equal(np.sort(mesh.element_order[-16:]), on_cut)
+
+
+def dict_facets(triangles):
+    """Facet arrays built edge by edge with a dict, facets numbered by first
+    appearance: vertices as seen from the first triangle, that triangle as
+    K1, the second one (if any) as K2."""
+    owners = {}
+    for e, tri in enumerate(triangles.tolist()):
+        for k in range(3):
+            va, vb = tri[k], tri[(k + 1) % 3]
+            owners.setdefault((min(va, vb), max(va, vb)), []).append((e, va, vb))
+    vertices, left, right = [], [], []
+    for edges in owners.values():
+        vertices.append(edges[0][1:])
+        left.append(edges[0][0])
+        right.append(edges[1][0] if len(edges) == 2 else BOUNDARY)
+    return np.array(vertices), np.array(left), np.array(right)
+
+
+def random_delaunay_mesh(n_points, seed):
+    """Delaunay triangulation of the unit square corners and random points,
+    every triangle turned counterclockwise, in a shuffled triangle order."""
+    from scipy.spatial import Delaunay
+
+    rng = np.random.default_rng(seed)
+    corners = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    points = np.vstack([corners, rng.uniform(0.05, 0.95, (n_points, 2))])
+    tris = Delaunay(points).simplices[rng.permutation(2 * n_points + 2)]
+    e1, e2 = points[tris[:, 1]] - points[tris[:, 0]], points[tris[:, 2]] - points[tris[:, 0]]
+    clockwise = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    tris[clockwise] = tris[clockwise][:, ::-1]
+    return Mesh2D(vertices=points, triangles=tris)
+
+
+@pytest.mark.parametrize("kind", ["structured", "perturbed", "random"])
+@pytest.mark.parametrize("size", [1, 3, 8])
+def test_facet_arrays_match_the_dict_reference(kind, size, perturbed_mesh):
+    if kind == "structured":
+        mesh = build_structured_mesh(size)
+    elif kind == "perturbed":
+        mesh = perturbed_mesh(size)
+    else:
+        mesh = random_delaunay_mesh(4 * size * size, seed=size)
+    vertices, left, right = dict_facets(mesh.triangles)
+    for got, want in ((mesh.facet_vertices, vertices), (mesh.facet_left, left),
+                      (mesh.facet_right, right)):
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+
+def test_structured_triangles_run_row_by_row():
+    n = 3
+    expected = []
+    for j in range(n):
+        for i in range(n):
+            ll, lr, ur, ul = j * 4 + i, j * 4 + i + 1, (j + 1) * 4 + i + 1, (j + 1) * 4 + i
+            expected += [(ll, lr, ur), (ll, ur, ul)]
+    np.testing.assert_array_equal(build_structured_mesh(n).triangles, expected)
+
+
+def test_edge_shared_by_three_triangles_rejected():
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0], [0.5, 3.0]])
+    triangles = np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]])
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) is shared by more than two triangles"):
+        Mesh2D(vertices=vertices, triangles=triangles)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_vertex_rejected(bad):
+    mesh = build_structured_mesh(2)
+    vertices = mesh.vertices.copy()
+    vertices[4, 1] = bad
+    vertices[7, 0] = bad
+    with pytest.raises(ValueError, match=r"^vertex 4 has non-finite coordinates"):
+        Mesh2D(vertices=vertices, triangles=mesh.triangles)
+
+
+@pytest.mark.parametrize("index", [-1, 9, 10**9])
+def test_out_of_range_triangle_index_rejected(index):
+    mesh = build_structured_mesh(2)
+    triangles = mesh.triangles.copy()
+    triangles[5, 2] = index
+    with pytest.raises(ValueError, match=r"^triangle 5 has vertex indices .* outside \[0, 9\)"):
+        Mesh2D(vertices=mesh.vertices, triangles=triangles)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from trefftzdg.quadrature import (
+    _gauss_legendre_unit,
     box_rule,
     facet_quadrature,
     triangle_rule,
+    unit_box_rule,
     volume_quadrature,
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
@@ -165,3 +167,45 @@ def test_mesh_quadrature_shapes():
     fpts, fw = facet_quadrature(mesh, 4)
     assert fpts.shape[0] == mesh.n_facets
     assert fw.sum() == pytest.approx(mesh.facet_lengths.sum(), rel=1e-13)
+
+
+@pytest.mark.parametrize("center,side", [((0.25, -0.5), 0.4), ((0.81, 0.12), 1e-3)])
+def test_box_rule_maps_the_unit_square_rule_bitwise(center, side):
+    t, w = _gauss_legendre_unit(6)
+    xx, yy = np.meshgrid(center[0] - side / 2 + side * t, center[1] - side / 2 + side * t,
+                         indexing="ij")
+    rule = box_rule(center, side, 10)
+    np.testing.assert_array_equal(rule.points, np.column_stack([xx.ravel(), yy.ravel()]))
+    np.testing.assert_array_equal(rule.weights, np.outer(w, w).ravel() * side * side)
+
+
+def test_unit_box_rule_is_read_only():
+    points, weights = unit_box_rule(4)
+    assert unit_box_rule(4)[0] is points
+    for array in (points, weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "center,side,match",
+    [
+        ((0.5, 0.5), math.nan, "box side"),
+        ((0.5, 0.5), math.inf, "box side"),
+        ((0.5, 0.5), -0.1, "box side"),
+        ((math.nan, 0.5), 0.1, "box center"),
+        ((0.5, -math.inf), 0.1, "box center"),
+    ],
+)
+def test_box_rule_rejects_bad_boxes(center, side, match):
+    with pytest.raises(ValueError, match=match):
+        box_rule(center, side, 4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_triangle_rule_rejects_non_finite_vertices(bad):
+    verts = REF_TRIANGLE.copy()
+    verts[2, 0] = bad
+    with pytest.raises(ValueError, match="triangle vertices must be finite"):
+        triangle_rule(verts, 4)
