@@ -2,10 +2,13 @@
 evaluation.
 
 Each element carries monomials in the shifted/scaled coordinates
-``(x - x_K)/h_K`` which are orthonormalized in L2(K) through a QR
-factorization of the weighted point values. The scaling keeps the Gram
-condition number independent of the mesh size, and the first basis
-function is the constant ``1/sqrt(area)``.
+``(x - x_K)/h_K`` about its centroid, and a matrix ``G_K`` that makes
+``G_K m`` orthonormal in L2(K). Every triangle is an affine image of the
+reference triangle, so ``G_K`` is built in closed form from one
+reference basis per degree (:func:`_closed_form_basis`), with no
+factorization per element. The scaling keeps the Gram condition number
+independent of the mesh size, ``G_K`` is block lower triangular by
+degree, and the first basis function is the constant ``1/sqrt(area)``.
 
 All evaluation goes through one batched path, :func:`tabulate`: a table of
 scaled monomials at per-element points times a small per-element matrix
@@ -168,13 +171,17 @@ def evaluate_basis(points, centers, scales, G, degree, gradients=False, laplacia
 
 
 def _orthonormalizer(weights, mono):
-    """Batched lower-triangular ``G`` orthonormalizing the monomial basis.
+    """Batched lower-triangular ``G`` orthonormalizing the monomial basis
+    on a positive-weight rule, by QR of the weighted point values.
 
     Works on the square root of the Gram matrix: with ``B = sqrt(w) M`` and
     ``B = QR``, the map ``G = R^-T`` satisfies ``G (B^T B) G^T = I``. Two
     re-orthonormalization passes on the computed point values keep the
-    result orthonormal well below 1e-10 even on badly shaped elements,
-    where a Cholesky of the Gram matrix itself breaks down.
+    result orthonormal well below 1e-10 even on badly shaped domains,
+    where a Cholesky of the Gram matrix itself breaks down. Element bases
+    do not use it per element: it runs once per degree on the reference
+    triangle (:func:`_reference_basis`) and once per degree on the unit
+    box.
     """
     if np.any(weights < 0):
         raise ValueError("basis orthonormalization requires a positive-weight rule")
@@ -195,12 +202,128 @@ def _qr_inverse_transposed(B):
     return np.swapaxes(np.linalg.solve(R, np.ascontiguousarray(eye)), -1, -2)
 
 
+#: the reference triangle, its centroid and its monomial scale (diameter)
+_REFERENCE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_REFERENCE_CENTER = _REFERENCE.mean(axis=0)
+_REFERENCE_SCALE = np.sqrt(2.0)
+
+
+@lru_cache(maxsize=None)
+def _reference_basis(degree):
+    """Lower-triangular ``C_ref`` orthonormalizing the graded-lex scaled
+    monomials of the reference triangle ``(0,0), (1,0), (0,1)`` (about its
+    centroid, scaled by its diameter); read-only, as every element maps
+    it."""
+    rule = triangle_rule(_REFERENCE, 2 * degree)
+    mono = scaled_monomials(rule.points[None], [_REFERENCE_CENTER], [_REFERENCE_SCALE], degree)
+    C = _orthonormalizer(rule.weights[None], mono)[0]
+    C.flags.writeable = False
+    return C
+
+
+def _monomial_substitution(A, degree):
+    """Batched ``S`` ``(E, dim, dim)`` with ``m(A X) = S m(X)`` for the
+    graded-lex monomials ``m`` and per-element matrices ``A`` ``(E, 2, 2)``.
+
+    The map is linear, so ``S`` is block diagonal by degree. Row
+    ``(a, b)`` is row ``(a - 1, b)`` times the linear form ``(A X)_0``, or
+    for ``a = 0`` row ``(0, b - 1)`` times ``(A X)_1``; in the degree-``d``
+    block, column ``j`` holds the coefficient of ``X^(d-j) Y^j``.
+    """
+    exponents = polynomial_exponents(degree)
+    S = np.zeros((len(A), len(exponents), len(exponents)))
+    S[:, 0, 0] = 1.0
+    for row, (a, b) in enumerate(exponents[1:], start=1):
+        d = a + b
+        low, high = (d - 1) * d // 2, d * (d + 1) // 2
+        source = exponents.index((a - 1, b) if a else (0, b - 1))
+        form = A[:, 0 if a else 1]
+        previous = S[:, source, low:high]
+        S[:, row, high : high + d] = form[:, :1] * previous
+        S[:, row, high + 1 : high + d + 1] += form[:, 1:] * previous
+    return S
+
+
+def _closed_form_basis(vertices, scales, degree, weights, mono):
+    """Orthonormalization matrices ``G`` ``(E, dim, dim)`` of triangles
+    ``vertices`` ``(E, 3, 2)`` over their scaled monomials about the
+    centroids, scaled by ``scales``, without a factorization per element.
+
+    Element ``K`` is the image of the reference triangle under
+    ``x = c_K + J_K zeta``, with ``zeta`` the reference coordinates about
+    the reference centroid, so its orthonormal basis is the reference one
+    composed with the inverse map and divided by ``sqrt(|det J_K|)``. In
+    scaled monomials ``X = (x - c_K)/h_K`` that is ``zeta / h_ref = A_K X``
+    with ``A_K = h_K J_K^-1 / h_ref``, and
+    ``G_K = C_ref S_K / sqrt(|det J_K|)`` with the substitution matrix
+    ``S_K`` of :func:`_monomial_substitution`, then
+    :func:`_correct_orthonormality` takes out the rounding of that product
+    on the element's own rule (``weights`` ``(E, nq)`` and monomial table
+    ``mono`` ``(E, nq, dim)``, exact to degree ``2 degree``).
+    """
+    e1 = vertices[:, 1] - vertices[:, 0]
+    e2 = vertices[:, 2] - vertices[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    # J_K has the edges as columns; the rows of det J_K^-1 are e2 and -e1
+    # turned by a right angle, (x, y) @ perp = (y, -x)
+    perp = np.array([[0.0, -1.0], [1.0, 0.0]])
+    adjugate = np.stack([e2 @ perp, -e1 @ perp], axis=1)
+    A = adjugate * (np.asarray(scales, dtype=float) / (det * _REFERENCE_SCALE))[:, None, None]
+    G = _reference_basis(degree) @ _monomial_substitution(A, degree)
+    G /= np.sqrt(np.abs(det))[:, None, None]
+    return _correct_orthonormality(G, weights, mono)
+
+
+#: orthonormality error above which an element's basis is corrected, over
+#: ten times the rounding of the error itself at degree 6 (3e-14 to 8e-14
+#: on structured and perturbed meshes), and the cap on correction steps
+_ORTHONORMALITY_TOL = 1e-12
+_MAX_CORRECTIONS = 4
+
+
+def _correct_orthonormality(G, weights, mono):
+    """Correct nearly orthonormal ``G`` ``(E, dim, dim)`` in place on a rule
+    (``weights`` ``(E, nq)``, monomial table ``mono`` ``(E, nq, dim)``)
+    without a factorization, and return it.
+
+    With the error ``Z = G M G^T - I`` for the monomial Gram matrix ``M``,
+    the step ``G <- (I - strict_tril(Z) - diag(Z)/2) G`` leaves an error of
+    order ``Z^2``. It repeats, on the elements whose ``max |Z|`` is still
+    above :data:`_ORTHONORMALITY_TOL`, at most :data:`_MAX_CORRECTIONS`
+    times; an element whose error is 1 or more is left as it is, as the
+    step does not converge there. Both factors are block lower triangular
+    by degree, so the leading rows stay the orthonormal basis of every
+    lower degree. Where the monomial table itself is too ill-conditioned
+    (slivers turned against the axes at high degree) the error stalls at
+    its rounding, as a QR of the same table does.
+    """
+    eye = np.eye(G.shape[-1])
+    rows = slice(None)
+    for _ in range(_MAX_CORRECTIONS):
+        # Z from the weighted point values: forming M first squares the
+        # conditioning of G and can leave a larger error than it removes
+        Q = mono[rows] @ np.swapaxes(G[rows], -1, -2)
+        Q *= np.sqrt(weights[rows])[..., None]
+        Z = np.swapaxes(Q, -1, -2) @ Q - eye
+        error = np.max(np.abs(Z), axis=(-2, -1))
+        step = (error > _ORTHONORMALITY_TOL) & (error < 1.0)
+        if not step.any():
+            break
+        rows = np.arange(len(G))[rows][step]
+        Z = Z[step]
+        G[rows] -= (np.tril(Z) - 0.5 * Z * eye) @ G[rows]
+    return G
+
+
 class ElementBasis:
     """Orthonormal polynomial basis of one element.
 
-    ``G`` is lower triangular and maps the scaled-monomial vector ``m(x)``
-    to the orthonormal basis, ``phi(x) = G m(x)``. Evaluation is polynomial
-    extension: points are not required to lie inside the element.
+    ``G`` maps the scaled-monomial vector ``m(x)`` to the orthonormal
+    basis, ``phi(x) = G m(x)``. It is block lower triangular by degree
+    (lower triangular when built by :meth:`from_rule`), so its leading
+    rows are the orthonormal basis of every lower degree. Evaluation is
+    polynomial extension: points are not required to lie inside the
+    element.
     """
 
     def __init__(self, center, scale, G, degree):
@@ -218,16 +341,21 @@ class ElementBasis:
     def from_element(cls, mesh, k, degree):
         if not 0 <= k < mesh.n_elements:
             raise IndexError(f"element index {k} out of range")
-        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * degree)
-        return cls.from_rule(mesh.centroids[k], mesh.h[k], degree, rule)
+        vertices = mesh.vertices[mesh.triangles[k]]
+        rule = triangle_rule(vertices, 2 * degree)
+        center, scale = mesh.centroids[k], mesh.h[k]
+        mono = scaled_monomials(rule.points[None], [center], [scale], degree)
+        G = _closed_form_basis(vertices[None], [scale], degree, rule.weights[None], mono)[0]
+        return cls(center=center, scale=scale, G=G, degree=degree)
 
     @classmethod
     def from_rule(cls, center, scale, degree, rule):
-        """Basis orthonormal w.r.t. the (positive-weight) quadrature domain.
+        """Basis orthonormal w.r.t. the (positive-weight) quadrature domain,
+        by QR of the weighted point values.
 
-        Used both for element bases and for test bases on other domains
-        (e.g. boxes); ``rule`` must be exact to degree ``2 * degree`` on its
-        domain.
+        Used for test bases on domains other than mesh triangles (e.g.
+        boxes), whose bases :meth:`from_element` builds in closed form;
+        ``rule`` must be exact to degree ``2 * degree`` on its domain.
         """
         mono = scaled_monomials(rule.points[None], [center], [scale], degree)
         G = _orthonormalizer(rule.weights[None], mono)[0]
@@ -285,7 +413,10 @@ class BrokenSpace:
             self.volume_points, self.centers, self.scales, self.degree
         )
         self.monomials.flags.writeable = False
-        self.G = _orthonormalizer(self.volume_weights, self.monomials)
+        self.G = _closed_form_basis(
+            mesh.vertices[mesh.triangles], self.scales, self.degree,
+            self.volume_weights, self.monomials,
+        )
 
     def scaled_monomials(self, points, elems=None):
         """Scaled-monomial table ``(m, nq, ndof)`` for per-element point sets."""

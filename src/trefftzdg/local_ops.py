@@ -10,14 +10,16 @@ in h; diagnostics downstream rely on them.
 
 The volume-projected and box-restricted kinds share one batched kernel
 over per-element test rules, which takes the trial basis tabulated on the
-rule. On the space's volume rule that is one product with the space's
-kept monomial table, and the test basis is its leading columns. The box
-kind runs element by element, but its rule and test basis are those of
-the unit square, built once per degree and mapped to each box, so per
-element only the box, the mapped rule, the trial basis at its points and
-the kernel remain. The quasi-Trefftz kind has one batched
-point-derivative kernel at the element centers. The per-element entry
-points :func:`assemble_local_operator` and
+rule. The trial basis is orthonormal on its element and graded by
+degree, so on a triangle rule (the space's volume rule, or the element's
+own rule for a batch of one) the test basis is its leading columns; on
+the volume rule the trial table is one product with the space's kept
+monomial table. The box kind runs element by element, but its rule and
+test basis are those of the unit square, built once per degree and
+mapped to each box, so per element only the box, the mapped rule, the
+trial basis at its points and the kernel remain. The quasi-Trefftz kind
+has one batched point-derivative kernel at the element centers. The
+per-element entry points :func:`assemble_local_operator` and
 :func:`leibniz_point_derivative` are batches of one of them.
 """
 
@@ -31,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (
-    _orthonormalizer,
+    ElementBasis,
     evaluate_basis,
     polynomial_exponents,
     scaled_monomials,
@@ -180,15 +182,6 @@ def _row_scale(kind, s):
     return np.sqrt(s) if kind == AR else s
 
 
-def _test_basis(kind, p, rule, centers, scales):
-    """Values of the kind's test basis, orthonormalized on ``rule`` (points
-    and weights per element, exact to twice the test degree), over the
-    monomials of the given centers and scales."""
-    pts, w = rule
-    mono = scaled_monomials(pts, centers, scales, p - 1 if kind == AR else p - 2)
-    return mono @ np.swapaxes(_orthonormalizer(w, mono), -1, -2)
-
-
 @lru_cache(maxsize=None)
 def _unit_box_test_basis(p):
     """Values ``(nq, m)`` of the box kind's test basis on the unit square,
@@ -203,8 +196,7 @@ def _unit_box_test_basis(p):
     """
     unit = ElementBox(center=np.array([0.5, 0.5]), side=1.0)
     rule = box_rule(unit.center, unit.side, 2 * p + 4)
-    rule = (rule.points[None], rule.weights[None])
-    values = _test_basis(DAR_BOX, p, rule, [unit.center], [unit.h])[0]
+    values = ElementBasis.from_rule(unit.center, unit.h, p - 2, rule).eval(rule.points).values
     values.flags.writeable = False
     return values
 
@@ -257,14 +249,23 @@ def _leibniz_rows(indices, alpha, p, points, trial):
     return rows
 
 
+#: orthonormality error of the test columns above which
+#: :func:`assemble_local_operator` rejects a basis: far above the rounding
+#: of a basis built for the element, far below that of one built elsewhere
+_TEST_GRAM_TOL = 1e-6
+
+
 def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
     """Matrix representation of the local operator on one element.
 
-    ``basis`` is the element's orthonormal trial basis of degree p. The
-    returned rows are tested against an orthonormal basis of the kind's
-    test space; the load vector carries the same mesh-size scaling as the
-    operator. Every kind is a batch of one of the kernel that
-    :func:`assemble_local_operators` uses.
+    ``basis`` is the element's orthonormal trial basis of degree p, graded
+    by degree as :class:`ElementBasis` builds it; for the volume-projected
+    kinds its leading columns are the test basis, and a basis whose test
+    columns are not orthonormal on the element to :data:`_TEST_GRAM_TOL`
+    is rejected. The returned rows are tested against an orthonormal
+    basis of the kind's test space; the load vector carries the same
+    mesh-size scaling as the operator. Every kind is a batch of one of the
+    kernel that :func:`assemble_local_operators` uses.
     """
     p = basis.degree
     _validate(kind, p, coeffs)
@@ -274,14 +275,26 @@ def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
     else:
         if kind == DAR_BOX:
             box = compute_box(mesh, element, box_scale)
-            rule = box_rule(box.center, box.side, 2 * p + 4)
-            rule, scale = (rule.points[None], rule.weights[None]), box.h
-            test = _unit_box_test_basis(p)[None] / box.side
+            rule, scale = box_rule(box.center, box.side, 2 * p + 4), box.h
         else:
             rule = triangle_rule(mesh.vertices[mesh.triangles[element]], 2 * p + 4)
-            rule, scale = (rule.points[None], rule.weights[None]), mesh.h[element]
-            test = _test_basis(kind, p, rule, [mesh.centroids[element]], [scale])
+            scale = mesh.h[element]
+        rule = (rule.points[None], rule.weights[None])
         tab = evaluate_basis(rule[0], *trial, p, gradients=True, laplacians=kind != AR)
+        if kind == DAR_BOX:
+            test = _unit_box_test_basis(p)[None] / box.side
+        else:
+            # as in the batched path: the trial basis is orthonormal on the
+            # element and graded by degree, so its leading columns are the
+            # test basis
+            test = tab.values[..., : operator_row_count(kind, p)]
+            gram = np.einsum("q,qi,qj->ij", rule[1][0], test[0], test[0])
+            off = np.max(np.abs(gram - np.eye(len(gram))))
+            if off > _TEST_GRAM_TOL:
+                raise ValueError(
+                    f"the basis passed for element {element} is not orthonormal on it: "
+                    f"its test columns are off by {off:.1e}"
+                )
         matrices, loads = _operator_kernel(
             kind, coeffs, [element], rule, tab, test, _row_scale(kind, [scale])
         )

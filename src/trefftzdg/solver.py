@@ -135,6 +135,8 @@ def _solve_order(system):
     each component in :attr:`Mesh2D.element_order`. An acyclic upwind
     operator becomes block lower triangular (Lesaint and Raviart 1974), so
     its unpivoted LU has no fill; a connected graph keeps the mesh order.
+    When every component is a single element, the labels alone fix the
+    order and the mesh order is not computed.
 
     The order relies on scipy labelling the components so that every
     block's column component is at most its row component, which
@@ -147,7 +149,9 @@ def _solve_order(system):
     graph = sparse.csr_matrix(
         (np.ones(len(blocks.indices)), blocks.indices.copy(), blocks.indptr.copy()), shape=(n, n)
     )
-    _, labels = connected_components(graph, connection="strong")
+    n_components, labels = connected_components(graph, connection="strong")
+    if n_components == n:
+        return np.argsort(labels)
     rank = np.empty(n, dtype=np.intp)
     rank[mesh.element_order] = np.arange(n)
     return np.lexsort((rank, labels))

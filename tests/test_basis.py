@@ -7,8 +7,10 @@ import pytest
 from trefftzdg.basis import (
     BrokenSpace,
     ElementBasis,
+    _correct_orthonormality,
     _derivative_table,
     _orthonormalizer,
+    _reference_basis,
     basis_derivative,
     derivative_matrix,
     evaluate_basis,
@@ -42,7 +44,7 @@ def reference_orthonormal_basis(mesh, degree):
     Moments of the scaled monomials over the triangle are computed by the
     rational Green's-theorem boundary integral, then classical (modified)
     Gram-Schmidt produces an orthonormal basis independent of the package's
-    Cholesky construction. Returns a callable evaluating the basis.
+    construction. Returns a callable evaluating the basis.
     """
     cx, cy = mesh.centroids[0]
     hk = mesh.h[0]
@@ -122,18 +124,19 @@ def test_constant_mode_on_unit_right_triangle():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_matches_gram_schmidt_oracle(seed):
+    # the element basis is the reference-triangle basis pulled back through
+    # the affine map x = v0 + J xi and divided by sqrt(|det J|)
     mesh = random_triangle_mesh(seed)
     degree = 3
-    oracle = reference_orthonormal_basis(mesh, degree)
+    oracle = reference_orthonormal_basis(UNIT_RIGHT, degree)
+    v0, v1, v2 = mesh.vertices[mesh.triangles[0]]
+    J = np.column_stack([v1 - v0, v2 - v0])
     basis = ElementBasis.from_element(mesh, 0, degree=degree)
     rng = np.random.default_rng(seed + 100)
     pts = rng.uniform(0.0, 1.0, size=(20, 2))
-    expected = oracle(pts)
+    expected = oracle(np.linalg.solve(J, (pts - v0).T).T) / math.sqrt(abs(np.linalg.det(J)))
     got = basis.eval(pts).values
-    # both use the same graded-lex monomial pivoting, so they agree up to sign
-    for j in range(expected.shape[1]):
-        s = 1.0 if np.dot(expected[:, j], got[:, j]) >= 0 else -1.0
-        assert np.allclose(got[:, j], s * expected[:, j], atol=1e-9)
+    assert np.allclose(got, expected, atol=1e-9)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6])
@@ -146,6 +149,66 @@ def test_orthonormality_random_elements(degree, seed):
     vals = basis.eval(rule.points).values
     gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
     assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-10
+
+
+def sliver_mesh(aspect, turn):
+    """One needle triangle of unit length and height ``1/aspect``, turned
+    by ``turn`` radians."""
+    c, s = math.cos(turn), math.sin(turn)
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 1.0 / aspect]]) @ np.array([[c, s], [-s, c]])
+    return Mesh2D(vertices=verts, triangles=np.array([[0, 1, 2]]))
+
+
+def orthonormality_error(mesh, G, degree):
+    # on a finer rule than the one the basis was orthonormalized on
+    rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * degree + 2)
+    vals = evaluate_basis(rule.points[None], mesh.centroids, mesh.h, G[None], degree).values[0]
+    gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
+    return np.max(np.abs(gram - np.eye(len(G))))
+
+
+@pytest.mark.parametrize("aspect", [1e1, 1e3])
+def test_orthonormality_axis_aligned_sliver(aspect):
+    mesh = sliver_mesh(aspect, 0.0)
+    assert orthonormality_error(mesh, ElementBasis.from_element(mesh, 0, 6).G, 6) < 1e-12
+
+
+@pytest.mark.parametrize(("aspect", "degree"), [(1e1, 6), (1e2, 4), (1e3, 3)])
+def test_orthonormality_turned_sliver_matches_qr(aspect, degree):
+    # turned against the axes, a sliver's scaled monomials are nearly
+    # dependent, so no construction over them is orthonormal to rounding;
+    # the closed form must do as well as a QR of the element's own table
+    mesh = sliver_mesh(aspect, 0.7)
+    rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * degree)
+    mono = scaled_monomials(rule.points[None], mesh.centroids, mesh.h, degree)
+    qr = orthonormality_error(mesh, _orthonormalizer(rule.weights[None], mono)[0], degree)
+    got = orthonormality_error(mesh, ElementBasis.from_element(mesh, 0, degree).G, degree)
+    assert got <= max(2.0 * qr, 1e-12)
+
+
+def test_correction_leaves_a_hopeless_element_as_built():
+    # at aspect ratio 1000 and p = 6 the turned sliver's table is beyond
+    # any orthonormalization; the step diverges there and must not run
+    mesh = sliver_mesh(1e3, 0.7)
+    error = orthonormality_error(mesh, ElementBasis.from_element(mesh, 0, 6).G, 6)
+    assert 1.0 <= error < 1e10
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_correction_converges_from_a_far_start(perturbed, perturbed_mesh):
+    # one step only squares the error: from 1e-3 off it leaves about 1e-6
+    mesh = perturbed_mesh(2) if perturbed else build_structured_mesh(2)
+    space = BrokenSpace(mesh, 4)
+    degree = np.sum(polynomial_exponents(4), axis=1)
+    # relative noise keeps the zeros above the degree blocks
+    noise = np.random.default_rng(5).uniform(-1e-3, 1e-3, size=space.G.shape)
+    G = _correct_orthonormality(
+        space.G * (1.0 + noise), space.volume_weights, space.monomials
+    )
+    assert np.all(G[:, degree[None, :] > degree[:, None]] == 0.0)
+    values = evaluate_basis(space.volume_points, space.centers, space.scales, G, 4).values
+    gram = np.einsum("eq,eqi,eqj->eij", space.volume_weights, values, values)
+    assert np.max(np.abs(gram - np.eye(space.ndof_local))) < 1e-12
 
 
 def test_degree_one_gradients_constant_hessian_zero():
@@ -342,8 +405,8 @@ def test_leading_basis_columns_are_the_lower_degree_basis(p, perturbed, perturbe
     for q in (p - 1, p - 2):
         if q < 0:
             continue
-        mono = scaled_monomials(space.volume_points, space.centers, space.scales, q)
-        lower = mono @ np.swapaxes(_orthonormalizer(space.volume_weights, mono), -1, -2)
+        G = BrokenSpace(mesh, q).G
+        lower = evaluate_basis(space.volume_points, space.centers, space.scales, G, q).values
         assert_rel_close(values[..., : space_dimension(q)], lower, 1e-12)
 
 
@@ -351,3 +414,45 @@ def test_volume_table_is_kept_read_only():
     space = BrokenSpace(build_structured_mesh(2), 3)
     assert space.monomials.shape == space.volume_points.shape[:2] + (space.ndof_local,)
     assert not space.monomials.flags.writeable
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_closed_form_basis_is_block_triangular_and_orthonormal(p, perturbed, perturbed_mesh):
+    mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
+    space = BrokenSpace(mesh, p)
+    degree = np.sum(polynomial_exponents(p), axis=1)
+    # basis function i uses no monomial of a higher degree than its own
+    above = degree[None, :] > degree[:, None]
+    assert np.all(space.G[:, above] == 0.0)
+    values = space.volume_basis().values
+    gram = np.einsum("eq,eqi,eqj->eij", space.volume_weights, values, values)
+    assert np.max(np.abs(gram - np.eye(space.ndof_local))) < 1e-12
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("p", [1, 3, 6])
+def test_element_basis_matches_the_space(p, perturbed, perturbed_mesh):
+    mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
+    space = BrokenSpace(mesh, p)
+    for k in range(mesh.n_elements):
+        assert_rel_close(ElementBasis.from_element(mesh, k, p).G, space.G[k], 1e-12)
+
+
+def test_reference_basis_is_cached_read_only():
+    C = _reference_basis(4)
+    assert _reference_basis(4) is C
+    assert not C.flags.writeable
+    assert np.all(np.triu(C, 1) == 0.0)
+
+
+def test_space_runs_no_factorization_per_element(monkeypatch, perturbed_mesh):
+    mesh = perturbed_mesh(4)
+    expected = BrokenSpace(mesh, 5).G
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization called while building a broken space")
+
+    for name in ("qr", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    np.testing.assert_array_equal(BrokenSpace(mesh, 5).G, expected)

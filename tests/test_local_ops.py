@@ -264,6 +264,20 @@ def test_kind_preconditions():
         assemble_local_operator("NOPE", UNIT_RIGHT, 0, basis1, coeffs)
 
 
+@pytest.mark.parametrize("kind", [AR, DAR])
+def test_basis_not_orthonormal_on_the_element_is_rejected(kind):
+    # the test basis is the leading trial columns, so the trial basis must
+    # be orthonormal on this element: one built on the element's box is not
+    mesh = build_structured_mesh(2)
+    coeffs = builtin_case("DAR_EXAMPLE")
+    own = ElementBasis.from_element(mesh, 3, degree=3)
+    box = compute_box(mesh, 3, 0.25)
+    on_box = ElementBasis.from_rule(own.center, own.scale, 3, box_rule(box.center, box.side, 6))
+    assemble_local_operator(kind, mesh, 3, own, coeffs)
+    with pytest.raises(ValueError, match="not orthonormal"):
+        assemble_local_operator(kind, mesh, 3, on_box, coeffs)
+
+
 def test_nonpositive_alpha_rejected():
     coeffs = manufactured_case(alpha=sp.sympify("x - 2"), exact=sp.sympify("x"))
     basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=2)
@@ -326,9 +340,10 @@ def perturbed_grid_mesh():
 
 
 def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
-    """Per-element operator written out directly. AR/DAR/DAR_BOX: the test
-    basis is orthonormalized on the test domain's own rule, and the strong
-    form is evaluated term by term from the trial basis derivatives.
+    """Per-element operator written out directly. AR/DAR: the test basis is
+    the leading trial columns on the element's rule; DAR_BOX: it is
+    orthonormalized on the box's own rule. The strong form is evaluated
+    term by term from the trial basis derivatives.
     QT_DIFFUSION: symbolic derivatives of the strong form at the centroid,
     as in :func:`test_qt_row_against_symbolic_oracle`."""
     p = basis.degree
@@ -337,12 +352,12 @@ def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
     if kind == DAR_BOX:
         box = compute_box(mesh, k, box_scale)
         rule = box_rule(box.center, box.side, 2 * p + 4)
-        q_basis = ElementBasis.from_rule(box.center, box.h, p - 2, rule)
+        qv = ElementBasis.from_rule(box.center, box.h, p - 2, rule).eval(rule.points).values
         scale = box.h
     else:
         rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4)
         q_degree = p - 1 if kind == AR else p - 2
-        q_basis = ElementBasis.from_rule(basis.center, basis.scale, q_degree, rule)
+        qv = basis.eval(rule.points).values[:, : space_dimension(q_degree)]
         scale = math.sqrt(mesh.h[k]) if kind == AR else mesh.h[k]
     x, y = rule.points[:, 0], rule.points[:, 1]
     ev = basis.eval(rule.points, gradients=True)
@@ -358,7 +373,6 @@ def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
         vals += b[:, None, 0] * gx + b[:, None, 1] * gy
     if coeffs.gamma is not None:
         vals += coeffs.gamma(x, y)[:, None] * ev.values
-    qv = q_basis.eval(rule.points).values
     matrix = np.einsum("q,qi,qj->ij", rule.weights, qv, scale * vals)
     rhs = np.einsum("q,q,qi->i", rule.weights, scale * coeffs.f(x, y), qv)
     return matrix, rhs

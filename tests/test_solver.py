@@ -447,6 +447,19 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
+def test_acyclic_upwind_order_skips_the_mesh_order(perturbed_mesh, perturbed):
+    mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
+    sys = assemble_global_system(AR_UPWIND, mesh, p=3, coeffs=builtin_case("AR_EXAMPLE"))
+    order = solver._solve_order(sys)
+    assert "element_order" not in mesh.__dict__
+    # the order of the general case: components first, mesh order inside
+    _, labels = connected_components(element_graph(sys.blocks), connection="strong")
+    rank = np.empty(mesh.n_elements, dtype=int)
+    rank[mesh.element_order] = np.arange(mesh.n_elements)
+    np.testing.assert_array_equal(order, np.lexsort((rank, labels)))
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D", "QT_DIFFUSION"])
 def test_sip_order_is_the_mesh_order(perturbed_mesh, perturbed, case):
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
