@@ -1,32 +1,41 @@
 """Per-element L2-orthonormal polynomial bases with exact derivative
 evaluation.
 
-Each element carries monomials in the shifted/scaled coordinates
-``(x - x_K)/h_K`` about its centroid, and a matrix ``G_K`` that makes
-``G_K m`` orthonormal in L2(K). Every triangle is an affine image of the
-reference triangle, so ``G_K`` is built in closed form from one
-reference basis per degree (:func:`_closed_form_basis`), with no
-factorization per element. The scaling keeps the Gram condition number
-independent of the mesh size, ``G_K`` is block lower triangular by
-degree, and the first basis function is the constant ``1/sqrt(area)``.
+Every triangle is an affine image ``x = v0_K + J_K zeta`` of the reference
+triangle, so its orthonormal basis is one reference basis
+``phi_ref = C_ref m`` per degree (:func:`_reference_basis`, over the
+reference triangle's scaled monomials ``m``) composed with the inverse map
+and divided by ``sqrt(det J_K)``. The basis is graded by degree, so its
+leading functions are the orthonormal basis of every lower degree, and the
+first is the constant ``1/sqrt(area)``.
 
-All evaluation goes through one batched path, :func:`tabulate`: a table of
-scaled monomials at per-element points times a small per-element matrix
-``(D^T G^T) / s^k``, with ``D`` an exact differentiation matrix in the
-monomial basis. :class:`BrokenSpace` keeps the table at its volume points,
-so values, gradients and Laplacians there cost one matmul each time;
-:func:`evaluate_basis` builds the table at other points, and the
-per-element :class:`ElementBasis` methods are a batch of one.
+:class:`BrokenSpace` evaluates it without a per-element table: at the
+volume points, which are the images of one reference rule, values come
+from the shared :func:`reference_tables`, gradients are ``J_K^-T`` times
+the reference gradients and Laplacians the reference Hessians contracted
+with ``J_K^-1 J_K^-T``; volume forms are one matrix product of weighted
+coefficients with the shared :func:`reference_products`. Other points are
+pulled back to the reference triangle.
+
+Code that needs the basis over the element's own scaled monomials
+``(x - x_K)/h_K`` (the quasi-Trefftz point derivatives, :class:`ElementBasis`
+and the box operators) reads ``G_K`` with ``phi_K = G_K m_K``, built in
+closed form from ``C_ref`` (:func:`_closed_form_basis`), with no
+factorization per element. All monomial evaluation goes through
+:func:`tabulate`: a table of scaled monomials times a small per-element
+matrix ``(D^T G^T) / s^k``, with ``D`` an exact differentiation matrix in
+the monomial basis.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import triangle_rule, volume_quadrature
+from .quadrature import duffy_rule_barycentric, triangle_rule, volume_quadrature
 
 
 @lru_cache(maxsize=None)
@@ -221,6 +230,89 @@ def _reference_basis(degree):
     return C
 
 
+#: the derivatives the reference tables hold, graded-lex up to order two:
+#: the value, the two first and the three second derivatives
+_REFERENCE_DERIVATIVES = polynomial_exponents(2)
+
+
+def _reference_tabulate(zeta, coefficients, degree, k):
+    """The first ``k`` of :data:`_REFERENCE_DERIVATIVES` of polynomials
+    with coefficients ``(E, dim, m)`` in the reference basis, at reference
+    points ``zeta`` ``(E, nq, 2)``: ``(E, nq, k, m)``, by :func:`tabulate`."""
+    E = len(zeta)
+    scales = np.full(E, _REFERENCE_SCALE)
+    mono = scaled_monomials(zeta, np.broadcast_to(_REFERENCE_CENTER, (E, 2)), scales, degree)
+    operators = [(d,) for d in _REFERENCE_DERIVATIVES[:k]]
+    return tabulate(mono, _reference_basis(degree).T @ coefficients, scales, degree, operators)
+
+
+def _volume_rule_degree(degree):
+    """Exactness of the volume rule of the degree-``degree`` space."""
+    return 2 * degree + 4
+
+
+@lru_cache(maxsize=None)
+def reference_tables(degree):
+    """``D^d phi_ref`` ``(nq, 6, dim)`` of the reference basis at the
+    reference volume rule, for ``d`` in :data:`_REFERENCE_DERIVATIVES`;
+    read-only, as every element maps it.
+
+    The volume points of an element are the images of these points
+    (:func:`~trefftzdg.quadrature.volume_quadrature`), so every element
+    basis takes its values there from this one table.
+    """
+    bary, _ = duffy_rule_barycentric(_volume_rule_degree(degree))
+    eye = np.eye(space_dimension(degree))[None]
+    tab = _reference_tabulate(bary[None, :, 1:], eye, degree, len(_REFERENCE_DERIVATIVES))[0]
+    tab.flags.writeable = False
+    return tab
+
+
+@lru_cache(maxsize=None)
+def reference_products(degree, pairs, rows=None):
+    """Products ``D^a phi_ref_i D^b phi_ref_j`` at the reference volume
+    points for every pair ``(a, b)`` of :data:`_REFERENCE_DERIVATIVES`, as
+    one ``(len(pairs) nq, rows dim)`` matrix over the test functions
+    ``i < rows`` (all by default) and the trial functions ``j``; read-only,
+    as every element contracts it."""
+    tab = reference_tables(degree)
+    index = _REFERENCE_DERIVATIVES.index
+    out = np.stack([
+        tab[:, index(a), :rows, None] * tab[:, index(b), None, :] for a, b in pairs
+    ])
+    out = out.reshape(len(pairs) * len(tab), -1)
+    out.flags.writeable = False
+    return out
+
+
+def _to_elements(ref, inverses, dets, gradients=False, laplacians=False):
+    """Element values, gradients and Laplacians of
+    ``phi_K = phi_ref / sqrt(det J_K)`` from reference derivatives ``ref``
+    ``(E or 1, nq, k, m)`` (the first ``k`` of
+    :data:`_REFERENCE_DERIVATIVES`), the inverse Jacobians ``inverses``
+    ``(E, 2, 2)`` and ``dets`` ``(E,)``.
+
+    Gradients are ``J_K^-T`` times the reference gradients, Laplacians the
+    reference Hessians contracted with the metric ``J_K^-1 J_K^-T``.
+    """
+    r = np.sqrt(dets)[:, None, None]
+    inv = inverses[:, None, None]
+    out = BasisEval(values=ref[:, :, 0] / r)
+    if gradients:
+        out.gradients = np.stack(
+            [inv[..., 0, a] * ref[:, :, 1] + inv[..., 1, a] * ref[:, :, 2] for a in range(2)],
+            axis=-1,
+        ) / r[..., None]
+    if laplacians:
+        metric = (inverses @ np.swapaxes(inverses, -1, -2))[:, None, None]
+        out.laplacians = (
+            metric[..., 0, 0] * ref[:, :, 3]
+            + 2.0 * metric[..., 0, 1] * ref[:, :, 4]
+            + metric[..., 1, 1] * ref[:, :, 5]
+        ) / r
+    return out
+
+
 def _monomial_substitution(A, degree):
     """Batched ``S`` ``(E, dim, dim)`` with ``m(A X) = S m(X)`` for the
     graded-lex monomials ``m`` and per-element matrices ``A`` ``(E, 2, 2)``.
@@ -244,6 +336,19 @@ def _monomial_substitution(A, degree):
     return S
 
 
+def _affine_maps(vertices):
+    """``det J_K`` ``(E,)`` and the adjugate ``det J_K J_K^-1`` ``(E, 2, 2)``
+    of the maps ``x = v0_K + J_K zeta`` from the reference triangle onto
+    the triangles ``vertices`` ``(E, 3, 2)``."""
+    e1 = vertices[:, 1] - vertices[:, 0]
+    e2 = vertices[:, 2] - vertices[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    # J_K has the edges as columns; the rows of det J_K^-1 are e2 and -e1
+    # turned by a right angle, (x, y) @ perp = (y, -x)
+    perp = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return det, np.stack([e2 @ perp, -e1 @ perp], axis=1)
+
+
 def _closed_form_basis(vertices, scales, degree, weights, mono):
     """Orthonormalization matrices ``G`` ``(E, dim, dim)`` of triangles
     ``vertices`` ``(E, 3, 2)`` over their scaled monomials about the
@@ -261,13 +366,7 @@ def _closed_form_basis(vertices, scales, degree, weights, mono):
     on the element's own rule (``weights`` ``(E, nq)`` and monomial table
     ``mono`` ``(E, nq, dim)``, exact to degree ``2 degree``).
     """
-    e1 = vertices[:, 1] - vertices[:, 0]
-    e2 = vertices[:, 2] - vertices[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    # J_K has the edges as columns; the rows of det J_K^-1 are e2 and -e1
-    # turned by a right angle, (x, y) @ perp = (y, -x)
-    perp = np.array([[0.0, -1.0], [1.0, 0.0]])
-    adjugate = np.stack([e2 @ perp, -e1 @ perp], axis=1)
+    det, adjugate = _affine_maps(vertices)
     A = adjugate * (np.asarray(scales, dtype=float) / (det * _REFERENCE_SCALE))[:, None, None]
     G = _reference_basis(degree) @ _monomial_substitution(A, degree)
     G /= np.sqrt(np.abs(det))[:, None, None]
@@ -279,6 +378,9 @@ def _closed_form_basis(vertices, scales, degree, weights, mono):
 #: on structured and perturbed meshes), and the cap on correction steps
 _ORTHONORMALITY_TOL = 1e-12
 _MAX_CORRECTIONS = 4
+#: orthonormality error left after the correction above which a space
+#: warns that its ``G`` is unusable
+_ORTHONORMALITY_WARN = 1e-8
 
 
 def _correct_orthonormality(G, weights, mono):
@@ -300,11 +402,7 @@ def _correct_orthonormality(G, weights, mono):
     eye = np.eye(G.shape[-1])
     rows = slice(None)
     for _ in range(_MAX_CORRECTIONS):
-        # Z from the weighted point values: forming M first squares the
-        # conditioning of G and can leave a larger error than it removes
-        Q = mono[rows] @ np.swapaxes(G[rows], -1, -2)
-        Q *= np.sqrt(weights[rows])[..., None]
-        Z = np.swapaxes(Q, -1, -2) @ Q - eye
+        Z = _orthonormality_defect(G[rows], weights[rows], mono[rows])
         error = np.max(np.abs(Z), axis=(-2, -1))
         step = (error > _ORTHONORMALITY_TOL) & (error < 1.0)
         if not step.any():
@@ -313,6 +411,15 @@ def _correct_orthonormality(G, weights, mono):
         Z = Z[step]
         G[rows] -= (np.tril(Z) - 0.5 * Z * eye) @ G[rows]
     return G
+
+
+def _orthonormality_defect(G, weights, mono):
+    """``Z = G M G^T - I`` ``(E, dim, dim)`` on a rule, from the weighted
+    point values: forming the Gram matrix ``M`` first squares the
+    conditioning of ``G`` and can leave a larger error than it measures."""
+    Q = mono @ np.swapaxes(G, -1, -2)
+    Q *= np.sqrt(weights)[..., None]
+    return np.swapaxes(Q, -1, -2) @ Q - np.eye(G.shape[-1])
 
 
 class ElementBasis:
@@ -393,10 +500,16 @@ def l2_project(f, basis, rule):
 class BrokenSpace:
     """Element-wise polynomial space of uniform degree over a mesh.
 
-    Bundles the shared volume quadrature, the scaled-monomial table at its
-    points (read-only) and the per-element orthonormalization matrices;
-    coefficient vectors over the space are laid out element by element
-    (``offsets[k] = k * ndof_local``).
+    Bundles the shared volume quadrature and the affine data of each
+    element: the origin ``v0_K``, the inverse Jacobian ``J_K^-1`` and
+    ``det J_K`` (positive, as meshes keep their triangles counterclockwise)
+    of the map ``x = v0_K + J_K zeta`` from the reference triangle. The
+    element basis is the reference one composed with the inverse map and
+    divided by ``sqrt(det J_K)``, so every evaluation maps the per-degree
+    :func:`reference_tables` (at the volume points) or reference values at
+    pulled-back points (anywhere else); no basis table over the elements
+    is kept. Coefficient vectors over the space are laid out
+    element by element (``offsets[k] = k * ndof_local``).
     """
 
     def __init__(self, mesh, degree):
@@ -408,55 +521,143 @@ class BrokenSpace:
         self.offsets = np.arange(mesh.n_elements) * self.ndof_local
         self.centers = mesh.centroids
         self.scales = mesh.h
-        self.volume_points, self.volume_weights = volume_quadrature(mesh, 2 * self.degree + 4)
-        self.monomials = scaled_monomials(
-            self.volume_points, self.centers, self.scales, self.degree
+        self.volume_points, self.volume_weights = volume_quadrature(
+            mesh, _volume_rule_degree(self.degree)
         )
-        self.monomials.flags.writeable = False
-        self.G = _closed_form_basis(
-            mesh.vertices[mesh.triangles], self.scales, self.degree,
-            self.volume_weights, self.monomials,
-        )
+        vertices = mesh.vertices[mesh.triangles]
+        self.dets, self._adjugates = _affine_maps(vertices)
+        self.origins = vertices[:, 0]
+        self.inverse_jacobians = self._adjugates / self.dets[:, None, None]
+        self._G = None
 
-    def scaled_monomials(self, points, elems=None):
-        """Scaled-monomial table ``(m, nq, ndof)`` for per-element point sets."""
-        elems = np.arange(np.shape(points)[0]) if elems is None else elems
-        return scaled_monomials(points, self.centers[elems], self.scales[elems], self.degree)
+    @property
+    def G(self):
+        """Per-element matrices ``G_K`` ``(E, dim, dim)`` with
+        ``phi_K = G_K m_K`` over the element's scaled monomials, built on
+        first use in closed form (:func:`_closed_form_basis`) and kept
+        read-only. Only the quasi-Trefftz kernel, :meth:`element_basis` and
+        what reads it (the per-element box operators) need them.
+
+        Over scaled monomials a sliver turned against the axes cannot be
+        made orthonormal at high degree; one counted warning names the
+        worst element if any error stays above 1e-8 after the correction.
+        """
+        if self._G is None:
+            mono = scaled_monomials(self.volume_points, self.centers, self.scales, self.degree)
+            G = _closed_form_basis(
+                self.mesh.vertices[self.mesh.triangles], self.scales, self.degree,
+                self.volume_weights, mono,
+            )
+            defect = _orthonormality_defect(G, self.volume_weights, mono)
+            error = np.max(np.abs(defect), axis=(1, 2))
+            bad = np.flatnonzero(~(error <= _ORTHONORMALITY_WARN))
+            if len(bad):
+                k = bad[np.argmax(np.nan_to_num(error[bad], nan=np.inf))]
+                warnings.warn(
+                    f"{len(bad)} of {len(G)} elements have no orthonormal degree-{self.degree} "
+                    f"basis over scaled monomials (orthonormality error above "
+                    f"{_ORTHONORMALITY_WARN:.0e}); worst element {k} (error {error[k]:.1e})"
+                )
+            G.flags.writeable = False
+            self._G = G
+        return self._G
+
+    def _pull_back(self, points, elems):
+        """Reference coordinates ``zeta = J_K^-1 (x - v0_K)`` of per-element
+        points ``(m, nq, 2)``."""
+        shifted = np.asarray(points, dtype=float) - self.origins[elems][:, None]
+        # dividing last keeps each vertex's image exact and halves the
+        # rounding on slivers against multiplying by J_K^-1
+        zeta = shifted @ np.swapaxes(self._adjugates[elems], -1, -2)
+        return zeta / self.dets[elems][:, None, None]
 
     def volume_basis(self, elems=slice(None), gradients=False, laplacians=False):
         """Orthonormal basis values (and optionally gradients and
-        Laplacians) at the volume points of ``elems``, from the kept
-        monomial table; a slice views the table where an index array would
-        copy it."""
-        return _basis_eval(
-            self.monomials[elems], self.G[elems], self.scales[elems], self.degree,
-            gradients=gradients, laplacians=laplacians,
+        Laplacians) at the volume points of ``elems``, mapped from the
+        shared reference tables."""
+        ref = reference_tables(self.degree)[None]
+        return _to_elements(
+            ref, self.inverse_jacobians[elems], self.dets[elems], gradients, laplacians
         )
+
+    def volume_matrices(self, elems, weights, value=None, drift=None, laplacian=None,
+                        diffusion=None, rows=None):
+        """Per-element matrices ``(m, rows, ndof)`` of the volume form
+        ``sum_q w_q [phi_i (value phi_j + drift . grad phi_j + laplacian
+        lap phi_j) + diffusion grad phi_i . grad phi_j]`` over the volume
+        points of ``elems``, for the test functions ``i < rows`` (all by
+        default); ``weights`` and the coefficients are ``(m, nq)``,
+        ``drift`` ``(m, nq, 2)``.
+
+        Each weighted coefficient is mapped to the reference derivatives
+        and divided by ``det J_K``, so the whole form is one matrix product
+        of the stacked coefficients with the shared
+        :func:`reference_products`.
+        """
+        inverses = self.inverse_jacobians[elems]
+        metric = inverses @ np.swapaxes(inverses, -1, -2)
+        first = _REFERENCE_DERIVATIVES[1:3]
+        pairs, terms = [], []
+        if value is not None:
+            pairs.append(((0, 0), (0, 0)))
+            terms.append(value)
+        if drift is not None:
+            # beta . grad phi = (J^-1 beta) . grad_zeta phi_ref
+            mapped = drift @ np.swapaxes(inverses, -1, -2)
+            pairs += [((0, 0), d) for d in first]
+            terms += [mapped[..., 0], mapped[..., 1]]
+        if laplacian is not None:
+            # lap phi: the reference Hessian contracted with the metric
+            pairs += [((0, 0), d) for d in _REFERENCE_DERIVATIVES[3:]]
+            terms += [laplacian * metric[:, None, 0, 0], 2.0 * laplacian * metric[:, None, 0, 1],
+                      laplacian * metric[:, None, 1, 1]]
+        if diffusion is not None:
+            pairs += [(a, b) for a in first for b in first]
+            terms += [diffusion * metric[:, None, a, b] for a in range(2) for b in range(2)]
+        scale = weights / self.dets[elems][:, None]
+        coefficients = np.stack(terms, axis=1) * scale[:, None]
+        table = reference_products(self.degree, tuple(pairs), rows)
+        out = coefficients.reshape(len(coefficients), -1) @ table
+        return out.reshape(len(coefficients), -1, self.ndof_local)
+
+    def volume_load(self, elems, weights, f, rows=None):
+        """``sum_q w_q f phi_i`` ``(m, rows)`` over the volume points of
+        ``elems``, from ``weights`` and ``f`` ``(m, nq)``."""
+        values = reference_tables(self.degree)[:, 0, :rows]
+        return (weights * f / np.sqrt(self.dets[elems])[:, None]) @ values
 
     def eval_function(self, coeffs, elems=slice(None), points=None, gradients=False):
         """Values ``(m, nq)`` and optionally gradients ``(m, nq, 2)`` of the
         function with per-element basis coefficients ``coeffs``
         ``(n_elements, ndof_local)`` on ``elems``: at per-element ``points``
-        ``(m, nq, 2)``, or at the volume points from the kept table. Works
-        on the monomial coefficients ``G^T c``, so no basis table is built.
+        ``(m, nq, 2)``, pulled back to the reference triangle, or at the
+        volume points from the shared tables. Either way the coefficients
+        are contracted first, so no basis table is built.
         """
-        mono = self.monomials[elems] if points is None else self.scaled_monomials(points, elems)
-        a = np.swapaxes(self.G[elems], -1, -2) @ coeffs[elems][..., None]
-        operators = [_VALUES, *(_GRADIENT * gradients)]
-        tab = tabulate(mono, a, self.scales[elems], self.degree, operators)[..., 0]
-        return (tab[..., 0], tab[..., 1:]) if gradients else tab[..., 0]
+        c = coeffs[elems]
+        k = 3 if gradients else 1
+        if points is None:
+            table = reference_tables(self.degree)[:, :k]
+            ref = (c @ table.reshape(-1, self.ndof_local).T).reshape(len(c), -1, k, 1)
+        else:
+            ref = _reference_tabulate(self._pull_back(points, elems), c[..., None], self.degree, k)
+        ev = _to_elements(ref, self.inverse_jacobians[elems], self.dets[elems], gradients)
+        return (ev.values[..., 0], ev.gradients[..., 0, :]) if gradients else ev.values[..., 0]
 
     def eval_elements(self, elems, points, gradients=False):
         """Orthonormal basis values on a batch of elements.
 
         ``points`` has shape ``(m, nq, 2)`` with one point set per entry of
         ``elems``; results have a trailing basis axis (and derivative axes).
+        The points are pulled back to the reference triangle and the
+        reference basis is evaluated there in one product.
         """
         elems = np.asarray(elems)
-        return evaluate_basis(
-            points, self.centers[elems], self.scales[elems], self.G[elems],
-            self.degree, gradients,
-        )
+        zeta = self._pull_back(points, elems)
+        eye = np.eye(self.ndof_local)[None]
+        ref = _reference_tabulate(zeta.reshape(1, -1, 2), eye, self.degree, 3 if gradients else 1)
+        ref = ref.reshape(zeta.shape[:2] + ref.shape[2:])
+        return _to_elements(ref, self.inverse_jacobians[elems], self.dets[elems], gradients)
 
     def element_basis(self, k):
         return ElementBasis(self.centers[k], self.scales[k], self.G[k], self.degree)

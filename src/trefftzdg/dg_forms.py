@@ -5,6 +5,10 @@ discretization of diffusion-advection-reaction.
 Assembly walks elements and facets in fixed order, evaluating every term
 of the bilinear/linear forms by quadrature; inflow boundary portions are
 detected pointwise from the sign of beta.n at facet quadrature nodes.
+The volume terms of a batch of elements are one matrix product of the
+weighted coefficients with the space's shared reference tables
+(:meth:`BrokenSpace.volume_matrices`); the facet terms take the basis at
+the facet points, pulled back to the reference triangle.
 The operator is kept as element-pair blocks: each element's self terms sum
 into its diagonal block, and only coupling blocks with a nonzero entry are
 stored.
@@ -155,33 +159,22 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
     has_gamma = coeffs.gamma is not None
     af = facet_alpha(space, coeffs) if diffusive else None
 
-    # volume terms
+    # volume terms: weighted coefficients against the shared reference tables
     for chunk in _chunks(mesh.n_elements):
         elems = np.arange(chunk.start, chunk.stop)
         pts = space.volume_points[chunk]
         w = space.volume_weights[chunk]
         x, y = pts[..., 0], pts[..., 1]
-        ev = space.volume_basis(chunk, gradients=True)
-        blocks = np.zeros((len(elems), nd, nd))
+        terms = {}
         if diffusive:
-            alpha = coeffs.alpha(x, y)
-            require_positive(alpha, "alpha", "element", elems)
-            for d in range(2):
-                blocks += _gram(w * alpha, ev.gradients[..., d], ev.gradients[..., d])
+            terms["diffusion"] = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
         if has_beta:
-            b = coeffs.beta(x, y)
-            require_finite(b, "beta", "element", elems)
-            badv = np.einsum("eqjd,eqd->eqj", ev.gradients, b)
-            blocks += _gram(w, ev.values, badv)
+            terms["drift"] = require_finite(coeffs.beta(x, y), "beta", "element", elems)
         if has_gamma:
-            gamma = coeffs.gamma(x, y)
-            require_finite(gamma, "gamma", "element", elems)
-            blocks += _gram(w * gamma, ev.values, ev.values)
-        own.append((elems, blocks))
-        fv = coeffs.f(x, y)
-        require_finite(fv, "f", "element", elems)
-        contrib = np.einsum("eq,eqi->ei", w * fv, ev.values)
-        np.add.at(load, space.offsets[elems][:, None] + np.arange(nd)[None, :], contrib)
+            terms["value"] = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
+        own.append((elems, space.volume_matrices(chunk, w, **terms)))
+        fv = require_finite(coeffs.f(x, y), "f", "element", elems)
+        load[chunk.start * nd : chunk.stop * nd] += space.volume_load(chunk, w, fv).ravel()
 
     fpts, fw = facet_quadrature(mesh, 2 * p + 2)
 

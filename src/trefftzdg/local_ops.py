@@ -8,18 +8,22 @@ kind), so dual norms of A_K u reduce to Euclidean vector norms. The
 mesh-size scalings baked into each kind keep the induced norms uniform
 in h; diagnostics downstream rely on them.
 
-The volume-projected and box-restricted kinds share one batched kernel
-over per-element test rules, which takes the trial basis tabulated on the
-rule. The trial basis is orthonormal on its element and graded by
-degree, so on a triangle rule (the space's volume rule, or the element's
-own rule for a batch of one) the test basis is its leading columns; on
-the volume rule the trial table is one product with the space's kept
-monomial table. The box kind runs element by element, but its rule and
-test basis are those of the unit square, built once per degree and
-mapped to each box, so per element only the box, the mapped rule, the
-trial basis at its points and the kernel remain. The quasi-Trefftz kind
-has one batched point-derivative kernel at the element centers. The
-per-element entry points :func:`assemble_local_operator` and
+The volume-projected and box-restricted kinds write the PDE operator as
+``value phi + drift . grad phi + laplacian lap phi`` with coefficients
+evaluated once per point (:func:`_operator_fields`). The trial basis is
+orthonormal on its element and graded by degree, so on a triangle rule
+the test basis is its leading columns. On a space's volume rule the
+operators of a batch of elements are one matrix product of the weighted
+coefficients with the space's shared reference tables
+(:meth:`BrokenSpace.volume_matrices`), with no basis tabulated per
+element. The element's own rule (a batch of one, with a caller's basis)
+and the box kind contract the coefficients with the trial basis tabulated
+on the rule (:func:`_operator_kernel`). The box kind runs element by
+element, but its rule and test basis are those of the unit square, built
+once per degree and mapped to each box, so per element only the box, the
+mapped rule, the trial basis at its points and the kernel remain. The
+quasi-Trefftz kind has one batched point-derivative kernel at the element
+centers. The per-element entry points :func:`assemble_local_operator` and
 :func:`leibniz_point_derivative` are batches of one of them.
 """
 
@@ -135,9 +139,31 @@ def _validate(kind, p, coeffs):
             raise ValueError("quasi-Trefftz assembly needs source derivatives up to order p-2")
 
 
+def _operator_fields(kind, coeffs, elems, points):
+    """The AR, DAR or DAR_BOX operator ``L phi = value phi + drift . grad
+    phi + laplacian lap phi`` and the source at per-element points
+    ``(E, nq, 2)``, as the dict of coefficients (``drift`` ``(E, nq, 2)``,
+    the others ``(E, nq)``) and ``f``."""
+    x, y = points[..., 0], points[..., 1]
+    fields = {}
+    if coeffs.beta is not None:
+        fields["drift"] = require_finite(coeffs.beta(x, y), "beta", "element", elems)
+    if kind != AR:
+        # -div(alpha grad phi) = -alpha lap phi - grad alpha . grad phi
+        alpha = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
+        grad_alpha = np.stack(
+            [coeffs.alpha.derivative(1, 0)(x, y), coeffs.alpha.derivative(0, 1)(x, y)], axis=-1
+        )
+        fields["laplacian"] = -alpha
+        fields["drift"] = fields.get("drift", 0.0) - grad_alpha
+    if coeffs.gamma is not None:
+        fields["value"] = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
+    return fields, require_finite(coeffs.f(x, y), "f", "element", elems)
+
+
 def _operator_kernel(kind, coeffs, elems, rule, trial, test, scale):
     """Matrices and loads of the AR, DAR or DAR_BOX operator on a batch of
-    elements.
+    elements from tabulated bases.
 
     ``rule`` is a positive-weight rule per element on the test domain
     (points ``(E, nq, 2)``, weights ``(E, nq)``). ``trial`` is the
@@ -148,28 +174,12 @@ def _operator_kernel(kind, coeffs, elems, rule, trial, test, scale):
     :func:`_row_scale`.
     """
     pts, w = rule
-    x, y = pts[..., 0], pts[..., 1]
-    beta = None
-    if coeffs.beta is not None:
-        beta = require_finite(coeffs.beta(x, y), "beta", "element", elems)
-    if kind == AR:
-        vals = np.einsum("eqjd,eqd->eqj", trial.gradients, beta)
-    else:
-        # -div(alpha grad phi) = -(alpha lap phi + grad alpha . grad phi)
-        alpha_vals = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
-        ax = coeffs.alpha.derivative(1, 0)(x, y)
-        ay = coeffs.alpha.derivative(0, 1)(x, y)
-        vals = -(
-            alpha_vals[..., None] * trial.laplacians
-            + ax[..., None] * trial.gradients[..., 0]
-            + ay[..., None] * trial.gradients[..., 1]
-        )
-        if beta is not None:
-            vals += np.einsum("eqjd,eqd->eqj", trial.gradients, beta)
-    if coeffs.gamma is not None:
-        gamma = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
-        vals += gamma[..., None] * trial.values
-    f = require_finite(coeffs.f(x, y), "f", "element", elems)
+    fields, f = _operator_fields(kind, coeffs, elems, pts)
+    vals = np.einsum("eqjd,eqd->eqj", trial.gradients, fields["drift"])
+    if "laplacian" in fields:
+        vals += fields["laplacian"][..., None] * trial.laplacians
+    if "value" in fields:
+        vals += fields["value"][..., None] * trial.values
     # scaled, weighted test values: A = Q_w^T V and l = Q_w^T f per element
     qw = test * (scale[:, None] * w)[..., None]
     return np.swapaxes(qw, -1, -2) @ vals, np.einsum("eqi,eq->ei", qw, f)
@@ -305,12 +315,13 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
     """Local operators for every element of a broken space.
 
     All kinds but the box one run in element batches: the volume-projected
-    kinds through the operator kernel with the space's volume rule as test
-    domain, the quasi-Trefftz kind through the point-derivative kernel at
-    the element centers. The box kind goes element by element, as each
-    element has its own box; per element it computes the box, maps the
-    unit-square rule and test basis (cached per degree) onto it, tabulates
-    the trial basis at the mapped points and runs the kernel.
+    kinds as one product of their weighted coefficients with the space's
+    reference tables, on its volume rule, the quasi-Trefftz kind through
+    the point-derivative kernel at the element centers. The box kind goes
+    element by element, as each element has its own box; per element it
+    computes the box, maps the unit-square rule and test basis (cached per
+    degree) onto it, tabulates the trial basis at the mapped points and
+    runs the kernel.
     """
     mesh = space.mesh
     p = space.degree
@@ -332,11 +343,11 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
         else:
             # the space's basis is orthonormal on the same rule and graded by
             # degree, so its leading columns are the test basis
-            tab = space.volume_basis(chunk, gradients=True, laplacians=kind != AR)
-            test = tab.values[..., : operator_row_count(kind, p)]
-            rule = (space.volume_points[chunk], space.volume_weights[chunk])
-            scale = _row_scale(kind, space.scales[chunk])
-            matrices, loads = _operator_kernel(kind, coeffs, elems, rule, tab, test, scale)
+            fields, f = _operator_fields(kind, coeffs, elems, space.volume_points[chunk])
+            w = space.volume_weights[chunk] * _row_scale(kind, space.scales[chunk])[:, None]
+            rows = operator_row_count(kind, p)
+            matrices = space.volume_matrices(chunk, w, rows=rows, **fields)
+            loads = space.volume_load(chunk, w, f, rows=rows)
         ops.extend(
             LocalOperator(kind=kind, element=int(k), matrix=m, rhs=r)
             for k, m, r in zip(elems, matrices, loads)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,8 @@ from trefftzdg.basis import (
     evaluate_basis,
     l2_project,
     polynomial_exponents,
+    reference_products,
+    reference_tables,
     scaled_monomials,
     space_dimension,
     tabulate,
@@ -194,6 +197,33 @@ def test_correction_leaves_a_hopeless_element_as_built():
     assert 1.0 <= error < 1e10
 
 
+@pytest.mark.parametrize("aspect", [1e1, 1e2, 1e3])
+def test_turned_sliver_space_is_orthonormal_and_warns_about_G(aspect):
+    # the space maps the reference basis, so a turned needle's basis is
+    # orthonormal to rounding where no G over its scaled monomials is
+    mesh = sliver_mesh(aspect, 0.7)
+    space = BrokenSpace(mesh, 6)
+    eye = np.eye(space.ndof_local)
+    values = space.volume_basis().values[0]
+    gram = np.einsum("q,qi,qj->ij", space.volume_weights[0], values, values)
+    assert np.max(np.abs(gram - eye)) < 1e-12
+    # on a finer rule than the space's
+    rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * 6 + 6)
+    values = space.eval_elements([0], rule.points[None]).values[0]
+    gram = np.einsum("q,qi,qj->ij", rule.weights, values, values)
+    assert np.max(np.abs(gram - eye)) < 1e-12
+    if aspect < 1e2:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert orthonormality_error(mesh, space.G[0], 6) < 1e-8
+    else:
+        warning = r"^1 of 1 elements .* worst element 0 \(error "
+        with pytest.warns(UserWarning, match=warning) as record:
+            space.G
+            space.G
+        assert len(record) == 1
+
+
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_correction_converges_from_a_far_start(perturbed, perturbed_mesh):
     # one step only squares the error: from 1e-3 off it leaves about 1e-6
@@ -202,9 +232,8 @@ def test_correction_converges_from_a_far_start(perturbed, perturbed_mesh):
     degree = np.sum(polynomial_exponents(4), axis=1)
     # relative noise keeps the zeros above the degree blocks
     noise = np.random.default_rng(5).uniform(-1e-3, 1e-3, size=space.G.shape)
-    G = _correct_orthonormality(
-        space.G * (1.0 + noise), space.volume_weights, space.monomials
-    )
+    mono = scaled_monomials(space.volume_points, space.centers, space.scales, 4)
+    G = _correct_orthonormality(space.G * (1.0 + noise), space.volume_weights, mono)
     assert np.all(G[:, degree[None, :] > degree[:, None]] == 0.0)
     values = evaluate_basis(space.volume_points, space.centers, space.scales, G, 4).values
     gram = np.einsum("eq,eqi,eqj->eij", space.volume_weights, values, values)
@@ -267,7 +296,7 @@ def test_gram_conditioning_under_refinement():
     for n in (2, 4, 8):
         mesh = build_structured_mesh(n)
         space = BrokenSpace(mesh, degree=3)
-        mono = space.scaled_monomials(space.volume_points[:1])
+        mono = scaled_monomials(space.volume_points[:1], space.centers[:1], space.scales[:1], 3)
         gram = np.einsum("q,qi,qj->ij", space.volume_weights[0] / mesh.areas[0], mono[0], mono[0])
         conds.append(np.linalg.cond(gram))
     assert conds[2] <= conds[0] * (1 + 1e-8)
@@ -308,12 +337,13 @@ def test_broken_space_offsets_and_basis():
 
 def reference_basis_derivative(space, dx, dy):
     """``D^(dx,dy)`` of the space's basis at its volume points: each
-    monomial's derivative gathered from the kept table with its constant
-    factor, then mapped by ``G^T``."""
+    monomial's derivative gathered from a scaled-monomial table with its
+    constant factor, then mapped by ``G^T``."""
     exps = polynomial_exponents(space.degree)
     cols = [exps.index((max(a - dx, 0), max(b - dy, 0))) for a, b in exps]
     factor = np.array([math.perm(a, dx) * math.perm(b, dy) for a, b in exps], dtype=float)
-    mono = space.monomials[..., cols] * factor / space.scales[:, None, None] ** (dx + dy)
+    table = scaled_monomials(space.volume_points, space.centers, space.scales, space.degree)
+    mono = table[..., cols] * factor / space.scales[:, None, None] ** (dx + dy)
     return mono @ np.swapaxes(space.G, -1, -2)
 
 
@@ -385,7 +415,7 @@ def test_tabulate_applies_the_derivative_matrix(npoints):
     # D goes on the table for fewer points than basis functions (3 < 15),
     # on the coefficients otherwise (49 points); both equal the product
     space = BrokenSpace(build_structured_mesh(2), 4)
-    mono = space.monomials[:, :npoints]
+    mono = scaled_monomials(space.volume_points, space.centers, space.scales, 4)[:, :npoints]
     Gt = np.swapaxes(space.G, -1, -2)
     laplacian = ((2, 0), (0, 2))
     tab = tabulate(mono, Gt, space.scales, 4, [((1, 0),), ((0, 1),), laplacian])
@@ -410,10 +440,19 @@ def test_leading_basis_columns_are_the_lower_degree_basis(p, perturbed, perturbe
         assert_rel_close(values[..., : space_dimension(q)], lower, 1e-12)
 
 
-def test_volume_table_is_kept_read_only():
+def test_space_keeps_no_per_element_volume_table():
     space = BrokenSpace(build_structured_mesh(2), 3)
-    assert space.monomials.shape == space.volume_points.shape[:2] + (space.ndof_local,)
-    assert not space.monomials.flags.writeable
+    per_element = space.volume_points.shape[:2]
+    for name, value in vars(space).items():
+        if isinstance(value, np.ndarray) and value.shape[:2] == per_element:
+            assert space.ndof_local not in value.shape[2:], name
+    tables = reference_tables(3)
+    assert reference_tables(3) is tables
+    assert tables.shape == (per_element[1], 6, space.ndof_local)
+    assert not tables.flags.writeable
+    products = reference_products(3, (((0, 0), (1, 0)),))
+    assert reference_products(3, (((0, 0), (1, 0)),)) is products
+    assert not products.flags.writeable
 
 
 @pytest.mark.parametrize("perturbed", [False, True])

@@ -235,28 +235,32 @@ def test_repeated_values_rejected_before_meshing(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
-def test_run_tabulates_volume_monomials_once_per_space(tmp_path, monkeypatch):
-    # every volume-point evaluation of assembly, local operators and error
-    # norms reads the table that the broken space builds
+def test_run_builds_no_volume_monomial_table_and_no_G(tmp_path, monkeypatch):
+    # assembly, local operators and error norms map the shared reference
+    # tables at the volume points; the per-element G is never built
     import trefftzdg.basis as basis
     from trefftzdg.quadrature import duffy_rule_barycentric
 
     nq = len(duffy_rule_barycentric(2 * 3 + 4)[1])
-    volume_calls = []
+    tables = []
     original = basis.scaled_monomials
 
     def counting(points, *args, **kwargs):
-        if np.shape(points)[1] == nq:
-            volume_calls.append(np.shape(points)[0])
+        tables.append(np.shape(points)[:2])
         return original(points, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("G built during a dg,et run")
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("trefftzdg"):
             if getattr(module, "scaled_monomials", None) is original:
                 monkeypatch.setattr(module, "scaled_monomials", counting)
+    monkeypatch.setattr(basis, "_closed_form_basis", refuse)
     assert main(["run", "--case", "AR_EXAMPLE", "--methods", "dg,et", "--p", "3",
                  "--n", "2,4", "--out", str(tmp_path / "ar.csv")]) == 0
-    assert volume_calls == [8, 32]
+    assert tables
+    assert not [shape for shape in tables if shape[0] > 1 and shape[1] == nq]
 
 
 def test_config_file_with_flag_override(tmp_path):
