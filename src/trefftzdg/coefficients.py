@@ -251,11 +251,5 @@ def builtin_case(name):
             name=name,
         )
     if name in ("BOX_DIFFUSION_2D", "QT_DIFFUSION"):
-        return manufactured_case(
-            alpha=1 + X + Y,
-            beta=(sp.Integer(0), sp.Integer(0)),
-            gamma=sp.Integer(0),
-            exact=_SIN_DIAG,
-            name=name,
-        )
+        return manufactured_case(alpha=1 + X + Y, exact=_SIN_DIAG, name=name)
     raise ValueError(f"unknown builtin case {name!r}; expected one of {BUILTIN_CASES}")

@@ -2,16 +2,19 @@
 discretization of advection-reaction and symmetric interior penalty
 discretization of diffusion-advection-reaction.
 
-Assembly walks elements and facets in fixed order, evaluating every term
-of the bilinear/linear forms by quadrature; inflow boundary portions are
-detected pointwise from the sign of beta.n at facet quadrature nodes.
 The volume terms of a batch of elements are one matrix product of the
 weighted coefficients with the space's shared reference tables
-(:meth:`BrokenSpace.volume_matrices`); the facet terms take the basis at
-the facet points, pulled back to the reference triangle.
-The operator is kept as element-pair blocks: each element's self terms sum
-into its diagonal block, and only coupling blocks with a nonzero entry are
-stored.
+(:meth:`BrokenSpace.volume_matrices`). The facet terms are written once,
+in jump/average form (Arnold, Brezzi, Cockburn and Marini, SIAM J. Numer.
+Anal. 39, 2002): with the unit normal ``n`` from the left element to the
+right one, ``[u] = u_L - u_R`` and ``{u} = (u_L + u_R) / 2``, an interior
+facet adds ``-(beta.n)[u]{v} + (|beta.n|/2 + sigma alpha_F/|F|)[u][v]
+- {alpha d_n u}[v] - [u]{alpha d_n v}``. A boundary facet is the
+one-sided case, where the upwind terms reduce to ``|beta.n| u v`` at the
+inflow quadrature nodes (``beta.n < 0``) and the Dirichlet data takes the
+place of the outer trace in the load. The operator is stored once, as
+element-pair blocks: each element's self terms sum into its diagonal
+block, and only coupling blocks with a nonzero entry are stored.
 """
 
 from __future__ import annotations
@@ -32,29 +35,42 @@ DAR_SIP = "DAR_SIP"
 _CHUNK = 4096
 
 
-@dataclass
+@dataclass(init=False)
 class DgSystem:
-    """Assembled sparse DG operator and load vector.
+    """Assembled DG operator and load vector.
 
-    ``alpha_facet`` stores the facet-averaged diffusion coefficient used in
-    the penalty terms (None for the pure advection form); error norms reuse
-    it together with ``sigma``. ``blocks`` holds the same operator as
-    element-pair blocks in BSR layout; without it, it is cut from
-    ``matrix``.
+    The operator is stored once, as element-pair blocks in BSR layout
+    (``blocks``). ``matrix`` is a read-only CSR copy built on each request,
+    for export and inspection; a system built from a ``matrix`` in place of
+    ``blocks`` is cut into blocks. ``alpha_facet`` stores the
+    facet-averaged diffusion coefficient used in the penalty terms (None
+    for the pure advection form); error norms reuse it together with
+    ``sigma``.
     """
 
     kind: str
-    matrix: sparse.csr_matrix
     load: np.ndarray
     space: BrokenSpace
     sigma: float = None
     alpha_facet: np.ndarray = None
     blocks: sparse.bsr_matrix = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if self.blocks is None:
-            nd = self.space.ndof_local
-            self.blocks = sparse.bsr_matrix(self.matrix, blocksize=(nd, nd))
+    def __init__(self, kind, matrix=None, *, load, space, sigma=None, alpha_facet=None,
+                 blocks=None):
+        if (matrix is None) == (blocks is None):
+            raise TypeError("DgSystem takes its operator as either matrix or blocks")
+        if blocks is None:
+            nd = space.ndof_local
+            blocks = sparse.bsr_matrix(matrix, blocksize=(nd, nd))
+        self.kind, self.load, self.space = kind, load, space
+        self.sigma, self.alpha_facet, self.blocks = sigma, alpha_facet, blocks
+
+    @property
+    def matrix(self):
+        csr = self.blocks.tocsr()
+        for array in (csr.data, csr.indices, csr.indptr):
+            array.flags.writeable = False
+        return csr
 
     @property
     def p(self):
@@ -117,6 +133,38 @@ def _gram(w, a, b):
     return np.swapaxes(a * w[..., None], -1, -2) @ b
 
 
+def _facet_terms(space, sides, pts, normals, w, c_avg, c_jump, c_flux=None):
+    """Facet terms in jump/average form of a batch of facets, each between
+    the ``s`` elements ``sides`` ``(F, s)`` (one on the boundary), with
+    points ``pts`` ``(F, nq, 2)``, weights ``w`` and unit ``normals``.
+
+    The trace tables ``(F, nq, s nd)`` are the values ``T = [phi_1 | phi_2]``,
+    the signed jumps ``J = [phi_1 | -phi_2]`` and the normal derivatives
+    ``N = [d_n phi_1 | d_n phi_2]``; the coefficients ``(F, nq)`` weigh the
+    averages, the jumps and the normal fluxes (``c_flux`` None: no
+    diffusion). Returns ``M = gram(w, test, J) + gram(w c_flux, J, N)``
+    ``(F, s nd, s nd)``, test functions along the rows, whose ``nd x nd``
+    quadrants are the own and coupling blocks, and the test table
+    ``test = c_avg T + c_jump J + c_flux N``.
+    """
+    F, s = sides.shape
+    nq = pts.shape[1]
+    ev = space.eval_elements(sides.ravel(), np.repeat(pts, s, axis=0), c_flux is not None)
+
+    def side_by_side(table):  # (F s, nq, nd) -> (F, nq, s nd)
+        return np.swapaxes(table.reshape(F, s, nq, -1), 1, 2).reshape(F, nq, -1)
+
+    T = side_by_side(ev.values)
+    J = T.copy()
+    J[..., space.ndof_local :] *= -1.0
+    test = c_avg[..., None] * T + c_jump[..., None] * J
+    if c_flux is None:
+        return _gram(w, test, J), test
+    N = side_by_side(np.einsum("mqid,md->mqi", ev.gradients, np.repeat(normals, s, axis=0)))
+    test += c_flux[..., None] * N
+    return _gram(w, test, J) + _gram(w * c_flux, J, N), test
+
+
 def _chunks(total, size=_CHUNK):
     """Consecutive slices of at most ``size`` entries; a slice views the
     arrays it indexes."""
@@ -176,95 +224,49 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
         fv = require_finite(coeffs.f(x, y), "f", "element", elems)
         load[chunk.start * nd : chunk.stop * nd] += space.volume_load(chunk, w, fv).ravel()
 
-    fpts, fw = facet_quadrature(mesh, 2 * p + 2)
-
-    # interior facets
-    for chunk in _chunks(len(mesh.interior_facets)):
-        facets = mesh.interior_facets[chunk]
-        pts, w = fpts[facets], fw[facets]
-        x, y = pts[..., 0], pts[..., 1]
-        normals = mesh.facet_normals[facets]
-        left, right = mesh.facet_left[facets], mesh.facet_right[facets]
-        ev_l = space.eval_elements(left, pts, gradients=diffusive)
-        ev_r = space.eval_elements(right, pts, gradients=diffusive)
-        b = None
-        if has_beta:
-            beta = coeffs.beta(x, y)
-            require_finite(beta, "beta", "facet", facets)
-            b = np.einsum("fqd,fd->fq", beta, normals)
-        if diffusive:
-            alpha = coeffs.alpha(x, y)
-            require_positive(alpha, "alpha", "facet", facets)
-            pen = sigma * af[facets] / mesh.facet_lengths[facets]
-            gn_l = np.einsum("fqid,fd->fqi", ev_l.gradients, normals)
-            gn_r = np.einsum("fqid,fd->fqi", ev_r.gradients, normals)
-        sides = ((left, ev_l, 1.0), (right, ev_r, -1.0))
-        for elems_a, ev_a, sa in sides:
-            for elems_b, ev_b, sb in sides:
-                coef = np.zeros_like(w)
-                if has_beta:
-                    # -(beta.n)[u]{v} + 1/2 |beta.n| [u][v]
-                    coef += -0.5 * b * sb + 0.5 * np.abs(b) * sa * sb
-                if diffusive:
-                    coef += pen[:, None] * sa * sb
-                blocks = _gram(w * coef, ev_a.values, ev_b.values)
-                if diffusive:
-                    gn_b = gn_l if sb > 0 else gn_r
-                    gn_a = gn_l if sa > 0 else gn_r
-                    blocks += _gram(w * (-0.5 * alpha * sa), ev_a.values, gn_b)
-                    blocks += _gram(w * (-0.5 * alpha * sb), gn_a, ev_b.values)
-                if sa == sb:
-                    own.append((elems_a, blocks))
-                else:
-                    pairs.append((elems_a, elems_b, blocks))
-
+    # facet terms in jump/average form: interior facets, then the one-sided
     # boundary facets
-    for chunk in _chunks(len(mesh.boundary_facets)):
-        facets = mesh.boundary_facets[chunk]
-        pts, w = fpts[facets], fw[facets]
-        x, y = pts[..., 0], pts[..., 1]
-        normals = mesh.facet_normals[facets]
-        left = mesh.facet_left[facets]
-        ev = space.eval_elements(left, pts, gradients=diffusive)
-        g = coeffs.g_D(x, y)
-        require_finite(g, "g_D", "facet", facets)
-        coef = np.zeros_like(w)
-        load_coef = np.zeros_like(w)
-        if has_beta:
-            beta = coeffs.beta(x, y)
-            require_finite(beta, "beta", "facet", facets)
-            b = np.einsum("fqd,fd->fq", beta, normals)
-            inflow = np.where(b < 0.0, -b, 0.0)
-            coef += inflow
-            load_coef += inflow * g
-        blocks = None
-        if diffusive:
-            alpha = coeffs.alpha(x, y)
-            require_positive(alpha, "alpha", "facet", facets)
-            pen = sigma * af[facets] / mesh.facet_lengths[facets]
-            coef += pen[:, None]
-            load_coef += pen[:, None] * g
-            gn = np.einsum("fqid,fd->fqi", ev.gradients, normals)
-            blocks = _gram(w * (-alpha), ev.values, gn)
-            blocks += _gram(w * (-alpha), gn, ev.values)
-            lb = np.einsum("fq,fqi->fi", w * (-alpha) * g, gn)
-            np.add.at(load, space.offsets[left][:, None] + np.arange(nd)[None, :], lb)
-        vv = _gram(w * coef, ev.values, ev.values)
-        blocks = vv if blocks is None else blocks + vv
-        own.append((left, blocks))
-        lb = np.einsum("fq,fqi->fi", w * load_coef, ev.values)
-        np.add.at(load, space.offsets[left][:, None] + np.arange(nd)[None, :], lb)
+    fpts, fw = facet_quadrature(mesh, 2 * p + 2)
+    inner, outer = mesh.interior_facets, mesh.boundary_facets
+    groups = (
+        (inner, np.stack([mesh.facet_left[inner], mesh.facet_right[inner]], axis=1)),
+        (outer, mesh.facet_left[outer][:, None]),
+    )
+    for group, group_sides in groups:
+        # at most _CHUNK element traces per batch, as in the volume loop
+        for chunk in _chunks(len(group), _CHUNK // group_sides.shape[1]):
+            facets, sides = group[chunk], group_sides[chunk]
+            interior = sides.shape[1] == 2
+            pts, w = fpts[facets], fw[facets]
+            x, y = pts[..., 0], pts[..., 1]
+            normals = mesh.facet_normals[facets]
+            bn = np.zeros_like(w)
+            if has_beta:
+                beta = require_finite(coeffs.beta(x, y), "beta", "facet", facets)
+                bn = np.einsum("fqd,fd->fq", beta, normals)
+            c_avg = -0.5 * bn if interior else np.zeros_like(w)
+            c_jump = 0.5 * np.abs(bn) if interior else np.where(bn < 0.0, -bn, 0.0)
+            c_flux = None
+            if diffusive:
+                alpha = require_positive(coeffs.alpha(x, y), "alpha", "facet", facets)
+                c_jump = c_jump + (sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
+                # the average of a one-sided trace is the trace itself
+                c_flux = -alpha / sides.shape[1]
+            M, test = _facet_terms(space, sides, pts, normals, w, c_avg, c_jump, c_flux)
+            if interior:
+                left, right = sides.T
+                own += [(left, M[:, :nd, :nd]), (right, M[:, nd:, nd:])]
+                pairs += [(left, right, M[:, :nd, nd:]), (right, left, M[:, nd:, :nd])]
+            else:
+                left = sides[:, 0]
+                own.append((left, M))
+                # the Dirichlet data enters as the trial trace of the jump
+                g = require_finite(coeffs.g_D(x, y), "g_D", "facet", facets)
+                lb = np.einsum("fq,fqi->fi", w * g, test)
+                np.add.at(load, space.offsets[left][:, None] + np.arange(nd), lb)
 
     blocks = _block_matrix(mesh.n_elements, own, pairs)
-    return DgSystem(
-        kind=kind,
-        matrix=blocks.tocsr(),
-        load=load,
-        space=space,
-        sigma=sigma,
-        alpha_facet=af,
-        blocks=blocks,
-    )
+    return DgSystem(kind, load=load, space=space, sigma=sigma, alpha_facet=af, blocks=blocks)
 
 
 def export_matrix_coo(system, target):

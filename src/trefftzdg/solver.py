@@ -161,7 +161,7 @@ def solve_standard_dg(system):
     """Solve the full DG system directly."""
     space = system.space
     perm = _block_permutation(_solve_order(system), np.append(space.offsets, space.ndof_total))
-    x = _direct_solve(system.matrix, system.load, "standard DG solve", perm)
+    x = _direct_solve(system.blocks, system.load, "standard DG solve", perm)
     return DiscreteSolution(
         coeffs=x,
         space=system.space,

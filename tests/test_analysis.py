@@ -179,8 +179,11 @@ def two_pass_dg_error(solution, coeffs):
     err = coeffs.exact_solution(x, y) - vals
     err_grad = coeffs.exact_gradient()(x, y) - grads
     vh_sq = np.sum(w * coeffs.alpha(x, y) * np.einsum("eqd,eqd->eq", err_grad, err_grad))
-    stab = coeffs.gamma(x, y) - 0.5 * coeffs.beta.divergence()(x, y)
-    vh_sq += max(0.0, float(np.min(stab))) * np.sum(w * err**2)
+    if coeffs.gamma is not None:
+        stab = coeffs.gamma(x, y)
+        if coeffs.beta is not None:
+            stab = stab - 0.5 * coeffs.beta.divergence()(x, y)
+        vh_sq += max(0.0, float(np.min(stab))) * np.sum(w * err**2)
     fpts, fw = facet_quadrature(mesh, 2 * space.degree + 2)
     left, right = mesh.facet_left, mesh.facet_right
 
@@ -206,6 +209,8 @@ def two_pass_dg_error(solution, coeffs):
         beta = coeffs.beta(pts[..., 0], pts[..., 1])
         return 0.5 * np.abs(np.einsum("fqd,fd->fq", beta, mesh.facet_normals[facets]))
 
+    if coeffs.beta is None:
+        return math.sqrt(vh_sq + facet_pass(penalty))
     return math.sqrt(vh_sq + facet_pass(penalty) + facet_pass(upwind))
 
 

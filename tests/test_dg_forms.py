@@ -12,6 +12,7 @@ from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import (
     AR_UPWIND,
     DAR_SIP,
+    DgSystem,
     assemble_global_system,
     element_alpha_means,
     export_matrix_coo,
@@ -138,6 +139,108 @@ def test_matrix_is_the_coo_sum_of_its_terms_without_zero_blocks(
         assert couplings == len(mesh.interior_facets)
     else:
         assert couplings == 2 * len(mesh.interior_facets)
+
+
+def textbook_system(kind, mesh, p, coeffs, sigma):
+    """Dense DG matrix and load from the textbook upwind and SIP terms
+    (Arnold, Brezzi, Cockburn and Marini 2002), one quadrature point at a
+    time. In the volume ``(beta . grad u + gamma u) v`` (plus
+    ``alpha grad u . grad v`` for SIP) with load ``f v``. On an interior
+    facet with unit normal ``n`` from ``K1`` to ``K2``, ``[u] = u1 - u2``
+    and ``{u} = (u1 + u2) / 2``:
+    ``-(beta.n) [u]{v} + |beta.n|/2 [u][v]``, and for SIP
+    ``- {alpha d_n u}[v] - [u]{alpha d_n v} + sigma alpha_F/|F| [u][v]``.
+    On a boundary facet ``|beta.n| u v`` where ``beta.n < 0`` (load
+    ``|beta.n| g v``), and for SIP ``- alpha d_n u v - u alpha d_n v +
+    sigma alpha_F/|F| u v`` (load ``sigma alpha_F/|F| g v - g alpha d_n v``).
+    """
+    space = BrokenSpace(mesh, p)
+    nd = space.ndof_local
+    matrix = np.zeros((space.ndof_total, space.ndof_total))
+    load = np.zeros(space.ndof_total)
+    diffusive = kind == DAR_SIP
+    af = facet_alpha(space, coeffs) if diffusive else None
+
+    def basis(k, point):
+        ev = space.eval_elements([k], np.reshape(point, (1, 1, 2)), gradients=True)
+        return ev.values[0, 0], ev.gradients[0, 0]
+
+    def dofs(*elements):
+        return np.concatenate([np.arange(k * nd, (k + 1) * nd) for k in elements])
+
+    for k in range(mesh.n_elements):
+        own = np.ix_(dofs(k), dofs(k))
+        for point, w in zip(space.volume_points[k], space.volume_weights[k]):
+            x, y = point
+            v, grad = basis(k, point)
+            matrix[own] += w * np.outer(v, grad @ coeffs.beta(x, y) + coeffs.gamma(x, y) * v)
+            if diffusive:
+                matrix[own] += w * coeffs.alpha(x, y) * (grad @ grad.T)
+            load[dofs(k)] += w * coeffs.f(x, y) * v
+
+    fpts, fw = facet_quadrature(mesh, 2 * p + 2)
+    for f in range(mesh.n_facets):
+        k1, k2, n = mesh.facet_left[f], mesh.facet_right[f], mesh.facet_normals[f]
+        penalty = sigma * af[f] / mesh.facet_lengths[f] if diffusive else 0.0
+        for point, w in zip(fpts[f], fw[f]):
+            x, y = point
+            bn = coeffs.beta(x, y) @ n
+            alpha = coeffs.alpha(x, y) if diffusive else 0.0
+            v1, grad1 = basis(k1, point)
+            if k2 == BOUNDARY:
+                g, dn = coeffs.g_D(x, y), grad1 @ n
+                inflow = -bn if bn < 0 else 0.0
+                matrix[np.ix_(dofs(k1), dofs(k1))] += w * (
+                    (inflow + penalty) * np.outer(v1, v1)
+                    - alpha * (np.outer(v1, dn) + np.outer(dn, v1))
+                )
+                load[dofs(k1)] += w * ((inflow + penalty) * g * v1 - alpha * g * dn)
+                continue
+            v2, grad2 = basis(k2, point)
+            jump = np.concatenate([v1, -v2])
+            average = 0.5 * np.concatenate([v1, v2])
+            flux = 0.5 * np.concatenate([grad1 @ n, grad2 @ n])
+            matrix[np.ix_(dofs(k1, k2), dofs(k1, k2))] += w * (
+                -bn * np.outer(average, jump)
+                + (0.5 * abs(bn) + penalty) * np.outer(jump, jump)
+                - alpha * (np.outer(jump, flux) + np.outer(flux, jump))
+            )
+    return matrix, load
+
+
+@pytest.mark.parametrize(
+    "case,kind,sigma", [("AR_EXAMPLE", AR_UPWIND, None), ("DAR_EXAMPLE", DAR_SIP, 200.0)]
+)
+def test_operator_matches_the_textbook_forms_point_by_point(perturbed_mesh, case, kind, sigma):
+    coeffs = builtin_case(case)
+    mesh = perturbed_mesh(3)
+    sys = assemble_global_system(kind, mesh, p=2, coeffs=coeffs, sigma=sigma)
+    matrix, load = textbook_system(kind, mesh, 2, coeffs, sigma)
+    assert np.abs(sys.matrix.toarray() - matrix).max() <= 1e-13 * np.abs(matrix).max()
+    assert np.abs(sys.load - load).max() <= 1e-13 * np.abs(load).max()
+
+
+def test_system_keeps_the_operator_once_as_blocks():
+    coeffs = builtin_case("DAR_EXAMPLE")
+    sys = assemble_global_system(DAR_SIP, build_structured_mesh(3), p=2, coeffs=coeffs, sigma=200.0)
+    stored = [name for name, value in vars(sys).items() if sparse.issparse(value)]
+    assert stored == ["blocks"]
+    # the CSR matrix is built from the blocks on each request and is read-only
+    matrix = sys.matrix
+    assert matrix is not sys.matrix
+    assert (matrix != sys.blocks.tocsr()).nnz == 0
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.data[0] = 1.0
+    with pytest.raises(AttributeError):
+        sys.matrix = matrix
+    # a system built by hand from a matrix is cut into the same blocks
+    cut = DgSystem(DAR_SIP, matrix, load=sys.load, space=sys.space)
+    assert np.array_equal(cut.blocks.indices, sys.blocks.indices)
+    assert np.array_equal(cut.blocks.data, sys.blocks.data)
+    with pytest.raises(TypeError, match="either matrix or blocks"):
+        DgSystem(DAR_SIP, matrix, load=sys.load, space=sys.space, blocks=sys.blocks)
+    with pytest.raises(TypeError, match="either matrix or blocks"):
+        DgSystem(DAR_SIP, load=sys.load, space=sys.space)
 
 
 def test_space_must_be_the_degree_p_space_on_the_mesh():

@@ -234,28 +234,38 @@ def test_reduced_system_with_mixed_kernel_widths(monkeypatch):
     assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
 
 
-class Untouchable:
-    """Stands in for a matrix that must not be used."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"system.matrix.{name} used")
+def untouchable(system):
+    raise AssertionError("DgSystem.matrix used")
 
 
 @pytest.mark.parametrize(
     "case,kind,local_kind,sigma",
     [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
 )
-def test_trefftz_solves_never_use_the_assembled_matrix(case, kind, local_kind, sigma):
+def test_trefftz_solves_never_use_the_assembled_matrix(
+    monkeypatch, case, kind, local_kind, sigma
+):
     coeffs = builtin_case(case)
     sys = assemble_global_system(kind, build_structured_mesh(3), p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
-    blocks_only = replace(sys, matrix=Untouchable())
+    u_et = solve_embedded_trefftz(sys, emb)
+    u_bl = solve_block_coupled(emb.local_operators, sys, emb)
+    monkeypatch.setattr(DgSystem, "matrix", property(untouchable))
     with pytest.raises(AssertionError):
-        blocks_only.matrix.tocsc()
-    u_et = solve_embedded_trefftz(blocks_only, emb)
-    assert np.array_equal(u_et.coeffs, solve_embedded_trefftz(sys, emb).coeffs)
-    u_bl = solve_block_coupled(emb.local_operators, blocks_only, emb)
-    assert np.array_equal(u_bl.coeffs, solve_block_coupled(emb.local_operators, sys, emb).coeffs)
+        sys.matrix.tocsc()
+    assert np.array_equal(solve_embedded_trefftz(sys, emb).coeffs, u_et.coeffs)
+    assert np.array_equal(solve_block_coupled(emb.local_operators, sys, emb).coeffs, u_bl.coeffs)
+
+
+@pytest.mark.parametrize(
+    "case,kind,sigma", [("AR_EXAMPLE", AR_UPWIND, None), ("DAR_EXAMPLE", DAR_SIP, 450.0)]
+)
+def test_standard_solve_reads_the_blocks(monkeypatch, case, kind, sigma):
+    coeffs = builtin_case(case)
+    sys = assemble_global_system(kind, build_structured_mesh(3), p=2, coeffs=coeffs, sigma=sigma)
+    expected = solve_standard_dg(sys).coeffs
+    monkeypatch.setattr(DgSystem, "matrix", property(untouchable))
+    assert np.array_equal(solve_standard_dg(sys).coeffs, expected)
 
 
 def test_hand_gathered_embedding_solves_like_build_embedding():
