@@ -15,6 +15,10 @@ from .local_ops import AR, KINDS, operator_row_count
 from .quadrature import facet_quadrature
 from .solver import solve_block_coupled, solve_embedded_trefftz
 
+#: traces per evaluation batch: past about 2,000 traces a batch costs more
+#: than twice as much per trace
+_TRACE_CHUNK = 2048
+
 
 @dataclass
 class ErrorReport:
@@ -73,18 +77,27 @@ def _facet_error_jumps(solution, coeffs):
     interior = mesh.interior_facets
     if len(interior):
         pts = fpts[interior]
-        tr_l = solution.element_values(mesh.facet_left[interior], pts)
-        tr_r = solution.element_values(mesh.facet_right[interior], pts)
+        tr_l = _traces(solution, mesh.facet_left[interior], pts)
+        tr_r = _traces(solution, mesh.facet_right[interior], pts)
         jump = tr_r - tr_l  # exact solution cancels across the facet
         groups.append((interior, pts, jump))
     boundary = mesh.boundary_facets
     if len(boundary):
         pts = fpts[boundary]
-        tr = solution.element_values(mesh.facet_left[boundary], pts)
+        tr = _traces(solution, mesh.facet_left[boundary], pts)
         exact_vals = coeffs.exact_solution(pts[..., 0], pts[..., 1])
         err = require_finite(exact_vals, "exact solution", "facet", boundary) - tr
         groups.append((boundary, pts, err))
     return [(f, pts, mesh.facet_normals[f], fw[f], jump**2) for f, pts, jump in groups]
+
+
+def _traces(solution, elems, pts):
+    """Values of ``solution`` on the point sets ``pts`` ``(F, nq, 2)`` of
+    ``elems``, at most :data:`_TRACE_CHUNK` traces per batch."""
+    return np.concatenate([
+        solution.element_values(elems[start:start + _TRACE_CHUNK], pts[start:start + _TRACE_CHUNK])
+        for start in range(0, len(elems), _TRACE_CHUNK)
+    ])
 
 
 def _beta_normal(coeffs, pts, normals, facets):

@@ -6,6 +6,7 @@ manufactured test cases.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import sympy as sp
@@ -27,7 +28,10 @@ def _canonicalize(expr):
     return expr.subs(subs) if subs else expr
 
 
+@lru_cache(maxsize=256)
 def _lambdify(expr):
+    """Numpy function of ``expr``, cached: fields of equal expressions,
+    also in cases built anew, share one function."""
     # the generated docstring is never read and costs as much as the rest
     fn = sp.lambdify((X, Y), expr, modules="numpy", docstring_limit=0)
 

@@ -135,28 +135,47 @@ def compute_embedding(op, rank_rule=EXPECT_FULL_ROW_RANK, allow_fallback=True):
     return factors.embeddings()[0]
 
 
-def block_matrix(data, indices, indptr, row_widths=None, col_widths=None):
-    """CSR matrix of the blocks ``data`` ``(B, r, c)`` in BSR layout over
-    ``E x E`` block positions: block row ``k`` holds ``data[indptr[k]:
-    indptr[k + 1]]`` in block columns ``indices[indptr[k]:indptr[k + 1]]``.
-    Blocks padded in front, as :attr:`LocalFactors.kernels` are, keep only
-    the last ``row_widths[k]`` rows of block row ``k`` and the last
-    ``col_widths[l]`` columns of block column ``l``."""
+def block_matrix(data, indices, indptr, row_widths=None, col_widths=None, order=None):
+    """CSC matrix with sorted indices of the blocks ``data`` ``(B, r, c)``
+    in BSR layout over ``E x E`` block positions: block row ``k`` holds
+    ``data[indptr[k]:indptr[k + 1]]`` in block columns
+    ``indices[indptr[k]:indptr[k + 1]]``. With an element ``order`` the
+    block rows and columns come in that order, so the matrix is the
+    unordered one indexed ``[perm][:, perm]``. Blocks padded in front, as
+    :attr:`LocalFactors.kernels` are, keep only the last ``row_widths[k]``
+    rows of block row ``k`` and the last ``col_widths[l]`` columns of
+    block column ``l``.
+
+    The blocks are permuted and transposed as whole blocks and converted
+    once: the CSR form of the transpose, its block columns sorted, is the
+    wanted CSC matrix."""
     n_blocks = len(indptr) - 1
     _, r, c = data.shape
-    csr = sparse.bsr_matrix((data, indices, indptr), shape=(n_blocks * r, n_blocks * c)).tocsr()
-    if row_widths is not None and np.any(row_widths != r):
-        csr = csr[_trailing(row_widths, r)]
+    order = np.arange(n_blocks) if order is None else np.asarray(order)
+    position = np.empty(n_blocks, dtype=np.intp)
+    position[order] = np.arange(n_blocks)
+    rows = position[np.repeat(np.arange(n_blocks), np.diff(indptr))]
+    cols = position[indices]
+    key = np.lexsort((rows, cols))
+    t_indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_blocks))])
+    transpose = sparse.bsr_matrix(
+        (np.swapaxes(data, 1, 2)[key], rows[key], t_indptr), shape=(n_blocks * c, n_blocks * r)
+    ).tocsr()
+    csc = sparse.csc_matrix(
+        (transpose.data, transpose.indices, transpose.indptr), shape=(n_blocks * r, n_blocks * c)
+    )
     if col_widths is not None and np.any(col_widths != c):
-        csr = csr[:, _trailing(col_widths, c)]
-    return csr
+        csc = csc[:, _trailing(np.asarray(col_widths)[order], c)]
+    if row_widths is not None and np.any(row_widths != r):
+        csc = csc[_trailing(np.asarray(row_widths)[order], r)]
+    return csc
 
 
-def block_diagonal(blocks, widths=None):
-    """CSR matrix with the blocks ``(E, r, c)`` on its diagonal; see
-    :func:`block_matrix` for ``widths``."""
+def block_diagonal(blocks, widths=None, order=None):
+    """CSC matrix with the blocks ``(E, r, c)`` on its diagonal; see
+    :func:`block_matrix` for ``widths`` and ``order``."""
     k = np.arange(len(blocks) + 1)
-    return block_matrix(blocks, k[:-1], k, col_widths=widths)
+    return block_matrix(blocks, k[:-1], k, col_widths=widths, order=order)
 
 
 def _trailing(widths, size):
@@ -174,7 +193,7 @@ class GlobalEmbedding:
 
     embeddings: list
     offsets: np.ndarray
-    prolongation: sparse.csr_matrix
+    prolongation: sparse.csc_matrix
     u_L: np.ndarray
     ndof_trefftz: int
     kernels: np.ndarray = field(repr=False)

@@ -9,8 +9,13 @@ order (:func:`_solve_order`): the block-triangular form of the element-pair
 graph, with the mesh's nested-dissection order inside each strongly
 connected component. An acyclic upwind system then factors with no fill,
 and a connected one (SIP, cyclic flow) keeps the nested-dissection order.
-One step of iterative refinement and a pivoting LU as the fallback enforce
-the residual contract.
+The coupled system takes all complement unknowns first and then all
+Trefftz unknowns, each group in that element order, so its block-diagonal
+local rows are eliminated without fill. Each matrix is built once, already
+in solve order: :func:`block_matrix` permutes the element-pair blocks as
+whole blocks and converts them in one pass to the CSC matrix with sorted
+indices that the LU factors. One step of iterative refinement and a
+pivoting LU as the fallback enforce the residual contract.
 """
 
 from __future__ import annotations
@@ -64,39 +69,39 @@ class DiscreteSolution:
         return self.space.eval_function(local, elems, points, gradients)
 
 
-def _direct_solve(matrix, rhs, label, perm):
-    """Solve ``matrix x = rhs`` by sparse LU under the residual contract.
+def _direct_solve(ordered, rhs, label, perm):
+    """Solve ``A x = rhs`` by sparse LU under the residual contract, given
+    ``ordered = A[perm][:, perm]`` as :func:`block_matrix` builds it: CSC
+    with sorted indices, the unknowns already in solve order.
 
-    The unknowns are reordered by ``perm`` and factored without pivoting,
-    which keeps the fill of the ordering. If that factorization fails, or
-    its solution misses the residual contract after the refinement step,
-    the solve is repeated with the default COLAMD ordering and partial
+    The ordered matrix is factored without pivoting, which keeps the fill
+    of the ordering. If that factorization fails, or its solution misses
+    the residual contract after the refinement step, the solve is repeated
+    on the same matrix with the default COLAMD ordering and partial
     pivoting; a matrix that fails both raises :class:`SolverError`.
     """
-    csc = sparse.csc_matrix(matrix)
+    b = rhs[perm]
     try:
-        return _lu_solve(csc, rhs, label, perm)
+        y = _lu_solve(ordered, b, label, pivot=False)
     except SolverError:
-        return _lu_solve(csc, rhs, label, None)
+        y = _lu_solve(ordered, b, label, pivot=True)
+    x = np.empty_like(y)
+    x[perm] = y
+    return x
 
 
-def _lu_solve(csc, rhs, label, perm):
-    """One factorization, solve and refinement step; ``perm`` None keeps
-    SuperLU's default ordering and pivoting. The refinement residual is
-    accumulated in ``np.longdouble``, which takes the error of the refined
-    solution well below the ``cond(A) * eps`` of the first solve."""
+def _lu_solve(csc, rhs, label, pivot):
+    """One factorization, solve and refinement step; ``pivot`` uses
+    SuperLU's default ordering and pivoting in place of the given order.
+    The refinement residual is accumulated in ``np.longdouble``, which
+    takes the error of the refined solution well below the
+    ``cond(A) * eps`` of the first solve."""
     try:
-        if perm is None:
-            solve = splu(csc).solve
+        if pivot:
+            lu = splu(csc)
         else:
-            lu = splu(csc[perm][:, perm], permc_spec="NATURAL", diag_pivot_thresh=0.0)
-
-            def solve(b):
-                x = np.empty_like(b)
-                x[perm] = lu.solve(b[perm])
-                return x
-
-        x = solve(rhs)
+            lu = splu(csc, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        x = lu.solve(rhs)
     except (RuntimeError, ValueError) as exc:
         raise SolverError(
             f"{label}: sparse LU factorization failed ({exc}); "
@@ -107,7 +112,8 @@ def _lu_solve(csc, rhs, label, perm):
             f"{label}: non-finite solution entries, matrix is numerically singular "
             f"(shape {csc.shape})"
         )
-    x = x + solve((rhs - csc.astype(np.longdouble) @ x).astype(float))
+    wide = sparse.csc_matrix((csc.data.astype(np.longdouble), csc.indices, csc.indptr), csc.shape)
+    x = x + lu.solve((rhs - wide @ x).astype(float))
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
     residual = np.linalg.norm(csc @ x - rhs)
     if not residual <= _RESIDUAL_TOL * denom:
@@ -118,11 +124,10 @@ def _lu_solve(csc, rhs, label, perm):
     return x
 
 
-def _block_permutation(order, *bounds):
-    """Unknowns in element ``order``: for each element ``k`` the ranges
-    ``b[k]:b[k + 1]`` of every boundary array ``b`` in ``bounds``, in turn."""
-    starts = np.stack([b[:-1][order] for b in bounds], axis=1).ravel()
-    sizes = np.stack([np.diff(b)[order] for b in bounds], axis=1).ravel()
+def _block_permutation(order, bounds):
+    """Unknowns in element ``order``: for each element ``k`` the range
+    ``bounds[k]:bounds[k + 1]``."""
+    starts, sizes = bounds[:-1][order], np.diff(bounds)[order]
     ends = np.cumsum(sizes)
     return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
 
@@ -160,8 +165,11 @@ def _solve_order(system):
 def solve_standard_dg(system):
     """Solve the full DG system directly."""
     space = system.space
-    perm = _block_permutation(_solve_order(system), np.append(space.offsets, space.ndof_total))
-    x = _direct_solve(system.blocks, system.load, "standard DG solve", perm)
+    order = _solve_order(system)
+    A = system.blocks
+    ordered = block_matrix(A.data, A.indices, A.indptr, order=order)
+    perm = _block_permutation(order, np.append(space.offsets, space.ndof_total))
+    x = _direct_solve(ordered, system.load, "standard DG solve", perm)
     return DiscreteSolution(
         coeffs=x,
         space=system.space,
@@ -172,26 +180,28 @@ def solve_standard_dg(system):
     )
 
 
-def _project(system, left, right, left_widths=None, right_widths=None):
+def _project(system, left, right, left_widths=None, right_widths=None, order=None):
     """``left' A right`` for element stacks ``left``, ``right`` ``(E, n, w)``,
     one batched block ``left_K' B_KL right_L`` per stored block ``B_KL`` of
-    the system; see :func:`block_matrix` for the widths."""
+    the system; see :func:`block_matrix` for the widths and the order."""
     A = system.blocks
     rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
     data = np.swapaxes(left, 1, 2)[rows] @ (A.data @ right[A.indices])
-    return block_matrix(data, A.indices, A.indptr, left_widths, right_widths)
+    return block_matrix(data, A.indices, A.indptr, left_widths, right_widths, order)
 
 
-def reduced_system(system, embedding):
+def reduced_system(system, embedding, order=None):
     """The embedded Trefftz system ``T' A T`` and ``T' (l - A u_L)``,
-    formed from the system's blocks and the stacked kernels."""
+    formed from the system's blocks and the stacked kernels. An element
+    ``order`` orders the matrix as :func:`block_matrix` does; the
+    right-hand side keeps the numbering of the Trefftz unknowns."""
     space = system.space
     T = embedding.kernels
     if T.shape[:2] != (space.mesh.n_elements, space.ndof_local):
         raise ValueError("embedding and system dimensions do not match")
     widths = np.diff(embedding.offsets)
     rhs = embedding.prolongation.T @ (system.load - system.blocks @ embedding.u_L)
-    return _project(system, T, T, widths, widths), rhs
+    return _project(system, T, T, widths, widths, order), rhs
 
 
 def solve_embedded_trefftz(system, embedding):
@@ -201,9 +211,10 @@ def solve_embedded_trefftz(system, embedding):
     construction of the particular solution and the kernel, the global
     rows to solver tolerance.
     """
-    reduced, rhs = reduced_system(system, embedding)
-    perm = _block_permutation(_solve_order(system), embedding.offsets)
-    x = _direct_solve(reduced, rhs, "embedded Trefftz solve", perm)
+    order = _solve_order(system)
+    ordered, rhs = reduced_system(system, embedding, order)
+    perm = _block_permutation(order, embedding.offsets)
+    x = _direct_solve(ordered, rhs, "embedded Trefftz solve", perm)
     return DiscreteSolution(
         coeffs=embedding.prolongation @ x + embedding.u_L,
         space=system.space,
@@ -223,6 +234,14 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
     property of the kernels the result matches the embedded solve, which the
     diagnostics verify numerically. ``embedding`` comes from
     :func:`build_embedding`.
+
+    All complement unknowns are factored first, then all Trefftz unknowns,
+    each group in the element order of the solves. The local rows ``A L``
+    and ``A T`` are block diagonal, so eliminating the complement unknowns
+    first is static condensation (Guyan, AIAA J. 3, 1965): it adds no
+    entry outside the stored blocks, since the Schur complement
+    ``T'AT - T'AL (AL)^-1 AT`` left for the Trefftz unknowns has the block
+    pattern of ``T'AT``.
     """
     space = system.space
     mesh = space.mesh
@@ -242,24 +261,24 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
         )
     # every element keeps all rows, so every kernel has the full width
     L, T = factors.complement(complement_rule), embedding.kernels
-    L_global = block_diagonal(L)
-    k_total = L_global.shape[1]
-    block = sparse.bmat(
+    order = _solve_order(system)
+    ordered = sparse.bmat(
         [
-            [block_diagonal(A @ L), block_diagonal(A @ T)],
-            [_project(system, T, L), _project(system, T, T)],
+            [block_diagonal(A @ L, order=order), block_diagonal(A @ T, order=order)],
+            [_project(system, T, L, order=order), _project(system, T, T, order=order)],
         ],
         format="csc",
     )
     T_global = embedding.prolongation
     rhs = np.concatenate([op.rhs for op in local_ops] + [T_global.T @ system.load])
-    # per element: its complement unknowns, then its Trefftz unknowns
-    perm = _block_permutation(
-        _solve_order(system), n_rows * np.arange(mesh.n_elements + 1), k_total + embedding.offsets
-    )
-    x = _direct_solve(block, rhs, "coupled block solve", perm)
+    k_total = n_rows * mesh.n_elements
+    perm = np.concatenate([
+        _block_permutation(order, n_rows * np.arange(mesh.n_elements + 1)),
+        k_total + _block_permutation(order, embedding.offsets),
+    ])
+    x = _direct_solve(ordered, rhs, "coupled block solve", perm)
     c_l, c_t = x[:k_total], x[k_total:]
-    u_l = L_global @ c_l
+    u_l = block_diagonal(L) @ c_l
     u_t = T_global @ c_t
     return DiscreteSolution(
         coeffs=u_l + u_t,

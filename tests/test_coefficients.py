@@ -189,3 +189,25 @@ def test_non_finite_data_rejected_at_entry(field, entry):
             assemble_global_system(entry, mesh, 2, coeffs, sigma=50.0)
         else:
             build_embedding(BrokenSpace(mesh, 3), coeffs, entry)
+
+
+def test_second_case_build_reuses_the_lambdified_fields(monkeypatch):
+    x, y = SAMPLES[:, 0], SAMPLES[:, 1]
+
+    def evaluate(coeffs):
+        fields = (coeffs.f, coeffs.g_D, coeffs.gamma, coeffs.exact_solution)
+        values = [field(x, y) for field in fields] + [coeffs.beta(x, y)]
+        return values + [coeffs.exact_gradient()(x, y), coeffs.beta.divergence()(x, y)]
+
+    first = evaluate(builtin_case("AR_EXAMPLE"))
+
+    def no_lambdify(*_args, **_kwargs):
+        raise AssertionError("sp.lambdify called")
+
+    monkeypatch.setattr(sp, "lambdify", no_lambdify)
+    second = evaluate(builtin_case("AR_EXAMPLE"))
+    for got, want in zip(second, first):
+        np.testing.assert_array_equal(got, want)
+    # a new expression still needs its own function
+    with pytest.raises(AssertionError, match="sp.lambdify called"):
+        ScalarField(sp.Symbol("x") ** 7 + 3)(x, y)

@@ -356,9 +356,9 @@ def test_ordered_solves_match_plain_lu(
     solves = []
     direct_solve = solver._direct_solve
 
-    def recording(matrix, rhs, label, perm):
-        x = direct_solve(matrix, rhs, label, perm)
-        solves.append((matrix, rhs, perm, x))
+    def recording(ordered, rhs, label, perm):
+        x = direct_solve(ordered, rhs, label, perm)
+        solves.append((ordered, rhs, perm, x))
         return x
 
     monkeypatch.setattr(solver, "_direct_solve", recording)
@@ -369,10 +369,13 @@ def test_ordered_solves_match_plain_lu(
     # one unpivoted factorization per solve: the fallback never ran
     assert [c.get("permc_spec") for c in calls] == ["NATURAL"] * 3
     assert len(solves) == 3
-    for matrix, rhs, perm, x in solves:
+    for ordered, rhs, perm, x in solves:
         assert sorted(perm) == list(range(len(rhs)))
         assert np.any(perm != np.arange(len(rhs)))
-        reference = splu(sparse.csc_matrix(matrix)).solve(rhs)
+        # the solver gets the matrix already ordered; plain LU takes it back
+        # to the numbering of the right-hand side
+        inverse = np.argsort(perm)
+        reference = splu(sparse.csc_matrix(ordered[inverse][:, inverse])).solve(rhs)
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
@@ -527,3 +530,133 @@ def test_strong_component_labels_follow_the_arcs(data, acyclic):
     assert np.all(labels[heads] <= labels[tails])
     if acyclic:
         assert n_components == n
+
+
+def recording_direct_solves(monkeypatch):
+    """Record the permutation of every direct solve."""
+    perms = []
+    direct_solve = solver._direct_solve
+
+    def recording(ordered, rhs, label, perm):
+        perms.append(perm)
+        return direct_solve(ordered, rhs, label, perm)
+
+    monkeypatch.setattr(solver, "_direct_solve", recording)
+    return perms
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize(
+    "case,kind,local_kind,sigma",
+    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
+)
+def test_coupled_solve_eliminates_the_complement_unknowns_first(
+    monkeypatch, perturbed_mesh, perturbed, case, kind, local_kind, sigma
+):
+    coeffs = builtin_case(case)
+    mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
+    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    emb = build_embedding(sys.space, coeffs, local_kind)
+    perms = recording_direct_solves(monkeypatch)
+    factored = recording_factorizations(monkeypatch)
+    solve_embedded_trefftz(sys, emb)
+    solve_block_coupled(emb.local_operators, sys, emb)
+    (_, _, reduced_lu), (ordered, _, coupled_lu) = factored
+    perm = perms[1]
+    # the complement unknowns are numbered first, one block per element
+    k = int(emb.factors.rank.sum())
+    assert ordered.shape[0] == k + emb.ndof_trefftz
+    assert np.all(perm[:k] < k) and np.all(perm[k:] >= k)
+    inverse = np.argsort(perm)
+    coupled = sparse.csc_matrix(ordered)[inverse][:, inverse]
+    AL, AT, TAL = coupled[:k, :k], coupled[:k, k:], coupled[k:, :k]
+    # eliminating the block-diagonal local rows first stores the LU of AL,
+    # AT and T'AL, and leaves a Schur complement that factors like T'AT
+    fill = coupled_lu.L.nnz + coupled_lu.U.nnz
+    assert fill <= reduced_lu.L.nnz + reduced_lu.U.nnz + AL.nnz + AT.nnz + TAL.nnz + k
+
+
+def recording_handed_matrices(monkeypatch):
+    """Record a copy of every matrix handed to the LU, taken before
+    ``splu`` sorts its indices in place."""
+    handed = []
+    original = solver.splu
+
+    def recording(matrix, **options):
+        handed.append(matrix.copy())
+        return original(matrix, **options)
+
+    monkeypatch.setattr(solver, "splu", recording)
+    return handed
+
+
+def plain_ordered(matrix, perm):
+    """``matrix[perm][:, perm]`` by plain scipy indexing, indices sorted."""
+    expected = sparse.csc_matrix(matrix)[perm][:, perm]
+    expected.sort_indices()
+    return expected
+
+
+def projected(sys, left, right):
+    """The stored blocks ``left_K' B_KL right_L`` as one CSR matrix."""
+    A = sys.blocks
+    rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
+    data = np.swapaxes(left, 1, 2)[rows] @ (A.data @ right[A.indices])
+    return sparse.bsr_matrix((data, A.indices, A.indptr)).tocsr()
+
+
+def assert_sorted_and_equal(handed, expected):
+    assert handed.format == "csc"
+    # strictly increasing row indices inside every column
+    column_starts = np.zeros(len(handed.indices), dtype=bool)
+    column_starts[handed.indptr[:-1][np.diff(handed.indptr) > 0]] = True
+    assert np.all((np.diff(handed.indices) > 0) | column_starts[1:])
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(handed, attr), getattr(expected, attr))
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize(
+    "case,kind,local_kind,sigma",
+    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
+)
+def test_lu_gets_the_ordered_matrix_with_sorted_indices(
+    monkeypatch, perturbed_mesh, perturbed, case, kind, local_kind, sigma
+):
+    coeffs = builtin_case(case)
+    mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
+    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    emb = build_embedding(sys.space, coeffs, local_kind)
+    perms = recording_direct_solves(monkeypatch)
+    handed = recording_handed_matrices(monkeypatch)
+    solve_standard_dg(sys)
+    solve_embedded_trefftz(sys, emb)
+    solve_block_coupled(emb.local_operators, sys, emb)
+    A = np.stack([op.matrix for op in emb.local_operators])
+    L, T = emb.factors.complement(SVD_COMPLEMENT), emb.kernels
+    coupled = sparse.bmat(
+        [
+            [sparse.block_diag(list(A @ L)), sparse.block_diag(list(A @ T))],
+            [projected(sys, T, L), projected(sys, T, T)],
+        ]
+    )
+    unordered = (sys.blocks, projected(sys, T, T), coupled)
+    assert len(handed) == len(perms) == 3
+    for matrix, perm, plain in zip(handed, perms, unordered):
+        assert_sorted_and_equal(matrix, plain_ordered(plain, perm))
+
+
+def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch):
+    zero_odd_operators(monkeypatch)
+    coeffs = builtin_case("AR_EXAMPLE")
+    sys = assemble_global_system(AR_UPWIND, build_structured_mesh(3), p=3, coeffs=coeffs)
+    with pytest.warns(UserWarning, match="elements have numerically rank deficient"):
+        emb = build_embedding(sys.space, coeffs, AR)
+    perms = recording_direct_solves(monkeypatch)
+    handed = recording_handed_matrices(monkeypatch)
+    solve_embedded_trefftz(sys, emb)
+    assert len(handed) == 1
+    widths = np.diff(emb.offsets)
+    full = projected(sys, emb.kernels, emb.kernels)
+    keep = embedding_module._trailing(widths, emb.kernels.shape[2])
+    assert_sorted_and_equal(handed[0], plain_ordered(full[keep][:, keep], perms[0]))
