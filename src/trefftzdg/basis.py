@@ -7,29 +7,27 @@ triangle, so its orthonormal basis is one reference basis
 reference triangle's scaled monomials ``m``) composed with the inverse map
 and divided by ``sqrt(det J_K)``. The basis is graded by degree, so its
 leading functions are the orthonormal basis of every lower degree, and the
-first is the constant ``1/sqrt(area)``.
+first is the constant ``1/sqrt(area)``. No element has a basis of its own:
+:class:`BrokenSpace` and :class:`ElementBasis` hold only the affine maps.
 
-:class:`BrokenSpace` evaluates it without a per-element table: at the
-volume points, which are the images of one reference rule, values come
-from the shared :func:`reference_tables`, gradients are ``J_K^-T`` times
-the reference gradients and Laplacians the reference Hessians contracted
-with ``J_K^-1 J_K^-T``; volume forms are one matrix product of weighted
-coefficients with the shared :func:`reference_products`. Other points are
-pulled back to the reference triangle.
-
-Code that needs the basis over the element's own scaled monomials
-``(x - x_K)/h_K`` (the quasi-Trefftz point derivatives, :class:`ElementBasis`
-and the box operators) reads ``G_K`` with ``phi_K = G_K m_K``, built in
-closed form from ``C_ref`` (:func:`_closed_form_basis`), with no
-factorization per element. All monomial evaluation goes through
-:func:`tabulate`: a table of scaled monomials times a small per-element
-matrix ``(D^T G^T) / s^k``, with ``D`` an exact differentiation matrix in
-the monomial basis.
+At the volume points, which are the images of one reference rule, values
+come from the shared :func:`reference_tables`, gradients are ``J_K^-T``
+times the reference gradients and Laplacians the reference Hessians
+contracted with ``J_K^-1 J_K^-T``. A differential operator on the basis
+is applied by mapping its coefficients onto the reference derivatives
+(:func:`_operator_terms`), so volume forms are one matrix product of
+weighted coefficients with the shared :func:`reference_products`. Other
+points are pulled back to the reference triangle and the reference
+derivatives tabulated there (:func:`_reference_tabulate`, scaled monomials
+times per-degree maps ``D^T C_ref^T`` with ``D`` an exact differentiation
+matrix in the monomial basis). Derivatives of any order follow from the
+reference ones by the exact chain rule of the affine map
+(:func:`_chain_rule`).
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,12 +53,6 @@ class BasisEval:
     laplacians: np.ndarray = None
 
 
-#: differential operators for :func:`tabulate`
-_VALUES = ((0, 0),)
-_GRADIENT = (((1, 0),), ((0, 1),))
-_LAPLACIAN = ((2, 0), (0, 2))
-
-
 def _power_table(values, max_power):
     """Stack ``values**k`` for k = 0..max_power along a trailing axis."""
     table = np.empty(values.shape + (max_power + 1,))
@@ -79,7 +71,7 @@ def scaled_monomials(points, centers, scales, degree):
     most ``degree``. Powers come from cumulative product tables (integer
     exponents only), which is considerably faster than float ``**`` on
     large point sets. Derivatives are exact linear maps of this table, see
-    :func:`tabulate`.
+    :func:`derivative_matrix`.
     """
     pts = np.asarray(points, dtype=float)
     c = np.asarray(centers, dtype=float)
@@ -120,63 +112,6 @@ def derivative_matrix(degree, dx, dy):
     D[np.arange(len(exponents)), cols] = factor
     D.flags.writeable = False
     return D
-
-
-def tabulate(mono, coefficients, scales, degree, operators):
-    """Differential operators applied to polynomials given by their
-    scaled-monomial coefficients, at the points of a monomial table.
-
-    ``mono`` ``(E, nq, dim)`` comes from :func:`scaled_monomials`,
-    ``coefficients`` is ``(E, dim, m)`` (``G^T`` for the orthonormal basis
-    itself) and ``scales`` ``(E,)``; each of the ``k`` operators is a tuple
-    of multi-indices of one order, summed (``((2, 0), (0, 2))`` is the
-    Laplacian). The result ``(E, nq, k, m)`` is one batched matmul of the
-    table with the per-element ``(D^T coefficients) / s^order``, or, with
-    fewer points than functions, of the differentiated tables
-    ``(m D^T) / s^order`` with the coefficients: ``D`` goes on the smaller
-    factor.
-    """
-    s = np.asarray(scales, dtype=float)[:, None, None]
-    on_table = mono.shape[-2] < coefficients.shape[-1]
-    maps = []
-    for terms in operators:
-        D = sum(derivative_matrix(degree, dx, dy) for dx, dy in terms)
-        maps.append((mono @ D.T if on_table else D.T @ coefficients) / s ** sum(terms[0]))
-    stacked = np.stack(maps, axis=-2)
-    E, nq, k, m = mono.shape[0], mono.shape[-2], len(maps), coefficients.shape[-1]
-    if on_table:
-        out = stacked.reshape(E, nq * k, -1) @ coefficients
-    else:
-        out = mono @ stacked.reshape(E, -1, k * m)
-    return out.reshape(E, nq, k, m)
-
-
-def _basis_eval(mono, G, scales, degree, gradients=False, laplacians=False):
-    """Orthonormal basis ``phi = G m`` and the requested derivatives from a
-    monomial table, as views of one :func:`tabulate` result."""
-    operators = [_VALUES, *(_GRADIENT * gradients), *([_LAPLACIAN] * laplacians)]
-    tab = tabulate(mono, np.swapaxes(G, -1, -2), scales, degree, operators)
-    out = BasisEval(values=tab[..., 0, :])
-    if gradients:
-        out.gradients = np.swapaxes(tab[..., 1:3, :], -1, -2)
-    if laplacians:
-        out.laplacians = tab[..., -1, :]
-    return out
-
-
-def basis_derivative(points, centers, scales, G, degree, dx=0, dy=0):
-    """``D^(dx,dy)`` of the orthonormal bases ``phi = G m`` of a batch of
-    elements at per-element points: ``(E, nq, 2)`` in, ``(E, nq, n)`` out."""
-    mono = scaled_monomials(points, centers, scales, degree)
-    return tabulate(mono, np.swapaxes(G, -1, -2), scales, degree, [((dx, dy),)])[..., 0, :]
-
-
-def evaluate_basis(points, centers, scales, G, degree, gradients=False, laplacians=False):
-    """Orthonormal basis values (and optionally gradients and Laplacians)
-    of a batch of elements from one monomial table; arguments as in
-    :func:`basis_derivative`."""
-    mono = scaled_monomials(points, centers, scales, degree)
-    return _basis_eval(mono, G, scales, degree, gradients, laplacians)
 
 
 def _orthonormalizer(weights, mono):
@@ -235,15 +170,41 @@ def _reference_basis(degree):
 _REFERENCE_DERIVATIVES = polynomial_exponents(2)
 
 
-def _reference_tabulate(zeta, coefficients, degree, k):
-    """The first ``k`` of :data:`_REFERENCE_DERIVATIVES` of polynomials
-    with coefficients ``(E, dim, m)`` in the reference basis, at reference
-    points ``zeta`` ``(E, nq, 2)``: ``(E, nq, k, m)``, by :func:`tabulate`."""
-    E = len(zeta)
-    scales = np.full(E, _REFERENCE_SCALE)
-    mono = scaled_monomials(zeta, np.broadcast_to(_REFERENCE_CENTER, (E, 2)), scales, degree)
-    operators = [(d,) for d in _REFERENCE_DERIVATIVES[:k]]
-    return tabulate(mono, _reference_basis(degree).T @ coefficients, scales, degree, operators)
+def _derivative_maps(coefficients, degree, order):
+    """``D_b^T coefficients`` over the reference scale to the power ``|b|``
+    for every ``b`` in ``polynomial_exponents(order)`` (``K`` of them):
+    ``(..., dim, K, m)`` from coefficients ``(..., dim, m)`` over the
+    reference triangle's scaled monomials, so that a monomial table times
+    block ``b`` is ``D^b`` of the polynomials."""
+    return np.stack([
+        (derivative_matrix(degree, *b).T @ coefficients) / _REFERENCE_SCALE ** sum(b)
+        for b in polynomial_exponents(order)
+    ], axis=-2)
+
+
+@lru_cache(maxsize=None)
+def _reference_maps(degree, order):
+    """:func:`_derivative_maps` of the reference basis ``C_ref^T``,
+    ``(dim, K, dim)``; read-only, as every evaluation shares them."""
+    maps = _derivative_maps(_reference_basis(degree).T, degree, order)
+    maps.flags.writeable = False
+    return maps
+
+
+def _reference_tabulate(zeta, coefficients, degree, order):
+    """Every derivative ``D^b``, ``|b| <= order`` in the graded-lex order of
+    :func:`polynomial_exponents`, of the reference basis (``coefficients``
+    None) or of polynomials with coefficients ``(E, dim, m)`` in it, at
+    reference points ``zeta`` ``(E, nq, 2)``: ``(E, nq, K, dim or m)``."""
+    E, nq = zeta.shape[:2]
+    # one center and scale, broadcast over the elements
+    mono = scaled_monomials(zeta, _REFERENCE_CENTER[None], [_REFERENCE_SCALE], degree)
+    if coefficients is None:
+        maps = _reference_maps(degree, order)
+    else:
+        maps = _derivative_maps(_reference_basis(degree).T @ coefficients, degree, order)
+    out = mono @ maps.reshape(maps.shape[:-2] + (-1,))
+    return out.reshape(E, nq, maps.shape[-2], -1)
 
 
 def _volume_rule_degree(degree):
@@ -262,8 +223,7 @@ def reference_tables(degree):
     basis takes its values there from this one table.
     """
     bary, _ = duffy_rule_barycentric(_volume_rule_degree(degree))
-    eye = np.eye(space_dimension(degree))[None]
-    tab = _reference_tabulate(bary[None, :, 1:], eye, degree, len(_REFERENCE_DERIVATIVES))[0]
+    tab = _reference_tabulate(bary[None, :, 1:], None, degree, 2)[0]
     tab.flags.writeable = False
     return tab
 
@@ -289,7 +249,7 @@ def _to_elements(ref, inverses, dets, gradients=False, laplacians=False):
     """Element values, gradients and Laplacians of
     ``phi_K = phi_ref / sqrt(det J_K)`` from reference derivatives ``ref``
     ``(E or 1, nq, k, m)`` (the first ``k`` of
-    :data:`_REFERENCE_DERIVATIVES`), the inverse Jacobians ``inverses``
+    :data:`_REFERENCE_DERIVATIVES`: 1, 3 or 6), the inverse Jacobians ``inverses``
     ``(E, 2, 2)`` and ``dets`` ``(E,)``.
 
     Gradients are ``J_K^-T`` times the reference gradients, Laplacians the
@@ -311,6 +271,52 @@ def _to_elements(ref, inverses, dets, gradients=False, laplacians=False):
             + metric[..., 1, 1] * ref[:, :, 5]
         ) / r
     return out
+
+
+def _operator_terms(inverses, value=None, drift=None, laplacian=None):
+    """The operator ``value phi + drift . grad phi + laplacian lap phi`` on
+    ``phi_K = phi_ref / sqrt(det J_K)`` as weights on reference derivatives:
+    the derivatives of :data:`_REFERENCE_DERIVATIVES` it reads and their
+    weights ``(E, nq)``, from the inverse Jacobians ``inverses``
+    ``(E, 2, 2)`` and per-point coefficients ``(E, nq)`` (``drift``
+    ``(E, nq, 2)``); the factor ``1 / sqrt(det J_K)`` is the caller's.
+
+    ``beta . grad phi = (J^-1 beta) . grad_zeta phi_ref``, and ``lap phi``
+    is the reference Hessian contracted with the metric ``J^-1 J^-T``.
+    """
+    derivatives, terms = [], []
+    if value is not None:
+        derivatives.append((0, 0))
+        terms.append(value)
+    if drift is not None:
+        mapped = drift @ np.swapaxes(inverses, -1, -2)
+        derivatives += _REFERENCE_DERIVATIVES[1:3]
+        terms += [mapped[..., 0], mapped[..., 1]]
+    if laplacian is not None:
+        metric = inverses @ np.swapaxes(inverses, -1, -2)
+        derivatives += _REFERENCE_DERIVATIVES[3:]
+        terms += [laplacian * metric[:, None, 0, 0], 2.0 * laplacian * metric[:, None, 0, 1],
+                  laplacian * metric[:, None, 1, 1]]
+    return derivatives, terms
+
+
+def _chain_rule(ref, inverses, dets, order):
+    """Every derivative ``D^g phi_K``, ``|g| <= order`` in graded-lex order,
+    of ``phi_K = phi_ref(J_K^-1 (x - v0_K)) / sqrt(det J_K)`` from the same
+    derivatives ``ref`` ``(E, nq, K, m)`` of ``phi_ref``, the inverse
+    Jacobians ``inverses`` ``(E, 2, 2)`` and ``dets`` ``(E,)``.
+
+    Taylor expansion of the affine map gives, exactly,
+    ``D^g phi_K / g! = sum_(|b| = |g|) S_bg D^b phi_ref / b! / sqrt(det J_K)``
+    with ``m(J_K^-1 X) = S m(X)`` (:func:`_monomial_substitution`, block
+    diagonal by degree, so the sum may run over every ``b``).
+    """
+    factorials = np.array(
+        [math.factorial(a) * math.factorial(b) for a, b in polynomial_exponents(order)]
+    )
+    S = _monomial_substitution(inverses, order) * (factorials / factorials[:, None])
+    out = np.swapaxes(S, -1, -2)[:, None] @ ref
+    return out / np.sqrt(dets)[:, None, None, None]
 
 
 def _monomial_substitution(A, degree):
@@ -336,154 +342,90 @@ def _monomial_substitution(A, degree):
     return S
 
 
-def _affine_maps(vertices):
-    """``det J_K`` ``(E,)`` and the adjugate ``det J_K J_K^-1`` ``(E, 2, 2)``
-    of the maps ``x = v0_K + J_K zeta`` from the reference triangle onto
-    the triangles ``vertices`` ``(E, 3, 2)``."""
-    e1 = vertices[:, 1] - vertices[:, 0]
-    e2 = vertices[:, 2] - vertices[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    # J_K has the edges as columns; the rows of det J_K^-1 are e2 and -e1
-    # turned by a right angle, (x, y) @ perp = (y, -x)
-    perp = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return det, np.stack([e2 @ perp, -e1 @ perp], axis=1)
-
-
-def _closed_form_basis(vertices, scales, degree, weights, mono):
-    """Orthonormalization matrices ``G`` ``(E, dim, dim)`` of triangles
-    ``vertices`` ``(E, 3, 2)`` over their scaled monomials about the
-    centroids, scaled by ``scales``, without a factorization per element.
-
-    Element ``K`` is the image of the reference triangle under
-    ``x = c_K + J_K zeta``, with ``zeta`` the reference coordinates about
-    the reference centroid, so its orthonormal basis is the reference one
-    composed with the inverse map and divided by ``sqrt(|det J_K|)``. In
-    scaled monomials ``X = (x - c_K)/h_K`` that is ``zeta / h_ref = A_K X``
-    with ``A_K = h_K J_K^-1 / h_ref``, and
-    ``G_K = C_ref S_K / sqrt(|det J_K|)`` with the substitution matrix
-    ``S_K`` of :func:`_monomial_substitution`, then
-    :func:`_correct_orthonormality` takes out the rounding of that product
-    on the element's own rule (``weights`` ``(E, nq)`` and monomial table
-    ``mono`` ``(E, nq, dim)``, exact to degree ``2 degree``).
-    """
-    det, adjugate = _affine_maps(vertices)
-    A = adjugate * (np.asarray(scales, dtype=float) / (det * _REFERENCE_SCALE))[:, None, None]
-    G = _reference_basis(degree) @ _monomial_substitution(A, degree)
-    G /= np.sqrt(np.abs(det))[:, None, None]
-    return _correct_orthonormality(G, weights, mono)
-
-
-#: orthonormality error above which an element's basis is corrected, over
-#: ten times the rounding of the error itself at degree 6 (3e-14 to 8e-14
-#: on structured and perturbed meshes), and the cap on correction steps
-_ORTHONORMALITY_TOL = 1e-12
-_MAX_CORRECTIONS = 4
-#: orthonormality error left after the correction above which a space
-#: warns that its ``G`` is unusable
-_ORTHONORMALITY_WARN = 1e-8
-
-
-def _correct_orthonormality(G, weights, mono):
-    """Correct nearly orthonormal ``G`` ``(E, dim, dim)`` in place on a rule
-    (``weights`` ``(E, nq)``, monomial table ``mono`` ``(E, nq, dim)``)
-    without a factorization, and return it.
-
-    With the error ``Z = G M G^T - I`` for the monomial Gram matrix ``M``,
-    the step ``G <- (I - strict_tril(Z) - diag(Z)/2) G`` leaves an error of
-    order ``Z^2``. It repeats, on the elements whose ``max |Z|`` is still
-    above :data:`_ORTHONORMALITY_TOL`, at most :data:`_MAX_CORRECTIONS`
-    times; an element whose error is 1 or more is left as it is, as the
-    step does not converge there. Both factors are block lower triangular
-    by degree, so the leading rows stay the orthonormal basis of every
-    lower degree. Where the monomial table itself is too ill-conditioned
-    (slivers turned against the axes at high degree) the error stalls at
-    its rounding, as a QR of the same table does.
-    """
-    eye = np.eye(G.shape[-1])
-    rows = slice(None)
-    for _ in range(_MAX_CORRECTIONS):
-        Z = _orthonormality_defect(G[rows], weights[rows], mono[rows])
-        error = np.max(np.abs(Z), axis=(-2, -1))
-        step = (error > _ORTHONORMALITY_TOL) & (error < 1.0)
-        if not step.any():
-            break
-        rows = np.arange(len(G))[rows][step]
-        Z = Z[step]
-        G[rows] -= (np.tril(Z) - 0.5 * Z * eye) @ G[rows]
-    return G
-
-
-def _orthonormality_defect(G, weights, mono):
-    """``Z = G M G^T - I`` ``(E, dim, dim)`` on a rule, from the weighted
-    point values: forming the Gram matrix ``M`` first squares the
-    conditioning of ``G`` and can leave a larger error than it measures."""
-    Q = mono @ np.swapaxes(G, -1, -2)
-    Q *= np.sqrt(weights)[..., None]
-    return np.swapaxes(Q, -1, -2) @ Q - np.eye(G.shape[-1])
+def _pull_back(points, origins, adjugates, dets):
+    """Reference coordinates ``zeta = J_K^-1 (x - v0_K)`` of per-element
+    points ``(E, nq, 2)``."""
+    shifted = np.asarray(points, dtype=float) - origins[:, None]
+    # dividing last keeps each vertex's image exact and halves the
+    # rounding on slivers against multiplying by J_K^-1
+    zeta = shifted @ np.swapaxes(adjugates, -1, -2)
+    return zeta / dets[:, None, None]
 
 
 class ElementBasis:
-    """Orthonormal polynomial basis of one element.
+    """Orthonormal polynomial basis of one element: the reference basis
+    at ``zeta = J_K^-1 (x - v0_K)`` divided by ``sqrt(det J_K)``, as in
+    :class:`BrokenSpace`.
 
-    ``G`` maps the scaled-monomial vector ``m(x)`` to the orthonormal
-    basis, ``phi(x) = G m(x)``. It is block lower triangular by degree
-    (lower triangular when built by :meth:`from_rule`), so its leading
-    rows are the orthonormal basis of every lower degree. Evaluation is
-    polynomial extension: points are not required to lie inside the
-    element.
+    It holds the element's affine map only: the origin ``v0_K``, the
+    adjugate ``det J_K J_K^-1`` and ``det J_K``. The basis is graded by
+    degree, so its leading functions are the orthonormal basis of every
+    lower degree. Evaluation is polynomial extension: points are not
+    required to lie inside the element.
     """
 
-    def __init__(self, center, scale, G, degree):
-        self.center = np.asarray(center, dtype=float)
-        self.scale = float(scale)
-        self.G = np.asarray(G, dtype=float)
+    def __init__(self, origin, adjugate, det, degree):
+        self.origin = np.asarray(origin, dtype=float)
+        self.adjugate = np.asarray(adjugate, dtype=float)
+        self.det = float(det)
         self.degree = int(degree)
-        self.exponents = polynomial_exponents(self.degree)
 
     @property
     def dim(self):
-        return len(self.exponents)
+        return space_dimension(self.degree)
 
     @classmethod
     def from_element(cls, mesh, k, degree):
         if not 0 <= k < mesh.n_elements:
             raise IndexError(f"element index {k} out of range")
-        vertices = mesh.vertices[mesh.triangles[k]]
-        rule = triangle_rule(vertices, 2 * degree)
-        center, scale = mesh.centroids[k], mesh.h[k]
-        mono = scaled_monomials(rule.points[None], [center], [scale], degree)
-        G = _closed_form_basis(vertices[None], [scale], degree, rule.weights[None], mono)[0]
-        return cls(center=center, scale=scale, G=G, degree=degree)
+        origin = mesh.vertices[mesh.triangles[k, 0]]
+        return cls(origin, mesh.adjugates[k], 2.0 * mesh.areas[k], degree)
 
-    @classmethod
-    def from_rule(cls, center, scale, degree, rule):
-        """Basis orthonormal w.r.t. the (positive-weight) quadrature domain,
-        by QR of the weighted point values.
-
-        Used for test bases on domains other than mesh triangles (e.g.
-        boxes), whose bases :meth:`from_element` builds in closed form;
-        ``rule`` must be exact to degree ``2 * degree`` on its domain.
-        """
-        mono = scaled_monomials(rule.points[None], [center], [scale], degree)
-        G = _orthonormalizer(rule.weights[None], mono)[0]
-        return cls(center=center, scale=scale, G=G, degree=degree)
-
-    def _as_batch(self, points):
-        """Arguments of the batched evaluators for this element alone."""
+    def _reference(self, points, order):
+        """Reference derivatives up to ``order`` at ``points`` pulled back,
+        with the inverse Jacobian and ``det J_K``, as batches of one."""
+        dets = np.array([self.det])
         pts = np.asarray(points, dtype=float).reshape(1, -1, 2)
-        return pts, self.center[None], [self.scale], self.G[None], self.degree
+        zeta = _pull_back(pts, self.origin[None], self.adjugate[None], dets)
+        ref = _reference_tabulate(zeta, None, self.degree, order)
+        return ref, (self.adjugate / dets)[None], dets
 
-    def eval(self, points, gradients=False):
-        """Values (and optionally gradients) at ``points``."""
+    def eval(self, points, gradients=False, laplacians=False):
+        """Values (and optionally gradients and Laplacians) at ``points``."""
         shape = np.shape(points)[:-1]
-        ev = evaluate_basis(*self._as_batch(points), gradients)
+        order = 2 if laplacians else int(gradients)
+        ev = _to_elements(*self._reference(points, order), gradients, laplacians)
         drop = lambda a: None if a is None else a.reshape(shape + a.shape[2:])
-        return BasisEval(drop(ev.values), drop(ev.gradients))
+        return BasisEval(drop(ev.values), drop(ev.gradients), drop(ev.laplacians))
+
+    def derivatives(self, points, order):
+        """Every partial derivative of total order at most ``order`` of each
+        basis function, graded-lex: ``(..., K, dim)`` for ``points``
+        ``(..., 2)``; exact, by :func:`_chain_rule`."""
+        out = _chain_rule(*self._reference(points, order), order)
+        return out.reshape(np.shape(points)[:-1] + out.shape[2:])
+
+    def apply(self, points, value=None, drift=None, laplacian=None):
+        """``value phi + drift . grad phi + laplacian lap phi`` of every basis
+        function at ``points`` ``(..., 2)``, from per-point coefficients
+        ``(...)`` (``drift`` ``(..., 2)``): ``(..., dim)``. The coefficients
+        are mapped onto the reference derivatives (:func:`_operator_terms`,
+        as in :meth:`BrokenSpace.volume_matrices`), so no derivative of the
+        element basis is tabulated."""
+        shape = np.shape(points)[:-1]
+        ref, inverses, dets = self._reference(points, 1 if laplacian is None else 2)
+        batch = lambda a: None if a is None else np.reshape(a, (1, -1) + np.shape(a)[len(shape):])
+        fields = (batch(value), batch(drift), batch(laplacian))
+        derivatives, terms = _operator_terms(inverses, *fields)
+        index = [_REFERENCE_DERIVATIVES.index(d) for d in derivatives]
+        vals = np.einsum("eqk,eqkm->eqm", np.stack(terms, axis=-1), ref[:, :, index])
+        return (vals / np.sqrt(dets)[:, None, None]).reshape(shape + (self.dim,))
 
     def derivative(self, points, order):
         """Exact partial derivative ``D^order`` of each basis function."""
-        vals = basis_derivative(*self._as_batch(points), *order)
-        return vals.reshape(np.shape(points)[:-1] + vals.shape[2:])
+        total = sum(order)
+        index = polynomial_exponents(total).index(tuple(order))
+        return self.derivatives(points, total)[..., index, :]
 
 
 def l2_project(f, basis, rule):
@@ -524,52 +466,14 @@ class BrokenSpace:
         self.volume_points, self.volume_weights = volume_quadrature(
             mesh, _volume_rule_degree(self.degree)
         )
-        vertices = mesh.vertices[mesh.triangles]
-        self.dets, self._adjugates = _affine_maps(vertices)
-        self.origins = vertices[:, 0]
-        self.inverse_jacobians = self._adjugates / self.dets[:, None, None]
-        self._G = None
-
-    @property
-    def G(self):
-        """Per-element matrices ``G_K`` ``(E, dim, dim)`` with
-        ``phi_K = G_K m_K`` over the element's scaled monomials, built on
-        first use in closed form (:func:`_closed_form_basis`) and kept
-        read-only. Only the quasi-Trefftz kernel, :meth:`element_basis` and
-        what reads it (the per-element box operators) need them.
-
-        Over scaled monomials a sliver turned against the axes cannot be
-        made orthonormal at high degree; one counted warning names the
-        worst element if any error stays above 1e-8 after the correction.
-        """
-        if self._G is None:
-            mono = scaled_monomials(self.volume_points, self.centers, self.scales, self.degree)
-            G = _closed_form_basis(
-                self.mesh.vertices[self.mesh.triangles], self.scales, self.degree,
-                self.volume_weights, mono,
-            )
-            defect = _orthonormality_defect(G, self.volume_weights, mono)
-            error = np.max(np.abs(defect), axis=(1, 2))
-            bad = np.flatnonzero(~(error <= _ORTHONORMALITY_WARN))
-            if len(bad):
-                k = bad[np.argmax(np.nan_to_num(error[bad], nan=np.inf))]
-                warnings.warn(
-                    f"{len(bad)} of {len(G)} elements have no orthonormal degree-{self.degree} "
-                    f"basis over scaled monomials (orthonormality error above "
-                    f"{_ORTHONORMALITY_WARN:.0e}); worst element {k} (error {error[k]:.1e})"
-                )
-            G.flags.writeable = False
-            self._G = G
-        return self._G
+        self.dets = 2.0 * mesh.areas
+        self.adjugates = mesh.adjugates
+        self.origins = mesh.vertices[mesh.triangles[:, 0]]
+        self.inverse_jacobians = self.adjugates / self.dets[:, None, None]
 
     def _pull_back(self, points, elems):
-        """Reference coordinates ``zeta = J_K^-1 (x - v0_K)`` of per-element
-        points ``(m, nq, 2)``."""
-        shifted = np.asarray(points, dtype=float) - self.origins[elems][:, None]
-        # dividing last keeps each vertex's image exact and halves the
-        # rounding on slivers against multiplying by J_K^-1
-        zeta = shifted @ np.swapaxes(self._adjugates[elems], -1, -2)
-        return zeta / self.dets[elems][:, None, None]
+        """Reference coordinates of per-element points ``(m, nq, 2)``."""
+        return _pull_back(points, self.origins[elems], self.adjugates[elems], self.dets[elems])
 
     def volume_basis(self, elems=slice(None), gradients=False, laplacians=False):
         """Orthonormal basis values (and optionally gradients and
@@ -595,23 +499,11 @@ class BrokenSpace:
         :func:`reference_products`.
         """
         inverses = self.inverse_jacobians[elems]
-        metric = inverses @ np.swapaxes(inverses, -1, -2)
-        first = _REFERENCE_DERIVATIVES[1:3]
-        pairs, terms = [], []
-        if value is not None:
-            pairs.append(((0, 0), (0, 0)))
-            terms.append(value)
-        if drift is not None:
-            # beta . grad phi = (J^-1 beta) . grad_zeta phi_ref
-            mapped = drift @ np.swapaxes(inverses, -1, -2)
-            pairs += [((0, 0), d) for d in first]
-            terms += [mapped[..., 0], mapped[..., 1]]
-        if laplacian is not None:
-            # lap phi: the reference Hessian contracted with the metric
-            pairs += [((0, 0), d) for d in _REFERENCE_DERIVATIVES[3:]]
-            terms += [laplacian * metric[:, None, 0, 0], 2.0 * laplacian * metric[:, None, 0, 1],
-                      laplacian * metric[:, None, 1, 1]]
+        derivatives, terms = _operator_terms(inverses, value, drift, laplacian)
+        pairs = [((0, 0), d) for d in derivatives]
         if diffusion is not None:
+            metric = inverses @ np.swapaxes(inverses, -1, -2)
+            first = _REFERENCE_DERIVATIVES[1:3]
             pairs += [(a, b) for a in first for b in first]
             terms += [diffusion * metric[:, None, a, b] for a in range(2) for b in range(2)]
         scale = weights / self.dets[elems][:, None]
@@ -635,12 +527,13 @@ class BrokenSpace:
         are contracted first, so no basis table is built.
         """
         c = coeffs[elems]
-        k = 3 if gradients else 1
         if points is None:
+            k = 3 if gradients else 1
             table = reference_tables(self.degree)[:, :k]
             ref = (c @ table.reshape(-1, self.ndof_local).T).reshape(len(c), -1, k, 1)
         else:
-            ref = _reference_tabulate(self._pull_back(points, elems), c[..., None], self.degree, k)
+            zeta = self._pull_back(points, elems)
+            ref = _reference_tabulate(zeta, c[..., None], self.degree, int(gradients))
         ev = _to_elements(ref, self.inverse_jacobians[elems], self.dets[elems], gradients)
         return (ev.values[..., 0], ev.gradients[..., 0, :]) if gradients else ev.values[..., 0]
 
@@ -653,11 +546,25 @@ class BrokenSpace:
         reference basis is evaluated there in one product.
         """
         elems = np.asarray(elems)
-        zeta = self._pull_back(points, elems)
-        eye = np.eye(self.ndof_local)[None]
-        ref = _reference_tabulate(zeta.reshape(1, -1, 2), eye, self.degree, 3 if gradients else 1)
-        ref = ref.reshape(zeta.shape[:2] + ref.shape[2:])
+        ref = self._reference_basis_at(elems, points, int(gradients))
         return _to_elements(ref, self.inverse_jacobians[elems], self.dets[elems], gradients)
 
+    def derivatives(self, elems, points, order):
+        """Every partial derivative of total order at most ``order`` of the
+        basis of ``elems``, graded-lex, at per-element ``points``
+        ``(m, nq, 2)``: ``(m, nq, K, ndof_local)``; exact, by
+        :func:`_chain_rule`."""
+        elems = np.asarray(elems)
+        ref = self._reference_basis_at(elems, points, order)
+        return _chain_rule(ref, self.inverse_jacobians[elems], self.dets[elems], order)
+
+    def _reference_basis_at(self, elems, points, order):
+        """Reference basis derivatives up to ``order`` at the pulled-back
+        points, tabulated in one product over all of them."""
+        zeta = self._pull_back(points, elems)
+        ref = _reference_tabulate(zeta.reshape(1, -1, 2), None, self.degree, order)
+        return ref.reshape(zeta.shape[:2] + ref.shape[2:])
+
     def element_basis(self, k):
-        return ElementBasis(self.centers[k], self.scales[k], self.G[k], self.degree)
+        """The :class:`ElementBasis` of element ``k``."""
+        return ElementBasis(self.origins[k], self.adjugates[k], self.dets[k], self.degree)

@@ -8,23 +8,25 @@ kind), so dual norms of A_K u reduce to Euclidean vector norms. The
 mesh-size scalings baked into each kind keep the induced norms uniform
 in h; diagnostics downstream rely on them.
 
-The volume-projected and box-restricted kinds write the PDE operator as
-``value phi + drift . grad phi + laplacian lap phi`` with coefficients
-evaluated once per point (:func:`_operator_fields`). The trial basis is
-orthonormal on its element and graded by degree, so on a triangle rule
-the test basis is its leading columns. On a space's volume rule the
-operators of a batch of elements are one matrix product of the weighted
+Every trial basis is the reference-triangle basis mapped to its element
+(:mod:`trefftzdg.basis`). The volume-projected and box-restricted kinds
+write the PDE operator as ``value phi + drift . grad phi + laplacian lap
+phi`` with coefficients evaluated once per point (:func:`_operator_fields`)
+and mapped onto the reference derivatives of the basis. The trial basis is
+orthonormal on its element and graded by degree, so on a triangle rule the
+test basis is its leading columns. On a space's volume rule the operators
+of a batch of elements are one matrix product of the mapped, weighted
 coefficients with the space's shared reference tables
-(:meth:`BrokenSpace.volume_matrices`), with no basis tabulated per
-element. The element's own rule (a batch of one, with a caller's basis)
-and the box kind contract the coefficients with the trial basis tabulated
-on the rule (:func:`_operator_kernel`). The box kind runs element by
-element, but its rule and test basis are those of the unit square, built
-once per degree and mapped to each box, so per element only the box, the
-mapped rule, the trial basis at its points and the kernel remain. The
-quasi-Trefftz kind has one batched point-derivative kernel at the element
-centers. The per-element entry points :func:`assemble_local_operator` and
-:func:`leibniz_point_derivative` are batches of one of them.
+(:meth:`BrokenSpace.volume_matrices`). On one element's own rule, and for
+the box kind, the operator is applied to the basis at the rule points
+(:meth:`ElementBasis.apply`). The box kind runs element by element, but
+its rule and test basis are those of the unit square, built once per degree
+and mapped to each box. The quasi-Trefftz kind has one batched
+point-derivative kernel at the element centers, fed with the trial basis
+derivatives up to order ``p`` there (chain rule of the affine map), and
+:func:`leibniz_point_derivative` is a batch of one of it. The per-element
+entry point :func:`assemble_local_operator` rejects a basis whose affine
+map is not the element's.
 """
 
 from __future__ import annotations
@@ -37,12 +39,10 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (
-    ElementBasis,
-    evaluate_basis,
+    _orthonormalizer,
     polynomial_exponents,
     scaled_monomials,
     space_dimension,
-    tabulate,
 )
 from .coefficients import require_finite, require_positive
 from .quadrature import box_rule, triangle_rule
@@ -161,30 +161,6 @@ def _operator_fields(kind, coeffs, elems, points):
     return fields, require_finite(coeffs.f(x, y), "f", "element", elems)
 
 
-def _operator_kernel(kind, coeffs, elems, rule, trial, test, scale):
-    """Matrices and loads of the AR, DAR or DAR_BOX operator on a batch of
-    elements from tabulated bases.
-
-    ``rule`` is a positive-weight rule per element on the test domain
-    (points ``(E, nq, 2)``, weights ``(E, nq)``). ``trial`` is the
-    degree-``p`` trial basis tabulated at its points (a ``BasisEval`` with
-    values, gradients and, but for AR, Laplacians), and ``test`` holds the
-    values ``(E, nq, m)`` of a test basis orthonormal on the rule. Rows and
-    loads carry the kind's mesh-size factor ``scale`` ``(E,)``, see
-    :func:`_row_scale`.
-    """
-    pts, w = rule
-    fields, f = _operator_fields(kind, coeffs, elems, pts)
-    vals = np.einsum("eqjd,eqd->eqj", trial.gradients, fields["drift"])
-    if "laplacian" in fields:
-        vals += fields["laplacian"][..., None] * trial.laplacians
-    if "value" in fields:
-        vals += fields["value"][..., None] * trial.values
-    # scaled, weighted test values: A = Q_w^T V and l = Q_w^T f per element
-    qw = test * (scale[:, None] * w)[..., None]
-    return np.swapaxes(qw, -1, -2) @ vals, np.einsum("eqi,eq->ei", qw, f)
-
-
 def _row_scale(kind, s):
     """Mesh-size factor of the rows for test monomials of scale ``s``:
     ``sqrt(s)`` for AR and ``s`` otherwise."""
@@ -198,56 +174,57 @@ def _unit_box_test_basis(p):
     at the points of its degree-``2p + 4`` rule; read-only, as every box
     shares them.
 
-    A box of side ``s`` is the unit square scaled by ``s``: its rule has the
-    same points in box coordinates and weights scaled by ``s**2``, and its
-    test monomials, of scale ``s sqrt(2)``, take the same values. Graded
-    Gram-Schmidt commutes with that scaling, so the box's test values are
-    these divided by ``s``.
+    The test basis orthonormalizes the scaled monomials about the box
+    center, of scale the box diameter, on the box rule. A box of side ``s``
+    is the unit square scaled by ``s``: its rule has the same points in box
+    coordinates and weights scaled by ``s**2``, and its test monomials, of
+    scale ``s sqrt(2)``, take the same values. Graded Gram-Schmidt commutes
+    with that scaling, so the box's test values are these divided by ``s``.
     """
     unit = ElementBox(center=np.array([0.5, 0.5]), side=1.0)
     rule = box_rule(unit.center, unit.side, 2 * p + 4)
-    values = ElementBasis.from_rule(unit.center, unit.h, p - 2, rule).eval(rule.points).values
+    mono = scaled_monomials(rule.points[None], unit.center[None], [unit.h], p - 2)
+    G = _orthonormalizer(rule.weights[None], mono)
+    values = (mono @ np.swapaxes(G, -1, -2))[0]
     values.flags.writeable = False
     return values
 
 
-def _qt_kernel(coeffs, p, elems, trial, h):
+def _qt_kernel(coeffs, p, elems, centers, phi, h):
     """Quasi-Trefftz rows and loads on a batch of elements: the derivatives
-    ``D^i``, ``|i| <= p - 2``, of the PDE residual at the trial centers,
-    scaled by ``h**(1.5 + |i|)`` with the element diameters ``h`` ``(E,)``.
-    ``trial`` holds the centers ``(E, 2)``, scales ``(E,)`` and
-    orthonormalization matrices ``(E, n, n)`` of the degree-``p`` trial
-    bases. No quadrature involved.
+    ``D^i``, ``|i| <= p - 2``, of the PDE residual at the element
+    ``centers`` ``(E, 2)``, scaled by ``h**(1.5 + |i|)`` with the element
+    diameters ``h`` ``(E,)``. ``phi`` ``(E, K, n)`` holds every derivative
+    of order at most ``p`` of the degree-``p`` trial bases at the centers,
+    graded-lex. No quadrature involved.
     """
-    x, y = trial[0].T
+    x, y = centers.T
     require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
     indices = polynomial_exponents(p - 2)
     scale = np.asarray(h, dtype=float)[:, None] ** (1.5 + np.sum(indices, axis=1))
     f = np.stack([coeffs.f.derivative(*i)(x, y) for i in indices], axis=1)
     require_finite(f, "f", "element", elems)
-    rows = _leibniz_rows(indices, coeffs.alpha, p, trial[0], trial)
+    rows = _leibniz_rows(indices, coeffs.alpha, centers, phi)
     return -scale[..., None] * rows, scale * f
 
 
-def _leibniz_rows(indices, alpha, p, points, trial):
+def _leibniz_rows(indices, alpha, points, phi):
     """``D^i div(alpha grad phi_j)`` at one point per element, for every
     multi-index ``i`` of ``indices`` and every trial basis function ``j``:
-    points ``(E, 2)`` in, ``(E, len(indices), n)`` out.
+    points ``(E, 2)`` and the trial basis derivatives ``phi`` ``(E, K, n)``
+    there, every one of order at most ``max |i| + 2`` in graded-lex order,
+    in; ``(E, len(indices), n)`` out.
 
     Expands div(alpha grad w) = alpha lap(w) + grad(alpha).grad(w) and
     applies the Leibniz product rule; all polynomial derivatives are exact.
-    Each basis and alpha derivative is evaluated once for the whole batch,
-    so the loops run over multi-indices only.
+    Each alpha derivative is evaluated once for the whole batch, so the
+    loops run over multi-indices only.
     """
     pts = np.asarray(points, dtype=float)[:, None]
     top = max(ix + iy for ix, iy in indices) + 1
     a = {d: alpha.derivative(*d)(pts[..., 0], pts[..., 1]) for d in polynomial_exponents(top)}
-    centers, scales, G = trial
-    derivatives = polynomial_exponents(top + 1)
-    mono = scaled_monomials(pts, centers, scales, p)
-    tab = tabulate(mono, np.swapaxes(G, -1, -2), scales, p, [(d,) for d in derivatives])
-    phi = dict(zip(derivatives, np.moveaxis(tab[:, 0], 1, 0)))
-    rows = np.zeros((len(pts), len(indices), G.shape[-1]))
+    phi = dict(zip(polynomial_exponents(top + 1), np.moveaxis(phi, 1, 0)))
+    rows = np.zeros((len(pts), len(indices), phi[0, 0].shape[-1]))
     for row, (ix, iy) in enumerate(indices):
         for lx, ly in itertools.product(range(ix + 1), range(iy + 1)):
             binom = math.comb(ix, lx) * math.comb(iy, ly)
@@ -259,56 +236,65 @@ def _leibniz_rows(indices, alpha, p, points, trial):
     return rows
 
 
-#: orthonormality error of the test columns above which
-#: :func:`assemble_local_operator` rejects a basis: far above the rounding
-#: of a basis built for the element, far below that of one built elsewhere
-_TEST_GRAM_TOL = 1e-6
+#: relative difference above which :func:`assemble_local_operator` takes a
+#: basis's affine map for another element's than its own
+_MAP_RTOL = 1e-12
+
+
+def _require_element_basis(mesh, element, basis):
+    """Reject a basis whose origin, adjugate or ``det J`` differ from those
+    of element ``element`` by more than :data:`_MAP_RTOL` relative to the
+    largest entry of each."""
+    own = (*mesh.vertices[mesh.triangles[element, 0]].tolist(),
+           *mesh.adjugates[element].ravel().tolist(), 2.0 * mesh.areas[element].item())
+    given = (*basis.origin.tolist(), *basis.adjugate.ravel().tolist(), basis.det)
+    if given == own:
+        # the element's own basis holds the mesh's numbers exactly
+        return
+    for name, part in (("origin", slice(0, 2)), ("adjugate", slice(2, 6)), ("det J", slice(6, 7))):
+        bound = _MAP_RTOL * max(map(abs, own[part]))
+        if not all(abs(a - b) <= bound for a, b in zip(own[part], given[part])):
+            raise ValueError(
+                f"the basis passed for element {element} is not that element's: "
+                f"its {name} differs"
+            )
 
 
 def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
     """Matrix representation of the local operator on one element.
 
     ``basis`` is the element's orthonormal trial basis of degree p, graded
-    by degree as :class:`ElementBasis` builds it; for the volume-projected
-    kinds its leading columns are the test basis, and a basis whose test
-    columns are not orthonormal on the element to :data:`_TEST_GRAM_TOL`
-    is rejected. The returned rows are tested against an orthonormal
-    basis of the kind's test space; the load vector carries the same
-    mesh-size scaling as the operator. Every kind is a batch of one of the
-    kernel that :func:`assemble_local_operators` uses.
+    by degree (:class:`ElementBasis`); a basis built for another element
+    is rejected (:func:`_require_element_basis`). For the volume-projected
+    kinds its leading columns are the test basis. The returned rows are
+    tested against an orthonormal basis of the kind's test space; the load
+    vector carries the same mesh-size scaling as the operator.
     """
     p = basis.degree
     _validate(kind, p, coeffs)
-    trial = (basis.center[None], np.array([basis.scale]), basis.G[None])
+    _require_element_basis(mesh, element, basis)
     if kind == QT_DIFFUSION:
-        matrices, loads = _qt_kernel(coeffs, p, [element], trial, [mesh.h[element]])
+        center = mesh.centroids[element][None]
+        phi = basis.derivatives(center, p)
+        matrices, loads = _qt_kernel(coeffs, p, [element], center, phi, [mesh.h[element]])
+        return LocalOperator(kind=kind, element=element, matrix=matrices[0], rhs=loads[0])
+    if kind == DAR_BOX:
+        box = compute_box(mesh, element, box_scale)
+        rule, scale = box_rule(box.center, box.side, 2 * p + 4), box.h
+        test = _unit_box_test_basis(p) / box.side
     else:
-        if kind == DAR_BOX:
-            box = compute_box(mesh, element, box_scale)
-            rule, scale = box_rule(box.center, box.side, 2 * p + 4), box.h
-        else:
-            rule = triangle_rule(mesh.vertices[mesh.triangles[element]], 2 * p + 4)
-            scale = mesh.h[element]
-        rule = (rule.points[None], rule.weights[None])
-        tab = evaluate_basis(rule[0], *trial, p, gradients=True, laplacians=kind != AR)
-        if kind == DAR_BOX:
-            test = _unit_box_test_basis(p)[None] / box.side
-        else:
-            # as in the batched path: the trial basis is orthonormal on the
-            # element and graded by degree, so its leading columns are the
-            # test basis
-            test = tab.values[..., : operator_row_count(kind, p)]
-            gram = np.einsum("q,qi,qj->ij", rule[1][0], test[0], test[0])
-            off = np.max(np.abs(gram - np.eye(len(gram))))
-            if off > _TEST_GRAM_TOL:
-                raise ValueError(
-                    f"the basis passed for element {element} is not orthonormal on it: "
-                    f"its test columns are off by {off:.1e}"
-                )
-        matrices, loads = _operator_kernel(
-            kind, coeffs, [element], rule, tab, test, _row_scale(kind, [scale])
-        )
-    return LocalOperator(kind=kind, element=element, matrix=matrices[0], rhs=loads[0])
+        rule = triangle_rule(mesh.vertices[mesh.triangles[element]], 2 * p + 4)
+        scale = mesh.h[element]
+        # as in the batched path: the trial basis is orthonormal on the
+        # element and graded by degree, so its leading columns are the test
+        # basis
+        test = basis.eval(rule.points).values[:, : operator_row_count(kind, p)]
+    fields, f = _operator_fields(kind, coeffs, [element], rule.points[None])
+    # scaled, weighted test values: A = Q_w^T L(phi) and l = Q_w^T f
+    qw = test * (_row_scale(kind, scale) * rule.weights)[:, None]
+    matrix = qw.T @ basis.apply(rule.points[None], **fields)[0]
+    rhs = np.einsum("qi,q->i", qw, f[0])
+    return LocalOperator(kind=kind, element=element, matrix=matrix, rhs=rhs)
 
 
 def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
@@ -320,8 +306,8 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
     the point-derivative kernel at the element centers. The box kind goes
     element by element, as each element has its own box; per element it
     computes the box, maps the unit-square rule and test basis (cached per
-    degree) onto it, tabulates the trial basis at the mapped points and
-    runs the kernel.
+    degree) onto it and applies the operator to the trial basis at the
+    mapped points.
     """
     mesh = space.mesh
     p = space.degree
@@ -338,8 +324,9 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
         chunk = slice(start, min(start + _CHUNK, mesh.n_elements))
         elems = np.arange(chunk.start, chunk.stop)
         if kind == QT_DIFFUSION:
-            trial = (space.centers[chunk], space.scales[chunk], space.G[chunk])
-            matrices, loads = _qt_kernel(coeffs, p, elems, trial, space.scales[chunk])
+            centers = space.centers[chunk]
+            phi = space.derivatives(elems, centers[:, None], p)[:, 0]
+            matrices, loads = _qt_kernel(coeffs, p, elems, centers, phi, space.scales[chunk])
         else:
             # the space's basis is orthonormal on the same rule and graded by
             # degree, so its leading columns are the test basis
@@ -360,6 +347,7 @@ def leibniz_point_derivative(index, basis, coefficients, alpha, point):
     ``w`` given by coefficients in the element basis; a batch of one of the
     Leibniz rows of the quasi-Trefftz kernel. Fails if ``alpha`` has no
     derivative oracle of order ``|index| + 1``."""
-    trial = (basis.center[None], np.array([basis.scale]), basis.G[None])
-    rows = _leibniz_rows([tuple(index)], alpha, basis.degree, np.reshape(point, (1, 2)), trial)
+    point = np.reshape(point, (1, 2))
+    phi = basis.derivatives(point, sum(index) + 2)
+    rows = _leibniz_rows([tuple(index)], alpha, point, phi)
     return float(rows[0, 0] @ np.asarray(coefficients, dtype=float))

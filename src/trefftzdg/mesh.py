@@ -62,6 +62,11 @@ class Mesh2D:
                 f"clockwise vertices)"
             )
         self.areas = signed
+        # the map x = v0 + J zeta from the reference triangle has J = [e01 e02]
+        # and det J = 2 area; the rows of its adjugate det J J^-1 are e02 and
+        # -e01 turned by a right angle, (x, y) @ perp = (y, -x)
+        perp = np.array([[0.0, -1.0], [1.0, 0.0]])
+        self.adjugates = np.stack([e02 @ perp, -e01 @ perp], axis=1)
         self.centroids = tri.mean(axis=1)
         # side lengths opposite each local vertex
         a = np.linalg.norm(tri[:, 2] - tri[:, 1], axis=1)

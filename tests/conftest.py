@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,5 +20,19 @@ def perturbed_mesh():
         shift = np.column_stack([np.sin(7.1 * x + 3.3 * y), np.cos(5.3 * x - 2.9 * y)])
         verts[interior] += 0.2 / n * shift[interior]
         return Mesh2D(vertices=verts, triangles=base.triangles)
+
+    return build
+
+
+@pytest.fixture
+def sliver_mesh():
+    """Builder of one needle triangle of unit length and height
+    ``1/aspect``, turned by ``turn`` radians."""
+
+    def build(aspect, turn):
+        c, s = math.cos(turn), math.sin(turn)
+        turned = np.array([[c, s], [-s, c]])
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 1.0 / aspect]]) @ turned
+        return Mesh2D(vertices=verts, triangles=np.array([[0, 1, 2]]))
 
     return build

@@ -6,22 +6,21 @@ import numpy as np
 import pytest
 
 from trefftzdg.basis import (
+    _REFERENCE_CENTER,
+    _REFERENCE_SCALE,
     BrokenSpace,
     ElementBasis,
-    _correct_orthonormality,
     _derivative_table,
     _orthonormalizer,
     _reference_basis,
-    basis_derivative,
+    _reference_tabulate,
     derivative_matrix,
-    evaluate_basis,
     l2_project,
     polynomial_exponents,
     reference_products,
     reference_tables,
     scaled_monomials,
     space_dimension,
-    tabulate,
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
 from trefftzdg.quadrature import triangle_rule
@@ -154,90 +153,61 @@ def test_orthonormality_random_elements(degree, seed):
     assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-10
 
 
-def sliver_mesh(aspect, turn):
-    """One needle triangle of unit length and height ``1/aspect``, turned
-    by ``turn`` radians."""
-    c, s = math.cos(turn), math.sin(turn)
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 1.0 / aspect]]) @ np.array([[c, s], [-s, c]])
-    return Mesh2D(vertices=verts, triangles=np.array([[0, 1, 2]]))
-
-
-def orthonormality_error(mesh, G, degree):
-    # on a finer rule than the one the basis was orthonormalized on
+def orthonormality_error(mesh, evaluate, degree):
+    """Orthonormality error of the basis values ``evaluate(points)`` on a
+    finer rule than the one the basis was orthonormalized on."""
     rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * degree + 2)
-    vals = evaluate_basis(rule.points[None], mesh.centroids, mesh.h, G[None], degree).values[0]
+    vals = evaluate(rule.points)
     gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
-    return np.max(np.abs(gram - np.eye(len(G))))
+    return np.max(np.abs(gram - np.eye(vals.shape[-1])))
+
+
+def element_values(mesh, degree):
+    basis = ElementBasis.from_element(mesh, 0, degree)
+    return lambda points: basis.eval(points).values
 
 
 @pytest.mark.parametrize("aspect", [1e1, 1e3])
-def test_orthonormality_axis_aligned_sliver(aspect):
+def test_orthonormality_axis_aligned_sliver(aspect, sliver_mesh):
     mesh = sliver_mesh(aspect, 0.0)
-    assert orthonormality_error(mesh, ElementBasis.from_element(mesh, 0, 6).G, 6) < 1e-12
+    assert orthonormality_error(mesh, element_values(mesh, 6), 6) < 1e-12
 
 
 @pytest.mark.parametrize(("aspect", "degree"), [(1e1, 6), (1e2, 4), (1e3, 3)])
-def test_orthonormality_turned_sliver_matches_qr(aspect, degree):
+def test_orthonormality_turned_sliver_matches_qr(aspect, degree, sliver_mesh):
     # turned against the axes, a sliver's scaled monomials are nearly
     # dependent, so no construction over them is orthonormal to rounding;
-    # the closed form must do as well as a QR of the element's own table
+    # the mapped reference basis must do at least as well as a QR of the
+    # element's own table
     mesh = sliver_mesh(aspect, 0.7)
     rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * degree)
-    mono = scaled_monomials(rule.points[None], mesh.centroids, mesh.h, degree)
-    qr = orthonormality_error(mesh, _orthonormalizer(rule.weights[None], mono)[0], degree)
-    got = orthonormality_error(mesh, ElementBasis.from_element(mesh, 0, degree).G, degree)
+    mono = lambda points: scaled_monomials(points[None], mesh.centroids, mesh.h, degree)[0]
+    G = _orthonormalizer(rule.weights[None], mono(rule.points)[None])[0]
+    qr = orthonormality_error(mesh, lambda points: mono(points) @ G.T, degree)
+    got = orthonormality_error(mesh, element_values(mesh, degree), degree)
     assert got <= max(2.0 * qr, 1e-12)
 
 
-def test_correction_leaves_a_hopeless_element_as_built():
-    # at aspect ratio 1000 and p = 6 the turned sliver's table is beyond
-    # any orthonormalization; the step diverges there and must not run
-    mesh = sliver_mesh(1e3, 0.7)
-    error = orthonormality_error(mesh, ElementBasis.from_element(mesh, 0, 6).G, 6)
-    assert 1.0 <= error < 1e10
-
-
 @pytest.mark.parametrize("aspect", [1e1, 1e2, 1e3])
-def test_turned_sliver_space_is_orthonormal_and_warns_about_G(aspect):
+def test_turned_sliver_space_is_orthonormal(aspect, sliver_mesh):
     # the space maps the reference basis, so a turned needle's basis is
-    # orthonormal to rounding where no G over its scaled monomials is
+    # orthonormal to rounding where no basis over its scaled monomials is;
+    # nothing is corrected and nothing warns
     mesh = sliver_mesh(aspect, 0.7)
-    space = BrokenSpace(mesh, 6)
-    eye = np.eye(space.ndof_local)
-    values = space.volume_basis().values[0]
-    gram = np.einsum("q,qi,qj->ij", space.volume_weights[0], values, values)
-    assert np.max(np.abs(gram - eye)) < 1e-12
-    # on a finer rule than the space's
-    rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * 6 + 6)
-    values = space.eval_elements([0], rule.points[None]).values[0]
-    gram = np.einsum("q,qi,qj->ij", rule.weights, values, values)
-    assert np.max(np.abs(gram - eye)) < 1e-12
-    if aspect < 1e2:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert orthonormality_error(mesh, space.G[0], 6) < 1e-8
-    else:
-        warning = r"^1 of 1 elements .* worst element 0 \(error "
-        with pytest.warns(UserWarning, match=warning) as record:
-            space.G
-            space.G
-        assert len(record) == 1
-
-
-@pytest.mark.parametrize("perturbed", [False, True])
-def test_correction_converges_from_a_far_start(perturbed, perturbed_mesh):
-    # one step only squares the error: from 1e-3 off it leaves about 1e-6
-    mesh = perturbed_mesh(2) if perturbed else build_structured_mesh(2)
-    space = BrokenSpace(mesh, 4)
-    degree = np.sum(polynomial_exponents(4), axis=1)
-    # relative noise keeps the zeros above the degree blocks
-    noise = np.random.default_rng(5).uniform(-1e-3, 1e-3, size=space.G.shape)
-    mono = scaled_monomials(space.volume_points, space.centers, space.scales, 4)
-    G = _correct_orthonormality(space.G * (1.0 + noise), space.volume_weights, mono)
-    assert np.all(G[:, degree[None, :] > degree[:, None]] == 0.0)
-    values = evaluate_basis(space.volume_points, space.centers, space.scales, G, 4).values
-    gram = np.einsum("eq,eqi,eqj->eij", space.volume_weights, values, values)
-    assert np.max(np.abs(gram - np.eye(space.ndof_local))) < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        space = BrokenSpace(mesh, 6)
+        eye = np.eye(space.ndof_local)
+        values = space.volume_basis().values[0]
+        gram = np.einsum("q,qi,qj->ij", space.volume_weights[0], values, values)
+        assert np.max(np.abs(gram - eye)) < 1e-12
+        # on a finer rule than the space's, through the space and the
+        # element basis
+        rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * 6 + 6)
+        for values in (space.eval_elements([0], rule.points[None]).values[0],
+                       space.element_basis(0).eval(rule.points).values):
+            gram = np.einsum("q,qi,qj->ij", rule.weights, values, values)
+            assert np.max(np.abs(gram - eye)) < 1e-12
 
 
 def test_degree_one_gradients_constant_hessian_zero():
@@ -335,18 +305,6 @@ def test_broken_space_offsets_and_basis():
     assert vals[0, 0] == pytest.approx(1.0 / math.sqrt(mesh.areas[3]))
 
 
-def reference_basis_derivative(space, dx, dy):
-    """``D^(dx,dy)`` of the space's basis at its volume points: each
-    monomial's derivative gathered from a scaled-monomial table with its
-    constant factor, then mapped by ``G^T``."""
-    exps = polynomial_exponents(space.degree)
-    cols = [exps.index((max(a - dx, 0), max(b - dy, 0))) for a, b in exps]
-    factor = np.array([math.perm(a, dx) * math.perm(b, dy) for a, b in exps], dtype=float)
-    table = scaled_monomials(space.volume_points, space.centers, space.scales, space.degree)
-    mono = table[..., cols] * factor / space.scales[:, None, None] ** (dx + dy)
-    return mono @ np.swapaxes(space.G, -1, -2)
-
-
 def assert_rel_close(actual, expected, rtol):
     scale = max(float(np.max(np.abs(expected))), 1.0e-300)
     assert np.max(np.abs(actual - expected)) <= rtol * scale
@@ -355,23 +313,26 @@ def assert_rel_close(actual, expected, rtol):
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("p", range(1, 7))
 def test_volume_table_matches_evaluate_basis(p, perturbed, perturbed_mesh):
+    # the shared tables mapped to the elements against the basis evaluated
+    # at the pulled-back volume points, and against the derivatives of the
+    # chain rule of the affine map
     mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
     space = BrokenSpace(mesh, p)
+    elems = np.arange(mesh.n_elements)
     tab = space.volume_basis(gradients=True, laplacians=True)
-    args = (space.volume_points, space.centers, space.scales, space.G, p)
-    ref = evaluate_basis(*args, gradients=True)
+    ref = space.eval_elements(elems, space.volume_points, gradients=True)
     assert_rel_close(tab.values, ref.values, 1e-12)
     assert_rel_close(tab.gradients, ref.gradients, 1e-12)
-    laplacians = basis_derivative(*args, 2, 0) + basis_derivative(*args, 0, 2)
-    assert_rel_close(tab.laplacians, laplacians, 1e-12)
-    assert_rel_close(tab.values, reference_basis_derivative(space, 0, 0), 1e-12)
-    for d, (dx, dy) in enumerate([(1, 0), (0, 1)]):
-        assert_rel_close(tab.gradients[..., d], reference_basis_derivative(space, dx, dy), 1e-12)
+    derivatives = space.derivatives(elems, space.volume_points, 2)
+    assert_rel_close(tab.values, derivatives[..., 0, :], 1e-12)
+    for d in range(2):
+        assert_rel_close(tab.gradients[..., d], derivatives[..., 1 + d, :], 1e-12)
     if p >= 2:
-        lap = reference_basis_derivative(space, 2, 0) + reference_basis_derivative(space, 0, 2)
+        lap = derivatives[..., 3, :] + derivatives[..., 5, :]
         assert_rel_close(tab.laplacians, lap, 1e-12)
     else:
         assert np.all(tab.laplacians == 0.0)
+        assert np.all(derivatives[..., 3:, :] == 0.0)
 
 
 def test_volume_function_matches_basis_table(perturbed_mesh):
@@ -412,17 +373,25 @@ def test_derivative_matrix_agrees_with_derivative_table(degree):
 
 @pytest.mark.parametrize("npoints", [3, None])
 def test_tabulate_applies_the_derivative_matrix(npoints):
-    # D goes on the table for fewer points than basis functions (3 < 15),
-    # on the coefficients otherwise (49 points); both equal the product
+    # the reference derivatives at fewer points than basis functions
+    # (3 < 15) and at more (49 points), of the reference basis itself and
+    # of a batch of polynomials in it: each the derivative matrix applied
+    # to the reference basis over its scaled monomials
     space = BrokenSpace(build_structured_mesh(2), 4)
-    mono = scaled_monomials(space.volume_points, space.centers, space.scales, 4)[:, :npoints]
-    Gt = np.swapaxes(space.G, -1, -2)
-    laplacian = ((2, 0), (0, 2))
-    tab = tabulate(mono, Gt, space.scales, 4, [((1, 0),), ((0, 1),), laplacian])
-    for i, terms in enumerate([((1, 0),), ((0, 1),), laplacian]):
-        D = sum(derivative_matrix(4, dx, dy) for dx, dy in terms)
-        expected = mono @ (D.T @ Gt) / space.scales[:, None, None] ** sum(terms[0])
-        assert_rel_close(tab[..., i, :], expected, 1e-14)
+    zeta = space._pull_back(space.volume_points[:, :npoints], slice(None))
+    E, nq = zeta.shape[:2]
+    center = np.broadcast_to(_REFERENCE_CENTER, (E, 2))
+    mono = scaled_monomials(zeta, center, np.full(E, _REFERENCE_SCALE), 4)
+    coefficients = np.random.default_rng(4).standard_normal((E, 15, 2))
+    basis = _reference_tabulate(zeta, None, 4, 2)
+    functions = _reference_tabulate(zeta, coefficients, 4, 2)
+    assert basis.shape == (E, nq, 6, 15) and functions.shape == (E, nq, 6, 2)
+    Ct = _reference_basis(4).T
+    for i, (dx, dy) in enumerate(polynomial_exponents(2)):
+        D = derivative_matrix(4, dx, dy)
+        expected = mono @ (D.T @ Ct) / _REFERENCE_SCALE ** (dx + dy)
+        assert_rel_close(basis[..., i, :], expected, 1e-14)
+        assert_rel_close(functions[..., i, :], expected @ coefficients, 1e-14)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -435,8 +404,8 @@ def test_leading_basis_columns_are_the_lower_degree_basis(p, perturbed, perturbe
     for q in (p - 1, p - 2):
         if q < 0:
             continue
-        G = BrokenSpace(mesh, q).G
-        lower = evaluate_basis(space.volume_points, space.centers, space.scales, G, q).values
+        elems = np.arange(mesh.n_elements)
+        lower = BrokenSpace(mesh, q).eval_elements(elems, space.volume_points).values
         assert_rel_close(values[..., : space_dimension(q)], lower, 1e-12)
 
 
@@ -461,9 +430,12 @@ def test_closed_form_basis_is_block_triangular_and_orthonormal(p, perturbed, per
     mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
     space = BrokenSpace(mesh, p)
     degree = np.sum(polynomial_exponents(p), axis=1)
-    # basis function i uses no monomial of a higher degree than its own
-    above = degree[None, :] > degree[:, None]
-    assert np.all(space.G[:, above] == 0.0)
+    # basis function i uses no monomial of a higher degree than its own:
+    # every derivative of a higher order is exactly zero
+    elems = np.arange(mesh.n_elements)
+    derivatives = space.derivatives(elems, space.volume_points[:, :4], p)
+    above = degree[:, None] > degree[None, :]
+    assert np.all(derivatives[..., above] == 0.0)
     values = space.volume_basis().values
     gram = np.einsum("eq,eqi,eqj->eij", space.volume_weights, values, values)
     assert np.max(np.abs(gram - np.eye(space.ndof_local))) < 1e-12
@@ -474,8 +446,15 @@ def test_closed_form_basis_is_block_triangular_and_orthonormal(p, perturbed, per
 def test_element_basis_matches_the_space(p, perturbed, perturbed_mesh):
     mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
     space = BrokenSpace(mesh, p)
+    tab = space.volume_basis(gradients=True, laplacians=True)
     for k in range(mesh.n_elements):
-        assert_rel_close(ElementBasis.from_element(mesh, k, p).G, space.G[k], 1e-12)
+        own, viewed = ElementBasis.from_element(mesh, k, p), space.element_basis(k)
+        for name in ("origin", "adjugate", "det", "degree"):
+            np.testing.assert_array_equal(getattr(own, name), getattr(viewed, name))
+        ev = own.eval(space.volume_points[k], gradients=True, laplacians=True)
+        assert_rel_close(ev.values, tab.values[k], 1e-12)
+        assert_rel_close(ev.gradients, tab.gradients[k], 1e-12)
+        assert_rel_close(ev.laplacians, tab.laplacians[k], 1e-12)
 
 
 def test_reference_basis_is_cached_read_only():
@@ -486,12 +465,27 @@ def test_reference_basis_is_cached_read_only():
 
 
 def test_space_runs_no_factorization_per_element(monkeypatch, perturbed_mesh):
+    # once the per-degree reference basis exists, building a space and
+    # evaluating every element basis, its derivatives of any order and an
+    # element's own view of it factor nothing
     mesh = perturbed_mesh(4)
-    expected = BrokenSpace(mesh, 5).G
+    elems = np.arange(mesh.n_elements)
+    points = mesh.centroids[:, None]
+
+    def evaluate():
+        space = BrokenSpace(mesh, 5)
+        tab = space.volume_basis(gradients=True, laplacians=True)
+        return (tab.values, tab.gradients, tab.laplacians,
+                space.eval_elements(elems, points, gradients=True).gradients,
+                space.derivatives(elems, points, 6),
+                space.element_basis(3).derivatives(points[3], 6))
+
+    expected = evaluate()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("factorization called while building a broken space")
+        raise AssertionError("factorization called while evaluating a broken space")
 
     for name in ("qr", "solve", "svd"):
         monkeypatch.setattr(np.linalg, name, refuse)
-    np.testing.assert_array_equal(BrokenSpace(mesh, 5).G, expected)
+    for got, want in zip(evaluate(), expected):
+        np.testing.assert_array_equal(got, want)

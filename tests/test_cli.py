@@ -236,31 +236,43 @@ def test_repeated_values_rejected_before_meshing(tmp_path, monkeypatch, capsys, 
 
 
 def test_run_builds_no_volume_monomial_table_and_no_G(tmp_path, monkeypatch):
-    # assembly, local operators and error norms map the shared reference
-    # tables at the volume points; the per-element G is never built
+    # every method maps the reference basis: assembly, local operators and
+    # error norms take the shared reference tables at the volume points,
+    # and nothing orthonormalizes per element, only once per degree on the
+    # reference triangle and on the unit box
     import trefftzdg.basis as basis
+    import trefftzdg.local_ops as local_ops
     from trefftzdg.quadrature import duffy_rule_barycentric
 
     nq = len(duffy_rule_barycentric(2 * 3 + 4)[1])
-    tables = []
-    original = basis.scaled_monomials
+    tables, orthonormalized = [], []
+    originals = {"scaled_monomials": basis.scaled_monomials,
+                 "_orthonormalizer": basis._orthonormalizer}
 
     def counting(points, *args, **kwargs):
         tables.append(np.shape(points)[:2])
-        return original(points, *args, **kwargs)
+        return originals["scaled_monomials"](points, *args, **kwargs)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("G built during a dg,et run")
+    def recording(weights, mono):
+        orthonormalized.append(np.shape(mono))
+        return originals["_orthonormalizer"](weights, mono)
 
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("trefftzdg"):
-            if getattr(module, "scaled_monomials", None) is original:
-                monkeypatch.setattr(module, "scaled_monomials", counting)
-    monkeypatch.setattr(basis, "_closed_form_basis", refuse)
-    assert main(["run", "--case", "AR_EXAMPLE", "--methods", "dg,et", "--p", "3",
-                 "--n", "2,4", "--out", str(tmp_path / "ar.csv")]) == 0
+            for name, replacement in (("scaled_monomials", counting),
+                                      ("_orthonormalizer", recording)):
+                if getattr(module, name, None) is originals[name]:
+                    monkeypatch.setattr(module, name, replacement)
+    for cached in (basis._reference_basis, basis._reference_maps, basis.reference_tables,
+                   basis.reference_products, local_ops._unit_box_test_basis):
+        cached.cache_clear()
+    assert main(["run", "--case", "BOX_DIFFUSION_2D", "--methods", "dg,et,etbox,qt",
+                 "--p", "3", "--n", "2,4", "--out", str(tmp_path / "box.csv")]) == 0
     assert tables
     assert not [shape for shape in tables if shape[0] > 1 and shape[1] == nq]
+    # degree 3 on the reference triangle's 25-point rule, degree 1 on the
+    # unit box's 36-point rule
+    assert sorted(orthonormalized) == [(1, 25, 10), (1, 36, 3)]
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -8,8 +8,11 @@ import sympy as sp
 from trefftzdg.basis import (
     BrokenSpace,
     ElementBasis,
+    _orthonormalizer,
+    _reference_basis,
     l2_project,
     polynomial_exponents,
+    scaled_monomials,
     space_dimension,
 )
 from trefftzdg.coefficients import ScalarField, builtin_case, manufactured_case
@@ -94,18 +97,18 @@ def test_qt_row_against_symbolic_oracle():
     basis = ElementBasis.from_element(mesh, 5, degree=p)
     op = assemble_local_operator(QT_DIFFUSION, mesh, 5, basis, coeffs)
     assert op.matrix.shape == (1, 6)
-    # symbolic differentiation oracle applied to the orthonormalized basis
+    # symbolic differentiation oracle applied to the orthonormal reference
+    # basis composed with the element's inverse map
     x, y = sp.symbols("x y", real=True)
-    cx, cy = basis.center
-    hk = basis.scale
     alpha = 1 + x + y
     xk = mesh.centroids[5]
+    hk = mesh.h[5]
+    zeta = reference_coordinates(x, y, *basis.origin, *(basis.adjugate / basis.det).ravel())
+    mono = reference_monomials(*zeta, p)
+    C = _reference_basis(p)
     expected = np.empty(basis.dim)
     for j in range(basis.dim):
-        phi = sum(
-            basis.G[j, m] * ((x - cx) / hk) ** a * ((y - cy) / hk) ** b
-            for m, (a, b) in enumerate(basis.exponents)
-        )
+        phi = sum(C[j, m] * mono[m] for m in range(basis.dim)) / sp.sqrt(basis.det)
         div_term = sp.diff(alpha * sp.diff(phi, x), x) + sp.diff(alpha * sp.diff(phi, y), y)
         expected[j] = -hk ** 1.5 * float(div_term.subs({x: xk[0], y: xk[1]}))
     assert np.allclose(op.matrix[0], expected, rtol=1e-10, atol=1e-10)
@@ -264,18 +267,17 @@ def test_kind_preconditions():
         assemble_local_operator("NOPE", UNIT_RIGHT, 0, basis1, coeffs)
 
 
-@pytest.mark.parametrize("kind", [AR, DAR])
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_basis_not_orthonormal_on_the_element_is_rejected(kind):
-    # the test basis is the leading trial columns, so the trial basis must
-    # be orthonormal on this element: one built on the element's box is not
-    mesh = build_structured_mesh(2)
-    coeffs = builtin_case("DAR_EXAMPLE")
-    own = ElementBasis.from_element(mesh, 3, degree=3)
-    box = compute_box(mesh, 3, 0.25)
-    on_box = ElementBasis.from_rule(own.center, own.scale, 3, box_rule(box.center, box.side, 6))
-    assemble_local_operator(kind, mesh, 3, own, coeffs)
-    with pytest.raises(ValueError, match="not orthonormal"):
-        assemble_local_operator(kind, mesh, 3, on_box, coeffs)
+    # every kind evaluates the trial basis it is given, so a basis of
+    # another element, even a congruent one, must not pass for this one's
+    mesh = build_structured_mesh(4)
+    coeffs = builtin_case("QT_DIFFUSION" if kind != AR else "AR_EXAMPLE")
+    assemble_local_operator(kind, mesh, 3, ElementBasis.from_element(mesh, 3, 3), coeffs)
+    for other in (5, 20):
+        foreign = ElementBasis.from_element(mesh, other, 3)
+        with pytest.raises(ValueError, match="passed for element 3 is not that element's"):
+            assemble_local_operator(kind, mesh, 3, foreign, coeffs)
 
 
 def test_nonpositive_alpha_rejected():
@@ -339,6 +341,14 @@ def perturbed_grid_mesh():
     return Mesh2D(vertices=verts, triangles=np.array(tris))
 
 
+def box_test_basis(box, degree, rule):
+    """Values at the points of ``rule`` of the scaled monomials about the
+    box center, of scale the box diameter, orthonormalized on ``rule`` by
+    QR of the weighted point values."""
+    mono = scaled_monomials(rule.points[None], box.center[None], [box.h], degree)
+    return (mono @ np.swapaxes(_orthonormalizer(rule.weights[None], mono), -1, -2))[0]
+
+
 def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
     """Per-element operator written out directly. AR/DAR: the test basis is
     the leading trial columns on the element's rule; DAR_BOX: it is
@@ -352,7 +362,7 @@ def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
     if kind == DAR_BOX:
         box = compute_box(mesh, k, box_scale)
         rule = box_rule(box.center, box.side, 2 * p + 4)
-        qv = ElementBasis.from_rule(box.center, box.h, p - 2, rule).eval(rule.points).values
+        qv = box_test_basis(box, p - 2, rule)
         scale = box.h
     else:
         rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4)
@@ -381,35 +391,54 @@ def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
 def reference_qt_operator(mesh, k, basis, coeffs):
     """Rows ``-h^(1.5+|i|) D^i div(alpha grad phi_j)`` and loads
     ``h^(1.5+|i|) D^i f`` at the centroid for ``|i| <= p - 2``, each
-    monomial of the trial basis differentiated symbolically as a whole."""
+    reference monomial composed with the element's inverse map and
+    differentiated symbolically as a whole."""
     oracle = symbolic_qt_oracle(coeffs.alpha.expr, coeffs.f.expr, basis.degree)
     point = mesh.centroids[k]
+    inverse = (basis.adjugate / basis.det).ravel()
+    C = _reference_basis(basis.degree) / math.sqrt(basis.det)
     matrix, rhs = [], []
     for (ix, iy), mono_rows, f_derivative in oracle:
         scale = mesh.h[k] ** (1.5 + ix + iy)
-        mono = np.array(mono_rows(*point, *basis.center, basis.scale), dtype=float)
-        matrix.append(-scale * (basis.G @ mono))
+        mono = np.array(mono_rows(*point, *basis.origin, *inverse), dtype=float)
+        matrix.append(-scale * (C @ mono))
         rhs.append(scale * float(f_derivative(*point)))
     return np.array(matrix), np.array(rhs)
 
 
+def reference_coordinates(x, y, x0, y0, a00, a01, a10, a11):
+    """``zeta = A (x - v0)`` with ``A = J^-1``, symbolically."""
+    return a00 * (x - x0) + a01 * (y - y0), a10 * (x - x0) + a11 * (y - y0)
+
+
+def reference_monomials(zx, zy, p):
+    """The scaled monomials of the reference triangle, about its centroid
+    and scaled by its diameter, at ``(zx, zy)``, graded-lex."""
+    c, s = sp.Rational(1, 3), sp.sqrt(2)
+    return [((zx - c) / s) ** a * ((zy - c) / s) ** b for a, b in polynomial_exponents(p)]
+
+
 @functools.lru_cache(maxsize=None)
 def symbolic_qt_oracle(alpha, f, p):
-    """Per multi-index ``i``: ``D^i div(alpha grad m)`` of every scaled
-    monomial ``m`` of degree ``<= p`` as a function of the point, the center
-    and the scale, and ``D^i f`` as a function of the point."""
-    x, y, cx, cy, s = sp.symbols("x y cx cy s", real=True)
-    divs = []
-    for a, b in polynomial_exponents(p):
-        m = ((x - cx) / s) ** a * ((y - cy) / s) ** b
-        divs.append(sp.diff(alpha * sp.diff(m, x), x) + sp.diff(alpha * sp.diff(m, y), y))
+    """Per multi-index ``i``: ``D^i div(alpha grad m)`` of every reference
+    scaled monomial ``m`` of degree ``<= p`` composed with ``A (x - v0)``,
+    as a function of the point, ``v0`` and the entries of ``A``, and
+    ``D^i f`` as a function of the point."""
+    x, y, x0, y0, a00, a01, a10, a11 = sp.symbols("x y x0 y0 a00 a01 a10 a11", real=True)
+    mono = reference_monomials(*reference_coordinates(x, y, x0, y0, a00, a01, a10, a11), p)
+    # each D^i from a lower one by a single differentiation
+    divs = {(0, 0): [sp.diff(alpha * sp.diff(m, x), x) + sp.diff(alpha * sp.diff(m, y), y)
+                     for m in mono]}
+    for ix, iy in polynomial_exponents(p - 2)[1:]:
+        lower, var = ((ix - 1, iy), x) if ix else ((0, iy - 1), y)
+        divs[ix, iy] = [sp.diff(d, var) for d in divs[lower]]
     return [
         (
-            (ix, iy),
-            sp.lambdify((x, y, cx, cy, s), [sp.diff(d, x, ix, y, iy) for d in divs]),
-            sp.lambdify((x, y), sp.diff(f, x, ix, y, iy)),
+            index,
+            sp.lambdify((x, y, x0, y0, a00, a01, a10, a11), rows),
+            sp.lambdify((x, y), sp.diff(f, x, index[0], y, index[1])),
         )
-        for ix, iy in polynomial_exponents(p - 2)
+        for index, rows in divs.items()
     ]
 
 
@@ -522,7 +551,7 @@ def test_unit_box_test_basis_scales_to_every_box(p, side, center):
     relative, hence the ``1e-12`` bound at ``side = 1e-3``."""
     box = ElementBox(center=np.array(center), side=side)
     rule = box_rule(box.center, box.side, 2 * p + 4)
-    reference = ElementBasis.from_rule(box.center, box.h, p - 2, rule).eval(rule.points).values
+    reference = box_test_basis(box, p - 2, rule)
     scaled = _unit_box_test_basis(p) / side
     assert scaled.shape == reference.shape
     np.testing.assert_allclose(scaled, reference, rtol=0, atol=1e-12 * np.abs(reference).max())
@@ -534,3 +563,20 @@ def test_unit_box_test_basis_is_read_only():
     assert not values.flags.writeable
     with pytest.raises(ValueError):
         values[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("aspect", [1e1, 1e2, 1e3])
+def test_box_rows_annihilate_an_exact_solution_on_a_turned_sliver(aspect, sliver_mesh):
+    # the box rows test the basis the space evaluates, so they annihilate
+    # its projection of an exact solution in P6 also on a needle turned
+    # against the axes, where no basis over scaled monomials is orthonormal
+    x, y = sp.symbols("x y", real=True)
+    coeffs = manufactured_case(alpha=1, exact=sp.expand(sp.re((x + sp.I * y) ** 5)) + x**3 * y)
+    mesh = sliver_mesh(aspect, 0.7)
+    space = BrokenSpace(mesh, 6)
+    rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 18)
+    values = space.eval_elements([0], rule.points[None]).values[0]
+    c = values.T @ (rule.weights * coeffs.exact_solution(rule.points[:, 0], rule.points[:, 1]))
+    (op,) = assemble_local_operators(DAR_BOX, space, coeffs)
+    residual = np.max(np.abs(op.matrix @ c - op.rhs))
+    assert residual <= 1e-12 * np.max(np.abs(op.matrix)) * np.max(np.abs(c))
