@@ -9,13 +9,15 @@ order (:func:`_solve_order`): the block-triangular form of the element-pair
 graph, with the mesh's nested-dissection order inside each strongly
 connected component. An acyclic upwind system then factors with no fill,
 and a connected one (SIP, cyclic flow) keeps the nested-dissection order.
-The coupled system takes all complement unknowns first and then all
-Trefftz unknowns, each group in that element order, so its block-diagonal
-local rows are eliminated without fill. Each matrix is built once, already
-in solve order: :func:`block_matrix` permutes the element-pair blocks as
-whole blocks and converts them in one pass to the CSC matrix with sorted
-indices that the LU factors. One step of iterative refinement and a
-pivoting LU as the fallback enforce the residual contract.
+The coupled system eliminates its complement unknowns element by element
+with dense batched solves (static condensation), so its only sparse LU is
+that of the Schur complement on the Trefftz unknowns, which has the size
+and the block pattern of the reduced system. Each matrix is built once,
+already in solve order: :func:`block_matrix` permutes the element-pair
+blocks as whole blocks and converts them in one pass to the CSC matrix
+with sorted indices that the LU factors. One step of iterative refinement
+and a pivoting LU as the fallback enforce the residual contract, which
+the coupled solve also checks on its whole 2x2 system.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from scipy.sparse.linalg import splu
 from .embedding import (  # noqa: F401  (complement rules re-exported)
     MINNORM_IMAGE,
     SVD_COMPLEMENT,
-    block_diagonal,
     block_matrix,
 )
 
@@ -180,14 +181,24 @@ def solve_standard_dg(system):
     )
 
 
-def _project(system, left, right, left_widths=None, right_widths=None, order=None):
-    """``left' A right`` for element stacks ``left``, ``right`` ``(E, n, w)``,
-    one batched block ``left_K' B_KL right_L`` per stored block ``B_KL`` of
-    the system; see :func:`block_matrix` for the widths and the order."""
+def _pair_blocks(system, left, right):
+    """The blocks ``left_K' B_KL right_L`` of ``left' A right`` for element
+    stacks ``left`` ``(E, n, w)`` and ``right`` ``(E, n, v)``, one batched
+    product per stored block ``B_KL`` of the system, in its BSR layout."""
     A = system.blocks
     rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
-    data = np.swapaxes(left, 1, 2)[rows] @ (A.data @ right[A.indices])
-    return block_matrix(data, A.indices, A.indptr, left_widths, right_widths, order)
+    return np.swapaxes(left, 1, 2)[rows] @ (A.data @ right[A.indices])
+
+
+def _check_embedding(system, embedding):
+    """Reject an embedding built on another mesh or degree than ``system``."""
+    space = system.space
+    expected = (space.mesh.n_elements, space.ndof_local)
+    if embedding.kernels.shape[:2] != expected:
+        raise ValueError(
+            "embedding and system dimensions do not match: kernels of "
+            f"{embedding.kernels.shape[:2]} (elements, local unknowns), system {expected}"
+        )
 
 
 def reduced_system(system, embedding, order=None):
@@ -195,13 +206,12 @@ def reduced_system(system, embedding, order=None):
     formed from the system's blocks and the stacked kernels. An element
     ``order`` orders the matrix as :func:`block_matrix` does; the
     right-hand side keeps the numbering of the Trefftz unknowns."""
-    space = system.space
-    T = embedding.kernels
-    if T.shape[:2] != (space.mesh.n_elements, space.ndof_local):
-        raise ValueError("embedding and system dimensions do not match")
+    _check_embedding(system, embedding)
+    T, A = embedding.kernels, system.blocks
     widths = np.diff(embedding.offsets)
-    rhs = embedding.prolongation.T @ (system.load - system.blocks @ embedding.u_L)
-    return _project(system, T, T, widths, widths, order), rhs
+    rhs = embedding.prolongation.T @ (system.load - A @ embedding.u_L)
+    ordered = block_matrix(_pair_blocks(system, T, T), A.indices, A.indptr, widths, widths, order)
+    return ordered, rhs
 
 
 def solve_embedded_trefftz(system, embedding):
@@ -226,32 +236,53 @@ def solve_embedded_trefftz(system, embedding):
     )
 
 
+def _local_stack(local_ops, factors):
+    """The local matrices ``(E, m, n)`` and loads ``(E, m)`` of ``local_ops``,
+    which must be the operators ``factors`` was computed from: the same
+    element ids in the same order and the same shapes."""
+    if not np.array_equal([op.element for op in local_ops], factors.elements):
+        raise ValueError(
+            f"{len(local_ops)} local operators do not match the factored elements: "
+            f"they must be those of the {len(factors.elements)} elements, in their order"
+        )
+    m, n = factors.U.shape[1], factors.Vt.shape[1]
+    for op in local_ops:
+        if np.shape(op.matrix) != (m, n) or np.shape(op.rhs) != (m,):
+            raise ValueError(
+                f"element {op.element}: local operator of shape {np.shape(op.matrix)} and "
+                f"load of shape {np.shape(op.rhs)}, the factored ones are {(m, n)} and {(m,)}"
+            )
+    return np.stack([op.matrix for op in local_ops]), np.stack([op.rhs for op in local_ops])
+
+
 def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLEMENT):
-    """Assemble and solve the coupled 2x2 local/global block system.
+    """Solve the coupled 2x2 local/global block system by static
+    condensation.
 
-    The unknowns are split per element into a complement-space part (spanned
-    per ``complement_rule``) and the Trefftz part; by the weak-coupling
-    property of the kernels the result matches the embedded solve, which the
-    diagnostics verify numerically. ``embedding`` comes from
-    :func:`build_embedding`.
+    The unknowns are split per element into a complement-space part ``c_L``
+    (spanned per ``complement_rule`` by ``L``) and the Trefftz part ``c_T``
+    (spanned by the kernels ``T``); the rows are the local problems
+    ``A L c_L + A T c_T = l`` and the global ones ``T'A L c_L + T'A T c_T =
+    T'g``. By the weak-coupling property of the kernels the result matches
+    the embedded solve, which the diagnostics verify numerically.
+    ``embedding`` comes from :func:`build_embedding` and ``local_ops`` are
+    the operators it factored.
 
-    All complement unknowns are factored first, then all Trefftz unknowns,
-    each group in the element order of the solves. The local rows ``A L``
-    and ``A T`` are block diagonal, so eliminating the complement unknowns
-    first is static condensation (Guyan, AIAA J. 3, 1965): it adds no
-    entry outside the stored blocks, since the Schur complement
-    ``T'AT - T'AL (AL)^-1 AT`` left for the Trefftz unknowns has the block
-    pattern of ``T'AT``.
+    The local rows are block diagonal, so the complement unknowns are
+    eliminated element by element (static condensation; Guyan, AIAA J. 3,
+    1965): one batched dense solve gives ``X = (AL)^-1 [AT | l]``, so that
+    ``c_L = x_l - X_T c_T``. The Schur complement ``S = T'AT - T'AL X_T``
+    has the block pattern of ``T'AT`` and is the only matrix factored; it
+    is solved with the right-hand side ``T'(g - A L x_l)``. The residual of
+    the whole 2x2 system, local and global rows, is then checked against
+    the residual contract.
     """
-    space = system.space
-    mesh = space.mesh
-    if len(local_ops) != mesh.n_elements or len(embedding.embeddings) != mesh.n_elements:
-        raise ValueError("local operators, embedding, and mesh sizes do not match")
-    if embedding.factors is None:
-        raise ValueError("the block solve needs the local factors build_embedding keeps")
-    A = np.stack([op.matrix for op in local_ops])
-    n_rows = A.shape[1]
+    _check_embedding(system, embedding)
     factors = embedding.factors
+    if factors is None:
+        raise ValueError("the block solve needs the local factors build_embedding keeps")
+    A, load = _local_stack(local_ops, factors)
+    n_elements, n_rows, n = A.shape
     deficient = np.flatnonzero(factors.rank != n_rows)
     if deficient.size:
         k = deficient[0]
@@ -259,34 +290,52 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
             f"element {k}: local operator is rank deficient "
             f"({factors.rank[k]} < {n_rows} rows); block system would be singular"
         )
-    # every element keeps all rows, so every kernel has the full width
+    # every element keeps all rows, so every kernel has the full width w
     L, T = factors.complement(complement_rule), embedding.kernels
+    w = T.shape[2]
+    AL, AT = A @ L, A @ T
+    X = np.linalg.solve(AL, np.concatenate([AT, load[..., None]], axis=2))
+    X_T, x_l = X[..., :w], X[..., w]
+    blocks = system.blocks
+    # [T'AT | T'AL], formed as in the reduced system
+    coupling = _pair_blocks(system, T, np.concatenate([T, L], axis=2))
+    schur = coupling[..., :w] - coupling[..., w:] @ X_T[blocks.indices]
+    Tt = np.swapaxes(T, 1, 2)
+    g = system.load.reshape(n_elements, n, 1)
+    rhs = Tt @ (g - (blocks @ (L @ x_l[..., None]).ravel()).reshape(g.shape))
     order = _solve_order(system)
-    ordered = sparse.bmat(
-        [
-            [block_diagonal(A @ L, order=order), block_diagonal(A @ T, order=order)],
-            [_project(system, T, L, order=order), _project(system, T, T, order=order)],
-        ],
-        format="csc",
+    c_t = _direct_solve(
+        block_matrix(schur, blocks.indices, blocks.indptr, order=order),
+        rhs.ravel(),
+        "coupled block solve",
+        _block_permutation(order, embedding.offsets),
     )
-    T_global = embedding.prolongation
-    rhs = np.concatenate([op.rhs for op in local_ops] + [T_global.T @ system.load])
-    k_total = n_rows * mesh.n_elements
-    perm = np.concatenate([
-        _block_permutation(order, n_rows * np.arange(mesh.n_elements + 1)),
-        k_total + _block_permutation(order, embedding.offsets),
-    ])
-    x = _direct_solve(ordered, rhs, "coupled block solve", perm)
-    c_l, c_t = x[:k_total], x[k_total:]
-    u_l = block_diagonal(L) @ c_l
-    u_t = T_global @ c_t
+    c_T = c_t.reshape(n_elements, w, 1)
+    c_L = x_l[..., None] - X_T @ c_T
+    # residual of the 2x2 system: local rows per element, global rows
+    # through the coupling blocks
+    local = (AL @ c_L + AT @ c_T)[..., 0] - load
+    tg = (Tt @ g).ravel()
+    coupled = sparse.bsr_matrix(
+        (coupling, blocks.indices, blocks.indptr), shape=(len(tg), n_elements * n)
+    )
+    glob = coupled @ np.concatenate([c_T, c_L], axis=1).ravel() - tg
+    r_local, r_global = np.linalg.norm(local), np.linalg.norm(glob)
+    denom = max(float(np.hypot(np.linalg.norm(load), np.linalg.norm(tg))), np.finfo(float).tiny)
+    if not np.hypot(r_local, r_global) <= _RESIDUAL_TOL * denom:
+        raise SolverError(
+            f"coupled block solve: relative residual {np.hypot(r_local, r_global) / denom:.3e} "
+            f"of the 2x2 system exceeds {_RESIDUAL_TOL:.0e} (local rows {r_local:.3e}, "
+            f"global rows {r_global:.3e})"
+        )
+    u_l, u_t = (L @ c_L).ravel(), (T @ c_T).ravel()
     return DiscreteSolution(
         coeffs=u_l + u_t,
-        space=space,
+        space=system.space,
         method=BLOCK_COUPLED,
-        ndof_full=space.ndof_total,
+        ndof_full=system.space.ndof_total,
         ndof_trefftz=embedding.ndof_trefftz,
         sigma=system.sigma,
         alpha_facet=system.alpha_facet,
-        block_parts={"u_L": u_l, "u_T": u_t, "c_L": c_l, "c_T": c_t},
+        block_parts={"u_L": u_l, "u_T": u_t, "c_L": c_L.ravel(), "c_T": c_t},
     )

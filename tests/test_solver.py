@@ -144,6 +144,114 @@ def test_block_solver_matches_embedded(perturbed_mesh, perturbed, case, kind, lo
         assert gap <= 1e-8
 
 
+def coupled_system(sys, emb, rule):
+    """The assembled 2x2 system, local rows ``[AL AT]`` and global rows
+    ``[T'AL T'AT]``, and its right-hand side ``[l, T'g]``."""
+    A = np.stack([op.matrix for op in emb.local_operators])
+    load = np.stack([op.rhs for op in emb.local_operators])
+    L, T = emb.factors.complement(rule), emb.kernels
+    matrix = sparse.bmat(
+        [
+            [sparse.block_diag(list(A @ L)), sparse.block_diag(list(A @ T))],
+            [projected(sys, T, L), projected(sys, T, T)],
+        ]
+    )
+    T_global = sparse.block_diag(list(T))
+    return matrix, np.concatenate([load.ravel(), T_global.T @ sys.load])
+
+
+def assert_solves_the_block_system(u, sys, emb, rule):
+    matrix, rhs = coupled_system(sys, emb, rule)
+    x = np.concatenate([u.block_parts["c_L"], u.block_parts["c_T"]])
+    assert np.linalg.norm(matrix @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize(
+    "case,kind,local_kind,sigma",
+    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
+)
+@pytest.mark.parametrize("rule", [SVD_COMPLEMENT, MINNORM_IMAGE])
+def test_condensed_solution_solves_the_whole_block_system(
+    perturbed_mesh, perturbed, case, kind, local_kind, sigma, rule
+):
+    coeffs = builtin_case(case)
+    mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
+    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    emb = build_embedding(sys.space, coeffs, local_kind)
+    u = solve_block_coupled(emb.local_operators, sys, emb, complement_rule=rule)
+    assert_solves_the_block_system(u, sys, emb, rule)
+    parts = u.block_parts
+    A = np.stack([op.matrix for op in emb.local_operators])
+    load = np.stack([op.rhs for op in emb.local_operators])
+    L = emb.factors.complement(rule)
+    n_elements, m, n = A.shape
+    c_L = parts["c_L"].reshape(n_elements, m)
+    u_L = np.concatenate([L[k] @ c_L[k] for k in range(n_elements)])
+    assert np.abs(parts["u_L"] - u_L).max() <= 1e-14 * np.abs(u_L).max()
+    assert np.array_equal(u.coeffs, parts["u_L"] + parts["u_T"])
+    u_K = u.coeffs.reshape(n_elements, n)
+    for k in range(n_elements):
+        assert np.linalg.norm(A[k] @ u_K[k] - load[k]) <= 1e-12 * np.linalg.norm(load[k])
+
+
+@pytest.mark.parametrize(
+    "case,kind,local_kind,sigma",
+    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
+)
+def test_condensation_solves_a_block_system_that_does_not_decouple(
+    case, kind, local_kind, sigma
+):
+    # with the kernels, A T vanishes to rounding and so does the coupling
+    # term of the Schur complement; columns T mixed with the complement
+    # make A T of the size of A, and the condensed solve must still hold
+    coeffs = builtin_case(case)
+    sys = assemble_global_system(kind, build_structured_mesh(4), p=3, coeffs=coeffs, sigma=sigma)
+    emb = build_embedding(sys.space, coeffs, local_kind)
+    L = emb.factors.complement(SVD_COMPLEMENT)
+    rng = np.random.default_rng(7)
+    mixing = rng.standard_normal((L.shape[2], emb.kernels.shape[2]))
+    mixed = replace(emb, kernels=np.linalg.qr(emb.kernels + 0.5 * L @ mixing)[0])
+    A = np.stack([op.matrix for op in emb.local_operators])
+    assert np.linalg.norm(A @ mixed.kernels) >= 0.1 * np.linalg.norm(A)
+    u = solve_block_coupled(emb.local_operators, sys, mixed)
+    assert_solves_the_block_system(u, sys, mixed, SVD_COMPLEMENT)
+
+
+def test_solves_reject_an_embedding_of_another_degree():
+    coeffs = builtin_case("AR_EXAMPLE")
+    mesh = build_structured_mesh(3)
+    sys4 = assemble_global_system(AR_UPWIND, mesh, p=4, coeffs=coeffs)
+    emb3 = build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
+    with pytest.raises(ValueError, match="embedding and system dimensions do not match"):
+        solve_embedded_trefftz(sys4, emb3)
+    with pytest.raises(ValueError, match="embedding and system dimensions do not match"):
+        solve_block_coupled(emb3.local_operators, sys4, emb3)
+
+
+def test_block_solver_rejects_local_operators_of_other_elements():
+    coeffs = builtin_case("DAR_EXAMPLE")
+    sys = assemble_global_system(DAR_SIP, build_structured_mesh(2), p=3, coeffs=coeffs, sigma=450.0)
+    emb = build_embedding(sys.space, coeffs, DAR)
+    ops = emb.local_operators
+    for wrong in (ops[::-1], ops[:-1], [replace(op, element=op.element + 1) for op in ops]):
+        with pytest.raises(ValueError, match="do not match the factored elements"):
+            solve_block_coupled(wrong, sys, emb)
+
+
+def test_block_solver_rejects_local_operators_of_another_shape():
+    coeffs = builtin_case("DAR_EXAMPLE")
+    sys = assemble_global_system(DAR_SIP, build_structured_mesh(2), p=3, coeffs=coeffs, sigma=450.0)
+    emb = build_embedding(sys.space, coeffs, DAR)
+    # the AR operators of the same space have 6 rows, the DAR ones 3
+    ar_ops = assemble_local_operators(AR, sys.space, coeffs)
+    with pytest.raises(ValueError, match=r"element 0: local operator of shape \(6, 10\)"):
+        solve_block_coupled(ar_ops, sys, emb)
+    short_load = [replace(op, rhs=op.rhs[:-1]) for op in emb.local_operators]
+    with pytest.raises(ValueError, match=r"load of shape \(2,\)"):
+        solve_block_coupled(short_load, sys, emb)
+
+
 def test_block_splits_differ_but_sums_agree():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(4)
@@ -511,6 +619,13 @@ def test_ar_diagnose_block_gap_stays_at_rounding_level(capsys):
     assert gap_rel <= 1e-12
 
 
+def test_dar_diagnose_block_gap_stays_at_rounding_level(capsys):
+    assert main(["diagnose", "--case", "DAR_EXAMPLE", "--p", "6", "--n", "12"]) == 0
+    text = capsys.readouterr().out
+    gap_rel = float(text.split("(relative ")[1].split(")")[0])
+    assert gap_rel <= 1e-12
+
+
 @hypothesis.seed(20261018)
 @hypothesis.settings(max_examples=300, deadline=None, database=None)
 @hypothesis.given(data=st.data(), acyclic=st.booleans())
@@ -558,22 +673,22 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
     sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     perms = recording_direct_solves(monkeypatch)
+    handed = recording_handed_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
     solve_embedded_trefftz(sys, emb)
     solve_block_coupled(emb.local_operators, sys, emb)
-    (_, _, reduced_lu), (ordered, _, coupled_lu) = factored
-    perm = perms[1]
-    # the complement unknowns are numbered first, one block per element
-    k = int(emb.factors.rank.sum())
-    assert ordered.shape[0] == k + emb.ndof_trefftz
-    assert np.all(perm[:k] < k) and np.all(perm[k:] >= k)
-    inverse = np.argsort(perm)
-    coupled = sparse.csc_matrix(ordered)[inverse][:, inverse]
-    AL, AT, TAL = coupled[:k, :k], coupled[:k, k:], coupled[k:, :k]
-    # eliminating the block-diagonal local rows first stores the LU of AL,
-    # AT and T'AL, and leaves a Schur complement that factors like T'AT
-    fill = coupled_lu.L.nnz + coupled_lu.U.nnz
-    assert fill <= reduced_lu.L.nnz + reduced_lu.U.nnz + AL.nnz + AT.nnz + TAL.nnz + k
+    (_, _, reduced_lu), (_, _, schur_lu) = factored
+    reduced, schur = handed
+    # the complement unknowns are condensed element by element: only the
+    # Schur complement of the Trefftz unknowns reaches the LU, in the order
+    # and on the block pattern of T'AT
+    assert schur.shape == (emb.ndof_trefftz, emb.ndof_trefftz)
+    assert np.array_equal(perms[1], perms[0])
+    assert_sorted(schur)
+    assert np.array_equal(schur.indptr, reduced.indptr)
+    assert np.array_equal(schur.indices, reduced.indices)
+    fill = schur_lu.L.nnz + schur_lu.U.nnz
+    assert fill <= reduced_lu.L.nnz + reduced_lu.U.nnz + emb.ndof_trefftz
 
 
 def recording_handed_matrices(monkeypatch):
@@ -605,14 +720,26 @@ def projected(sys, left, right):
     return sparse.bsr_matrix((data, A.indices, A.indptr)).tocsr()
 
 
-def assert_sorted_and_equal(handed, expected):
+def assert_sorted(handed):
     assert handed.format == "csc"
     # strictly increasing row indices inside every column
     column_starts = np.zeros(len(handed.indices), dtype=bool)
     column_starts[handed.indptr[:-1][np.diff(handed.indptr) > 0]] = True
     assert np.all((np.diff(handed.indices) > 0) | column_starts[1:])
+
+
+def assert_sorted_and_equal(handed, expected):
+    assert_sorted(handed)
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(handed, attr), getattr(expected, attr))
+
+
+def schur_complement(sys, emb):
+    """``T'AT - T'AL (AL)^-1 AT`` through plain sparse products."""
+    A = np.stack([op.matrix for op in emb.local_operators])
+    L, T = emb.factors.complement(SVD_COMPLEMENT), emb.kernels
+    X_T = sparse.block_diag(list(np.linalg.solve(A @ L, A @ T)))
+    return (projected(sys, T, T) - projected(sys, T, L) @ X_T).tocsr()
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -632,18 +759,17 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
     solve_standard_dg(sys)
     solve_embedded_trefftz(sys, emb)
     solve_block_coupled(emb.local_operators, sys, emb)
-    A = np.stack([op.matrix for op in emb.local_operators])
-    L, T = emb.factors.complement(SVD_COMPLEMENT), emb.kernels
-    coupled = sparse.bmat(
-        [
-            [sparse.block_diag(list(A @ L)), sparse.block_diag(list(A @ T))],
-            [projected(sys, T, L), projected(sys, T, T)],
-        ]
-    )
-    unordered = (sys.blocks, projected(sys, T, T), coupled)
+    T = emb.kernels
     assert len(handed) == len(perms) == 3
-    for matrix, perm, plain in zip(handed, perms, unordered):
+    for matrix, perm, plain in zip(handed[:2], perms, (sys.blocks, projected(sys, T, T))):
         assert_sorted_and_equal(matrix, plain_ordered(plain, perm))
+    # the Schur complement has the pattern of the ordered T'AT; its entries
+    # are formed blockwise, so they match plain products to rounding
+    schur, expected = handed[2], plain_ordered(schur_complement(sys, emb), perms[2])
+    assert_sorted(schur)
+    assert np.array_equal(schur.indptr, handed[1].indptr)
+    assert np.array_equal(schur.indices, handed[1].indices)
+    assert_entrywise_close(schur, expected, rtol=1e-13)
 
 
 def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch):
