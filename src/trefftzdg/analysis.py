@@ -206,7 +206,7 @@ def run_diagnostics(
     space = BrokenSpace(mesh, p)
     embedding = build_embedding(space, coeffs, kind, box_scale=box_scale)
     factors = embedding.factors
-    A = np.stack([op.matrix for op in embedding.local_operators])
+    A = embedding.local_operators.matrices
     a_norm = np.linalg.norm(A, axis=(1, 2))
     rho = np.linalg.norm(A @ factors.kernels, axis=(1, 2)) / (1.0 + a_norm)
     # a kept singular value is positive, so sigma_1 > 0 wherever rank > 0

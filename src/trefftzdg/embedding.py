@@ -1,12 +1,12 @@
 """Element-wise weak Trefftz kernels and particular solutions from one
-stacked SVD, and their aggregation into the global block-diagonal embedding.
+stacked QR, and their aggregation into the global block-diagonal embedding.
 
-The kernel basis of each element is taken from the trailing right
-singular vectors, so its columns are orthonormal and the singular-value
-spectrum doubles as a stability diagnostic. Particular solutions are
-min-norm (pseudo-inverse) solves, hence orthogonal to the kernel. The
-singular vectors stay in this module.
-"""
+A complete QR of each transposed local operator, ``A_K' = Q_K [R_K; 0]``,
+gives an orthonormal kernel basis, the trailing columns of ``Q_K``, and the
+min-norm (pseudo-inverse) particular solution ``Q_1 R_K^-T l_K``, which is
+orthogonal to the kernel. The singular values of ``R_K``, those of ``A_K``,
+are a stability diagnostic computed only when read. The factors stay in
+this module."""
 
 from __future__ import annotations
 
@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .local_ops import assemble_local_operators
+from .local_ops import LocalOperatorBatch, assemble_local_operators, local_operator_batch
 
 #: Rank rule expecting as many independent rows as the test space has
 #: dimensions (guarded; falls back to a relative threshold with a warning).
 EXPECT_FULL_ROW_RANK = "expect_full_row_rank"
 
-#: Complement-space rules of the coupled block solver: the right singular
-#: vectors kept, or the orthonormalized image of the pseudo-inverse.
+#: Complement-space rules of the coupled block solver: ``Q_1``, which spans
+#: the row space as the kept right singular vectors do, or the
+#: orthonormalized image of the pseudo-inverse.
 SVD_COMPLEMENT = "svd_complement"
 MINNORM_IMAGE = "minnorm_image"
 
@@ -51,18 +52,32 @@ class ElementEmbedding:
 
 @dataclass
 class LocalFactors:
-    """Stacked SVDs ``A_K = U diag(sigma) Vt`` of the local operators of
-    ``elements`` and the ``rank`` each keeps. ``kernels`` ``(E, n, n -
-    min(rank))`` holds each kernel basis ``Vt[rank:].T`` in its last columns
-    and zeros in front; ``uL`` ``(E, n)`` are the particular solutions."""
+    """Stacked factors ``A_K' = Q_K[:, :s] R_K``, ``s = min(m, n)``, of the
+    local operators of ``elements`` and the ``rank`` each keeps: ``Q`` ``(E,
+    n, n)`` orthogonal, ``R`` ``(E, s, m)``. The elements ``svd_elements``
+    hold their SVD ``U diag(svd_sigma) V'`` as ``V`` and ``diag(svd_sigma)
+    U[:, :s]'``. ``kernels`` ``(E, n, n - min(rank))`` holds each kernel
+    basis ``Q_K[:, rank:]`` in its last columns and zeros in front; ``uL``
+    ``(E, n)`` are the particular solutions."""
 
     elements: np.ndarray
-    U: np.ndarray
-    sigma: np.ndarray
-    Vt: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
     rank: np.ndarray
     kernels: np.ndarray
     uL: np.ndarray
+    svd_elements: np.ndarray = field(repr=False)
+    svd_sigma: np.ndarray = field(repr=False)
+    _sigma: np.ndarray = field(default=None, init=False, repr=False)
+
+    @property
+    def sigma(self):
+        """Singular values ``(E, s)`` of the operators, descending: those
+        of ``R``, computed on first access, and the SVD's where it ran."""
+        if self._sigma is None:
+            self._sigma = np.linalg.svd(self.R, compute_uv=False)
+            self._sigma[self.svd_elements] = self.svd_sigma
+        return self._sigma
 
     def embeddings(self):
         """Per-element views of the batch."""
@@ -72,54 +87,81 @@ class LocalFactors:
 
     def complement(self, complement_rule):
         """Orthonormal bases ``(E, n, m)`` of the element complement spaces;
-        every element must keep all ``m`` operator rows."""
-        V = np.swapaxes(self.Vt[:, : self.U.shape[1]], 1, 2)
+        every element must keep all ``m`` operator rows. ``SVD_COMPLEMENT``
+        is ``Q_1``, ``MINNORM_IMAGE`` the Q factor of the pseudo-inverse
+        ``Q_1 R^-T``."""
+        Q1 = self.Q[:, :, : self.R.shape[2]]
         if complement_rule == SVD_COMPLEMENT:
-            return V
+            return Q1
         if complement_rule == MINNORM_IMAGE:
-            return np.linalg.qr((V / self.sigma[:, None]) @ np.swapaxes(self.U, 1, 2))[0]
+            pinv = np.swapaxes(np.linalg.solve(self.R, np.swapaxes(Q1, 1, 2)), 1, 2)
+            return np.linalg.qr(pinv)[0]
         raise ValueError(f"unknown complement rule {complement_rule!r}")
 
 
 def _factor(matrices, rhs, elements, rank_rule, allow_fallback):
-    """Kernels, min-norm particular solutions and spectra of the local
-    operators ``matrices`` ``(E, m, n)`` with loads ``rhs`` ``(E, m)`` from
-    one stacked SVD; see :func:`compute_embedding` for the rank rules."""
+    """Kernels, min-norm particular solutions and factors of the local
+    operators ``matrices`` ``(E, m, n)`` with loads ``rhs`` ``(E, m)``; see
+    :func:`compute_embedding` for the rank rules. Under the full-row-rank
+    rule with ``m <= n``, an element keeps the stacked QR when
+    ``||R||_F ||R^-1||_F``, which bounds ``sigma_1 / sigma_m``, is below
+    ``1 / _GUARD_REL``, as the guard then passes. The others, and every
+    element under a threshold rule or with ``m > n``, take the SVD."""
     if matrices.size == 0:
         raise ValueError("local operator matrix is empty")
-    _, m, n = matrices.shape
+    n_elements, m, n = matrices.shape
     strict = rank_rule == EXPECT_FULL_ROW_RANK
     tau = _GUARD_REL if strict else float(rank_rule)
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"threshold rank rule tau = {rank_rule!r} must satisfy 0 < tau <= 1")
-    U, sigma, Vt = np.linalg.svd(matrices, full_matrices=True)
-    # the threshold rank is m wherever the full-row-rank guard passes
-    rank = np.count_nonzero((sigma >= tau * sigma[:, :1]) & (sigma > 0), axis=1)
-    bad = np.flatnonzero((sigma[:, -1] <= tau * sigma[:, 0]) | (m > n)) if strict else []
-    if len(bad):
-        k = bad[0]
-        if not allow_fallback:
-            raise RankDeficiencyError(
-                f"element {elements[k]}: operator rows are numerically rank deficient "
-                f"(sigma = {sigma[k]}); strict rank rule failed",
-                sigma[k],
+    s = min(m, n)
+    Q, R, uL = np.empty((n_elements, n, n)), np.empty((n_elements, s, m)), np.empty((n_elements, n))
+    rank, svd = np.full(n_elements, m), np.arange(n_elements)
+    if strict and m <= n:
+        Q, R = np.linalg.qr(np.swapaxes(matrices, 1, 2), mode="complete")
+        R = R[:, :m]
+        # an exactly singular R would make the whole batched inverse raise
+        invertible = np.all(np.diagonal(R, axis1=1, axis2=2) != 0.0, axis=1)
+        R_inv = np.linalg.inv(np.where(invertible[:, None, None], R, np.eye(m)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an inverse that overflows fails the screen
+            bound = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
+        certified = invertible & (bound < 1.0 / _GUARD_REL)
+        # the SVD overwrites the other rows; zeros keep inf and nan out of the products
+        R_inv[~certified] = 0.0
+        uL = (Q[:, :, :m] @ (np.swapaxes(R_inv, 1, 2) @ rhs[..., None]))[..., 0]
+        svd = np.flatnonzero(~certified)
+    sigma = np.empty((0, s))
+    if svd.size:
+        U, sigma, Vt = np.linalg.svd(matrices[svd], full_matrices=True)
+        # the threshold rank is m wherever the full-row-rank guard passes
+        kept = np.count_nonzero((sigma >= tau * sigma[:, :1]) & (sigma > 0), axis=1)
+        bad = np.flatnonzero((sigma[:, -1] <= tau * sigma[:, 0]) | (m > n)) if strict else []
+        if len(bad):
+            k = bad[0]
+            if not allow_fallback:
+                raise RankDeficiencyError(
+                    f"element {elements[svd[k]]}: operator rows are numerically rank deficient "
+                    f"(sigma = {sigma[k]}); strict rank rule failed",
+                    sigma[k],
+                )
+            s1 = sigma[bad, 0]
+            rel = np.divide(sigma[bad, -1], s1, out=np.zeros_like(s1), where=s1 > 0)
+            k = bad[np.argmin(rel)]
+            warnings.warn(
+                f"{len(bad)} of {n_elements} elements have numerically rank deficient operator "
+                f"rows; worst element {elements[svd[k]]} (sigma_min/sigma_1 = {rel.min():.3e}, "
+                f"sigma = {sigma[k]}); falling back to threshold {_GUARD_REL}"
             )
-        s1 = sigma[bad, 0]
-        rel = np.divide(sigma[bad, -1], s1, out=np.zeros_like(s1), where=s1 > 0)
-        k = bad[np.argmin(rel)]
-        warnings.warn(
-            f"{len(bad)} of {len(sigma)} elements have numerically rank deficient operator "
-            f"rows; worst element {elements[k]} (sigma_min/sigma_1 = {rel.min():.3e}, "
-            f"sigma = {sigma[k]}); falling back to threshold {_GUARD_REL}"
-        )
-    # stacked matrix-vector products give the per-element results bit for bit
-    s = sigma.shape[1]
-    coef = (np.swapaxes(U[:, :, :s], 1, 2) @ rhs[..., None])[..., 0]
-    coef = np.divide(coef, sigma, out=np.zeros_like(sigma), where=np.arange(s) < rank[:, None])
+        # stacked matrix-vector products give the per-element results bit for bit
+        Ut, V = np.swapaxes(U[:, :, :s], 1, 2), np.swapaxes(Vt, 1, 2)
+        coef = (Ut @ rhs[svd][..., None])[..., 0]
+        coef = np.divide(coef, sigma, out=np.zeros_like(sigma), where=np.arange(s) < kept[:, None])
+        Q[svd], R[svd], rank[svd] = V, sigma[..., None] * Ut, kept
+        uL[svd] = (V[:, :, :s] @ coef[..., None])[..., 0]
     r0 = rank.min()
-    kernels = np.where(np.arange(r0, n) >= rank[:, None, None], np.swapaxes(Vt[:, r0:], 1, 2), 0.0)
-    uL = (np.swapaxes(Vt[:, :s], 1, 2) @ coef[..., None])[..., 0]
-    return LocalFactors(np.asarray(elements), U, sigma, Vt, rank, kernels, uL)
+    kernels = np.where(np.arange(r0, n) >= rank[:, None, None], Q[:, :, r0:], 0.0)
+    return LocalFactors(np.asarray(elements), Q, R, rank, kernels, uL, svd, sigma)
 
 
 def compute_embedding(op, rank_rule=EXPECT_FULL_ROW_RANK, allow_fallback=True):
@@ -189,16 +231,24 @@ class GlobalEmbedding:
     """Block-diagonal prolongation from Trefftz to broken coefficients;
     ``kernels`` ``(E, n, w)`` stacks the kernel bases, each in its last
     columns behind zeros as in :class:`LocalFactors`. :func:`build_embedding`
-    also keeps the local operators and their factors."""
+    also keeps the local operators and their factors, from which the
+    per-element :attr:`embeddings` are built on first access."""
 
-    embeddings: list
     offsets: np.ndarray
     prolongation: sparse.csc_matrix
     u_L: np.ndarray
     ndof_trefftz: int
     kernels: np.ndarray = field(repr=False)
-    local_operators: list = field(default=None, repr=False)
+    local_operators: LocalOperatorBatch = field(default=None, repr=False)
     factors: LocalFactors = field(default=None, repr=False)
+    per_element: list = field(default=None, repr=False)
+
+    @property
+    def embeddings(self):
+        """The :class:`ElementEmbedding` of every element."""
+        if self.per_element is None:
+            self.per_element = self.factors.embeddings()
+        return self.per_element
 
     def element_columns(self, k):
         return slice(self.offsets[k], self.offsets[k + 1])
@@ -221,15 +271,16 @@ def assemble_global_embedding(mesh, per_element):
     for k, emb in enumerate(per_element):
         kernels[k, :, width - widths[k]:] = emb.T
     u_L = np.concatenate([emb.uL for emb in per_element])
-    return _global_embedding(list(per_element), kernels, widths, u_L)
+    glob = _global_embedding(kernels, widths, u_L)
+    glob.per_element = list(per_element)
+    return glob
 
 
-def _global_embedding(embeddings, kernels, widths, u_L):
+def _global_embedding(kernels, widths, u_L):
     """The global embedding of stacked ``kernels`` padded in front to the
     kernel ``widths``."""
     offsets = np.concatenate([[0], np.cumsum(widths)])
     return GlobalEmbedding(
-        embeddings=embeddings,
         offsets=offsets,
         prolongation=block_diagonal(kernels, widths),
         u_L=u_L,
@@ -240,13 +291,13 @@ def _global_embedding(embeddings, kernels, widths, u_L):
 
 def build_embedding(space, coeffs, kind, box_scale=0.25):
     """Local operators, their stacked factorization, and the global
-    embedding in one sweep. Returns the :class:`GlobalEmbedding`; the local
-    operators are kept on the result as ``local_operators``."""
-    ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
-    matrices, rhs = np.stack([op.matrix for op in ops]), np.stack([op.rhs for op in ops])
-    factors = _factor(matrices, rhs, [op.element for op in ops], EXPECT_FULL_ROW_RANK, True)
+    embedding in one sweep. Returns the :class:`GlobalEmbedding`; the
+    local operators are kept on the result as the
+    :class:`~trefftzdg.local_ops.LocalOperatorBatch` ``local_operators``."""
+    ops = local_operator_batch(assemble_local_operators(kind, space, coeffs, box_scale=box_scale))
+    factors = _factor(ops.matrices, ops.rhs, ops.elements, EXPECT_FULL_ROW_RANK, True)
     widths = space.ndof_local - factors.rank
-    glob = _global_embedding(factors.embeddings(), factors.kernels, widths, factors.uL.ravel())
+    glob = _global_embedding(factors.kernels, widths, factors.uL.ravel())
     glob.local_operators, glob.factors = ops, factors
     return glob
 

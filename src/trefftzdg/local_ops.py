@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,6 +86,36 @@ class LocalOperator:
     @property
     def n_rows(self):
         return self.matrix.shape[0]
+
+
+@dataclass(frozen=True, eq=False)
+class LocalOperatorBatch(Sequence):
+    """Local operators as stacks, ``matrices`` ``(E, m, n)`` and loads
+    ``rhs`` ``(E, m)`` of ``elements``: a sequence of :class:`LocalOperator`
+    views, and a batch again under slicing."""
+
+    kind: str
+    elements: np.ndarray
+    matrices: np.ndarray
+    rhs: np.ndarray
+
+    def __len__(self):
+        return len(self.elements)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return LocalOperatorBatch(self.kind, self.elements[k], self.matrices[k], self.rhs[k])
+        return LocalOperator(self.kind, int(self.elements[k]), self.matrices[k], self.rhs[k])
+
+
+def local_operator_batch(ops):
+    """``ops`` as a :class:`LocalOperatorBatch`: a batch as it is, a
+    sequence of :class:`LocalOperator` of one shape stacked."""
+    if isinstance(ops, LocalOperatorBatch):
+        return ops
+    ops = list(ops)
+    matrices, rhs = np.stack([op.matrix for op in ops]), np.stack([op.rhs for op in ops])
+    return LocalOperatorBatch(ops[0].kind, np.array([op.element for op in ops]), matrices, rhs)
 
 
 def operator_row_count(kind, p):
@@ -298,7 +329,8 @@ def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
 
 
 def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
-    """Local operators for every element of a broken space.
+    """Local operators for every element of a broken space, as one
+    :class:`LocalOperatorBatch`.
 
     All kinds but the box one run in element batches: the volume-projected
     kinds as one product of their weighted coefficients with the space's
@@ -307,19 +339,19 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
     element by element, as each element has its own box; per element it
     computes the box, maps the unit-square rule and test basis (cached per
     degree) onto it and applies the operator to the trial basis at the
-    mapped points.
+    mapped points, and the results are stacked.
     """
     mesh = space.mesh
     p = space.degree
     _validate(kind, p, coeffs)
     if kind == DAR_BOX:
-        return [
+        return local_operator_batch(
             assemble_local_operator(
                 kind, mesh, k, space.element_basis(k), coeffs, box_scale=box_scale
             )
             for k in range(mesh.n_elements)
-        ]
-    ops = []
+        )
+    parts = []
     for start in range(0, mesh.n_elements, _CHUNK):
         chunk = slice(start, min(start + _CHUNK, mesh.n_elements))
         elems = np.arange(chunk.start, chunk.stop)
@@ -335,11 +367,9 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
             rows = operator_row_count(kind, p)
             matrices = space.volume_matrices(chunk, w, rows=rows, **fields)
             loads = space.volume_load(chunk, w, f, rows=rows)
-        ops.extend(
-            LocalOperator(kind=kind, element=int(k), matrix=m, rhs=r)
-            for k, m, r in zip(elems, matrices, loads)
-        )
-    return ops
+        parts.append((matrices, loads))
+    matrices, loads = map(np.concatenate, zip(*parts))
+    return LocalOperatorBatch(kind, np.arange(mesh.n_elements), matrices, loads)
 
 
 def leibniz_point_derivative(index, basis, coefficients, alpha, point):

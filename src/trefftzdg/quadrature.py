@@ -105,7 +105,14 @@ def volume_quadrature(mesh, degree):
     """
     bary, w = duffy_rule_barycentric(degree)
     tri = mesh.vertices[mesh.triangles]
-    pts = np.einsum("qc,ecd->eqd", bary, tri)
+    # per coordinate, sum_c bary[:, c] tri[:, c] in place: bit for bit the
+    # einsum "qc,ecd->eqd" (a matrix product rounds differently)
+    pts = np.empty((mesh.n_elements, len(bary), 2))
+    term = np.empty(pts.shape[:2])
+    for d in range(2):
+        np.multiply(tri[:, 0, d, None], bary[:, 0], out=pts[..., d])
+        for c in (1, 2):
+            pts[..., d] += np.multiply(tri[:, c, d, None], bary[:, c], out=term)
     wts = w[None, :] * mesh.areas[:, None]
     return pts, wts
 

@@ -34,6 +34,7 @@ from .embedding import (  # noqa: F401  (complement rules re-exported)
     SVD_COMPLEMENT,
     block_matrix,
 )
+from .local_ops import local_operator_batch
 
 STANDARD_DG = "STANDARD_DG"
 EMBEDDED_TREFFTZ = "EMBEDDED_TREFFTZ"
@@ -238,21 +239,22 @@ def solve_embedded_trefftz(system, embedding):
 
 def _local_stack(local_ops, factors):
     """The local matrices ``(E, m, n)`` and loads ``(E, m)`` of ``local_ops``,
-    which must be the operators ``factors`` was computed from: the same
-    element ids in the same order and the same shapes."""
-    if not np.array_equal([op.element for op in local_ops], factors.elements):
+    a :class:`LocalOperatorBatch` or a sequence of operators, which must be
+    the operators ``factors`` was computed from: the same element ids in
+    the same order and the same shapes."""
+    batch = local_operator_batch(local_ops)
+    if not np.array_equal(batch.elements, factors.elements):
         raise ValueError(
-            f"{len(local_ops)} local operators do not match the factored elements: "
+            f"{len(batch)} local operators do not match the factored elements: "
             f"they must be those of the {len(factors.elements)} elements, in their order"
         )
-    m, n = factors.U.shape[1], factors.Vt.shape[1]
-    for op in local_ops:
-        if np.shape(op.matrix) != (m, n) or np.shape(op.rhs) != (m,):
-            raise ValueError(
-                f"element {op.element}: local operator of shape {np.shape(op.matrix)} and "
-                f"load of shape {np.shape(op.rhs)}, the factored ones are {(m, n)} and {(m,)}"
-            )
-    return np.stack([op.matrix for op in local_ops]), np.stack([op.rhs for op in local_ops])
+    m, n = factors.R.shape[2], factors.Q.shape[1]
+    if batch.matrices.shape[1:] != (m, n) or batch.rhs.shape[1:] != (m,):
+        raise ValueError(
+            f"element {batch.elements[0]}: local operator of shape {batch.matrices.shape[1:]} "
+            f"and load of shape {batch.rhs.shape[1:]}, the factored ones are {(m, n)} and {(m,)}"
+        )
+    return batch.matrices, batch.rhs
 
 
 def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLEMENT):
@@ -266,7 +268,8 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
     T'g``. By the weak-coupling property of the kernels the result matches
     the embedded solve, which the diagnostics verify numerically.
     ``embedding`` comes from :func:`build_embedding` and ``local_ops`` are
-    the operators it factored.
+    the operators it factored: its ``local_operators`` batch, whose stacks
+    are read as they are, or the same operators as a list.
 
     The local rows are block diagonal, so the complement unknowns are
     eliminated element by element (static condensation; Guyan, AIAA J. 3,

@@ -138,7 +138,7 @@ def test_rank_fallback_warns_once_per_build():
     assert [emb.rank_used for emb in glob.embeddings] == [0] * 8
 
 
-def reference_embedding(op):
+def svd_reference(op):
     """Per-element SVD formula under the full-row-rank rule with its
     threshold fallback: kernel, min-norm particular solution, spectrum and
     rank of one local operator."""
@@ -153,6 +153,24 @@ def reference_embedding(op):
     return Vt[k:].T, uL, sigma, k
 
 
+def reference_embedding(op):
+    """Per-element QR formula ``A' = Q [R; 0]``: the kernel ``Q[:, m:]``,
+    the min-norm particular solution ``Q_1 R^-T l``, the singular values
+    of ``R`` and the rank ``m``, wherever ``||R||_F ||R^-1||_F < 1e9``
+    certifies full row rank; the SVD formula everywhere else."""
+    matrix = np.asarray(op.matrix)
+    m, n = matrix.shape
+    if m <= n:
+        Q, R = np.linalg.qr(matrix.T, mode="complete")
+        R = R[:m]
+        if np.all(np.diag(R) != 0):
+            R_inv = np.linalg.inv(R)
+            if np.linalg.norm(R) * np.linalg.norm(R_inv) < 1e9:
+                uL = Q[:, :m] @ (R_inv.T @ op.rhs)
+                return Q[:, m:], uL, np.linalg.svd(R, compute_uv=False), m
+    return svd_reference(op)
+
+
 def assert_matches_reference(glob):
     for op, emb in zip(glob.local_operators, glob.embeddings):
         T, uL, sigma, k = reference_embedding(op)
@@ -160,6 +178,12 @@ def assert_matches_reference(glob):
         assert np.array_equal(emb.T, T), op.element
         assert np.array_equal(emb.sigma, sigma), op.element
         assert np.linalg.norm(emb.uL - uL) <= 1e-13 * np.linalg.norm(uL), op.element
+        # the same kernel and spectrum as the SVD of A_K
+        T_svd, _, sigma_svd, k_svd = svd_reference(op)
+        assert k_svd == k, op.element
+        if T.shape[1]:
+            assert np.max(subspace_angles(emb.T, T_svd)) <= 1e-12, op.element
+        assert np.all(np.abs(emb.sigma - sigma_svd) <= 1e-14 * sigma_svd), op.element
     assert np.array_equal(glob.u_L, np.concatenate([emb.uL for emb in glob.embeddings]))
 
 
@@ -203,17 +227,109 @@ def test_mixed_rank_build_matches_reference(monkeypatch):
     assert report.sigma_min_rel == min(s[-1] / s[0] for s in spectra)
 
 
-def test_build_embedding_makes_one_svd_call(monkeypatch):
+def counting(monkeypatch, name):
+    """Record the shape of the first argument of every ``np.linalg.<name>``
+    call."""
     shapes = []
-    svd = np.linalg.svd
+    original = getattr(np.linalg, name)
 
-    def counting(a, *args, **kwargs):
+    def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
+        return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    build_embedding(BrokenSpace(build_structured_mesh(4), 3), builtin_case("AR_EXAMPLE"), AR)
-    assert shapes == [(32, 6, 10)]
+    monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
+def test_build_embedding_makes_one_qr_call_and_no_svd(monkeypatch):
+    qr, svd = counting(monkeypatch, "qr"), counting(monkeypatch, "svd")
+    glob = build_embedding(BrokenSpace(build_structured_mesh(4), 3), builtin_case("AR_EXAMPLE"), AR)
+    assert qr == [(32, 10, 6)]
+    assert svd == []
+    # neither the spectra nor the per-element views are built
+    assert glob.per_element is None and glob.factors._sigma is None
+
+
+def test_build_embedding_svds_only_the_fallback_elements(monkeypatch):
+    zero_odd_operators(monkeypatch)
+    qr, svd = counting(monkeypatch, "qr"), counting(monkeypatch, "svd")
+    with pytest.warns(UserWarning, match="16 of 32 elements"):
+        glob = build_embedding(
+            BrokenSpace(build_structured_mesh(4), 3), builtin_case("AR_EXAMPLE"), AR
+        )
+    assert qr == [(32, 10, 6)]
+    assert svd == [(16, 6, 10)]
+    assert list(glob.factors.svd_elements) == list(range(1, 32, 2))
+
+
+def flat_spectrum_operator(rng, ratio, m, n):
+    """An ``m x n`` operator in random singular vectors whose singular
+    values are 1 but the last, which is ``ratio``."""
+    sigma = np.ones(min(m, n))
+    sigma[-1] = ratio
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return (U[:, : len(sigma)] * sigma) @ V[: len(sigma)]
+
+
+def factor_as_batch(matrices, rhs):
+    """``_factor`` under the full-row-rank rule with its fallback, and every
+    warning it issues."""
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        factors = embedding_module._factor(
+            matrices, rhs, np.arange(len(matrices)), EXPECT_FULL_ROW_RANK, True
+        )
+    return factors, record
+
+
+def svd_rule_fallbacks(factors, matrices, rhs):
+    """Assert that ``factors`` keep the ranks and kernel widths of the
+    per-element SVD rule, and its results bit for bit on the elements sent
+    to the SVD; return the number of elements that rule finds rank
+    deficient."""
+    references = [
+        svd_reference(LocalOperator(AR, k, a, l)) for k, (a, l) in enumerate(zip(matrices, rhs))
+    ]
+    assert list(factors.rank) == [ref[3] for ref in references]
+    embeddings = factors.embeddings()
+    assert [emb.T.shape[1] for emb in embeddings] == [ref[0].shape[1] for ref in references]
+    for k in factors.svd_elements:
+        T, uL, sigma, _ = references[k]
+        assert np.array_equal(embeddings[k].T, T), k
+        assert np.array_equal(embeddings[k].sigma, sigma), k
+        assert np.linalg.norm(embeddings[k].uL - uL) <= 1e-13 * np.linalg.norm(uL), k
+    return sum(ref[3] < matrices.shape[1] for ref in references)
+
+
+def test_qr_rank_guard_decides_as_the_svd_rule():
+    rng = np.random.default_rng(5)
+    ratios = [0.5, 1e-8, 2e-9, 5e-10, 1e-12, 0.5, 0.5, 0.5]
+    matrices = np.stack([flat_spectrum_operator(rng, r, 6, 10) for r in ratios])
+    matrices[-3, 2] *= 1e-300  # the norm of R^-1 overflows
+    matrices[-2, 2] *= 1e-310  # R^-1 has infinite entries
+    matrices[-1, 2] = 0.0  # an exactly zero row
+    rhs = rng.standard_normal((len(ratios), 6))
+    factors, record = factor_as_batch(matrices, rhs)
+    # ||R||_F ||R^-1||_F is sqrt(5) / ratio: below 1e9 at 1e-8, above at 2e-9
+    assert list(factors.svd_elements) == [2, 3, 4, 5, 6, 7]
+    assert list(factors.rank) == [6, 6, 6, 5, 5, 5, 5, 5]
+    assert svd_rule_fallbacks(factors, matrices, rhs) == 5
+    # no overflow or invalid-value warning, only the one fallback warning
+    assert len(record) == 1
+    assert issubclass(record[0].category, UserWarning)
+    assert "5 of 8 elements" in str(record[0].message)
+
+
+def test_qr_rank_guard_sends_tall_operators_to_the_svd():
+    rng = np.random.default_rng(6)
+    matrices = np.stack([flat_spectrum_operator(rng, r, 8, 5) for r in (0.5, 1e-3, 1e-12)])
+    rhs = rng.standard_normal((3, 8))
+    factors, record = factor_as_batch(matrices, rhs)
+    assert list(factors.svd_elements) == [0, 1, 2]
+    assert list(factors.rank) == [5, 5, 4]
+    assert svd_rule_fallbacks(factors, matrices, rhs) == 3
+    assert len(record) == 1 and "3 of 3 elements" in str(record[0].message)
 
 
 def test_classical_trefftz_recovery():

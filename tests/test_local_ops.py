@@ -23,11 +23,13 @@ from trefftzdg.local_ops import (
     KINDS,
     QT_DIFFUSION,
     ElementBox,
+    LocalOperatorBatch,
     _unit_box_test_basis,
     assemble_local_operator,
     assemble_local_operators,
     compute_box,
     leibniz_point_derivative,
+    local_operator_batch,
     operator_row_count as q_dimension,
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
@@ -311,6 +313,28 @@ def test_full_row_rank_for_builtins(kind, case):
     for op in ops[:: max(1, len(ops) // 8)]:
         svals = np.linalg.svd(op.matrix, compute_uv=False)
         assert svals[-1] > 1e-8 * svals[0]
+
+
+@pytest.mark.parametrize(
+    "kind,case", [(AR, "AR_EXAMPLE"), (DAR, "DAR_EXAMPLE"),
+                  (DAR_BOX, "BOX_DIFFUSION_2D"), (QT_DIFFUSION, "QT_DIFFUSION")]
+)
+def test_local_operators_come_as_one_stacked_batch(kind, case):
+    space = BrokenSpace(build_structured_mesh(2), 3)
+    ops = assemble_local_operators(kind, space, builtin_case(case))
+    m = q_dimension(kind, 3)
+    assert isinstance(ops, LocalOperatorBatch) and len(ops) == 8
+    assert ops.matrices.shape == (8, m, 10) and ops.rhs.shape == (8, m)
+    assert list(ops.elements) == list(range(8))
+    for k, op in enumerate(ops):
+        assert (op.kind, op.element) == (kind, k)
+        assert np.shares_memory(op.matrix, ops.matrices) and np.shares_memory(op.rhs, ops.rhs)
+    assert list(ops[::-1].elements) == list(range(7, -1, -1))
+    restacked = local_operator_batch(list(ops))
+    assert local_operator_batch(ops) is ops
+    assert np.array_equal(restacked.elements, ops.elements)
+    assert np.array_equal(restacked.matrices, ops.matrices)
+    assert np.array_equal(restacked.rhs, ops.rhs)
 
 
 def test_batch_matches_single_element():

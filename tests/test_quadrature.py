@@ -7,6 +7,7 @@ import pytest
 from trefftzdg.quadrature import (
     _gauss_legendre_unit,
     box_rule,
+    duffy_rule_barycentric,
     facet_quadrature,
     triangle_rule,
     unit_box_rule,
@@ -167,6 +168,18 @@ def test_mesh_quadrature_shapes():
     fpts, fw = facet_quadrature(mesh, 4)
     assert fpts.shape[0] == mesh.n_facets
     assert fw.sum() == pytest.approx(mesh.facet_lengths.sum(), rel=1e-13)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_volume_points_are_the_barycentric_einsum_bitwise(perturbed_mesh, perturbed):
+    mesh = perturbed_mesh(5) if perturbed else build_structured_mesh(5)
+    for p in range(1, 7):
+        degree = 2 * p + 4
+        pts, w = volume_quadrature(mesh, degree)
+        bary, ref_w = duffy_rule_barycentric(degree)
+        expected = np.einsum("qc,ecd->eqd", bary, mesh.vertices[mesh.triangles])
+        assert np.array_equal(pts, expected), p
+        assert np.array_equal(w, ref_w[None, :] * mesh.areas[:, None]), p
 
 
 @pytest.mark.parametrize("center,side", [((0.25, -0.5), 0.4), ((0.81, 0.12), 1e-3)])

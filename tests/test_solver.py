@@ -239,6 +239,14 @@ def test_block_solver_rejects_local_operators_of_other_elements():
             solve_block_coupled(wrong, sys, emb)
 
 
+def test_block_solver_reads_a_list_of_operators_as_their_batch():
+    coeffs = builtin_case("DAR_EXAMPLE")
+    sys = assemble_global_system(DAR_SIP, build_structured_mesh(2), p=3, coeffs=coeffs, sigma=450.0)
+    emb = build_embedding(sys.space, coeffs, DAR)
+    batch = solve_block_coupled(emb.local_operators, sys, emb).coeffs
+    assert np.array_equal(solve_block_coupled(list(emb.local_operators), sys, emb).coeffs, batch)
+
+
 def test_block_solver_rejects_local_operators_of_another_shape():
     coeffs = builtin_case("DAR_EXAMPLE")
     sys = assemble_global_system(DAR_SIP, build_structured_mesh(2), p=3, coeffs=coeffs, sigma=450.0)
