@@ -227,7 +227,7 @@ def run_diagnostics(
             sigma = default_sigma(p)
         system = assemble_global_system(form, mesh, p, coeffs, sigma=sigma, space=space)
         u_emb = solve_embedded_trefftz(system, embedding)
-        u_block = solve_block_coupled(embedding.local_operators, system, embedding)
+        u_block = solve_block_coupled(system, embedding)
         gap = float(np.linalg.norm(u_emb.coeffs - u_block.coeffs))
         denom = float(np.linalg.norm(u_emb.coeffs))
         gap_rel = gap / denom if denom > 0 else gap

@@ -11,14 +11,14 @@ first is the constant ``1/sqrt(area)``. No element has a basis of its own:
 :class:`BrokenSpace` and :class:`ElementBasis` hold only the affine maps.
 
 At the volume points, which are the images of one reference rule, values
-come from the shared :func:`reference_tables`, gradients are ``J_K^-T``
-times the reference gradients and Laplacians the reference Hessians
-contracted with ``J_K^-1 J_K^-T``. A differential operator on the basis
-is applied by mapping its coefficients onto the reference derivatives
+come from the shared :func:`reference_tables` and gradients are ``J_K^-T``
+times the reference gradients. A differential operator on the basis is
+applied by mapping its coefficients onto the reference derivatives
 (:func:`_operator_terms`), so volume forms are one matrix product of
-weighted coefficients with the shared :func:`reference_products`. Other
-points are pulled back to the reference triangle and the reference
-derivatives tabulated there (:func:`_reference_tabulate`, scaled monomials
+weighted coefficients with the shared :func:`reference_products`, and at
+other points one contraction (:meth:`BrokenSpace.apply`). Other points
+are pulled back to the reference triangle and the reference derivatives
+tabulated there (:func:`_reference_tabulate`, scaled monomials
 times per-degree maps ``D^T C_ref^T`` with ``D`` an exact differentiation
 matrix in the monomial basis). Derivatives of any order follow from the
 reference ones by the exact chain rule of the affine map
@@ -50,7 +50,6 @@ def space_dimension(degree):
 class BasisEval:
     values: np.ndarray
     gradients: np.ndarray = None
-    laplacians: np.ndarray = None
 
 
 def _power_table(values, max_power):
@@ -245,15 +244,12 @@ def reference_products(degree, pairs, rows=None):
     return out
 
 
-def _to_elements(ref, inverses, dets, gradients=False, laplacians=False):
-    """Element values, gradients and Laplacians of
-    ``phi_K = phi_ref / sqrt(det J_K)`` from reference derivatives ``ref``
-    ``(E or 1, nq, k, m)`` (the first ``k`` of
-    :data:`_REFERENCE_DERIVATIVES`: 1, 3 or 6), the inverse Jacobians ``inverses``
-    ``(E, 2, 2)`` and ``dets`` ``(E,)``.
-
-    Gradients are ``J_K^-T`` times the reference gradients, Laplacians the
-    reference Hessians contracted with the metric ``J_K^-1 J_K^-T``.
+def _to_elements(ref, inverses, dets, gradients=False):
+    """Element values and gradients of ``phi_K = phi_ref / sqrt(det J_K)``
+    from reference derivatives ``ref`` ``(E or 1, nq, k, m)`` (the first
+    ``k`` of :data:`_REFERENCE_DERIVATIVES`: 1 or 3), the inverse Jacobians
+    ``inverses`` ``(E, 2, 2)`` and ``dets`` ``(E,)``. Gradients are
+    ``J_K^-T`` times the reference gradients.
     """
     r = np.sqrt(dets)[:, None, None]
     inv = inverses[:, None, None]
@@ -263,13 +259,6 @@ def _to_elements(ref, inverses, dets, gradients=False, laplacians=False):
             [inv[..., 0, a] * ref[:, :, 1] + inv[..., 1, a] * ref[:, :, 2] for a in range(2)],
             axis=-1,
         ) / r[..., None]
-    if laplacians:
-        metric = (inverses @ np.swapaxes(inverses, -1, -2))[:, None, None]
-        out.laplacians = (
-            metric[..., 0, 0] * ref[:, :, 3]
-            + 2.0 * metric[..., 0, 1] * ref[:, :, 4]
-            + metric[..., 1, 1] * ref[:, :, 5]
-        ) / r
     return out
 
 
@@ -390,13 +379,12 @@ class ElementBasis:
         ref = _reference_tabulate(zeta, None, self.degree, order)
         return ref, (self.adjugate / dets)[None], dets
 
-    def eval(self, points, gradients=False, laplacians=False):
-        """Values (and optionally gradients and Laplacians) at ``points``."""
+    def eval(self, points, gradients=False):
+        """Values (and optionally gradients) at ``points``."""
         shape = np.shape(points)[:-1]
-        order = 2 if laplacians else int(gradients)
-        ev = _to_elements(*self._reference(points, order), gradients, laplacians)
+        ev = _to_elements(*self._reference(points, int(gradients)), gradients)
         drop = lambda a: None if a is None else a.reshape(shape + a.shape[2:])
-        return BasisEval(drop(ev.values), drop(ev.gradients), drop(ev.laplacians))
+        return BasisEval(drop(ev.values), drop(ev.gradients))
 
     def derivatives(self, points, order):
         """Every partial derivative of total order at most ``order`` of each
@@ -404,22 +392,6 @@ class ElementBasis:
         ``(..., 2)``; exact, by :func:`_chain_rule`."""
         out = _chain_rule(*self._reference(points, order), order)
         return out.reshape(np.shape(points)[:-1] + out.shape[2:])
-
-    def apply(self, points, value=None, drift=None, laplacian=None):
-        """``value phi + drift . grad phi + laplacian lap phi`` of every basis
-        function at ``points`` ``(..., 2)``, from per-point coefficients
-        ``(...)`` (``drift`` ``(..., 2)``): ``(..., dim)``. The coefficients
-        are mapped onto the reference derivatives (:func:`_operator_terms`,
-        as in :meth:`BrokenSpace.volume_matrices`), so no derivative of the
-        element basis is tabulated."""
-        shape = np.shape(points)[:-1]
-        ref, inverses, dets = self._reference(points, 1 if laplacian is None else 2)
-        batch = lambda a: None if a is None else np.reshape(a, (1, -1) + np.shape(a)[len(shape):])
-        fields = (batch(value), batch(drift), batch(laplacian))
-        derivatives, terms = _operator_terms(inverses, *fields)
-        index = [_REFERENCE_DERIVATIVES.index(d) for d in derivatives]
-        vals = np.einsum("eqk,eqkm->eqm", np.stack(terms, axis=-1), ref[:, :, index])
-        return (vals / np.sqrt(dets)[:, None, None]).reshape(shape + (self.dim,))
 
     def derivative(self, points, order):
         """Exact partial derivative ``D^order`` of each basis function."""
@@ -474,15 +446,6 @@ class BrokenSpace:
     def _pull_back(self, points, elems):
         """Reference coordinates of per-element points ``(m, nq, 2)``."""
         return _pull_back(points, self.origins[elems], self.adjugates[elems], self.dets[elems])
-
-    def volume_basis(self, elems=slice(None), gradients=False, laplacians=False):
-        """Orthonormal basis values (and optionally gradients and
-        Laplacians) at the volume points of ``elems``, mapped from the
-        shared reference tables."""
-        ref = reference_tables(self.degree)[None]
-        return _to_elements(
-            ref, self.inverse_jacobians[elems], self.dets[elems], gradients, laplacians
-        )
 
     def volume_matrices(self, elems, weights, value=None, drift=None, laplacian=None,
                         diffusion=None, rows=None):
@@ -548,6 +511,22 @@ class BrokenSpace:
         elems = np.asarray(elems)
         ref = self._reference_basis_at(elems, points, int(gradients))
         return _to_elements(ref, self.inverse_jacobians[elems], self.dets[elems], gradients)
+
+    def apply(self, elems, points, value=None, drift=None, laplacian=None):
+        """``value phi + drift . grad phi + laplacian lap phi`` of the basis
+        of ``elems`` at per-element ``points`` ``(m, nq, 2)``, from
+        per-point coefficients ``(m, nq)`` (``drift`` ``(m, nq, 2)``):
+        ``(m, nq, ndof_local)``. The coefficients are mapped onto the
+        reference derivatives (:func:`_operator_terms`, as in
+        :meth:`volume_matrices`), so no derivative of the element basis is
+        tabulated."""
+        elems = np.asarray(elems)
+        ref = self._reference_basis_at(elems, points, 1 if laplacian is None else 2)
+        inverses = self.inverse_jacobians[elems]
+        derivatives, terms = _operator_terms(inverses, value, drift, laplacian)
+        index = [_REFERENCE_DERIVATIVES.index(d) for d in derivatives]
+        vals = np.einsum("eqk,eqkm->eqm", np.stack(terms, axis=-1), ref[:, :, index])
+        return vals / np.sqrt(self.dets[elems])[:, None, None]
 
     def derivatives(self, elems, points, order):
         """Every partial derivative of total order at most ``order`` of the

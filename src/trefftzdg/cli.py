@@ -36,6 +36,9 @@ _QT_CASES = {"BOX_DIFFUSION_2D", "QT_DIFFUSION"}
 MAX_DEGREE = 6
 MAX_SUBDIVISIONS = 128
 
+#: keys a ``run --config`` file may set, one per ``run`` option
+_CONFIG_KEYS = ("case", "methods", "p", "n", "sigma", "box_scale", "out")
+
 
 class UsageError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
@@ -64,15 +67,8 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise UsageError(f"unknown method {m!r}; expected subset of {METHODS}")
-        if "qt" in self.methods and self.case not in _QT_CASES:
-            raise UsageError(
-                f"method qt is implemented only for the diffusion cases "
-                f"{sorted(_QT_CASES)}, not {self.case}"
-            )
-        if "etbox" in self.methods and self.case not in _BOX_CASES:
-            raise UsageError(
-                f"method etbox requires a diffusion-family case, not {self.case}"
-            )
+            if m != "dg":
+                _check_kind(self.case, _LOCAL_KIND[m] or _family(self.case)[1], f"method {m}")
         self.p_list = tuple(int(p) for p in self.p_list)
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.p_list or not self.n_list:
@@ -110,6 +106,23 @@ def _family(case):
     if case in _AR_CASES:
         return AR_UPWIND, AR
     return DAR_SIP, DAR
+
+
+def _check_kind(case, kind, source):
+    """Reject a local operator kind that drops part of the PDE of ``case``
+    or does not apply to it: ``AR`` drops the diffusion of a diffusion
+    case, the box kind needs a diffusion-family case and the quasi-Trefftz
+    kind a smooth-diffusion one. ``source`` names the option that asked
+    for the kind."""
+    kinds = {_family(case)[1]}
+    if case in _BOX_CASES:
+        kinds.add(DAR_BOX)
+    if case in _QT_CASES:
+        kinds.add(QT_DIFFUSION)
+    if kind not in kinds:
+        raise UsageError(
+            f"{source}: case {case} takes the local operator kinds {sorted(kinds)}, not {kind}"
+        )
 
 
 _LOCAL_KIND = {"et": None, "etbox": DAR_BOX, "qt": QT_DIFFUSION}
@@ -226,7 +239,11 @@ def _load_config_file(path):
             if "=" not in line:
                 raise UsageError(f"malformed config line: {raw.rstrip()}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if key not in _CONFIG_KEYS:
+                expected = ", ".join(_CONFIG_KEYS)
+                raise UsageError(f"unknown config key {key!r} in {path}; expected one of {expected}")
+            values[key] = value
     return values
 
 
@@ -279,6 +296,7 @@ def _cmd_diagnose(args):
         kind = _family(case)[1]
     if kind not in KINDS:
         raise UsageError(f"unknown operator kind {kind!r}")
+    _check_kind(case, kind, "--kind")
     _check_sizes([args.n], [args.p], case)
     _check_positive_finite(sigma=args.sigma, box_scale=args.box_scale)
     coeffs = builtin_case(case)

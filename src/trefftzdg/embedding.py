@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .local_ops import LocalOperatorBatch, assemble_local_operators, local_operator_batch
+from .local_ops import LocalOperatorBatch, assemble_local_operators
 
 #: Rank rule expecting as many independent rows as the test space has
 #: dimensions (guarded; falls back to a relative threshold with a warning).
@@ -294,7 +294,7 @@ def build_embedding(space, coeffs, kind, box_scale=0.25):
     embedding in one sweep. Returns the :class:`GlobalEmbedding`; the
     local operators are kept on the result as the
     :class:`~trefftzdg.local_ops.LocalOperatorBatch` ``local_operators``."""
-    ops = local_operator_batch(assemble_local_operators(kind, space, coeffs, box_scale=box_scale))
+    ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
     factors = _factor(ops.matrices, ops.rhs, ops.elements, EXPECT_FULL_ROW_RANK, True)
     widths = space.ndof_local - factors.rank
     glob = _global_embedding(factors.kernels, widths, factors.uL.ravel())

@@ -13,20 +13,20 @@ Every trial basis is the reference-triangle basis mapped to its element
 write the PDE operator as ``value phi + drift . grad phi + laplacian lap
 phi`` with coefficients evaluated once per point (:func:`_operator_fields`)
 and mapped onto the reference derivatives of the basis. The trial basis is
-orthonormal on its element and graded by degree, so on a triangle rule the
-test basis is its leading columns. On a space's volume rule the operators
-of a batch of elements are one matrix product of the mapped, weighted
-coefficients with the space's shared reference tables
-(:meth:`BrokenSpace.volume_matrices`). On one element's own rule, and for
-the box kind, the operator is applied to the basis at the rule points
-(:meth:`ElementBasis.apply`). The box kind runs element by element, but
-its rule and test basis are those of the unit square, built once per degree
-and mapped to each box. The quasi-Trefftz kind has one batched
-point-derivative kernel at the element centers, fed with the trial basis
-derivatives up to order ``p`` there (chain rule of the affine map), and
-:func:`leibniz_point_derivative` is a batch of one of it. The per-element
-entry point :func:`assemble_local_operator` rejects a basis whose affine
-map is not the element's.
+orthonormal on its element and graded by degree, so on the space's volume
+rule the test basis is its leading columns, and the operators of a batch
+of elements are one matrix product of the mapped, weighted coefficients
+with the space's shared reference tables
+(:meth:`BrokenSpace.volume_matrices`). The box kind runs element by
+element: its rule and test basis are those of the unit square, built once
+per degree and mapped to each box, and the operator is applied to the
+trial basis at the mapped rule points (:meth:`BrokenSpace.apply`). The
+quasi-Trefftz kind has one batched point-derivative kernel at the element
+centers, fed with the trial basis derivatives up to order ``p`` there
+(chain rule of the affine map), and :func:`leibniz_point_derivative` is a
+batch of one of it. For every kind but the box one, the per-element entry
+point :func:`assemble_local_operator` is a batch of one of the batched
+code.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .basis import (
     space_dimension,
 )
 from .coefficients import require_finite, require_positive
-from .quadrature import box_rule, triangle_rule
+from .quadrature import box_rule
 
 AR = "AR"
 DAR = "DAR"
@@ -92,7 +92,7 @@ class LocalOperator:
 class LocalOperatorBatch(Sequence):
     """Local operators as stacks, ``matrices`` ``(E, m, n)`` and loads
     ``rhs`` ``(E, m)`` of ``elements``: a sequence of :class:`LocalOperator`
-    views, and a batch again under slicing."""
+    views."""
 
     kind: str
     elements: np.ndarray
@@ -103,19 +103,7 @@ class LocalOperatorBatch(Sequence):
         return len(self.elements)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return LocalOperatorBatch(self.kind, self.elements[k], self.matrices[k], self.rhs[k])
         return LocalOperator(self.kind, int(self.elements[k]), self.matrices[k], self.rhs[k])
-
-
-def local_operator_batch(ops):
-    """``ops`` as a :class:`LocalOperatorBatch`: a batch as it is, a
-    sequence of :class:`LocalOperator` of one shape stacked."""
-    if isinstance(ops, LocalOperatorBatch):
-        return ops
-    ops = list(ops)
-    matrices, rhs = np.stack([op.matrix for op in ops]), np.stack([op.rhs for op in ops])
-    return LocalOperatorBatch(ops[0].kind, np.array([op.element for op in ops]), matrices, rhs)
 
 
 def operator_row_count(kind, p):
@@ -267,64 +255,57 @@ def _leibniz_rows(indices, alpha, points, phi):
     return rows
 
 
-#: relative difference above which :func:`assemble_local_operator` takes a
-#: basis's affine map for another element's than its own
-_MAP_RTOL = 1e-12
-
-
-def _require_element_basis(mesh, element, basis):
-    """Reject a basis whose origin, adjugate or ``det J`` differ from those
-    of element ``element`` by more than :data:`_MAP_RTOL` relative to the
-    largest entry of each."""
-    own = (*mesh.vertices[mesh.triangles[element, 0]].tolist(),
-           *mesh.adjugates[element].ravel().tolist(), 2.0 * mesh.areas[element].item())
-    given = (*basis.origin.tolist(), *basis.adjugate.ravel().tolist(), basis.det)
-    if given == own:
-        # the element's own basis holds the mesh's numbers exactly
-        return
-    for name, part in (("origin", slice(0, 2)), ("adjugate", slice(2, 6)), ("det J", slice(6, 7))):
-        bound = _MAP_RTOL * max(map(abs, own[part]))
-        if not all(abs(a - b) <= bound for a, b in zip(own[part], given[part])):
-            raise ValueError(
-                f"the basis passed for element {element} is not that element's: "
-                f"its {name} differs"
-            )
-
-
-def assemble_local_operator(kind, mesh, element, basis, coeffs, box_scale=0.25):
-    """Matrix representation of the local operator on one element.
-
-    ``basis`` is the element's orthonormal trial basis of degree p, graded
-    by degree (:class:`ElementBasis`); a basis built for another element
-    is rejected (:func:`_require_element_basis`). For the volume-projected
-    kinds its leading columns are the test basis. The returned rows are
-    tested against an orthonormal basis of the kind's test space; the load
-    vector carries the same mesh-size scaling as the operator.
-    """
-    p = basis.degree
-    _validate(kind, p, coeffs)
-    _require_element_basis(mesh, element, basis)
+def _batch_operators(kind, space, coeffs, chunk):
+    """Matrices ``(E, m, n)`` and loads ``(E, m)`` of the AR, DAR or
+    QT_DIFFUSION operators of the elements in the slice ``chunk``."""
+    p = space.degree
+    elems = np.arange(chunk.start, chunk.stop)
     if kind == QT_DIFFUSION:
-        center = mesh.centroids[element][None]
-        phi = basis.derivatives(center, p)
-        matrices, loads = _qt_kernel(coeffs, p, [element], center, phi, [mesh.h[element]])
-        return LocalOperator(kind=kind, element=element, matrix=matrices[0], rhs=loads[0])
-    if kind == DAR_BOX:
-        box = compute_box(mesh, element, box_scale)
-        rule, scale = box_rule(box.center, box.side, 2 * p + 4), box.h
-        test = _unit_box_test_basis(p) / box.side
-    else:
-        rule = triangle_rule(mesh.vertices[mesh.triangles[element]], 2 * p + 4)
-        scale = mesh.h[element]
-        # as in the batched path: the trial basis is orthonormal on the
-        # element and graded by degree, so its leading columns are the test
-        # basis
-        test = basis.eval(rule.points).values[:, : operator_row_count(kind, p)]
-    fields, f = _operator_fields(kind, coeffs, [element], rule.points[None])
+        centers = space.centers[chunk]
+        phi = space.derivatives(elems, centers[:, None], p)[:, 0]
+        return _qt_kernel(coeffs, p, elems, centers, phi, space.scales[chunk])
+    # the space's basis is orthonormal on the same rule and graded by
+    # degree, so its leading columns are the test basis
+    fields, f = _operator_fields(kind, coeffs, elems, space.volume_points[chunk])
+    w = space.volume_weights[chunk] * _row_scale(kind, space.scales[chunk])[:, None]
+    rows = operator_row_count(kind, p)
+    return (space.volume_matrices(chunk, w, rows=rows, **fields),
+            space.volume_load(chunk, w, f, rows=rows))
+
+
+def _box_operator(space, element, coeffs, box_scale):
+    """Matrix and load of the DAR_BOX operator of one element: the
+    unit-square rule and test basis (cached per degree) mapped onto the
+    element's box, and the operator applied to the trial basis at the
+    mapped points."""
+    p = space.degree
+    box = compute_box(space.mesh, element, box_scale)
+    rule = box_rule(box.center, box.side, 2 * p + 4)
+    fields, f = _operator_fields(DAR_BOX, coeffs, [element], rule.points[None])
     # scaled, weighted test values: A = Q_w^T L(phi) and l = Q_w^T f
-    qw = test * (_row_scale(kind, scale) * rule.weights)[:, None]
-    matrix = qw.T @ basis.apply(rule.points[None], **fields)[0]
-    rhs = np.einsum("qi,q->i", qw, f[0])
+    test = _unit_box_test_basis(p) / box.side
+    qw = test * (_row_scale(DAR_BOX, box.h) * rule.weights)[:, None]
+    matrix = qw.T @ space.apply([element], rule.points[None], **fields)[0]
+    return matrix, np.einsum("qi,q->i", qw, f[0])
+
+
+def assemble_local_operator(kind, space, element, coeffs, box_scale=0.25):
+    """Matrix representation of the local operator on element ``element``
+    of the broken space ``space``.
+
+    The rows are tested against an orthonormal basis of the kind's test
+    space; the load vector carries the same mesh-size scaling as the
+    operator. The box kind is computed element by element; the others are
+    a batch of one of :func:`assemble_local_operators`.
+    """
+    if not 0 <= element < space.mesh.n_elements:
+        raise IndexError(f"element index {element} out of range")
+    _validate(kind, space.degree, coeffs)
+    if kind == DAR_BOX:
+        matrix, rhs = _box_operator(space, element, coeffs, box_scale)
+    else:
+        matrices, loads = _batch_operators(kind, space, coeffs, slice(element, element + 1))
+        matrix, rhs = matrices[0], loads[0]
     return LocalOperator(kind=kind, element=element, matrix=matrix, rhs=rhs)
 
 
@@ -336,40 +317,21 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
     kinds as one product of their weighted coefficients with the space's
     reference tables, on its volume rule, the quasi-Trefftz kind through
     the point-derivative kernel at the element centers. The box kind goes
-    element by element, as each element has its own box; per element it
-    computes the box, maps the unit-square rule and test basis (cached per
-    degree) onto it and applies the operator to the trial basis at the
-    mapped points, and the results are stacked.
+    element by element through :func:`assemble_local_operator`, as each
+    element has its own box, and the results are stacked.
     """
-    mesh = space.mesh
-    p = space.degree
-    _validate(kind, p, coeffs)
+    n_elements = space.mesh.n_elements
+    _validate(kind, space.degree, coeffs)
     if kind == DAR_BOX:
-        return local_operator_batch(
-            assemble_local_operator(
-                kind, mesh, k, space.element_basis(k), coeffs, box_scale=box_scale
-            )
-            for k in range(mesh.n_elements)
-        )
-    parts = []
-    for start in range(0, mesh.n_elements, _CHUNK):
-        chunk = slice(start, min(start + _CHUNK, mesh.n_elements))
-        elems = np.arange(chunk.start, chunk.stop)
-        if kind == QT_DIFFUSION:
-            centers = space.centers[chunk]
-            phi = space.derivatives(elems, centers[:, None], p)[:, 0]
-            matrices, loads = _qt_kernel(coeffs, p, elems, centers, phi, space.scales[chunk])
-        else:
-            # the space's basis is orthonormal on the same rule and graded by
-            # degree, so its leading columns are the test basis
-            fields, f = _operator_fields(kind, coeffs, elems, space.volume_points[chunk])
-            w = space.volume_weights[chunk] * _row_scale(kind, space.scales[chunk])[:, None]
-            rows = operator_row_count(kind, p)
-            matrices = space.volume_matrices(chunk, w, rows=rows, **fields)
-            loads = space.volume_load(chunk, w, f, rows=rows)
-        parts.append((matrices, loads))
-    matrices, loads = map(np.concatenate, zip(*parts))
-    return LocalOperatorBatch(kind, np.arange(mesh.n_elements), matrices, loads)
+        ops = [assemble_local_operator(kind, space, k, coeffs, box_scale=box_scale)
+               for k in range(n_elements)]
+        matrices, loads = np.stack([op.matrix for op in ops]), np.stack([op.rhs for op in ops])
+    else:
+        chunks = [slice(start, min(start + _CHUNK, n_elements))
+                  for start in range(0, n_elements, _CHUNK)]
+        parts = [_batch_operators(kind, space, coeffs, chunk) for chunk in chunks]
+        matrices, loads = map(np.concatenate, zip(*parts))
+    return LocalOperatorBatch(kind, np.arange(n_elements), matrices, loads)
 
 
 def leibniz_point_derivative(index, basis, coefficients, alpha, point):

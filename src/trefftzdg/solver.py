@@ -9,9 +9,11 @@ order (:func:`_solve_order`): the block-triangular form of the element-pair
 graph, with the mesh's nested-dissection order inside each strongly
 connected component. An acyclic upwind system then factors with no fill,
 and a connected one (SIP, cyclic flow) keeps the nested-dissection order.
-The coupled system eliminates its complement unknowns element by element
-with dense batched solves (static condensation), so its only sparse LU is
-that of the Schur complement on the Trefftz unknowns, which has the size
+The coupled system takes its local rows from the operators and factors
+that :func:`~trefftzdg.embedding.build_embedding` keeps on the embedding
+and eliminates its complement unknowns element by element with dense
+batched solves (static condensation), so its only sparse LU is that of
+the Schur complement on the Trefftz unknowns, which has the size
 and the block pattern of the reduced system. Each matrix is built once,
 already in solve order: :func:`block_matrix` permutes the element-pair
 blocks as whole blocks and converts them in one pass to the CSC matrix
@@ -34,7 +36,6 @@ from .embedding import (  # noqa: F401  (complement rules re-exported)
     SVD_COMPLEMENT,
     block_matrix,
 )
-from .local_ops import local_operator_batch
 
 STANDARD_DG = "STANDARD_DG"
 EMBEDDED_TREFFTZ = "EMBEDDED_TREFFTZ"
@@ -237,27 +238,7 @@ def solve_embedded_trefftz(system, embedding):
     )
 
 
-def _local_stack(local_ops, factors):
-    """The local matrices ``(E, m, n)`` and loads ``(E, m)`` of ``local_ops``,
-    a :class:`LocalOperatorBatch` or a sequence of operators, which must be
-    the operators ``factors`` was computed from: the same element ids in
-    the same order and the same shapes."""
-    batch = local_operator_batch(local_ops)
-    if not np.array_equal(batch.elements, factors.elements):
-        raise ValueError(
-            f"{len(batch)} local operators do not match the factored elements: "
-            f"they must be those of the {len(factors.elements)} elements, in their order"
-        )
-    m, n = factors.R.shape[2], factors.Q.shape[1]
-    if batch.matrices.shape[1:] != (m, n) or batch.rhs.shape[1:] != (m,):
-        raise ValueError(
-            f"element {batch.elements[0]}: local operator of shape {batch.matrices.shape[1:]} "
-            f"and load of shape {batch.rhs.shape[1:]}, the factored ones are {(m, n)} and {(m,)}"
-        )
-    return batch.matrices, batch.rhs
-
-
-def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLEMENT):
+def solve_block_coupled(system, embedding, complement_rule=SVD_COMPLEMENT):
     """Solve the coupled 2x2 local/global block system by static
     condensation.
 
@@ -267,9 +248,9 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
     ``A L c_L + A T c_T = l`` and the global ones ``T'A L c_L + T'A T c_T =
     T'g``. By the weak-coupling property of the kernels the result matches
     the embedded solve, which the diagnostics verify numerically.
-    ``embedding`` comes from :func:`build_embedding` and ``local_ops`` are
-    the operators it factored: its ``local_operators`` batch, whose stacks
-    are read as they are, or the same operators as a list.
+    ``embedding`` comes from :func:`build_embedding`, which keeps the local
+    operators it factored and their factors; the local rows are read from
+    those stacks.
 
     The local rows are block diagonal, so the complement unknowns are
     eliminated element by element (static condensation; Guyan, AIAA J. 3,
@@ -284,7 +265,7 @@ def solve_block_coupled(local_ops, system, embedding, complement_rule=SVD_COMPLE
     factors = embedding.factors
     if factors is None:
         raise ValueError("the block solve needs the local factors build_embedding keeps")
-    A, load = _local_stack(local_ops, factors)
+    A, load = embedding.local_operators.matrices, embedding.local_operators.rhs
     n_elements, n_rows, n = A.shape
     deficient = np.flatnonzero(factors.rank != n_rows)
     if deficient.size:

@@ -185,7 +185,7 @@ def test_criterion_07_block_equivalence():
         emb = build_embedding(space, coeffs, kind)
         u_et = solve_embedded_trefftz(system, emb)
         for rule in (SVD_COMPLEMENT, MINNORM_IMAGE):
-            u_bl = solve_block_coupled(emb.local_operators, system, emb, complement_rule=rule)
+            u_bl = solve_block_coupled(system, emb, complement_rule=rule)
             gap = np.linalg.norm(u_bl.coeffs - u_et.coeffs) / np.linalg.norm(u_et.coeffs)
             gaps.append(gap)
             assert gap <= 1e-8, (case, rule, gap)
@@ -204,8 +204,9 @@ def test_criterion_08_classical_trefftz_recovery():
                 if d1[0] * d2[1] - d1[1] * d2[0] > 0.3:
                     break
             mesh = Mesh2D(vertices=verts, triangles=np.array([[0, 1, 2]]))
-            basis = ElementBasis.from_element(mesh, 0, degree=p)
-            op = assemble_local_operator(DAR, mesh, 0, basis, coeffs)
+            space = BrokenSpace(mesh, p)
+            basis = space.element_basis(0)
+            op = assemble_local_operator(DAR, space, 0, coeffs)
             emb = compute_embedding(op)
             assert emb.T.shape[1] == 2 * p + 1
             rule = triangle_rule(verts, 2 * p + 6)
@@ -236,7 +237,7 @@ def test_criterion_09_exact_representation_solve():
         solutions = [
             solve_standard_dg(system),
             solve_embedded_trefftz(system, emb),
-            solve_block_coupled(emb.local_operators, system, emb),
+            solve_block_coupled(system, emb),
         ]
         for sol in solutions:
             report = compute_errors(sol, coeffs, DAR)

@@ -198,9 +198,7 @@ def test_turned_sliver_space_is_orthonormal(aspect, sliver_mesh):
         warnings.simplefilter("error")
         space = BrokenSpace(mesh, 6)
         eye = np.eye(space.ndof_local)
-        values = space.volume_basis().values[0]
-        gram = np.einsum("q,qi,qj->ij", space.volume_weights[0], values, values)
-        assert np.max(np.abs(gram - eye)) < 1e-12
+        assert np.max(np.abs(mass_matrices(space)[0] - eye)) < 1e-12
         # on a finer rule than the space's, through the space and the
         # element basis
         rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * 6 + 6)
@@ -310,28 +308,44 @@ def assert_rel_close(actual, expected, rtol):
     assert np.max(np.abs(actual - expected)) <= rtol * scale
 
 
+def mass_matrices(space):
+    """The mass matrices ``(E, n, n)`` of every element on the space's
+    volume rule, from the shared reference tables."""
+    weights = space.volume_weights
+    return space.volume_matrices(slice(None), weights, value=np.ones_like(weights))
+
+
+def contract(table, coeffs):
+    """A basis table ``(E, nq, n, ...)`` applied to per-element
+    coefficients ``(E, n)``: ``(E, nq, ...)``."""
+    return np.einsum("eqn...,en->eq...", table, coeffs)
+
+
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("p", range(1, 7))
 def test_volume_table_matches_evaluate_basis(p, perturbed, perturbed_mesh):
-    # the shared tables mapped to the elements against the basis evaluated
-    # at the pulled-back volume points, and against the derivatives of the
-    # chain rule of the affine map
+    # a function from the shared tables mapped to the elements against the
+    # same function at the pulled-back volume points, and against the
+    # derivatives of the chain rule of the affine map; the Laplacian the
+    # space applies against the second derivatives
     mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
     space = BrokenSpace(mesh, p)
     elems = np.arange(mesh.n_elements)
-    tab = space.volume_basis(gradients=True, laplacians=True)
-    ref = space.eval_elements(elems, space.volume_points, gradients=True)
-    assert_rel_close(tab.values, ref.values, 1e-12)
-    assert_rel_close(tab.gradients, ref.gradients, 1e-12)
+    coeffs = np.random.default_rng(p).standard_normal((mesh.n_elements, space.ndof_local))
+    vals, grads = space.eval_function(coeffs, gradients=True)
+    pulled_vals, pulled_grads = space.eval_function(coeffs, points=space.volume_points,
+                                                    gradients=True)
+    assert_rel_close(vals, pulled_vals, 1e-12)
+    assert_rel_close(grads, pulled_grads, 1e-12)
     derivatives = space.derivatives(elems, space.volume_points, 2)
-    assert_rel_close(tab.values, derivatives[..., 0, :], 1e-12)
+    assert_rel_close(vals, contract(derivatives[..., 0, :], coeffs), 1e-12)
     for d in range(2):
-        assert_rel_close(tab.gradients[..., d], derivatives[..., 1 + d, :], 1e-12)
+        assert_rel_close(grads[..., d], contract(derivatives[..., 1 + d, :], coeffs), 1e-12)
+    lap = space.apply(elems, space.volume_points, laplacian=np.ones(space.volume_weights.shape))
     if p >= 2:
-        lap = derivatives[..., 3, :] + derivatives[..., 5, :]
-        assert_rel_close(tab.laplacians, lap, 1e-12)
+        assert_rel_close(lap, derivatives[..., 3, :] + derivatives[..., 5, :], 1e-12)
     else:
-        assert np.all(tab.laplacians == 0.0)
+        assert np.all(lap == 0.0)
         assert np.all(derivatives[..., 3:, :] == 0.0)
 
 
@@ -339,9 +353,10 @@ def test_volume_function_matches_basis_table(perturbed_mesh):
     space = BrokenSpace(perturbed_mesh(3), 4)
     coeffs = np.random.default_rng(3).standard_normal((space.mesh.n_elements, space.ndof_local))
     vals, grads = space.eval_function(coeffs, gradients=True)
-    tab = space.volume_basis(gradients=True)
-    assert_rel_close(vals, np.einsum("eqn,en->eq", tab.values, coeffs), 1e-12)
-    assert_rel_close(grads, np.einsum("eqnd,en->eqd", tab.gradients, coeffs), 1e-12)
+    elems = np.arange(space.mesh.n_elements)
+    tab = space.eval_elements(elems, space.volume_points, gradients=True)
+    assert_rel_close(vals, contract(tab.values, coeffs), 1e-12)
+    assert_rel_close(grads, contract(tab.gradients, coeffs), 1e-12)
     elems = [4, 0, 7]
     at_points = space.eval_function(coeffs, elems, space.volume_points[elems])
     assert_rel_close(at_points, vals[elems], 1e-12)
@@ -400,11 +415,11 @@ def test_leading_basis_columns_are_the_lower_degree_basis(p, perturbed, perturbe
     # the AR and DAR test bases: dim P_(p-1) and dim P_(p-2) leading columns
     mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
     space = BrokenSpace(mesh, p)
-    values = space.volume_basis().values
+    elems = np.arange(mesh.n_elements)
+    values = space.eval_elements(elems, space.volume_points).values
     for q in (p - 1, p - 2):
         if q < 0:
             continue
-        elems = np.arange(mesh.n_elements)
         lower = BrokenSpace(mesh, q).eval_elements(elems, space.volume_points).values
         assert_rel_close(values[..., : space_dimension(q)], lower, 1e-12)
 
@@ -436,9 +451,7 @@ def test_closed_form_basis_is_block_triangular_and_orthonormal(p, perturbed, per
     derivatives = space.derivatives(elems, space.volume_points[:, :4], p)
     above = degree[:, None] > degree[None, :]
     assert np.all(derivatives[..., above] == 0.0)
-    values = space.volume_basis().values
-    gram = np.einsum("eq,eqi,eqj->eij", space.volume_weights, values, values)
-    assert np.max(np.abs(gram - np.eye(space.ndof_local))) < 1e-12
+    assert np.max(np.abs(mass_matrices(space) - np.eye(space.ndof_local))) < 1e-12
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -446,15 +459,18 @@ def test_closed_form_basis_is_block_triangular_and_orthonormal(p, perturbed, per
 def test_element_basis_matches_the_space(p, perturbed, perturbed_mesh):
     mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
     space = BrokenSpace(mesh, p)
-    tab = space.volume_basis(gradients=True, laplacians=True)
+    coeffs = np.random.default_rng(p).standard_normal((mesh.n_elements, space.ndof_local))
+    vals, grads = space.eval_function(coeffs, gradients=True)
+    elems = np.arange(mesh.n_elements)
+    derivatives = space.derivatives(elems, space.volume_points, 2)
     for k in range(mesh.n_elements):
         own, viewed = ElementBasis.from_element(mesh, k, p), space.element_basis(k)
         for name in ("origin", "adjugate", "det", "degree"):
             np.testing.assert_array_equal(getattr(own, name), getattr(viewed, name))
-        ev = own.eval(space.volume_points[k], gradients=True, laplacians=True)
-        assert_rel_close(ev.values, tab.values[k], 1e-12)
-        assert_rel_close(ev.gradients, tab.gradients[k], 1e-12)
-        assert_rel_close(ev.laplacians, tab.laplacians[k], 1e-12)
+        ev = own.eval(space.volume_points[k], gradients=True)
+        assert_rel_close(ev.values @ coeffs[k], vals[k], 1e-12)
+        assert_rel_close(np.einsum("qnd,n->qd", ev.gradients, coeffs[k]), grads[k], 1e-12)
+        assert_rel_close(own.derivatives(space.volume_points[k], 2), derivatives[k], 1e-12)
 
 
 def test_reference_basis_is_cached_read_only():
@@ -474,8 +490,10 @@ def test_space_runs_no_factorization_per_element(monkeypatch, perturbed_mesh):
 
     def evaluate():
         space = BrokenSpace(mesh, 5)
-        tab = space.volume_basis(gradients=True, laplacians=True)
-        return (tab.values, tab.gradients, tab.laplacians,
+        coeffs = np.ones((mesh.n_elements, space.ndof_local))
+        laplacian = np.ones(points.shape[:2])
+        return (*space.eval_function(coeffs, gradients=True),
+                space.apply(elems, points, laplacian=laplacian),
                 space.eval_elements(elems, points, gradients=True).gradients,
                 space.derivatives(elems, points, 6),
                 space.element_basis(3).derivatives(points[3], 6))

@@ -304,3 +304,52 @@ def test_experiment_config_validation():
                            p_list=(3,), n_list=(2,), out="x.csv")
     rows = run_experiment(cfg, write=False)
     assert len(rows) == 2
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, monkeypatch, capsys):
+    import trefftzdg.cli as cli
+
+    def no_mesh(n):
+        raise AssertionError(f"mesh with n={n} built")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
+    cfg = tmp_path / "exp.cfg"
+    out = tmp_path / "x.csv"
+    cfg.write_text(f"case = DAR_EXAMPLE\nmethods = dg\np = 2\nn = 2\nsigmaa = 5\nout = {out}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key 'sigmaa'" in err
+    assert "case, methods, p, n, sigma, box_scale, out" in err
+    assert not out.exists()
+    # the option spelling of a key is accepted
+    cfg.write_text("box-scale = 0.25\n")
+    assert cli._load_config_file(cfg) == {"box_scale": "0.25"}
+
+
+@pytest.mark.parametrize(
+    "case,kind",
+    [("DAR_EXAMPLE", "QT_DIFFUSION"), ("DAR_EXAMPLE", "AR"), ("BOX_DIFFUSION_2D", "AR"),
+     ("AR_EXAMPLE", "DAR"), ("AR_EXAMPLE", "DAR_BOX"), ("AR_EXAMPLE", "QT_DIFFUSION")],
+)
+def test_diagnose_rejects_a_kind_that_does_not_fit_the_case(monkeypatch, capsys, case, kind):
+    # AR drops the diffusion of a diffusion case, and the quasi-Trefftz
+    # kernel reads only alpha and f: either would report clean witnesses
+    # for another PDE than the case's
+    import trefftzdg.cli as cli
+
+    def no_mesh(n):
+        raise AssertionError(f"mesh with n={n} built")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
+    assert main(["diagnose", "--case", case, "--kind", kind, "--p", "3", "--n", "2"]) == 2
+    assert f"--kind: case {case} takes the local operator kinds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "case,kind",
+    [("AR_EXAMPLE", "AR"), ("DAR_EXAMPLE", "DAR"), ("DAR_EXAMPLE", "DAR_BOX"),
+     ("BOX_DIFFUSION_2D", "QT_DIFFUSION"), ("QT_DIFFUSION", "DAR_BOX")],
+)
+def test_diagnose_accepts_the_kinds_of_the_case(capsys, case, kind):
+    assert main(["diagnose", "--case", case, "--kind", kind, "--p", "2", "--n", "1"]) == 0
+    assert capsys.readouterr().err == ""

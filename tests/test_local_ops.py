@@ -29,7 +29,6 @@ from trefftzdg.local_ops import (
     assemble_local_operators,
     compute_box,
     leibniz_point_derivative,
-    local_operator_batch,
     operator_row_count as q_dimension,
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
@@ -60,9 +59,8 @@ def test_row_counts(p):
 def test_assembled_shapes(kind):
     p = 3
     coeffs = builtin_case("QT_DIFFUSION" if kind != AR else "AR_EXAMPLE")
-    mesh = build_structured_mesh(2)
-    basis = ElementBasis.from_element(mesh, 1, degree=p)
-    op = assemble_local_operator(kind, mesh, 1, basis, coeffs)
+    space = BrokenSpace(build_structured_mesh(2), p)
+    op = assemble_local_operator(kind, space, 1, coeffs)
     assert op.matrix.shape == (q_dimension(kind, p), space_dimension(p))
     assert op.rhs.shape == (q_dimension(kind, p),)
     assert op.kind == kind and op.element == 1
@@ -70,8 +68,7 @@ def test_assembled_shapes(kind):
 
 def test_ar_p1_constant_column_and_nullspace():
     coeffs = manufactured_case(beta=(1, 0), gamma=0, exact=sp.Symbol("x"))
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=1)
-    op = assemble_local_operator(AR, UNIT_RIGHT, 0, basis, coeffs)
+    op = assemble_local_operator(AR, BrokenSpace(UNIT_RIGHT, 1), 0, coeffs)
     assert op.matrix.shape == (1, 3)
     # column of the constant basis function: derivative of a constant
     assert abs(op.matrix[0, 0]) < 1e-14
@@ -86,7 +83,7 @@ def test_dar_harmonic_column_is_annihilated():
     mesh = build_structured_mesh(2)
     space = BrokenSpace(mesh, 2)
     basis = space.element_basis(3)
-    op = assemble_local_operator(DAR, mesh, 3, basis, coeffs)
+    op = assemble_local_operator(DAR, space, 3, coeffs)
     rule = triangle_rule(mesh.vertices[mesh.triangles[3]], 8)
     c = l2_project(lambda x, y: x * x - y * y, basis, rule)
     assert np.max(np.abs(op.matrix @ c)) < 1e-12
@@ -96,8 +93,9 @@ def test_qt_row_against_symbolic_oracle():
     coeffs = builtin_case("QT_DIFFUSION")
     mesh = build_structured_mesh(2)
     p = 2
-    basis = ElementBasis.from_element(mesh, 5, degree=p)
-    op = assemble_local_operator(QT_DIFFUSION, mesh, 5, basis, coeffs)
+    space = BrokenSpace(mesh, p)
+    basis = space.element_basis(5)
+    op = assemble_local_operator(QT_DIFFUSION, space, 5, coeffs)
     assert op.matrix.shape == (1, 6)
     # symbolic differentiation oracle applied to the orthonormal reference
     # basis composed with the element's inverse map
@@ -118,8 +116,9 @@ def test_qt_row_against_symbolic_oracle():
 
 def test_qt_row_for_x_squared_combination():
     coeffs = manufactured_case(alpha=1, exact=sp.sympify("x**2"))
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=2)
-    op = assemble_local_operator(QT_DIFFUSION, UNIT_RIGHT, 0, basis, coeffs)
+    space = BrokenSpace(UNIT_RIGHT, 2)
+    basis = space.element_basis(0)
+    op = assemble_local_operator(QT_DIFFUSION, space, 0, coeffs)
     rule = triangle_rule(UNIT_RIGHT.vertices[UNIT_RIGHT.triangles[0]], 8)
     c = l2_project(lambda x, y: x * x, basis, rule)
     h = UNIT_RIGHT.h[0]
@@ -261,32 +260,28 @@ def test_compute_box_rejects_non_finite_scale(scale):
 
 def test_kind_preconditions():
     coeffs = builtin_case("DAR_EXAMPLE")
-    basis1 = ElementBasis.from_element(UNIT_RIGHT, 0, degree=1)
+    space1 = BrokenSpace(UNIT_RIGHT, 1)
     for kind in (DAR, DAR_BOX, QT_DIFFUSION):
         with pytest.raises(ValueError):
-            assemble_local_operator(kind, UNIT_RIGHT, 0, basis1, coeffs)
+            assemble_local_operator(kind, space1, 0, coeffs)
     with pytest.raises(ValueError):
-        assemble_local_operator("NOPE", UNIT_RIGHT, 0, basis1, coeffs)
+        assemble_local_operator("NOPE", space1, 0, coeffs)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_basis_not_orthonormal_on_the_element_is_rejected(kind):
-    # every kind evaluates the trial basis it is given, so a basis of
-    # another element, even a congruent one, must not pass for this one's
-    mesh = build_structured_mesh(4)
+def test_out_of_range_element_is_rejected(kind):
+    # a negative id must not wrap around to an element from the end
+    space = BrokenSpace(build_structured_mesh(2), 3)
     coeffs = builtin_case("QT_DIFFUSION" if kind != AR else "AR_EXAMPLE")
-    assemble_local_operator(kind, mesh, 3, ElementBasis.from_element(mesh, 3, 3), coeffs)
-    for other in (5, 20):
-        foreign = ElementBasis.from_element(mesh, other, 3)
-        with pytest.raises(ValueError, match="passed for element 3 is not that element's"):
-            assemble_local_operator(kind, mesh, 3, foreign, coeffs)
+    for k in (-1, -8, 8, 9):
+        with pytest.raises(IndexError, match=f"element index {k} out of range"):
+            assemble_local_operator(kind, space, k, coeffs)
 
 
 def test_nonpositive_alpha_rejected():
     coeffs = manufactured_case(alpha=sp.sympify("x - 2"), exact=sp.sympify("x"))
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=2)
     with pytest.raises(ValueError, match="positive"):
-        assemble_local_operator(DAR, UNIT_RIGHT, 0, basis, coeffs)
+        assemble_local_operator(DAR, BrokenSpace(UNIT_RIGHT, 2), 0, coeffs)
 
 
 def test_qt_requires_exact_oracles():
@@ -296,9 +291,8 @@ def test_qt_requires_exact_oracles():
         f=coeffs.f, g_D=coeffs.g_D, alpha=weak_alpha, beta=coeffs.beta,
         gamma=coeffs.gamma, exact_solution=coeffs.exact_solution,
     )
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=4)
     with pytest.raises(ValueError):
-        assemble_local_operator(QT_DIFFUSION, UNIT_RIGHT, 0, basis, coeffs_weak)
+        assemble_local_operator(QT_DIFFUSION, BrokenSpace(UNIT_RIGHT, 4), 0, coeffs_weak)
 
 
 @pytest.mark.parametrize(
@@ -310,8 +304,8 @@ def test_full_row_rank_for_builtins(kind, case):
     mesh = build_structured_mesh(4)
     space = BrokenSpace(mesh, 3)
     ops = assemble_local_operators(kind, space, coeffs)
-    for op in ops[:: max(1, len(ops) // 8)]:
-        svals = np.linalg.svd(op.matrix, compute_uv=False)
+    for matrix in ops.matrices[:: max(1, len(ops) // 8)]:
+        svals = np.linalg.svd(matrix, compute_uv=False)
         assert svals[-1] > 1e-8 * svals[0]
 
 
@@ -329,23 +323,39 @@ def test_local_operators_come_as_one_stacked_batch(kind, case):
     for k, op in enumerate(ops):
         assert (op.kind, op.element) == (kind, k)
         assert np.shares_memory(op.matrix, ops.matrices) and np.shares_memory(op.rhs, ops.rhs)
-    assert list(ops[::-1].elements) == list(range(7, -1, -1))
-    restacked = local_operator_batch(list(ops))
-    assert local_operator_batch(ops) is ops
-    assert np.array_equal(restacked.elements, ops.elements)
-    assert np.array_equal(restacked.matrices, ops.matrices)
-    assert np.array_equal(restacked.rhs, ops.rhs)
 
 
 def test_batch_matches_single_element():
     coeffs = builtin_case("DAR_EXAMPLE")
-    mesh = build_structured_mesh(2)
-    space = BrokenSpace(mesh, 3)
+    space = BrokenSpace(build_structured_mesh(2), 3)
     ops = assemble_local_operators(DAR, space, coeffs)
     k = 5
-    single = assemble_local_operator(DAR, mesh, k, space.element_basis(k), coeffs)
+    single = assemble_local_operator(DAR, space, k, coeffs)
     assert np.allclose(ops[k].matrix, single.matrix, atol=1e-11)
     assert np.allclose(ops[k].rhs, single.rhs, atol=1e-11)
+
+
+@pytest.mark.parametrize(
+    "kind,case", [(AR, "AR_EXAMPLE"), (DAR, "DAR_EXAMPLE"),
+                  (DAR_BOX, "BOX_DIFFUSION_2D"), (QT_DIFFUSION, "QT_DIFFUSION")]
+)
+def test_single_element_is_a_batch_of_one(perturbed_mesh, kind, case):
+    # one code path: the per-element operator is the batched one. The box
+    # and quasi-Trefftz operators agree bit for bit. The volume-projected
+    # ones are one matrix product over the batch, and BLAS may sum a
+    # product of one row in another order than one of many rows, so they
+    # agree to rounding
+    coeffs = builtin_case(case)
+    space = BrokenSpace(perturbed_mesh(3), 3)
+    ops = assemble_local_operators(kind, space, coeffs)
+    for k in range(space.mesh.n_elements):
+        single = assemble_local_operator(kind, space, k, coeffs)
+        assert (single.kind, single.element) == (kind, k)
+        for got, want in ((single.matrix, ops[k].matrix), (single.rhs, ops[k].rhs)):
+            if kind in (DAR_BOX, QT_DIFFUSION):
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 def perturbed_grid_mesh():
@@ -473,7 +483,7 @@ def assert_batch_and_single_match_reference(kind, coeffs, p, box_scale=0.25):
     for k in range(mesh.n_elements):
         basis = space.element_basis(k)
         matrix, rhs = reference_operator(kind, mesh, k, basis, coeffs, box_scale=box_scale)
-        single = assemble_local_operator(kind, mesh, k, basis, coeffs, box_scale=box_scale)
+        single = assemble_local_operator(kind, space, k, coeffs, box_scale=box_scale)
         for op in (ops[k], single):
             assert op.element == k
             np.testing.assert_allclose(op.matrix, matrix, rtol=1e-10, atol=1e-11)
@@ -544,11 +554,10 @@ def test_qt_dar_kernels_agree_for_constant_alpha():
     coeffs = manufactured_case(alpha=2.0, exact=sp.sympify("x**2 - y**2"))
     mesh = build_structured_mesh(2)
     space = BrokenSpace(mesh, 2)
-    basis = space.element_basis(2)
     from scipy.linalg import null_space, subspace_angles
 
-    op_qt = assemble_local_operator(QT_DIFFUSION, mesh, 2, basis, coeffs)
-    op_dar = assemble_local_operator(DAR, mesh, 2, basis, coeffs)
+    op_qt = assemble_local_operator(QT_DIFFUSION, space, 2, coeffs)
+    op_dar = assemble_local_operator(DAR, space, 2, coeffs)
     k_qt = null_space(op_qt.matrix)
     k_dar = null_space(op_dar.matrix)
     assert k_qt.shape == k_dar.shape

@@ -56,7 +56,7 @@ def test_zero_data_gives_zero_solutions():
     u_et = solve_embedded_trefftz(sys, emb)
     assert np.allclose(u_et.coeffs, 0.0, atol=1e-12)
     assert u_et.method == EMBEDDED_TREFFTZ
-    u_bl = solve_block_coupled(emb.local_operators, sys, emb)
+    u_bl = solve_block_coupled(sys, emb)
     assert np.allclose(u_bl.coeffs, 0.0, atol=1e-12)
     assert u_bl.method == BLOCK_COUPLED
 
@@ -139,7 +139,7 @@ def test_block_solver_matches_embedded(perturbed_mesh, perturbed, case, kind, lo
     emb = build_embedding(sys.space, coeffs, local_kind)
     u_et = solve_embedded_trefftz(sys, emb)
     for rule in (SVD_COMPLEMENT, MINNORM_IMAGE):
-        u_bl = solve_block_coupled(emb.local_operators, sys, emb, complement_rule=rule)
+        u_bl = solve_block_coupled(sys, emb, complement_rule=rule)
         gap = np.linalg.norm(u_bl.coeffs - u_et.coeffs) / np.linalg.norm(u_et.coeffs)
         assert gap <= 1e-8
 
@@ -179,7 +179,7 @@ def test_condensed_solution_solves_the_whole_block_system(
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
     sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
-    u = solve_block_coupled(emb.local_operators, sys, emb, complement_rule=rule)
+    u = solve_block_coupled(sys, emb, complement_rule=rule)
     assert_solves_the_block_system(u, sys, emb, rule)
     parts = u.block_parts
     A = np.stack([op.matrix for op in emb.local_operators])
@@ -214,7 +214,7 @@ def test_condensation_solves_a_block_system_that_does_not_decouple(
     mixed = replace(emb, kernels=np.linalg.qr(emb.kernels + 0.5 * L @ mixing)[0])
     A = np.stack([op.matrix for op in emb.local_operators])
     assert np.linalg.norm(A @ mixed.kernels) >= 0.1 * np.linalg.norm(A)
-    u = solve_block_coupled(emb.local_operators, sys, mixed)
+    u = solve_block_coupled(sys, mixed)
     assert_solves_the_block_system(u, sys, mixed, SVD_COMPLEMENT)
 
 
@@ -226,38 +226,7 @@ def test_solves_reject_an_embedding_of_another_degree():
     with pytest.raises(ValueError, match="embedding and system dimensions do not match"):
         solve_embedded_trefftz(sys4, emb3)
     with pytest.raises(ValueError, match="embedding and system dimensions do not match"):
-        solve_block_coupled(emb3.local_operators, sys4, emb3)
-
-
-def test_block_solver_rejects_local_operators_of_other_elements():
-    coeffs = builtin_case("DAR_EXAMPLE")
-    sys = assemble_global_system(DAR_SIP, build_structured_mesh(2), p=3, coeffs=coeffs, sigma=450.0)
-    emb = build_embedding(sys.space, coeffs, DAR)
-    ops = emb.local_operators
-    for wrong in (ops[::-1], ops[:-1], [replace(op, element=op.element + 1) for op in ops]):
-        with pytest.raises(ValueError, match="do not match the factored elements"):
-            solve_block_coupled(wrong, sys, emb)
-
-
-def test_block_solver_reads_a_list_of_operators_as_their_batch():
-    coeffs = builtin_case("DAR_EXAMPLE")
-    sys = assemble_global_system(DAR_SIP, build_structured_mesh(2), p=3, coeffs=coeffs, sigma=450.0)
-    emb = build_embedding(sys.space, coeffs, DAR)
-    batch = solve_block_coupled(emb.local_operators, sys, emb).coeffs
-    assert np.array_equal(solve_block_coupled(list(emb.local_operators), sys, emb).coeffs, batch)
-
-
-def test_block_solver_rejects_local_operators_of_another_shape():
-    coeffs = builtin_case("DAR_EXAMPLE")
-    sys = assemble_global_system(DAR_SIP, build_structured_mesh(2), p=3, coeffs=coeffs, sigma=450.0)
-    emb = build_embedding(sys.space, coeffs, DAR)
-    # the AR operators of the same space have 6 rows, the DAR ones 3
-    ar_ops = assemble_local_operators(AR, sys.space, coeffs)
-    with pytest.raises(ValueError, match=r"element 0: local operator of shape \(6, 10\)"):
-        solve_block_coupled(ar_ops, sys, emb)
-    short_load = [replace(op, rhs=op.rhs[:-1]) for op in emb.local_operators]
-    with pytest.raises(ValueError, match=r"load of shape \(2,\)"):
-        solve_block_coupled(short_load, sys, emb)
+        solve_block_coupled(sys4, emb3)
 
 
 def test_block_splits_differ_but_sums_agree():
@@ -265,8 +234,8 @@ def test_block_splits_differ_but_sums_agree():
     mesh = build_structured_mesh(4)
     sys = assemble_global_system(AR_UPWIND, mesh, p=3, coeffs=coeffs)
     emb = build_embedding(sys.space, coeffs, AR)
-    u_svd = solve_block_coupled(emb.local_operators, sys, emb, complement_rule=SVD_COMPLEMENT)
-    u_min = solve_block_coupled(emb.local_operators, sys, emb, complement_rule=MINNORM_IMAGE)
+    u_svd = solve_block_coupled(sys, emb, complement_rule=SVD_COMPLEMENT)
+    u_min = solve_block_coupled(sys, emb, complement_rule=MINNORM_IMAGE)
     total = np.linalg.norm(u_svd.coeffs)
     assert np.linalg.norm(u_svd.coeffs - u_min.coeffs) <= 1e-8 * total
     # both rules span the same complement, so the split functions agree,
@@ -313,7 +282,8 @@ def zero_odd_operators(monkeypatch):
 
     def half_zero(*args, **kwargs):
         ops = assemble(*args, **kwargs)
-        return [replace(op, matrix=0.0 * op.matrix) if op.element % 2 else op for op in ops]
+        odd = (ops.elements % 2 == 1)[:, None, None]
+        return replace(ops, matrices=np.where(odd, 0.0, 1.0) * ops.matrices)
 
     monkeypatch.setattr(embedding_module, "assemble_local_operators", half_zero)
 
@@ -365,12 +335,12 @@ def test_trefftz_solves_never_use_the_assembled_matrix(
     sys = assemble_global_system(kind, build_structured_mesh(3), p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     u_et = solve_embedded_trefftz(sys, emb)
-    u_bl = solve_block_coupled(emb.local_operators, sys, emb)
+    u_bl = solve_block_coupled(sys, emb)
     monkeypatch.setattr(DgSystem, "matrix", property(untouchable))
     with pytest.raises(AssertionError):
         sys.matrix.tocsc()
     assert np.array_equal(solve_embedded_trefftz(sys, emb).coeffs, u_et.coeffs)
-    assert np.array_equal(solve_block_coupled(emb.local_operators, sys, emb).coeffs, u_bl.coeffs)
+    assert np.array_equal(solve_block_coupled(sys, emb).coeffs, u_bl.coeffs)
 
 
 @pytest.mark.parametrize(
@@ -401,7 +371,7 @@ def test_block_solver_rejects_embedding_without_factors():
     ops = assemble_local_operators(AR, sys.space, coeffs)
     glob = assemble_global_embedding(sys.space.mesh, [compute_embedding(op) for op in ops])
     with pytest.raises(ValueError, match="build_embedding"):
-        solve_block_coupled(ops, sys, glob)
+        solve_block_coupled(sys, glob)
 
 
 def test_singular_matrix_raises():
@@ -481,7 +451,7 @@ def test_ordered_solves_match_plain_lu(
     calls = count_factorizations(monkeypatch)
     solve_standard_dg(sys)
     solve_embedded_trefftz(sys, emb)
-    solve_block_coupled(emb.local_operators, sys, emb)
+    solve_block_coupled(sys, emb)
     # one unpivoted factorization per solve: the fallback never ran
     assert [c.get("permc_spec") for c in calls] == ["NATURAL"] * 3
     assert len(solves) == 3
@@ -684,7 +654,7 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
     handed = recording_handed_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
     solve_embedded_trefftz(sys, emb)
-    solve_block_coupled(emb.local_operators, sys, emb)
+    solve_block_coupled(sys, emb)
     (_, _, reduced_lu), (_, _, schur_lu) = factored
     reduced, schur = handed
     # the complement unknowns are condensed element by element: only the
@@ -766,7 +736,7 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
     handed = recording_handed_matrices(monkeypatch)
     solve_standard_dg(sys)
     solve_embedded_trefftz(sys, emb)
-    solve_block_coupled(emb.local_operators, sys, emb)
+    solve_block_coupled(sys, emb)
     T = emb.kernels
     assert len(handed) == len(perms) == 3
     for matrix, perm, plain in zip(handed[:2], perms, (sys.blocks, projected(sys, T, T))):
