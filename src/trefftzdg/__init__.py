@@ -31,10 +31,8 @@ from .dg_forms import (
     facet_alpha,
 )
 from .embedding import (
-    EXPECT_FULL_ROW_RANK,
     ElementEmbedding,
     GlobalEmbedding,
-    RankDeficiencyError,
     assemble_global_embedding,
     build_embedding,
     compute_embedding,

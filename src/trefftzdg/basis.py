@@ -545,5 +545,6 @@ class BrokenSpace:
         return ref.reshape(zeta.shape[:2] + ref.shape[2:])
 
     def element_basis(self, k):
-        """The :class:`ElementBasis` of element ``k``."""
-        return ElementBasis(self.origins[k], self.adjugates[k], self.dets[k], self.degree)
+        """The :class:`ElementBasis` of element ``k``; raises
+        :class:`IndexError` unless ``0 <= k < n_elements``."""
+        return ElementBasis.from_element(self.mesh, k, self.degree)

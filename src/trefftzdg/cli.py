@@ -243,6 +243,8 @@ def _load_config_file(path):
             if key not in _CONFIG_KEYS:
                 expected = ", ".join(_CONFIG_KEYS)
                 raise UsageError(f"unknown config key {key!r} in {path}; expected one of {expected}")
+            if key in values:
+                raise UsageError(f"config key {key!r} is set more than once in {path}")
             values[key] = value
     return values
 

@@ -1,5 +1,5 @@
 """PDE data (diffusion, advection, reaction, source, boundary values) as
-evaluable fields with exact partial-derivative oracles, plus the built-in
+sympy-expression fields with exact partial derivatives, plus the built-in
 manufactured test cases.
 """
 
@@ -48,83 +48,28 @@ def _lambdify(expr):
 
 
 class ScalarField:
-    """Scalar field on the plane, evaluable on arrays.
-
-    Symbolic-expression-backed fields expose exact partial derivatives of
-    any order through :meth:`derivative`. Fields wrapped from plain
-    callables fall back to central finite differences (reduced accuracy,
-    ``exact_derivatives`` is False) up to a declared maximum order.
-    """
+    """Scalar field on the plane, given by a sympy expression in ``x, y``
+    and evaluable on arrays; :meth:`derivative` gives the exact partial
+    derivatives of any order."""
 
     def __init__(self, expr):
         self.expr = _canonicalize(expr)
-        self.exact_derivatives = True
         self._fn = None
         self._children = {}
-
-    @classmethod
-    def from_callable(cls, fn, max_order=2, step=1e-6):
-        obj = cls.__new__(cls)
-        obj.expr = None
-        obj.exact_derivatives = False
-        obj._fn = fn
-        obj._children = {}
-        obj._max_order = max_order
-        obj._step = step
-        return obj
 
     def __call__(self, x, y):
         if self._fn is None:
             self._fn = _lambdify(self.expr)
-        out = self._fn(x, y)
-        if self.expr is None:
-            out = np.broadcast_to(
-                np.asarray(out, dtype=float),
-                np.broadcast_shapes(np.shape(x), np.shape(y)),
-            )
-        return out
+        return self._fn(x, y)
 
     def derivative(self, dx, dy):
         """Field of the partial derivative of order ``(dx, dy)``."""
         key = (int(dx), int(dy))
         if key == (0, 0):
             return self
-        if key in self._children:
-            return self._children[key]
-        if self.expr is not None:
-            child = ScalarField(sp.diff(self.expr, X, key[0], Y, key[1]))
-        else:
-            if key[0] + key[1] > self._max_order:
-                raise ValueError(
-                    f"finite-difference oracle supports derivatives up to "
-                    f"order {self._max_order}, requested {key}"
-                )
-            child = self._fd_derivative(key)
-        self._children[key] = child
-        return child
-
-    def _fd_derivative(self, key):
-        h = self._step
-        if key[0] > 0:
-            lower = self.derivative(key[0] - 1, key[1])
-            fn = lambda x, y: (lower(x + h, y) - lower(x - h, y)) / (2 * h)
-        else:
-            lower = self.derivative(key[0], key[1] - 1)
-            fn = lambda x, y: (lower(x, y + h) - lower(x, y - h)) / (2 * h)
-        child = ScalarField.from_callable(fn, max_order=self._max_order, step=h)
-        child._max_order = self._max_order - (key[0] + key[1])
-
-        def blocked(*_a, **_k):
-            raise ValueError("finite-difference oracle order exhausted")
-
-        if child._max_order <= 0:
-            child.derivative = lambda dx, dy: (
-                child if (dx, dy) == (0, 0) else blocked()
-            )
-        return child
-
-    def has_derivatives(self, order):
-        return self.exact_derivatives or order <= getattr(self, "_max_order", 0)
+        if key not in self._children:
+            self._children[key] = ScalarField(sp.diff(self.expr, X, key[0], Y, key[1]))
+        return self._children[key]
 
 
 class VectorField:

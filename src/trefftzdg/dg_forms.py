@@ -35,35 +35,23 @@ DAR_SIP = "DAR_SIP"
 _CHUNK = 4096
 
 
-@dataclass(init=False)
+@dataclass
 class DgSystem:
     """Assembled DG operator and load vector.
 
     The operator is stored once, as element-pair blocks in BSR layout
     (``blocks``). ``matrix`` is a read-only CSR copy built on each request,
-    for export and inspection; a system built from a ``matrix`` in place of
-    ``blocks`` is cut into blocks. ``alpha_facet`` stores the
-    facet-averaged diffusion coefficient used in the penalty terms (None
-    for the pure advection form); error norms reuse it together with
-    ``sigma``.
+    for export and inspection. ``alpha_facet`` stores the facet-averaged
+    diffusion coefficient used in the penalty terms (None for the pure
+    advection form); error norms reuse it together with ``sigma``.
     """
 
     kind: str
+    blocks: sparse.bsr_matrix = field(repr=False)
     load: np.ndarray
     space: BrokenSpace
     sigma: float = None
     alpha_facet: np.ndarray = None
-    blocks: sparse.bsr_matrix = field(default=None, repr=False)
-
-    def __init__(self, kind, matrix=None, *, load, space, sigma=None, alpha_facet=None,
-                 blocks=None):
-        if (matrix is None) == (blocks is None):
-            raise TypeError("DgSystem takes its operator as either matrix or blocks")
-        if blocks is None:
-            nd = space.ndof_local
-            blocks = sparse.bsr_matrix(matrix, blocksize=(nd, nd))
-        self.kind, self.load, self.space = kind, load, space
-        self.sigma, self.alpha_facet, self.blocks = sigma, alpha_facet, blocks
 
     @property
     def matrix(self):

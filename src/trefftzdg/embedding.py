@@ -18,10 +18,6 @@ import scipy.sparse as sparse
 
 from .local_ops import LocalOperatorBatch, assemble_local_operators
 
-#: Rank rule expecting as many independent rows as the test space has
-#: dimensions (guarded; falls back to a relative threshold with a warning).
-EXPECT_FULL_ROW_RANK = "expect_full_row_rank"
-
 #: Complement-space rules of the coupled block solver: ``Q_1``, which spans
 #: the row space as the kept right singular vectors do, or the
 #: orthonormalized image of the pseudo-inverse.
@@ -29,14 +25,6 @@ SVD_COMPLEMENT = "svd_complement"
 MINNORM_IMAGE = "minnorm_image"
 
 _GUARD_REL = 1e-9
-
-
-class RankDeficiencyError(RuntimeError):
-    """Local operator lost row rank under the strict rank rule."""
-
-    def __init__(self, message, sigma):
-        super().__init__(message)
-        self.sigma = sigma
 
 
 @dataclass
@@ -99,25 +87,21 @@ class LocalFactors:
         raise ValueError(f"unknown complement rule {complement_rule!r}")
 
 
-def _factor(matrices, rhs, elements, rank_rule, allow_fallback):
+def _factor(matrices, rhs, elements):
     """Kernels, min-norm particular solutions and factors of the local
-    operators ``matrices`` ``(E, m, n)`` with loads ``rhs`` ``(E, m)``; see
-    :func:`compute_embedding` for the rank rules. Under the full-row-rank
-    rule with ``m <= n``, an element keeps the stacked QR when
+    operators ``matrices`` ``(E, m, n)`` of ``elements`` with loads ``rhs``
+    ``(E, m)``, under the full-row-rank rule of :func:`compute_embedding`.
+    With ``m <= n``, an element keeps the stacked QR when
     ``||R||_F ||R^-1||_F``, which bounds ``sigma_1 / sigma_m``, is below
     ``1 / _GUARD_REL``, as the guard then passes. The others, and every
-    element under a threshold rule or with ``m > n``, take the SVD."""
+    element with ``m > n``, take the SVD."""
     if matrices.size == 0:
         raise ValueError("local operator matrix is empty")
     n_elements, m, n = matrices.shape
-    strict = rank_rule == EXPECT_FULL_ROW_RANK
-    tau = _GUARD_REL if strict else float(rank_rule)
-    if not 0.0 < tau <= 1.0:
-        raise ValueError(f"threshold rank rule tau = {rank_rule!r} must satisfy 0 < tau <= 1")
     s = min(m, n)
     Q, R, uL = np.empty((n_elements, n, n)), np.empty((n_elements, s, m)), np.empty((n_elements, n))
     rank, svd = np.full(n_elements, m), np.arange(n_elements)
-    if strict and m <= n:
+    if m <= n:
         Q, R = np.linalg.qr(np.swapaxes(matrices, 1, 2), mode="complete")
         R = R[:, :m]
         # an exactly singular R would make the whole batched inverse raise
@@ -135,16 +119,9 @@ def _factor(matrices, rhs, elements, rank_rule, allow_fallback):
     if svd.size:
         U, sigma, Vt = np.linalg.svd(matrices[svd], full_matrices=True)
         # the threshold rank is m wherever the full-row-rank guard passes
-        kept = np.count_nonzero((sigma >= tau * sigma[:, :1]) & (sigma > 0), axis=1)
-        bad = np.flatnonzero((sigma[:, -1] <= tau * sigma[:, 0]) | (m > n)) if strict else []
+        kept = np.count_nonzero((sigma >= _GUARD_REL * sigma[:, :1]) & (sigma > 0), axis=1)
+        bad = np.flatnonzero((sigma[:, -1] <= _GUARD_REL * sigma[:, 0]) | (m > n))
         if len(bad):
-            k = bad[0]
-            if not allow_fallback:
-                raise RankDeficiencyError(
-                    f"element {elements[svd[k]]}: operator rows are numerically rank deficient "
-                    f"(sigma = {sigma[k]}); strict rank rule failed",
-                    sigma[k],
-                )
             s1 = sigma[bad, 0]
             rel = np.divide(sigma[bad, -1], s1, out=np.zeros_like(s1), where=s1 > 0)
             k = bad[np.argmin(rel)]
@@ -164,16 +141,18 @@ def _factor(matrices, rhs, elements, rank_rule, allow_fallback):
     return LocalFactors(np.asarray(elements), Q, R, rank, kernels, uL, svd, sigma)
 
 
-def compute_embedding(op, rank_rule=EXPECT_FULL_ROW_RANK, allow_fallback=True):
+def compute_embedding(op):
     """Kernel basis and min-norm particular solution of a local operator;
     a batch of one of the stacked factorization.
 
-    ``rank_rule`` is either :data:`EXPECT_FULL_ROW_RANK` or a relative
-    threshold ``tau`` with ``0 < tau <= 1``; in the latter case the rank is
-    the number of singular values at least ``tau * sigma_1``.
+    The operator is expected to have full row rank, as many independent
+    rows as the test space has dimensions, so that its kernel is the local
+    Trefftz space. Where ``sigma_min <= 1e-9 sigma_1`` or there are more
+    rows than columns, the rank falls back, with a warning, to the number
+    of singular values at least ``1e-9 sigma_1``.
     """
     matrix, rhs = np.asarray(op.matrix, dtype=float), np.asarray(op.rhs, dtype=float)
-    factors = _factor(matrix[None], rhs[None], [op.element], rank_rule, allow_fallback)
+    factors = _factor(matrix[None], rhs[None], [op.element])
     return factors.embeddings()[0]
 
 
@@ -295,7 +274,7 @@ def build_embedding(space, coeffs, kind, box_scale=0.25):
     local operators are kept on the result as the
     :class:`~trefftzdg.local_ops.LocalOperatorBatch` ``local_operators``."""
     ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
-    factors = _factor(ops.matrices, ops.rhs, ops.elements, EXPECT_FULL_ROW_RANK, True)
+    factors = _factor(ops.matrices, ops.rhs, ops.elements)
     widths = space.ndof_local - factors.rank
     glob = _global_embedding(factors.kernels, widths, factors.uL.ravel())
     glob.local_operators, glob.factors = ops, factors

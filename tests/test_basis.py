@@ -225,6 +225,15 @@ def test_from_element_rejects_out_of_range_element():
         ElementBasis.from_element(UNIT_RIGHT, 1, degree=1)
 
 
+@pytest.mark.parametrize("k", [-1, -8, 8, 9])
+def test_element_basis_rejects_out_of_range_element(k):
+    # negative ids would otherwise count from the end, as numpy indexing does
+    space = BrokenSpace(build_structured_mesh(2), 2)
+    with pytest.raises(IndexError, match=f"element index {k} out of range"):
+        space.element_basis(k)
+    assert np.array_equal(space.element_basis(7).origin, space.origins[7])
+
+
 def test_derivatives_match_finite_differences():
     mesh = random_triangle_mesh(7)
     basis = ElementBasis.from_element(mesh, 0, degree=4)

@@ -294,6 +294,25 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(lines) == 2
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path, monkeypatch, capsys):
+    import trefftzdg.cli as cli
+
+    def no_mesh(n):
+        raise AssertionError(f"mesh with n={n} built")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
+    cfg = tmp_path / "exp.cfg"
+    out = tmp_path / "x.csv"
+    cfg.write_text(f"case = AR_EXAMPLE\nmethods = dg\np = 2\nn = 2\np = 3\nout = {out}\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "config key 'p' is set more than once" in capsys.readouterr().err
+    assert not out.exists()
+    # the option spelling names the same key
+    cfg.write_text("box_scale = 0.25\nbox-scale = 0.5\n")
+    with pytest.raises(cli.UsageError, match="'box_scale' is set more than once"):
+        cli._load_config_file(cfg)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(case="AR_EXAMPLE", methods=(), p_list=(3,), n_list=(4,), out="x.csv")

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -121,15 +120,6 @@ def test_vector_field_divergence():
     v = VectorField(x * y, y**2)
     div = v.divergence()
     assert div(2.0, 3.0) == pytest.approx(3.0 + 6.0)
-
-
-def test_callable_field_fd_fallback():
-    field = ScalarField.from_callable(lambda x, y: np.sin(x) * y, max_order=2)
-    assert not field.exact_derivatives
-    d = field.derivative(1, 0)
-    assert d(0.3, 2.0) == pytest.approx(2.0 * math.cos(0.3), rel=1e-6)
-    with pytest.raises(ValueError):
-        field.derivative(2, 1)
 
 
 def test_manufactured_case_builds_g_d_and_f():

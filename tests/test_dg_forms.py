@@ -12,7 +12,6 @@ from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import (
     AR_UPWIND,
     DAR_SIP,
-    DgSystem,
     assemble_global_system,
     element_alpha_means,
     export_matrix_coo,
@@ -233,14 +232,6 @@ def test_system_keeps_the_operator_once_as_blocks():
         matrix.data[0] = 1.0
     with pytest.raises(AttributeError):
         sys.matrix = matrix
-    # a system built by hand from a matrix is cut into the same blocks
-    cut = DgSystem(DAR_SIP, matrix, load=sys.load, space=sys.space)
-    assert np.array_equal(cut.blocks.indices, sys.blocks.indices)
-    assert np.array_equal(cut.blocks.data, sys.blocks.data)
-    with pytest.raises(TypeError, match="either matrix or blocks"):
-        DgSystem(DAR_SIP, matrix, load=sys.load, space=sys.space, blocks=sys.blocks)
-    with pytest.raises(TypeError, match="either matrix or blocks"):
-        DgSystem(DAR_SIP, load=sys.load, space=sys.space)
 
 
 def test_space_must_be_the_degree_p_space_on_the_mesh():

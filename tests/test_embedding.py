@@ -12,10 +12,8 @@ from trefftzdg.analysis import run_diagnostics
 from trefftzdg.basis import BrokenSpace, l2_project
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.embedding import (
-    EXPECT_FULL_ROW_RANK,
     ElementEmbedding,
     GlobalEmbedding,
-    RankDeficiencyError,
     assemble_global_embedding,
     build_embedding,
     compute_embedding,
@@ -94,38 +92,6 @@ def test_rho_zero_and_dimension_formula(kind, case, p):
         # min-norm: particular solution orthogonal to the kernel
         if np.linalg.norm(emb.uL) > 0:
             assert np.linalg.norm(emb.T.T @ emb.uL) <= 1e-9 * np.linalg.norm(emb.uL)
-
-
-def test_threshold_rank_rule():
-    matrix = np.array([[2.0, 0.0, 0.0], [0.0, 1e-6, 0.0]])
-    rhs = np.array([2.0, 0.0])
-    op = LocalOperator(kind=AR, element=0, matrix=matrix, rhs=rhs)
-    emb = compute_embedding(op, rank_rule=1e-3)
-    assert emb.rank_used == 1
-    assert emb.T.shape == (3, 2)
-    assert np.allclose(emb.uL, [1.0, 0.0, 0.0])
-    strict = compute_embedding(op)  # full-row-rank guard passes at 5e-7 rel
-    assert strict.rank_used == 2
-
-
-def test_rank_deficiency_error_carries_spectrum():
-    matrix = np.zeros((2, 4))
-    matrix[0, 0] = 1.0
-    op = LocalOperator(kind=AR, element=7, matrix=matrix, rhs=np.zeros(2))
-    with pytest.raises(RankDeficiencyError) as err:
-        compute_embedding(op, rank_rule=EXPECT_FULL_ROW_RANK, allow_fallback=False)
-    assert err.value.sigma.shape == (2,)
-    with pytest.warns(UserWarning):
-        emb = compute_embedding(op)
-    assert emb.rank_used == 1
-
-
-@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), 2.0])
-def test_invalid_threshold_rank_rule_rejected(tau):
-    matrix = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    op = LocalOperator(kind=AR, element=0, matrix=matrix, rhs=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError, match=repr(tau)):
-        compute_embedding(op, rank_rule=tau)
 
 
 def test_rank_fallback_warns_once_per_build():
@@ -278,9 +244,7 @@ def factor_as_batch(matrices, rhs):
     warning it issues."""
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        factors = embedding_module._factor(
-            matrices, rhs, np.arange(len(matrices)), EXPECT_FULL_ROW_RANK, True
-        )
+        factors = embedding_module._factor(matrices, rhs, np.arange(len(matrices)))
     return factors, record
 
 

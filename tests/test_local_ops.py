@@ -190,13 +190,6 @@ def _w_grad(basis, c, px, py):
     return ev.gradients[0].T @ c
 
 
-def test_leibniz_missing_oracle_order():
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=4)
-    alpha = ScalarField.from_callable(lambda x, y: 1.0 + 0 * x, max_order=1)
-    with pytest.raises(ValueError):
-        leibniz_point_derivative((1, 0), basis, np.zeros(basis.dim), alpha, np.array([0.3, 0.3]))
-
-
 def barycentric(mesh, k, pts):
     v = mesh.vertices[mesh.triangles[k]]
     T = np.column_stack([v[1] - v[0], v[2] - v[0]])
@@ -282,17 +275,6 @@ def test_nonpositive_alpha_rejected():
     coeffs = manufactured_case(alpha=sp.sympify("x - 2"), exact=sp.sympify("x"))
     with pytest.raises(ValueError, match="positive"):
         assemble_local_operator(DAR, BrokenSpace(UNIT_RIGHT, 2), 0, coeffs)
-
-
-def test_qt_requires_exact_oracles():
-    coeffs = builtin_case("QT_DIFFUSION")
-    weak_alpha = ScalarField.from_callable(lambda x, y: 1 + x + y, max_order=1)
-    coeffs_weak = type(coeffs)(
-        f=coeffs.f, g_D=coeffs.g_D, alpha=weak_alpha, beta=coeffs.beta,
-        gamma=coeffs.gamma, exact_solution=coeffs.exact_solution,
-    )
-    with pytest.raises(ValueError):
-        assemble_local_operator(QT_DIFFUSION, BrokenSpace(UNIT_RIGHT, 4), 0, coeffs_weak)
 
 
 @pytest.mark.parametrize(

@@ -378,10 +378,10 @@ def test_singular_matrix_raises():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(1)
     space = BrokenSpace(mesh, 1)
-    n = space.ndof_total
+    n, nd = space.ndof_total, space.ndof_local
     singular = DgSystem(
         kind=AR_UPWIND,
-        matrix=sparse.csr_matrix((n, n)),
+        blocks=sparse.bsr_matrix(sparse.csr_matrix((n, n)), blocksize=(nd, nd)),
         load=np.ones(n),
         space=space,
     )
@@ -410,7 +410,9 @@ def test_pivoting_fallback_when_unpivoted_lu_fails(monkeypatch):
     space = BrokenSpace(build_structured_mesh(2), 1)
     matrix = sparse.block_diag([block] * space.mesh.n_elements, format="csr")
     load = np.linspace(1.0, 2.0, space.ndof_total)
-    system = DgSystem(kind=AR_UPWIND, matrix=matrix, load=load, space=space)
+    nd = space.ndof_local
+    blocks = sparse.bsr_matrix(matrix, blocksize=(nd, nd))
+    system = DgSystem(kind=AR_UPWIND, blocks=blocks, load=load, space=space)
     calls = count_factorizations(monkeypatch)
     u = solve_standard_dg(system)
     assert calls == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}, {}]
@@ -419,8 +421,9 @@ def test_pivoting_fallback_when_unpivoted_lu_fails(monkeypatch):
 
 def test_singular_matrix_fails_both_factorizations(monkeypatch):
     space = BrokenSpace(build_structured_mesh(1), 1)
-    n = space.ndof_total
-    singular = DgSystem(kind=AR_UPWIND, matrix=sparse.csr_matrix((n, n)), load=np.ones(n), space=space)
+    n, nd = space.ndof_total, space.ndof_local
+    blocks = sparse.bsr_matrix(sparse.csr_matrix((n, n)), blocksize=(nd, nd))
+    singular = DgSystem(kind=AR_UPWIND, blocks=blocks, load=np.ones(n), space=space)
     calls = count_factorizations(monkeypatch)
     with pytest.raises(SolverError, match="factorization failed"):
         solve_standard_dg(singular)
