@@ -23,8 +23,6 @@ from .coefficients import (
     manufactured_case,
 )
 from .dg_forms import (
-    AR_UPWIND,
-    DAR_SIP,
     DgSystem,
     assemble_global_system,
     export_matrix_coo,

@@ -1,4 +1,9 @@
-"""Error norms, convergence-order estimation, and framework diagnostics."""
+"""Error norms, convergence-order estimation, and framework diagnostics.
+
+The data picks the error norm as it picks the DG form: the upwind norm of
+advection-reaction without diffusion, the interior-penalty norm, with the
+penalty of the solved system, with it.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +14,9 @@ import numpy as np
 
 from .basis import BrokenSpace
 from .coefficients import require_finite, require_positive
-from .dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system, default_sigma, facet_alpha
+from .dg_forms import assemble_global_system, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
-from .local_ops import AR, KINDS, operator_row_count
+from .local_ops import KINDS, operator_row_count
 from .quadrature import facet_quadrature
 from .solver import solve_block_coupled, solve_embedded_trefftz
 
@@ -106,12 +111,16 @@ def _beta_normal(coeffs, pts, normals, facets):
     return np.einsum("fqd,fd->fq", beta, normals)
 
 
-def compute_errors(solution, coeffs, kind):
-    """L2 error and the kind's mesh-dependent norm of ``u_ex - u_h``."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
+def compute_errors(solution, coeffs):
+    """L2 error and the mesh-dependent norm of ``u_ex - u_h``: the upwind
+    norm when ``coeffs`` has no diffusion, otherwise the interior-penalty
+    norm with the penalty ``solution.sigma`` of the solved system."""
     if coeffs.exact_solution is None:
         raise ValueError("error computation requires an exact solution")
+    if coeffs.alpha is None and coeffs.beta is None:
+        raise ValueError("the upwind error norm without diffusion alpha requires beta")
+    if coeffs.alpha is not None and solution.sigma is None:
+        raise ValueError("the interior-penalty error norm requires the penalty sigma of the solution")
     space = solution.space
     mesh = space.mesh
     exact = coeffs.exact_solution
@@ -124,9 +133,7 @@ def compute_errors(solution, coeffs, kind):
     err_grad = require_finite(exact_grad(x, y), "exact gradient", "element", elems) - grads
     l2_sq = np.sum(w * err**2)
 
-    if kind == AR:
-        if coeffs.beta is None:
-            raise ValueError("the advection-reaction error norm requires beta")
+    if coeffs.alpha is None:
         beta_vals = require_finite(coeffs.beta(x, y), "beta", "element", elems)
         beta_sup = float(np.max(np.linalg.norm(beta_vals, axis=-1)))
         directional = np.einsum("eqd,eqd->eq", beta_vals, err_grad) / beta_sup
@@ -147,14 +154,13 @@ def compute_errors(solution, coeffs, kind):
                 stab = stab - 0.5 * require_finite(div_beta, "div beta", "element", elems)
             gamma0 = max(0.0, float(np.min(stab)))
         vh_sq += gamma0 * l2_sq
-        sigma = solution.sigma if solution.sigma is not None else default_sigma(space.degree)
         af = solution.alpha_facet
         if af is None:
             af = facet_alpha(space, coeffs)
 
         def facet_weight(facets, pts, normals):
             # penalty weight, plus the upwind weight where there is advection
-            weight = (sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
+            weight = (solution.sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
             if coeffs.beta is not None:
                 weight = weight + 0.5 * np.abs(_beta_normal(coeffs, pts, normals, facets))
             return weight
@@ -222,10 +228,7 @@ def run_diagnostics(
 
     gap = gap_rel = float("nan")
     if with_block_gap:
-        form = AR_UPWIND if kind == AR else DAR_SIP
-        if form == DAR_SIP and sigma is None:
-            sigma = default_sigma(p)
-        system = assemble_global_system(form, mesh, p, coeffs, sigma=sigma, space=space)
+        system = assemble_global_system(mesh, p, coeffs, sigma=sigma, space=space)
         u_emb = solve_embedded_trefftz(system, embedding)
         u_block = solve_block_coupled(system, embedding)
         gap = float(np.linalg.norm(u_emb.coeffs - u_block.coeffs))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .analysis import compute_errors, estimate_eoc, run_diagnostics
 from .basis import BrokenSpace
 from .coefficients import BUILTIN_CASES, builtin_case
-from .dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system, default_sigma
+from .dg_forms import assemble_global_system
 from .embedding import build_embedding, export_sigma_csv
 from .local_ops import AR, DAR, DAR_BOX, KINDS, QT_DIFFUSION
 from .mesh import build_structured_mesh
@@ -68,7 +68,7 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise UsageError(f"unknown method {m!r}; expected subset of {METHODS}")
             if m != "dg":
-                _check_kind(self.case, _LOCAL_KIND[m] or _family(self.case)[1], f"method {m}")
+                _check_kind(self.case, _LOCAL_KIND[m] or _family(self.case), f"method {m}")
         self.p_list = tuple(int(p) for p in self.p_list)
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.p_list or not self.n_list:
@@ -103,9 +103,8 @@ def _check_positive_finite(**options):
 
 
 def _family(case):
-    if case in _AR_CASES:
-        return AR_UPWIND, AR
-    return DAR_SIP, DAR
+    """Local operator kind of the whole PDE of ``case``."""
+    return AR if case in _AR_CASES else DAR
 
 
 def _check_kind(case, kind, source):
@@ -114,7 +113,7 @@ def _check_kind(case, kind, source):
     case, the box kind needs a diffusion-family case and the quasi-Trefftz
     kind a smooth-diffusion one. ``source`` names the option that asked
     for the kind."""
-    kinds = {_family(case)[1]}
+    kinds = {_family(case)}
     if case in _BOX_CASES:
         kinds.add(DAR_BOX)
     if case in _QT_CASES:
@@ -136,18 +135,13 @@ def run_experiment(config, write=True, stream=None):
     """
     stream = stream if stream is not None else sys.stdout
     coeffs = builtin_case(config.case)
-    form_kind, et_kind = _family(config.case)
+    et_kind = _family(config.case)
     rows = []
     for p in config.p_list:
-        sigma = config.sigma if config.sigma is not None else default_sigma(p)
         for n in config.n_list:
             mesh = build_structured_mesh(n)
             space = BrokenSpace(mesh, p)
-            system = assemble_global_system(
-                form_kind, mesh, p, coeffs,
-                sigma=sigma if form_kind == DAR_SIP else None,
-                space=space,
-            )
+            system = assemble_global_system(mesh, p, coeffs, sigma=config.sigma, space=space)
             for method in config.methods:
                 try:
                     if method == "dg":
@@ -162,7 +156,7 @@ def run_experiment(config, write=True, stream=None):
                     raise SolverError(
                         f"case={config.case} method={method} p={p} n={n}: {exc}"
                     ) from exc
-                report = compute_errors(solution, coeffs, et_kind)
+                report = compute_errors(solution, coeffs)
                 rows.append(
                     {
                         "method": method,
@@ -295,7 +289,7 @@ def _cmd_diagnose(args):
         raise UsageError(f"unknown case {case!r}; expected one of {BUILTIN_CASES}")
     kind = args.kind
     if kind is None:
-        kind = _family(case)[1]
+        kind = _family(case)
     if kind not in KINDS:
         raise UsageError(f"unknown operator kind {kind!r}")
     _check_kind(case, kind, "--kind")

@@ -1,6 +1,7 @@
-"""Global DG systems on the broken polynomial space: upwind
-discretization of advection-reaction and symmetric interior penalty
-discretization of diffusion-advection-reaction.
+"""Global DG systems on the broken polynomial space. The problem data
+picks the form: symmetric interior penalty when there is diffusion, with
+the upwind advection terms wherever there is advection, and the upwind
+form of advection-reaction when there is none.
 
 The volume terms of a batch of elements are one matrix product of the
 weighted coefficients with the space's shared reference tables
@@ -29,9 +30,6 @@ from .basis import BrokenSpace
 from .coefficients import require_finite, require_positive
 from .quadrature import facet_quadrature
 
-AR_UPWIND = "AR_UPWIND"
-DAR_SIP = "DAR_SIP"
-
 _CHUNK = 4096
 
 
@@ -41,12 +39,11 @@ class DgSystem:
 
     The operator is stored once, as element-pair blocks in BSR layout
     (``blocks``). ``matrix`` is a read-only CSR copy built on each request,
-    for export and inspection. ``alpha_facet`` stores the facet-averaged
-    diffusion coefficient used in the penalty terms (None for the pure
-    advection form); error norms reuse it together with ``sigma``.
+    for export and inspection. ``sigma`` and ``alpha_facet``, the
+    facet-averaged diffusion coefficient, are the penalty data (None for
+    the upwind form without diffusion); error norms reuse them.
     """
 
-    kind: str
     blocks: sparse.bsr_matrix = field(repr=False)
     load: np.ndarray
     space: BrokenSpace
@@ -160,27 +157,26 @@ def _chunks(total, size=_CHUNK):
         yield slice(start, min(start + size, total))
 
 
-def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
-    """Assemble the DG matrix and load vector.
+def assemble_global_system(mesh, p, coeffs, sigma=None, space=None):
+    """Assemble the DG matrix and load vector in the form the data picks.
 
-    For :data:`DAR_SIP` the penalty ``sigma`` must be positive and finite,
-    and a diffusion coefficient must be present; advection/reaction terms
-    are included whenever the coefficients carry them. For
-    :data:`AR_UPWIND` an advection field is required. A given ``space``
+    With a diffusion field ``alpha`` the form is symmetric interior
+    penalty with the penalty ``sigma`` (``None``: :func:`default_sigma`),
+    plus the upwind advection and reaction terms wherever the coefficients
+    carry them. Without diffusion it is the upwind form, which needs an
+    advection field ``beta``, and the system keeps ``sigma = None``. A
+    given ``sigma`` must be positive and finite, and a given ``space``
     must be the degree-``p`` space on ``mesh``.
     """
-    if kind not in (AR_UPWIND, DAR_SIP):
-        raise ValueError(f"unknown DG form kind {kind!r}")
-    if kind == AR_UPWIND and coeffs.beta is None:
-        raise ValueError("AR_UPWIND requires an advection field beta")
-    diffusive = kind == DAR_SIP
-    if diffusive:
-        if coeffs.alpha is None:
-            raise ValueError("DAR_SIP requires a diffusion field alpha")
-        if sigma is None or not 0 < sigma < math.inf:
-            raise ValueError(
-                f"DAR_SIP requires a positive finite penalty parameter sigma, got {sigma}"
-            )
+    if sigma is not None and not 0 < sigma < math.inf:
+        raise ValueError(f"the penalty must be a positive finite sigma, got {sigma}")
+    diffusive = coeffs.alpha is not None
+    if not diffusive and coeffs.beta is None:
+        raise ValueError("the upwind form without diffusion alpha requires an advection field beta")
+    if not diffusive:
+        sigma = None
+    elif sigma is None:
+        sigma = default_sigma(p)
     if space is None:
         space = BrokenSpace(mesh, p)
     elif space.degree != p or space.mesh is not mesh:
@@ -254,7 +250,7 @@ def assemble_global_system(kind, mesh, p, coeffs, sigma=None, space=None):
                 np.add.at(load, space.offsets[left][:, None] + np.arange(nd), lb)
 
     blocks = _block_matrix(mesh.n_elements, own, pairs)
-    return DgSystem(kind, load=load, space=space, sigma=sigma, alpha_facet=af, blocks=blocks)
+    return DgSystem(load=load, space=space, sigma=sigma, alpha_facet=af, blocks=blocks)
 
 
 def export_matrix_coo(system, target):

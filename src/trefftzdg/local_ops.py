@@ -146,6 +146,8 @@ def _validate(kind, p, coeffs):
             raise ValueError("AR local operator requires degree p >= 1")
         if coeffs.beta is None:
             raise ValueError("AR local operator requires an advection field beta")
+        if coeffs.alpha is not None:
+            raise ValueError("AR local operator would drop the diffusion field alpha of the data")
         return
     if p < 2:
         raise ValueError(f"{kind} local operator requires degree p >= 2")

@@ -165,22 +165,32 @@ def _solve_order(system):
     return np.lexsort((rank, labels))
 
 
+def _ordered_solve(system, blocks, bounds, rhs, label):
+    """Solve the matrix of the element-pair ``blocks`` on the block pattern
+    of ``system``, element ``k``'s unknowns ``bounds[k]:bounds[k + 1]``
+    (the trailing ones of padded blocks, as :func:`block_matrix` keeps
+    them), built and factored in the solve order of ``system``."""
+    A, widths = system.blocks, np.diff(bounds)
+    order = _solve_order(system)
+    ordered = block_matrix(blocks, A.indices, A.indptr, widths, widths, order)
+    return _direct_solve(ordered, rhs, label, _block_permutation(order, bounds))
+
+
+def _solution(system, coeffs, method, **fields):
+    """The solution ``coeffs`` of ``system`` by ``method``, with the
+    system's space and the penalty data the error norms reuse."""
+    return DiscreteSolution(
+        coeffs=coeffs, space=system.space, method=method, ndof_full=system.space.ndof_total,
+        sigma=system.sigma, alpha_facet=system.alpha_facet, **fields,
+    )
+
+
 def solve_standard_dg(system):
     """Solve the full DG system directly."""
     space = system.space
-    order = _solve_order(system)
-    A = system.blocks
-    ordered = block_matrix(A.data, A.indices, A.indptr, order=order)
-    perm = _block_permutation(order, np.append(space.offsets, space.ndof_total))
-    x = _direct_solve(ordered, system.load, "standard DG solve", perm)
-    return DiscreteSolution(
-        coeffs=x,
-        space=system.space,
-        method=STANDARD_DG,
-        ndof_full=system.space.ndof_total,
-        sigma=system.sigma,
-        alpha_facet=system.alpha_facet,
-    )
+    bounds = np.append(space.offsets, space.ndof_total)
+    x = _ordered_solve(system, system.blocks.data, bounds, system.load, "standard DG solve")
+    return _solution(system, x, STANDARD_DG)
 
 
 def _pair_blocks(system, left, right):
@@ -203,17 +213,22 @@ def _check_embedding(system, embedding):
         )
 
 
-def reduced_system(system, embedding, order=None):
-    """The embedded Trefftz system ``T' A T`` and ``T' (l - A u_L)``,
-    formed from the system's blocks and the stacked kernels. An element
-    ``order`` orders the matrix as :func:`block_matrix` does; the
-    right-hand side keeps the numbering of the Trefftz unknowns."""
+def _reduced_blocks(system, embedding):
+    """The blocks ``T_K' B_KL T_L`` of the embedded Trefftz system and its
+    right-hand side ``T' (l - A u_L)``."""
     _check_embedding(system, embedding)
-    T, A = embedding.kernels, system.blocks
-    widths = np.diff(embedding.offsets)
-    rhs = embedding.prolongation.T @ (system.load - A @ embedding.u_L)
-    ordered = block_matrix(_pair_blocks(system, T, T), A.indices, A.indptr, widths, widths, order)
-    return ordered, rhs
+    T = embedding.kernels
+    rhs = embedding.prolongation.T @ (system.load - system.blocks @ embedding.u_L)
+    return _pair_blocks(system, T, T), rhs
+
+
+def reduced_system(system, embedding):
+    """The embedded Trefftz system ``T' A T`` and ``T' (l - A u_L)`` in the
+    numbering of the Trefftz unknowns, formed from the system's blocks and
+    the stacked kernels as the embedded solve forms them."""
+    blocks, rhs = _reduced_blocks(system, embedding)
+    A, widths = system.blocks, np.diff(embedding.offsets)
+    return block_matrix(blocks, A.indices, A.indptr, widths, widths), rhs
 
 
 def solve_embedded_trefftz(system, embedding):
@@ -223,19 +238,10 @@ def solve_embedded_trefftz(system, embedding):
     construction of the particular solution and the kernel, the global
     rows to solver tolerance.
     """
-    order = _solve_order(system)
-    ordered, rhs = reduced_system(system, embedding, order)
-    perm = _block_permutation(order, embedding.offsets)
-    x = _direct_solve(ordered, rhs, "embedded Trefftz solve", perm)
-    return DiscreteSolution(
-        coeffs=embedding.prolongation @ x + embedding.u_L,
-        space=system.space,
-        method=EMBEDDED_TREFFTZ,
-        ndof_full=system.space.ndof_total,
-        ndof_trefftz=embedding.ndof_trefftz,
-        sigma=system.sigma,
-        alpha_facet=system.alpha_facet,
-    )
+    blocks, rhs = _reduced_blocks(system, embedding)
+    x = _ordered_solve(system, blocks, embedding.offsets, rhs, "embedded Trefftz solve")
+    coeffs = embedding.prolongation @ x + embedding.u_L
+    return _solution(system, coeffs, EMBEDDED_TREFFTZ, ndof_trefftz=embedding.ndof_trefftz)
 
 
 def solve_block_coupled(system, embedding, complement_rule=SVD_COMPLEMENT):
@@ -287,13 +293,7 @@ def solve_block_coupled(system, embedding, complement_rule=SVD_COMPLEMENT):
     Tt = np.swapaxes(T, 1, 2)
     g = system.load.reshape(n_elements, n, 1)
     rhs = Tt @ (g - (blocks @ (L @ x_l[..., None]).ravel()).reshape(g.shape))
-    order = _solve_order(system)
-    c_t = _direct_solve(
-        block_matrix(schur, blocks.indices, blocks.indptr, order=order),
-        rhs.ravel(),
-        "coupled block solve",
-        _block_permutation(order, embedding.offsets),
-    )
+    c_t = _ordered_solve(system, schur, embedding.offsets, rhs.ravel(), "coupled block solve")
     c_T = c_t.reshape(n_elements, w, 1)
     c_L = x_l[..., None] - X_T @ c_T
     # residual of the 2x2 system: local rows per element, global rows
@@ -313,13 +313,7 @@ def solve_block_coupled(system, embedding, complement_rule=SVD_COMPLEMENT):
             f"global rows {r_global:.3e})"
         )
     u_l, u_t = (L @ c_L).ravel(), (T @ c_T).ravel()
-    return DiscreteSolution(
-        coeffs=u_l + u_t,
-        space=system.space,
-        method=BLOCK_COUPLED,
-        ndof_full=system.space.ndof_total,
-        ndof_trefftz=embedding.ndof_trefftz,
-        sigma=system.sigma,
-        alpha_facet=system.alpha_facet,
+    return _solution(
+        system, u_l + u_t, BLOCK_COUPLED, ndof_trefftz=embedding.ndof_trefftz,
         block_parts={"u_L": u_l, "u_T": u_t, "c_L": c_L.ravel(), "c_T": c_t},
     )

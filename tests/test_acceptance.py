@@ -14,7 +14,7 @@ from scipy.linalg import subspace_angles
 from trefftzdg.analysis import compute_errors, estimate_eoc
 from trefftzdg.basis import BrokenSpace, ElementBasis, l2_project
 from trefftzdg.coefficients import builtin_case, manufactured_case
-from trefftzdg.dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system
+from trefftzdg.dg_forms import assemble_global_system
 from trefftzdg.embedding import build_embedding, compute_embedding
 from trefftzdg.local_ops import (
     AR,
@@ -39,27 +39,24 @@ from trefftzdg.coefficients import ScalarField
 
 
 def sweep_errors(case, methods, p_list, n_list, sigma_rule=None, box_scale=0.25):
+    # the data picks the DG form; without a sigma_rule the library's
+    # default penalty applies
     coeffs = builtin_case(case)
-    form_kind = AR_UPWIND if case == "AR_EXAMPLE" else DAR_SIP
-    et_kind = AR if case == "AR_EXAMPLE" else DAR
-    local = {"et": et_kind, "etbox": DAR_BOX, "qt": QT_DIFFUSION}
+    local = {"et": AR if case == "AR_EXAMPLE" else DAR, "etbox": DAR_BOX, "qt": QT_DIFFUSION}
     results = {m: [] for m in methods}
     for p in p_list:
-        sigma = 50.0 * p * p if sigma_rule is None else sigma_rule(p)
+        sigma = None if sigma_rule is None else sigma_rule(p)
         for n in n_list:
             mesh = build_structured_mesh(n)
             space = BrokenSpace(mesh, p)
-            system = assemble_global_system(
-                form_kind, mesh, p, coeffs,
-                sigma=sigma if form_kind == DAR_SIP else None, space=space,
-            )
+            system = assemble_global_system(mesh, p, coeffs, sigma=sigma, space=space)
             for method in methods:
                 if method == "dg":
                     solution = solve_standard_dg(system)
                 else:
                     emb = build_embedding(space, coeffs, local[method], box_scale=box_scale)
                     solution = solve_embedded_trefftz(system, emb)
-                report = compute_errors(solution, coeffs, et_kind)
+                report = compute_errors(solution, coeffs)
                 results[method].append((p, n, report))
     return results
 
@@ -174,14 +171,11 @@ def test_criterion_06_dimension_formula(kernel_sweep):
 
 def test_criterion_07_block_equivalence():
     gaps = []
-    for case, form, kind, sigma in (
-        ("AR_EXAMPLE", AR_UPWIND, AR, None),
-        ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0),
-    ):
+    for case, kind, sigma in (("AR_EXAMPLE", AR, None), ("DAR_EXAMPLE", DAR, 450.0)):
         coeffs = builtin_case(case)
         mesh = build_structured_mesh(4)
         space = BrokenSpace(mesh, 3)
-        system = assemble_global_system(form, mesh, 3, coeffs, sigma=sigma, space=space)
+        system = assemble_global_system(mesh, 3, coeffs, sigma=sigma, space=space)
         emb = build_embedding(space, coeffs, kind)
         u_et = solve_embedded_trefftz(system, emb)
         for rule in (SVD_COMPLEMENT, MINNORM_IMAGE):
@@ -230,9 +224,7 @@ def test_criterion_09_exact_representation_solve():
     for p in (2, 3):
         mesh = build_structured_mesh(2)
         space = BrokenSpace(mesh, p)
-        system = assemble_global_system(
-            DAR_SIP, mesh, p, coeffs, sigma=50.0 * p * p, space=space
-        )
+        system = assemble_global_system(mesh, p, coeffs, space=space)
         emb = build_embedding(space, coeffs, DAR)
         solutions = [
             solve_standard_dg(system),
@@ -240,7 +232,7 @@ def test_criterion_09_exact_representation_solve():
             solve_block_coupled(system, emb),
         ]
         for sol in solutions:
-            report = compute_errors(sol, coeffs, DAR)
+            report = compute_errors(sol, coeffs)
             errors.append(report.l2_error)
             assert report.l2_error <= 1e-8, (p, sol.method, report.l2_error)
     print(
@@ -310,7 +302,7 @@ def test_criterion_10_property_suites(tmp_path):
     # SIP symmetry at 1e-10 relative
     coeffs = builtin_case("BOX_DIFFUSION_2D")
     mesh = build_structured_mesh(3)
-    sys = assemble_global_system(DAR_SIP, mesh, p=3, coeffs=coeffs, sigma=450.0)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=450.0)
     asym = (sys.matrix - sys.matrix.T).tocoo()
     rel = (
         math.sqrt(np.sum(asym.data**2)) / math.sqrt((sys.matrix.multiply(sys.matrix)).sum())

@@ -14,7 +14,7 @@ from trefftzdg.analysis import (
 )
 from trefftzdg.basis import BrokenSpace, l2_project
 from trefftzdg.coefficients import ScalarField, VectorField, builtin_case, manufactured_case
-from trefftzdg.dg_forms import DAR_SIP, assemble_global_system
+from trefftzdg.dg_forms import assemble_global_system
 from trefftzdg.local_ops import AR, DAR, DAR_BOX, QT_DIFFUSION
 from trefftzdg.mesh import build_structured_mesh
 from trefftzdg.quadrature import facet_quadrature, triangle_rule, volume_quadrature
@@ -36,9 +36,9 @@ def test_zero_error_for_exactly_representable_solution():
     coeffs = manufactured_case(alpha=1, exact=sp.sympify("x**2 - y**2"))
     mesh = build_structured_mesh(2)
     p = 2
-    sys = assemble_global_system(DAR_SIP, mesh, p=p, coeffs=coeffs, sigma=50.0 * p * p)
+    sys = assemble_global_system(mesh, p=p, coeffs=coeffs, sigma=50.0 * p * p)
     u = solve_standard_dg(sys)
-    report = compute_errors(u, coeffs, DAR)
+    report = compute_errors(u, coeffs)
     assert report.l2_error <= 1e-8
     assert report.vh_error <= 1e-8
     assert report.h == pytest.approx(math.sqrt(2.0) / 2)
@@ -54,7 +54,7 @@ def test_l2_error_of_zero_solution_is_analytic():
         coeffs=np.zeros(space.ndof_total), space=space,
         method="STANDARD_DG", ndof_full=space.ndof_total,
     )
-    report = compute_errors(u, coeffs, AR)
+    report = compute_errors(u, coeffs)
     assert report.l2_error == pytest.approx(math.sqrt(0.5), rel=1e-9)
 
 
@@ -69,7 +69,7 @@ def test_continuous_function_has_no_interior_jump_contribution():
         coeffs=project_globally(space, lambda x, y: 1.0 + 2.0 * x + 3.0 * y),
         space=space, method="STANDARD_DG", ndof_full=space.ndof_total,
     )
-    report = compute_errors(u, coeffs, AR)
+    report = compute_errors(u, coeffs)
 
     vpts, vw = volume_quadrature(mesh, 8)
     x, y = vpts[..., 0], vpts[..., 1]
@@ -97,7 +97,7 @@ def test_error_norms_absolutely_homogeneous():
             coeffs=s * base, space=space, method="STANDARD_DG",
             ndof_full=space.ndof_total, sigma=100.0,
         )
-        reports.append(compute_errors(u, coeffs, DAR))
+        reports.append(compute_errors(u, coeffs))
     assert reports[1].l2_error == pytest.approx(3.5 * reports[0].l2_error, rel=1e-12)
     assert reports[1].vh_error == pytest.approx(3.5 * reports[0].vh_error, rel=1e-12)
 
@@ -112,11 +112,12 @@ def test_missing_exact_solution_is_an_error():
         method="STANDARD_DG", ndof_full=space.ndof_total,
     )
     with pytest.raises(ValueError):
-        compute_errors(u, coeffs, AR)
+        compute_errors(u, coeffs)
 
 
 def test_ar_norm_requires_advection_field():
-    coeffs = manufactured_case(alpha=1, exact=sp.Integer(0))
+    # without diffusion the norm is the upwind one, which needs beta
+    coeffs = manufactured_case(gamma=1, exact=sp.Integer(0))
     mesh = build_structured_mesh(1)
     space = BrokenSpace(mesh, 2)
     u = DiscreteSolution(
@@ -124,7 +125,18 @@ def test_ar_norm_requires_advection_field():
         method="STANDARD_DG", ndof_full=space.ndof_total,
     )
     with pytest.raises(ValueError, match="beta"):
-        compute_errors(u, coeffs, AR)
+        compute_errors(u, coeffs)
+
+
+def test_diffusion_norm_requires_the_penalty_of_the_solution():
+    coeffs = builtin_case("DAR_EXAMPLE")
+    space = BrokenSpace(build_structured_mesh(1), 2)
+    u = DiscreteSolution(
+        coeffs=np.zeros(space.ndof_total), space=space, method="STANDARD_DG",
+        ndof_full=space.ndof_total, alpha_facet=np.ones(space.mesh.n_facets),
+    )
+    with pytest.raises(ValueError, match="sigma"):
+        compute_errors(u, coeffs)
 
 
 @pytest.mark.parametrize(
@@ -144,10 +156,12 @@ def test_ar_norm_requires_advection_field():
 def test_error_norms_reject_bad_data(field, kind, name):
     # one field is NaN wherever x < 1/2 (alpha_nonpositive: negative there);
     # the error norms must name it and the first offending element instead
-    # of returning a NaN or meaningless error
+    # of returning a NaN or meaningless error; the AR norm is that of data
+    # without diffusion
     x, y = sp.symbols("x y")
     bad = 1 + sp.sqrt(x - sp.Rational(1, 2))
-    coeffs = manufactured_case(alpha=1, beta=(1, y), gamma=1, exact=x * y)
+    alpha = None if kind == AR else 1
+    coeffs = manufactured_case(alpha=alpha, beta=(1, y), gamma=1, exact=x * y)
     if field == "exact_gradient":
         coeffs.exact_gradient = lambda: VectorField(bad, y)
     elif field == "beta":
@@ -166,7 +180,7 @@ def test_error_norms_reject_bad_data(field, kind, name):
     with np.errstate(invalid="ignore"), pytest.raises(
         ValueError, match=rf"^{name} must be finite.* element \d+ has {name} = "
     ):
-        compute_errors(u, coeffs, kind)
+        compute_errors(u, coeffs)
 
 
 def two_pass_dg_error(solution, coeffs):
@@ -219,9 +233,9 @@ def two_pass_dg_error(solution, coeffs):
 def test_shared_facet_jumps_match_two_pass_norm(case):
     coeffs = builtin_case(case)
     mesh = build_structured_mesh(3)
-    system = assemble_global_system(DAR_SIP, mesh, 3, coeffs, sigma=450.0)
+    system = assemble_global_system(mesh, 3, coeffs, sigma=450.0)
     solution = solve_standard_dg(system)
-    report = compute_errors(solution, coeffs, DAR)
+    report = compute_errors(solution, coeffs)
     expected = two_pass_dg_error(solution, coeffs)
     assert report.vh_error == pytest.approx(expected, rel=1e-13)
 

@@ -136,7 +136,7 @@ def test_non_finite_alpha_rejected_at_entry(entry):
     # alpha is NaN wherever x < 1/2; every entry point must name the field
     # and the first offending element or facet instead of failing later
     from trefftzdg.basis import BrokenSpace
-    from trefftzdg.dg_forms import DAR_SIP, assemble_global_system
+    from trefftzdg.dg_forms import assemble_global_system
     from trefftzdg.embedding import build_embedding
     from trefftzdg.mesh import build_structured_mesh
 
@@ -146,8 +146,8 @@ def test_non_finite_alpha_rejected_at_entry(entry):
     with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
         ValueError, match=r"alpha must be finite .* (element|facet) \d+ has alpha = nan"
     ):
-        if entry == DAR_SIP:
-            assemble_global_system(DAR_SIP, mesh, 2, coeffs, sigma=50.0)
+        if entry == "DAR_SIP":
+            assemble_global_system(mesh, 2, coeffs, sigma=50.0)
         else:
             build_embedding(BrokenSpace(mesh, 3), coeffs, entry)
 
@@ -160,23 +160,25 @@ def test_non_finite_alpha_rejected_at_entry(entry):
 def test_non_finite_data_rejected_at_entry(field, entry):
     # one field is NaN wherever x < 1/2, the others are smooth; every entry
     # point must name that field and the first offending element or facet
-    # instead of handing a NaN matrix to the sparse LU
+    # instead of handing a NaN matrix to the sparse LU. DAR_SIP is the
+    # assembly of data with diffusion, AR_UPWIND that of data without it
     from trefftzdg.basis import BrokenSpace
-    from trefftzdg.dg_forms import AR_UPWIND, DAR_SIP, assemble_global_system
+    from trefftzdg.dg_forms import assemble_global_system
     from trefftzdg.embedding import build_embedding
     from trefftzdg.mesh import build_structured_mesh
 
     x, y = sp.symbols("x y")
     bad = 1 + sp.sqrt(x - sp.Rational(1, 2))
-    smooth = manufactured_case(alpha=1, beta=(1, y), gamma=1, exact=x * y)
+    alpha = None if entry in ("AR_UPWIND", "AR") else 1
+    smooth = manufactured_case(alpha=alpha, beta=(1, y), gamma=1, exact=x * y)
     replacement = VectorField(bad, y) if field == "beta" else ScalarField(bad)
     coeffs = dataclasses.replace(smooth, **{field: replacement})
     mesh = build_structured_mesh(4)
     with np.errstate(invalid="ignore", divide="ignore"), pytest.raises(
         ValueError, match=rf"^{field} must be finite on .* (element|facet) \d+ has {field} = nan"
     ):
-        if entry in (AR_UPWIND, DAR_SIP):
-            assemble_global_system(entry, mesh, 2, coeffs, sigma=50.0)
+        if entry in ("AR_UPWIND", "DAR_SIP"):
+            assemble_global_system(mesh, 2, coeffs, sigma=50.0)
         else:
             build_embedding(BrokenSpace(mesh, 3), coeffs, entry)
 

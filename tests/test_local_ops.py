@@ -261,6 +261,23 @@ def test_kind_preconditions():
         assemble_local_operator("NOPE", space1, 0, coeffs)
 
 
+@pytest.mark.parametrize("entry", ["assemble_local_operator", "build_embedding", "run_diagnostics"])
+def test_ar_kind_rejects_data_with_diffusion(entry):
+    # AR would embed the kernel of the advection-reaction operator of data
+    # whose PDE has diffusion, a different PDE from the one assembled
+    from trefftzdg.analysis import run_diagnostics
+    from trefftzdg.embedding import build_embedding
+
+    coeffs, mesh = builtin_case("DAR_EXAMPLE"), build_structured_mesh(2)
+    with pytest.raises(ValueError, match="alpha"):
+        if entry == "assemble_local_operator":
+            assemble_local_operator(AR, BrokenSpace(mesh, 3), 0, coeffs)
+        elif entry == "build_embedding":
+            build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
+        else:
+            run_diagnostics(mesh, 3, AR, coeffs)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_out_of_range_element_is_rejected(kind):
     # a negative id must not wrap around to an element from the end

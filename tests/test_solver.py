@@ -15,7 +15,7 @@ from trefftzdg.analysis import compute_errors
 from trefftzdg.basis import BrokenSpace, l2_project
 from trefftzdg.cli import main
 from trefftzdg.coefficients import builtin_case, manufactured_case
-from trefftzdg.dg_forms import AR_UPWIND, DAR_SIP, DgSystem, assemble_global_system
+from trefftzdg.dg_forms import DgSystem, assemble_global_system
 from trefftzdg.embedding import assemble_global_embedding, build_embedding, compute_embedding
 from trefftzdg.local_ops import AR, DAR, assemble_local_operators
 from trefftzdg.mesh import build_structured_mesh
@@ -35,6 +35,13 @@ from trefftzdg.solver import (
 
 LAPLACE_SADDLE = manufactured_case(alpha=1, exact=sp.sympify("x**2 - y**2"), name="laplace")
 
+#: a builtin case of each DG form with its local kind and penalty; the ids
+#: name the form the data picks, upwind or symmetric interior penalty
+CASES = [
+    pytest.param("AR_EXAMPLE", AR, None, id="AR_EXAMPLE-AR_UPWIND-AR-None"),
+    pytest.param("DAR_EXAMPLE", DAR, 450.0, id="DAR_EXAMPLE-DAR_SIP-DAR-450.0"),
+]
+
 
 def l2_error(solution, exact):
     space = solution.space
@@ -48,7 +55,7 @@ def l2_error(solution, exact):
 def test_zero_data_gives_zero_solutions():
     coeffs = manufactured_case(alpha=1, exact=sp.Integer(0))
     mesh = build_structured_mesh(2)
-    sys = assemble_global_system(DAR_SIP, mesh, p=2, coeffs=coeffs, sigma=200.0)
+    sys = assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=200.0)
     u_dg = solve_standard_dg(sys)
     assert np.allclose(u_dg.coeffs, 0.0, atol=1e-12)
     assert u_dg.method == STANDARD_DG
@@ -64,7 +71,7 @@ def test_zero_data_gives_zero_solutions():
 def test_exactly_representable_solution():
     mesh = build_structured_mesh(2)
     p = 2
-    sys = assemble_global_system(DAR_SIP, mesh, p=p, coeffs=LAPLACE_SADDLE, sigma=50.0 * p * p)
+    sys = assemble_global_system(mesh, p=p, coeffs=LAPLACE_SADDLE, sigma=50.0 * p * p)
     u_dg = solve_standard_dg(sys)
     exact = LAPLACE_SADDLE.exact_solution
     assert l2_error(u_dg, exact) < 1e-8
@@ -86,13 +93,10 @@ def test_exactly_representable_solution():
 
 
 def test_residual_contract_on_builtin_runs():
-    for case, kind, local_kind, sigma in (
-        ("AR_EXAMPLE", AR_UPWIND, AR, None),
-        ("DAR_EXAMPLE", DAR_SIP, DAR, 50.0 * 9),
-    ):
+    for case, sigma in (("AR_EXAMPLE", None), ("DAR_EXAMPLE", 50.0 * 9)):
         coeffs = builtin_case(case)
         mesh = build_structured_mesh(4)
-        sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+        sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
         u = solve_standard_dg(sys)
         res = np.linalg.norm(sys.matrix @ u.coeffs - sys.load)
         assert res <= 1e-10 * np.linalg.norm(sys.load)
@@ -102,7 +106,7 @@ def test_residual_contract_on_builtin_runs():
 def test_embedded_error_close_to_standard_ar():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(8)
-    sys = assemble_global_system(AR_UPWIND, mesh, p=3, coeffs=coeffs)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs)
     u_dg = solve_standard_dg(sys)
     emb = build_embedding(sys.space, coeffs, AR)
     u_et = solve_embedded_trefftz(sys, emb)
@@ -117,7 +121,7 @@ def test_local_rows_satisfied_by_embedded_solution():
     coeffs = builtin_case("DAR_EXAMPLE")
     mesh = build_structured_mesh(4)
     p = 3
-    sys = assemble_global_system(DAR_SIP, mesh, p=p, coeffs=coeffs, sigma=50.0 * p * p)
+    sys = assemble_global_system(mesh, p=p, coeffs=coeffs, sigma=50.0 * p * p)
     emb = build_embedding(sys.space, coeffs, DAR)
     u = solve_embedded_trefftz(sys, emb)
     nd = sys.space.ndof_local
@@ -128,14 +132,11 @@ def test_local_rows_satisfied_by_embedded_solution():
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-@pytest.mark.parametrize(
-    "case,kind,local_kind,sigma",
-    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
-)
-def test_block_solver_matches_embedded(perturbed_mesh, perturbed, case, kind, local_kind, sigma):
+@pytest.mark.parametrize("case,local_kind,sigma", CASES)
+def test_block_solver_matches_embedded(perturbed_mesh, perturbed, case, local_kind, sigma):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     u_et = solve_embedded_trefftz(sys, emb)
     for rule in (SVD_COMPLEMENT, MINNORM_IMAGE):
@@ -167,17 +168,14 @@ def assert_solves_the_block_system(u, sys, emb, rule):
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-@pytest.mark.parametrize(
-    "case,kind,local_kind,sigma",
-    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
-)
+@pytest.mark.parametrize("case,local_kind,sigma", CASES)
 @pytest.mark.parametrize("rule", [SVD_COMPLEMENT, MINNORM_IMAGE])
 def test_condensed_solution_solves_the_whole_block_system(
-    perturbed_mesh, perturbed, case, kind, local_kind, sigma, rule
+    perturbed_mesh, perturbed, case, local_kind, sigma, rule
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     u = solve_block_coupled(sys, emb, complement_rule=rule)
     assert_solves_the_block_system(u, sys, emb, rule)
@@ -195,18 +193,15 @@ def test_condensed_solution_solves_the_whole_block_system(
         assert np.linalg.norm(A[k] @ u_K[k] - load[k]) <= 1e-12 * np.linalg.norm(load[k])
 
 
-@pytest.mark.parametrize(
-    "case,kind,local_kind,sigma",
-    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
-)
+@pytest.mark.parametrize("case,local_kind,sigma", CASES)
 def test_condensation_solves_a_block_system_that_does_not_decouple(
-    case, kind, local_kind, sigma
+    case, local_kind, sigma
 ):
     # with the kernels, A T vanishes to rounding and so does the coupling
     # term of the Schur complement; columns T mixed with the complement
     # make A T of the size of A, and the condensed solve must still hold
     coeffs = builtin_case(case)
-    sys = assemble_global_system(kind, build_structured_mesh(4), p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(build_structured_mesh(4), p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     L = emb.factors.complement(SVD_COMPLEMENT)
     rng = np.random.default_rng(7)
@@ -221,7 +216,7 @@ def test_condensation_solves_a_block_system_that_does_not_decouple(
 def test_solves_reject_an_embedding_of_another_degree():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(3)
-    sys4 = assemble_global_system(AR_UPWIND, mesh, p=4, coeffs=coeffs)
+    sys4 = assemble_global_system(mesh, p=4, coeffs=coeffs)
     emb3 = build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
     with pytest.raises(ValueError, match="embedding and system dimensions do not match"):
         solve_embedded_trefftz(sys4, emb3)
@@ -232,7 +227,7 @@ def test_solves_reject_an_embedding_of_another_degree():
 def test_block_splits_differ_but_sums_agree():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(4)
-    sys = assemble_global_system(AR_UPWIND, mesh, p=3, coeffs=coeffs)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs)
     emb = build_embedding(sys.space, coeffs, AR)
     u_svd = solve_block_coupled(sys, emb, complement_rule=SVD_COMPLEMENT)
     u_min = solve_block_coupled(sys, emb, complement_rule=MINNORM_IMAGE)
@@ -248,13 +243,13 @@ def test_block_splits_differ_but_sums_agree():
 
 
 def test_dof_accounting_ratios():
-    for case, kind, local_kind, sigma, expected in (
-        ("AR_EXAMPLE", AR_UPWIND, AR, None, 4 / 10),
-        ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0, 7 / 10),
+    for case, local_kind, sigma, expected in (
+        ("AR_EXAMPLE", AR, None, 4 / 10),
+        ("DAR_EXAMPLE", DAR, 450.0, 7 / 10),
     ):
         coeffs = builtin_case(case)
         mesh = build_structured_mesh(2)
-        sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+        sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
         emb = build_embedding(sys.space, coeffs, local_kind)
         u = solve_embedded_trefftz(sys, emb)
         assert u.ndof_trefftz / u.ndof_full == pytest.approx(expected)
@@ -262,7 +257,7 @@ def test_dof_accounting_ratios():
 
 def test_embedding_dimension_mismatch_rejected():
     coeffs = builtin_case("AR_EXAMPLE")
-    sys4 = assemble_global_system(AR_UPWIND, build_structured_mesh(4), p=3, coeffs=coeffs)
+    sys4 = assemble_global_system(build_structured_mesh(4), p=3, coeffs=coeffs)
     space2 = BrokenSpace(build_structured_mesh(2), 3)
     emb2 = build_embedding(space2, coeffs, AR)
     with pytest.raises(ValueError):
@@ -289,16 +284,13 @@ def zero_odd_operators(monkeypatch):
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-@pytest.mark.parametrize(
-    "case,kind,local_kind,sigma",
-    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
-)
+@pytest.mark.parametrize("case,local_kind,sigma", CASES)
 def test_reduced_system_matches_the_triple_product(
-    perturbed_mesh, perturbed, case, kind, local_kind, sigma
+    perturbed_mesh, perturbed, case, local_kind, sigma
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     matrix, rhs = reduced_system(sys, emb)
     T = emb.prolongation
@@ -309,7 +301,7 @@ def test_reduced_system_matches_the_triple_product(
 def test_reduced_system_with_mixed_kernel_widths(monkeypatch):
     zero_odd_operators(monkeypatch)
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(AR_UPWIND, build_structured_mesh(2), p=3, coeffs=coeffs)
+    sys = assemble_global_system(build_structured_mesh(2), p=3, coeffs=coeffs)
     with pytest.warns(UserWarning, match="4 of 8 elements"):
         emb = build_embedding(sys.space, coeffs, AR)
     assert list(np.diff(emb.offsets)) == [4, 10] * 4
@@ -324,15 +316,12 @@ def untouchable(system):
     raise AssertionError("DgSystem.matrix used")
 
 
-@pytest.mark.parametrize(
-    "case,kind,local_kind,sigma",
-    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
-)
+@pytest.mark.parametrize("case,local_kind,sigma", CASES)
 def test_trefftz_solves_never_use_the_assembled_matrix(
-    monkeypatch, case, kind, local_kind, sigma
+    monkeypatch, case, local_kind, sigma
 ):
     coeffs = builtin_case(case)
-    sys = assemble_global_system(kind, build_structured_mesh(3), p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(build_structured_mesh(3), p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     u_et = solve_embedded_trefftz(sys, emb)
     u_bl = solve_block_coupled(sys, emb)
@@ -344,11 +333,15 @@ def test_trefftz_solves_never_use_the_assembled_matrix(
 
 
 @pytest.mark.parametrize(
-    "case,kind,sigma", [("AR_EXAMPLE", AR_UPWIND, None), ("DAR_EXAMPLE", DAR_SIP, 450.0)]
+    "case,sigma",
+    [
+        pytest.param("AR_EXAMPLE", None, id="AR_EXAMPLE-AR_UPWIND-None"),
+        pytest.param("DAR_EXAMPLE", 450.0, id="DAR_EXAMPLE-DAR_SIP-450.0"),
+    ],
 )
-def test_standard_solve_reads_the_blocks(monkeypatch, case, kind, sigma):
+def test_standard_solve_reads_the_blocks(monkeypatch, case, sigma):
     coeffs = builtin_case(case)
-    sys = assemble_global_system(kind, build_structured_mesh(3), p=2, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(build_structured_mesh(3), p=2, coeffs=coeffs, sigma=sigma)
     expected = solve_standard_dg(sys).coeffs
     monkeypatch.setattr(DgSystem, "matrix", property(untouchable))
     assert np.array_equal(solve_standard_dg(sys).coeffs, expected)
@@ -356,7 +349,7 @@ def test_standard_solve_reads_the_blocks(monkeypatch, case, kind, sigma):
 
 def test_hand_gathered_embedding_solves_like_build_embedding():
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(AR_UPWIND, build_structured_mesh(4), p=3, coeffs=coeffs)
+    sys = assemble_global_system(build_structured_mesh(4), p=3, coeffs=coeffs)
     ops = assemble_local_operators(AR, sys.space, coeffs)
     gathered = assemble_global_embedding(sys.space.mesh, [compute_embedding(op) for op in ops])
     assert gathered.factors is None
@@ -367,7 +360,7 @@ def test_hand_gathered_embedding_solves_like_build_embedding():
 
 def test_block_solver_rejects_embedding_without_factors():
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(AR_UPWIND, build_structured_mesh(2), p=3, coeffs=coeffs)
+    sys = assemble_global_system(build_structured_mesh(2), p=3, coeffs=coeffs)
     ops = assemble_local_operators(AR, sys.space, coeffs)
     glob = assemble_global_embedding(sys.space.mesh, [compute_embedding(op) for op in ops])
     with pytest.raises(ValueError, match="build_embedding"):
@@ -380,7 +373,6 @@ def test_singular_matrix_raises():
     space = BrokenSpace(mesh, 1)
     n, nd = space.ndof_total, space.ndof_local
     singular = DgSystem(
-        kind=AR_UPWIND,
         blocks=sparse.bsr_matrix(sparse.csr_matrix((n, n)), blocksize=(nd, nd)),
         load=np.ones(n),
         space=space,
@@ -412,7 +404,7 @@ def test_pivoting_fallback_when_unpivoted_lu_fails(monkeypatch):
     load = np.linspace(1.0, 2.0, space.ndof_total)
     nd = space.ndof_local
     blocks = sparse.bsr_matrix(matrix, blocksize=(nd, nd))
-    system = DgSystem(kind=AR_UPWIND, blocks=blocks, load=load, space=space)
+    system = DgSystem(blocks=blocks, load=load, space=space)
     calls = count_factorizations(monkeypatch)
     u = solve_standard_dg(system)
     assert calls == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}, {}]
@@ -423,7 +415,7 @@ def test_singular_matrix_fails_both_factorizations(monkeypatch):
     space = BrokenSpace(build_structured_mesh(1), 1)
     n, nd = space.ndof_total, space.ndof_local
     blocks = sparse.bsr_matrix(sparse.csr_matrix((n, n)), blocksize=(nd, nd))
-    singular = DgSystem(kind=AR_UPWIND, blocks=blocks, load=np.ones(n), space=space)
+    singular = DgSystem(blocks=blocks, load=np.ones(n), space=space)
     calls = count_factorizations(monkeypatch)
     with pytest.raises(SolverError, match="factorization failed"):
         solve_standard_dg(singular)
@@ -431,16 +423,13 @@ def test_singular_matrix_fails_both_factorizations(monkeypatch):
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-@pytest.mark.parametrize(
-    "case,kind,local_kind,sigma",
-    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
-)
+@pytest.mark.parametrize("case,local_kind,sigma", CASES)
 def test_ordered_solves_match_plain_lu(
-    monkeypatch, perturbed_mesh, perturbed, case, kind, local_kind, sigma
+    monkeypatch, perturbed_mesh, perturbed, case, local_kind, sigma
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     solves = []
     direct_solve = solver._direct_solve
@@ -470,7 +459,7 @@ def test_ordered_solves_match_plain_lu(
 
 def test_solution_carries_the_systems_facet_alpha(monkeypatch):
     coeffs = builtin_case("DAR_EXAMPLE")
-    sys = assemble_global_system(DAR_SIP, build_structured_mesh(2), p=2, coeffs=coeffs, sigma=200.0)
+    sys = assemble_global_system(build_structured_mesh(2), p=2, coeffs=coeffs, sigma=200.0)
     u = solve_standard_dg(sys)
     assert u.alpha_facet is sys.alpha_facet
     recomputed = compute_errors(
@@ -478,14 +467,13 @@ def test_solution_carries_the_systems_facet_alpha(monkeypatch):
             coeffs=u.coeffs, space=u.space, method=u.method, ndof_full=u.ndof_full, sigma=u.sigma
         ),
         coeffs,
-        DAR,
     )
 
     def no_recompute(*_args):
         raise AssertionError("facet alpha recomputed")
 
     monkeypatch.setattr("trefftzdg.analysis.facet_alpha", no_recompute)
-    report = compute_errors(u, coeffs, DAR)
+    report = compute_errors(u, coeffs)
     assert report.vh_error == recomputed.vh_error
     assert report.l2_error == recomputed.l2_error
 
@@ -518,7 +506,7 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
 ):
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(AR_UPWIND, mesh, p=3, coeffs=coeffs)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs)
     n = mesh.n_elements
     n_components, _ = connected_components(element_graph(sys.blocks), connection="strong")
     assert n_components == n
@@ -551,7 +539,7 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_acyclic_upwind_order_skips_the_mesh_order(perturbed_mesh, perturbed):
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(AR_UPWIND, mesh, p=3, coeffs=builtin_case("AR_EXAMPLE"))
+    sys = assemble_global_system(mesh, p=3, coeffs=builtin_case("AR_EXAMPLE"))
     order = solver._solve_order(sys)
     assert "element_order" not in mesh.__dict__
     # the order of the general case: components first, mesh order inside
@@ -565,7 +553,7 @@ def test_acyclic_upwind_order_skips_the_mesh_order(perturbed_mesh, perturbed):
 @pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D", "QT_DIFFUSION"])
 def test_sip_order_is_the_mesh_order(perturbed_mesh, perturbed, case):
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(DAR_SIP, mesh, p=3, coeffs=builtin_case(case), sigma=450.0)
+    sys = assemble_global_system(mesh, p=3, coeffs=builtin_case(case), sigma=450.0)
     assert np.array_equal(solver._solve_order(sys), mesh.element_order)
 
 
@@ -577,7 +565,7 @@ def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
         name="rotating",
     )
     mesh = build_structured_mesh(6)
-    sys = assemble_global_system(AR_UPWIND, mesh, p=3, coeffs=coeffs)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs)
     # the flow circles the centre, so the element graph is one component
     assert np.array_equal(solver._solve_order(sys), mesh.element_order)
     emb = build_embedding(sys.space, coeffs, AR)
@@ -642,16 +630,13 @@ def recording_direct_solves(monkeypatch):
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-@pytest.mark.parametrize(
-    "case,kind,local_kind,sigma",
-    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
-)
+@pytest.mark.parametrize("case,local_kind,sigma", CASES)
 def test_coupled_solve_eliminates_the_complement_unknowns_first(
-    monkeypatch, perturbed_mesh, perturbed, case, kind, local_kind, sigma
+    monkeypatch, perturbed_mesh, perturbed, case, local_kind, sigma
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     perms = recording_direct_solves(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
@@ -724,16 +709,13 @@ def schur_complement(sys, emb):
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-@pytest.mark.parametrize(
-    "case,kind,local_kind,sigma",
-    [("AR_EXAMPLE", AR_UPWIND, AR, None), ("DAR_EXAMPLE", DAR_SIP, DAR, 450.0)],
-)
+@pytest.mark.parametrize("case,local_kind,sigma", CASES)
 def test_lu_gets_the_ordered_matrix_with_sorted_indices(
-    monkeypatch, perturbed_mesh, perturbed, case, kind, local_kind, sigma
+    monkeypatch, perturbed_mesh, perturbed, case, local_kind, sigma
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(kind, mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     perms = recording_direct_solves(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
@@ -756,7 +738,7 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
 def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch):
     zero_odd_operators(monkeypatch)
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(AR_UPWIND, build_structured_mesh(3), p=3, coeffs=coeffs)
+    sys = assemble_global_system(build_structured_mesh(3), p=3, coeffs=coeffs)
     with pytest.warns(UserWarning, match="elements have numerically rank deficient"):
         emb = build_embedding(sys.space, coeffs, AR)
     perms = recording_direct_solves(monkeypatch)
