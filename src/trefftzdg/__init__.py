@@ -12,7 +12,7 @@ from .analysis import (
     estimate_eoc,
     run_diagnostics,
 )
-from .basis import BrokenSpace, ElementBasis, l2_project, polynomial_exponents, space_dimension
+from .basis import BrokenSpace, polynomial_exponents, space_dimension
 from .cli import ExperimentConfig, run_experiment
 from .coefficients import (
     BUILTIN_CASES,
@@ -22,12 +22,7 @@ from .coefficients import (
     builtin_case,
     manufactured_case,
 )
-from .dg_forms import (
-    DgSystem,
-    assemble_global_system,
-    export_matrix_coo,
-    facet_alpha,
-)
+from .dg_forms import DgSystem, assemble_global_system, facet_alpha
 from .embedding import (
     ElementEmbedding,
     GlobalEmbedding,
@@ -47,7 +42,6 @@ from .local_ops import (
     assemble_local_operator,
     assemble_local_operators,
     compute_box,
-    leibniz_point_derivative,
 )
 from .mesh import BOUNDARY, Mesh2D, build_structured_mesh
 from .quadrature import (

@@ -8,7 +8,8 @@ reference triangle's scaled monomials ``m``) composed with the inverse map
 and divided by ``sqrt(det J_K)``. The basis is graded by degree, so its
 leading functions are the orthonormal basis of every lower degree, and the
 first is the constant ``1/sqrt(area)``. No element has a basis of its own:
-:class:`BrokenSpace` and :class:`ElementBasis` hold only the affine maps.
+:class:`BrokenSpace` holds only the affine maps, and one element is a batch
+of one of its methods.
 
 At the volume points, which are the images of one reference rule, values
 come from the shared :func:`reference_tables` and gradients are ``J_K^-T``
@@ -341,76 +342,6 @@ def _pull_back(points, origins, adjugates, dets):
     return zeta / dets[:, None, None]
 
 
-class ElementBasis:
-    """Orthonormal polynomial basis of one element: the reference basis
-    at ``zeta = J_K^-1 (x - v0_K)`` divided by ``sqrt(det J_K)``, as in
-    :class:`BrokenSpace`.
-
-    It holds the element's affine map only: the origin ``v0_K``, the
-    adjugate ``det J_K J_K^-1`` and ``det J_K``. The basis is graded by
-    degree, so its leading functions are the orthonormal basis of every
-    lower degree. Evaluation is polynomial extension: points are not
-    required to lie inside the element.
-    """
-
-    def __init__(self, origin, adjugate, det, degree):
-        self.origin = np.asarray(origin, dtype=float)
-        self.adjugate = np.asarray(adjugate, dtype=float)
-        self.det = float(det)
-        self.degree = int(degree)
-
-    @property
-    def dim(self):
-        return space_dimension(self.degree)
-
-    @classmethod
-    def from_element(cls, mesh, k, degree):
-        if not 0 <= k < mesh.n_elements:
-            raise IndexError(f"element index {k} out of range")
-        origin = mesh.vertices[mesh.triangles[k, 0]]
-        return cls(origin, mesh.adjugates[k], 2.0 * mesh.areas[k], degree)
-
-    def _reference(self, points, order):
-        """Reference derivatives up to ``order`` at ``points`` pulled back,
-        with the inverse Jacobian and ``det J_K``, as batches of one."""
-        dets = np.array([self.det])
-        pts = np.asarray(points, dtype=float).reshape(1, -1, 2)
-        zeta = _pull_back(pts, self.origin[None], self.adjugate[None], dets)
-        ref = _reference_tabulate(zeta, None, self.degree, order)
-        return ref, (self.adjugate / dets)[None], dets
-
-    def eval(self, points, gradients=False):
-        """Values (and optionally gradients) at ``points``."""
-        shape = np.shape(points)[:-1]
-        ev = _to_elements(*self._reference(points, int(gradients)), gradients)
-        drop = lambda a: None if a is None else a.reshape(shape + a.shape[2:])
-        return BasisEval(drop(ev.values), drop(ev.gradients))
-
-    def derivatives(self, points, order):
-        """Every partial derivative of total order at most ``order`` of each
-        basis function, graded-lex: ``(..., K, dim)`` for ``points``
-        ``(..., 2)``; exact, by :func:`_chain_rule`."""
-        out = _chain_rule(*self._reference(points, order), order)
-        return out.reshape(np.shape(points)[:-1] + out.shape[2:])
-
-    def derivative(self, points, order):
-        """Exact partial derivative ``D^order`` of each basis function."""
-        total = sum(order)
-        index = polynomial_exponents(total).index(tuple(order))
-        return self.derivatives(points, total)[..., index, :]
-
-
-def l2_project(f, basis, rule):
-    """Coefficients of the L2(K)-orthogonal projection of ``f``.
-
-    ``rule`` must be exact to degree ``2 p`` so that projections of
-    polynomials up to the basis degree are reproduced exactly.
-    """
-    vals = basis.eval(rule.points).values
-    fv = np.asarray(f(rule.points[:, 0], rule.points[:, 1]), dtype=float)
-    return np.einsum("q,q,qi->i", rule.weights, fv, vals)
-
-
 class BrokenSpace:
     """Element-wise polynomial space of uniform degree over a mesh.
 
@@ -444,7 +375,14 @@ class BrokenSpace:
         self.inverse_jacobians = self.adjugates / self.dets[:, None, None]
 
     def _pull_back(self, points, elems):
-        """Reference coordinates of per-element points ``(m, nq, 2)``."""
+        """Reference coordinates of per-element points ``(m, nq, 2)`` of
+        ``elems``, a slice or element ids; an id outside ``[0, n_elements)``
+        raises :class:`IndexError` rather than count from the end."""
+        if not isinstance(elems, slice):
+            elems = np.asarray(elems)
+            outside = elems[(elems < 0) | (elems >= self.mesh.n_elements)]
+            if outside.size:
+                raise IndexError(f"element index {outside.flat[0]} out of range")
         return _pull_back(points, self.origins[elems], self.adjugates[elems], self.dets[elems])
 
     def volume_matrices(self, elems, weights, value=None, drift=None, laplacian=None,
@@ -489,14 +427,14 @@ class BrokenSpace:
         volume points from the shared tables. Either way the coefficients
         are contracted first, so no basis table is built.
         """
-        c = coeffs[elems]
         if points is None:
+            c = coeffs[elems]
             k = 3 if gradients else 1
             table = reference_tables(self.degree)[:, :k]
             ref = (c @ table.reshape(-1, self.ndof_local).T).reshape(len(c), -1, k, 1)
         else:
             zeta = self._pull_back(points, elems)
-            ref = _reference_tabulate(zeta, c[..., None], self.degree, int(gradients))
+            ref = _reference_tabulate(zeta, coeffs[elems][..., None], self.degree, int(gradients))
         ev = _to_elements(ref, self.inverse_jacobians[elems], self.dets[elems], gradients)
         return (ev.values[..., 0], ev.gradients[..., 0, :]) if gradients else ev.values[..., 0]
 
@@ -543,8 +481,3 @@ class BrokenSpace:
         zeta = self._pull_back(points, elems)
         ref = _reference_tabulate(zeta.reshape(1, -1, 2), None, self.degree, order)
         return ref.reshape(zeta.shape[:2] + ref.shape[2:])
-
-    def element_basis(self, k):
-        """The :class:`ElementBasis` of element ``k``; raises
-        :class:`IndexError` unless ``0 <= k < n_elements``."""
-        return ElementBasis.from_element(self.mesh, k, self.degree)

@@ -18,20 +18,13 @@ from .basis import BrokenSpace
 from .coefficients import BUILTIN_CASES, builtin_case
 from .dg_forms import assemble_global_system
 from .embedding import build_embedding, export_sigma_csv
-from .local_ops import AR, DAR, DAR_BOX, KINDS, QT_DIFFUSION
+from .local_ops import AR, DAR, DAR_BOX, KINDS, QT_DIFFUSION, kind_misfit
 from .mesh import build_structured_mesh
 from .solver import SolverError, solve_embedded_trefftz, solve_standard_dg
 
 CSV_HEADER = "method,p,h,ndof_full,ndof_trefftz,l2error,dgerror"
 
 METHODS = ("dg", "et", "etbox", "qt")
-
-#: cases governed by the pure advection-reaction form
-_AR_CASES = {"AR_EXAMPLE"}
-#: cases where the box-restricted local operator applies
-_BOX_CASES = {"DAR_EXAMPLE", "BOX_DIFFUSION_2D", "QT_DIFFUSION"}
-#: cases smooth-diffusion enough for the quasi-Trefftz local operator
-_QT_CASES = {"BOX_DIFFUSION_2D", "QT_DIFFUSION"}
 
 MAX_DEGREE = 6
 MAX_SUBDIVISIONS = 128
@@ -61,6 +54,7 @@ class ExperimentConfig:
             raise UsageError(
                 f"unknown case {self.case!r}; expected one of {BUILTIN_CASES}"
             )
+        coeffs = builtin_case(self.case)
         self.methods = tuple(self.methods)
         if not self.methods:
             raise UsageError("at least one method is required")
@@ -68,7 +62,7 @@ class ExperimentConfig:
             if m not in METHODS:
                 raise UsageError(f"unknown method {m!r}; expected subset of {METHODS}")
             if m != "dg":
-                _check_kind(self.case, _LOCAL_KIND[m] or _family(self.case), f"method {m}")
+                _check_kind(coeffs, _LOCAL_KIND[m], f"method {m}")
         self.p_list = tuple(int(p) for p in self.p_list)
         self.n_list = tuple(int(n) for n in self.n_list)
         if not self.p_list or not self.n_list:
@@ -78,13 +72,14 @@ class ExperimentConfig:
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise UsageError(f"{option} lists {repeated[0]} more than once")
-        _check_sizes(self.n_list, self.p_list, self.case)
+        _check_sizes(self.n_list, self.p_list, coeffs)
         _check_positive_finite(sigma=self.sigma, box_scale=self.box_scale)
 
 
-def _check_sizes(n_list, p_list=(), case=None):
-    """Reject mesh subdivisions and degrees (for ``case``) out of range."""
-    p_min = 1 if case in _AR_CASES else 2
+def _check_sizes(n_list, p_list=(), coeffs=None):
+    """Reject mesh subdivisions and degrees (for the data ``coeffs``) out of
+    range: the local kinds of diffusion data need ``p >= 2``."""
+    p_min = 1 if coeffs is None or coeffs.alpha is None else 2
     for p in p_list:
         if not p_min <= p <= MAX_DEGREE:
             raise UsageError(f"degree p={p} outside supported range [{p_min}, {MAX_DEGREE}]")
@@ -102,28 +97,24 @@ def _check_positive_finite(**options):
             raise UsageError(f"{option} must be positive and finite, got {value}")
 
 
-def _family(case):
-    """Local operator kind of the whole PDE of ``case``."""
-    return AR if case in _AR_CASES else DAR
-
-
-def _check_kind(case, kind, source):
-    """Reject a local operator kind that drops part of the PDE of ``case``
-    or does not apply to it: ``AR`` drops the diffusion of a diffusion
-    case, the box kind needs a diffusion-family case and the quasi-Trefftz
-    kind a smooth-diffusion one. ``source`` names the option that asked
-    for the kind."""
-    kinds = {_family(case)}
-    if case in _BOX_CASES:
-        kinds.add(DAR_BOX)
-    if case in _QT_CASES:
-        kinds.add(QT_DIFFUSION)
+def _check_kind(coeffs, kind, source):
+    """The local operator kind ``kind``, by default the volume-projected
+    kind of the whole PDE (``AR`` or ``DAR``), if it fits the data
+    ``coeffs`` by :func:`~trefftzdg.local_ops.kind_misfit`; otherwise a
+    :class:`UsageError` that lists the kinds that fit. ``source`` names
+    the option that asked for the kind."""
+    kinds = sorted(k for k in KINDS if kind_misfit(k, coeffs) is None)
+    if kind is None:
+        kind = AR if AR in kinds else DAR
     if kind not in kinds:
         raise UsageError(
-            f"{source}: case {case} takes the local operator kinds {sorted(kinds)}, not {kind}"
+            f"{source}: case {coeffs.name} takes the local operator kinds {kinds}, not {kind}"
         )
+    return kind
 
 
+#: the local operator kind of each Trefftz method; None for the kind of
+#: the whole PDE
 _LOCAL_KIND = {"et": None, "etbox": DAR_BOX, "qt": QT_DIFFUSION}
 
 
@@ -135,7 +126,8 @@ def run_experiment(config, write=True, stream=None):
     """
     stream = stream if stream is not None else sys.stdout
     coeffs = builtin_case(config.case)
-    et_kind = _family(config.case)
+    local_kinds = {m: _check_kind(coeffs, _LOCAL_KIND[m], f"method {m}")
+                   for m in config.methods if m != "dg"}
     rows = []
     for p in config.p_list:
         for n in config.n_list:
@@ -147,9 +139,8 @@ def run_experiment(config, write=True, stream=None):
                     if method == "dg":
                         solution = solve_standard_dg(system)
                     else:
-                        local_kind = _LOCAL_KIND[method] or et_kind
                         embedding = build_embedding(
-                            space, coeffs, local_kind, box_scale=config.box_scale
+                            space, coeffs, local_kinds[method], box_scale=config.box_scale
                         )
                         solution = solve_embedded_trefftz(system, embedding)
                 except (SolverError, RuntimeError) as exc:
@@ -287,15 +278,10 @@ def _cmd_diagnose(args):
     case = args.case
     if case not in BUILTIN_CASES:
         raise UsageError(f"unknown case {case!r}; expected one of {BUILTIN_CASES}")
-    kind = args.kind
-    if kind is None:
-        kind = _family(case)
-    if kind not in KINDS:
-        raise UsageError(f"unknown operator kind {kind!r}")
-    _check_kind(case, kind, "--kind")
-    _check_sizes([args.n], [args.p], case)
-    _check_positive_finite(sigma=args.sigma, box_scale=args.box_scale)
     coeffs = builtin_case(case)
+    kind = _check_kind(coeffs, args.kind, "--kind")
+    _check_sizes([args.n], [args.p], coeffs)
+    _check_positive_finite(sigma=args.sigma, box_scale=args.box_scale)
     mesh = build_structured_mesh(args.n)
     report = run_diagnostics(
         mesh, args.p, kind, coeffs, sigma=args.sigma, box_scale=args.box_scale
@@ -348,7 +334,7 @@ def build_parser():
     diag_p.add_argument("--case", required=True)
     diag_p.add_argument("--p", type=int, required=True)
     diag_p.add_argument("--n", type=int, required=True)
-    diag_p.add_argument("--kind", help="local operator kind (default per case)")
+    diag_p.add_argument("--kind", help="local operator kind (default: that of the whole PDE)")
     diag_p.add_argument("--sigma", type=float)
     diag_p.add_argument("--box-scale", type=float, dest="box_scale", default=0.25)
     diag_p.add_argument("--out", help="write singular-value spectra CSV here")

@@ -252,18 +252,3 @@ def assemble_global_system(mesh, p, coeffs, sigma=None, space=None):
     blocks = _block_matrix(mesh.n_elements, own, pairs)
     return DgSystem(load=load, space=space, sigma=sigma, alpha_facet=af, blocks=blocks)
 
-
-def export_matrix_coo(system, target):
-    """Write the sparse matrix as ``row col value`` lines (sorted)."""
-    if hasattr(target, "write"):
-        _write_coo(system.matrix, target)
-    else:
-        with open(target, "w", newline="\n") as fh:
-            _write_coo(system.matrix, fh)
-
-
-def _write_coo(matrix, fh):
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    for i in order:
-        fh.write(f"{coo.row[i]} {coo.col[i]} {coo.data[i]:.16e}\n")

@@ -23,10 +23,13 @@ per degree and mapped to each box, and the operator is applied to the
 trial basis at the mapped rule points (:meth:`BrokenSpace.apply`). The
 quasi-Trefftz kind has one batched point-derivative kernel at the element
 centers, fed with the trial basis derivatives up to order ``p`` there
-(chain rule of the affine map), and :func:`leibniz_point_derivative` is a
-batch of one of it. For every kind but the box one, the per-element entry
-point :func:`assemble_local_operator` is a batch of one of the batched
-code.
+(chain rule of the affine map). For every kind but the box one, the
+per-element entry point :func:`assemble_local_operator` is a batch of one
+of the batched code.
+
+Which kinds fit the PDE data is one rule, :func:`kind_misfit`: every
+kind must represent the whole operator, so the library and the CLI reject
+the same pairs.
 """
 
 from __future__ import annotations
@@ -137,22 +140,37 @@ def compute_box(mesh, element, scale):
     return ElementBox(center=mesh.incenters[element].copy(), side=float(side))
 
 
+def kind_misfit(kind, coeffs):
+    """Why the local operator ``kind`` does not represent the PDE of the
+    data ``coeffs``, naming the field, or None when it does: ``AR`` needs
+    advection and no diffusion, the other kinds diffusion, and
+    ``QT_DIFFUSION`` pure diffusion, as its kernel reads only ``alpha`` and
+    ``f``."""
+    if kind == AR:
+        if coeffs.beta is None:
+            return "AR local operator requires an advection field beta"
+        if coeffs.alpha is not None:
+            return "AR local operator would drop the diffusion field alpha of the data"
+        return None
+    if coeffs.alpha is None:
+        return f"{kind} local operator requires a diffusion field alpha"
+    if kind == QT_DIFFUSION:
+        for term, name in (("advection", "beta"), ("reaction", "gamma")):
+            if getattr(coeffs, name) is not None:
+                return f"{kind} local operator would drop the {term} field {name} of the data"
+    return None
+
+
 def _validate(kind, p, coeffs):
     """Preconditions of each operator kind on the degree and the data."""
     if kind not in KINDS:
         raise ValueError(f"unknown local operator kind {kind!r}")
-    if kind == AR:
-        if p < 1:
-            raise ValueError("AR local operator requires degree p >= 1")
-        if coeffs.beta is None:
-            raise ValueError("AR local operator requires an advection field beta")
-        if coeffs.alpha is not None:
-            raise ValueError("AR local operator would drop the diffusion field alpha of the data")
-        return
-    if p < 2:
-        raise ValueError(f"{kind} local operator requires degree p >= 2")
-    if coeffs.alpha is None:
-        raise ValueError(f"{kind} local operator requires a diffusion field alpha")
+    p_min = 1 if kind == AR else 2
+    if p < p_min:
+        raise ValueError(f"{kind} local operator requires degree p >= {p_min}")
+    misfit = kind_misfit(kind, coeffs)
+    if misfit:
+        raise ValueError(misfit)
 
 
 def _operator_fields(kind, coeffs, elems, points):
@@ -330,12 +348,3 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
         matrices, loads = map(np.concatenate, zip(*parts))
     return LocalOperatorBatch(kind, np.arange(n_elements), matrices, loads)
 
-
-def leibniz_point_derivative(index, basis, coefficients, alpha, point):
-    """Exact value of D^index div(alpha grad w)(point) for the polynomial
-    ``w`` given by coefficients in the element basis; a batch of one of the
-    Leibniz rows of the quasi-Trefftz kernel."""
-    point = np.reshape(point, (1, 2))
-    phi = basis.derivatives(point, sum(index) + 2)
-    rows = _leibniz_rows([tuple(index)], alpha, point, phi)
-    return float(rows[0, 0] @ np.asarray(coefficients, dtype=float))

@@ -12,7 +12,7 @@ import sympy as sp
 from scipy.linalg import subspace_angles
 
 from trefftzdg.analysis import compute_errors, estimate_eoc
-from trefftzdg.basis import BrokenSpace, ElementBasis, l2_project
+from trefftzdg.basis import BrokenSpace
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import assemble_global_system
 from trefftzdg.embedding import build_embedding, compute_embedding
@@ -21,9 +21,9 @@ from trefftzdg.local_ops import (
     DAR,
     DAR_BOX,
     QT_DIFFUSION,
+    _leibniz_rows,
     assemble_local_operator,
     assemble_local_operators,
-    leibniz_point_derivative,
     operator_row_count,
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
@@ -36,6 +36,8 @@ from trefftzdg.solver import (
     solve_standard_dg,
 )
 from trefftzdg.coefficients import ScalarField
+
+from projection import l2_projection
 
 
 def sweep_errors(case, methods, p_list, n_list, sigma_rule=None, box_scale=0.25):
@@ -199,16 +201,14 @@ def test_criterion_08_classical_trefftz_recovery():
                     break
             mesh = Mesh2D(vertices=verts, triangles=np.array([[0, 1, 2]]))
             space = BrokenSpace(mesh, p)
-            basis = space.element_basis(0)
             op = assemble_local_operator(DAR, space, 0, coeffs)
             emb = compute_embedding(op)
             assert emb.T.shape[1] == 2 * p + 1
-            rule = triangle_rule(verts, 2 * p + 6)
             harmonics = [lambda x, y: np.ones_like(x)]
             for m in range(1, p + 1):
                 harmonics.append(lambda x, y, m=m: np.real((x + 1j * y) ** m))
                 harmonics.append(lambda x, y, m=m: np.imag((x + 1j * y) ** m))
-            H = np.column_stack([l2_project(f, basis, rule) for f in harmonics])
+            H = np.column_stack([l2_projection(space, f, 2 * p + 6)[0] for f in harmonics])
             angle = float(np.max(subspace_angles(emb.T, H)))
             worst = max(worst, angle)
             assert angle < 1e-8, (p, trial, angle)
@@ -253,11 +253,11 @@ def test_criterion_10_property_suites(tmp_path):
                 break
         mesh = Mesh2D(vertices=verts, triangles=np.array([[0, 1, 2]]))
         for p in range(1, 7):
-            basis = ElementBasis.from_element(mesh, 0, degree=p)
+            space = BrokenSpace(mesh, p)
             rule = triangle_rule(verts, 2 * p)
-            vals = basis.eval(rule.points).values
+            vals = space.eval_elements([0], rule.points[None]).values[0]
             gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
-            dev = np.max(np.abs(gram - np.eye(basis.dim)))
+            dev = np.max(np.abs(gram - np.eye(space.ndof_local)))
             worst_gram = max(worst_gram, dev)
             assert dev < 1e-10
 
@@ -279,23 +279,27 @@ def test_criterion_10_property_suites(tmp_path):
     # Leibniz vs finite differences at 1e-6 relative
     x, y = sp.symbols("x y", real=True)
     alpha = ScalarField(1.2 + 0.4 * x + 0.3 * sp.cos(y))
-    mesh = build_structured_mesh(1)
-    basis = ElementBasis.from_element(mesh, 0, degree=4)
-    c = rng.standard_normal(basis.dim)
+    space = BrokenSpace(build_structured_mesh(1), 4)
+    c = rng.standard_normal(space.ndof_local)
     pt = np.array([0.31, 0.42])
+
+    def gradient(px, py):
+        return space.eval_elements([0], np.array([[[px, py]]]), gradients=True).gradients[0, 0]
 
     def div_alpha_grad(px, py):
         eps = 1e-5
         total = 0.0
         for d, unit in enumerate(np.eye(2)):
-            gp = basis.eval(np.array([[px + eps * unit[0], py + eps * unit[1]]]), gradients=True).gradients[0, :, d] @ c
-            gm = basis.eval(np.array([[px - eps * unit[0], py - eps * unit[1]]]), gradients=True).gradients[0, :, d] @ c
+            gp = gradient(px + eps * unit[0], py + eps * unit[1])[:, d] @ c
+            gm = gradient(px - eps * unit[0], py - eps * unit[1])[:, d] @ c
             ap = alpha(px + eps * unit[0], py + eps * unit[1])
             am = alpha(px - eps * unit[0], py - eps * unit[1])
             total += (ap * gp - am * gm) / (2 * eps)
         return total
 
-    got = leibniz_point_derivative((0, 0), basis, c, alpha, pt)
+    # the Leibniz rows of the quasi-Trefftz kernel as a batch of one
+    phi = space.derivatives([0], pt[None, None], 2)[:, 0]
+    got = float(_leibniz_rows([(0, 0)], alpha, pt[None], phi)[0, 0] @ c)
     fd = div_alpha_grad(pt[0], pt[1])
     assert abs(got - fd) <= 1e-6 * max(abs(fd), 1.0)
 

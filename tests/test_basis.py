@@ -9,13 +9,11 @@ from trefftzdg.basis import (
     _REFERENCE_CENTER,
     _REFERENCE_SCALE,
     BrokenSpace,
-    ElementBasis,
     _derivative_table,
     _orthonormalizer,
     _reference_basis,
     _reference_tabulate,
     derivative_matrix,
-    l2_project,
     polynomial_exponents,
     reference_products,
     reference_tables,
@@ -117,11 +115,11 @@ def test_exponent_ordering():
 
 
 def test_constant_mode_on_unit_right_triangle():
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=2)
+    space = BrokenSpace(UNIT_RIGHT, 2)
     pts = np.array([[0.1, 0.2], [0.4, 0.4], [2.0, -1.0]])
-    ev = basis.eval(pts, gradients=True)
-    assert np.allclose(ev.values[:, 0], math.sqrt(2.0), atol=1e-12)
-    assert np.allclose(ev.gradients[:, 0, :], 0.0, atol=1e-12)
+    ev = space.eval_elements([0], pts[None], gradients=True)
+    assert np.allclose(ev.values[0, :, 0], math.sqrt(2.0), atol=1e-12)
+    assert np.allclose(ev.gradients[0, :, 0, :], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -133,11 +131,11 @@ def test_matches_gram_schmidt_oracle(seed):
     oracle = reference_orthonormal_basis(UNIT_RIGHT, degree)
     v0, v1, v2 = mesh.vertices[mesh.triangles[0]]
     J = np.column_stack([v1 - v0, v2 - v0])
-    basis = ElementBasis.from_element(mesh, 0, degree=degree)
+    space = BrokenSpace(mesh, degree)
     rng = np.random.default_rng(seed + 100)
     pts = rng.uniform(0.0, 1.0, size=(20, 2))
     expected = oracle(np.linalg.solve(J, (pts - v0).T).T) / math.sqrt(abs(np.linalg.det(J)))
-    got = basis.eval(pts).values
+    got = space.eval_elements([0], pts[None]).values[0]
     assert np.allclose(got, expected, atol=1e-9)
 
 
@@ -145,12 +143,12 @@ def test_matches_gram_schmidt_oracle(seed):
 @pytest.mark.parametrize("seed", [3, 4])
 def test_orthonormality_random_elements(degree, seed):
     mesh = random_triangle_mesh(seed)
-    basis = ElementBasis.from_element(mesh, 0, degree=degree)
+    space = BrokenSpace(mesh, degree)
     # a finer rule than the one the basis was orthonormalized on
     rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * degree + 2)
-    vals = basis.eval(rule.points).values
+    vals = space.eval_elements([0], rule.points[None]).values[0]
     gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
-    assert np.max(np.abs(gram - np.eye(basis.dim))) < 1e-10
+    assert np.max(np.abs(gram - np.eye(space.ndof_local))) < 1e-10
 
 
 def orthonormality_error(mesh, evaluate, degree):
@@ -163,8 +161,8 @@ def orthonormality_error(mesh, evaluate, degree):
 
 
 def element_values(mesh, degree):
-    basis = ElementBasis.from_element(mesh, 0, degree)
-    return lambda points: basis.eval(points).values
+    space = BrokenSpace(mesh, degree)
+    return lambda points: space.eval_elements([0], points[None]).values[0]
 
 
 @pytest.mark.parametrize("aspect", [1e1, 1e3])
@@ -199,56 +197,66 @@ def test_turned_sliver_space_is_orthonormal(aspect, sliver_mesh):
         space = BrokenSpace(mesh, 6)
         eye = np.eye(space.ndof_local)
         assert np.max(np.abs(mass_matrices(space)[0] - eye)) < 1e-12
-        # on a finer rule than the space's, through the space and the
-        # element basis
+        # on a finer rule than the space's
         rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * 6 + 6)
-        for values in (space.eval_elements([0], rule.points[None]).values[0],
-                       space.element_basis(0).eval(rule.points).values):
-            gram = np.einsum("q,qi,qj->ij", rule.weights, values, values)
-            assert np.max(np.abs(gram - eye)) < 1e-12
+        values = space.eval_elements([0], rule.points[None]).values[0]
+        gram = np.einsum("q,qi,qj->ij", rule.weights, values, values)
+        assert np.max(np.abs(gram - eye)) < 1e-12
 
 
 def test_degree_one_gradients_constant_hessian_zero():
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=1)
-    pts = np.random.default_rng(0).uniform(size=(7, 2))
-    ev = basis.eval(pts, gradients=True)
-    for j in range(basis.dim):
-        assert np.allclose(ev.gradients[:, j, :], ev.gradients[0, j, :], atol=1e-13)
-    for order in ((2, 0), (1, 1), (0, 2)):
-        assert np.allclose(basis.derivative(pts, order), 0.0, atol=1e-13)
+    space = BrokenSpace(UNIT_RIGHT, 1)
+    pts = np.random.default_rng(0).uniform(size=(1, 7, 2))
+    gradients = space.eval_elements([0], pts, gradients=True).gradients[0]
+    for j in range(space.ndof_local):
+        assert np.allclose(gradients[:, j, :], gradients[0, j, :], atol=1e-13)
+    # the second derivatives (2, 0), (1, 1) and (0, 2)
+    assert np.allclose(space.derivatives([0], pts, 2)[0, :, 3:], 0.0, atol=1e-13)
 
 
-def test_from_element_rejects_out_of_range_element():
-    with pytest.raises(IndexError, match="element index -1 out of range"):
-        ElementBasis.from_element(UNIT_RIGHT, -1, degree=1)
-    with pytest.raises(IndexError, match="element index 1 out of range"):
-        ElementBasis.from_element(UNIT_RIGHT, 1, degree=1)
+def test_one_element_mesh_rejects_out_of_range_element():
+    space = BrokenSpace(UNIT_RIGHT, 1)
+    for k in (-1, 1):
+        with pytest.raises(IndexError, match=f"element index {k} out of range"):
+            space.eval_elements([k], UNIT_RIGHT.centroids[None])
 
 
 @pytest.mark.parametrize("k", [-1, -8, 8, 9])
 def test_element_basis_rejects_out_of_range_element(k):
-    # negative ids would otherwise count from the end, as numpy indexing does
+    # every evaluation at points checks the element ids: negative ones
+    # would otherwise count from the end, as numpy indexing does
     space = BrokenSpace(build_structured_mesh(2), 2)
-    with pytest.raises(IndexError, match=f"element index {k} out of range"):
-        space.element_basis(k)
-    assert np.array_equal(space.element_basis(7).origin, space.origins[7])
+    points = space.mesh.centroids[:1, None]
+    coeffs = np.ones((space.mesh.n_elements, space.ndof_local))
+    for evaluate in (lambda e: space.eval_elements(e, points, gradients=True),
+                     lambda e: space.derivatives(e, points, 2),
+                     lambda e: space.apply(e, points, value=np.ones((1, 1))),
+                     lambda e: space.eval_function(coeffs, e, points)):
+        with pytest.raises(IndexError, match=f"element index {k} out of range"):
+            evaluate([k])
+        with pytest.raises(IndexError, match=f"element index {k} out of range"):
+            evaluate(np.array([7, k]))
+    # the last element is in range
+    values = space.eval_elements([7], space.mesh.centroids[7][None, None]).values
+    assert values[0, 0, 0] == pytest.approx(1.0 / math.sqrt(space.mesh.areas[7]))
 
 
 def test_derivatives_match_finite_differences():
     mesh = random_triangle_mesh(7)
-    basis = ElementBasis.from_element(mesh, 0, degree=4)
-    pts = np.random.default_rng(1).uniform(0.2, 0.8, size=(5, 2))
-    ev = basis.eval(pts, gradients=True)
-    # hessians[..., e, d] = D_e D_d phi
+    space = BrokenSpace(mesh, 4)
+    pts = np.random.default_rng(1).uniform(0.2, 0.8, size=(1, 5, 2))
+    ev = space.eval_elements([0], pts, gradients=True)
+    # hessians[..., e, d] = D_e D_d phi, the derivative (2 - e - d, e + d)
+    # at index 3 + e + d of the graded-lex derivatives
+    second = space.derivatives([0], pts, 2)
     hessians = np.stack(
-        [np.stack([basis.derivative(pts, (2 - e - d, e + d)) for d in range(2)], axis=-1)
-         for e in range(2)],
+        [np.stack([second[:, :, 3 + e + d] for d in range(2)], axis=-1) for e in range(2)],
         axis=-2,
     )
     eps = 1e-6
     for d, unit in enumerate(np.eye(2)):
-        vp = basis.eval(pts + eps * unit, gradients=True)
-        vm = basis.eval(pts - eps * unit, gradients=True)
+        vp = space.eval_elements([0], pts + eps * unit, gradients=True)
+        vm = space.eval_elements([0], pts - eps * unit, gradients=True)
         fd_grad = (vp.values - vm.values) / (2 * eps)
         scale = np.maximum(np.abs(ev.gradients[..., d]), 1.0)
         assert np.max(np.abs(fd_grad - ev.gradients[..., d]) / scale) < 1e-6
@@ -258,12 +266,13 @@ def test_derivatives_match_finite_differences():
 
 
 def test_higher_order_derivative_evaluation():
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=3)
-    pts = np.array([[0.3, 0.25]])
-    third = basis.derivative(pts, (3, 0))
+    space = BrokenSpace(UNIT_RIGHT, 3)
+    pts = np.array([[[0.3, 0.25]]])
+    xx, xxx = polynomial_exponents(3).index((2, 0)), polynomial_exponents(3).index((3, 0))
+    third = space.derivatives([0], pts, 3)[..., xxx, :]
     ref = (
-        basis.derivative(pts + [[1e-5, 0]], (2, 0))
-        - basis.derivative(pts - [[1e-5, 0]], (2, 0))
+        space.derivatives([0], pts + [1e-5, 0], 3)[..., xx, :]
+        - space.derivatives([0], pts - [1e-5, 0], 3)[..., xx, :]
     ) / 2e-5
     assert np.allclose(third, ref, rtol=1e-5, atol=1e-4)
 
@@ -280,36 +289,14 @@ def test_gram_conditioning_under_refinement():
     assert conds[1] <= conds[0] * (1 + 1e-8)
 
 
-def test_l2_project_zero_and_linear():
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=2)
-    rule = triangle_rule(UNIT_RIGHT.vertices[UNIT_RIGHT.triangles[0]], 8)
-    czero = l2_project(lambda x, y: np.zeros_like(x), basis, rule)
-    assert np.allclose(czero, 0.0, atol=1e-14)
-    clin = l2_project(lambda x, y: x, basis, rule)
-    vals = basis.eval(rule.points).values @ clin
-    assert np.max(np.abs(vals - rule.points[:, 0])) < 1e-12
-
-
-def test_l2_project_sine_onto_constants():
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=0)
-    rule = triangle_rule(UNIT_RIGHT.vertices[UNIT_RIGHT.triangles[0]], 20)
-    f = lambda x, y: np.sin(np.pi * (x + y))
-    coeff = l2_project(f, basis, rule)
-    # direct quadrature oracle: (integral of f) / sqrt(area)
-    expected = np.sum(rule.weights * f(rule.points[:, 0], rule.points[:, 1])) / math.sqrt(0.5)
-    assert coeff.shape == (1,)
-    assert coeff[0] == pytest.approx(expected, rel=1e-12)
-
-
 def test_broken_space_offsets_and_basis():
     mesh = build_structured_mesh(2)
     space = BrokenSpace(mesh, degree=2)
     assert space.ndof_local == 6
     assert space.ndof_total == 6 * mesh.n_elements
-    b3 = space.element_basis(3)
-    assert isinstance(b3, ElementBasis)
-    vals = b3.eval(mesh.centroids[3][None, :]).values
-    assert vals[0, 0] == pytest.approx(1.0 / math.sqrt(mesh.areas[3]))
+    vals = space.eval_elements([3], mesh.centroids[3][None, None]).values
+    assert vals.shape == (1, 1, 6)
+    assert vals[0, 0, 0] == pytest.approx(1.0 / math.sqrt(mesh.areas[3]))
 
 
 def assert_rel_close(actual, expected, rtol):
@@ -466,6 +453,8 @@ def test_closed_form_basis_is_block_triangular_and_orthonormal(p, perturbed, per
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("p", [1, 3, 6])
 def test_element_basis_matches_the_space(p, perturbed, perturbed_mesh):
+    # one element's basis is a batch of one of the space's methods, and
+    # agrees with the shared volume tables and the whole batch
     mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
     space = BrokenSpace(mesh, p)
     coeffs = np.random.default_rng(p).standard_normal((mesh.n_elements, space.ndof_local))
@@ -473,13 +462,11 @@ def test_element_basis_matches_the_space(p, perturbed, perturbed_mesh):
     elems = np.arange(mesh.n_elements)
     derivatives = space.derivatives(elems, space.volume_points, 2)
     for k in range(mesh.n_elements):
-        own, viewed = ElementBasis.from_element(mesh, k, p), space.element_basis(k)
-        for name in ("origin", "adjugate", "det", "degree"):
-            np.testing.assert_array_equal(getattr(own, name), getattr(viewed, name))
-        ev = own.eval(space.volume_points[k], gradients=True)
-        assert_rel_close(ev.values @ coeffs[k], vals[k], 1e-12)
-        assert_rel_close(np.einsum("qnd,n->qd", ev.gradients, coeffs[k]), grads[k], 1e-12)
-        assert_rel_close(own.derivatives(space.volume_points[k], 2), derivatives[k], 1e-12)
+        points = space.volume_points[k][None]
+        ev = space.eval_elements([k], points, gradients=True)
+        assert_rel_close(ev.values[0] @ coeffs[k], vals[k], 1e-12)
+        assert_rel_close(np.einsum("qnd,n->qd", ev.gradients[0], coeffs[k]), grads[k], 1e-12)
+        assert_rel_close(space.derivatives([k], points, 2)[0], derivatives[k], 1e-12)
 
 
 def test_reference_basis_is_cached_read_only():
@@ -491,8 +478,8 @@ def test_reference_basis_is_cached_read_only():
 
 def test_space_runs_no_factorization_per_element(monkeypatch, perturbed_mesh):
     # once the per-degree reference basis exists, building a space and
-    # evaluating every element basis, its derivatives of any order and an
-    # element's own view of it factor nothing
+    # evaluating every element basis, its derivatives of any order and one
+    # element's basis as a batch of one factor nothing
     mesh = perturbed_mesh(4)
     elems = np.arange(mesh.n_elements)
     points = mesh.centroids[:, None]
@@ -505,7 +492,7 @@ def test_space_runs_no_factorization_per_element(monkeypatch, perturbed_mesh):
                 space.apply(elems, points, laplacian=laplacian),
                 space.eval_elements(elems, points, gradients=True).gradients,
                 space.derivatives(elems, points, 6),
-                space.element_basis(3).derivatives(points[3], 6))
+                space.derivatives([3], points[3][None], 6))
 
     expected = evaluate()
 

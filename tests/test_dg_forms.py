@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -13,11 +12,12 @@ from trefftzdg.dg_forms import (
     assemble_global_system,
     default_sigma,
     element_alpha_means,
-    export_matrix_coo,
     facet_alpha,
 )
 from trefftzdg.mesh import BOUNDARY, build_structured_mesh
 from trefftzdg.quadrature import facet_quadrature, volume_quadrature
+
+from projection import l2_projection
 
 
 def constant_one_vector(space):
@@ -297,21 +297,12 @@ def test_ar_coercivity_witness_identity():
 
 
 def test_galerkin_consistency_smoke():
-    from trefftzdg.basis import l2_project
-    from trefftzdg.quadrature import triangle_rule
-
     coeffs = builtin_case("AR_EXAMPLE")
     residuals = []
     for n in (2, 4, 8):
         mesh = build_structured_mesh(n)
         sys = assemble_global_system(mesh, p=2, coeffs=coeffs)
-        space = sys.space
-        c = np.zeros(space.ndof_total)
-        for k in range(mesh.n_elements):
-            rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 10)
-            c[space.offsets[k] : space.offsets[k] + space.ndof_local] = l2_project(
-                coeffs.exact_solution, space.element_basis(k), rule
-            )
+        c = l2_projection(sys.space, coeffs.exact_solution, 10).ravel()
         residuals.append(np.linalg.norm(sys.matrix @ c - sys.load))
     assert residuals[1] < residuals[0] and residuals[2] < residuals[1]
 
@@ -379,16 +370,3 @@ def test_facet_alpha_rule_bounds():
         assert af[f] == pytest.approx(means[mesh.facet_left[f]])
     # stays within [min alpha, max alpha] over the domain
     assert np.all(af >= 1.0) and np.all(af <= 3.0)
-
-
-def test_matrix_export_round_trip():
-    coeffs = builtin_case("AR_EXAMPLE")
-    mesh = build_structured_mesh(1)
-    sys = assemble_global_system(mesh, p=1, coeffs=coeffs)
-    buf = io.StringIO()
-    export_matrix_coo(sys, buf)
-    dense = np.zeros(sys.matrix.shape)
-    for line in buf.getvalue().strip().split("\n"):
-        i, j, v = line.split()
-        dense[int(i), int(j)] = float(v)
-    assert np.allclose(dense, sys.matrix.toarray(), atol=1e-14)

@@ -7,10 +7,8 @@ import sympy as sp
 
 from trefftzdg.basis import (
     BrokenSpace,
-    ElementBasis,
     _orthonormalizer,
     _reference_basis,
-    l2_project,
     polynomial_exponents,
     scaled_monomials,
     space_dimension,
@@ -24,15 +22,17 @@ from trefftzdg.local_ops import (
     QT_DIFFUSION,
     ElementBox,
     LocalOperatorBatch,
+    _leibniz_rows,
     _unit_box_test_basis,
     assemble_local_operator,
     assemble_local_operators,
     compute_box,
-    leibniz_point_derivative,
     operator_row_count as q_dimension,
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
 from trefftzdg.quadrature import box_rule, triangle_rule
+
+from projection import l2_projection
 
 UNIT_RIGHT = Mesh2D(
     vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -82,10 +82,8 @@ def test_dar_harmonic_column_is_annihilated():
     coeffs = manufactured_case(alpha=1, exact=sp.sympify("x**2 - y**2"))
     mesh = build_structured_mesh(2)
     space = BrokenSpace(mesh, 2)
-    basis = space.element_basis(3)
     op = assemble_local_operator(DAR, space, 3, coeffs)
-    rule = triangle_rule(mesh.vertices[mesh.triangles[3]], 8)
-    c = l2_project(lambda x, y: x * x - y * y, basis, rule)
+    c = l2_projection(space, lambda x, y: x * x - y * y, 8, [3])[0]
     assert np.max(np.abs(op.matrix @ c)) < 1e-12
 
 
@@ -94,7 +92,6 @@ def test_qt_row_against_symbolic_oracle():
     mesh = build_structured_mesh(2)
     p = 2
     space = BrokenSpace(mesh, p)
-    basis = space.element_basis(5)
     op = assemble_local_operator(QT_DIFFUSION, space, 5, coeffs)
     assert op.matrix.shape == (1, 6)
     # symbolic differentiation oracle applied to the orthonormal reference
@@ -103,12 +100,14 @@ def test_qt_row_against_symbolic_oracle():
     alpha = 1 + x + y
     xk = mesh.centroids[5]
     hk = mesh.h[5]
-    zeta = reference_coordinates(x, y, *basis.origin, *(basis.adjugate / basis.det).ravel())
+    det = space.dets[5]
+    zeta = reference_coordinates(x, y, *space.origins[5], *(space.adjugates[5] / det).ravel())
     mono = reference_monomials(*zeta, p)
     C = _reference_basis(p)
-    expected = np.empty(basis.dim)
-    for j in range(basis.dim):
-        phi = sum(C[j, m] * mono[m] for m in range(basis.dim)) / sp.sqrt(basis.det)
+    dim = space.ndof_local
+    expected = np.empty(dim)
+    for j in range(dim):
+        phi = sum(C[j, m] * mono[m] for m in range(dim)) / sp.sqrt(det)
         div_term = sp.diff(alpha * sp.diff(phi, x), x) + sp.diff(alpha * sp.diff(phi, y), y)
         expected[j] = -hk ** 1.5 * float(div_term.subs({x: xk[0], y: xk[1]}))
     assert np.allclose(op.matrix[0], expected, rtol=1e-10, atol=1e-10)
@@ -117,37 +116,44 @@ def test_qt_row_against_symbolic_oracle():
 def test_qt_row_for_x_squared_combination():
     coeffs = manufactured_case(alpha=1, exact=sp.sympify("x**2"))
     space = BrokenSpace(UNIT_RIGHT, 2)
-    basis = space.element_basis(0)
     op = assemble_local_operator(QT_DIFFUSION, space, 0, coeffs)
-    rule = triangle_rule(UNIT_RIGHT.vertices[UNIT_RIGHT.triangles[0]], 8)
-    c = l2_project(lambda x, y: x * x, basis, rule)
+    c = l2_projection(space, lambda x, y: x * x, 8)[0]
     h = UNIT_RIGHT.h[0]
     # Laplacian of x^2 is 2; the row carries the -div(alpha grad .) sign
     assert op.matrix[0] @ c == pytest.approx(-2.0 * h ** 1.5, rel=1e-12)
     assert abs(op.matrix[0] @ c) == pytest.approx(2.0 * h ** 1.5, rel=1e-12)
 
 
+def leibniz_value(space, index, c, alpha, point):
+    """``D^index div(alpha grad w)`` at ``point`` of the polynomial ``w``
+    with coefficients ``c`` on the one element of ``space``: the Leibniz
+    rows of the quasi-Trefftz kernel, fed with the space's exact
+    derivatives there, as a batch of one."""
+    point = np.reshape(point, (1, 2))
+    phi = space.derivatives([0], point[None], sum(index) + 2)[:, 0]
+    return float(_leibniz_rows([index], alpha, point, phi)[0, 0] @ c)
+
+
 def test_leibniz_constant_alpha_collapses():
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=3)
+    space = BrokenSpace(UNIT_RIGHT, 3)
     rng = np.random.default_rng(3)
-    c = rng.standard_normal(basis.dim)
+    c = rng.standard_normal(space.ndof_local)
     alpha = ScalarField(2.5)
     pt = np.array([0.3, 0.3])
-    for index in ((0, 0), (1, 0), (0, 1)):
-        got = leibniz_point_derivative(index, basis, c, alpha, pt)
-        lap = basis.derivative(pt[None], (index[0] + 2, index[1])) + basis.derivative(
-            pt[None], (index[0], index[1] + 2)
-        )
-        assert got == pytest.approx(2.5 * float(lap[0] @ c), rel=1e-12, abs=1e-12)
+    derivatives = space.derivatives([0], pt[None, None], 3)[0, 0]
+    position = polynomial_exponents(3).index
+    for ix, iy in ((0, 0), (1, 0), (0, 1)):
+        got = leibniz_value(space, (ix, iy), c, alpha, pt)
+        lap = derivatives[position((ix + 2, iy))] + derivatives[position((ix, iy + 2))]
+        assert got == pytest.approx(2.5 * float(lap @ c), rel=1e-12, abs=1e-12)
 
 
 def test_leibniz_linear_alpha_example():
     # alpha = x, w = x^2, i = (1,0): D(div(x * (2x, 0))) = D(4x) = 4
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=2)
-    rule = triangle_rule(UNIT_RIGHT.vertices[UNIT_RIGHT.triangles[0]], 8)
-    c = l2_project(lambda x, y: x * x, basis, rule)
+    space = BrokenSpace(UNIT_RIGHT, 2)
+    c = l2_projection(space, lambda x, y: x * x, 8)[0]
     alpha = ScalarField(sp.Symbol("x"))
-    got = leibniz_point_derivative((1, 0), basis, c, alpha, np.array([0.4, 0.2]))
+    got = leibniz_value(space, (1, 0), c, alpha, np.array([0.4, 0.2]))
     assert got == pytest.approx(4.0, rel=1e-12)
 
 
@@ -157,8 +163,8 @@ def test_leibniz_matches_finite_differences(seed):
     x, y = sp.symbols("x y", real=True)
     alpha_expr = 1.5 + 0.3 * x + 0.2 * y + 0.1 * sp.sin(x + y)
     alpha = ScalarField(alpha_expr)
-    basis = ElementBasis.from_element(UNIT_RIGHT, 0, degree=4)
-    c = rng.standard_normal(basis.dim)
+    space = BrokenSpace(UNIT_RIGHT, 4)
+    c = rng.standard_normal(space.ndof_local)
     pt = rng.uniform(0.2, 0.5, size=2)
     alpha_fn = lambda px, py: alpha(px, py)
 
@@ -166,15 +172,15 @@ def test_leibniz_matches_finite_differences(seed):
         eps = 1e-5
         vals = []
         for d, unit in enumerate(np.eye(2)):
-            wp = _w_grad(basis, c, px + eps * unit[0], py + eps * unit[1])[d]
-            wm = _w_grad(basis, c, px - eps * unit[0], py - eps * unit[1])[d]
+            wp = _w_grad(space, c, px + eps * unit[0], py + eps * unit[1])[d]
+            wm = _w_grad(space, c, px - eps * unit[0], py - eps * unit[1])[d]
             ap = alpha_fn(px + eps * unit[0], py + eps * unit[1])
             am = alpha_fn(px - eps * unit[0], py - eps * unit[1])
             vals.append((ap * wp - am * wm) / (2 * eps))
         return vals[0] + vals[1]
 
     for index in ((0, 0), (1, 0), (0, 1)):
-        got = leibniz_point_derivative(index, basis, c, alpha, pt)
+        got = leibniz_value(space, index, c, alpha, pt)
         eps = 1e-4
         if index == (0, 0):
             fd = div_alpha_grad(pt[0], pt[1])
@@ -185,9 +191,9 @@ def test_leibniz_matches_finite_differences(seed):
         assert got == pytest.approx(fd, rel=2e-6, abs=2e-6)
 
 
-def _w_grad(basis, c, px, py):
-    ev = basis.eval(np.array([[px, py]]), gradients=True)
-    return ev.gradients[0].T @ c
+def _w_grad(space, c, px, py):
+    ev = space.eval_elements([0], np.array([[[px, py]]]), gradients=True)
+    return ev.gradients[0, 0].T @ c
 
 
 def barycentric(mesh, k, pts):
@@ -276,6 +282,27 @@ def test_ar_kind_rejects_data_with_diffusion(entry):
             build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
         else:
             run_diagnostics(mesh, 3, AR, coeffs)
+
+
+@pytest.mark.parametrize("field", ["beta", "gamma"])
+@pytest.mark.parametrize("entry", ["assemble_local_operator", "build_embedding", "run_diagnostics"])
+def test_qt_kind_rejects_data_with_advection_or_reaction(entry, field):
+    # the quasi-Trefftz kernel reads only alpha and f, so on data with
+    # advection or reaction it would embed the kernel of pure diffusion
+    from trefftzdg.analysis import run_diagnostics
+    from trefftzdg.embedding import build_embedding
+
+    x, y = sp.symbols("x y")
+    term = {"beta": (sp.sin(x), sp.sin(y))} if field == "beta" else {"gamma": 4 / (1 + x + y)}
+    coeffs = manufactured_case(alpha=1 + x + y, exact=sp.sin(sp.pi * (x + y)), **term)
+    mesh = build_structured_mesh(2)
+    with pytest.raises(ValueError, match=f"QT_DIFFUSION local operator would drop the .* {field}"):
+        if entry == "assemble_local_operator":
+            assemble_local_operator(QT_DIFFUSION, BrokenSpace(mesh, 3), 0, coeffs)
+        elif entry == "build_embedding":
+            build_embedding(BrokenSpace(mesh, 3), coeffs, QT_DIFFUSION)
+        else:
+            run_diagnostics(mesh, 3, QT_DIFFUSION, coeffs)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
@@ -382,16 +409,16 @@ def box_test_basis(box, degree, rule):
     return (mono @ np.swapaxes(_orthonormalizer(rule.weights[None], mono), -1, -2))[0]
 
 
-def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
+def reference_operator(kind, space, k, coeffs, box_scale=0.25):
     """Per-element operator written out directly. AR/DAR: the test basis is
     the leading trial columns on the element's rule; DAR_BOX: it is
     orthonormalized on the box's own rule. The strong form is evaluated
     term by term from the trial basis derivatives.
     QT_DIFFUSION: symbolic derivatives of the strong form at the centroid,
     as in :func:`test_qt_row_against_symbolic_oracle`."""
-    p = basis.degree
+    mesh, p = space.mesh, space.degree
     if kind == QT_DIFFUSION:
-        return reference_qt_operator(mesh, k, basis, coeffs)
+        return reference_qt_operator(space, k, coeffs)
     if kind == DAR_BOX:
         box = compute_box(mesh, k, box_scale)
         rule = box_rule(box.center, box.side, 2 * p + 4)
@@ -400,40 +427,41 @@ def reference_operator(kind, mesh, k, basis, coeffs, box_scale=0.25):
     else:
         rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4)
         q_degree = p - 1 if kind == AR else p - 2
-        qv = basis.eval(rule.points).values[:, : space_dimension(q_degree)]
+        qv = space.eval_elements([k], rule.points[None]).values[0]
+        qv = qv[:, : space_dimension(q_degree)]
         scale = math.sqrt(mesh.h[k]) if kind == AR else mesh.h[k]
     x, y = rule.points[:, 0], rule.points[:, 1]
-    ev = basis.eval(rule.points, gradients=True)
-    gx, gy = ev.gradients[..., 0], ev.gradients[..., 1]
-    vals = np.zeros_like(ev.values)
+    derivatives = space.derivatives([k], rule.points[None], 2)[0]
+    values, gx, gy = derivatives[:, 0], derivatives[:, 1], derivatives[:, 2]
+    vals = np.zeros_like(values)
     if kind != AR:
         a = coeffs.alpha
-        lap = basis.derivative(rule.points, (2, 0)) + basis.derivative(rule.points, (0, 2))
+        lap = derivatives[:, 3] + derivatives[:, 5]
         vals -= a(x, y)[:, None] * lap
         vals -= a.derivative(1, 0)(x, y)[:, None] * gx + a.derivative(0, 1)(x, y)[:, None] * gy
     if coeffs.beta is not None:
         b = coeffs.beta(x, y)
         vals += b[:, None, 0] * gx + b[:, None, 1] * gy
     if coeffs.gamma is not None:
-        vals += coeffs.gamma(x, y)[:, None] * ev.values
+        vals += coeffs.gamma(x, y)[:, None] * values
     matrix = np.einsum("q,qi,qj->ij", rule.weights, qv, scale * vals)
     rhs = np.einsum("q,q,qi->i", rule.weights, scale * coeffs.f(x, y), qv)
     return matrix, rhs
 
 
-def reference_qt_operator(mesh, k, basis, coeffs):
+def reference_qt_operator(space, k, coeffs):
     """Rows ``-h^(1.5+|i|) D^i div(alpha grad phi_j)`` and loads
     ``h^(1.5+|i|) D^i f`` at the centroid for ``|i| <= p - 2``, each
     reference monomial composed with the element's inverse map and
     differentiated symbolically as a whole."""
-    oracle = symbolic_qt_oracle(coeffs.alpha.expr, coeffs.f.expr, basis.degree)
-    point = mesh.centroids[k]
-    inverse = (basis.adjugate / basis.det).ravel()
-    C = _reference_basis(basis.degree) / math.sqrt(basis.det)
+    oracle = symbolic_qt_oracle(coeffs.alpha.expr, coeffs.f.expr, space.degree)
+    point = space.mesh.centroids[k]
+    inverse = (space.adjugates[k] / space.dets[k]).ravel()
+    C = _reference_basis(space.degree) / math.sqrt(space.dets[k])
     matrix, rhs = [], []
     for (ix, iy), mono_rows, f_derivative in oracle:
-        scale = mesh.h[k] ** (1.5 + ix + iy)
-        mono = np.array(mono_rows(*point, *basis.origin, *inverse), dtype=float)
+        scale = space.mesh.h[k] ** (1.5 + ix + iy)
+        mono = np.array(mono_rows(*point, *space.origins[k], *inverse), dtype=float)
         matrix.append(-scale * (C @ mono))
         rhs.append(scale * float(f_derivative(*point)))
     return np.array(matrix), np.array(rhs)
@@ -480,8 +508,7 @@ def assert_batch_and_single_match_reference(kind, coeffs, p, box_scale=0.25):
     space = BrokenSpace(mesh, p)
     ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
     for k in range(mesh.n_elements):
-        basis = space.element_basis(k)
-        matrix, rhs = reference_operator(kind, mesh, k, basis, coeffs, box_scale=box_scale)
+        matrix, rhs = reference_operator(kind, space, k, coeffs, box_scale=box_scale)
         single = assemble_local_operator(kind, space, k, coeffs, box_scale=box_scale)
         for op in (ops[k], single):
             assert op.element == k
@@ -538,10 +565,9 @@ def test_projection_residual_shrinks_under_refinement(kind, case):
         mesh = build_structured_mesh(n)
         space = BrokenSpace(mesh, 2)
         ops = assemble_local_operators(kind, space, coeffs)
+        projections = l2_projection(space, u, 8)
         total = 0.0
-        for k, op in enumerate(ops):
-            rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 8)
-            c = l2_project(u, space.element_basis(k), rule)
+        for op, c in zip(ops, projections):
             total += np.sum((op.matrix @ c - op.rhs) ** 2)
         residuals.append(math.sqrt(total))
     assert residuals[1] < residuals[0] and residuals[2] < residuals[1]

@@ -12,14 +12,13 @@ from scipy.sparse.linalg import splu
 from trefftzdg import embedding as embedding_module
 from trefftzdg import solver
 from trefftzdg.analysis import compute_errors
-from trefftzdg.basis import BrokenSpace, l2_project
+from trefftzdg.basis import BrokenSpace
 from trefftzdg.cli import main
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import DgSystem, assemble_global_system
 from trefftzdg.embedding import assemble_global_embedding, build_embedding, compute_embedding
 from trefftzdg.local_ops import AR, DAR, assemble_local_operators
 from trefftzdg.mesh import build_structured_mesh
-from trefftzdg.quadrature import triangle_rule
 from trefftzdg.solver import (
     BLOCK_COUPLED,
     EMBEDDED_TREFFTZ,
@@ -32,6 +31,8 @@ from trefftzdg.solver import (
     solve_embedded_trefftz,
     solve_standard_dg,
 )
+
+from projection import l2_projection
 
 LAPLACE_SADDLE = manufactured_case(alpha=1, exact=sp.sympify("x**2 - y**2"), name="laplace")
 
@@ -77,12 +78,7 @@ def test_exactly_representable_solution():
     assert l2_error(u_dg, exact) < 1e-8
     # projection of the exact solution solves the linear system
     space = sys.space
-    c = np.zeros(space.ndof_total)
-    for k in range(mesh.n_elements):
-        rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4)
-        c[space.offsets[k] : space.offsets[k] + space.ndof_local] = l2_project(
-            exact, space.element_basis(k), rule
-        )
+    c = l2_projection(space, exact, 2 * p + 4).ravel()
     residual = np.linalg.norm(sys.matrix @ c - sys.load)
     assert residual < 1e-9 * max(1.0, np.linalg.norm(sys.load))
     # embedded Trefftz reproduces the standard solution coefficient-wise
