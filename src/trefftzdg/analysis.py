@@ -17,13 +17,7 @@ from .coefficients import require_finite, require_positive
 from .dg_forms import assemble_global_system, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
 from .local_ops import KINDS, operator_row_count
-from .quadrature import facet_quadrature
 from .solver import solve_block_coupled, solve_embedded_trefftz
-
-#: traces per evaluation batch: past about 2,000 traces a batch costs more
-#: than twice as much per trace
-_TRACE_CHUNK = 2048
-
 
 @dataclass
 class ErrorReport:
@@ -72,37 +66,28 @@ def _facet_error_jumps(solution, coeffs):
 
     On interior facets the jump of the error reduces to the (negated) jump
     of u_h; on boundary facets the single-valued exact trace stays, giving
-    the deviation of u_h from the Dirichlet data. Every norm sums
-    ``weight(x, b_n) * jump**2`` over these groups.
+    the deviation of u_h from the Dirichlet data. The traces of u_h come
+    from the space's facet tables (:meth:`BrokenSpace.facet_traces`).
+    Every norm sums ``weight(x, b_n) * jump**2`` over these groups.
     """
     space = solution.space
     mesh = space.mesh
-    fpts, fw = facet_quadrature(mesh, 2 * space.degree + 2)
+    local = solution.coeffs.reshape(mesh.n_elements, -1)
+    fpts, fw = space.facet_rule
     groups = []
     interior = mesh.interior_facets
     if len(interior):
-        pts = fpts[interior]
-        tr_l = _traces(solution, mesh.facet_left[interior], pts)
-        tr_r = _traces(solution, mesh.facet_right[interior], pts)
-        jump = tr_r - tr_l  # exact solution cancels across the facet
-        groups.append((interior, pts, jump))
+        # exact solution cancels across the facet
+        jump = space.facet_traces(interior, 1, local) - space.facet_traces(interior, 0, local)
+        groups.append((interior, fpts[interior], jump))
     boundary = mesh.boundary_facets
     if len(boundary):
         pts = fpts[boundary]
-        tr = _traces(solution, mesh.facet_left[boundary], pts)
+        tr = space.facet_traces(boundary, 0, local)
         exact_vals = coeffs.exact_solution(pts[..., 0], pts[..., 1])
         err = require_finite(exact_vals, "exact solution", "facet", boundary) - tr
         groups.append((boundary, pts, err))
     return [(f, pts, mesh.facet_normals[f], fw[f], jump**2) for f, pts, jump in groups]
-
-
-def _traces(solution, elems, pts):
-    """Values of ``solution`` on the point sets ``pts`` ``(F, nq, 2)`` of
-    ``elems``, at most :data:`_TRACE_CHUNK` traces per batch."""
-    return np.concatenate([
-        solution.element_values(elems[start:start + _TRACE_CHUNK], pts[start:start + _TRACE_CHUNK])
-        for start in range(0, len(elems), _TRACE_CHUNK)
-    ])
 
 
 def _beta_normal(coeffs, pts, normals, facets):

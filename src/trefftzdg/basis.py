@@ -17,11 +17,15 @@ times the reference gradients. A differential operator on the basis is
 applied by mapping its coefficients onto the reference derivatives
 (:func:`_operator_terms`), so volume forms are one matrix product of
 weighted coefficients with the shared :func:`reference_products`, and at
-other points one contraction (:meth:`BrokenSpace.apply`). Other points
-are pulled back to the reference triangle and the reference derivatives
-tabulated there (:func:`_reference_tabulate`, scaled monomials
-times per-degree maps ``D^T C_ref^T`` with ``D`` an exact differentiation
-matrix in the monomial basis). Derivatives of any order follow from the
+other points one contraction (:meth:`BrokenSpace.apply`). Each facet
+rule point is the image of a point of one of six fixed sets, the edge
+rule nodes ``t`` or ``1 - t`` on one of the three reference edges, so
+facet traces are gathered from the shared :func:`reference_facet_tables`
+(:meth:`BrokenSpace.facet_traces`). Other points are pulled back to the
+reference triangle and the reference derivatives tabulated there
+(:func:`_reference_tabulate`, scaled monomials times per-degree maps
+``D^T C_ref^T`` with ``D`` an exact differentiation matrix in the
+monomial basis). Derivatives of any order follow from the
 reference ones by the exact chain rule of the affine map
 (:func:`_chain_rule`).
 """
@@ -30,11 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .quadrature import duffy_rule_barycentric, triangle_rule, volume_quadrature
+from .quadrature import (
+    duffy_rule_barycentric, edge_rule, facet_quadrature, triangle_rule, volume_quadrature,
+)
 
 
 @lru_cache(maxsize=None)
@@ -228,6 +234,35 @@ def reference_tables(degree):
     return tab
 
 
+def _facet_rule_degree(degree):
+    """Exactness of the facet rule of the degree-``degree`` space."""
+    return 2 * degree + 2
+
+
+@lru_cache(maxsize=None)
+def reference_facet_tables(degree):
+    """Values and reference gradients ``(2, 3, 3, nq, dim)`` of the
+    reference basis on the reference edges, read-only: entry ``[o, d, k]``
+    holds the value (``d = 0``) or the derivative along ``zeta_d``
+    (``d = 1, 2``) at the :func:`~trefftzdg.quadrature.edge_rule` nodes
+    ``t`` (``o = 0``) or ``1 - t`` (``o = 1``) of local edge ``k``, which
+    runs from vertex ``k`` to vertex ``k + 1`` of the reference triangle.
+
+    A facet rule point ``v0 + t (v1 - v0)`` is the image of node ``t`` on
+    the edge of K1 and of node ``1 - t`` on the edge of K2, which runs the
+    other way, so every element trace is gathered from this one table.
+    """
+    t, _ = edge_rule(_facet_rule_degree(degree))
+    start = _REFERENCE
+    step = np.roll(_REFERENCE, -1, axis=0) - start
+    nodes = np.stack([t, 1.0 - t])
+    zeta = start[:, None] + nodes[:, None, :, None] * step[:, None]
+    tab = _reference_tabulate(zeta.reshape(1, -1, 2), None, degree, 1)
+    tab = np.ascontiguousarray(np.moveaxis(tab.reshape(2, 3, len(t), 3, -1), 3, 1))
+    tab.flags.writeable = False
+    return tab
+
+
 @lru_cache(maxsize=None)
 def reference_products(degree, pairs, rows=None):
     """Products ``D^a phi_ref_i D^b phi_ref_j`` at the reference volume
@@ -350,11 +385,13 @@ class BrokenSpace:
     ``det J_K`` (positive, as meshes keep their triangles counterclockwise)
     of the map ``x = v0_K + J_K zeta`` from the reference triangle. The
     element basis is the reference one composed with the inverse map and
-    divided by ``sqrt(det J_K)``, so every evaluation maps the per-degree
-    :func:`reference_tables` (at the volume points) or reference values at
-    pulled-back points (anywhere else); no basis table over the elements
-    is kept. Coefficient vectors over the space are laid out
-    element by element (``offsets[k] = k * ndof_local``).
+    divided by ``sqrt(det J_K)``, so every evaluation maps a per-degree
+    reference table: :func:`reference_tables` at the volume points,
+    :func:`reference_facet_tables` at the facet rule points
+    (:attr:`facet_rule`), and reference values at pulled-back points
+    anywhere else; no basis table over the elements is kept. Coefficient
+    vectors over the space are laid out element by element
+    (``offsets[k] = k * ndof_local``).
     """
 
     def __init__(self, mesh, degree):
@@ -373,6 +410,49 @@ class BrokenSpace:
         self.adjugates = mesh.adjugates
         self.origins = mesh.vertices[mesh.triangles[:, 0]]
         self.inverse_jacobians = self.adjugates / self.dets[:, None, None]
+
+    @cached_property
+    def facet_rule(self):
+        """Points ``(n_facets, nq, 2)`` and weights ``(n_facets, nq)`` of
+        the facet rule, at which :meth:`facet_traces` evaluates; computed
+        on first use."""
+        return facet_quadrature(self.mesh, _facet_rule_degree(self.degree))
+
+    def facet_traces(self, facets, side, coeffs=None, normal_derivatives=False):
+        """Traces at the :attr:`facet_rule` points of ``facets`` from
+        their K1 (``side`` 0) or their K2 (``side`` 1), gathered from
+        :func:`reference_facet_tables` by each facet's local edge.
+
+        With ``coeffs`` ``(n_elements, ndof_local)``: the values ``(F, nq)``
+        of that function, one product per local edge. Otherwise the basis
+        values ``(F, nq, ndof_local)``, and with ``normal_derivatives`` also
+        ``d_n phi`` along the facet normal (out of K1), contracted directly
+        as ``(J^-1 n) . grad_ref phi / sqrt(det J)``.
+        """
+        mesh = self.mesh
+        facets = np.asarray(facets)
+        elems = (mesh.facet_left, mesh.facet_right)[side][facets]
+        edges = (mesh.facet_left_edge, mesh.facet_right_edge)[side][facets]
+        if np.any(elems < 0):
+            raise ValueError(f"boundary facet {facets[elems < 0][0]} has no K2")
+        table = reference_facet_tables(self.degree)[side]
+        on_edge = [edges == k for k in range(3)]
+        scale = 1.0 / np.sqrt(self.dets[elems])
+        if coeffs is not None:
+            out = np.empty((len(elems), table.shape[-2]))
+            for k, on in enumerate(on_edge):
+                out[on] = coeffs[elems[on]] @ table[0, k].T
+            return out * scale[:, None]
+        values = np.take(table[0], edges, axis=0)
+        values *= scale[:, None, None]
+        if not normal_derivatives:
+            return values
+        mapped = np.einsum("fab,fb->fa", self.inverse_jacobians[elems], mesh.facet_normals[facets])
+        mapped *= scale[:, None]
+        dn = np.empty_like(values)
+        for k, on in enumerate(on_edge):
+            dn[on] = (mapped[on] @ table[1:, k].reshape(2, -1)).reshape(-1, *values.shape[1:])
+        return values, dn
 
     def _pull_back(self, points, elems):
         """Reference coordinates of per-element points ``(m, nq, 2)`` of

@@ -12,6 +12,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 from .analysis import compute_errors, estimate_eoc, run_diagnostics
 from .basis import BrokenSpace
@@ -95,6 +96,18 @@ def _check_positive_finite(**options):
         if value is not None and not 0 < value < math.inf:
             option = "--" + name.replace("_", "-")
             raise UsageError(f"{option} must be positive and finite, got {value}")
+
+
+def _check_out(path):
+    """Reject an ``--out`` path (None: unset) that is a directory or whose
+    parent is not an existing directory, before any work is done."""
+    if path is None:
+        return
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise UsageError(f"--out {path}: {parent} is not an existing directory")
+    if Path(path).is_dir():
+        raise UsageError(f"--out {path} is a directory")
 
 
 def _check_kind(coeffs, kind, source):
@@ -261,6 +274,7 @@ def _cmd_run(args):
     ]
     if missing:
         raise UsageError(f"missing required options: {', '.join(missing)}")
+    _check_out(out)
     config = ExperimentConfig(
         case=case,
         methods=_split_list(methods) if isinstance(methods, str) else methods,
@@ -282,6 +296,7 @@ def _cmd_diagnose(args):
     kind = _check_kind(coeffs, args.kind, "--kind")
     _check_sizes([args.n], [args.p], coeffs)
     _check_positive_finite(sigma=args.sigma, box_scale=args.box_scale)
+    _check_out(args.out)
     mesh = build_structured_mesh(args.n)
     report = run_diagnostics(
         mesh, args.p, kind, coeffs, sigma=args.sigma, box_scale=args.box_scale
@@ -303,6 +318,7 @@ def _cmd_diagnose(args):
 
 def _cmd_dump_mesh(args):
     _check_sizes([args.n])
+    _check_out(args.out)
     mesh = build_structured_mesh(args.n)
     if args.out:
         mesh.dump(args.out)

@@ -32,8 +32,9 @@ def _canonicalize(expr):
 def _lambdify(expr):
     """Numpy function of ``expr``, cached: fields of equal expressions,
     also in cases built anew, share one function."""
-    # the generated docstring is never read and costs as much as the rest
-    fn = sp.lambdify((X, Y), expr, modules="numpy", docstring_limit=0)
+    # the generated docstring is never read and costs as much as the rest;
+    # common subexpressions are evaluated once per call
+    fn = sp.lambdify((X, Y), expr, modules="numpy", docstring_limit=0, cse=True)
 
     def wrapped(x, y):
         x = np.asarray(x, dtype=float)

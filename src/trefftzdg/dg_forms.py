@@ -28,7 +28,6 @@ import scipy.sparse as sparse
 
 from .basis import BrokenSpace
 from .coefficients import require_finite, require_positive
-from .quadrature import facet_quadrature
 
 _CHUNK = 4096
 
@@ -39,7 +38,7 @@ class DgSystem:
 
     The operator is stored once, as element-pair blocks in BSR layout
     (``blocks``). ``matrix`` is a read-only CSR copy built on each request,
-    for export and inspection. ``sigma`` and ``alpha_facet``, the
+    for inspection (tests, nnz counts). ``sigma`` and ``alpha_facet``, the
     facet-averaged diffusion coefficient, are the penalty data (None for
     the upwind form without diffusion); error norms reuse them.
     """
@@ -118,10 +117,10 @@ def _gram(w, a, b):
     return np.swapaxes(a * w[..., None], -1, -2) @ b
 
 
-def _facet_terms(space, sides, pts, normals, w, c_avg, c_jump, c_flux=None):
-    """Facet terms in jump/average form of a batch of facets, each between
-    the ``s`` elements ``sides`` ``(F, s)`` (one on the boundary), with
-    points ``pts`` ``(F, nq, 2)``, weights ``w`` and unit ``normals``.
+def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None):
+    """Facet terms in jump/average form of a batch of ``facets`` at the
+    space's facet rule, each between its ``s`` elements (K1 and K2, or K1
+    alone on the boundary), with weights ``w``.
 
     The trace tables ``(F, nq, s nd)`` are the values ``T = [phi_1 | phi_2]``,
     the signed jumps ``J = [phi_1 | -phi_2]`` and the normal derivatives
@@ -132,20 +131,15 @@ def _facet_terms(space, sides, pts, normals, w, c_avg, c_jump, c_flux=None):
     quadrants are the own and coupling blocks, and the test table
     ``test = c_avg T + c_jump J + c_flux N``.
     """
-    F, s = sides.shape
-    nq = pts.shape[1]
-    ev = space.eval_elements(sides.ravel(), np.repeat(pts, s, axis=0), c_flux is not None)
-
-    def side_by_side(table):  # (F s, nq, nd) -> (F, nq, s nd)
-        return np.swapaxes(table.reshape(F, s, nq, -1), 1, 2).reshape(F, nq, -1)
-
-    T = side_by_side(ev.values)
+    flux = c_flux is not None
+    traces = [space.facet_traces(facets, side, normal_derivatives=flux) for side in range(s)]
+    T = np.concatenate([t[0] if flux else t for t in traces], axis=-1)
     J = T.copy()
     J[..., space.ndof_local :] *= -1.0
     test = c_avg[..., None] * T + c_jump[..., None] * J
-    if c_flux is None:
+    if not flux:
         return _gram(w, test, J), test
-    N = side_by_side(np.einsum("mqid,md->mqi", ev.gradients, np.repeat(normals, s, axis=0)))
+    N = np.concatenate([t[1] for t in traces], axis=-1)
     test += c_flux[..., None] * N
     return _gram(w, test, J) + _gram(w * c_flux, J, N), test
 
@@ -210,7 +204,7 @@ def assemble_global_system(mesh, p, coeffs, sigma=None, space=None):
 
     # facet terms in jump/average form: interior facets, then the one-sided
     # boundary facets
-    fpts, fw = facet_quadrature(mesh, 2 * p + 2)
+    fpts, fw = space.facet_rule
     inner, outer = mesh.interior_facets, mesh.boundary_facets
     groups = (
         (inner, np.stack([mesh.facet_left[inner], mesh.facet_right[inner]], axis=1)),
@@ -236,7 +230,7 @@ def assemble_global_system(mesh, p, coeffs, sigma=None, space=None):
                 c_jump = c_jump + (sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
                 # the average of a one-sided trace is the trace itself
                 c_flux = -alpha / sides.shape[1]
-            M, test = _facet_terms(space, sides, pts, normals, w, c_avg, c_jump, c_flux)
+            M, test = _facet_terms(space, facets, sides.shape[1], w, c_avg, c_jump, c_flux)
             if interior:
                 left, right = sides.T
                 own += [(left, M[:, :nd, :nd]), (right, M[:, nd:, nd:])]

@@ -25,6 +25,13 @@ class Mesh2D:
     (K2, or :data:`BOUNDARY`); ``facet_normals[f]`` is the unit normal
     pointing out of K1. Jumps downstream follow the convention
     ``[u] = u|K1 - u|K2``.
+
+    Local edge ``k`` of a triangle runs from its vertex ``k`` to vertex
+    ``k + 1`` (mod 3). ``facet_left_edge[f]`` is the local edge of K1 on
+    facet ``f``, which runs from ``facet_vertices[f, 0]`` to
+    ``facet_vertices[f, 1]``; ``facet_right_edge[f]`` is that of K2 (or
+    :data:`BOUNDARY`), which runs the other way, as both triangles are
+    counterclockwise.
     """
 
     def __init__(self, vertices, triangles):
@@ -98,7 +105,16 @@ class Mesh2D:
         self.facet_vertices = np.column_stack([start[first], end[first]])
         self.facet_left = first // 3
         second = edges[np.minimum(heads + 1, len(edges) - 1)]
+        same_way = (counts == 2) & (start[second] == start[first])
+        if same_way.any():
+            e, o = first[same_way][0], second[same_way][0]
+            raise ValueError(
+                f"triangles {e // 3} and {o // 3} overlap: both run edge "
+                f"({start[e]}, {end[e]}) the same way"
+            )
         self.facet_right = np.where(counts == 2, second // 3, BOUNDARY)
+        self.facet_left_edge = first % 3
+        self.facet_right_edge = np.where(counts == 2, second % 3, BOUNDARY)
         p0 = self.vertices[self.facet_vertices[:, 0]]
         p1 = self.vertices[self.facet_vertices[:, 1]]
         tangent = p1 - p0

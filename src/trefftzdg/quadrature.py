@@ -59,9 +59,13 @@ def triangle_rule(vertices, degree):
 
 @lru_cache(maxsize=None)
 def _gauss_legendre_unit(npoints):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
+    """Gauss-Legendre nodes/weights on [0, 1]; read-only, as they are
+    cached."""
     x, w = np.polynomial.legendre.leggauss(npoints)
-    return 0.5 * (x + 1.0), 0.5 * w
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    for array in (t, w):
+        array.flags.writeable = False
+    return t, w
 
 
 @lru_cache(maxsize=None)
@@ -117,13 +121,21 @@ def volume_quadrature(mesh, degree):
     return pts, wts
 
 
+def edge_rule(degree):
+    """Gauss-Legendre nodes ``t`` and weights on ``[0, 1]``, exact up to
+    ``degree``; read-only. Every facet rule maps them, and the basis
+    tabulates its facet traces at them."""
+    return _gauss_legendre_unit(degree // 2 + 1)
+
+
 def facet_quadrature(mesh, degree):
-    """Batched edge rule over all mesh facets.
+    """Batched edge rule over all mesh facets: the :func:`edge_rule` nodes
+    ``t`` at ``v0 + t (v1 - v0)`` for the facet vertices ``v0, v1``.
 
     Returns physical points ``(n_facets, nq, 2)`` and weights
     ``(n_facets, nq)``.
     """
-    t, w = _gauss_legendre_unit(degree // 2 + 1)
+    t, w = edge_rule(degree)
     p0 = mesh.vertices[mesh.facet_vertices[:, 0]]
     p1 = mesh.vertices[mesh.facet_vertices[:, 1]]
     pts = p0[:, None, :] + t[None, :, None] * (p1 - p0)[:, None, :]

@@ -25,6 +25,24 @@ def perturbed_mesh():
 
 
 @pytest.fixture
+def shuffled_mesh():
+    """Builder of the ``n x n`` structured mesh with its triangles in a
+    seeded random order and each vertex list rotated by a random shift,
+    which keeps the orientation; on larger meshes every local edge number
+    of K1 meets every one of K2 across some facet."""
+
+    def build(n, seed=0):
+        base = build_structured_mesh(n)
+        rng = np.random.default_rng(seed)
+        triangles = base.triangles[rng.permutation(base.n_elements)]
+        shift = rng.integers(0, 3, size=(len(triangles), 1))
+        triangles = np.take_along_axis(triangles, (np.arange(3) + shift) % 3, axis=1)
+        return Mesh2D(vertices=base.vertices, triangles=triangles)
+
+    return build
+
+
+@pytest.fixture
 def sliver_mesh():
     """Builder of one needle triangle of unit length and height
     ``1/aspect``, turned by ``turn`` radians."""

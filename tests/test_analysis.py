@@ -235,11 +235,10 @@ def test_shared_facet_jumps_match_two_pass_norm(case):
     assert report.vh_error == pytest.approx(expected, rel=1e-13)
 
 
-def test_facet_traces_are_evaluated_in_bounded_batches(monkeypatch):
-    # n = 32 has 3,040 interior facets, more than one batch holds
+def test_facet_error_jumps_match_pulled_back_traces():
+    # n = 32 has 3,040 interior facets, run from every local edge of both sides
     coeffs = builtin_case("DAR_EXAMPLE")
     mesh = build_structured_mesh(32)
-    assert len(mesh.interior_facets) > analysis._TRACE_CHUNK
     space = BrokenSpace(mesh, 1)
     coeffs_vec = np.random.default_rng(5).standard_normal(space.ndof_total)
     solution = DiscreteSolution(
@@ -247,24 +246,20 @@ def test_facet_traces_are_evaluated_in_bounded_batches(monkeypatch):
         sigma=50.0, alpha_facet=np.ones(mesh.n_facets),
     )
     fpts, _ = facet_quadrature(mesh, 2 * space.degree + 2)
-    inner = mesh.interior_facets
+    inner, outer = mesh.interior_facets, mesh.boundary_facets
     whole = solution.element_values(mesh.facet_right[inner], fpts[inner]) - (
         solution.element_values(mesh.facet_left[inner], fpts[inner])
     )
-    batches = []
-    evaluate = DiscreteSolution.element_values
-
-    def recording(self, elems, points=None, gradients=False):
-        batches.append(len(elems))
-        return evaluate(self, elems, points, gradients)
-
-    monkeypatch.setattr(DiscreteSolution, "element_values", recording)
+    pts = fpts[outer]
+    deviation = coeffs.exact_solution(pts[..., 0], pts[..., 1]) - (
+        solution.element_values(mesh.facet_left[outer], pts)
+    )
     groups = analysis._facet_error_jumps(solution, coeffs)
-    assert max(batches) == analysis._TRACE_CHUNK
-    assert sum(batches) == 2 * len(inner) + len(mesh.boundary_facets)
-    facets, _, _, _, jump_sq = groups[0]
-    np.testing.assert_array_equal(facets, inner)
-    np.testing.assert_array_equal(jump_sq, whole**2)
+    for (facets, _, _, _, jump_sq), group, expected in zip(
+        groups, (inner, outer), (whole**2, deviation**2)
+    ):
+        np.testing.assert_array_equal(facets, group)
+        np.testing.assert_allclose(jump_sq, expected, rtol=0, atol=1e-13 * np.max(expected))
 
 
 def test_eoc_simple_cases():

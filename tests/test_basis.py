@@ -21,7 +21,7 @@ from trefftzdg.basis import (
     space_dimension,
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
-from trefftzdg.quadrature import triangle_rule
+from trefftzdg.quadrature import facet_quadrature, triangle_rule
 
 UNIT_RIGHT = Mesh2D(
     vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -503,3 +503,53 @@ def test_space_runs_no_factorization_per_element(monkeypatch, perturbed_mesh):
         monkeypatch.setattr(np.linalg, name, refuse)
     for got, want in zip(evaluate(), expected):
         np.testing.assert_array_equal(got, want)
+
+
+def squeezed_mesh(n, aspect):
+    """The ``n x n`` structured mesh squeezed to height ``1/aspect``: needle
+    triangles with interior facets."""
+    base = build_structured_mesh(n)
+    return Mesh2D(vertices=base.vertices * [1.0, 1.0 / aspect], triangles=base.triangles)
+
+
+@pytest.mark.parametrize("kind", ["structured", "perturbed", "shuffled", "squeezed", "sliver"])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_facet_traces_match_pulled_back_evaluation(p, kind, perturbed_mesh, shuffled_mesh,
+                                                   sliver_mesh):
+    # the traces gathered from the reference edge tables against the basis
+    # and a function evaluated at the pulled-back facet rule points, from
+    # K1 on every facet and from K2 on the interior ones; the sliver is not
+    # turned, as the pulled-back points of a turned needle are themselves
+    # some 45 ulp off the reference edge
+    mesh = {
+        "structured": lambda: build_structured_mesh(3),
+        "perturbed": lambda: perturbed_mesh(3),
+        "shuffled": lambda: shuffled_mesh(4),
+        "squeezed": lambda: squeezed_mesh(3, 1e2),
+        "sliver": lambda: sliver_mesh(1e3, 0.0),
+    }[kind]()
+    space = BrokenSpace(mesh, p)
+    points, _ = space.facet_rule
+    np.testing.assert_array_equal(points, facet_quadrature(mesh, 2 * p + 2)[0])
+    coeffs = np.random.default_rng(p).standard_normal((mesh.n_elements, space.ndof_local))
+    sides = [(0, np.arange(mesh.n_facets))]
+    if len(mesh.interior_facets):
+        sides.append((1, mesh.interior_facets))
+    for side, facets in sides:
+        elems = (mesh.facet_left, mesh.facet_right)[side][facets]
+        pulled = space.eval_elements(elems, points[facets], gradients=True)
+        normal = np.einsum("fqid,fd->fqi", pulled.gradients, mesh.facet_normals[facets])
+        values, dn = space.facet_traces(facets, side, normal_derivatives=True)
+        assert_rel_close(values, pulled.values, 1e-13)
+        assert_rel_close(dn, normal, 1e-13)
+        np.testing.assert_array_equal(space.facet_traces(facets, side), values)
+        function = space.eval_function(coeffs, elems, points[facets])
+        assert_rel_close(space.facet_traces(facets, side, coeffs), function, 1e-13)
+
+
+def test_facet_traces_from_k2_reject_boundary_facets():
+    mesh = build_structured_mesh(2)
+    space = BrokenSpace(mesh, 2)
+    facet = mesh.boundary_facets[0]
+    with pytest.raises(ValueError, match=f"boundary facet {facet} has no K2"):
+        space.facet_traces(mesh.boundary_facets, 1)

@@ -372,3 +372,33 @@ def test_diagnose_rejects_a_kind_that_does_not_fit_the_case(monkeypatch, capsys,
 def test_diagnose_accepts_the_kinds_of_the_case(capsys, case, kind):
     assert main(["diagnose", "--case", case, "--kind", kind, "--p", "2", "--n", "1"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--case", "AR_EXAMPLE", "--p", "3", "--n", "2,4", "--methods", "dg"],
+        ["diagnose", "--case", "DAR_EXAMPLE", "--p", "3", "--n", "2"],
+        ["dump-mesh", "--n", "2"],
+    ],
+    ids=["run", "diagnose", "dump-mesh"],
+)
+@pytest.mark.parametrize("where", ["missing", "file", "directory"])
+def test_unusable_out_path_is_rejected_before_any_work(tmp_path, monkeypatch, capsys, argv,
+                                                       where):
+    import trefftzdg.analysis as analysis
+    import trefftzdg.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in ((cli, "build_structured_mesh"), (cli, "assemble_global_system"),
+                         (analysis, "assemble_global_system")):
+        monkeypatch.setattr(module, name, no_work)
+    (tmp_path / "file").write_text("")
+    out = {"missing": tmp_path / "nonexistent" / "o.csv", "file": tmp_path / "file" / "o.csv",
+           "directory": tmp_path}[where]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {out}" in err
+    assert "Traceback" not in err

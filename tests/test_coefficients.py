@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from trefftzdg.basis import polynomial_exponents
+from trefftzdg.cli import MAX_DEGREE
 from trefftzdg.coefficients import (
     BUILTIN_CASES,
+    X,
+    Y,
     PdeCoefficients,
     ScalarField,
     VectorField,
@@ -205,3 +209,33 @@ def test_second_case_build_reuses_the_lambdified_fields(monkeypatch):
     # a new expression still needs its own function
     with pytest.raises(AssertionError, match="sp.lambdify called"):
         ScalarField(sp.Symbol("x") ** 7 + 3)(x, y)
+
+
+def builtin_fields(coeffs):
+    """Every field the solvers evaluate on ``coeffs``: the data, the exact
+    solution and its gradient, ``div beta``, and the derivatives of ``f``
+    and ``alpha`` up to the CLI's top degree (``DAR_BOX`` reads the first
+    ones of ``alpha``, ``QT_DIFFUSION`` those of ``f`` up to order ``p - 2``
+    and of ``alpha`` up to ``p - 1``)."""
+    fields = [coeffs.f, coeffs.g_D, coeffs.gamma, coeffs.exact_solution]
+    fields += [coeffs.exact_gradient().fx, coeffs.exact_gradient().fy]
+    if coeffs.beta is not None:
+        fields += [coeffs.beta.fx, coeffs.beta.fy, coeffs.beta.divergence()]
+    for d in polynomial_exponents(MAX_DEGREE):
+        fields.append(coeffs.f.derivative(*d))
+        if coeffs.alpha is not None:
+            fields.append(coeffs.alpha.derivative(*d))
+    return [field for field in fields if field is not None]
+
+
+@pytest.mark.parametrize("name", BUILTIN_CASES)
+def test_fields_match_plain_lambdify(name):
+    # the fields share common subexpressions; the plain function does not
+    x, y = RNG.uniform(0.0, 1.0, size=(2, 1000))
+    for field in builtin_fields(builtin_case(name)):
+        plain = sp.lambdify((X, Y), field.expr)
+        want = np.broadcast_to(np.asarray(plain(x, y), dtype=float), x.shape)
+        got = field(x, y)
+        assert got.shape == x.shape
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale, err_msg=str(field.expr))

@@ -218,6 +218,49 @@ def test_facet_arrays_match_the_dict_reference(kind, size, perturbed_mesh):
         np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("kind", ["structured", "perturbed", "shuffled", "random"])
+@pytest.mark.parametrize("size", [1, 3, 8])
+def test_local_edges_run_along_the_facet_from_k1_and_back_from_k2(
+    kind, size, perturbed_mesh, shuffled_mesh
+):
+    # local edge k of a triangle runs from its vertex k to vertex k + 1
+    if kind == "structured":
+        mesh = build_structured_mesh(size)
+    elif kind == "perturbed":
+        mesh = perturbed_mesh(size)
+    elif kind == "shuffled":
+        mesh = shuffled_mesh(size, seed=size)
+    else:
+        mesh = random_delaunay_mesh(4 * size * size, seed=size)
+    start, end = mesh.facet_vertices.T
+    for edges in (mesh.facet_left_edge, mesh.facet_right_edge):
+        assert edges.dtype == np.int64
+    k1 = mesh.triangles[mesh.facet_left]
+    k = mesh.facet_left_edge
+    rows = np.arange(mesh.n_facets)
+    np.testing.assert_array_equal(k1[rows, k], start)
+    np.testing.assert_array_equal(k1[rows, (k + 1) % 3], end)
+    inner, outer = mesh.interior_facets, mesh.boundary_facets
+    k2 = mesh.triangles[mesh.facet_right[inner]]
+    k = mesh.facet_right_edge[inner]
+    rows = np.arange(len(inner))
+    np.testing.assert_array_equal(k2[rows, k], end[inner])
+    np.testing.assert_array_equal(k2[rows, (k + 1) % 3], start[inner])
+    assert np.all(mesh.facet_right_edge[outer] == BOUNDARY)
+    if kind == "shuffled" and size == 8:
+        # every pair of local edge numbers meets on some facet
+        pairs = set(zip(mesh.facet_left_edge[inner].tolist(), k.tolist()))
+        assert pairs == {(a, b) for a in range(3) for b in range(3)}
+
+
+def test_triangles_running_an_edge_the_same_way_rejected():
+    # both triangles are counterclockwise and lie above the edge (0, 1)
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 2.0]])
+    triangles = np.array([[0, 1, 2], [0, 1, 3]])
+    with pytest.raises(ValueError, match=r"triangles 0 and 1 overlap: both run edge \(0, 1\)"):
+        Mesh2D(vertices=vertices, triangles=triangles)
+
+
 def test_structured_triangles_run_row_by_row():
     n = 3
     expected = []
