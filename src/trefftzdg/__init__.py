@@ -54,9 +54,7 @@ from .quadrature import (
 from .solver import (
     BLOCK_COUPLED,
     EMBEDDED_TREFFTZ,
-    MINNORM_IMAGE,
     STANDARD_DG,
-    SVD_COMPLEMENT,
     DiscreteSolution,
     SolverError,
     solve_block_coupled,

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BrokenSpace
 from .coefficients import require_finite, require_positive
 from .dg_forms import assemble_global_system, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
@@ -45,7 +44,8 @@ class DiagnosticsReport:
     ``rho_max`` measures the coupling of the kernel blocks (zero by
     construction), ``sigma_min_rel`` the relative size of the smallest used
     singular value (local stability), ``block_equivalence_gap`` the norm
-    distance between the embedded and the coupled block solution.
+    distance between the embedded and the coupled block solution (NaN when
+    an element keeps fewer than all its operator rows).
     ``embedding`` is the global embedding the witnesses were computed on.
     """
 
@@ -187,14 +187,14 @@ def estimate_eoc(pairs):
     return EocEstimate(steps=steps, least_squares=least_squares)
 
 
-def run_diagnostics(
-    mesh, p, kind, coeffs, sigma=None, box_scale=0.25, with_block_gap=True
-):
+def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=0.25):
     """Numerical witnesses for the decoupling and local-stability
-    assumptions, plus the embedded/block equivalence gap."""
+    assumptions on the broken ``space``, plus the embedded/block
+    equivalence gap. The gap is computed when every element keeps all its
+    operator rows, as the coupled block solve needs; otherwise it is NaN."""
     if kind not in KINDS:
         raise ValueError(f"unknown operator kind {kind!r}")
-    space = BrokenSpace(mesh, p)
+    p = space.degree
     embedding = build_embedding(space, coeffs, kind, box_scale=box_scale)
     factors = embedding.factors
     A = embedding.local_operators.matrices
@@ -212,8 +212,8 @@ def run_diagnostics(
         dim_table[p] = (n_local, nt_values, dim_q)
 
     gap = gap_rel = float("nan")
-    if with_block_gap:
-        system = assemble_global_system(mesh, p, coeffs, sigma=sigma, space=space)
+    if np.all(factors.rank == A.shape[1]):
+        system = assemble_global_system(space, coeffs, sigma=sigma)
         u_emb = solve_embedded_trefftz(system, embedding)
         u_block = solve_block_coupled(system, embedding)
         gap = float(np.linalg.norm(u_emb.coeffs - u_block.coeffs))
@@ -227,6 +227,6 @@ def run_diagnostics(
         block_equivalence_gap_rel=gap_rel,
         p=p,
         kind=kind,
-        n_elements=mesh.n_elements,
+        n_elements=space.mesh.n_elements,
         embedding=embedding,
     )

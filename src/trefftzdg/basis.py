@@ -209,8 +209,9 @@ def _reference_tabulate(zeta, coefficients, degree, order):
         maps = _reference_maps(degree, order)
     else:
         maps = _derivative_maps(_reference_basis(degree).T @ coefficients, degree, order)
-    out = mono @ maps.reshape(maps.shape[:-2] + (-1,))
-    return out.reshape(E, nq, maps.shape[-2], -1)
+    # explicit sizes: a -1 cannot be inferred on an empty batch
+    out = mono @ maps.reshape(maps.shape[:-2] + (maps.shape[-2] * maps.shape[-1],))
+    return out.reshape((E, nq) + maps.shape[-2:])
 
 
 def _volume_rule_degree(degree):
@@ -511,7 +512,7 @@ class BrokenSpace:
             c = coeffs[elems]
             k = 3 if gradients else 1
             table = reference_tables(self.degree)[:, :k]
-            ref = (c @ table.reshape(-1, self.ndof_local).T).reshape(len(c), -1, k, 1)
+            ref = (c @ table.reshape(-1, self.ndof_local).T).reshape(len(c), len(table), k, 1)
         else:
             zeta = self._pull_back(points, elems)
             ref = _reference_tabulate(zeta, coeffs[elems][..., None], self.degree, int(gradients))

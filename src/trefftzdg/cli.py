@@ -144,9 +144,8 @@ def run_experiment(config, write=True, stream=None):
     rows = []
     for p in config.p_list:
         for n in config.n_list:
-            mesh = build_structured_mesh(n)
-            space = BrokenSpace(mesh, p)
-            system = assemble_global_system(mesh, p, coeffs, sigma=config.sigma, space=space)
+            space = BrokenSpace(build_structured_mesh(n), p)
+            system = assemble_global_system(space, coeffs, sigma=config.sigma)
             for method in config.methods:
                 try:
                     if method == "dg":
@@ -297,10 +296,8 @@ def _cmd_diagnose(args):
     _check_sizes([args.n], [args.p], coeffs)
     _check_positive_finite(sigma=args.sigma, box_scale=args.box_scale)
     _check_out(args.out)
-    mesh = build_structured_mesh(args.n)
-    report = run_diagnostics(
-        mesh, args.p, kind, coeffs, sigma=args.sigma, box_scale=args.box_scale
-    )
+    space = BrokenSpace(build_structured_mesh(args.n), args.p)
+    report = run_diagnostics(space, kind, coeffs, sigma=args.sigma, box_scale=args.box_scale)
     print(f"case={case} kind={kind} p={args.p} n={args.n} elements={report.n_elements}")
     print(f"rho_max = {report.rho_max:.3e}")
     print(f"sigma_min_rel = {report.sigma_min_rel:.3e}")
@@ -311,7 +308,7 @@ def _cmd_diagnose(args):
         f"(relative {report.block_equivalence_gap_rel:.3e})"
     )
     if args.out:
-        export_sigma_csv(report.embedding.embeddings, args.out)
+        export_sigma_csv(report.embedding.factors.embeddings(), args.out)
         print(f"sigma spectra written to {args.out}")
     return 0
 

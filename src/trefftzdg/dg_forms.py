@@ -56,10 +56,6 @@ class DgSystem:
             array.flags.writeable = False
         return csr
 
-    @property
-    def p(self):
-        return self.space.degree
-
 
 def default_sigma(p):
     """Default interior-penalty parameter ``50 p^2`` for degree ``p``."""
@@ -151,16 +147,16 @@ def _chunks(total, size=_CHUNK):
         yield slice(start, min(start + size, total))
 
 
-def assemble_global_system(mesh, p, coeffs, sigma=None, space=None):
-    """Assemble the DG matrix and load vector in the form the data picks.
+def assemble_global_system(space, coeffs, sigma=None):
+    """Assemble the DG matrix and load vector on the broken ``space`` in
+    the form the data picks.
 
     With a diffusion field ``alpha`` the form is symmetric interior
-    penalty with the penalty ``sigma`` (``None``: :func:`default_sigma`),
-    plus the upwind advection and reaction terms wherever the coefficients
-    carry them. Without diffusion it is the upwind form, which needs an
-    advection field ``beta``, and the system keeps ``sigma = None``. A
-    given ``sigma`` must be positive and finite, and a given ``space``
-    must be the degree-``p`` space on ``mesh``.
+    penalty with the penalty ``sigma`` (``None``: :func:`default_sigma` of
+    the space's degree), plus the upwind advection and reaction terms
+    wherever the coefficients carry them. Without diffusion it is the
+    upwind form, which needs an advection field ``beta``, and the system
+    keeps ``sigma = None``. A given ``sigma`` must be positive and finite.
     """
     if sigma is not None and not 0 < sigma < math.inf:
         raise ValueError(f"the penalty must be a positive finite sigma, got {sigma}")
@@ -170,14 +166,8 @@ def assemble_global_system(mesh, p, coeffs, sigma=None, space=None):
     if not diffusive:
         sigma = None
     elif sigma is None:
-        sigma = default_sigma(p)
-    if space is None:
-        space = BrokenSpace(mesh, p)
-    elif space.degree != p or space.mesh is not mesh:
-        raise ValueError(
-            f"space of degree {space.degree} on a mesh of {space.mesh.n_elements} elements "
-            f"does not match p = {p} on the given mesh of {mesh.n_elements} elements"
-        )
+        sigma = default_sigma(space.degree)
+    mesh = space.mesh
     nd = space.ndof_local
     own, pairs = [], []
     load = np.zeros(space.ndof_total)

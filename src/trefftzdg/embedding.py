@@ -4,9 +4,10 @@ stacked QR, and their aggregation into the global block-diagonal embedding.
 A complete QR of each transposed local operator, ``A_K' = Q_K [R_K; 0]``,
 gives an orthonormal kernel basis, the trailing columns of ``Q_K``, and the
 min-norm (pseudo-inverse) particular solution ``Q_1 R_K^-T l_K``, which is
-orthogonal to the kernel. The singular values of ``R_K``, those of ``A_K``,
-are a stability diagnostic computed only when read. The factors stay in
-this module."""
+orthogonal to the kernel. The leading columns ``Q_1`` span the complement
+of the kernel, the one complement basis of the coupled block solver. The
+singular values of ``R_K``, those of ``A_K``, are a stability diagnostic
+computed only when read."""
 
 from __future__ import annotations
 
@@ -17,12 +18,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .local_ops import LocalOperatorBatch, assemble_local_operators
-
-#: Complement-space rules of the coupled block solver: ``Q_1``, which spans
-#: the row space as the kept right singular vectors do, or the
-#: orthonormalized image of the pseudo-inverse.
-SVD_COMPLEMENT = "svd_complement"
-MINNORM_IMAGE = "minnorm_image"
 
 _GUARD_REL = 1e-9
 
@@ -72,19 +67,6 @@ class LocalFactors:
         r0 = self.rank.min()
         batch = zip(self.elements, self.kernels, self.uL, self.sigma, self.rank)
         return [ElementEmbedding(int(e), T[:, k - r0:], uL, s, int(k)) for e, T, uL, s, k in batch]
-
-    def complement(self, complement_rule):
-        """Orthonormal bases ``(E, n, m)`` of the element complement spaces;
-        every element must keep all ``m`` operator rows. ``SVD_COMPLEMENT``
-        is ``Q_1``, ``MINNORM_IMAGE`` the Q factor of the pseudo-inverse
-        ``Q_1 R^-T``."""
-        Q1 = self.Q[:, :, : self.R.shape[2]]
-        if complement_rule == SVD_COMPLEMENT:
-            return Q1
-        if complement_rule == MINNORM_IMAGE:
-            pinv = np.swapaxes(np.linalg.solve(self.R, np.swapaxes(Q1, 1, 2)), 1, 2)
-            return np.linalg.qr(pinv)[0]
-        raise ValueError(f"unknown complement rule {complement_rule!r}")
 
 
 def _factor(matrices, rhs, elements):
@@ -210,8 +192,7 @@ class GlobalEmbedding:
     """Block-diagonal prolongation from Trefftz to broken coefficients;
     ``kernels`` ``(E, n, w)`` stacks the kernel bases, each in its last
     columns behind zeros as in :class:`LocalFactors`. :func:`build_embedding`
-    also keeps the local operators and their factors, from which the
-    per-element :attr:`embeddings` are built on first access."""
+    also keeps the local operators and their factors."""
 
     offsets: np.ndarray
     prolongation: sparse.csc_matrix
@@ -220,39 +201,26 @@ class GlobalEmbedding:
     kernels: np.ndarray = field(repr=False)
     local_operators: LocalOperatorBatch = field(default=None, repr=False)
     factors: LocalFactors = field(default=None, repr=False)
-    per_element: list = field(default=None, repr=False)
-
-    @property
-    def embeddings(self):
-        """The :class:`ElementEmbedding` of every element."""
-        if self.per_element is None:
-            self.per_element = self.factors.embeddings()
-        return self.per_element
-
-    def element_columns(self, k):
-        return slice(self.offsets[k], self.offsets[k + 1])
 
 
-def assemble_global_embedding(mesh, per_element):
+def assemble_global_embedding(mesh, embeddings):
     """Gather per-element embeddings into the global embedding.
 
     Columns of the prolongation are the kernel bases laid out block by
     block; applying it to a unit vector yields a function supported on a
     single element.
     """
-    if len(per_element) != mesh.n_elements:
+    if len(embeddings) != mesh.n_elements:
         raise ValueError(
-            f"expected {mesh.n_elements} element embeddings, got {len(per_element)}"
+            f"expected {mesh.n_elements} element embeddings, got {len(embeddings)}"
         )
-    widths = np.array([emb.T.shape[1] for emb in per_element])
+    widths = np.array([emb.T.shape[1] for emb in embeddings])
     width = widths.max()
-    kernels = np.zeros((len(per_element), per_element[0].T.shape[0], width))
-    for k, emb in enumerate(per_element):
+    kernels = np.zeros((len(embeddings), embeddings[0].T.shape[0], width))
+    for k, emb in enumerate(embeddings):
         kernels[k, :, width - widths[k]:] = emb.T
-    u_L = np.concatenate([emb.uL for emb in per_element])
-    glob = _global_embedding(kernels, widths, u_L)
-    glob.per_element = list(per_element)
-    return glob
+    u_L = np.concatenate([emb.uL for emb in embeddings])
+    return _global_embedding(kernels, widths, u_L)
 
 
 def _global_embedding(kernels, widths, u_L):

@@ -72,12 +72,6 @@ class ElementBox:
         """Diameter of the box (consistent with h_K = diam K)."""
         return self.side * math.sqrt(2.0)
 
-    @property
-    def corners(self):
-        half = self.side / 2.0
-        offsets = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-        return self.center[None, :] + half * offsets
-
 
 @dataclass
 class LocalOperator:
@@ -85,10 +79,6 @@ class LocalOperator:
     element: int
     matrix: np.ndarray
     rhs: np.ndarray
-
-    @property
-    def n_rows(self):
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,12 +15,10 @@ class QuadratureRule:
 
     ``weights`` carry the measure of the domain (area for 2D domains,
     length for edges), so plain weighted sums approximate integrals.
-    ``degree`` is the declared polynomial exactness.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    degree: int
 
 
 @lru_cache(maxsize=None)
@@ -54,7 +52,7 @@ def triangle_rule(vertices, degree):
     area = 0.5 * float(e1[0] * e2[1] - e1[1] * e2[0])
     if area <= 0.0:
         raise ValueError("triangle is degenerate or not counterclockwise")
-    return QuadratureRule(points=bary @ verts, weights=w * area, degree=degree)
+    return QuadratureRule(points=bary @ verts, weights=w * area)
 
 
 @lru_cache(maxsize=None)
@@ -95,9 +93,7 @@ def box_rule(center, side, degree):
         raise ValueError(f"box center must be finite, got ({cx}, {cy})")
     points, weights = unit_box_rule(degree // 2 + 1)
     corner = np.array([cx - side / 2, cy - side / 2])
-    return QuadratureRule(
-        points=corner + side * points, weights=weights * side * side, degree=degree
-    )
+    return QuadratureRule(points=corner + side * points, weights=weights * side * side)
 
 
 def volume_quadrature(mesh, degree):

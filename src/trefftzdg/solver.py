@@ -9,9 +9,10 @@ order (:func:`_solve_order`): the block-triangular form of the element-pair
 graph, with the mesh's nested-dissection order inside each strongly
 connected component. An acyclic upwind system then factors with no fill,
 and a connected one (SIP, cyclic flow) keeps the nested-dissection order.
-The coupled system takes its local rows from the operators and factors
-that :func:`~trefftzdg.embedding.build_embedding` keeps on the embedding
-and eliminates its complement unknowns element by element with dense
+The coupled system takes its local rows, and its complement basis ``Q_1``,
+from the operators and factors that
+:func:`~trefftzdg.embedding.build_embedding` keeps on the embedding and
+eliminates its complement unknowns element by element with dense
 batched solves (static condensation), so its only sparse LU is that of
 the Schur complement on the Trefftz unknowns, which has the size
 and the block pattern of the reduced system. Each matrix is built once,
@@ -31,11 +32,7 @@ import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .embedding import (  # noqa: F401  (complement rules re-exported)
-    MINNORM_IMAGE,
-    SVD_COMPLEMENT,
-    block_matrix,
-)
+from .embedding import block_matrix
 
 STANDARD_DG = "STANDARD_DG"
 EMBEDDED_TREFFTZ = "EMBEDDED_TREFFTZ"
@@ -222,15 +219,6 @@ def _reduced_blocks(system, embedding):
     return _pair_blocks(system, T, T), rhs
 
 
-def reduced_system(system, embedding):
-    """The embedded Trefftz system ``T' A T`` and ``T' (l - A u_L)`` in the
-    numbering of the Trefftz unknowns, formed from the system's blocks and
-    the stacked kernels as the embedded solve forms them."""
-    blocks, rhs = _reduced_blocks(system, embedding)
-    A, widths = system.blocks, np.diff(embedding.offsets)
-    return block_matrix(blocks, A.indices, A.indptr, widths, widths), rhs
-
-
 def solve_embedded_trefftz(system, embedding):
     """Solve the reduced Galerkin problem on the embedded Trefftz space.
 
@@ -244,16 +232,19 @@ def solve_embedded_trefftz(system, embedding):
     return _solution(system, coeffs, EMBEDDED_TREFFTZ, ndof_trefftz=embedding.ndof_trefftz)
 
 
-def solve_block_coupled(system, embedding, complement_rule=SVD_COMPLEMENT):
+def solve_block_coupled(system, embedding):
     """Solve the coupled 2x2 local/global block system by static
     condensation.
 
     The unknowns are split per element into a complement-space part ``c_L``
-    (spanned per ``complement_rule`` by ``L``) and the Trefftz part ``c_T``
-    (spanned by the kernels ``T``); the rows are the local problems
-    ``A L c_L + A T c_T = l`` and the global ones ``T'A L c_L + T'A T c_T =
-    T'g``. By the weak-coupling property of the kernels the result matches
-    the embedded solve, which the diagnostics verify numerically.
+    (spanned by ``L = Q_1``, the leading columns of the orthogonal factor
+    of ``A_K'``, which span the row space of the local operator) and the
+    Trefftz part ``c_T`` (spanned by the kernels ``T``); the solution does
+    not depend on which basis of the complement is taken. The rows are the
+    local problems ``A L c_L + A T c_T = l`` and the global ones ``T'A L c_L
+    + T'A T c_T = T'g``. By the weak-coupling property of the kernels the
+    result matches the embedded solve, which the diagnostics verify
+    numerically.
     ``embedding`` comes from :func:`build_embedding`, which keeps the local
     operators it factored and their factors; the local rows are read from
     those stacks.
@@ -281,7 +272,7 @@ def solve_block_coupled(system, embedding, complement_rule=SVD_COMPLEMENT):
             f"({factors.rank[k]} < {n_rows} rows); block system would be singular"
         )
     # every element keeps all rows, so every kernel has the full width w
-    L, T = factors.complement(complement_rule), embedding.kernels
+    L, T = factors.Q[:, :, :n_rows], embedding.kernels
     w = T.shape[2]
     AL, AT = A @ L, A @ T
     X = np.linalg.solve(AL, np.concatenate([AT, load[..., None]], axis=2))

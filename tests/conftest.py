@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from trefftzdg import embedding
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
 
 
@@ -54,3 +56,18 @@ def sliver_mesh():
         return Mesh2D(vertices=verts, triangles=np.array([[0, 1, 2]]))
 
     return build
+
+
+@pytest.fixture
+def zero_odd_operators(monkeypatch):
+    """Give every odd element a zero local operator in every embedding
+    built, so that its kernel is the whole local space: kernel widths 4
+    and 10 alternate at AR p = 3."""
+    assemble = embedding.assemble_local_operators
+
+    def half_zero(*args, **kwargs):
+        ops = assemble(*args, **kwargs)
+        odd = (ops.elements % 2 == 1)[:, None, None]
+        return replace(ops, matrices=np.where(odd, 0.0, 1.0) * ops.matrices)
+
+    monkeypatch.setattr(embedding, "assemble_local_operators", half_zero)

@@ -28,13 +28,7 @@ from trefftzdg.local_ops import (
 )
 from trefftzdg.mesh import Mesh2D, build_structured_mesh
 from trefftzdg.quadrature import box_rule, triangle_rule
-from trefftzdg.solver import (
-    MINNORM_IMAGE,
-    SVD_COMPLEMENT,
-    solve_block_coupled,
-    solve_embedded_trefftz,
-    solve_standard_dg,
-)
+from trefftzdg.solver import solve_block_coupled, solve_embedded_trefftz, solve_standard_dg
 from trefftzdg.coefficients import ScalarField
 
 from projection import l2_projection
@@ -51,7 +45,7 @@ def sweep_errors(case, methods, p_list, n_list, sigma_rule=None, box_scale=0.25)
         for n in n_list:
             mesh = build_structured_mesh(n)
             space = BrokenSpace(mesh, p)
-            system = assemble_global_system(mesh, p, coeffs, sigma=sigma, space=space)
+            system = assemble_global_system(space, coeffs, sigma=sigma)
             for method in methods:
                 if method == "dg":
                     solution = solve_standard_dg(system)
@@ -177,14 +171,13 @@ def test_criterion_07_block_equivalence():
         coeffs = builtin_case(case)
         mesh = build_structured_mesh(4)
         space = BrokenSpace(mesh, 3)
-        system = assemble_global_system(mesh, 3, coeffs, sigma=sigma, space=space)
+        system = assemble_global_system(space, coeffs, sigma=sigma)
         emb = build_embedding(space, coeffs, kind)
         u_et = solve_embedded_trefftz(system, emb)
-        for rule in (SVD_COMPLEMENT, MINNORM_IMAGE):
-            u_bl = solve_block_coupled(system, emb, complement_rule=rule)
-            gap = np.linalg.norm(u_bl.coeffs - u_et.coeffs) / np.linalg.norm(u_et.coeffs)
-            gaps.append(gap)
-            assert gap <= 1e-8, (case, rule, gap)
+        u_bl = solve_block_coupled(system, emb)
+        gap = np.linalg.norm(u_bl.coeffs - u_et.coeffs) / np.linalg.norm(u_et.coeffs)
+        gaps.append(gap)
+        assert gap <= 1e-8, (case, gap)
     print(f"ACCEPTANCE criterion-07 PASS (block equivalence) max rel gap {max(gaps):.3e}")
 
 
@@ -224,7 +217,7 @@ def test_criterion_09_exact_representation_solve():
     for p in (2, 3):
         mesh = build_structured_mesh(2)
         space = BrokenSpace(mesh, p)
-        system = assemble_global_system(mesh, p, coeffs, space=space)
+        system = assemble_global_system(space, coeffs)
         emb = build_embedding(space, coeffs, DAR)
         solutions = [
             solve_standard_dg(system),
@@ -306,7 +299,7 @@ def test_criterion_10_property_suites(tmp_path):
     # SIP symmetry at 1e-10 relative
     coeffs = builtin_case("BOX_DIFFUSION_2D")
     mesh = build_structured_mesh(3)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=450.0)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=450.0)
     asym = (sys.matrix - sys.matrix.T).tocoo()
     rel = (
         math.sqrt(np.sum(asym.data**2)) / math.sqrt((sys.matrix.multiply(sys.matrix)).sum())

@@ -31,7 +31,7 @@ def test_zero_error_for_exactly_representable_solution():
     coeffs = manufactured_case(alpha=1, exact=sp.sympify("x**2 - y**2"))
     mesh = build_structured_mesh(2)
     p = 2
-    sys = assemble_global_system(mesh, p=p, coeffs=coeffs, sigma=50.0 * p * p)
+    sys = assemble_global_system(BrokenSpace(mesh, p), coeffs, sigma=50.0 * p * p)
     u = solve_standard_dg(sys)
     report = compute_errors(u, coeffs)
     assert report.l2_error <= 1e-8
@@ -228,7 +228,7 @@ def two_pass_dg_error(solution, coeffs):
 def test_shared_facet_jumps_match_two_pass_norm(case):
     coeffs = builtin_case(case)
     mesh = build_structured_mesh(3)
-    system = assemble_global_system(mesh, 3, coeffs, sigma=450.0)
+    system = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=450.0)
     solution = solve_standard_dg(system)
     report = compute_errors(solution, coeffs)
     expected = two_pass_dg_error(solution, coeffs)
@@ -292,7 +292,7 @@ def test_eoc_validation():
 def test_diagnostics_on_ar_example():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(4)
-    report = run_diagnostics(mesh, 3, AR, coeffs)
+    report = run_diagnostics(BrokenSpace(mesh, 3), AR, coeffs)
     assert isinstance(report, DiagnosticsReport)
     assert report.rho_max <= 1e-10
     assert report.dim_table[3] == (10, 4, 6)
@@ -307,7 +307,7 @@ def test_diagnostics_on_ar_example():
 def test_diagnostics_second_order_kinds(kind, case):
     coeffs = builtin_case(case)
     mesh = build_structured_mesh(2)
-    report = run_diagnostics(mesh, 3, kind, coeffs)
+    report = run_diagnostics(BrokenSpace(mesh, 3), kind, coeffs)
     assert report.rho_max <= 1e-10
     assert report.dim_table[3] == (10, 7, 3)
     assert report.block_equivalence_gap_rel <= 1e-8
@@ -323,6 +323,6 @@ def test_sigma_uniformity_trend(kind, case):
     values = []
     for n in (4, 8, 16):
         mesh = build_structured_mesh(n)
-        report = run_diagnostics(mesh, 3, kind, coeffs, with_block_gap=False)
+        report = run_diagnostics(BrokenSpace(mesh, 3), kind, coeffs)
         values.append(report.sigma_min_rel)
     assert max(values) / min(values) < 5.0

@@ -553,3 +553,45 @@ def test_facet_traces_from_k2_reject_boundary_facets():
     facet = mesh.boundary_facets[0]
     with pytest.raises(ValueError, match=f"boundary facet {facet} has no K2"):
         space.facet_traces(mesh.boundary_facets, 1)
+
+
+NO_ELEMENTS = np.arange(0)
+EMPTY_BATCHES = {
+    "eval_elements-no-elements": (
+        lambda s, c: s.eval_elements(NO_ELEMENTS, np.empty((0, 4, 2)), gradients=True),
+        [(0, 4, 10), (0, 4, 10, 2)],
+    ),
+    "eval_elements-no-points": (
+        lambda s, c: s.eval_elements([0, 5], np.empty((2, 0, 2)), gradients=True),
+        [(2, 0, 10), (2, 0, 10, 2)],
+    ),
+    "derivatives-no-elements": (
+        lambda s, c: (s.derivatives(NO_ELEMENTS, np.empty((0, 4, 2)), 2),),
+        [(0, 4, 6, 10)],
+    ),
+    "apply-no-elements": (
+        lambda s, c: (s.apply(NO_ELEMENTS, np.empty((0, 4, 2)), value=np.empty((0, 4)),
+                              laplacian=np.empty((0, 4))),),
+        [(0, 4, 10)],
+    ),
+    "eval_function-points-no-elements": (
+        lambda s, c: s.eval_function(c, NO_ELEMENTS, np.empty((0, 4, 2)), gradients=True),
+        [(0, 4), (0, 4, 2)],
+    ),
+    "eval_function-volume-no-elements": (
+        lambda s, c: s.eval_function(c, NO_ELEMENTS, gradients=True),
+        [(0, 49), (0, 49, 2)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_BATCHES)
+def test_empty_batches_evaluate_to_empty_results(name):
+    # a mesh without interior facets hands the evaluations empty batches
+    space = BrokenSpace(build_structured_mesh(2), 3)
+    coeffs = np.ones((space.mesh.n_elements, space.ndof_local))
+    evaluate, shapes = EMPTY_BATCHES[name]
+    result = evaluate(space, coeffs)
+    if hasattr(result, "values"):
+        result = (result.values, result.gradients)
+    assert [np.shape(r) for r in result] == shapes

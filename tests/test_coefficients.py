@@ -151,7 +151,7 @@ def test_non_finite_alpha_rejected_at_entry(entry):
         ValueError, match=r"alpha must be finite .* (element|facet) \d+ has alpha = nan"
     ):
         if entry == "DAR_SIP":
-            assemble_global_system(mesh, 2, coeffs, sigma=50.0)
+            assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=50.0)
         else:
             build_embedding(BrokenSpace(mesh, 3), coeffs, entry)
 
@@ -184,7 +184,7 @@ def test_non_finite_data_rejected_at_entry(field, entry):
         ValueError, match=rf"^{field} must be finite on .* (element|facet) \d+ has {field} = nan"
     ):
         if entry in ("AR_UPWIND", "DAR_SIP"):
-            assemble_global_system(mesh, 2, coeffs, sigma=50.0)
+            assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=50.0)
         else:
             build_embedding(BrokenSpace(mesh, 3), coeffs, entry)
 

@@ -30,7 +30,7 @@ def test_ar_constant_bilinear_value_oracle():
     # a_h(1,1) = integral of gamma + inflow integral of |beta.n|
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(3)
-    sys = assemble_global_system(mesh, p=2, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(mesh, 2), coeffs)
     c = constant_one_vector(sys.space)
     got = c @ (sys.matrix @ c)
 
@@ -50,7 +50,7 @@ def test_dar_constant_bilinear_penalty_only():
     coeffs = builtin_case("BOX_DIFFUSION_2D")
     mesh = build_structured_mesh(1)
     sigma = 7.5
-    sys = assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=sigma)
     c = constant_one_vector(sys.space)
     got = c @ (sys.matrix @ c)
     # term-by-term hand evaluation: only boundary penalty terms survive
@@ -67,14 +67,14 @@ def test_dar_constant_bilinear_penalty_only():
 def test_zero_data_zero_load():
     coeffs = manufactured_case(alpha=1, exact=sp.Integer(0))
     mesh = build_structured_mesh(2)
-    sys = assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=50.0)
+    sys = assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=50.0)
     assert np.allclose(sys.load, 0.0, atol=1e-14)
 
 
 def test_sip_symmetry_without_advection():
     coeffs = builtin_case("BOX_DIFFUSION_2D")
     mesh = build_structured_mesh(3)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=50 * 9.0)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=50 * 9.0)
     A = sys.matrix
     asym = (A - A.T).tocoo()
     denom = np.sqrt((A.multiply(A)).sum())
@@ -85,7 +85,7 @@ def test_sip_symmetry_without_advection():
 def test_block_sparsity_pattern():
     coeffs = builtin_case("DAR_EXAMPLE")
     mesh = build_structured_mesh(2)
-    sys = assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=200.0)
+    sys = assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=200.0)
     nd = sys.space.ndof_local
     allowed = {(k, k) for k in range(mesh.n_elements)}
     for f in mesh.interior_facets:
@@ -119,7 +119,7 @@ def test_matrix_is_the_coo_sum_of_its_terms_without_zero_blocks(
 
     monkeypatch.setattr(dg_forms, "_block_matrix", capture)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(mesh, p=2, coeffs=builtin_case(case), sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(mesh, 2), builtin_case(case), sigma=sigma)
     own, pairs = captured[0]
     # every entry of every term as one COO entry, duplicates summed
     nd = sys.space.ndof_local
@@ -216,7 +216,7 @@ def textbook_system(mesh, p, coeffs, sigma):
 def test_operator_matches_the_textbook_forms_point_by_point(perturbed_mesh, case, sigma):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(3)
-    sys = assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=sigma)
     matrix, load = textbook_system(mesh, 2, coeffs, sigma)
     assert np.abs(sys.matrix.toarray() - matrix).max() <= 1e-13 * np.abs(matrix).max()
     assert np.abs(sys.load - load).max() <= 1e-13 * np.abs(load).max()
@@ -224,7 +224,7 @@ def test_operator_matches_the_textbook_forms_point_by_point(perturbed_mesh, case
 
 def test_system_keeps_the_operator_once_as_blocks():
     coeffs = builtin_case("DAR_EXAMPLE")
-    sys = assemble_global_system(build_structured_mesh(3), p=2, coeffs=coeffs, sigma=200.0)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(3), 2), coeffs, sigma=200.0)
     stored = [name for name, value in vars(sys).items() if sparse.issparse(value)]
     assert stored == ["blocks"]
     # the CSR matrix is built from the blocks on each request and is read-only
@@ -237,20 +237,11 @@ def test_system_keeps_the_operator_once_as_blocks():
         sys.matrix = matrix
 
 
-def test_space_must_be_the_degree_p_space_on_the_mesh():
-    coeffs = builtin_case("AR_EXAMPLE")
-    mesh2, mesh3 = build_structured_mesh(2), build_structured_mesh(3)
-    with pytest.raises(ValueError, match="degree 3 .* p = 1"):
-        assemble_global_system(mesh2, p=1, coeffs=coeffs, space=BrokenSpace(mesh2, 3))
-    with pytest.raises(ValueError, match="18 elements .* 8 elements"):
-        assemble_global_system(mesh2, p=3, coeffs=coeffs, space=BrokenSpace(mesh3, 3))
-
-
 @pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D"])
 def test_positive_definite_at_default_penalty(case):
     coeffs = builtin_case(case)
     mesh = build_structured_mesh(2)
-    sys = assemble_global_system(mesh, p=2, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(mesh, 2), coeffs)
     dense = sys.matrix.toarray()
     sym = 0.5 * (dense + dense.T)
     np.linalg.cholesky(sym)  # raises LinAlgError if not positive definite
@@ -260,7 +251,7 @@ def test_ar_coercivity_witness_identity():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(3)
     p = 2
-    sys = assemble_global_system(mesh, p=p, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(mesh, p), coeffs)
     space = sys.space
     rng = np.random.default_rng(5)
     fpts, fw = facet_quadrature(mesh, 2 * p + 2)
@@ -301,7 +292,7 @@ def test_galerkin_consistency_smoke():
     residuals = []
     for n in (2, 4, 8):
         mesh = build_structured_mesh(n)
-        sys = assemble_global_system(mesh, p=2, coeffs=coeffs)
+        sys = assemble_global_system(BrokenSpace(mesh, 2), coeffs)
         c = l2_projection(sys.space, coeffs.exact_solution, 10).ravel()
         residuals.append(np.linalg.norm(sys.matrix @ c - sys.load))
     assert residuals[1] < residuals[0] and residuals[2] < residuals[1]
@@ -311,20 +302,20 @@ def test_parameter_validation():
     coeffs = builtin_case("DAR_EXAMPLE")
     mesh = build_structured_mesh(1)
     with pytest.raises(ValueError):
-        assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=0.0)
+        assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=0.0)
 
 
 def test_data_without_diffusion_or_advection_is_rejected():
     coeffs = manufactured_case(gamma=1, exact=sp.Integer(0))
     with pytest.raises(ValueError, match="beta"):
-        assemble_global_system(build_structured_mesh(1), p=2, coeffs=coeffs)
+        assemble_global_system(BrokenSpace(build_structured_mesh(1), 2), coeffs)
 
 
 @pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D"])
 def test_default_penalty_is_applied_at_assembly(case):
     coeffs, mesh = builtin_case(case), build_structured_mesh(2)
-    default = assemble_global_system(mesh, p=3, coeffs=coeffs)
-    explicit = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=default_sigma(3))
+    default = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
+    explicit = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=default_sigma(3))
     assert default.sigma == explicit.sigma == default_sigma(3)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(default.blocks, attr), getattr(explicit.blocks, attr))
@@ -333,8 +324,8 @@ def test_default_penalty_is_applied_at_assembly(case):
 
 def test_data_without_diffusion_keeps_no_penalty():
     coeffs, mesh = builtin_case("AR_EXAMPLE"), build_structured_mesh(2)
-    plain = assemble_global_system(mesh, p=2, coeffs=coeffs)
-    given = assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=5.0)
+    plain = assemble_global_system(BrokenSpace(mesh, 2), coeffs)
+    given = assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=5.0)
     assert plain.sigma is given.sigma is None
     assert plain.alpha_facet is given.alpha_facet is None
     assert (plain.matrix != given.matrix).nnz == 0
@@ -346,14 +337,14 @@ def test_non_finite_penalty_rejected(sigma):
     coeffs = builtin_case("DAR_EXAMPLE")
     mesh = build_structured_mesh(1)
     with pytest.raises(ValueError, match=f"sigma, got {sigma}"):
-        assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=sigma)
+        assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=sigma)
 
 
 def test_nonpositive_alpha_detected_at_assembly():
     coeffs = manufactured_case(alpha=sp.sympify("x - 2"), exact=sp.sympify("x*y"))
     mesh = build_structured_mesh(2)
     with pytest.raises(ValueError, match="positive"):
-        assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=50.0)
+        assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=50.0)
 
 
 def test_facet_alpha_rule_bounds():

@@ -196,6 +196,12 @@ def _w_grad(space, c, px, py):
     return ev.gradients[0, 0].T @ c
 
 
+def corners(box):
+    """The four corners of an axis-aligned box."""
+    offsets = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
+    return box.center + 0.5 * box.side * offsets
+
+
 def barycentric(mesh, k, pts):
     v = mesh.vertices[mesh.triangles[k]]
     T = np.column_stack([v[1] - v[0], v[2] - v[0]])
@@ -209,7 +215,7 @@ def test_compute_box_unit_right_triangle():
     assert np.allclose(box.center, [r, r], atol=1e-14)
     assert box.side == pytest.approx(math.sqrt(2.0) / 4)
     # point-in-triangle containment oracle on the corners
-    lam = barycentric(UNIT_RIGHT, 0, box.corners)
+    lam = barycentric(UNIT_RIGHT, 0, corners(box))
     assert np.all(lam >= -1e-12)
 
 
@@ -221,7 +227,7 @@ def test_compute_box_errors_and_contract():
     mesh = build_structured_mesh(3)
     for k in range(mesh.n_elements):
         box = compute_box(mesh, k, scale=0.9)
-        lam = barycentric(mesh, k, box.corners)
+        lam = barycentric(mesh, k, corners(box))
         assert np.all(lam >= -1e-12)
         assert box.side >= 0.9**50 * 0.9 * mesh.h[k]
         assert box.h == pytest.approx(box.side * math.sqrt(2.0))
@@ -231,7 +237,7 @@ def test_compute_box_clips_to_the_largest_square_inside(perturbed_mesh):
     mesh = perturbed_mesh(3)
     for k in range(mesh.n_elements):
         fit = compute_box(mesh, k, scale=1e300)
-        lam = barycentric(mesh, k, fit.corners)
+        lam = barycentric(mesh, k, corners(fit))
         # inside, and a corner on an edge: no larger square fits
         assert np.all(lam >= -1e-12) and np.min(lam) <= 1e-12
         assert np.allclose(fit.center, mesh.incenters[k])
@@ -281,7 +287,7 @@ def test_ar_kind_rejects_data_with_diffusion(entry):
         elif entry == "build_embedding":
             build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
         else:
-            run_diagnostics(mesh, 3, AR, coeffs)
+            run_diagnostics(BrokenSpace(mesh, 3), AR, coeffs)
 
 
 @pytest.mark.parametrize("field", ["beta", "gamma"])
@@ -302,7 +308,7 @@ def test_qt_kind_rejects_data_with_advection_or_reaction(entry, field):
         elif entry == "build_embedding":
             build_embedding(BrokenSpace(mesh, 3), coeffs, QT_DIFFUSION)
         else:
-            run_diagnostics(mesh, 3, QT_DIFFUSION, coeffs)
+            run_diagnostics(BrokenSpace(mesh, 3), QT_DIFFUSION, coeffs)
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

@@ -16,17 +16,19 @@ from trefftzdg.basis import BrokenSpace
 from trefftzdg.cli import main
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import DgSystem, assemble_global_system
-from trefftzdg.embedding import assemble_global_embedding, build_embedding, compute_embedding
+from trefftzdg.embedding import (
+    assemble_global_embedding,
+    block_matrix,
+    build_embedding,
+    compute_embedding,
+)
 from trefftzdg.local_ops import AR, DAR, assemble_local_operators
 from trefftzdg.mesh import build_structured_mesh
 from trefftzdg.solver import (
     BLOCK_COUPLED,
     EMBEDDED_TREFFTZ,
-    MINNORM_IMAGE,
     STANDARD_DG,
-    SVD_COMPLEMENT,
     SolverError,
-    reduced_system,
     solve_block_coupled,
     solve_embedded_trefftz,
     solve_standard_dg,
@@ -56,7 +58,7 @@ def l2_error(solution, exact):
 def test_zero_data_gives_zero_solutions():
     coeffs = manufactured_case(alpha=1, exact=sp.Integer(0))
     mesh = build_structured_mesh(2)
-    sys = assemble_global_system(mesh, p=2, coeffs=coeffs, sigma=200.0)
+    sys = assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=200.0)
     u_dg = solve_standard_dg(sys)
     assert np.allclose(u_dg.coeffs, 0.0, atol=1e-12)
     assert u_dg.method == STANDARD_DG
@@ -72,7 +74,7 @@ def test_zero_data_gives_zero_solutions():
 def test_exactly_representable_solution():
     mesh = build_structured_mesh(2)
     p = 2
-    sys = assemble_global_system(mesh, p=p, coeffs=LAPLACE_SADDLE, sigma=50.0 * p * p)
+    sys = assemble_global_system(BrokenSpace(mesh, p), LAPLACE_SADDLE, sigma=50.0 * p * p)
     u_dg = solve_standard_dg(sys)
     exact = LAPLACE_SADDLE.exact_solution
     assert l2_error(u_dg, exact) < 1e-8
@@ -92,7 +94,7 @@ def test_residual_contract_on_builtin_runs():
     for case, sigma in (("AR_EXAMPLE", None), ("DAR_EXAMPLE", 50.0 * 9)):
         coeffs = builtin_case(case)
         mesh = build_structured_mesh(4)
-        sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
+        sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
         u = solve_standard_dg(sys)
         res = np.linalg.norm(sys.matrix @ u.coeffs - sys.load)
         assert res <= 1e-10 * np.linalg.norm(sys.load)
@@ -102,7 +104,7 @@ def test_residual_contract_on_builtin_runs():
 def test_embedded_error_close_to_standard_ar():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(8)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
     u_dg = solve_standard_dg(sys)
     emb = build_embedding(sys.space, coeffs, AR)
     u_et = solve_embedded_trefftz(sys, emb)
@@ -117,7 +119,7 @@ def test_local_rows_satisfied_by_embedded_solution():
     coeffs = builtin_case("DAR_EXAMPLE")
     mesh = build_structured_mesh(4)
     p = 3
-    sys = assemble_global_system(mesh, p=p, coeffs=coeffs, sigma=50.0 * p * p)
+    sys = assemble_global_system(BrokenSpace(mesh, p), coeffs, sigma=50.0 * p * p)
     emb = build_embedding(sys.space, coeffs, DAR)
     u = solve_embedded_trefftz(sys, emb)
     nd = sys.space.ndof_local
@@ -132,21 +134,25 @@ def test_local_rows_satisfied_by_embedded_solution():
 def test_block_solver_matches_embedded(perturbed_mesh, perturbed, case, local_kind, sigma):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     u_et = solve_embedded_trefftz(sys, emb)
-    for rule in (SVD_COMPLEMENT, MINNORM_IMAGE):
-        u_bl = solve_block_coupled(sys, emb, complement_rule=rule)
-        gap = np.linalg.norm(u_bl.coeffs - u_et.coeffs) / np.linalg.norm(u_et.coeffs)
-        assert gap <= 1e-8
+    u_bl = solve_block_coupled(sys, emb)
+    gap = np.linalg.norm(u_bl.coeffs - u_et.coeffs) / np.linalg.norm(u_et.coeffs)
+    assert gap <= 1e-8
 
 
-def coupled_system(sys, emb, rule):
+def complement(emb):
+    """The complement bases ``Q_1`` ``(E, n, m)`` of the coupled solve."""
+    return emb.factors.Q[:, :, : emb.local_operators.matrices.shape[1]]
+
+
+def coupled_system(sys, emb):
     """The assembled 2x2 system, local rows ``[AL AT]`` and global rows
     ``[T'AL T'AT]``, and its right-hand side ``[l, T'g]``."""
     A = np.stack([op.matrix for op in emb.local_operators])
     load = np.stack([op.rhs for op in emb.local_operators])
-    L, T = emb.factors.complement(rule), emb.kernels
+    L, T = complement(emb), emb.kernels
     matrix = sparse.bmat(
         [
             [sparse.block_diag(list(A @ L)), sparse.block_diag(list(A @ T))],
@@ -157,28 +163,27 @@ def coupled_system(sys, emb, rule):
     return matrix, np.concatenate([load.ravel(), T_global.T @ sys.load])
 
 
-def assert_solves_the_block_system(u, sys, emb, rule):
-    matrix, rhs = coupled_system(sys, emb, rule)
+def assert_solves_the_block_system(u, sys, emb):
+    matrix, rhs = coupled_system(sys, emb)
     x = np.concatenate([u.block_parts["c_L"], u.block_parts["c_T"]])
     assert np.linalg.norm(matrix @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("case,local_kind,sigma", CASES)
-@pytest.mark.parametrize("rule", [SVD_COMPLEMENT, MINNORM_IMAGE])
 def test_condensed_solution_solves_the_whole_block_system(
-    perturbed_mesh, perturbed, case, local_kind, sigma, rule
+    perturbed_mesh, perturbed, case, local_kind, sigma
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
-    u = solve_block_coupled(sys, emb, complement_rule=rule)
-    assert_solves_the_block_system(u, sys, emb, rule)
+    u = solve_block_coupled(sys, emb)
+    assert_solves_the_block_system(u, sys, emb)
     parts = u.block_parts
     A = np.stack([op.matrix for op in emb.local_operators])
     load = np.stack([op.rhs for op in emb.local_operators])
-    L = emb.factors.complement(rule)
+    L = complement(emb)
     n_elements, m, n = A.shape
     c_L = parts["c_L"].reshape(n_elements, m)
     u_L = np.concatenate([L[k] @ c_L[k] for k in range(n_elements)])
@@ -197,22 +202,22 @@ def test_condensation_solves_a_block_system_that_does_not_decouple(
     # term of the Schur complement; columns T mixed with the complement
     # make A T of the size of A, and the condensed solve must still hold
     coeffs = builtin_case(case)
-    sys = assemble_global_system(build_structured_mesh(4), p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
-    L = emb.factors.complement(SVD_COMPLEMENT)
+    L = complement(emb)
     rng = np.random.default_rng(7)
     mixing = rng.standard_normal((L.shape[2], emb.kernels.shape[2]))
     mixed = replace(emb, kernels=np.linalg.qr(emb.kernels + 0.5 * L @ mixing)[0])
     A = np.stack([op.matrix for op in emb.local_operators])
     assert np.linalg.norm(A @ mixed.kernels) >= 0.1 * np.linalg.norm(A)
     u = solve_block_coupled(sys, mixed)
-    assert_solves_the_block_system(u, sys, mixed, SVD_COMPLEMENT)
+    assert_solves_the_block_system(u, sys, mixed)
 
 
 def test_solves_reject_an_embedding_of_another_degree():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(3)
-    sys4 = assemble_global_system(mesh, p=4, coeffs=coeffs)
+    sys4 = assemble_global_system(BrokenSpace(mesh, 4), coeffs)
     emb3 = build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
     with pytest.raises(ValueError, match="embedding and system dimensions do not match"):
         solve_embedded_trefftz(sys4, emb3)
@@ -223,18 +228,24 @@ def test_solves_reject_an_embedding_of_another_degree():
 def test_block_splits_differ_but_sums_agree():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(4)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
     emb = build_embedding(sys.space, coeffs, AR)
-    u_svd = solve_block_coupled(sys, emb, complement_rule=SVD_COMPLEMENT)
-    u_min = solve_block_coupled(sys, emb, complement_rule=MINNORM_IMAGE)
+    # another orthonormal basis of every complement: Q_1 times a seeded
+    # random orthogonal m x m matrix
+    Q, m = emb.factors.Q.copy(), emb.local_operators.matrices.shape[1]
+    rotation = np.linalg.qr(np.random.default_rng(11).standard_normal((m, m)))[0]
+    Q[:, :, :m] = Q[:, :, :m] @ rotation
+    rotated = replace(emb, factors=replace(emb.factors, Q=Q))
+    u_svd = solve_block_coupled(sys, emb)
+    u_rot = solve_block_coupled(sys, rotated)
     total = np.linalg.norm(u_svd.coeffs)
-    assert np.linalg.norm(u_svd.coeffs - u_min.coeffs) <= 1e-8 * total
-    # both rules span the same complement, so the split functions agree,
+    assert np.linalg.norm(u_svd.coeffs - u_rot.coeffs) <= 1e-8 * total
+    # both bases span the same complement, so the split functions agree,
     # but the coordinate vectors in the two bases must differ
-    diff_c = np.linalg.norm(u_svd.block_parts["c_L"] - u_min.block_parts["c_L"])
+    diff_c = np.linalg.norm(u_svd.block_parts["c_L"] - u_rot.block_parts["c_L"])
     assert diff_c > 1e-8 * np.linalg.norm(u_svd.block_parts["c_L"])
     assert np.allclose(
-        u_svd.block_parts["u_L"], u_min.block_parts["u_L"], atol=1e-10
+        u_svd.block_parts["u_L"], u_rot.block_parts["u_L"], atol=1e-10
     )
 
 
@@ -245,7 +256,7 @@ def test_dof_accounting_ratios():
     ):
         coeffs = builtin_case(case)
         mesh = build_structured_mesh(2)
-        sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
+        sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
         emb = build_embedding(sys.space, coeffs, local_kind)
         u = solve_embedded_trefftz(sys, emb)
         assert u.ndof_trefftz / u.ndof_full == pytest.approx(expected)
@@ -253,7 +264,7 @@ def test_dof_accounting_ratios():
 
 def test_embedding_dimension_mismatch_rejected():
     coeffs = builtin_case("AR_EXAMPLE")
-    sys4 = assemble_global_system(build_structured_mesh(4), p=3, coeffs=coeffs)
+    sys4 = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs)
     space2 = BrokenSpace(build_structured_mesh(2), 3)
     emb2 = build_embedding(space2, coeffs, AR)
     with pytest.raises(ValueError):
@@ -266,17 +277,13 @@ def assert_entrywise_close(got, want, rtol=1e-14):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-def zero_odd_operators(monkeypatch):
-    """Give every odd element a zero local operator, so its kernel is the
-    whole local space: kernel widths 4 and 10 alternate at AR p = 3."""
-    assemble = embedding_module.assemble_local_operators
-
-    def half_zero(*args, **kwargs):
-        ops = assemble(*args, **kwargs)
-        odd = (ops.elements % 2 == 1)[:, None, None]
-        return replace(ops, matrices=np.where(odd, 0.0, 1.0) * ops.matrices)
-
-    monkeypatch.setattr(embedding_module, "assemble_local_operators", half_zero)
+def reduced_matrix(sys, emb):
+    """The embedded Trefftz system ``T' A T`` in the numbering of the
+    Trefftz unknowns and ``T' (l - A u_L)``, from the blocks the embedded
+    solve forms."""
+    blocks, rhs = solver._reduced_blocks(sys, emb)
+    A, widths = sys.blocks, np.diff(emb.offsets)
+    return block_matrix(blocks, A.indices, A.indptr, widths, widths), rhs
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -286,22 +293,21 @@ def test_reduced_system_matches_the_triple_product(
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
-    matrix, rhs = reduced_system(sys, emb)
+    matrix, rhs = reduced_matrix(sys, emb)
     T = emb.prolongation
     assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
     assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
 
 
-def test_reduced_system_with_mixed_kernel_widths(monkeypatch):
-    zero_odd_operators(monkeypatch)
+def test_reduced_system_with_mixed_kernel_widths(zero_odd_operators):
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(build_structured_mesh(2), p=3, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(2), 3), coeffs)
     with pytest.warns(UserWarning, match="4 of 8 elements"):
         emb = build_embedding(sys.space, coeffs, AR)
     assert list(np.diff(emb.offsets)) == [4, 10] * 4
-    matrix, rhs = reduced_system(sys, emb)
+    matrix, rhs = reduced_matrix(sys, emb)
     T = emb.prolongation
     assert matrix.shape == (56, 56)
     assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
@@ -317,7 +323,7 @@ def test_trefftz_solves_never_use_the_assembled_matrix(
     monkeypatch, case, local_kind, sigma
 ):
     coeffs = builtin_case(case)
-    sys = assemble_global_system(build_structured_mesh(3), p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(3), 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     u_et = solve_embedded_trefftz(sys, emb)
     u_bl = solve_block_coupled(sys, emb)
@@ -337,7 +343,7 @@ def test_trefftz_solves_never_use_the_assembled_matrix(
 )
 def test_standard_solve_reads_the_blocks(monkeypatch, case, sigma):
     coeffs = builtin_case(case)
-    sys = assemble_global_system(build_structured_mesh(3), p=2, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(3), 2), coeffs, sigma=sigma)
     expected = solve_standard_dg(sys).coeffs
     monkeypatch.setattr(DgSystem, "matrix", property(untouchable))
     assert np.array_equal(solve_standard_dg(sys).coeffs, expected)
@@ -345,7 +351,7 @@ def test_standard_solve_reads_the_blocks(monkeypatch, case, sigma):
 
 def test_hand_gathered_embedding_solves_like_build_embedding():
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(build_structured_mesh(4), p=3, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs)
     ops = assemble_local_operators(AR, sys.space, coeffs)
     gathered = assemble_global_embedding(sys.space.mesh, [compute_embedding(op) for op in ops])
     assert gathered.factors is None
@@ -356,7 +362,7 @@ def test_hand_gathered_embedding_solves_like_build_embedding():
 
 def test_block_solver_rejects_embedding_without_factors():
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(build_structured_mesh(2), p=3, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(2), 3), coeffs)
     ops = assemble_local_operators(AR, sys.space, coeffs)
     glob = assemble_global_embedding(sys.space.mesh, [compute_embedding(op) for op in ops])
     with pytest.raises(ValueError, match="build_embedding"):
@@ -425,7 +431,7 @@ def test_ordered_solves_match_plain_lu(
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     solves = []
     direct_solve = solver._direct_solve
@@ -455,7 +461,7 @@ def test_ordered_solves_match_plain_lu(
 
 def test_solution_carries_the_systems_facet_alpha(monkeypatch):
     coeffs = builtin_case("DAR_EXAMPLE")
-    sys = assemble_global_system(build_structured_mesh(2), p=2, coeffs=coeffs, sigma=200.0)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(2), 2), coeffs, sigma=200.0)
     u = solve_standard_dg(sys)
     assert u.alpha_facet is sys.alpha_facet
     recomputed = compute_errors(
@@ -502,7 +508,7 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
 ):
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
     n = mesh.n_elements
     n_components, _ = connected_components(element_graph(sys.blocks), connection="strong")
     assert n_components == n
@@ -535,7 +541,7 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_acyclic_upwind_order_skips_the_mesh_order(perturbed_mesh, perturbed):
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(mesh, p=3, coeffs=builtin_case("AR_EXAMPLE"))
+    sys = assemble_global_system(BrokenSpace(mesh, 3), builtin_case("AR_EXAMPLE"))
     order = solver._solve_order(sys)
     assert "element_order" not in mesh.__dict__
     # the order of the general case: components first, mesh order inside
@@ -549,7 +555,7 @@ def test_acyclic_upwind_order_skips_the_mesh_order(perturbed_mesh, perturbed):
 @pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D", "QT_DIFFUSION"])
 def test_sip_order_is_the_mesh_order(perturbed_mesh, perturbed, case):
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(mesh, p=3, coeffs=builtin_case(case), sigma=450.0)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), builtin_case(case), sigma=450.0)
     assert np.array_equal(solver._solve_order(sys), mesh.element_order)
 
 
@@ -561,7 +567,7 @@ def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
         name="rotating",
     )
     mesh = build_structured_mesh(6)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
     # the flow circles the centre, so the element graph is one component
     assert np.array_equal(solver._solve_order(sys), mesh.element_order)
     emb = build_embedding(sys.space, coeffs, AR)
@@ -569,7 +575,7 @@ def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
     u_dg = solve_standard_dg(sys)
     u_et = solve_embedded_trefftz(sys, emb)
     assert [options["permc_spec"] for _, options, _ in factored] == ["NATURAL"] * 2
-    reduced, rhs = reduced_system(sys, emb)
+    reduced, rhs = reduced_matrix(sys, emb)
     # the kernel columns are orthonormal, so T' recovers the Trefftz unknowns
     x_t = emb.prolongation.T @ (u_et.coeffs - emb.u_L)
     for matrix, load, x in ((sys.matrix, sys.load, u_dg.coeffs), (reduced, rhs, x_t)):
@@ -632,7 +638,7 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     perms = recording_direct_solves(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
@@ -699,7 +705,7 @@ def assert_sorted_and_equal(handed, expected):
 def schur_complement(sys, emb):
     """``T'AT - T'AL (AL)^-1 AT`` through plain sparse products."""
     A = np.stack([op.matrix for op in emb.local_operators])
-    L, T = emb.factors.complement(SVD_COMPLEMENT), emb.kernels
+    L, T = complement(emb), emb.kernels
     X_T = sparse.block_diag(list(np.linalg.solve(A @ L, A @ T)))
     return (projected(sys, T, T) - projected(sys, T, L) @ X_T).tocsr()
 
@@ -711,7 +717,7 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(mesh, p=3, coeffs=coeffs, sigma=sigma)
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     perms = recording_direct_solves(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
@@ -731,10 +737,9 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
     assert_entrywise_close(schur, expected, rtol=1e-13)
 
 
-def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch):
-    zero_odd_operators(monkeypatch)
+def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch, zero_odd_operators):
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(build_structured_mesh(3), p=3, coeffs=coeffs)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(3), 3), coeffs)
     with pytest.warns(UserWarning, match="elements have numerically rank deficient"):
         emb = build_embedding(sys.space, coeffs, AR)
     perms = recording_direct_solves(monkeypatch)
