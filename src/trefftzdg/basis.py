@@ -378,6 +378,16 @@ def _pull_back(points, origins, adjugates, dets):
     return zeta / dets[:, None, None]
 
 
+def _element_ids(elems):
+    """Element ids ``elems`` as an index array, a slice as it is. An empty
+    list reads as an empty integer batch (``np.asarray([])`` is a float
+    array, which cannot index); non-integer ids still fail to index."""
+    if isinstance(elems, slice):
+        return elems
+    ids = np.asarray(elems)
+    return ids.astype(np.intp) if ids.size == 0 else ids
+
+
 class BrokenSpace:
     """Element-wise polynomial space of uniform degree over a mesh.
 
@@ -459,8 +469,8 @@ class BrokenSpace:
         """Reference coordinates of per-element points ``(m, nq, 2)`` of
         ``elems``, a slice or element ids; an id outside ``[0, n_elements)``
         raises :class:`IndexError` rather than count from the end."""
+        elems = _element_ids(elems)
         if not isinstance(elems, slice):
-            elems = np.asarray(elems)
             outside = elems[(elems < 0) | (elems >= self.mesh.n_elements)]
             if outside.size:
                 raise IndexError(f"element index {outside.flat[0]} out of range")
@@ -508,6 +518,7 @@ class BrokenSpace:
         volume points from the shared tables. Either way the coefficients
         are contracted first, so no basis table is built.
         """
+        elems = _element_ids(elems)
         if points is None:
             c = coeffs[elems]
             k = 3 if gradients else 1
@@ -527,7 +538,7 @@ class BrokenSpace:
         The points are pulled back to the reference triangle and the
         reference basis is evaluated there in one product.
         """
-        elems = np.asarray(elems)
+        elems = _element_ids(elems)
         ref = self._reference_basis_at(elems, points, int(gradients))
         return _to_elements(ref, self.inverse_jacobians[elems], self.dets[elems], gradients)
 
@@ -539,7 +550,7 @@ class BrokenSpace:
         reference derivatives (:func:`_operator_terms`, as in
         :meth:`volume_matrices`), so no derivative of the element basis is
         tabulated."""
-        elems = np.asarray(elems)
+        elems = _element_ids(elems)
         ref = self._reference_basis_at(elems, points, 1 if laplacian is None else 2)
         inverses = self.inverse_jacobians[elems]
         derivatives, terms = _operator_terms(inverses, value, drift, laplacian)
@@ -552,7 +563,7 @@ class BrokenSpace:
         basis of ``elems``, graded-lex, at per-element ``points``
         ``(m, nq, 2)``: ``(m, nq, K, ndof_local)``; exact, by
         :func:`_chain_rule`."""
-        elems = np.asarray(elems)
+        elems = _element_ids(elems)
         ref = self._reference_basis_at(elems, points, order)
         return _chain_rule(ref, self.inverse_jacobians[elems], self.dets[elems], order)
 

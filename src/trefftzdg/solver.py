@@ -4,23 +4,28 @@ embedded-Trefftz reduced system, and the generic coupled block system.
 All variants return coefficient vectors over the full broken basis, so
 error computation downstream is method-agnostic. The Trefftz systems are
 projected block by block from the DG operator's element-pair blocks, never
-through a product of sparse matrices. Every sparse LU runs in one element
+through a product of sparse matrices. Every solve runs in one element
 order (:func:`_solve_order`): the block-triangular form of the element-pair
 graph, with the mesh's nested-dissection order inside each strongly
-connected component. An acyclic upwind system then factors with no fill,
-and a connected one (SIP, cyclic flow) keeps the nested-dissection order.
-The coupled system takes its local rows, and its complement basis ``Q_1``,
-from the operators and factors that
+connected component. When every component is a single element, as for
+upwind DG on a flow without cycles, the system is block lower triangular
+in that order and is solved by a level-scheduled block forward sweep
+(:func:`_sweep`) with batched dense solves of the diagonal blocks and no
+factorization; a connected graph (SIP, cyclic flow) is factored by SuperLU
+in the nested-dissection order, and so is an acyclic one whose sweep
+misses the residual contract. The coupled system takes its local rows,
+and its complement basis ``Q_1``, from the operators and factors that
 :func:`~trefftzdg.embedding.build_embedding` keeps on the embedding and
 eliminates its complement unknowns element by element with dense
-batched solves (static condensation), so its only sparse LU is that of
-the Schur complement on the Trefftz unknowns, which has the size
-and the block pattern of the reduced system. Each matrix is built once,
-already in solve order: :func:`block_matrix` permutes the element-pair
-blocks as whole blocks and converts them in one pass to the CSC matrix
-with sorted indices that the LU factors. One step of iterative refinement
-and a pivoting LU as the fallback enforce the residual contract, which
-the coupled solve also checks on its whole 2x2 system.
+batched solves (static condensation), so its only global solve is that
+of the Schur complement on the Trefftz unknowns, which has the size
+and the block pattern of the reduced system. A matrix that reaches the LU
+is built once, already in solve order: :func:`block_matrix` permutes the
+element-pair blocks as whole blocks and converts them in one pass to the
+CSC matrix with sorted indices that the LU factors. The sweep checks the
+residual contract on the whole system; for the LU, one step of iterative
+refinement and a pivoting LU as the fallback enforce it. The coupled
+solve also checks it on its whole 2x2 system.
 """
 
 from __future__ import annotations
@@ -133,13 +138,14 @@ def _block_permutation(order, bounds):
 
 
 def _solve_order(system):
-    """Element order of the LU solves of ``system``: the strongly connected
+    """Element order of the solves of ``system``: the strongly connected
     components of its element-pair graph (block row ``K`` stores ``B_KL``:
     ``K`` depends on ``L``) in dependency order, upwind component first
     (the block-triangular form of KLU, Davis and Palamadai Natarajan 2010),
     each component in :attr:`Mesh2D.element_order`. An acyclic upwind
     operator becomes block lower triangular (Lesaint and Raviart 1974), so
-    its unpivoted LU has no fill; a connected graph keeps the mesh order.
+    it can be swept, and its unpivoted LU has no fill; a connected graph
+    keeps the mesh order.
     When every component is a single element, the labels alone fix the
     order and the mesh order is not computed.
 
@@ -162,13 +168,117 @@ def _solve_order(system):
     return np.lexsort((rank, labels))
 
 
+def _table(keys, values, n, fill):
+    """``(n, m)`` table whose row ``k`` lists the ``values`` of key ``k`` in
+    their given order, padded with ``fill``; ``m`` is the largest count."""
+    counts = np.bincount(keys, minlength=n)
+    key = np.argsort(keys, kind="stable")
+    slot = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys[key]]
+    table = np.full((n, counts.max(initial=0)), fill)
+    table[keys[key], slot] = values[key]
+    return table
+
+
+def _levels(up, down, n):
+    """Elements ``0..n-1`` in level order and the start of every level,
+    for an acyclic graph with an arc ``up[i] -> down[i]`` for each
+    off-diagonal block (``down`` depends on ``up``): an element's level is
+    the length of its longest upwind path, so every level depends only on
+    the levels before it (level scheduling; Anderson and Saad 1989).
+
+    Each level is the set of elements whose upwind elements are all
+    scheduled: one vectorised pass per level, through the table of the
+    downstream elements of every element padded with ``n``."""
+    downstream = _table(up, down, n, n)
+    # upwind elements not yet scheduled; the padding entry never reaches 0
+    waiting = np.append(np.bincount(down, minlength=n), -1)
+    level = np.flatnonzero(waiting == 0)
+    levels = []
+    while level.size:
+        levels.append(level)
+        waiting[level] = -1
+        waiting -= np.bincount(downstream[level].ravel(), minlength=n + 1)
+        level = np.flatnonzero(waiting == 0)
+    return np.concatenate(levels), np.cumsum([0] + [len(level) for level in levels])
+
+
+def _sweep(indices, indptr, blocks, widths, rhs):
+    """Solve the block lower triangular system of the element-pair
+    ``blocks`` in BSR layout by block forward substitution, one level of
+    :func:`_levels` at a time, or return ``None`` so that the caller
+    factors it.
+
+    A level subtracts its stored upwind blocks times the known unknowns,
+    one batched product through a fixed table of as many blocks as an
+    element has upwind neighbours at most, and solves its diagonal blocks
+    in one batched ``np.linalg.solve`` with ``(k, w, 1)`` right-hand
+    sides. Padded blocks keep their last ``widths[k]`` rows and columns as
+    :func:`block_matrix` does; their leading entries, zero in every
+    stacked kernel, get a unit diagonal and a zero right-hand side. A
+    singular diagonal block, or a solution that misses the residual
+    contract on the whole system, returns ``None``.
+    """
+    n, width = len(widths), blocks.shape[1]
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    diagonal = indices == rows
+    off = np.flatnonzero(~diagonal)
+    order, starts = _levels(indices[off], rows[off], n)
+    rank = np.empty(n + 1, dtype=np.intp)
+    rank[order], rank[n] = np.arange(n), n
+    keep = np.arange(width) >= width - widths[:, None]
+    padded = np.zeros((n, width))
+    padded[keep] = rhs
+    D = np.zeros((n, width, width))
+    D[rank[rows[diagonal]]] = blocks[diagonal]
+    if not keep.all():
+        pad = np.arange(width)
+        D[:, pad, pad] += ~keep[order]
+    # in level order: each element's upwind blocks, transposed and stacked
+    # (B_kl' for its slots l), and the flat positions of the unknowns x_l
+    # they multiply; a missing slot takes block 0 times the zero row n of x
+    slots = _table(rows[off], off, n, 0)[order]
+    upwind = np.swapaxes(blocks, 1, 2)[slots].reshape(n, slots.shape[1] * width, width)
+    source = rank[_table(rows[off], indices[off], n, n)[order]]
+    gather = (source[..., None] * width + np.arange(width)).reshape(n, 1, -1)
+    b = padded[order, :, None]
+    x = np.zeros((n + 1) * width)
+    # a non-finite block or solution fails the residual check
+    with np.errstate(all="ignore"):
+        try:
+            for start, end in zip(starts[:-1], starts[1:]):
+                known = (x[gather[start:end]] @ upwind[start:end]).reshape(-1, width, 1)
+                level = np.linalg.solve(D[start:end], b[start:end] - known)
+                x[start * width:end * width] = level.ravel()
+        except np.linalg.LinAlgError:
+            return None
+        x = x[:n * width].reshape(n, width)[rank[:n]]
+        matrix = sparse.bsr_matrix((blocks, indices, indptr), shape=(n * width, n * width))
+        residual = np.linalg.norm(matrix @ x.ravel() - padded.ravel())
+    if not residual <= _RESIDUAL_TOL * max(float(np.linalg.norm(rhs)), np.finfo(float).tiny):
+        return None
+    return x[keep]
+
+
 def _ordered_solve(system, blocks, bounds, rhs, label):
     """Solve the matrix of the element-pair ``blocks`` on the block pattern
     of ``system``, element ``k``'s unknowns ``bounds[k]:bounds[k + 1]``
     (the trailing ones of padded blocks, as :func:`block_matrix` keeps
-    them), built and factored in the solve order of ``system``."""
+    them), in the solve order of ``system``.
+
+    When every block lies on or below the block diagonal in that order,
+    which holds exactly when every strongly connected component is a
+    single element, :func:`_sweep` solves it without a factorization;
+    otherwise, or when the sweep returns ``None``, the matrix is built in
+    that order and factored."""
     A, widths = system.blocks, np.diff(bounds)
     order = _solve_order(system)
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    rows = np.repeat(np.arange(len(order)), np.diff(A.indptr))
+    if np.all(position[A.indices] <= position[rows]):
+        x = _sweep(A.indices, A.indptr, blocks, widths, rhs)
+        if x is not None:
+            return x
     ordered = block_matrix(blocks, A.indices, A.indptr, widths, widths, order)
     return _direct_solve(ordered, rhs, label, _block_permutation(order, bounds))
 

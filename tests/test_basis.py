@@ -556,42 +556,57 @@ def test_facet_traces_from_k2_reject_boundary_facets():
 
 
 NO_ELEMENTS = np.arange(0)
+#: evaluations of the space ``s`` with coefficients ``c`` on the element
+#: ids ``e`` (the empty batch in the cases named ``-no-elements``)
 EMPTY_BATCHES = {
     "eval_elements-no-elements": (
-        lambda s, c: s.eval_elements(NO_ELEMENTS, np.empty((0, 4, 2)), gradients=True),
+        lambda s, c, e: s.eval_elements(e, np.empty((0, 4, 2)), gradients=True),
         [(0, 4, 10), (0, 4, 10, 2)],
     ),
     "eval_elements-no-points": (
-        lambda s, c: s.eval_elements([0, 5], np.empty((2, 0, 2)), gradients=True),
+        lambda s, c, e: s.eval_elements([0, 5], np.empty((2, 0, 2)), gradients=True),
         [(2, 0, 10), (2, 0, 10, 2)],
     ),
     "derivatives-no-elements": (
-        lambda s, c: (s.derivatives(NO_ELEMENTS, np.empty((0, 4, 2)), 2),),
+        lambda s, c, e: (s.derivatives(e, np.empty((0, 4, 2)), 2),),
         [(0, 4, 6, 10)],
     ),
     "apply-no-elements": (
-        lambda s, c: (s.apply(NO_ELEMENTS, np.empty((0, 4, 2)), value=np.empty((0, 4)),
-                              laplacian=np.empty((0, 4))),),
+        lambda s, c, e: (s.apply(e, np.empty((0, 4, 2)), value=np.empty((0, 4)),
+                                 laplacian=np.empty((0, 4))),),
         [(0, 4, 10)],
     ),
     "eval_function-points-no-elements": (
-        lambda s, c: s.eval_function(c, NO_ELEMENTS, np.empty((0, 4, 2)), gradients=True),
+        lambda s, c, e: s.eval_function(c, e, np.empty((0, 4, 2)), gradients=True),
         [(0, 4), (0, 4, 2)],
     ),
     "eval_function-volume-no-elements": (
-        lambda s, c: s.eval_function(c, NO_ELEMENTS, gradients=True),
+        lambda s, c, e: s.eval_function(c, e, gradients=True),
         [(0, 49), (0, 49, 2)],
     ),
 }
 
 
+def evaluate_batch(name, elements):
+    """Shapes of the results of the ``name`` evaluation on ``elements``."""
+    space = BrokenSpace(build_structured_mesh(2), 3)
+    coeffs = np.ones((space.mesh.n_elements, space.ndof_local))
+    evaluate, _ = EMPTY_BATCHES[name]
+    result = evaluate(space, coeffs, elements)
+    if hasattr(result, "values"):
+        result = (result.values, result.gradients)
+    return [np.shape(r) for r in result]
+
+
 @pytest.mark.parametrize("name", EMPTY_BATCHES)
 def test_empty_batches_evaluate_to_empty_results(name):
     # a mesh without interior facets hands the evaluations empty batches
-    space = BrokenSpace(build_structured_mesh(2), 3)
-    coeffs = np.ones((space.mesh.n_elements, space.ndof_local))
-    evaluate, shapes = EMPTY_BATCHES[name]
-    result = evaluate(space, coeffs)
-    if hasattr(result, "values"):
-        result = (result.values, result.gradients)
-    assert [np.shape(r) for r in result] == shapes
+    assert evaluate_batch(name, NO_ELEMENTS) == EMPTY_BATCHES[name][1]
+
+
+@pytest.mark.parametrize("name", [name for name in EMPTY_BATCHES if name.endswith("-no-elements")])
+def test_a_plain_empty_list_is_an_empty_batch(name):
+    # np.asarray([]) is a float array; the space reads it as integer ids
+    assert evaluate_batch(name, []) == EMPTY_BATCHES[name][1]
+    with pytest.raises(IndexError):
+        evaluate_batch(name, [0.5])

@@ -396,21 +396,41 @@ def count_factorizations(monkeypatch):
     return calls
 
 
-def test_pivoting_fallback_when_unpivoted_lu_fails(monkeypatch):
-    # each element block is nonsingular and well conditioned, but its
-    # subnormal leading pivot overflows the unpivoted multipliers; SuperLU
-    # still swaps rows on an exactly zero pivot, so a zero would not fail
-    block = np.array([[1e-320, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+#: a nonsingular, well conditioned element block whose subnormal leading
+#: pivot overflows the unpivoted multipliers; SuperLU still swaps rows on an
+#: exactly zero pivot, so a zero would not fail
+SUBNORMAL_PIVOT = np.array([[1e-320, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
+
+
+def subnormal_pivot_system(coupled):
+    """The block-diagonal system of :data:`SUBNORMAL_PIVOT` on every element
+    of an 8-element mesh; ``coupled`` makes elements 0 and 1 depend on each
+    other, one strongly connected component of two elements."""
     space = BrokenSpace(build_structured_mesh(2), 1)
-    matrix = sparse.block_diag([block] * space.mesh.n_elements, format="csr")
-    load = np.linspace(1.0, 2.0, space.ndof_total)
     nd = space.ndof_local
+    matrix = sparse.block_diag([SUBNORMAL_PIVOT] * space.mesh.n_elements, format="lil")
+    if coupled:
+        matrix[:nd, nd:2 * nd] = matrix[nd:2 * nd, :nd] = 0.1 * np.eye(nd)
+    matrix = matrix.tocsr()
+    load = np.linspace(1.0, 2.0, space.ndof_total)
     blocks = sparse.bsr_matrix(matrix, blocksize=(nd, nd))
-    system = DgSystem(blocks=blocks, load=load, space=space)
+    return matrix, DgSystem(blocks=blocks, load=load, space=space)
+
+
+def test_pivoting_fallback_when_unpivoted_lu_fails(monkeypatch):
     calls = count_factorizations(monkeypatch)
+    # the cyclic pair reaches the LU, whose unpivoted attempt fails
+    matrix, system = subnormal_pivot_system(coupled=True)
     u = solve_standard_dg(system)
     assert calls == [{"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}, {}]
-    assert np.linalg.norm(matrix @ u.coeffs - load) <= 1e-10 * np.linalg.norm(load)
+    assert np.linalg.norm(matrix @ u.coeffs - system.load) <= 1e-10 * np.linalg.norm(system.load)
+    # block diagonal, the system is swept: the batched dense solve pivots
+    # inside each block, so nothing is factored
+    calls.clear()
+    matrix, system = subnormal_pivot_system(coupled=False)
+    u = solve_standard_dg(system)
+    assert calls == []
+    assert np.linalg.norm(matrix @ u.coeffs - system.load) <= 1e-10 * np.linalg.norm(system.load)
 
 
 def test_singular_matrix_fails_both_factorizations(monkeypatch):
@@ -418,10 +438,74 @@ def test_singular_matrix_fails_both_factorizations(monkeypatch):
     n, nd = space.ndof_total, space.ndof_local
     blocks = sparse.bsr_matrix(sparse.csr_matrix((n, n)), blocksize=(nd, nd))
     singular = DgSystem(blocks=blocks, load=np.ones(n), space=space)
+    sweeps = recording_sweeps(monkeypatch)
     calls = count_factorizations(monkeypatch)
     with pytest.raises(SolverError, match="factorization failed"):
         solve_standard_dg(singular)
+    # no element depends on another, so the sweep is tried first; its
+    # singular diagonal blocks hand the matrix to the LU
+    assert sweeps == [None]
     assert len(calls) == 2
+
+
+def test_sweep_missing_the_residual_contract_falls_back_to_the_lu(monkeypatch):
+    # element 0's block has condition number 1e10, so no double solve meets
+    # the contract: the sweep returns nothing and the LU reports the failure
+    U, _ = np.linalg.qr(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]))
+    V, _ = np.linalg.qr(np.array([[1.0, 2.0, 3.0], [0.0, 1.0, 4.0], [5.0, 6.0, 0.0]]))
+    block = U @ np.diag([1.0, 1.0, 1e-10]) @ V.T
+    space = BrokenSpace(build_structured_mesh(1), 1)
+    blocks = sparse.bsr_matrix(sparse.block_diag([block, np.eye(3)]), blocksize=(3, 3))
+    system = DgSystem(blocks=blocks, load=np.ones(6), space=space)
+    sweeps = recording_sweeps(monkeypatch)
+    calls = count_factorizations(monkeypatch)
+    with pytest.raises(SolverError, match="standard DG solve: relative residual"):
+        solve_standard_dg(system)
+    assert sweeps == [None]
+    assert len(calls) == 2
+
+
+def recording_sweeps(monkeypatch):
+    """Record the result of every sweep, ``None`` where it fell back."""
+    results = []
+    sweep = solver._sweep
+
+    def recording(*args):
+        results.append(sweep(*args))
+        return results[-1]
+
+    monkeypatch.setattr(solver, "_sweep", recording)
+    return results
+
+
+def refuse_sweeps(monkeypatch):
+    """Make every sweep fall back, so that acyclic systems reach the LU."""
+    monkeypatch.setattr(solver, "_sweep", lambda *args: None)
+
+
+def recording_ordered_solves(monkeypatch):
+    """Record the system, blocks, unknown bounds, right-hand side, label
+    and solution of every ordered solve."""
+    solves = []
+    ordered_solve = solver._ordered_solve
+
+    def recording(system, blocks, bounds, rhs, label):
+        x = ordered_solve(system, blocks, bounds, rhs, label)
+        solves.append((system, blocks, bounds, rhs, label, x))
+        return x
+
+    monkeypatch.setattr(solver, "_ordered_solve", recording)
+    return solves
+
+
+def assert_match_plain_lu(solves):
+    """Every recorded solution matches plain ``splu`` of the unordered
+    matrix to 1e-12 relative."""
+    for system, blocks, bounds, rhs, _, x in solves:
+        widths = np.diff(bounds)
+        plain = block_matrix(blocks, system.blocks.indices, system.blocks.indptr, widths, widths)
+        reference = splu(plain).solve(rhs)
+        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -433,6 +517,19 @@ def test_ordered_solves_match_plain_lu(
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
     sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
+    if local_kind == AR:
+        # acyclic upwind graph: the three solves sweep and none factors
+        calls = count_factorizations(monkeypatch)
+        with monkeypatch.context() as patch:
+            ordered = recording_ordered_solves(patch)
+            solve_standard_dg(sys)
+            solve_embedded_trefftz(sys, emb)
+            solve_block_coupled(sys, emb)
+        assert calls == []
+        assert len(ordered) == 3
+        assert_match_plain_lu(ordered)
+        # the LU stays the sweep's fallback
+        refuse_sweeps(monkeypatch)
     solves = []
     direct_solve = solver._direct_solve
 
@@ -521,6 +618,15 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
     assert np.all(position[sys.blocks.indices] <= position[rows])
     emb = build_embedding(sys.space, coeffs, AR)
     factored = recording_factorizations(monkeypatch)
+    with monkeypatch.context() as patch:
+        solves = recording_ordered_solves(patch)
+        solve_standard_dg(sys)
+        solve_embedded_trefftz(sys, emb)
+    # block lower triangular: swept, with no factorization
+    assert factored == []
+    assert_match_plain_lu(solves)
+    # the LU of the fallback runs in the same order and has no fill
+    refuse_sweeps(monkeypatch)
     solve_standard_dg(sys)
     solve_embedded_trefftz(sys, emb)
     assert [matrix.shape[0] for matrix, _, _ in factored] == [
@@ -618,6 +724,86 @@ def test_strong_component_labels_follow_the_arcs(data, acyclic):
         assert n_components == n
 
 
+def random_block_system(data, n, acyclic, width):
+    """Blocks ``(B, width, width)`` in BSR layout on ``n`` elements, with a
+    diagonal block for every element and one off-diagonal block per arc of
+    the arc generator above, and the kernel widths of the elements. The
+    diagonal blocks are diagonally dominant, an off-diagonal entry is at
+    most 0.5 over the number of upwind blocks of its row, and some
+    elements keep only their last ``widths[k] < width`` rows and columns,
+    zeros in front as in the kernel stacks."""
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    arcs = data.draw(st.lists(pair, max_size=4 * n))
+    if acyclic:
+        rank = np.array(data.draw(st.permutations(range(n))))
+        arcs = [(i, j) for i, j in arcs if rank[i] > rank[j]]
+    arcs = sorted({(i, j) for i, j in arcs if i != j} | {(k, k) for k in range(n)})
+    rows = np.array([i for i, _ in arcs])
+    indices = np.array([j for _, j in arcs])
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.uniform(-0.5, 0.5, (len(arcs), width, width))
+    diagonal = rows == indices
+    blocks[~diagonal] /= np.bincount(rows, minlength=n)[rows[~diagonal]][:, None, None]
+    blocks[diagonal] += width * np.eye(width)
+    widths = np.array(data.draw(st.lists(st.integers(1, width), min_size=n, max_size=n)))
+    keep = np.arange(width) >= width - widths[:, None]
+    blocks *= keep[rows][:, :, None] & keep[indices][:, None, :]
+    return blocks, indices, indptr, widths
+
+
+@hypothesis.seed(20261019)
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(data=st.data(), acyclic=st.booleans(), refinement=st.integers(1, 4))
+def test_sweep_solves_acyclic_block_systems_like_a_dense_solve(data, acyclic, refinement):
+    space = BrokenSpace(build_structured_mesh(refinement), 1)
+    n, nd = space.mesh.n_elements, space.ndof_local
+    blocks, indices, indptr, widths = random_block_system(data, n, acyclic, nd)
+    pattern = sparse.bsr_matrix((blocks, indices, indptr), shape=(n * nd, n * nd))
+    system = DgSystem(blocks=pattern, load=None, space=space)
+    bounds = np.concatenate([[0], np.cumsum(widths)])
+    rhs = np.random.default_rng(n).standard_normal(bounds[-1])
+    dense = block_matrix(blocks, indices, indptr, widths, widths).toarray()
+    with pytest.MonkeyPatch.context() as patch:
+        sweeps = recording_sweeps(patch)
+        x = solver._ordered_solve(system, blocks, bounds, rhs, "random block system")
+    reference = np.linalg.solve(dense, rhs)
+    assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+    assert np.linalg.norm(dense @ x - rhs) <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)
+    # the sweep runs exactly on the graphs whose components are all single
+    # elements, and never falls back on these well-conditioned blocks
+    n_components, _ = connected_components(element_graph(pattern), connection="strong")
+    assert len(sweeps) == (n_components == n)
+    assert all(result is not None for result in sweeps)
+    if acyclic:
+        assert len(sweeps) == 1
+        # each element's level is its longest upwind path, the loop reference
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        off = rows != indices
+        order, starts = solver._levels(indices[off], rows[off], n)
+        level = np.repeat(np.arange(len(starts) - 1), np.diff(starts))[np.argsort(order)]
+        longest = np.zeros(n, dtype=int)
+        for k in np.argsort(connected_components(element_graph(pattern), connection="strong")[1]):
+            upwind = indices[indptr[k]:indptr[k + 1]]
+            longest[k] = max((longest[j] + 1 for j in upwind if j != k), default=0)
+        np.testing.assert_array_equal(level, longest)
+
+
+def test_ar_diagnose_sweeps_the_schur_step_at_p6(monkeypatch, capsys):
+    solves = recording_ordered_solves(monkeypatch)
+    sweeps = recording_sweeps(monkeypatch)
+    factored = recording_factorizations(monkeypatch)
+    assert main(["diagnose", "--case", "AR_EXAMPLE", "--p", "6", "--n", "8"]) == 0
+    assert "coupled block solve" in [label for *_, label, _ in solves]
+    # every solve, the Schur step of the coupled one included, was swept
+    assert len(sweeps) == len(solves)
+    assert all(result is not None for result in sweeps)
+    assert factored == []
+    text = capsys.readouterr().out
+    gap_rel = float(text.split("(relative ")[1].split(")")[0])
+    assert gap_rel <= 1e-12
+
+
 def recording_direct_solves(monkeypatch):
     """Record the permutation of every direct solve."""
     perms = []
@@ -640,6 +826,20 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
     sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
+    if local_kind == AR:
+        sweeps = recording_sweeps(monkeypatch)
+        with monkeypatch.context() as patch:
+            solves = recording_ordered_solves(patch)
+            solve_embedded_trefftz(sys, emb)
+            solve_block_coupled(sys, emb)
+        (_, reduced, reduced_bounds, *_), (_, schur, schur_bounds, *_) = solves
+        # only the Schur complement of the Trefftz unknowns is swept, on the
+        # block pattern and the unknowns of T'AT
+        assert len(sweeps) == 2 and all(x is not None for x in sweeps)
+        assert schur.shape == reduced.shape
+        assert np.array_equal(schur_bounds, reduced_bounds)
+        assert_match_plain_lu(solves)
+        refuse_sweeps(monkeypatch)
     perms = recording_direct_solves(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
@@ -719,6 +919,18 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
     sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
+    if local_kind == AR:
+        handed = recording_handed_matrices(monkeypatch)
+        with monkeypatch.context() as patch:
+            solves = recording_ordered_solves(patch)
+            solve_standard_dg(sys)
+            solve_embedded_trefftz(sys, emb)
+            solve_block_coupled(sys, emb)
+        # swept: nothing reaches the LU
+        assert handed == []
+        assert_match_plain_lu(solves)
+        # the fallback LU gets the same ordered, sorted matrices
+        refuse_sweeps(monkeypatch)
     perms = recording_direct_solves(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
     solve_standard_dg(sys)
@@ -742,8 +954,18 @@ def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch, zero_odd_
     sys = assemble_global_system(BrokenSpace(build_structured_mesh(3), 3), coeffs)
     with pytest.warns(UserWarning, match="elements have numerically rank deficient"):
         emb = build_embedding(sys.space, coeffs, AR)
-    perms = recording_direct_solves(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
+    sweeps = recording_sweeps(monkeypatch)
+    with monkeypatch.context() as patch:
+        solves = recording_ordered_solves(patch)
+        solve_embedded_trefftz(sys, emb)
+    # the padded sweep solves the kernels of widths 4 and 10
+    assert handed == []
+    assert len(sweeps) == 1 and sweeps[0] is not None
+    assert_match_plain_lu(solves)
+    # the fallback LU gets the trailing rows and columns, ordered and sorted
+    refuse_sweeps(monkeypatch)
+    perms = recording_direct_solves(monkeypatch)
     solve_embedded_trefftz(sys, emb)
     assert len(handed) == 1
     widths = np.diff(emb.offsets)
