@@ -15,7 +15,7 @@ import numpy as np
 from .coefficients import require_finite, require_positive
 from .dg_forms import assemble_global_system, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
-from .local_ops import KINDS, operator_row_count
+from .local_ops import operator_row_count
 from .solver import solve_block_coupled, solve_embedded_trefftz
 
 @dataclass
@@ -192,8 +192,6 @@ def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=0.25):
     assumptions on the broken ``space``, plus the embedded/block
     equivalence gap. The gap is computed when every element keeps all its
     operator rows, as the coupled block solve needs; otherwise it is NaN."""
-    if kind not in KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}")
     p = space.degree
     embedding = build_embedding(space, coeffs, kind, box_scale=box_scale)
     factors = embedding.factors

@@ -174,11 +174,11 @@ def block_matrix(data, indices, indptr, row_widths=None, col_widths=None, order=
     return csc
 
 
-def block_diagonal(blocks, widths=None, order=None):
+def block_diagonal(blocks, widths=None):
     """CSC matrix with the blocks ``(E, r, c)`` on its diagonal; see
-    :func:`block_matrix` for ``widths`` and ``order``."""
+    :func:`block_matrix` for ``widths``."""
     k = np.arange(len(blocks) + 1)
-    return block_matrix(blocks, k[:-1], k, col_widths=widths, order=order)
+    return block_matrix(blocks, k[:-1], k, col_widths=widths)
 
 
 def _trailing(widths, size):

@@ -62,8 +62,12 @@ class Mesh2D:
         e01 = tri[:, 1] - tri[:, 0]
         e02 = tri[:, 2] - tri[:, 0]
         signed = 0.5 * (e01[:, 0] * e02[:, 1] - e01[:, 1] * e02[:, 0])
-        if np.any(signed <= 1e-14):
-            bad = int(np.argmin(signed))
+        # relative to the squared longest edge, so the test does not depend
+        # on the scale of the coordinates
+        longest = np.max(np.sum((tri - np.roll(tri, 1, axis=1)) ** 2, axis=2), axis=1)
+        flat = signed <= 1e-14 * longest
+        if flat.any():
+            bad = int(np.argmax(flat))
             raise ValueError(
                 f"triangle {bad} has non-positive area (collinear or "
                 f"clockwise vertices)"
@@ -149,12 +153,11 @@ class Mesh2D:
         longer extent. The elements of the first half that share a facet
         with the second half form the separator and come after both
         halves, so a sparse LU of a DG matrix in this block order fills in
-        only along the separators. The solver orders each strongly
-        connected component of a system's element graph this way and puts
-        the components in dependency order, so a connected (SIP) system is
-        factored in exactly this order. Only centroids and facet adjacency
-        are used, so any triangulation works. Read-only; computed on first
-        use.
+        only along the separators. The solver factors every system whose
+        element graph has a cycle (SIP, a closed flow) in this order; an
+        acyclic graph is swept in level order and never computes it. Only
+        centroids and facet adjacency are used, so any triangulation works.
+        Read-only; computed on first use.
         """
         n = self.n_elements
         # neighbours across each element's facets; n marks "no neighbour"

@@ -4,28 +4,28 @@ embedded-Trefftz reduced system, and the generic coupled block system.
 All variants return coefficient vectors over the full broken basis, so
 error computation downstream is method-agnostic. The Trefftz systems are
 projected block by block from the DG operator's element-pair blocks, never
-through a product of sparse matrices. Every solve runs in one element
-order (:func:`_solve_order`): the block-triangular form of the element-pair
-graph, with the mesh's nested-dissection order inside each strongly
-connected component. When every component is a single element, as for
-upwind DG on a flow without cycles, the system is block lower triangular
-in that order and is solved by a level-scheduled block forward sweep
-(:func:`_sweep`) with batched dense solves of the diagonal blocks and no
-factorization; a connected graph (SIP, cyclic flow) is factored by SuperLU
-in the nested-dissection order, and so is an acyclic one whose sweep
-misses the residual contract. The coupled system takes its local rows,
-and its complement basis ``Q_1``, from the operators and factors that
-:func:`~trefftzdg.embedding.build_embedding` keeps on the embedding and
-eliminates its complement unknowns element by element with dense
-batched solves (static condensation), so its only global solve is that
-of the Schur complement on the Trefftz unknowns, which has the size
-and the block pattern of the reduced system. A matrix that reaches the LU
-is built once, already in solve order: :func:`block_matrix` permutes the
-element-pair blocks as whole blocks and converts them in one pass to the
-CSC matrix with sorted indices that the LU factors. The sweep checks the
-residual contract on the whole system; for the LU, one step of iterative
-refinement and a pivoting LU as the fallback enforce it. The coupled
-solve also checks it on its whole 2x2 system.
+through a product of sparse matrices. One graph pass picks the path of
+every solve: the level schedule of the element-pair graph
+(:func:`_levels`). When it covers every element, as for upwind DG on a
+flow without cycles, the system is block lower triangular in level order
+and is solved by a block forward sweep (:func:`_sweep`) with batched
+dense solves of the diagonal blocks and no factorization. A graph with a
+cycle (SIP, a closed flow) is factored by SuperLU in the mesh's
+nested-dissection order; an acyclic one whose sweep misses the residual
+contract is factored in level order, without fill. The coupled system
+takes its local rows, and its complement basis ``Q_1``, from the
+operators and factors that :func:`~trefftzdg.embedding.build_embedding`
+keeps on the embedding and eliminates its complement unknowns element by
+element with dense batched solves (static condensation), so its only
+global solve is that of the Schur complement on the Trefftz unknowns,
+which has the size and the block pattern of the reduced system. A matrix
+that reaches the LU is built once, already in solve order:
+:func:`block_matrix` permutes the element-pair blocks as whole blocks and
+converts them in one pass to the CSC matrix with sorted indices that the
+LU factors. The sweep checks the residual contract on the whole system;
+for the LU, one step of iterative refinement and a pivoting LU as the
+fallback enforce it. The coupled solve also checks it on its whole 2x2
+system.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from .embedding import block_matrix
@@ -137,37 +136,6 @@ def _block_permutation(order, bounds):
     return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
 
 
-def _solve_order(system):
-    """Element order of the solves of ``system``: the strongly connected
-    components of its element-pair graph (block row ``K`` stores ``B_KL``:
-    ``K`` depends on ``L``) in dependency order, upwind component first
-    (the block-triangular form of KLU, Davis and Palamadai Natarajan 2010),
-    each component in :attr:`Mesh2D.element_order`. An acyclic upwind
-    operator becomes block lower triangular (Lesaint and Raviart 1974), so
-    it can be swept, and its unpivoted LU has no fill; a connected graph
-    keeps the mesh order.
-    When every component is a single element, the labels alone fix the
-    order and the mesh order is not computed.
-
-    The order relies on scipy labelling the components so that every
-    block's column component is at most its row component, which
-    ``tests/test_solver.py`` checks on random graphs.
-    """
-    mesh = system.space.mesh
-    n = mesh.n_elements
-    blocks = system.blocks
-    # copies: a graph sharing the index arrays would let an edit reach the blocks
-    graph = sparse.csr_matrix(
-        (np.ones(len(blocks.indices)), blocks.indices.copy(), blocks.indptr.copy()), shape=(n, n)
-    )
-    n_components, labels = connected_components(graph, connection="strong")
-    if n_components == n:
-        return np.argsort(labels)
-    rank = np.empty(n, dtype=np.intp)
-    rank[mesh.element_order] = np.arange(n)
-    return np.lexsort((rank, labels))
-
-
 def _table(keys, values, n, fill):
     """``(n, m)`` table whose row ``k`` lists the ``values`` of key ``k`` in
     their given order, padded with ``fill``; ``m`` is the largest count."""
@@ -180,15 +148,18 @@ def _table(keys, values, n, fill):
 
 
 def _levels(up, down, n):
-    """Elements ``0..n-1`` in level order and the start of every level,
-    for an acyclic graph with an arc ``up[i] -> down[i]`` for each
+    """Elements in level order and the start of every level, for the
+    graph on elements ``0..n-1`` with an arc ``up[i] -> down[i]`` for each
     off-diagonal block (``down`` depends on ``up``): an element's level is
     the length of its longest upwind path, so every level depends only on
     the levels before it (level scheduling; Anderson and Saad 1989).
 
     Each level is the set of elements whose upwind elements are all
-    scheduled: one vectorised pass per level, through the table of the
-    downstream elements of every element padded with ``n``."""
+    scheduled (Kahn 1962): one vectorised pass per level, through the
+    table of the downstream elements of every element padded with ``n``.
+    An element on a cycle, or downstream of one, is never scheduled, so
+    the order lists all ``n`` elements exactly when the graph is acyclic;
+    it is empty when every element has an upwind one, as on SIP graphs."""
     downstream = _table(up, down, n, n)
     # upwind elements not yet scheduled; the padding entry never reaches 0
     waiting = np.append(np.bincount(down, minlength=n), -1)
@@ -199,14 +170,16 @@ def _levels(up, down, n):
         waiting[level] = -1
         waiting -= np.bincount(downstream[level].ravel(), minlength=n + 1)
         level = np.flatnonzero(waiting == 0)
-    return np.concatenate(levels), np.cumsum([0] + [len(level) for level in levels])
+    # the last, empty level keeps the order defined when none is scheduled
+    return np.concatenate(levels + [level]), np.cumsum([0] + [len(level) for level in levels])
 
 
-def _sweep(indices, indptr, blocks, widths, rhs):
+def _sweep(indices, indptr, blocks, widths, rhs, rows, diagonal, levels):
     """Solve the block lower triangular system of the element-pair
-    ``blocks`` in BSR layout by block forward substitution, one level of
-    :func:`_levels` at a time, or return ``None`` so that the caller
-    factors it.
+    ``blocks`` in BSR layout (block ``i`` in block row ``rows[i]``, a
+    diagonal block where ``diagonal[i]``) by block forward substitution,
+    one level of the ``levels`` of :func:`_levels` at a time, or return
+    ``None`` so that the caller factors it.
 
     A level subtracts its stored upwind blocks times the known unknowns,
     one batched product through a fixed table of as many blocks as an
@@ -219,10 +192,8 @@ def _sweep(indices, indptr, blocks, widths, rhs):
     contract on the whole system, returns ``None``.
     """
     n, width = len(widths), blocks.shape[1]
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    diagonal = indices == rows
     off = np.flatnonzero(~diagonal)
-    order, starts = _levels(indices[off], rows[off], n)
+    order, starts = levels
     rank = np.empty(n + 1, dtype=np.intp)
     rank[order], rank[n] = np.arange(n), n
     keep = np.arange(width) >= width - widths[:, None]
@@ -263,22 +234,26 @@ def _ordered_solve(system, blocks, bounds, rhs, label):
     """Solve the matrix of the element-pair ``blocks`` on the block pattern
     of ``system``, element ``k``'s unknowns ``bounds[k]:bounds[k + 1]``
     (the trailing ones of padded blocks, as :func:`block_matrix` keeps
-    them), in the solve order of ``system``.
+    them).
 
-    When every block lies on or below the block diagonal in that order,
-    which holds exactly when every strongly connected component is a
-    single element, :func:`_sweep` solves it without a factorization;
-    otherwise, or when the sweep returns ``None``, the matrix is built in
-    that order and factored."""
+    The level schedule of the element graph picks the path. When it
+    covers every element, the graph is acyclic and the system is block
+    lower triangular in level order, so :func:`_sweep` solves it without a
+    factorization; if the sweep returns ``None``, the LU runs in that
+    same order and has no fill. Otherwise the graph has a cycle, and the
+    LU runs in the nested-dissection :attr:`Mesh2D.element_order`."""
     A, widths = system.blocks, np.diff(bounds)
-    order = _solve_order(system)
-    position = np.empty_like(order)
-    position[order] = np.arange(len(order))
-    rows = np.repeat(np.arange(len(order)), np.diff(A.indptr))
-    if np.all(position[A.indices] <= position[rows]):
-        x = _sweep(A.indices, A.indptr, blocks, widths, rhs)
+    n = len(widths)
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    diagonal = A.indices == rows
+    levels = _levels(A.indices[~diagonal], rows[~diagonal], n)
+    order = levels[0]
+    if len(order) == n:
+        x = _sweep(A.indices, A.indptr, blocks, widths, rhs, rows, diagonal, levels)
         if x is not None:
             return x
+    else:
+        order = system.space.mesh.element_order
     ordered = block_matrix(blocks, A.indices, A.indptr, widths, widths, order)
     return _direct_solve(ordered, rhs, label, _block_permutation(order, bounds))
 

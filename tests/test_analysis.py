@@ -300,6 +300,16 @@ def test_diagnostics_on_ar_example():
     assert report.block_equivalence_gap_rel <= 1e-8
 
 
+def test_diagnostics_reject_an_unknown_kind_before_any_assembly(monkeypatch):
+    def no_assembly(*_args, **_kwargs):
+        raise AssertionError("global system assembled")
+
+    monkeypatch.setattr(analysis, "assemble_global_system", no_assembly)
+    space = BrokenSpace(build_structured_mesh(2), 3)
+    with pytest.raises(ValueError, match="'BOGUS'"):
+        run_diagnostics(space, "BOGUS", builtin_case("DAR_EXAMPLE"))
+
+
 @pytest.mark.parametrize(
     "kind,case",
     [(DAR, "DAR_EXAMPLE"), (DAR_BOX, "BOX_DIFFUSION_2D"), (QT_DIFFUSION, "QT_DIFFUSION")],

@@ -118,20 +118,30 @@ def test_element_geometry_equilateral():
     assert mesh.areas[0] == pytest.approx(math.sqrt(3.0) / 4)
 
 
-def test_collinear_vertices_rejected():
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_collinear_vertices_rejected(scale):
+    # the third vertex lies off the line by a relative 1e-15, rounding level
+    with pytest.raises(ValueError, match="triangle 0 has non-positive area"):
         Mesh2D(
-            vertices=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),
+            vertices=scale * np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0 + 1e-15]]),
             triangles=np.array([[0, 1, 2]]),
         )
 
 
-def test_clockwise_triangle_rejected():
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_clockwise_triangle_rejected(scale):
+    with pytest.raises(ValueError, match="triangle 0 has non-positive area"):
         Mesh2D(
-            vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            vertices=scale * np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             triangles=np.array([[0, 2, 1]]),
         )
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e7])
+def test_scaled_structured_mesh_builds(scale):
+    mesh = build_structured_mesh(2)
+    scaled = Mesh2D(mesh.vertices * scale, mesh.triangles)
+    np.testing.assert_allclose(scaled.areas, mesh.areas * scale**2, rtol=1e-14)
 
 
 def test_dump_plain_text():

@@ -585,6 +585,21 @@ def element_graph(blocks):
     return sparse.csr_matrix((data, blocks.indices.copy(), blocks.indptr.copy()), shape=(n, n))
 
 
+def level_order(blocks):
+    """The elements that :func:`solver._levels` schedules on the element
+    graph of the stored ``blocks``, in level order."""
+    n = len(blocks.indptr) - 1
+    rows = np.repeat(np.arange(n), np.diff(blocks.indptr))
+    off = blocks.indices != rows
+    return solver._levels(blocks.indices[off], rows[off], n)[0]
+
+
+def element_bounds(system):
+    """The unknowns ``bounds[k]:bounds[k + 1]`` of every element of the
+    full DG system."""
+    return np.append(system.space.offsets, system.space.ndof_total)
+
+
 def recording_factorizations(monkeypatch):
     """Record every matrix the solver factors, its options and its LU."""
     factored = []
@@ -609,7 +624,7 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
     n = mesh.n_elements
     n_components, _ = connected_components(element_graph(sys.blocks), connection="strong")
     assert n_components == n
-    order = solver._solve_order(sys)
+    order = level_order(sys.blocks)
     assert sorted(order) == list(range(n))
     position = np.empty(n, dtype=int)
     position[order] = np.arange(n)
@@ -625,10 +640,14 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
     # block lower triangular: swept, with no factorization
     assert factored == []
     assert_match_plain_lu(solves)
-    # the LU of the fallback runs in the same order and has no fill
+    # the LU of the fallback runs in the same level order and has no fill
     refuse_sweeps(monkeypatch)
+    perms = recording_direct_solves(monkeypatch)
     solve_standard_dg(sys)
     solve_embedded_trefftz(sys, emb)
+    assert len(perms) == 2
+    for perm, bounds in zip(perms, (element_bounds(sys), emb.offsets)):
+        np.testing.assert_array_equal(perm, solver._block_permutation(order, bounds))
     assert [matrix.shape[0] for matrix, _, _ in factored] == [
         sys.space.ndof_total,
         emb.ndof_trefftz,
@@ -645,24 +664,32 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-def test_acyclic_upwind_order_skips_the_mesh_order(perturbed_mesh, perturbed):
+def test_acyclic_upwind_order_skips_the_mesh_order(monkeypatch, perturbed_mesh, perturbed):
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), builtin_case("AR_EXAMPLE"))
-    order = solver._solve_order(sys)
+    coeffs = builtin_case("AR_EXAMPLE")
+    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
+    emb = build_embedding(sys.space, coeffs, AR)
+    solve_standard_dg(sys)
+    solve_embedded_trefftz(sys, emb)
     assert "element_order" not in mesh.__dict__
-    # the order of the general case: components first, mesh order inside
-    _, labels = connected_components(element_graph(sys.blocks), connection="strong")
-    rank = np.empty(mesh.n_elements, dtype=int)
-    rank[mesh.element_order] = np.arange(mesh.n_elements)
-    np.testing.assert_array_equal(order, np.lexsort((rank, labels)))
+    # the fallback LU runs in level order, so it does not need it either
+    refuse_sweeps(monkeypatch)
+    solve_standard_dg(sys)
+    assert "element_order" not in mesh.__dict__
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D", "QT_DIFFUSION"])
-def test_sip_order_is_the_mesh_order(perturbed_mesh, perturbed, case):
+def test_sip_order_is_the_mesh_order(monkeypatch, perturbed_mesh, perturbed, case):
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
     sys = assemble_global_system(BrokenSpace(mesh, 3), builtin_case(case), sigma=450.0)
-    assert np.array_equal(solver._solve_order(sys), mesh.element_order)
+    # every element has an upwind one, so none is scheduled
+    assert len(level_order(sys.blocks)) == 0
+    perms = recording_direct_solves(monkeypatch)
+    solve_standard_dg(sys)
+    assert len(perms) == 1
+    bounds = element_bounds(sys)
+    np.testing.assert_array_equal(perms[0], solver._block_permutation(mesh.element_order, bounds))
 
 
 def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
@@ -675,12 +702,18 @@ def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
     mesh = build_structured_mesh(6)
     sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
     # the flow circles the centre, so the element graph is one component
-    assert np.array_equal(solver._solve_order(sys), mesh.element_order)
+    n_components, _ = connected_components(element_graph(sys.blocks), connection="strong")
+    assert n_components == 1
     emb = build_embedding(sys.space, coeffs, AR)
+    perms = recording_direct_solves(monkeypatch)
     factored = recording_factorizations(monkeypatch)
     u_dg = solve_standard_dg(sys)
     u_et = solve_embedded_trefftz(sys, emb)
     assert [options["permc_spec"] for _, options, _ in factored] == ["NATURAL"] * 2
+    # both LUs run in the mesh order
+    assert len(perms) == 2
+    for perm, bounds in zip(perms, (element_bounds(sys), emb.offsets)):
+        np.testing.assert_array_equal(perm, solver._block_permutation(mesh.element_order, bounds))
     reduced, rhs = reduced_matrix(sys, emb)
     # the kernel columns are orthonormal, so T' recovers the Trefftz unknowns
     x_t = emb.prolongation.T @ (u_et.coeffs - emb.u_L)
@@ -707,8 +740,9 @@ def test_dar_diagnose_block_gap_stays_at_rounding_level(capsys):
 @hypothesis.settings(max_examples=300, deadline=None, database=None)
 @hypothesis.given(data=st.data(), acyclic=st.booleans())
 def test_strong_component_labels_follow_the_arcs(data, acyclic):
-    # the solve order sorts elements by these labels, so an arc's head must
-    # never be labelled after its tail, on cyclic and acyclic graphs alike
+    # the longest-path reference of the sweep test visits the elements by
+    # these labels, so an arc's head must never be labelled after its tail,
+    # on cyclic and acyclic graphs alike
     n = data.draw(st.integers(1, 40))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     arcs = data.draw(st.lists(pair, max_size=4 * n))
@@ -766,15 +800,25 @@ def test_sweep_solves_acyclic_block_systems_like_a_dense_solve(data, acyclic, re
     dense = block_matrix(blocks, indices, indptr, widths, widths).toarray()
     with pytest.MonkeyPatch.context() as patch:
         sweeps = recording_sweeps(patch)
+        perms = recording_direct_solves(patch)
         x = solver._ordered_solve(system, blocks, bounds, rhs, "random block system")
     reference = np.linalg.solve(dense, rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
     assert np.linalg.norm(dense @ x - rhs) <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)
-    # the sweep runs exactly on the graphs whose components are all single
-    # elements, and never falls back on these well-conditioned blocks
+    # the level schedule covers every element exactly on the graphs whose
+    # strong components are all single elements; those are swept, and the
+    # sweep never falls back on these well-conditioned blocks
     n_components, _ = connected_components(element_graph(pattern), connection="strong")
+    assert (len(level_order(pattern)) == n) == (n_components == n)
     assert len(sweeps) == (n_components == n)
     assert all(result is not None for result in sweeps)
+    if n_components < n:
+        # a cycle, possibly in several components: the LU runs in mesh order
+        assert len(perms) == 1
+        expected = solver._block_permutation(space.mesh.element_order, bounds)
+        np.testing.assert_array_equal(perms[0], expected)
+    else:
+        assert perms == []
     if acyclic:
         assert len(sweeps) == 1
         # each element's level is its longest upwind path, the loop reference
