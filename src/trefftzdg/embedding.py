@@ -1,5 +1,5 @@
 """Element-wise weak Trefftz kernels and particular solutions from one
-stacked QR, and their aggregation into the global block-diagonal embedding.
+stacked QR, and the global block-diagonal embedding they form.
 
 A complete QR of each transposed local operator, ``A_K' = Q_K [R_K; 0]``,
 gives an orthonormal kernel basis, the trailing columns of ``Q_K``, and the
@@ -7,7 +7,11 @@ min-norm (pseudo-inverse) particular solution ``Q_1 R_K^-T l_K``, which is
 orthogonal to the kernel. The leading columns ``Q_1`` span the complement
 of the kernel, the one complement basis of the coupled block solver. The
 singular values of ``R_K``, those of ``A_K``, are a stability diagnostic
-computed only when read."""
+computed only when read.
+
+The global embedding ``T`` is kept as its diagonal blocks only, the
+kernels padded in front to one width, and the Trefftz unknowns take the
+same padded layout; the solver applies ``T`` and ``T'`` block by block."""
 
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .local_ops import LocalOperatorBatch, assemble_local_operators
+from .mesh import Mesh2D
 
 _GUARD_REL = 1e-9
 
@@ -138,16 +143,13 @@ def compute_embedding(op):
     return factors.embeddings()[0]
 
 
-def block_matrix(data, indices, indptr, row_widths=None, col_widths=None, order=None):
+def block_matrix(data, indices, indptr, order=None):
     """CSC matrix with sorted indices of the blocks ``data`` ``(B, r, c)``
     in BSR layout over ``E x E`` block positions: block row ``k`` holds
     ``data[indptr[k]:indptr[k + 1]]`` in block columns
     ``indices[indptr[k]:indptr[k + 1]]``. With an element ``order`` the
     block rows and columns come in that order, so the matrix is the
-    unordered one indexed ``[perm][:, perm]``. Blocks padded in front, as
-    :attr:`LocalFactors.kernels` are, keep only the last ``row_widths[k]``
-    rows of block row ``k`` and the last ``col_widths[l]`` columns of
-    block column ``l``.
+    unordered one indexed ``[perm][:, perm]``.
 
     The blocks are permuted and transposed as whole blocks and converted
     once: the CSR form of the transpose, its block columns sorted, is the
@@ -164,38 +166,23 @@ def block_matrix(data, indices, indptr, row_widths=None, col_widths=None, order=
     transpose = sparse.bsr_matrix(
         (np.swapaxes(data, 1, 2)[key], rows[key], t_indptr), shape=(n_blocks * c, n_blocks * r)
     ).tocsr()
-    csc = sparse.csc_matrix(
+    return sparse.csc_matrix(
         (transpose.data, transpose.indices, transpose.indptr), shape=(n_blocks * r, n_blocks * c)
     )
-    if col_widths is not None and np.any(col_widths != c):
-        csc = csc[:, _trailing(np.asarray(col_widths)[order], c)]
-    if row_widths is not None and np.any(row_widths != r):
-        csc = csc[_trailing(np.asarray(row_widths)[order], r)]
-    return csc
-
-
-def block_diagonal(blocks, widths=None):
-    """CSC matrix with the blocks ``(E, r, c)`` on its diagonal; see
-    :func:`block_matrix` for ``widths``."""
-    k = np.arange(len(blocks) + 1)
-    return block_matrix(blocks, k[:-1], k, col_widths=widths)
-
-
-def _trailing(widths, size):
-    """Indices of the last ``widths[k]`` entries of every block ``k`` of
-    ``size`` consecutive entries."""
-    return np.flatnonzero(np.arange(size) >= size - np.asarray(widths)[:, None])
 
 
 @dataclass
 class GlobalEmbedding:
-    """Block-diagonal prolongation from Trefftz to broken coefficients;
-    ``kernels`` ``(E, n, w)`` stacks the kernel bases, each in its last
-    columns behind zeros as in :class:`LocalFactors`. :func:`build_embedding`
-    also keeps the local operators and their factors."""
+    """Block-diagonal embedding ``T`` from Trefftz to broken coefficients
+    on ``mesh``, kept as its blocks: ``kernels`` ``(E, n, w)`` stacks the
+    kernel bases, each in its last columns behind zeros as in
+    :class:`LocalFactors`. The Trefftz unknowns take the same layout, ``w``
+    per element, so element ``k`` has ``offsets[k + 1] - offsets[k]`` of
+    them, in its last entries. :func:`build_embedding` also keeps the
+    local operators and their factors."""
 
+    mesh: Mesh2D = field(repr=False)
     offsets: np.ndarray
-    prolongation: sparse.csc_matrix
     u_L: np.ndarray
     ndof_trefftz: int
     kernels: np.ndarray = field(repr=False)
@@ -204,11 +191,10 @@ class GlobalEmbedding:
 
 
 def assemble_global_embedding(mesh, embeddings):
-    """Gather per-element embeddings into the global embedding.
-
-    Columns of the prolongation are the kernel bases laid out block by
-    block; applying it to a unit vector yields a function supported on a
-    single element.
+    """Gather per-element embeddings into the global embedding: each
+    kernel basis goes into the last columns of its element's block, so
+    that a Trefftz unit vector yields a function supported on a single
+    element.
     """
     if len(embeddings) != mesh.n_elements:
         raise ValueError(
@@ -220,19 +206,15 @@ def assemble_global_embedding(mesh, embeddings):
     for k, emb in enumerate(embeddings):
         kernels[k, :, width - widths[k]:] = emb.T
     u_L = np.concatenate([emb.uL for emb in embeddings])
-    return _global_embedding(kernels, widths, u_L)
+    return _global_embedding(mesh, kernels, widths, u_L)
 
 
-def _global_embedding(kernels, widths, u_L):
-    """The global embedding of stacked ``kernels`` padded in front to the
-    kernel ``widths``."""
+def _global_embedding(mesh, kernels, widths, u_L):
+    """The global embedding on ``mesh`` of stacked ``kernels`` padded in
+    front to the kernel ``widths``."""
     offsets = np.concatenate([[0], np.cumsum(widths)])
     return GlobalEmbedding(
-        offsets=offsets,
-        prolongation=block_diagonal(kernels, widths),
-        u_L=u_L,
-        ndof_trefftz=int(offsets[-1]),
-        kernels=kernels,
+        mesh=mesh, offsets=offsets, u_L=u_L, ndof_trefftz=int(offsets[-1]), kernels=kernels
     )
 
 
@@ -244,7 +226,7 @@ def build_embedding(space, coeffs, kind, box_scale=0.25):
     ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
     factors = _factor(ops.matrices, ops.rhs, ops.elements)
     widths = space.ndof_local - factors.rank
-    glob = _global_embedding(factors.kernels, widths, factors.uL.ravel())
+    glob = _global_embedding(space.mesh, factors.kernels, widths, factors.uL.ravel())
     glob.local_operators, glob.factors = ops, factors
     return glob
 

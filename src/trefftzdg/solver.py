@@ -4,7 +4,11 @@ embedded-Trefftz reduced system, and the generic coupled block system.
 All variants return coefficient vectors over the full broken basis, so
 error computation downstream is method-agnostic. The Trefftz systems are
 projected block by block from the DG operator's element-pair blocks, never
-through a product of sparse matrices. One graph pass picks the path of
+through a product of sparse matrices, and their unknowns keep the layout
+of the embedding's padded kernel stack, ``w`` per element: ``T x`` and
+``T' r`` are per-element products (:func:`_stack_product`), and the
+padding of narrower kernels gets a unit diagonal in :func:`_ordered_solve`
+before either solve path sees the blocks. One graph pass picks the path of
 every solve: the level schedule of the element-pair graph
 (:func:`_levels`). When it covers every element, as for upwind DG on a
 flow without cycles, the system is block lower triangular in level order
@@ -128,12 +132,10 @@ def _lu_solve(csc, rhs, label, pivot):
     return x
 
 
-def _block_permutation(order, bounds):
-    """Unknowns in element ``order``: for each element ``k`` the range
-    ``bounds[k]:bounds[k + 1]``."""
-    starts, sizes = bounds[:-1][order], np.diff(bounds)[order]
-    ends = np.cumsum(sizes)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
+def _block_permutation(order, width):
+    """Unknowns in element ``order``, ``width`` consecutive ones per
+    element."""
+    return (np.asarray(order)[:, None] * width + np.arange(width)).ravel()
 
 
 def _table(keys, values, n, fill):
@@ -174,7 +176,7 @@ def _levels(up, down, n):
     return np.concatenate(levels + [level]), np.cumsum([0] + [len(level) for level in levels])
 
 
-def _sweep(indices, indptr, blocks, widths, rhs, rows, diagonal, levels):
+def _sweep(indices, indptr, blocks, rhs, rows, diagonal, levels):
     """Solve the block lower triangular system of the element-pair
     ``blocks`` in BSR layout (block ``i`` in block row ``rows[i]``, a
     diagonal block where ``diagonal[i]``) by block forward substitution,
@@ -185,25 +187,16 @@ def _sweep(indices, indptr, blocks, widths, rhs, rows, diagonal, levels):
     one batched product through a fixed table of as many blocks as an
     element has upwind neighbours at most, and solves its diagonal blocks
     in one batched ``np.linalg.solve`` with ``(k, w, 1)`` right-hand
-    sides. Padded blocks keep their last ``widths[k]`` rows and columns as
-    :func:`block_matrix` does; their leading entries, zero in every
-    stacked kernel, get a unit diagonal and a zero right-hand side. A
-    singular diagonal block, or a solution that misses the residual
-    contract on the whole system, returns ``None``.
+    sides. A singular diagonal block, or a solution that misses the
+    residual contract on the whole system, returns ``None``.
     """
-    n, width = len(widths), blocks.shape[1]
+    n, width = len(indptr) - 1, blocks.shape[1]
     off = np.flatnonzero(~diagonal)
     order, starts = levels
     rank = np.empty(n + 1, dtype=np.intp)
     rank[order], rank[n] = np.arange(n), n
-    keep = np.arange(width) >= width - widths[:, None]
-    padded = np.zeros((n, width))
-    padded[keep] = rhs
     D = np.zeros((n, width, width))
     D[rank[rows[diagonal]]] = blocks[diagonal]
-    if not keep.all():
-        pad = np.arange(width)
-        D[:, pad, pad] += ~keep[order]
     # in level order: each element's upwind blocks, transposed and stacked
     # (B_kl' for its slots l), and the flat positions of the unknowns x_l
     # they multiply; a missing slot takes block 0 times the zero row n of x
@@ -211,7 +204,7 @@ def _sweep(indices, indptr, blocks, widths, rhs, rows, diagonal, levels):
     upwind = np.swapaxes(blocks, 1, 2)[slots].reshape(n, slots.shape[1] * width, width)
     source = rank[_table(rows[off], indices[off], n, n)[order]]
     gather = (source[..., None] * width + np.arange(width)).reshape(n, 1, -1)
-    b = padded[order, :, None]
+    b = rhs.reshape(n, width)[order, :, None]
     x = np.zeros((n + 1) * width)
     # a non-finite block or solution fails the residual check
     with np.errstate(all="ignore"):
@@ -222,19 +215,23 @@ def _sweep(indices, indptr, blocks, widths, rhs, rows, diagonal, levels):
                 x[start * width:end * width] = level.ravel()
         except np.linalg.LinAlgError:
             return None
-        x = x[:n * width].reshape(n, width)[rank[:n]]
+        x = x[:n * width].reshape(n, width)[rank[:n]].ravel()
         matrix = sparse.bsr_matrix((blocks, indices, indptr), shape=(n * width, n * width))
-        residual = np.linalg.norm(matrix @ x.ravel() - padded.ravel())
+        residual = np.linalg.norm(matrix @ x - rhs)
     if not residual <= _RESIDUAL_TOL * max(float(np.linalg.norm(rhs)), np.finfo(float).tiny):
         return None
-    return x[keep]
+    return x
 
 
-def _ordered_solve(system, blocks, bounds, rhs, label):
-    """Solve the matrix of the element-pair ``blocks`` on the block pattern
-    of ``system``, element ``k``'s unknowns ``bounds[k]:bounds[k + 1]``
-    (the trailing ones of padded blocks, as :func:`block_matrix` keeps
-    them).
+def _ordered_solve(system, blocks, rhs, label, widths=None):
+    """Solve the matrix of the element-pair ``blocks`` ``(B, w, w)`` on the
+    block pattern of ``system``, ``w`` unknowns per element.
+
+    An element of ``widths[k] < w`` has only its last ``widths[k]``
+    unknowns, as a narrower kernel in the padded stack has: its leading
+    rows and columns are zero in every block and its leading right-hand
+    side entries are zero. They get a unit diagonal here, before either
+    path below sees the blocks, so they solve to zero.
 
     The level schedule of the element graph picks the path. When it
     covers every element, the graph is acyclic and the system is block
@@ -242,20 +239,24 @@ def _ordered_solve(system, blocks, bounds, rhs, label):
     factorization; if the sweep returns ``None``, the LU runs in that
     same order and has no fill. Otherwise the graph has a cycle, and the
     LU runs in the nested-dissection :attr:`Mesh2D.element_order`."""
-    A, widths = system.blocks, np.diff(bounds)
-    n = len(widths)
+    A, width = system.blocks, blocks.shape[1]
+    n = len(A.indptr) - 1
     rows = np.repeat(np.arange(n), np.diff(A.indptr))
     diagonal = A.indices == rows
+    if widths is not None and np.any(widths < width):
+        pad = np.arange(width) < width - widths[:, None]
+        unit = diagonal[:, None, None] & np.eye(width, dtype=bool) & pad[rows][:, None, :]
+        blocks = np.where(unit, 1.0, blocks)
     levels = _levels(A.indices[~diagonal], rows[~diagonal], n)
     order = levels[0]
     if len(order) == n:
-        x = _sweep(A.indices, A.indptr, blocks, widths, rhs, rows, diagonal, levels)
+        x = _sweep(A.indices, A.indptr, blocks, rhs, rows, diagonal, levels)
         if x is not None:
             return x
     else:
         order = system.space.mesh.element_order
-    ordered = block_matrix(blocks, A.indices, A.indptr, widths, widths, order)
-    return _direct_solve(ordered, rhs, label, _block_permutation(order, bounds))
+    ordered = block_matrix(blocks, A.indices, A.indptr, order)
+    return _direct_solve(ordered, rhs, label, _block_permutation(order, width))
 
 
 def _solution(system, coeffs, method, **fields):
@@ -269,9 +270,7 @@ def _solution(system, coeffs, method, **fields):
 
 def solve_standard_dg(system):
     """Solve the full DG system directly."""
-    space = system.space
-    bounds = np.append(space.offsets, space.ndof_total)
-    x = _ordered_solve(system, system.blocks.data, bounds, system.load, "standard DG solve")
+    x = _ordered_solve(system, system.blocks.data, system.load, "standard DG solve")
     return _solution(system, x, STANDARD_DG)
 
 
@@ -284,15 +283,33 @@ def _pair_blocks(system, left, right):
     return np.swapaxes(left, 1, 2)[rows] @ (A.data @ right[A.indices])
 
 
+def _stack_product(blocks, v):
+    """The products ``blocks_K v_K`` of a stack ``blocks`` ``(E, a, b)``
+    and a vector ``v`` of ``E b`` entries, each summed term by term in
+    order from zero, as the sparse product of the block-diagonal matrix
+    sums them; ``matmul`` reassociates the sum, which moves the
+    ``DAR_EXAMPLE`` ``p = 6`` errors in their fifth digit."""
+    v = v.reshape(len(blocks), -1)
+    y = np.zeros(blocks.shape[:2])
+    for k in range(blocks.shape[2]):
+        y += blocks[:, :, k] * v[:, k, None]
+    return y.ravel()
+
+
 def _check_embedding(system, embedding):
     """Reject an embedding built on another mesh or degree than ``system``."""
-    space = system.space
-    expected = (space.mesh.n_elements, space.ndof_local)
-    if embedding.kernels.shape[:2] != expected:
+    space, mesh = system.space, embedding.mesh
+    if embedding.kernels.shape[1] != space.ndof_local:
         raise ValueError(
             "embedding and system dimensions do not match: kernels of "
-            f"{embedding.kernels.shape[:2]} (elements, local unknowns), system {expected}"
+            f"{embedding.kernels.shape[1]} local unknowns, system {space.ndof_local}"
         )
+    for name in ("triangles", "vertices"):
+        if not np.array_equal(getattr(mesh, name), getattr(space.mesh, name)):
+            raise ValueError(
+                f"embedding and system meshes do not match: their {name} differ "
+                f"({mesh.n_elements} and {space.mesh.n_elements} elements)"
+            )
 
 
 def _reduced_blocks(system, embedding):
@@ -300,7 +317,7 @@ def _reduced_blocks(system, embedding):
     right-hand side ``T' (l - A u_L)``."""
     _check_embedding(system, embedding)
     T = embedding.kernels
-    rhs = embedding.prolongation.T @ (system.load - system.blocks @ embedding.u_L)
+    rhs = _stack_product(np.swapaxes(T, 1, 2), system.load - system.blocks @ embedding.u_L)
     return _pair_blocks(system, T, T), rhs
 
 
@@ -312,8 +329,8 @@ def solve_embedded_trefftz(system, embedding):
     rows to solver tolerance.
     """
     blocks, rhs = _reduced_blocks(system, embedding)
-    x = _ordered_solve(system, blocks, embedding.offsets, rhs, "embedded Trefftz solve")
-    coeffs = embedding.prolongation @ x + embedding.u_L
+    x = _ordered_solve(system, blocks, rhs, "embedded Trefftz solve", np.diff(embedding.offsets))
+    coeffs = _stack_product(embedding.kernels, x) + embedding.u_L
     return _solution(system, coeffs, EMBEDDED_TREFFTZ, ndof_trefftz=embedding.ndof_trefftz)
 
 
@@ -369,7 +386,7 @@ def solve_block_coupled(system, embedding):
     Tt = np.swapaxes(T, 1, 2)
     g = system.load.reshape(n_elements, n, 1)
     rhs = Tt @ (g - (blocks @ (L @ x_l[..., None]).ravel()).reshape(g.shape))
-    c_t = _ordered_solve(system, schur, embedding.offsets, rhs.ravel(), "coupled block solve")
+    c_t = _ordered_solve(system, schur, rhs.ravel(), "coupled block solve")
     c_T = c_t.reshape(n_elements, w, 1)
     c_L = x_l[..., None] - X_T @ c_T
     # residual of the 2x2 system: local rows per element, global rows

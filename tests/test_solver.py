@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import hypothesis
@@ -9,7 +10,6 @@ import sympy as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from trefftzdg import embedding as embedding_module
 from trefftzdg import solver
 from trefftzdg.analysis import compute_errors
 from trefftzdg.basis import BrokenSpace
@@ -23,7 +23,7 @@ from trefftzdg.embedding import (
     compute_embedding,
 )
 from trefftzdg.local_ops import AR, DAR, assemble_local_operators
-from trefftzdg.mesh import build_structured_mesh
+from trefftzdg.mesh import Mesh2D, build_structured_mesh
 from trefftzdg.solver import (
     BLOCK_COUPLED,
     EMBEDDED_TREFFTZ,
@@ -35,6 +35,7 @@ from trefftzdg.solver import (
 )
 
 from projection import l2_projection
+from prolongation import prolongation, trailing
 
 LAPLACE_SADDLE = manufactured_case(alpha=1, exact=sp.sympify("x**2 - y**2"), name="laplace")
 
@@ -262,6 +263,27 @@ def test_dof_accounting_ratios():
         assert u.ndof_trefftz / u.ndof_full == pytest.approx(expected)
 
 
+def test_solves_reject_an_embedding_of_another_mesh():
+    # the same triangles with the interior vertices moved: the dimensions
+    # match, but the kernels belong to other elements
+    coeffs = builtin_case("AR_EXAMPLE")
+    mesh = build_structured_mesh(4)
+    vertices = mesh.vertices.copy()
+    interior = np.all((vertices > 0) & (vertices < 1), axis=1)
+    vertices[interior] += 0.05
+    moved = assemble_global_system(BrokenSpace(Mesh2D(vertices, mesh.triangles), 3), coeffs)
+    emb = build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
+    with pytest.raises(ValueError, match="embedding and system meshes do not match"):
+        solve_embedded_trefftz(moved, emb)
+    with pytest.raises(ValueError, match="embedding and system meshes do not match"):
+        solve_block_coupled(moved, emb)
+    # another space on the same mesh, or on an equal mesh built again, fits
+    for other in (mesh, build_structured_mesh(4)):
+        sys = assemble_global_system(BrokenSpace(other, 3), coeffs)
+        solve_embedded_trefftz(sys, emb)
+        solve_block_coupled(sys, emb)
+
+
 def test_embedding_dimension_mismatch_rejected():
     coeffs = builtin_case("AR_EXAMPLE")
     sys4 = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs)
@@ -280,10 +302,10 @@ def assert_entrywise_close(got, want, rtol=1e-14):
 def reduced_matrix(sys, emb):
     """The embedded Trefftz system ``T' A T`` in the numbering of the
     Trefftz unknowns and ``T' (l - A u_L)``, from the blocks the embedded
-    solve forms."""
+    solve forms, the padding of narrower kernels dropped."""
     blocks, rhs = solver._reduced_blocks(sys, emb)
-    A, widths = sys.blocks, np.diff(emb.offsets)
-    return block_matrix(blocks, A.indices, A.indptr, widths, widths), rhs
+    A, keep = sys.blocks, trailing(np.diff(emb.offsets), emb.kernels.shape[2]).ravel()
+    return block_matrix(blocks, A.indices, A.indptr)[keep][:, keep], rhs[keep]
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -296,7 +318,7 @@ def test_reduced_system_matches_the_triple_product(
     sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
     matrix, rhs = reduced_matrix(sys, emb)
-    T = emb.prolongation
+    T = prolongation(emb)
     assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
     assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
 
@@ -308,7 +330,7 @@ def test_reduced_system_with_mixed_kernel_widths(zero_odd_operators):
         emb = build_embedding(sys.space, coeffs, AR)
     assert list(np.diff(emb.offsets)) == [4, 10] * 4
     matrix, rhs = reduced_matrix(sys, emb)
-    T = emb.prolongation
+    T = prolongation(emb)
     assert matrix.shape == (56, 56)
     assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
     assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
@@ -484,14 +506,14 @@ def refuse_sweeps(monkeypatch):
 
 
 def recording_ordered_solves(monkeypatch):
-    """Record the system, blocks, unknown bounds, right-hand side, label
+    """Record the system, blocks, kernel widths, right-hand side, label
     and solution of every ordered solve."""
     solves = []
     ordered_solve = solver._ordered_solve
 
-    def recording(system, blocks, bounds, rhs, label):
-        x = ordered_solve(system, blocks, bounds, rhs, label)
-        solves.append((system, blocks, bounds, rhs, label, x))
+    def recording(system, blocks, rhs, label, widths=None):
+        x = ordered_solve(system, blocks, rhs, label, widths)
+        solves.append((system, blocks, widths, rhs, label, x))
         return x
 
     monkeypatch.setattr(solver, "_ordered_solve", recording)
@@ -500,12 +522,15 @@ def recording_ordered_solves(monkeypatch):
 
 def assert_match_plain_lu(solves):
     """Every recorded solution matches plain ``splu`` of the unordered
-    matrix to 1e-12 relative."""
-    for system, blocks, bounds, rhs, _, x in solves:
-        widths = np.diff(bounds)
-        plain = block_matrix(blocks, system.blocks.indices, system.blocks.indptr, widths, widths)
-        reference = splu(plain).solve(rhs)
-        assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
+    matrix, the padding of narrower kernels dropped, to 1e-12 relative,
+    and is zero on the padding."""
+    for system, blocks, widths, rhs, _, x in solves:
+        full = widths is None
+        keep = np.full(len(rhs), True) if full else trailing(widths, blocks.shape[1]).ravel()
+        plain = block_matrix(blocks, system.blocks.indices, system.blocks.indptr)
+        reference = splu(plain[keep][:, keep]).solve(rhs[keep])
+        assert np.linalg.norm(x[keep] - reference) <= 1e-12 * np.linalg.norm(reference)
+        assert not np.any(x[~keep])
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -594,12 +619,6 @@ def level_order(blocks):
     return solver._levels(blocks.indices[off], rows[off], n)[0]
 
 
-def element_bounds(system):
-    """The unknowns ``bounds[k]:bounds[k + 1]`` of every element of the
-    full DG system."""
-    return np.append(system.space.offsets, system.space.ndof_total)
-
-
 def recording_factorizations(monkeypatch):
     """Record every matrix the solver factors, its options and its LU."""
     factored = []
@@ -646,8 +665,8 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
     solve_standard_dg(sys)
     solve_embedded_trefftz(sys, emb)
     assert len(perms) == 2
-    for perm, bounds in zip(perms, (element_bounds(sys), emb.offsets)):
-        np.testing.assert_array_equal(perm, solver._block_permutation(order, bounds))
+    for perm, width in zip(perms, (sys.space.ndof_local, emb.kernels.shape[2])):
+        np.testing.assert_array_equal(perm, solver._block_permutation(order, width))
     assert [matrix.shape[0] for matrix, _, _ in factored] == [
         sys.space.ndof_total,
         emb.ndof_trefftz,
@@ -688,8 +707,8 @@ def test_sip_order_is_the_mesh_order(monkeypatch, perturbed_mesh, perturbed, cas
     perms = recording_direct_solves(monkeypatch)
     solve_standard_dg(sys)
     assert len(perms) == 1
-    bounds = element_bounds(sys)
-    np.testing.assert_array_equal(perms[0], solver._block_permutation(mesh.element_order, bounds))
+    width = sys.space.ndof_local
+    np.testing.assert_array_equal(perms[0], solver._block_permutation(mesh.element_order, width))
 
 
 def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
@@ -712,11 +731,11 @@ def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
     assert [options["permc_spec"] for _, options, _ in factored] == ["NATURAL"] * 2
     # both LUs run in the mesh order
     assert len(perms) == 2
-    for perm, bounds in zip(perms, (element_bounds(sys), emb.offsets)):
-        np.testing.assert_array_equal(perm, solver._block_permutation(mesh.element_order, bounds))
+    for perm, width in zip(perms, (sys.space.ndof_local, emb.kernels.shape[2])):
+        np.testing.assert_array_equal(perm, solver._block_permutation(mesh.element_order, width))
     reduced, rhs = reduced_matrix(sys, emb)
     # the kernel columns are orthonormal, so T' recovers the Trefftz unknowns
-    x_t = emb.prolongation.T @ (u_et.coeffs - emb.u_L)
+    x_t = prolongation(emb).T @ (u_et.coeffs - emb.u_L)
     for matrix, load, x in ((sys.matrix, sys.load, u_dg.coeffs), (reduced, rhs, x_t)):
         residual = np.linalg.norm(matrix @ x - load)
         assert residual <= solver._RESIDUAL_TOL * np.linalg.norm(load)
@@ -795,13 +814,17 @@ def test_sweep_solves_acyclic_block_systems_like_a_dense_solve(data, acyclic, re
     blocks, indices, indptr, widths = random_block_system(data, n, acyclic, nd)
     pattern = sparse.bsr_matrix((blocks, indices, indptr), shape=(n * nd, n * nd))
     system = DgSystem(blocks=pattern, load=None, space=space)
-    bounds = np.concatenate([[0], np.cumsum(widths)])
-    rhs = np.random.default_rng(n).standard_normal(bounds[-1])
-    dense = block_matrix(blocks, indices, indptr, widths, widths).toarray()
+    # the right-hand side is zero on the padding, as T' r of a kernel stack
+    keep = trailing(widths, nd).ravel()
+    rhs = np.zeros(n * nd)
+    rhs[keep] = np.random.default_rng(n).standard_normal(keep.sum())
+    dense = block_matrix(blocks, indices, indptr).toarray()[keep][:, keep]
     with pytest.MonkeyPatch.context() as patch:
         sweeps = recording_sweeps(patch)
         perms = recording_direct_solves(patch)
-        x = solver._ordered_solve(system, blocks, bounds, rhs, "random block system")
+        x = solver._ordered_solve(system, blocks, rhs, "random block system", widths)
+    assert not np.any(x[~keep])
+    x, rhs = x[keep], rhs[keep]
     reference = np.linalg.solve(dense, rhs)
     assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
     assert np.linalg.norm(dense @ x - rhs) <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)
@@ -815,7 +838,7 @@ def test_sweep_solves_acyclic_block_systems_like_a_dense_solve(data, acyclic, re
     if n_components < n:
         # a cycle, possibly in several components: the LU runs in mesh order
         assert len(perms) == 1
-        expected = solver._block_permutation(space.mesh.element_order, bounds)
+        expected = solver._block_permutation(space.mesh.element_order, nd)
         np.testing.assert_array_equal(perms[0], expected)
     else:
         assert perms == []
@@ -876,12 +899,13 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
             solves = recording_ordered_solves(patch)
             solve_embedded_trefftz(sys, emb)
             solve_block_coupled(sys, emb)
-        (_, reduced, reduced_bounds, *_), (_, schur, schur_bounds, *_) = solves
+        (_, reduced, reduced_widths, *_), (_, schur, schur_widths, *_) = solves
         # only the Schur complement of the Trefftz unknowns is swept, on the
-        # block pattern and the unknowns of T'AT
+        # block pattern and the unknowns of T'AT: every kernel has the full
+        # width, so neither has padding
         assert len(sweeps) == 2 and all(x is not None for x in sweeps)
         assert schur.shape == reduced.shape
-        assert np.array_equal(schur_bounds, reduced_bounds)
+        assert schur_widths is None and np.all(reduced_widths == reduced.shape[1])
         assert_match_plain_lu(solves)
         refuse_sweeps(monkeypatch)
     perms = recording_direct_solves(monkeypatch)
@@ -1007,12 +1031,70 @@ def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch, zero_odd_
     assert handed == []
     assert len(sweeps) == 1 and sweeps[0] is not None
     assert_match_plain_lu(solves)
-    # the fallback LU gets the trailing rows and columns, ordered and sorted
+    # the fallback LU gets the padded blocks, a unit diagonal on the
+    # padding of the kernels of width 4, ordered and sorted
     refuse_sweeps(monkeypatch)
     perms = recording_direct_solves(monkeypatch)
     solve_embedded_trefftz(sys, emb)
     assert len(handed) == 1
-    widths = np.diff(emb.offsets)
-    full = projected(sys, emb.kernels, emb.kernels)
-    keep = embedding_module._trailing(widths, emb.kernels.shape[2])
-    assert_sorted_and_equal(handed[0], plain_ordered(full[keep][:, keep], perms[0]))
+    T, A = emb.kernels, sys.blocks
+    pad = ~trailing(np.diff(emb.offsets), T.shape[2])
+    rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
+    data = np.swapaxes(T, 1, 2)[rows] @ (A.data @ T[A.indices])
+    diagonal = rows == A.indices
+    data[diagonal] += pad[rows[diagonal], None, :] * np.eye(T.shape[2])
+    padded = sparse.bsr_matrix((data, A.indices, A.indptr)).tocsr()
+    assert_sorted_and_equal(handed[0], plain_ordered(padded, perms[0]))
+
+
+@pytest.mark.parametrize(
+    "case,local_kind,p,mixed",
+    [("AR_EXAMPLE", AR, 3, False), ("AR_EXAMPLE", AR, 3, True), ("DAR_EXAMPLE", DAR, 6, False)],
+)
+def test_stack_products_match_the_sparse_embedding(request, case, local_kind, p, mixed):
+    if mixed:
+        request.getfixturevalue("zero_odd_operators")
+    space = BrokenSpace(build_structured_mesh(3), p)
+    with warnings.catch_warnings():
+        # the rank fallback of the zero operators warns; tested elsewhere
+        warnings.simplefilter("ignore")
+        emb = build_embedding(space, builtin_case(case), local_kind)
+    T, P = emb.kernels, prolongation(emb)
+    keep = trailing(np.diff(emb.offsets), T.shape[2]).ravel()
+    assert len(set(np.diff(emb.offsets))) == (2 if mixed else 1)
+    rng = np.random.default_rng(5)
+    r = rng.standard_normal(space.ndof_total)
+    x = np.zeros(keep.shape)
+    x[keep] = rng.standard_normal(emb.ndof_trefftz)
+    # T' r and T x summed in the sparse products' order: equal bit for bit,
+    # and T' r is zero on the padding
+    restricted = solver._stack_product(np.swapaxes(T, 1, 2), r)
+    assert np.array_equal(restricted[keep], P.T @ r)
+    assert not np.any(restricted[~keep])
+    assert np.array_equal(solver._stack_product(T, x), P @ x[keep])
+
+
+def test_padded_lu_matches_the_sweep_on_mixed_widths(monkeypatch, zero_odd_operators):
+    coeffs = builtin_case("AR_EXAMPLE")
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs)
+    with pytest.warns(UserWarning, match="elements have numerically rank deficient"):
+        emb = build_embedding(sys.space, coeffs, AR)
+    with monkeypatch.context() as patch:
+        sweeps = recording_sweeps(patch)
+        swept_solves = recording_ordered_solves(patch)
+        swept = solve_embedded_trefftz(sys, emb).coeffs
+    assert len(sweeps) == 1 and sweeps[0] is not None
+    refuse_sweeps(monkeypatch)
+    factored = recording_factorizations(monkeypatch)
+    lu_solves = recording_ordered_solves(monkeypatch)
+    factored_coeffs = solve_embedded_trefftz(sys, emb).coeffs
+    # the LU factors the padded matrix: one unpivoted factorization
+    assert [options.get("permc_spec") for _, options, _ in factored] == ["NATURAL"]
+    assert np.linalg.norm(factored_coeffs - swept) <= 1e-12 * np.linalg.norm(swept)
+    matrix, rhs = reduced_matrix(sys, emb)
+    keep = trailing(np.diff(emb.offsets), emb.kernels.shape[2]).ravel()
+    ((*_, x_sweep),), ((*_, x_lu),) = swept_solves, lu_solves
+    assert np.linalg.norm(x_lu - x_sweep) <= 1e-12 * np.linalg.norm(x_sweep)
+    assert not np.any(x_lu[~keep])
+    residual = np.linalg.norm(matrix @ x_lu[keep] - rhs)
+    assert residual <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)

@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# Compare the CLI outputs of a fixed set of runs between a base revision
+# and the working tree, byte for byte.
+#
+#   tools/compare_outputs.sh BASE
+#
+# BASE is any git revision (a branch, a tag, HEAD). It is checked out in a
+# temporary git worktree, and the same `run` and `diagnose` commands run in
+# both trees with one BLAS thread. Every CSV and every stdout, the latter
+# without the "written to" line that names the output path, is compared
+# with cmp. One line per file is printed; the exit status is non-zero if
+# any file differs or is missing, or if a command fails.
+set -euo pipefail
+
+base=${1:?usage: tools/compare_outputs.sh BASE}
+root=$(git rev-parse --show-toplevel)
+scratch=$(mktemp -d)
+cleanup() {
+    git -C "$root" worktree remove --force "$scratch/tree" >/dev/null 2>&1 || true
+    rm -rf "$scratch"
+}
+trap cleanup EXIT
+git -C "$root" worktree add --quiet --detach "$scratch/tree" "$base"
+
+# name|arguments: a run writes name.csv, a diagnose its sigma CSV name.csv
+commands=(
+    "ar-p3|run --case AR_EXAMPLE --methods dg,et --p 3 --n 4,8,16,32"
+    "ar-p6|run --case AR_EXAMPLE --methods dg,et --p 6 --n 4,8"
+    "ar-et-p6|run --case AR_EXAMPLE --methods et --p 6 --n 16,32"
+    "box-p3|run --case BOX_DIFFUSION_2D --methods dg,et,etbox,qt --p 3 --n 4,8,16"
+    "dar-p23|run --case DAR_EXAMPLE --methods dg,et,etbox --p 2,3 --n 4,8,16"
+    "dar-p6|run --case DAR_EXAMPLE --methods dg,et --p 6 --n 4,8"
+    "dar-et-p6|run --case DAR_EXAMPLE --methods et,etbox --p 6 --n 16,32"
+    "diagnose-dar-p6|diagnose --case DAR_EXAMPLE --p 6 --n 12"
+    "diagnose-ar-p6|diagnose --case AR_EXAMPLE --p 6 --n 8"
+    "diagnose-box-p3|diagnose --case BOX_DIFFUSION_2D --kind DAR_BOX --p 3 --n 8"
+)
+
+outputs() {  # tree, output directory
+    mkdir -p "$2"
+    for entry in "${commands[@]}"; do
+        name=${entry%%|*}
+        # word splitting of the arguments is intended
+        (cd "$1" && OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 -m trefftzdg \
+            ${entry#*|} --out "$2/$name.csv") | sed '/ written to /d' > "$2/$name.out"
+    done
+}
+
+outputs "$scratch/tree" "$scratch/base"
+outputs "$root" "$scratch/head"
+
+status=0
+for name in $( (ls "$scratch/base"; ls "$scratch/head") | sort -u); do
+    if cmp -s "$scratch/base/$name" "$scratch/head/$name"; then
+        echo "identical $name"
+    else
+        echo "DIFFERS   $name"
+        status=1
+    fi
+done
+exit $status
