@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import compute_errors, estimate_eoc, run_diagnostics
@@ -40,7 +40,7 @@ class UsageError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Validated parameters of one experiment sweep."""
+    """Validated parameters of one experiment sweep; ``coeffs`` is derived from ``case``."""
 
     case: str
     methods: tuple
@@ -49,13 +49,14 @@ class ExperimentConfig:
     out: str
     sigma: float = None
     box_scale: float = 0.25
+    coeffs: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.case not in BUILTIN_CASES:
             raise UsageError(
                 f"unknown case {self.case!r}; expected one of {BUILTIN_CASES}"
             )
-        coeffs = builtin_case(self.case)
+        self.coeffs = coeffs = builtin_case(self.case)
         self.methods = tuple(self.methods)
         if not self.methods:
             raise UsageError("at least one method is required")
@@ -138,7 +139,7 @@ def run_experiment(config, write=True, stream=None):
     (method, p, n); one row per (method, p, n) combination.
     """
     stream = stream if stream is not None else sys.stdout
-    coeffs = builtin_case(config.case)
+    coeffs = config.coeffs
     local_kinds = {m: _check_kind(coeffs, _LOCAL_KIND[m], f"method {m}")
                    for m in config.methods if m != "dg"}
     rows = []

@@ -14,8 +14,10 @@ facet adds ``-(beta.n)[u]{v} + (|beta.n|/2 + sigma alpha_F/|F|)[u][v]
 one-sided case, where the upwind terms reduce to ``|beta.n| u v`` at the
 inflow quadrature nodes (``beta.n < 0``) and the Dirichlet data takes the
 place of the outer trace in the load. The operator is stored once, as
-element-pair blocks: each element's self terms sum into its diagonal
-block, and only coupling blocks with a nonzero entry are stored.
+element-pair blocks in a layout fixed by the mesh (:func:`_block_layout`):
+facet batches write their coupling blocks into it and their self blocks
+into a stack, which sums into the diagonal blocks in an order the facet
+numbering fixes; the exactly zero upwind outflow blocks are then dropped.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ from .basis import BrokenSpace
 from .coefficients import require_finite, require_positive
 
 _CHUNK = 4096
+#: facet matrix entries per batch of the facet loop
+_FACET_ENTRIES = 1 << 16
+#: interior facets per run of the self-term summation order
+_SELF_RUN = 2048
 
 
 @dataclass
@@ -37,10 +43,11 @@ class DgSystem:
     """Assembled DG operator and load vector.
 
     The operator is stored once, as element-pair blocks in BSR layout
-    (``blocks``). ``matrix`` is a read-only CSR copy built on each request,
-    for inspection (tests, nnz counts). ``sigma`` and ``alpha_facet``, the
-    facet-averaged diffusion coefficient, are the penalty data (None for
-    the upwind form without diffusion); error norms reuse them.
+    (``blocks``), each diagonal block summed in the order the facet
+    numbering fixes. ``matrix`` is a read-only CSR copy built on each
+    request, for inspection (tests, nnz counts). ``sigma`` and the facet
+    mean diffusion ``alpha_facet`` are the penalty data (None for the
+    upwind form without diffusion); error norms reuse them.
     """
 
     blocks: sparse.bsr_matrix = field(repr=False)
@@ -84,28 +91,27 @@ def facet_alpha(space, coeffs):
     return af
 
 
-def _block_matrix(n_elements, own, pairs):
-    """BSR matrix of the element self terms ``own`` ``(elements, blocks)``
-    and the coupling terms ``pairs`` ``(test, trial, blocks)``. The self
-    terms sum into the diagonal blocks in term order; a coupling block is
-    stored only if it has a nonzero entry, so the exactly zero upwind
-    outflow blocks are dropped."""
-    elems = np.concatenate([e for e, _ in own])
-    terms = np.concatenate([b for _, b in own])
-    m, nd, _ = terms.shape
-    incidence = sparse.csr_matrix((np.ones(m), (elems, np.arange(m))), shape=(n_elements, m))
-    rows, cols = [np.arange(n_elements)], [np.arange(n_elements)]
-    data = [(incidence @ terms.reshape(m, -1)).reshape(n_elements, nd, nd)]
-    for test, trial, blocks in pairs:
-        keep = np.any(blocks != 0.0, axis=(1, 2))
-        rows.append(test[keep])
-        cols.append(trial[keep])
-        data.append(blocks[keep])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
+def _block_layout(mesh):
+    """The block layout of the DG operator on ``mesh``: ``rows`` and
+    ``cols`` of its slots in row order, one for each element's diagonal
+    block and one for each of the two coupling blocks of every interior
+    facet; ``slots`` of the diagonal, then the ``(K1, K2)``, then the
+    ``(K2, K1)`` blocks; and ``own`` ``(E, 3)``, each element's facet self
+    blocks in the stack ``[K1 | K2 | boundary]`` in summation order: the
+    interior facets in runs of ``_SELF_RUN``, the K1 sides of a run before
+    its K2 sides, then the boundary facets."""
+    E, inner = mesh.n_elements, mesh.interior_facets
+    left, right = mesh.facet_left[inner], mesh.facet_right[inner]
+    rows = np.concatenate([np.arange(E), left, right])
+    cols = np.concatenate([np.arange(E), right, left])
     order = np.lexsort((cols, rows))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_elements))])
-    n = n_elements * nd
-    return sparse.bsr_matrix((np.concatenate(data)[order], cols[order], indptr), shape=(n, n))
+    k = np.arange(len(inner))
+    start = k - k % _SELF_RUN
+    run = np.minimum(_SELF_RUN, len(inner) - start)
+    key = np.concatenate([start + k, start + k + run, np.arange(2 * len(inner), 3 * E)])
+    owner = np.concatenate([left, right, mesh.facet_left[mesh.boundary_facets]])
+    own = np.lexsort((key, owner)).reshape(E, 3)
+    return rows[order], cols[order], np.argsort(order), own
 
 
 def _gram(w, a, b):
@@ -169,14 +175,15 @@ def assemble_global_system(space, coeffs, sigma=None):
         sigma = default_sigma(space.degree)
     mesh = space.mesh
     nd = space.ndof_local
-    own, pairs = [], []
+    E, n_inner = mesh.n_elements, len(mesh.interior_facets)
+    diag = np.zeros((E, nd, nd))
     load = np.zeros(space.ndof_total)
     has_beta = coeffs.beta is not None
     has_gamma = coeffs.gamma is not None
     af = facet_alpha(space, coeffs) if diffusive else None
 
     # volume terms: weighted coefficients against the shared reference tables
-    for chunk in _chunks(mesh.n_elements):
+    for chunk in _chunks(E):
         elems = np.arange(chunk.start, chunk.stop)
         pts = space.volume_points[chunk]
         w = space.volume_weights[chunk]
@@ -188,12 +195,18 @@ def assemble_global_system(space, coeffs, sigma=None):
             terms["drift"] = require_finite(coeffs.beta(x, y), "beta", "element", elems)
         if has_gamma:
             terms["value"] = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
-        own.append((elems, space.volume_matrices(chunk, w, **terms)))
+        diag[chunk] += space.volume_matrices(chunk, w, **terms)
         fv = require_finite(coeffs.f(x, y), "f", "element", elems)
         load[chunk.start * nd : chunk.stop * nd] += space.volume_load(chunk, w, fv).ravel()
+    del terms, fv  # the coefficient values of the last chunk
 
     # facet terms in jump/average form: interior facets, then the one-sided
-    # boundary facets
+    # boundary facets; each batch writes its coupling blocks into their
+    # slots and its self blocks into the stack [K1 | K2 | boundary]
+    rows, cols, slots, own = _block_layout(mesh)
+    # the stack first, so that the kept blocks can reuse its memory and diag's
+    selfs = np.empty((3 * E, nd, nd))
+    data = np.empty((len(slots), nd, nd))
     fpts, fw = space.facet_rule
     inner, outer = mesh.interior_facets, mesh.boundary_facets
     groups = (
@@ -201,10 +214,9 @@ def assemble_global_system(space, coeffs, sigma=None):
         (outer, mesh.facet_left[outer][:, None]),
     )
     for group, group_sides in groups:
-        # at most _CHUNK element traces per batch, as in the volume loop
-        for chunk in _chunks(len(group), _CHUNK // group_sides.shape[1]):
+        interior = group_sides.shape[1] == 2
+        for chunk in _chunks(len(group), max(1, _FACET_ENTRIES // (2 * nd) ** 2)):
             facets, sides = group[chunk], group_sides[chunk]
-            interior = sides.shape[1] == 2
             pts, w = fpts[facets], fw[facets]
             x, y = pts[..., 0], pts[..., 1]
             normals = mesh.facet_normals[facets]
@@ -222,17 +234,24 @@ def assemble_global_system(space, coeffs, sigma=None):
                 c_flux = -alpha / sides.shape[1]
             M, test = _facet_terms(space, facets, sides.shape[1], w, c_avg, c_jump, c_flux)
             if interior:
-                left, right = sides.T
-                own += [(left, M[:, :nd, :nd]), (right, M[:, nd:, nd:])]
-                pairs += [(left, right, M[:, :nd, nd:]), (right, left, M[:, nd:, :nd])]
+                data[slots[E:][chunk]] = M[:, :nd, nd:]
+                data[slots[E + n_inner :][chunk]] = M[:, nd:, :nd]
+                selfs[chunk] = M[:, :nd, :nd]
+                selfs[n_inner:][chunk] = M[:, nd:, nd:]
             else:
-                left = sides[:, 0]
-                own.append((left, M))
+                selfs[2 * n_inner :][chunk] = M
                 # the Dirichlet data enters as the trial trace of the jump
                 g = require_finite(coeffs.g_D(x, y), "g_D", "facet", facets)
                 lb = np.einsum("fq,fqi->fi", w * g, test)
-                np.add.at(load, space.offsets[left][:, None] + np.arange(nd), lb)
+                np.add.at(load, space.offsets[sides[:, 0]][:, None] + np.arange(nd), lb)
 
-    blocks = _block_matrix(mesh.n_elements, own, pairs)
+    for column in own.T:
+        diag += selfs[column]
+    data[slots[:E]] = diag
+    del selfs, diag
+    # the diagonal blocks stay; the exactly zero upwind outflow blocks go
+    keep = np.any(data != 0.0, axis=(1, 2))
+    keep[slots[:E]] = True
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=E))])
+    blocks = sparse.bsr_matrix((data[keep], cols[keep], indptr), shape=(len(load),) * 2)
     return DgSystem(load=load, space=space, sigma=sigma, alpha_facet=af, blocks=blocks)
-

@@ -383,16 +383,16 @@ def solve_block_coupled(system, embedding):
     # [T'AT | T'AL], formed as in the reduced system
     coupling = _pair_blocks(system, T, np.concatenate([T, L], axis=2))
     schur = coupling[..., :w] - coupling[..., w:] @ X_T[blocks.indices]
+    # the right-hand side is restricted in the order of the reduced system
     Tt = np.swapaxes(T, 1, 2)
-    g = system.load.reshape(n_elements, n, 1)
-    rhs = Tt @ (g - (blocks @ (L @ x_l[..., None]).ravel()).reshape(g.shape))
-    c_t = _ordered_solve(system, schur, rhs.ravel(), "coupled block solve")
+    rhs = _stack_product(Tt, system.load - blocks @ (L @ x_l[..., None]).ravel())
+    c_t = _ordered_solve(system, schur, rhs, "coupled block solve")
     c_T = c_t.reshape(n_elements, w, 1)
     c_L = x_l[..., None] - X_T @ c_T
     # residual of the 2x2 system: local rows per element, global rows
     # through the coupling blocks
     local = (AL @ c_L + AT @ c_T)[..., 0] - load
-    tg = (Tt @ g).ravel()
+    tg = _stack_product(Tt, system.load)
     coupled = sparse.bsr_matrix(
         (coupling, blocks.indices, blocks.indptr), shape=(len(tg), n_elements * n)
     )

@@ -123,6 +123,26 @@ def test_diagnose_out_builds_the_embedding_once(tmp_path, monkeypatch):
     assert len(out.read_text().splitlines()) == 1 + 8 * 3  # dim Q = 3 at p=3
 
 
+def test_run_builds_the_case_once(tmp_path, monkeypatch):
+    import trefftzdg.coefficients as coefficients
+
+    builds = []
+    original = coefficients.manufactured_case
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "manufactured_case", counting)
+    assert main(["run", "--case", "DAR_EXAMPLE", "--methods", "dg,et,etbox", "--p", "2",
+                 "--n", "1,2", "--out", str(tmp_path / "x.csv")]) == 0
+    assert len(builds) == 1
+    # the case is derived from its name, never passed
+    with pytest.raises(TypeError):
+        ExperimentConfig(case="AR_EXAMPLE", methods=("dg",), p_list=(3,), n_list=(4,),
+                         out="x.csv", coeffs=None)
+
+
 def test_default_penalty_is_50_p_squared(tmp_path):
     args = ["run", "--case", "BOX_DIFFUSION_2D", "--methods", "dg,et",
             "--p", "3", "--n", "2", "--out"]

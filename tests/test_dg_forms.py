@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,29 +106,99 @@ CASES = [
 ]
 
 
+def assemble_capturing_terms(monkeypatch, space, coeffs, sigma=None):
+    """Assemble on ``space`` and capture every term the assembly computed:
+    the volume blocks ``(elements, blocks)`` and the facet matrices
+    ``(facets, M)`` of each batch, in the order they were computed."""
+    volume, facet = [], []
+    volume_matrices = BrokenSpace.volume_matrices
+    facet_terms = dg_forms._facet_terms
+
+    def capture_volume(self, elems, *args, **kwargs):
+        blocks = volume_matrices(self, elems, *args, **kwargs)
+        volume.append((np.arange(self.mesh.n_elements)[elems], blocks))
+        return blocks
+
+    def capture_facets(space, facets, *args):
+        M, test = facet_terms(space, facets, *args)
+        facet.append((facets, M))
+        return M, test
+
+    monkeypatch.setattr(BrokenSpace, "volume_matrices", capture_volume)
+    monkeypatch.setattr(dg_forms, "_facet_terms", capture_facets)
+    sys = assemble_global_system(space, coeffs, sigma=sigma)
+    monkeypatch.undo()
+    return sys, volume, facet
+
+
+def incidence_order_terms(mesh, nd, volume, facet):
+    """The captured terms as the self terms ``(elements, blocks)`` and the
+    coupling terms ``(test, trial, blocks)`` of an assembly that computes
+    its interior facets in batches of 2,048, each batch's K1 self blocks
+    before its K2 ones, then its boundary facets, after the volume."""
+    inner = np.concatenate([f for f, m in facet if m.shape[1] == 2 * nd])
+    outer = np.concatenate([f for f, m in facet if m.shape[1] == nd])
+    M_inner = np.concatenate([m for f, m in facet if m.shape[1] == 2 * nd])
+    M_outer = np.concatenate([m for f, m in facet if m.shape[1] == nd])
+    assert np.array_equal(inner, mesh.interior_facets)
+    assert np.array_equal(outer, mesh.boundary_facets)
+    own, pairs = list(volume), []
+    for start in range(0, len(inner), 2048):
+        run = slice(start, start + 2048)
+        left, right, m = mesh.facet_left[inner[run]], mesh.facet_right[inner[run]], M_inner[run]
+        own += [(left, m[:, :nd, :nd]), (right, m[:, nd:, nd:])]
+        pairs += [(left, right, m[:, :nd, nd:]), (right, left, m[:, nd:, :nd])]
+    own.append((mesh.facet_left[outer], M_outer))
+    return own, pairs
+
+
+def reference_block_matrix(n_elements, own, pairs):
+    """BSR matrix of the element self terms ``own`` ``(elements, blocks)``
+    and the coupling terms ``pairs`` ``(test, trial, blocks)``: the self
+    terms sum into the diagonal blocks in term order, by a sparse incidence
+    product, and a coupling block is stored only if it has a nonzero
+    entry. The assembly must reproduce it bit for bit."""
+    elems = np.concatenate([e for e, _ in own])
+    terms = np.concatenate([b for _, b in own])
+    m, nd, _ = terms.shape
+    incidence = sparse.csr_matrix((np.ones(m), (elems, np.arange(m))), shape=(n_elements, m))
+    rows, cols = [np.arange(n_elements)], [np.arange(n_elements)]
+    data = [(incidence @ terms.reshape(m, -1)).reshape(n_elements, nd, nd)]
+    for test, trial, blocks in pairs:
+        keep = np.any(blocks != 0.0, axis=(1, 2))
+        rows.append(test[keep])
+        cols.append(trial[keep])
+        data.append(blocks[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_elements))])
+    n = n_elements * nd
+    return sparse.bsr_matrix((np.concatenate(data)[order], cols[order], indptr), shape=(n, n))
+
+
 @pytest.mark.parametrize("perturbed", [False, True])
 @pytest.mark.parametrize("case,sigma", CASES)
 def test_matrix_is_the_coo_sum_of_its_terms_without_zero_blocks(
     monkeypatch, perturbed_mesh, perturbed, case, sigma
 ):
-    captured = []
-    block_matrix = dg_forms._block_matrix
-
-    def capture(n_elements, own, pairs):
-        captured.append((own, pairs))
-        return block_matrix(n_elements, own, pairs)
-
-    monkeypatch.setattr(dg_forms, "_block_matrix", capture)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(BrokenSpace(mesh, 2), builtin_case(case), sigma=sigma)
-    own, pairs = captured[0]
+    space = BrokenSpace(mesh, 2)
+    sys, volume, facet = assemble_capturing_terms(monkeypatch, space, builtin_case(case), sigma)
     # every entry of every term as one COO entry, duplicates summed
     nd = sys.space.ndof_local
     local = np.arange(nd)
+    terms = list(volume)
+    for facets, M in facet:
+        sides = [mesh.facet_left[facets]]
+        if M.shape[1] == 2 * nd:
+            sides.append(mesh.facet_right[facets])
+        # the dofs of the facet's elements, K1 first
+        terms.append((np.concatenate([(k * nd)[:, None] + local for k in sides], axis=1), M))
     rows, cols, vals = [], [], []
-    for test, trial, blocks in [(e, e, b) for e, b in own] + pairs:
-        rows.append(np.broadcast_to((test * nd)[:, None, None] + local[:, None], blocks.shape))
-        cols.append(np.broadcast_to((trial * nd)[:, None, None] + local, blocks.shape))
+    for elements, blocks in terms:
+        dofs = elements if elements.ndim == 2 else (elements * nd)[:, None] + local
+        rows.append(np.broadcast_to(dofs[:, :, None], blocks.shape))
+        cols.append(np.broadcast_to(dofs[:, None, :], blocks.shape))
         vals.append(blocks)
     rows, cols, vals = (np.concatenate([a.ravel() for a in x]) for x in (rows, cols, vals))
     coo = sparse.coo_matrix((vals, (rows, cols)), shape=sys.matrix.shape).tocsr()
@@ -143,6 +214,47 @@ def test_matrix_is_the_coo_sum_of_its_terms_without_zero_blocks(
         assert couplings == len(mesh.interior_facets)
     else:
         assert couplings == 2 * len(mesh.interior_facets)
+
+
+@pytest.mark.parametrize(
+    "case,p,n,mesh_kind",
+    [
+        # 3,008 interior facets: more than one run of 2,048
+        ("AR_EXAMPLE", 3, 32, "structured"),
+        ("DAR_EXAMPLE", 6, 12, "structured"),
+        # 2,133 interior facets, SIP
+        ("DAR_EXAMPLE", 2, 27, "perturbed"),
+        ("AR_EXAMPLE", 2, 27, "shuffled"),
+    ],
+)
+def test_blocks_are_the_incidence_sum_of_the_terms_bit_for_bit(
+    monkeypatch, perturbed_mesh, shuffled_mesh, case, p, n, mesh_kind
+):
+    builders = {"structured": build_structured_mesh, "perturbed": perturbed_mesh,
+                "shuffled": shuffled_mesh}
+    mesh = builders[mesh_kind](n)
+    space = BrokenSpace(mesh, p)
+    sys, volume, facet = assemble_capturing_terms(monkeypatch, space, builtin_case(case))
+    own, pairs = incidence_order_terms(mesh, sys.space.ndof_local, volume, facet)
+    reference = reference_block_matrix(mesh.n_elements, own, pairs)
+    blocks = sys.blocks
+    assert blocks.data.shape == reference.data.shape
+    assert np.array_equal(blocks.data.view(np.uint64), reference.data.view(np.uint64))
+    assert np.array_equal(blocks.indices, reference.indices)
+    assert np.array_equal(blocks.indptr, reference.indptr)
+
+
+def test_assembly_transient_is_a_few_times_the_system():
+    space = BrokenSpace(build_structured_mesh(32), 3)
+    coeffs = builtin_case("AR_EXAMPLE")
+    assemble_global_system(space, coeffs)  # the space's cached rules and tables
+    tracemalloc.start()
+    try:
+        sys = assemble_global_system(space, coeffs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * (sys.blocks.data.nbytes + sys.load.nbytes)
 
 
 def textbook_system(mesh, p, coeffs, sigma):

@@ -31,6 +31,8 @@ commands=(
     "dar-p23|run --case DAR_EXAMPLE --methods dg,et,etbox --p 2,3 --n 4,8,16"
     "dar-p6|run --case DAR_EXAMPLE --methods dg,et --p 6 --n 4,8"
     "dar-et-p6|run --case DAR_EXAMPLE --methods et,etbox --p 6 --n 16,32"
+    # 3,008 interior facets: the self terms of a SIP mesh sum across runs of 2,048
+    "dar-dg-p3|run --case DAR_EXAMPLE --methods dg --p 3 --n 32"
     "diagnose-dar-p6|diagnose --case DAR_EXAMPLE --p 6 --n 12"
     "diagnose-ar-p6|diagnose --case AR_EXAMPLE --p 6 --n 8"
     "diagnose-box-p3|diagnose --case BOX_DIFFUSION_2D --kind DAR_BOX --p 3 --n 8"
