@@ -16,7 +16,7 @@ from .coefficients import require_finite, require_positive
 from .dg_forms import assemble_global_system, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
 from .local_ops import operator_row_count
-from .solver import solve_block_coupled, solve_embedded_trefftz
+from .solver import TrefftzBlocks, solve_block_coupled, solve_embedded_trefftz
 
 @dataclass
 class ErrorReport:
@@ -191,7 +191,13 @@ def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=0.25):
     """Numerical witnesses for the decoupling and local-stability
     assumptions on the broken ``space``, plus the embedded/block
     equivalence gap. The gap is computed when every element keeps all its
-    operator rows, as the coupled block solve needs; otherwise it is NaN."""
+    operator rows, as the coupled block solve needs; otherwise it is NaN.
+
+    The two solves share one :class:`~trefftzdg.solver.TrefftzBlocks`:
+    the product ``T'A [T | L]``, the level schedule and at most one LU,
+    that of ``T'AT``, which the embedded solve makes and against which the
+    coupled solve refines its Schur system; ``S`` is factored only as the
+    fallback. The factorization is dropped before this returns."""
     p = space.degree
     embedding = build_embedding(space, coeffs, kind, box_scale=box_scale)
     factors = embedding.factors
@@ -212,8 +218,10 @@ def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=0.25):
     gap = gap_rel = float("nan")
     if np.all(factors.rank == A.shape[1]):
         system = assemble_global_system(space, coeffs, sigma=sigma)
-        u_emb = solve_embedded_trefftz(system, embedding)
-        u_block = solve_block_coupled(system, embedding)
+        shared = TrefftzBlocks(system, embedding)
+        u_emb = solve_embedded_trefftz(system, embedding, shared=shared)
+        u_block = solve_block_coupled(system, embedding, shared=shared)
+        del shared  # and with it the factorization
         gap = float(np.linalg.norm(u_emb.coeffs - u_block.coeffs))
         denom = float(np.linalg.norm(u_emb.coeffs))
         gap_rel = gap / denom if denom > 0 else gap

@@ -76,6 +76,7 @@ class ExperimentConfig:
                 raise UsageError(f"{option} lists {repeated[0]} more than once")
         _check_sizes(self.n_list, self.p_list, coeffs)
         _check_positive_finite(sigma=self.sigma, box_scale=self.box_scale)
+        _check_penalty(coeffs, self.sigma)
 
 
 def _check_sizes(n_list, p_list=(), coeffs=None):
@@ -97,6 +98,15 @@ def _check_positive_finite(**options):
         if value is not None and not 0 < value < math.inf:
             option = "--" + name.replace("_", "-")
             raise UsageError(f"{option} must be positive and finite, got {value}")
+
+
+def _check_penalty(coeffs, sigma):
+    """Reject a penalty ``sigma`` (None: unset) for data ``coeffs`` without
+    diffusion: their upwind form has no penalty term to take it."""
+    if sigma is not None and coeffs.alpha is None:
+        raise UsageError(
+            f"--sigma: case {coeffs.name} has no diffusion, and its upwind form takes no penalty"
+        )
 
 
 def _check_out(path):
@@ -296,6 +306,7 @@ def _cmd_diagnose(args):
     kind = _check_kind(coeffs, args.kind, "--kind")
     _check_sizes([args.n], [args.p], coeffs)
     _check_positive_finite(sigma=args.sigma, box_scale=args.box_scale)
+    _check_penalty(coeffs, args.sigma)
     _check_out(args.out)
     space = BrokenSpace(build_structured_mesh(args.n), args.p)
     report = run_diagnostics(space, kind, coeffs, sigma=args.sigma, box_scale=args.box_scale)

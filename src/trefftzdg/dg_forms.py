@@ -69,20 +69,28 @@ def default_sigma(p):
     return 50.0 * p * p
 
 
+def _element_means(weights, values, areas):
+    """Mean of ``values`` ``(E, nq)`` over each element, from the volume
+    rule's ``weights`` and the element ``areas``."""
+    return np.einsum("eq,eq->e", weights, values) / areas
+
+
 def element_alpha_means(space, coeffs):
     """Mean of the diffusion coefficient over each element."""
     x = space.volume_points[..., 0]
     y = space.volume_points[..., 1]
-    vals = coeffs.alpha(x, y)
-    return np.einsum("eq,eq->e", space.volume_weights, vals) / space.mesh.areas
+    return _element_means(space.volume_weights, coeffs.alpha(x, y), space.mesh.areas)
 
 
 def facet_alpha(space, coeffs):
     """Facet diffusion weight: arithmetic mean of the adjacent element
     means (single mean on the boundary); stays within
     [min alpha, max alpha]."""
-    mesh = space.mesh
-    means = element_alpha_means(space, coeffs)
+    return _facet_means(space.mesh, element_alpha_means(space, coeffs))
+
+
+def _facet_means(mesh, means):
+    """The facet weights of :func:`facet_alpha` from the element ``means``."""
     af = means[mesh.facet_left].astype(float)
     interior = mesh.interior_facets
     af[interior] = 0.5 * (
@@ -180,9 +188,10 @@ def assemble_global_system(space, coeffs, sigma=None):
     load = np.zeros(space.ndof_total)
     has_beta = coeffs.beta is not None
     has_gamma = coeffs.gamma is not None
-    af = facet_alpha(space, coeffs) if diffusive else None
+    means = np.empty(E)
 
-    # volume terms: weighted coefficients against the shared reference tables
+    # volume terms: weighted coefficients against the shared reference
+    # tables; the diffusion values also give the element means of alpha
     for chunk in _chunks(E):
         elems = np.arange(chunk.start, chunk.stop)
         pts = space.volume_points[chunk]
@@ -191,6 +200,7 @@ def assemble_global_system(space, coeffs, sigma=None):
         terms = {}
         if diffusive:
             terms["diffusion"] = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
+            means[chunk] = _element_means(w, terms["diffusion"], mesh.areas[chunk])
         if has_beta:
             terms["drift"] = require_finite(coeffs.beta(x, y), "beta", "element", elems)
         if has_gamma:
@@ -199,6 +209,7 @@ def assemble_global_system(space, coeffs, sigma=None):
         fv = require_finite(coeffs.f(x, y), "f", "element", elems)
         load[chunk.start * nd : chunk.stop * nd] += space.volume_load(chunk, w, fv).ravel()
     del terms, fv  # the coefficient values of the last chunk
+    af = _facet_means(mesh, means) if diffusive else None
 
     # facet terms in jump/average form: interior facets, then the one-sided
     # boundary facets; each batch writes its coupling blocks into their

@@ -22,14 +22,17 @@ operators and factors that :func:`~trefftzdg.embedding.build_embedding`
 keeps on the embedding and eliminates its complement unknowns element by
 element with dense batched solves (static condensation), so its only
 global solve is that of the Schur complement on the Trefftz unknowns,
-which has the size and the block pattern of the reduced system. A matrix
+which has the size and the block pattern of the reduced system. Where
+that is not swept, it is refined against the factorization of the
+reduced matrix ``T'AT``, which it equals up to rounding, and factored
+itself only as the fallback; :class:`TrefftzBlocks` lets the embedded
+and the coupled solve of one system share that factorization. A matrix
 that reaches the LU is built once, already in solve order:
 :func:`block_matrix` permutes the element-pair blocks as whole blocks and
 converts them in one pass to the CSC matrix with sorted indices that the
 LU factors. The sweep checks the residual contract on the whole system;
-for the LU, one step of iterative refinement and a pivoting LU as the
-fallback enforce it. The coupled solve also checks it on its whole 2x2
-system.
+for the LU, iterative refinement and a pivoting LU as the fallback
+enforce it. The coupled solve also checks it on its whole 2x2 system.
 """
 
 from __future__ import annotations
@@ -47,6 +50,10 @@ EMBEDDED_TREFFTZ = "EMBEDDED_TREFFTZ"
 BLOCK_COUPLED = "BLOCK_COUPLED"
 
 _RESIDUAL_TOL = 1e-10
+#: refinement steps against the factorization of a nearby matrix (the
+#: coupled solve's Schur complement against ``T'AT``) before the matrix
+#: itself is factored
+_NEARBY_STEPS = 3
 
 
 class SolverError(RuntimeError):
@@ -77,59 +84,89 @@ class DiscreteSolution:
         return self.space.eval_function(local, elems, points, gradients)
 
 
-def _direct_solve(ordered, rhs, label, perm):
+def _direct_solve(ordered, rhs, label, perm, shared=None):
     """Solve ``A x = rhs`` by sparse LU under the residual contract, given
     ``ordered = A[perm][:, perm]`` as :func:`block_matrix` builds it: CSC
     with sorted indices, the unknowns already in solve order.
 
-    The ordered matrix is factored without pivoting, which keeps the fill
-    of the ordering. If that factorization fails, or its solution misses
-    the residual contract after the refinement step, the solve is repeated
-    on the same matrix with the default COLAMD ordering and partial
-    pivoting; a matrix that fails both raises :class:`SolverError`.
+    When ``shared`` (:class:`TrefftzBlocks`) holds a factorization in this
+    order, of ``A`` or of a matrix near it, the solve refines against it
+    for at most :data:`_NEARBY_STEPS` steps first. Otherwise, or if that
+    misses the residual contract, the ordered matrix is factored without
+    pivoting, which keeps the fill of the ordering. If that factorization
+    fails, or its solution misses the residual contract after the
+    refinement step, the solve is repeated on the same matrix with the
+    default COLAMD ordering and partial pivoting; a matrix that fails both
+    raises :class:`SolverError`. ``shared`` keeps the factorization made.
     """
     b = rhs[perm]
-    try:
-        y = _lu_solve(ordered, b, label, pivot=False)
-    except SolverError:
-        y = _lu_solve(ordered, b, label, pivot=True)
+    y = None
+    if shared is not None and shared.lu is not None:
+        try:
+            y = _refined(shared.lu, ordered, b, label, _NEARBY_STEPS)
+        except SolverError:
+            pass  # the matrix itself is factored below
+    if y is None:
+        try:
+            y, lu = _lu_solve(ordered, b, label, pivot=False)
+        except SolverError:
+            y, lu = _lu_solve(ordered, b, label, pivot=True)
+        if shared is not None:
+            shared.lu = lu
     x = np.empty_like(y)
     x[perm] = y
     return x
 
 
-def _lu_solve(csc, rhs, label, pivot):
-    """One factorization, solve and refinement step; ``pivot`` uses
-    SuperLU's default ordering and pivoting in place of the given order.
-    The refinement residual is accumulated in ``np.longdouble``, which
-    takes the error of the refined solution well below the
-    ``cond(A) * eps`` of the first solve."""
+def _factor(csc, label, pivot):
+    """The sparse LU of ``csc`` in its own order without pivoting, or with
+    ``pivot`` in SuperLU's default ordering with partial pivoting."""
     try:
         if pivot:
-            lu = splu(csc)
-        else:
-            lu = splu(csc, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        x = lu.solve(rhs)
+            return splu(csc)
+        return splu(csc, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except (RuntimeError, ValueError) as exc:
         raise SolverError(
             f"{label}: sparse LU factorization failed ({exc}); "
             f"shape {csc.shape}, nnz {csc.nnz}"
         ) from exc
+
+
+def _lu_solve(csc, rhs, label, pivot):
+    """One factorization (:func:`_factor`), solve and refinement step;
+    returns the solution and the factorization."""
+    lu = _factor(csc, label, pivot)
+    return _refined(lu, csc, rhs, label, 1), lu
+
+
+def _refined(lu, csc, rhs, label, steps):
+    """Solve ``csc x = rhs`` with ``lu``, the factorization of ``csc`` or
+    of a matrix ``F`` near it in the same order, then refine: at most
+    ``steps`` steps ``x <- x + F^-1 (rhs - csc x)``, up to the first that
+    meets the residual contract, or :class:`SolverError`.
+
+    The refinement residual is accumulated in ``np.longdouble``, which
+    takes the error of the refined solution well below the
+    ``cond(A) * eps`` of the first solve. Against a nearby ``F`` each step
+    contracts the error by ``||F^-1 (csc - F)||`` (Moler, J. ACM 14,
+    1967)."""
+    x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SolverError(
             f"{label}: non-finite solution entries, matrix is numerically singular "
             f"(shape {csc.shape})"
         )
     wide = sparse.csc_matrix((csc.data.astype(np.longdouble), csc.indices, csc.indptr), csc.shape)
-    x = x + lu.solve((rhs - wide @ x).astype(float))
     denom = max(float(np.linalg.norm(rhs)), np.finfo(float).tiny)
-    residual = np.linalg.norm(csc @ x - rhs)
-    if not residual <= _RESIDUAL_TOL * denom:
-        raise SolverError(
-            f"{label}: relative residual {residual / denom:.3e} exceeds "
-            f"{_RESIDUAL_TOL:.0e}; matrix likely ill-conditioned or singular"
-        )
-    return x
+    for _ in range(steps):
+        x = x + lu.solve((rhs - wide @ x).astype(float))
+        residual = np.linalg.norm(csc @ x - rhs)
+        if residual <= _RESIDUAL_TOL * denom:
+            return x
+    raise SolverError(
+        f"{label}: relative residual {residual / denom:.3e} exceeds "
+        f"{_RESIDUAL_TOL:.0e}; matrix likely ill-conditioned or singular"
+    )
 
 
 def _block_permutation(order, width):
@@ -223,7 +260,25 @@ def _sweep(indices, indptr, blocks, rhs, rows, diagonal, levels):
     return x
 
 
-def _ordered_solve(system, blocks, rhs, label, widths=None):
+class _Schedule:
+    """The level schedule (:func:`_levels`) of the block pattern of
+    ``system``: the ``rows`` of its blocks, which are ``diagonal``, the
+    ``levels``, whether they cover every element (``acyclic``), and the
+    element ``order`` of the LU, the level order on an acyclic graph and
+    the nested-dissection :attr:`Mesh2D.element_order` on one with a
+    cycle."""
+
+    def __init__(self, system):
+        A = system.blocks
+        n = len(A.indptr) - 1
+        self.rows = np.repeat(np.arange(n), np.diff(A.indptr))
+        self.diagonal = A.indices == self.rows
+        self.levels = _levels(A.indices[~self.diagonal], self.rows[~self.diagonal], n)
+        self.acyclic = len(self.levels[0]) == n
+        self.order = self.levels[0] if self.acyclic else system.space.mesh.element_order
+
+
+def _ordered_solve(system, blocks, rhs, label, widths=None, shared=None):
     """Solve the matrix of the element-pair ``blocks`` ``(B, w, w)`` on the
     block pattern of ``system``, ``w`` unknowns per element.
 
@@ -233,30 +288,28 @@ def _ordered_solve(system, blocks, rhs, label, widths=None):
     side entries are zero. They get a unit diagonal here, before either
     path below sees the blocks, so they solve to zero.
 
-    The level schedule of the element graph picks the path. When it
-    covers every element, the graph is acyclic and the system is block
-    lower triangular in level order, so :func:`_sweep` solves it without a
-    factorization; if the sweep returns ``None``, the LU runs in that
-    same order and has no fill. Otherwise the graph has a cycle, and the
-    LU runs in the nested-dissection :attr:`Mesh2D.element_order`."""
+    The level schedule of the element graph (:class:`_Schedule`, that of
+    ``shared`` when given) picks the path. When it covers every element,
+    the graph is acyclic and the system is block lower triangular in level
+    order, so :func:`_sweep` solves it without a factorization; if the
+    sweep returns ``None``, the LU runs in that same order and has no
+    fill. Otherwise the graph has a cycle, and the LU runs in the
+    nested-dissection :attr:`Mesh2D.element_order`. ``shared`` passes on
+    to :func:`_direct_solve`."""
     A, width = system.blocks, blocks.shape[1]
-    n = len(A.indptr) - 1
-    rows = np.repeat(np.arange(n), np.diff(A.indptr))
-    diagonal = A.indices == rows
+    schedule = _Schedule(system) if shared is None else shared.schedule
+    rows, diagonal = schedule.rows, schedule.diagonal
     if widths is not None and np.any(widths < width):
         pad = np.arange(width) < width - widths[:, None]
         unit = diagonal[:, None, None] & np.eye(width, dtype=bool) & pad[rows][:, None, :]
         blocks = np.where(unit, 1.0, blocks)
-    levels = _levels(A.indices[~diagonal], rows[~diagonal], n)
-    order = levels[0]
-    if len(order) == n:
-        x = _sweep(A.indices, A.indptr, blocks, rhs, rows, diagonal, levels)
+    if schedule.acyclic:
+        x = _sweep(A.indices, A.indptr, blocks, rhs, rows, diagonal, schedule.levels)
         if x is not None:
             return x
-    else:
-        order = system.space.mesh.element_order
-    ordered = block_matrix(blocks, A.indices, A.indptr, order)
-    return _direct_solve(ordered, rhs, label, _block_permutation(order, width))
+    ordered = block_matrix(blocks, A.indices, A.indptr, schedule.order)
+    perm = _block_permutation(schedule.order, width)
+    return _direct_solve(ordered, rhs, label, perm, shared)
 
 
 def _solution(system, coeffs, method, **fields):
@@ -296,8 +349,9 @@ def _stack_product(blocks, v):
     return y.ravel()
 
 
-def _check_embedding(system, embedding):
-    """Reject an embedding built on another mesh or degree than ``system``."""
+def _check_embedding(system, embedding, shared=None):
+    """Reject an embedding built on another mesh or degree than ``system``,
+    and :class:`TrefftzBlocks` formed for another system or embedding."""
     space, mesh = system.space, embedding.mesh
     if embedding.kernels.shape[1] != space.ndof_local:
         raise ValueError(
@@ -310,31 +364,73 @@ def _check_embedding(system, embedding):
                 f"embedding and system meshes do not match: their {name} differ "
                 f"({mesh.n_elements} and {space.mesh.n_elements} elements)"
             )
+    if shared is not None and (shared.system is not system or shared.embedding is not embedding):
+        raise ValueError("the shared Trefftz blocks were formed for another system or embedding")
 
 
-def _reduced_blocks(system, embedding):
-    """The blocks ``T_K' B_KL T_L`` of the embedded Trefftz system and its
-    right-hand side ``T' (l - A u_L)``."""
-    _check_embedding(system, embedding)
+class TrefftzBlocks:
+    """What the embedded and the coupled solve of ``system`` on
+    ``embedding`` share when both run: the blocks ``coupling`` of
+    ``T'A [T | L]`` (``L`` the complement bases of the coupled solve),
+    whose ``T'AT`` half is the reduced system bit for bit, the level
+    schedule of their block pattern, and ``lu``, the factorization that
+    the first LU solve on them makes. The embedded solve factors ``T'AT``
+    and the coupled solve refines its Schur system against that LU, so
+    the pair factors once. It holds the factorization: drop it with the
+    solves."""
+
+    def __init__(self, system, embedding):
+        _check_embedding(system, embedding)
+        factors = embedding.factors
+        if factors is None:
+            raise ValueError("the block solve needs the local factors build_embedding keeps")
+        n_rows = embedding.local_operators.matrices.shape[1]
+        deficient = np.flatnonzero(factors.rank != n_rows)
+        if deficient.size:
+            k = deficient[0]
+            raise SolverError(
+                f"element {k}: local operator is rank deficient "
+                f"({factors.rank[k]} < {n_rows} rows); block system would be singular"
+            )
+        self.system, self.embedding = system, embedding
+        # L = Q_1, the leading columns of the orthogonal factors of A_K'
+        self.complement = factors.Q[:, :, :n_rows]
+        T = embedding.kernels
+        self.coupling = _pair_blocks(system, T, np.concatenate([T, self.complement], axis=2))
+        self.schedule = _Schedule(system)
+        self.lu = None
+
+
+def _reduced_blocks(system, embedding, shared=None):
+    """The blocks ``T_K' B_KL T_L`` of the embedded Trefftz system, the
+    ``T'AT`` half of ``shared`` when given, and its right-hand side
+    ``T' (l - A u_L)``."""
+    _check_embedding(system, embedding, shared)
     T = embedding.kernels
     rhs = _stack_product(np.swapaxes(T, 1, 2), system.load - system.blocks @ embedding.u_L)
-    return _pair_blocks(system, T, T), rhs
+    if shared is None:
+        return _pair_blocks(system, T, T), rhs
+    return shared.coupling[..., :T.shape[2]], rhs
 
 
-def solve_embedded_trefftz(system, embedding):
+def solve_embedded_trefftz(system, embedding, *, shared=None):
     """Solve the reduced Galerkin problem on the embedded Trefftz space.
 
     Returns ``u = T u_T + u_L``; the element-local rows hold exactly by
     construction of the particular solution and the kernel, the global
-    rows to solver tolerance.
+    rows to solver tolerance. With ``shared`` (:class:`TrefftzBlocks` of
+    the same system and embedding) the solve takes its blocks and level
+    schedule from there and leaves its factorization of ``T'AT`` there.
     """
-    blocks, rhs = _reduced_blocks(system, embedding)
-    x = _ordered_solve(system, blocks, rhs, "embedded Trefftz solve", np.diff(embedding.offsets))
+    blocks, rhs = _reduced_blocks(system, embedding, shared)
+    x = _ordered_solve(
+        system, blocks, rhs, "embedded Trefftz solve", np.diff(embedding.offsets), shared
+    )
     coeffs = _stack_product(embedding.kernels, x) + embedding.u_L
     return _solution(system, coeffs, EMBEDDED_TREFFTZ, ndof_trefftz=embedding.ndof_trefftz)
 
 
-def solve_block_coupled(system, embedding):
+def solve_block_coupled(system, embedding, *, shared=None):
     """Solve the coupled 2x2 local/global block system by static
     condensation.
 
@@ -355,38 +451,42 @@ def solve_block_coupled(system, embedding):
     eliminated element by element (static condensation; Guyan, AIAA J. 3,
     1965): one batched dense solve gives ``X = (AL)^-1 [AT | l]``, so that
     ``c_L = x_l - X_T c_T``. The Schur complement ``S = T'AT - T'AL X_T``
-    has the block pattern of ``T'AT`` and is the only matrix factored; it
-    is solved with the right-hand side ``T'(g - A L x_l)``. The residual of
-    the whole 2x2 system, local and global rows, is then checked against
-    the residual contract.
+    has the block pattern of ``T'AT`` and is solved with the right-hand
+    side ``T'(g - A L x_l)``. On an acyclic graph it is swept like any
+    system, and factored itself where the sweep falls back. Otherwise it
+    is refined against the factorization of ``T'AT`` in the order of the
+    reduced solve: ``A_K T_K = 0`` makes ``T'AL X_T`` rounding, so a step
+    or two meet the residual contract, and ``S`` is factored only when
+    they do not. With ``shared`` (:class:`TrefftzBlocks`) the solve reuses
+    its blocks, its level schedule and the factorization an embedded solve
+    left there. The residual of the whole 2x2 system, local and global
+    rows, is then checked against the residual contract.
     """
-    _check_embedding(system, embedding)
-    factors = embedding.factors
-    if factors is None:
-        raise ValueError("the block solve needs the local factors build_embedding keeps")
+    shared = TrefftzBlocks(system, embedding) if shared is None else shared
+    _check_embedding(system, embedding, shared)
     A, load = embedding.local_operators.matrices, embedding.local_operators.rhs
-    n_elements, n_rows, n = A.shape
-    deficient = np.flatnonzero(factors.rank != n_rows)
-    if deficient.size:
-        k = deficient[0]
-        raise SolverError(
-            f"element {k}: local operator is rank deficient "
-            f"({factors.rank[k]} < {n_rows} rows); block system would be singular"
-        )
+    n_elements, _, n = A.shape
     # every element keeps all rows, so every kernel has the full width w
-    L, T = factors.Q[:, :, :n_rows], embedding.kernels
+    L, T = shared.complement, embedding.kernels
     w = T.shape[2]
     AL, AT = A @ L, A @ T
     X = np.linalg.solve(AL, np.concatenate([AT, load[..., None]], axis=2))
     X_T, x_l = X[..., :w], X[..., w]
-    blocks = system.blocks
-    # [T'AT | T'AL], formed as in the reduced system
-    coupling = _pair_blocks(system, T, np.concatenate([T, L], axis=2))
+    blocks, coupling = system.blocks, shared.coupling
     schur = coupling[..., :w] - coupling[..., w:] @ X_T[blocks.indices]
     # the right-hand side is restricted in the order of the reduced system
     Tt = np.swapaxes(T, 1, 2)
     rhs = _stack_product(Tt, system.load - blocks @ (L @ x_l[..., None]).ravel())
-    c_t = _ordered_solve(system, schur, rhs, "coupled block solve")
+    if shared.lu is None and not shared.schedule.acyclic:
+        # the LU path: factor T'AT, which the Schur system refines against
+        order = shared.schedule.order
+        reduced = block_matrix(coupling[..., :w], blocks.indices, blocks.indptr, order)
+        try:
+            shared.lu = _factor(reduced, "coupled block solve", pivot=False)
+        except SolverError:
+            pass  # the Schur complement itself is factored
+        del reduced
+    c_t = _ordered_solve(system, schur, rhs, "coupled block solve", shared=shared)
     c_T = c_t.reshape(n_elements, w, 1)
     c_L = x_l[..., None] - X_T @ c_T
     # residual of the 2x2 system: local rows per element, global rows

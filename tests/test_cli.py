@@ -422,3 +422,28 @@ def test_unusable_out_path_is_rejected_before_any_work(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert f"--out {out}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "run-config", "diagnose"])
+def test_penalty_for_data_without_diffusion_is_rejected_before_meshing(
+    tmp_path, monkeypatch, capsys, command
+):
+    # the upwind form of AR_EXAMPLE has no penalty term, so a given sigma
+    # would change nothing
+    import trefftzdg.cli as cli
+
+    def no_mesh(n):
+        raise AssertionError(f"mesh with n={n} built")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
+    out = str(tmp_path / "x.csv")
+    argv = {
+        "run": ["run", "--methods", "dg,et", "--sigma", "10", "--out", out],
+        "run-config": ["run", "--methods", "dg", "--config", str(tmp_path / "cfg"), "--out", out],
+        "diagnose": ["diagnose", "--sigma", "10"],
+    }[command]
+    (tmp_path / "cfg").write_text("sigma = 10\n")
+    assert main(argv + ["--case", "AR_EXAMPLE", "--p", "3", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--sigma" in err and "AR_EXAMPLE" in err
+    assert not (tmp_path / "x.csv").exists()

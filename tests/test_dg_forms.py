@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -473,3 +474,22 @@ def test_facet_alpha_rule_bounds():
         assert af[f] == pytest.approx(means[mesh.facet_left[f]])
     # stays within [min alpha, max alpha] over the domain
     assert np.all(af >= 1.0) and np.all(af <= 3.0)
+
+
+def test_sip_assembly_evaluates_alpha_once_per_volume_point():
+    # 4,608 elements: two chunks of the volume loop, which also give the
+    # element means of alpha behind the facet weights
+    coeffs = builtin_case("BOX_DIFFUSION_2D")
+    space = BrokenSpace(build_structured_mesh(48), 2)
+    calls = []
+
+    def counting(x, y):
+        calls.append(np.shape(x))
+        return coeffs.alpha(x, y)
+
+    system = assemble_global_system(space, dataclasses.replace(coeffs, alpha=counting))
+    n_volume = space.volume_points.shape[1]
+    assert space.facet_rule[0].shape[1] != n_volume
+    volume = [shape for shape in calls if shape[1:] == (n_volume,)]
+    assert [rows for rows, _ in volume] == [4096, 512]
+    assert np.array_equal(system.alpha_facet, facet_alpha(space, coeffs))

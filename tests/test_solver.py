@@ -11,7 +11,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
 from trefftzdg import solver
-from trefftzdg.analysis import compute_errors
+from trefftzdg.analysis import compute_errors, run_diagnostics
 from trefftzdg.basis import BrokenSpace
 from trefftzdg.cli import main
 from trefftzdg.coefficients import builtin_case, manufactured_case
@@ -205,13 +205,66 @@ def test_condensation_solves_a_block_system_that_does_not_decouple(
     coeffs = builtin_case(case)
     sys = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
-    L = complement(emb)
-    rng = np.random.default_rng(7)
-    mixing = rng.standard_normal((L.shape[2], emb.kernels.shape[2]))
-    mixed = replace(emb, kernels=np.linalg.qr(emb.kernels + 0.5 * L @ mixing)[0])
+    mixed = mixed_kernels(emb)
     A = np.stack([op.matrix for op in emb.local_operators])
     assert np.linalg.norm(A @ mixed.kernels) >= 0.1 * np.linalg.norm(A)
     u = solve_block_coupled(sys, mixed)
+    assert_solves_the_block_system(u, sys, mixed)
+
+
+def mixed_kernels(emb):
+    """``emb`` with its kernels ``T`` mixed with the complement: orthonormal
+    columns that ``A`` does not annihilate, so that the coupling term
+    ``T'AL X_T`` of the Schur complement is of the size of ``T'AT``."""
+    L = complement(emb)
+    rng = np.random.default_rng(7)
+    mixing = rng.standard_normal((L.shape[2], emb.kernels.shape[2]))
+    return replace(emb, kernels=np.linalg.qr(emb.kernels + 0.5 * L @ mixing)[0])
+
+
+def sip_system(n=4, p=3):
+    """The SIP system of ``DAR_EXAMPLE`` and its ``DAR`` embedding."""
+    coeffs = builtin_case("DAR_EXAMPLE")
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(n), p), coeffs, sigma=450.0)
+    return sys, build_embedding(sys.space, coeffs, DAR)
+
+
+def test_coupled_solve_factors_the_reduced_matrix_once(monkeypatch):
+    sys, emb = sip_system()
+    direct = recording_direct_matrices(monkeypatch)
+    factored = recording_factorizations(monkeypatch)
+    u = solve_block_coupled(sys, emb)
+    # one unpivoted factorization, of the ordered T'AT: the Schur system is
+    # refined against it and meets the residual contract on S itself
+    ((schur, rhs, perm, c_t),) = direct
+    ((matrix, options, _),) = factored
+    assert options["permc_spec"] == "NATURAL"
+    assert_sorted_and_equal(matrix, plain_ordered(projected(sys, emb.kernels, emb.kernels), perm))
+    inverse = np.argsort(perm)
+    S = schur[inverse][:, inverse]
+    assert np.linalg.norm(S @ c_t - rhs) <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)
+    assert np.abs(S - schur_complement(sys, emb)).max() <= 1e-13 * np.abs(S).max()
+    assert (abs(S - projected(sys, emb.kernels, emb.kernels))).max() > 0
+    assert_solves_the_block_system(u, sys, emb)
+
+
+def test_schur_complement_far_from_the_reduced_matrix_is_factored_itself(monkeypatch):
+    # mixed kernels make S differ from T'AT at the size of T'AT: refinement
+    # against the LU of T'AT misses the contract, and S is factored
+    sys, emb = sip_system()
+    mixed = mixed_kernels(emb)
+    direct = recording_direct_matrices(monkeypatch)
+    handed = recording_handed_matrices(monkeypatch)
+    calls = count_factorizations(monkeypatch)
+    u = solve_block_coupled(sys, mixed)
+    ((schur, rhs, perm, c_t),) = direct
+    T = mixed.kernels
+    assert_sorted_and_equal(handed[0], plain_ordered(projected(sys, T, T), perm))
+    assert_sorted_and_equal(handed[1], schur)
+    assert [options.get("permc_spec") for options in calls] == ["NATURAL"] * 2
+    inverse = np.argsort(perm)
+    residual = np.linalg.norm(schur[inverse][:, inverse] @ c_t - rhs)
+    assert residual <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)
     assert_solves_the_block_system(u, sys, mixed)
 
 
@@ -511,8 +564,8 @@ def recording_ordered_solves(monkeypatch):
     solves = []
     ordered_solve = solver._ordered_solve
 
-    def recording(system, blocks, rhs, label, widths=None):
-        x = ordered_solve(system, blocks, rhs, label, widths)
+    def recording(system, blocks, rhs, label, widths=None, shared=None):
+        x = ordered_solve(system, blocks, rhs, label, widths, shared)
         solves.append((system, blocks, widths, rhs, label, x))
         return x
 
@@ -555,21 +608,17 @@ def test_ordered_solves_match_plain_lu(
         assert_match_plain_lu(ordered)
         # the LU stays the sweep's fallback
         refuse_sweeps(monkeypatch)
-    solves = []
-    direct_solve = solver._direct_solve
-
-    def recording(ordered, rhs, label, perm):
-        x = direct_solve(ordered, rhs, label, perm)
-        solves.append((ordered, rhs, perm, x))
-        return x
-
-    monkeypatch.setattr(solver, "_direct_solve", recording)
-    calls = count_factorizations(monkeypatch)
+    solves = recording_direct_matrices(monkeypatch)
+    factored = recording_factorizations(monkeypatch)
     solve_standard_dg(sys)
     solve_embedded_trefftz(sys, emb)
     solve_block_coupled(sys, emb)
     # one unpivoted factorization per solve: the fallback never ran
-    assert [c.get("permc_spec") for c in calls] == ["NATURAL"] * 3
+    assert [options.get("permc_spec") for _, options, _ in factored] == ["NATURAL"] * 3
+    if local_kind != AR:
+        # on the cyclic SIP graph the coupled solve factors T'AT, the
+        # matrix of the embedded solve, and refines its Schur system on it
+        assert_sorted_and_equal(factored[2][0], factored[1][0])
     assert len(solves) == 3
     for ordered, rhs, perm, x in solves:
         assert sorted(perm) == list(range(len(rhs)))
@@ -712,12 +761,7 @@ def test_sip_order_is_the_mesh_order(monkeypatch, perturbed_mesh, perturbed, cas
 
 
 def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
-    coeffs = manufactured_case(
-        beta=(sp.sympify("1/2 - y"), sp.sympify("x - 1/2")),
-        gamma=1,
-        exact=sp.sympify("sin(pi*(x + y))"),
-        name="rotating",
-    )
+    coeffs = rotating_flow()
     mesh = build_structured_mesh(6)
     sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
     # the flow circles the centre, so the element graph is one component
@@ -739,6 +783,46 @@ def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
     for matrix, load, x in ((sys.matrix, sys.load, u_dg.coeffs), (reduced, rhs, x_t)):
         residual = np.linalg.norm(matrix @ x - load)
         assert residual <= solver._RESIDUAL_TOL * np.linalg.norm(load)
+
+
+def rotating_flow():
+    """Advection-reaction around the centre of the unit square: every
+    element of the upwind graph lies on one cycle."""
+    return manufactured_case(
+        beta=(sp.sympify("1/2 - y"), sp.sympify("x - 1/2")),
+        gamma=1,
+        exact=sp.sympify("sin(pi*(x + y))"),
+        name="rotating",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,factorizations",
+    [
+        (["--case", "DAR_EXAMPLE", "--p", "3", "--n", "4"], 1),
+        (["--case", "BOX_DIFFUSION_2D", "--kind", "DAR_BOX", "--p", "3", "--n", "4"], 1),
+        (["--case", "AR_EXAMPLE", "--p", "3", "--n", "4"], 0),
+    ],
+)
+def test_diagnose_factors_the_trefftz_system_at_most_once(monkeypatch, capsys, argv, factorizations):
+    # the embedded solve factors T'AT and the coupled solve refines its
+    # Schur system against that LU; the acyclic upwind graph sweeps both
+    factored = recording_factorizations(monkeypatch)
+    assert main(["diagnose", *argv]) == 0
+    assert len(factored) == factorizations
+    text = capsys.readouterr().out
+    assert float(text.split("(relative ")[1].split(")")[0]) <= 1e-12
+
+
+def test_box_and_rotating_flow_block_gaps_stay_at_rounding_level(monkeypatch, capsys):
+    factored = recording_factorizations(monkeypatch)
+    assert main(["diagnose", "--case", "BOX_DIFFUSION_2D", "--p", "3", "--n", "16"]) == 0
+    text = capsys.readouterr().out
+    assert float(text.split("(relative ")[1].split(")")[0]) <= 1e-12
+    report = run_diagnostics(BrokenSpace(build_structured_mesh(6), 3), AR, rotating_flow())
+    assert report.block_equivalence_gap_rel <= 1e-12
+    # one LU each, of T'AT: the SIP system and the cyclic upwind one
+    assert len(factored) == 2
 
 
 def test_ar_diagnose_block_gap_stays_at_rounding_level(capsys):
@@ -876,12 +960,29 @@ def recording_direct_solves(monkeypatch):
     perms = []
     direct_solve = solver._direct_solve
 
-    def recording(ordered, rhs, label, perm):
+    def recording(ordered, rhs, label, perm, shared=None):
         perms.append(perm)
-        return direct_solve(ordered, rhs, label, perm)
+        return direct_solve(ordered, rhs, label, perm, shared)
 
     monkeypatch.setattr(solver, "_direct_solve", recording)
     return perms
+
+
+def recording_direct_matrices(monkeypatch):
+    """Record the ordered matrix, the right-hand side, the permutation and
+    the solution of every direct solve; the matrix is copied before any
+    ``splu`` sorts its indices in place."""
+    solves = []
+    direct_solve = solver._direct_solve
+
+    def recording(ordered, rhs, label, perm, shared=None):
+        handed = ordered.copy()
+        x = direct_solve(ordered, rhs, label, perm, shared)
+        solves.append((handed, rhs, perm, x))
+        return x
+
+    monkeypatch.setattr(solver, "_direct_solve", recording)
+    return solves
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -908,23 +1009,32 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
         assert schur_widths is None and np.all(reduced_widths == reduced.shape[1])
         assert_match_plain_lu(solves)
         refuse_sweeps(monkeypatch)
-    perms = recording_direct_solves(monkeypatch)
+    direct = recording_direct_matrices(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
     solve_embedded_trefftz(sys, emb)
     solve_block_coupled(sys, emb)
-    (_, _, reduced_lu), (_, _, schur_lu) = factored
-    reduced, schur = handed
+    (reduced, _, perm_reduced, _), (schur, _, perm_schur, _) = direct
     # the complement unknowns are condensed element by element: only the
-    # Schur complement of the Trefftz unknowns reaches the LU, in the order
-    # and on the block pattern of T'AT
+    # Schur complement of the Trefftz unknowns reaches the direct solve, in
+    # the order and on the block pattern of T'AT
     assert schur.shape == (emb.ndof_trefftz, emb.ndof_trefftz)
-    assert np.array_equal(perms[1], perms[0])
+    assert np.array_equal(perm_schur, perm_reduced)
     assert_sorted(schur)
     assert np.array_equal(schur.indptr, reduced.indptr)
     assert np.array_equal(schur.indices, reduced.indices)
-    fill = schur_lu.L.nnz + schur_lu.U.nnz
-    assert fill <= reduced_lu.L.nnz + reduced_lu.U.nnz + emb.ndof_trefftz
+    (_, _, reduced_lu), (_, _, coupled_lu) = factored
+    assert_sorted_and_equal(handed[0], reduced)
+    if local_kind == AR:
+        # the acyclic fallback factors the Schur complement itself, in level
+        # order, with no more fill than T'AT
+        assert_sorted_and_equal(handed[1], schur)
+        fill = coupled_lu.L.nnz + coupled_lu.U.nnz
+        assert fill <= reduced_lu.L.nnz + reduced_lu.U.nnz + emb.ndof_trefftz
+    else:
+        # on a cycle the coupled solve factors T'AT and refines against it
+        assert_sorted_and_equal(handed[1], reduced)
+        assert coupled_lu.L.nnz + coupled_lu.U.nnz == reduced_lu.L.nnz + reduced_lu.U.nnz
 
 
 def recording_handed_matrices(monkeypatch):
@@ -999,22 +1109,26 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
         assert_match_plain_lu(solves)
         # the fallback LU gets the same ordered, sorted matrices
         refuse_sweeps(monkeypatch)
-    perms = recording_direct_solves(monkeypatch)
+    direct = recording_direct_matrices(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
     solve_standard_dg(sys)
     solve_embedded_trefftz(sys, emb)
     solve_block_coupled(sys, emb)
     T = emb.kernels
-    assert len(handed) == len(perms) == 3
+    perms = [perm for _, _, perm, _ in direct]
+    assert len(handed) == len(direct) == 3
     for matrix, perm, plain in zip(handed[:2], perms, (sys.blocks, projected(sys, T, T))):
         assert_sorted_and_equal(matrix, plain_ordered(plain, perm))
     # the Schur complement has the pattern of the ordered T'AT; its entries
     # are formed blockwise, so they match plain products to rounding
-    schur, expected = handed[2], plain_ordered(schur_complement(sys, emb), perms[2])
+    schur, expected = direct[2][0], plain_ordered(schur_complement(sys, emb), perms[2])
     assert_sorted(schur)
     assert np.array_equal(schur.indptr, handed[1].indptr)
     assert np.array_equal(schur.indices, handed[1].indices)
     assert_entrywise_close(schur, expected, rtol=1e-13)
+    # the coupled solve's LU gets T'AT on a cycle, in the order of the
+    # reduced solve, and the Schur complement where an acyclic sweep fell back
+    assert_sorted_and_equal(handed[2], schur if local_kind == AR else handed[1])
 
 
 def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch, zero_odd_operators):
