@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .basis import BATCH_POINTS, batches
 from .coefficients import require_finite, require_positive
-from .dg_forms import assemble_global_system, facet_alpha
+from .dg_forms import _beta_normal, assemble_global_system, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
 from .local_ops import operator_row_count
 from .solver import TrefftzBlocks, solve_block_coupled, solve_embedded_trefftz
@@ -61,45 +62,46 @@ class DiagnosticsReport:
 
 
 def _facet_error_jumps(solution, coeffs):
-    """Facet points, normals, weights and squared error jumps, as
-    ``(facets, points, normals, weights, jump**2)`` per facet group.
+    """Facet batches ``(facets, points, weights, jump**2)`` of the squared
+    error jumps: the interior facets, then the boundary ones, in batches of
+    at most :data:`~trefftzdg.basis.BATCH_POINTS` points.
 
     On interior facets the jump of the error reduces to the (negated) jump
     of u_h; on boundary facets the single-valued exact trace stays, giving
     the deviation of u_h from the Dirichlet data. The traces of u_h come
     from the space's facet tables (:meth:`BrokenSpace.facet_traces`).
-    Every norm sums ``weight(x, b_n) * jump**2`` over these groups.
+    Every norm sums ``weight(x, b_n) * jump**2`` over these batches.
     """
     space = solution.space
     mesh = space.mesh
     local = solution.coeffs.reshape(mesh.n_elements, -1)
     fpts, fw = space.facet_rule
-    groups = []
-    interior = mesh.interior_facets
-    if len(interior):
-        # exact solution cancels across the facet
-        jump = space.facet_traces(interior, 1, local) - space.facet_traces(interior, 0, local)
-        groups.append((interior, fpts[interior], jump))
-    boundary = mesh.boundary_facets
-    if len(boundary):
-        pts = fpts[boundary]
-        tr = space.facet_traces(boundary, 0, local)
-        exact_vals = coeffs.exact_solution(pts[..., 0], pts[..., 1])
-        err = require_finite(exact_vals, "exact solution", "facet", boundary) - tr
-        groups.append((boundary, pts, err))
-    return [(f, pts, mesh.facet_normals[f], fw[f], jump**2) for f, pts, jump in groups]
-
-
-def _beta_normal(coeffs, pts, normals, facets):
-    """Normal component of beta at the facet points ``(F, nq, 2)``."""
-    beta = require_finite(coeffs.beta(pts[..., 0], pts[..., 1]), "beta", "facet", facets)
-    return np.einsum("fqd,fd->fq", beta, normals)
+    size = max(1, BATCH_POINTS // fw.shape[1])
+    for group, interior in ((mesh.interior_facets, True), (mesh.boundary_facets, False)):
+        for chunk in batches(len(group), size):
+            facets = group[chunk]
+            pts = fpts[facets]
+            tr = space.facet_traces(facets, 0, local)
+            if interior:
+                # exact solution cancels across the facet
+                jump = space.facet_traces(facets, 1, local) - tr
+            else:
+                exact_vals = coeffs.exact_solution(pts[..., 0], pts[..., 1])
+                jump = require_finite(exact_vals, "exact solution", "facet", facets) - tr
+            yield facets, pts, fw[facets], jump**2
 
 
 def compute_errors(solution, coeffs):
     """L2 error and the mesh-dependent norm of ``u_ex - u_h``: the upwind
     norm when ``coeffs`` has no diffusion, otherwise the interior-penalty
-    norm with the penalty ``solution.sigma`` of the solved system."""
+    norm with the penalty ``solution.sigma`` of the solved system.
+
+    Both norms are sums over the volume and the facet quadrature points,
+    formed batch by batch (:meth:`BrokenSpace.element_batches`, and facet
+    batches of as many points), so their temporaries do not grow with the
+    mesh. The upwind norm weighs its streamline and facet terms by
+    ``1 / sup |beta|``; both vanish where ``beta = 0``, so with zero
+    advection it is the L2 norm."""
     if coeffs.exact_solution is None:
         raise ValueError("error computation requires an exact solution")
     if coeffs.alpha is None and coeffs.beta is None:
@@ -110,48 +112,57 @@ def compute_errors(solution, coeffs):
     mesh = space.mesh
     exact = coeffs.exact_solution
     exact_grad = coeffs.exact_gradient()
-    elems = np.arange(mesh.n_elements)
-    vals, grads = solution.element_values(slice(None), gradients=True)
-    x, y = space.volume_points[..., 0], space.volume_points[..., 1]
-    w = space.volume_weights
-    err = require_finite(exact(x, y), "exact solution", "element", elems) - vals
-    err_grad = require_finite(exact_grad(x, y), "exact gradient", "element", elems) - grads
-    l2_sq = np.sum(w * err**2)
-
-    if coeffs.alpha is None:
-        beta_vals = require_finite(coeffs.beta(x, y), "beta", "element", elems)
-        beta_sup = float(np.max(np.linalg.norm(beta_vals, axis=-1)))
-        directional = np.einsum("eqd,eqd->eq", beta_vals, err_grad) / beta_sup
-        vh_sq = l2_sq
-        vh_sq += np.sum(mesh.h[:, None] * w * directional**2)
-
-        def facet_weight(facets, pts, normals):
-            return np.abs(_beta_normal(coeffs, pts, normals, facets)) / beta_sup
-
-    else:
+    upwind = coeffs.alpha is None
+    # upwind: sum h (beta . grad e)^2; interior penalty: sum alpha |grad e|^2
+    l2_sq = weighted_sq = 0.0
+    beta_sup, stab_min = 0.0, math.inf
+    for batch in space.element_batches():
+        elems = np.arange(batch.start, batch.stop)
+        vals, grads = solution.element_values(batch, gradients=True)
+        x, y = space.volume_points[batch, :, 0], space.volume_points[batch, :, 1]
+        w = space.volume_weights[batch]
+        err = require_finite(exact(x, y), "exact solution", "element", elems) - vals
+        err_grad = require_finite(exact_grad(x, y), "exact gradient", "element", elems) - grads
+        l2_sq += np.sum(w * err**2)
+        if upwind:
+            beta_vals = require_finite(coeffs.beta(x, y), "beta", "element", elems)
+            beta_sup = max(beta_sup, float(np.max(np.linalg.norm(beta_vals, axis=-1))))
+            directional = np.einsum("eqd,eqd->eq", beta_vals, err_grad)
+            weighted_sq += np.sum(mesh.h[batch, None] * w * directional**2)
+            continue
         alpha_vals = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
-        vh_sq = np.sum(w * alpha_vals * np.einsum("eqd,eqd->eq", err_grad, err_grad))
-        gamma0 = 0.0
+        weighted_sq += np.sum(w * alpha_vals * np.einsum("eqd,eqd->eq", err_grad, err_grad))
         if coeffs.gamma is not None:
             stab = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
             if coeffs.beta is not None:
                 div_beta = coeffs.beta.divergence()(x, y)
                 stab = stab - 0.5 * require_finite(div_beta, "div beta", "element", elems)
-            gamma0 = max(0.0, float(np.min(stab)))
-        vh_sq += gamma0 * l2_sq
+            stab_min = min(stab_min, float(np.min(stab)))
+
+    if upwind:
+        vh_sq = l2_sq + (weighted_sq / beta_sup**2 if beta_sup > 0.0 else 0.0)
+
+        def facet_weight(facets, pts):
+            return np.abs(_beta_normal(coeffs, pts, mesh, facets)) / beta_sup
+
+    else:
+        gamma0 = max(0.0, stab_min) if coeffs.gamma is not None else 0.0
+        vh_sq = weighted_sq + gamma0 * l2_sq
         af = solution.alpha_facet
         if af is None:
             af = facet_alpha(space, coeffs)
 
-        def facet_weight(facets, pts, normals):
+        def facet_weight(facets, pts):
             # penalty weight, plus the upwind weight where there is advection
             weight = (solution.sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
             if coeffs.beta is not None:
-                weight = weight + 0.5 * np.abs(_beta_normal(coeffs, pts, normals, facets))
+                weight = weight + 0.5 * np.abs(_beta_normal(coeffs, pts, mesh, facets))
             return weight
 
-    for facets, pts, normals, fw, jump_sq in _facet_error_jumps(solution, coeffs):
-        vh_sq += np.sum(fw * facet_weight(facets, pts, normals) * jump_sq)
+    # with beta = 0 the upwind facet terms vanish too
+    if not upwind or beta_sup > 0.0:
+        for facets, pts, fw, jump_sq in _facet_error_jumps(solution, coeffs):
+            vh_sq += np.sum(fw * facet_weight(facets, pts) * jump_sq)
 
     return ErrorReport(
         l2_error=math.sqrt(l2_sq),

@@ -43,6 +43,19 @@ from .quadrature import (
 )
 
 
+#: volume points per batch of every per-element pass (assembly's volume
+#: terms, the local operators, the error norms), so that a pass holds the
+#: temporaries of one batch whatever the size of the mesh
+BATCH_POINTS = 1 << 14
+
+
+def batches(total, size):
+    """Consecutive slices of ``range(total)`` of at most ``size`` entries;
+    a slice views the arrays it indexes."""
+    for start in range(0, total, size):
+        yield slice(start, min(start + size, total))
+
+
 @lru_cache(maxsize=None)
 def polynomial_exponents(degree):
     """Graded-lexicographic monomial exponents ``(a, b)`` with ``a+b <= degree``."""
@@ -422,6 +435,12 @@ class BrokenSpace:
         self.origins = mesh.vertices[mesh.triangles[:, 0]]
         self.inverse_jacobians = self.adjugates / self.dets[:, None, None]
 
+    def element_batches(self):
+        """Consecutive slices of the elements, each of at most
+        :data:`BATCH_POINTS` volume points (one element at least)."""
+        size = max(1, BATCH_POINTS // self.volume_points.shape[1])
+        return batches(self.mesh.n_elements, size)
+
     @cached_property
     def facet_rule(self):
         """Points ``(n_facets, nq, 2)`` and weights ``(n_facets, nq)`` of
@@ -499,7 +518,8 @@ class BrokenSpace:
             pairs += [(a, b) for a in first for b in first]
             terms += [diffusion * metric[:, None, a, b] for a in range(2) for b in range(2)]
         scale = weights / self.dets[elems][:, None]
-        coefficients = np.stack(terms, axis=1) * scale[:, None]
+        coefficients = np.stack(terms, axis=1)
+        coefficients *= scale[:, None]
         table = reference_products(self.degree, tuple(pairs), rows)
         out = coefficients.reshape(len(coefficients), -1) @ table
         return out.reshape(len(coefficients), -1, self.ndof_local)

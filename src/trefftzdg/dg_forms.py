@@ -13,11 +13,18 @@ facet adds ``-(beta.n)[u]{v} + (|beta.n|/2 + sigma alpha_F/|F|)[u][v]
 - {alpha d_n u}[v] - [u]{alpha d_n v}``. A boundary facet is the
 one-sided case, where the upwind terms reduce to ``|beta.n| u v`` at the
 inflow quadrature nodes (``beta.n < 0``) and the Dirichlet data takes the
-place of the outer trace in the load. The operator is stored once, as
-element-pair blocks in a layout fixed by the mesh (:func:`_block_layout`):
-facet batches write their coupling blocks into it and their self blocks
-into a stack, which sums into the diagonal blocks in an order the facet
-numbering fixes; the exactly zero upwind outflow blocks are then dropped.
+place of the outer trace in the load.
+
+The operator is stored once, as element-pair blocks in a layout fixed by
+the mesh and the upwind direction (:func:`_block_layout`). ``beta.n`` is
+evaluated at the interior facet points once, before the facet terms;
+without diffusion the upwind outflow blocks, exactly zero where ``beta.n``
+keeps one sign along a facet, get no slot, and with diffusion every
+coupling block does. Volume batches add their blocks into the diagonal
+slots and facet batches write their coupling blocks into theirs and add
+their self blocks into the diagonal ones (:func:`_add_in_order`), in an
+order the facet numbering fixes, so the layout is the returned operator
+and every pass holds one batch of temporaries.
 """
 
 from __future__ import annotations
@@ -28,10 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .basis import BrokenSpace
+from .basis import BATCH_POINTS, BrokenSpace, batches
 from .coefficients import require_finite, require_positive
 
-_CHUNK = 4096
 #: facet matrix entries per batch of the facet loop
 _FACET_ENTRIES = 1 << 16
 #: interior facets per run of the self-term summation order
@@ -43,11 +49,16 @@ class DgSystem:
     """Assembled DG operator and load vector.
 
     The operator is stored once, as element-pair blocks in BSR layout
-    (``blocks``), each diagonal block summed in the order the facet
-    numbering fixes. ``matrix`` is a read-only CSR copy built on each
-    request, for inspection (tests, nnz counts). ``sigma`` and the facet
-    mean diffusion ``alpha_facet`` are the penalty data (None for the
-    upwind form without diffusion); error norms reuse them.
+    (``blocks``): every diagonal block, summed in the order the facet
+    numbering fixes, and the coupling blocks the form can fill, which
+    without diffusion are those upwind of each facet by the sign of
+    ``beta.n`` at its points. ``matrix`` is a read-only CSR copy built on
+    each request, for inspection (tests, nnz counts). ``sigma`` and the
+    facet mean diffusion ``alpha_facet`` are the penalty data (None for
+    the upwind form without diffusion); error norms reuse them.
+    ``schedule`` is the level schedule of the block pattern, formed by the
+    first solve of the system and read by every later one
+    (:func:`trefftzdg.solver._schedule`).
     """
 
     blocks: sparse.bsr_matrix = field(repr=False)
@@ -55,6 +66,7 @@ class DgSystem:
     space: BrokenSpace
     sigma: float = None
     alpha_facet: np.ndarray = None
+    schedule: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def matrix(self):
@@ -99,27 +111,50 @@ def _facet_means(mesh, means):
     return af
 
 
-def _block_layout(mesh):
-    """The block layout of the DG operator on ``mesh``: ``rows`` and
-    ``cols`` of its slots in row order, one for each element's diagonal
-    block and one for each of the two coupling blocks of every interior
-    facet; ``slots`` of the diagonal, then the ``(K1, K2)``, then the
-    ``(K2, K1)`` blocks; and ``own`` ``(E, 3)``, each element's facet self
-    blocks in the stack ``[K1 | K2 | boundary]`` in summation order: the
-    interior facets in runs of ``_SELF_RUN``, the K1 sides of a run before
-    its K2 sides, then the boundary facets."""
+def _block_layout(mesh, couples):
+    """The block layout of the DG operator on ``mesh``: one slot for each
+    element's diagonal block and one for each coupling block of an interior
+    facet that ``couples`` ``(2, n_inner)`` keeps (row 0 the ``(K1, K2)``
+    blocks, row 1 the ``(K2, K1)`` ones). Returns the block columns
+    ``indices`` and the ``indptr`` of the slots in row order (BSR), the slot
+    ``diagonal`` of each element's diagonal block and ``pairs``
+    ``(2, n_inner)``, the slot of each coupling block, -1 where there is
+    none."""
     E, inner = mesh.n_elements, mesh.interior_facets
     left, right = mesh.facet_left[inner], mesh.facet_right[inner]
-    rows = np.concatenate([np.arange(E), left, right])
-    cols = np.concatenate([np.arange(E), right, left])
+    rows = np.concatenate([np.arange(E), left[couples[0]], right[couples[1]]])
+    cols = np.concatenate([np.arange(E), right[couples[0]], left[couples[1]]])
     order = np.lexsort((cols, rows))
-    k = np.arange(len(inner))
-    start = k - k % _SELF_RUN
-    run = np.minimum(_SELF_RUN, len(inner) - start)
-    key = np.concatenate([start + k, start + k + run, np.arange(2 * len(inner), 3 * E)])
-    owner = np.concatenate([left, right, mesh.facet_left[mesh.boundary_facets]])
-    own = np.lexsort((key, owner)).reshape(E, 3)
-    return rows[order], cols[order], np.argsort(order), own
+    slots = np.empty_like(order)
+    slots[order] = np.arange(len(order))
+    pairs = np.full(couples.shape, -1)
+    pairs[couples] = slots[E:]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=E))])
+    return cols[order], indptr, slots[:E], pairs
+
+
+def _add_in_order(data, slots, blocks):
+    """``data[slots[i]] += blocks[i]`` for each ``i`` in turn: a slot listed
+    more than once takes its blocks in order, one occurrence per round, so
+    that no round repeats a slot."""
+    n = len(slots)
+    order = np.argsort(slots, kind="stable")
+    ranked = slots[order]
+    # each entry's rank among the entries of its slot, from the index at
+    # which its slot's entries start in the sorted list
+    start = np.arange(n)
+    start[1:][ranked[1:] == ranked[:-1]] = 0
+    occurrence = np.empty(n, dtype=np.intp)
+    occurrence[order] = np.arange(n) - np.maximum.accumulate(start)
+    for r in range(occurrence.max(initial=-1) + 1):
+        pick = occurrence == r
+        data[slots[pick]] += blocks[pick]
+
+
+def _beta_normal(coeffs, pts, mesh, facets):
+    """``beta . n`` at the points ``(F, nq, 2)`` of ``facets``."""
+    beta = require_finite(coeffs.beta(pts[..., 0], pts[..., 1]), "beta", "facet", facets)
+    return np.einsum("fqd,fd->fq", beta, mesh.facet_normals[facets])
 
 
 def _gram(w, a, b):
@@ -154,13 +189,6 @@ def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None):
     return _gram(w, test, J) + _gram(w * c_flux, J, N), test
 
 
-def _chunks(total, size=_CHUNK):
-    """Consecutive slices of at most ``size`` entries; a slice views the
-    arrays it indexes."""
-    for start in range(0, total, size):
-        yield slice(start, min(start + size, total))
-
-
 def assemble_global_system(space, coeffs, sigma=None):
     """Assemble the DG matrix and load vector on the broken ``space`` in
     the form the data picks.
@@ -183,16 +211,35 @@ def assemble_global_system(space, coeffs, sigma=None):
         sigma = default_sigma(space.degree)
     mesh = space.mesh
     nd = space.ndof_local
-    E, n_inner = mesh.n_elements, len(mesh.interior_facets)
-    diag = np.zeros((E, nd, nd))
-    load = np.zeros(space.ndof_total)
+    E = mesh.n_elements
+    inner, outer = mesh.interior_facets, mesh.boundary_facets
+    left, right = mesh.facet_left[inner], mesh.facet_right[inner]
+    fpts, fw = space.facet_rule
+    batch = max(1, _FACET_ENTRIES // (2 * nd) ** 2)
     has_beta = coeffs.beta is not None
     has_gamma = coeffs.gamma is not None
+
+    # beta.n at the interior facet points, evaluated once: without diffusion
+    # the upwind terms leave the (K1, K2) block of a facet exactly zero
+    # where beta.n >= 0 at all its points, the (K2, K1) block where <= 0
+    bn_inner = np.zeros((len(inner), fw.shape[1]))
+    if has_beta:
+        for chunk in batches(len(inner), max(1, BATCH_POINTS // fw.shape[1])):
+            bn_inner[chunk] = _beta_normal(coeffs, fpts[inner[chunk]], mesh, inner[chunk])
+    couples = np.ones((2, len(inner)), dtype=bool)
+    if not diffusive:
+        couples = np.stack([np.any(bn_inner < 0.0, axis=1), np.any(bn_inner > 0.0, axis=1)])
+    indices, indptr, diagonal, pairs = _block_layout(mesh, couples)
+    data = np.zeros((len(indices), nd, nd))
+    load = np.zeros(space.ndof_total)
     means = np.empty(E)
 
-    # volume terms: weighted coefficients against the shared reference
-    # tables; the diffusion values also give the element means of alpha
-    for chunk in _chunks(E):
+    # each batch adds its terms in a call of its own, whose temporaries go
+    # before the next batch makes its own
+    def volume_batch(chunk):
+        """Volume terms of the elements in ``chunk``: weighted coefficients
+        against the shared reference tables; the diffusion values also give
+        the element means of alpha."""
         elems = np.arange(chunk.start, chunk.stop)
         pts = space.volume_points[chunk]
         w = space.volume_weights[chunk]
@@ -205,64 +252,65 @@ def assemble_global_system(space, coeffs, sigma=None):
             terms["drift"] = require_finite(coeffs.beta(x, y), "beta", "element", elems)
         if has_gamma:
             terms["value"] = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
-        diag[chunk] += space.volume_matrices(chunk, w, **terms)
+        data[diagonal[chunk]] += space.volume_matrices(chunk, w, **terms)
         fv = require_finite(coeffs.f(x, y), "f", "element", elems)
         load[chunk.start * nd : chunk.stop * nd] += space.volume_load(chunk, w, fv).ravel()
-    del terms, fv  # the coefficient values of the last chunk
+
+    def facet_batch(facets, n_sides, bn):
+        """The facet matrices and test tables of a batch of ``facets`` in
+        jump/average form, from ``beta.n`` at their points."""
+        w = fw[facets]
+        interior = n_sides == 2
+        c_avg = -0.5 * bn if interior else np.zeros_like(w)
+        c_jump = 0.5 * np.abs(bn) if interior else np.where(bn < 0.0, -bn, 0.0)
+        c_flux = None
+        if diffusive:
+            pts = fpts[facets]
+            alpha = coeffs.alpha(pts[..., 0], pts[..., 1])
+            alpha = require_positive(alpha, "alpha", "facet", facets)
+            c_jump = c_jump + (sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
+            # the average of a one-sided trace is the trace itself
+            c_flux = -alpha / n_sides
+        return _facet_terms(space, facets, n_sides, w, c_avg, c_jump, c_flux)
+
+    def interior_batch(part, k2_blocks):
+        """Write the kept coupling blocks of the interior facets ``part``
+        into their slots, add their K1 self blocks to the diagonal blocks
+        and leave their K2 self blocks in ``k2_blocks``."""
+        M, _ = facet_batch(inner[part], 2, bn_inner[part])
+        for slots, block in zip(pairs[:, part], (M[:, :nd, nd:], M[:, nd:, :nd])):
+            kept = slots >= 0
+            data[slots[kept]] = block[kept]
+        _add_in_order(data, diagonal[left[part]], M[:, :nd, :nd])
+        k2_blocks[...] = M[:, nd:, nd:]
+
+    def boundary_batch(facets):
+        """Add the self blocks of the boundary ``facets`` to the diagonal
+        blocks, and the Dirichlet data, as the trial trace of the jump, to
+        the load."""
+        pts, owners = fpts[facets], mesh.facet_left[facets]
+        bn = _beta_normal(coeffs, pts, mesh, facets) if has_beta else np.zeros(pts.shape[:2])
+        M, test = facet_batch(facets, 1, bn)
+        _add_in_order(data, diagonal[owners], M)
+        g = require_finite(coeffs.g_D(pts[..., 0], pts[..., 1]), "g_D", "facet", facets)
+        lb = np.einsum("fq,fqi->fi", fw[facets] * g, test)
+        np.add.at(load, space.offsets[owners][:, None] + np.arange(nd), lb)
+
+    for chunk in space.element_batches():
+        volume_batch(chunk)
     af = _facet_means(mesh, means) if diffusive else None
+    # interior facets in runs of _SELF_RUN, the K2 self blocks of a run
+    # after its K1 ones, then the one-sided boundary facets
+    k2_run = np.empty((min(_SELF_RUN, len(inner)), nd, nd))
+    for run in batches(len(inner), _SELF_RUN):
+        for chunk in batches(run.stop - run.start, batch):
+            interior_batch(slice(run.start + chunk.start, run.start + chunk.stop), k2_run[chunk])
+        # a self block has a quarter of the entries of a facet matrix
+        for chunk in batches(run.stop - run.start, 4 * batch):
+            _add_in_order(data, diagonal[right[run][chunk]], k2_run[chunk])
+    del k2_run
+    for chunk in batches(len(outer), batch):
+        boundary_batch(outer[chunk])
 
-    # facet terms in jump/average form: interior facets, then the one-sided
-    # boundary facets; each batch writes its coupling blocks into their
-    # slots and its self blocks into the stack [K1 | K2 | boundary]
-    rows, cols, slots, own = _block_layout(mesh)
-    # the stack first, so that the kept blocks can reuse its memory and diag's
-    selfs = np.empty((3 * E, nd, nd))
-    data = np.empty((len(slots), nd, nd))
-    fpts, fw = space.facet_rule
-    inner, outer = mesh.interior_facets, mesh.boundary_facets
-    groups = (
-        (inner, np.stack([mesh.facet_left[inner], mesh.facet_right[inner]], axis=1)),
-        (outer, mesh.facet_left[outer][:, None]),
-    )
-    for group, group_sides in groups:
-        interior = group_sides.shape[1] == 2
-        for chunk in _chunks(len(group), max(1, _FACET_ENTRIES // (2 * nd) ** 2)):
-            facets, sides = group[chunk], group_sides[chunk]
-            pts, w = fpts[facets], fw[facets]
-            x, y = pts[..., 0], pts[..., 1]
-            normals = mesh.facet_normals[facets]
-            bn = np.zeros_like(w)
-            if has_beta:
-                beta = require_finite(coeffs.beta(x, y), "beta", "facet", facets)
-                bn = np.einsum("fqd,fd->fq", beta, normals)
-            c_avg = -0.5 * bn if interior else np.zeros_like(w)
-            c_jump = 0.5 * np.abs(bn) if interior else np.where(bn < 0.0, -bn, 0.0)
-            c_flux = None
-            if diffusive:
-                alpha = require_positive(coeffs.alpha(x, y), "alpha", "facet", facets)
-                c_jump = c_jump + (sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
-                # the average of a one-sided trace is the trace itself
-                c_flux = -alpha / sides.shape[1]
-            M, test = _facet_terms(space, facets, sides.shape[1], w, c_avg, c_jump, c_flux)
-            if interior:
-                data[slots[E:][chunk]] = M[:, :nd, nd:]
-                data[slots[E + n_inner :][chunk]] = M[:, nd:, :nd]
-                selfs[chunk] = M[:, :nd, :nd]
-                selfs[n_inner:][chunk] = M[:, nd:, nd:]
-            else:
-                selfs[2 * n_inner :][chunk] = M
-                # the Dirichlet data enters as the trial trace of the jump
-                g = require_finite(coeffs.g_D(x, y), "g_D", "facet", facets)
-                lb = np.einsum("fq,fqi->fi", w * g, test)
-                np.add.at(load, space.offsets[sides[:, 0]][:, None] + np.arange(nd), lb)
-
-    for column in own.T:
-        diag += selfs[column]
-    data[slots[:E]] = diag
-    del selfs, diag
-    # the diagonal blocks stay; the exactly zero upwind outflow blocks go
-    keep = np.any(data != 0.0, axis=(1, 2))
-    keep[slots[:E]] = True
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=E))])
-    blocks = sparse.bsr_matrix((data[keep], cols[keep], indptr), shape=(len(load),) * 2)
+    blocks = sparse.bsr_matrix((data, indices, indptr), shape=(len(load),) * 2)
     return DgSystem(load=load, space=space, sigma=sigma, alpha_facet=af, blocks=blocks)

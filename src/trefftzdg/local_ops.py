@@ -57,8 +57,6 @@ DAR_BOX = "DAR_BOX"
 QT_DIFFUSION = "QT_DIFFUSION"
 KINDS = frozenset({AR, DAR, DAR_BOX, QT_DIFFUSION})
 
-_CHUNK = 2048
-
 
 @dataclass(frozen=True)
 class ElementBox:
@@ -318,12 +316,14 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
     """Local operators for every element of a broken space, as one
     :class:`LocalOperatorBatch`.
 
-    All kinds but the box one run in element batches: the volume-projected
-    kinds as one product of their weighted coefficients with the space's
-    reference tables, on its volume rule, the quasi-Trefftz kind through
-    the point-derivative kernel at the element centers. The box kind goes
-    element by element through :func:`assemble_local_operator`, as each
-    element has its own box, and the results are stacked.
+    All kinds but the box one run in the space's element batches
+    (:meth:`BrokenSpace.element_batches`), each written into the stacks
+    before the next is formed: the volume-projected kinds as one product
+    of their weighted coefficients with the space's reference tables, on
+    its volume rule, the quasi-Trefftz kind through the point-derivative
+    kernel at the element centers. The box kind goes element by element
+    through :func:`assemble_local_operator`, as each element has its own
+    box, and the results are stacked.
     """
     n_elements = space.mesh.n_elements
     _validate(kind, space.degree, coeffs)
@@ -332,9 +332,10 @@ def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
                for k in range(n_elements)]
         matrices, loads = np.stack([op.matrix for op in ops]), np.stack([op.rhs for op in ops])
     else:
-        chunks = [slice(start, min(start + _CHUNK, n_elements))
-                  for start in range(0, n_elements, _CHUNK)]
-        parts = [_batch_operators(kind, space, coeffs, chunk) for chunk in chunks]
-        matrices, loads = map(np.concatenate, zip(*parts))
+        rows = operator_row_count(kind, space.degree)
+        matrices = np.empty((n_elements, rows, space.ndof_local))
+        loads = np.empty((n_elements, rows))
+        for batch in space.element_batches():
+            matrices[batch], loads[batch] = _batch_operators(kind, space, coeffs, batch)
     return LocalOperatorBatch(kind, np.arange(n_elements), matrices, loads)
 

@@ -43,6 +43,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
+from .basis import batches
 from .embedding import block_matrix
 
 STANDARD_DG = "STANDARD_DG"
@@ -54,6 +55,8 @@ _RESIDUAL_TOL = 1e-10
 #: coupled solve's Schur complement against ``T'AT``) before the matrix
 #: itself is factored
 _NEARBY_STEPS = 3
+#: entries of the gathered right factors per batch of :func:`_pair_blocks`
+_PAIR_ENTRIES = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -266,7 +269,7 @@ class _Schedule:
     ``levels``, whether they cover every element (``acyclic``), and the
     element ``order`` of the LU, the level order on an acyclic graph and
     the nested-dissection :attr:`Mesh2D.element_order` on one with a
-    cycle."""
+    cycle. Every solve reads it through :func:`_schedule`."""
 
     def __init__(self, system):
         A = system.blocks
@@ -276,6 +279,15 @@ class _Schedule:
         self.levels = _levels(A.indices[~self.diagonal], self.rows[~self.diagonal], n)
         self.acyclic = len(self.levels[0]) == n
         self.order = self.levels[0] if self.acyclic else system.space.mesh.element_order
+
+
+def _schedule(system):
+    """The :class:`_Schedule` of ``system``, formed by its first solve and
+    kept on it for every later one: the standard DG and the Trefftz solves
+    of one system share the block pattern and with it the schedule."""
+    if system.schedule is None:
+        system.schedule = _Schedule(system)
+    return system.schedule
 
 
 def _ordered_solve(system, blocks, rhs, label, widths=None, shared=None):
@@ -288,16 +300,16 @@ def _ordered_solve(system, blocks, rhs, label, widths=None, shared=None):
     side entries are zero. They get a unit diagonal here, before either
     path below sees the blocks, so they solve to zero.
 
-    The level schedule of the element graph (:class:`_Schedule`, that of
-    ``shared`` when given) picks the path. When it covers every element,
-    the graph is acyclic and the system is block lower triangular in level
-    order, so :func:`_sweep` solves it without a factorization; if the
-    sweep returns ``None``, the LU runs in that same order and has no
-    fill. Otherwise the graph has a cycle, and the LU runs in the
-    nested-dissection :attr:`Mesh2D.element_order`. ``shared`` passes on
-    to :func:`_direct_solve`."""
+    The level schedule of the element graph (:func:`_schedule`) picks the
+    path. When it covers every element, the graph is acyclic and the
+    system is block lower triangular in level order, so :func:`_sweep`
+    solves it without a factorization; if the sweep returns ``None``, the
+    LU runs in that same order and has no fill. Otherwise the graph has a
+    cycle, and the LU runs in the nested-dissection
+    :attr:`Mesh2D.element_order`. ``shared`` passes on to
+    :func:`_direct_solve`."""
     A, width = system.blocks, blocks.shape[1]
-    schedule = _Schedule(system) if shared is None else shared.schedule
+    schedule = _schedule(system)
     rows, diagonal = schedule.rows, schedule.diagonal
     if widths is not None and np.any(widths < width):
         pad = np.arange(width) < width - widths[:, None]
@@ -329,11 +341,18 @@ def solve_standard_dg(system):
 
 def _pair_blocks(system, left, right):
     """The blocks ``left_K' B_KL right_L`` of ``left' A right`` for element
-    stacks ``left`` ``(E, n, w)`` and ``right`` ``(E, n, v)``, one batched
-    product per stored block ``B_KL`` of the system, in its BSR layout."""
+    stacks ``left`` ``(E, n, w)`` and ``right`` ``(E, n, v)``, one product
+    per stored block ``B_KL`` of the system, in its BSR layout. The
+    products are formed in batches of at most :data:`_PAIR_ENTRIES` entries
+    of the gathered ``right`` factors, so that their temporaries do not
+    grow with the mesh."""
     A = system.blocks
     rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
-    return np.swapaxes(left, 1, 2)[rows] @ (A.data @ right[A.indices])
+    leftT = np.swapaxes(left, 1, 2)
+    out = np.empty((len(A.data), left.shape[2], right.shape[2]))
+    for batch in batches(len(A.data), max(1, _PAIR_ENTRIES // right[0].size)):
+        out[batch] = leftT[rows[batch]] @ (A.data[batch] @ right[A.indices[batch]])
+    return out
 
 
 def _stack_product(blocks, v):
@@ -373,11 +392,11 @@ class TrefftzBlocks:
     ``embedding`` share when both run: the blocks ``coupling`` of
     ``T'A [T | L]`` (``L`` the complement bases of the coupled solve),
     whose ``T'AT`` half is the reduced system bit for bit, the level
-    schedule of their block pattern, and ``lu``, the factorization that
-    the first LU solve on them makes. The embedded solve factors ``T'AT``
-    and the coupled solve refines its Schur system against that LU, so
-    the pair factors once. It holds the factorization: drop it with the
-    solves."""
+    schedule of their block pattern (the system's, :func:`_schedule`), and
+    ``lu``, the factorization that the first LU solve on them makes. The
+    embedded solve factors ``T'AT`` and the coupled solve refines its
+    Schur system against that LU, so the pair factors once. It holds the
+    factorization: drop it with the solves."""
 
     def __init__(self, system, embedding):
         _check_embedding(system, embedding)
@@ -397,7 +416,7 @@ class TrefftzBlocks:
         self.complement = factors.Q[:, :, :n_rows]
         T = embedding.kernels
         self.coupling = _pair_blocks(system, T, np.concatenate([T, self.complement], axis=2))
-        self.schedule = _Schedule(system)
+        self.schedule = _schedule(system)
         self.lu = None
 
 

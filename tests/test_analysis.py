@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from trefftzdg.analysis import (
 from trefftzdg.basis import BrokenSpace
 from trefftzdg.coefficients import ScalarField, VectorField, builtin_case, manufactured_case
 from trefftzdg.dg_forms import assemble_global_system
-from trefftzdg.local_ops import AR, DAR, DAR_BOX, QT_DIFFUSION
+from trefftzdg.local_ops import AR, DAR, DAR_BOX, QT_DIFFUSION, assemble_local_operators
 from trefftzdg.mesh import build_structured_mesh
 from trefftzdg.quadrature import facet_quadrature, volume_quadrature
 from trefftzdg.solver import DiscreteSolution, solve_standard_dg
@@ -38,6 +39,49 @@ def test_zero_error_for_exactly_representable_solution():
     assert report.vh_error <= 1e-8
     assert report.h == pytest.approx(math.sqrt(2.0) / 2)
     assert report.p == p and report.method == "STANDARD_DG"
+
+
+@pytest.mark.filterwarnings("error")
+def test_upwind_norm_without_advection_is_the_l2_norm():
+    # beta = 0: the streamline and the upwind facet terms, both weighted by
+    # 1 / sup |beta|, vanish, so no 0 / 0 may reach the norm
+    coeffs = manufactured_case(beta=(0, 0), gamma=1, exact=sp.sympify("sin(pi*(x + y))"))
+    system = assemble_global_system(BrokenSpace(build_structured_mesh(4), 2), coeffs)
+    report = compute_errors(solve_standard_dg(system), coeffs)
+    assert 0.0 < report.l2_error < 1e-2
+    assert report.vh_error == report.l2_error
+
+
+def transient_bytes(call):
+    """Peak memory that ``call()`` takes above what it leaves allocated,
+    measured on a second call, after the first has filled the caches."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - max(current, start)
+
+
+def test_error_norm_and_local_operator_transients_do_not_grow_with_the_mesh():
+    # 512, 2,048 and 8,192 elements: from n = 16 on the volume points fill
+    # several batches, from n = 32 on the facet points of the norm do too
+    coeffs = builtin_case("AR_EXAMPLE")
+    errors, operators = [], []
+    for n in (16, 32, 64):
+        space = BrokenSpace(build_structured_mesh(n), 3)
+        u = DiscreteSolution(
+            coeffs=np.random.default_rng(n).standard_normal(space.ndof_total), space=space,
+            method="STANDARD_DG", ndof_full=space.ndof_total,
+        )
+        errors.append(transient_bytes(lambda: compute_errors(u, coeffs)))
+        operators.append(transient_bytes(lambda: assemble_local_operators(AR, space, coeffs)))
+    assert errors[2] <= 1.1 * errors[1]
+    assert max(operators[1:]) <= 1.1 * operators[0]
 
 
 def test_l2_error_of_zero_solution_is_analytic():
@@ -254,12 +298,12 @@ def test_facet_error_jumps_match_pulled_back_traces():
     deviation = coeffs.exact_solution(pts[..., 0], pts[..., 1]) - (
         solution.element_values(mesh.facet_left[outer], pts)
     )
-    groups = analysis._facet_error_jumps(solution, coeffs)
-    for (facets, _, _, _, jump_sq), group, expected in zip(
-        groups, (inner, outer), (whole**2, deviation**2)
-    ):
-        np.testing.assert_array_equal(facets, group)
-        np.testing.assert_allclose(jump_sq, expected, rtol=0, atol=1e-13 * np.max(expected))
+    batches = list(analysis._facet_error_jumps(solution, coeffs))
+    facets = np.concatenate([f for f, _, _, _ in batches])
+    jump_sq = np.concatenate([j for _, _, _, j in batches])
+    np.testing.assert_array_equal(facets, np.concatenate([inner, outer]))
+    for group, expected in zip(np.split(jump_sq, [len(inner)]), (whole**2, deviation**2)):
+        np.testing.assert_allclose(group, expected, rtol=0, atol=1e-13 * np.max(expected))
 
 
 def test_eoc_simple_cases():

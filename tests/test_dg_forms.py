@@ -19,6 +19,7 @@ from trefftzdg.dg_forms import (
 from trefftzdg.mesh import BOUNDARY, build_structured_mesh
 from trefftzdg.quadrature import facet_quadrature, volume_quadrature
 
+from flows import rotating_flow
 from projection import l2_projection
 
 
@@ -106,6 +107,21 @@ CASES = [
     pytest.param("DAR_EXAMPLE", 200.0, id="DAR_EXAMPLE-DAR_SIP-200.0"),
 ]
 
+#: the upwind form on a closed flow, whose beta.n changes sign along the
+#: facets that the perpendicular from the centre of the square meets
+ROTATING = "ROTATING_FLOW"
+
+
+def case_data(case):
+    """The coefficients of a builtin ``case`` or of :data:`ROTATING`."""
+    return rotating_flow() if case == ROTATING else builtin_case(case)
+
+
+def stored_pairs(blocks):
+    """The ``(row, column)`` element pairs of the stored blocks."""
+    rows = np.repeat(np.arange(len(blocks.indptr) - 1), np.diff(blocks.indptr))
+    return set(zip(rows.tolist(), blocks.indices.tolist()))
+
 
 def assemble_capturing_terms(monkeypatch, space, coeffs, sigma=None):
     """Assemble on ``space`` and capture every term the assembly computed:
@@ -178,13 +194,15 @@ def reference_block_matrix(n_elements, own, pairs):
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
-@pytest.mark.parametrize("case,sigma", CASES)
+@pytest.mark.parametrize(
+    "case,sigma", CASES + [pytest.param(ROTATING, None, id="ROTATING_FLOW-AR_UPWIND-None")]
+)
 def test_matrix_is_the_coo_sum_of_its_terms_without_zero_blocks(
     monkeypatch, perturbed_mesh, perturbed, case, sigma
 ):
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
     space = BrokenSpace(mesh, 2)
-    sys, volume, facet = assemble_capturing_terms(monkeypatch, space, builtin_case(case), sigma)
+    sys, volume, facet = assemble_capturing_terms(monkeypatch, space, case_data(case), sigma)
     # every entry of every term as one COO entry, duplicates summed
     nd = sys.space.ndof_local
     local = np.arange(nd)
@@ -213,6 +231,21 @@ def test_matrix_is_the_coo_sum_of_its_terms_without_zero_blocks(
         # beta = (-x, y) keeps one sign of beta.n along every interior facet
         # of these meshes, so each facet couples in its upwind direction only
         assert couplings == len(mesh.interior_facets)
+    elif case == ROTATING:
+        # a facet whose beta.n changes sign among its points keeps both
+        # blocks: K1 tests the inflow from K2 where beta.n < 0, K2 that from
+        # K1 where beta.n > 0
+        inner = mesh.interior_facets
+        pts, _ = facet_quadrature(mesh, 2 * space.degree + 2)
+        beta = case_data(case).beta(pts[inner, :, 0], pts[inner, :, 1])
+        bn = np.einsum("fqd,fd->fq", beta, mesh.facet_normals[inner])
+        left, right = mesh.facet_left[inner], mesh.facet_right[inner]
+        into_left, into_right = np.any(bn < 0.0, axis=1), np.any(bn > 0.0, axis=1)
+        assert np.any(into_left & into_right)
+        expected = set(zip(left[into_left].tolist(), right[into_left].tolist()))
+        expected |= set(zip(right[into_right].tolist(), left[into_right].tolist()))
+        assert stored_pairs(blocks) - {(k, k) for k in range(mesh.n_elements)} == expected
+        assert len(inner) < couplings < 2 * len(inner)
     else:
         assert couplings == 2 * len(mesh.interior_facets)
 
@@ -226,6 +259,8 @@ def test_matrix_is_the_coo_sum_of_its_terms_without_zero_blocks(
         # 2,133 interior facets, SIP
         ("DAR_EXAMPLE", 2, 27, "perturbed"),
         ("AR_EXAMPLE", 2, 27, "shuffled"),
+        # odd n: 79 facets with both coupling blocks, across two runs
+        (ROTATING, 3, 27, "structured"),
     ],
 )
 def test_blocks_are_the_incidence_sum_of_the_terms_bit_for_bit(
@@ -235,7 +270,7 @@ def test_blocks_are_the_incidence_sum_of_the_terms_bit_for_bit(
                 "shuffled": shuffled_mesh}
     mesh = builders[mesh_kind](n)
     space = BrokenSpace(mesh, p)
-    sys, volume, facet = assemble_capturing_terms(monkeypatch, space, builtin_case(case))
+    sys, volume, facet = assemble_capturing_terms(monkeypatch, space, case_data(case))
     own, pairs = incidence_order_terms(mesh, sys.space.ndof_local, volume, facet)
     reference = reference_block_matrix(mesh.n_elements, own, pairs)
     blocks = sys.blocks
@@ -255,7 +290,7 @@ def test_assembly_transient_is_a_few_times_the_system():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5 * (sys.blocks.data.nbytes + sys.load.nbytes)
+    assert peak <= 2 * (sys.blocks.data.nbytes + sys.load.nbytes)
 
 
 def textbook_system(mesh, p, coeffs, sigma):
@@ -477,8 +512,8 @@ def test_facet_alpha_rule_bounds():
 
 
 def test_sip_assembly_evaluates_alpha_once_per_volume_point():
-    # 4,608 elements: two chunks of the volume loop, which also give the
-    # element means of alpha behind the facet weights
+    # 4,608 elements: several batches of the volume loop, which also give
+    # the element means of alpha behind the facet weights
     coeffs = builtin_case("BOX_DIFFUSION_2D")
     space = BrokenSpace(build_structured_mesh(48), 2)
     calls = []
@@ -491,5 +526,7 @@ def test_sip_assembly_evaluates_alpha_once_per_volume_point():
     n_volume = space.volume_points.shape[1]
     assert space.facet_rule[0].shape[1] != n_volume
     volume = [shape for shape in calls if shape[1:] == (n_volume,)]
-    assert [rows for rows, _ in volume] == [4096, 512]
+    batches = [chunk.stop - chunk.start for chunk in space.element_batches()]
+    assert len(batches) > 1 and sum(batches) == space.mesh.n_elements
+    assert [rows for rows, _ in volume] == batches
     assert np.array_equal(system.alpha_facet, facet_alpha(space, coeffs))

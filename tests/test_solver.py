@@ -34,6 +34,7 @@ from trefftzdg.solver import (
     solve_standard_dg,
 )
 
+from flows import rotating_flow
 from projection import l2_projection
 from prolongation import prolongation, trailing
 
@@ -785,17 +786,6 @@ def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
         assert residual <= solver._RESIDUAL_TOL * np.linalg.norm(load)
 
 
-def rotating_flow():
-    """Advection-reaction around the centre of the unit square: every
-    element of the upwind graph lies on one cycle."""
-    return manufactured_case(
-        beta=(sp.sympify("1/2 - y"), sp.sympify("x - 1/2")),
-        gamma=1,
-        exact=sp.sympify("sin(pi*(x + y))"),
-        name="rotating",
-    )
-
-
 @pytest.mark.parametrize(
     "argv,factorizations",
     [
@@ -812,6 +802,22 @@ def test_diagnose_factors_the_trefftz_system_at_most_once(monkeypatch, capsys, a
     assert len(factored) == factorizations
     text = capsys.readouterr().out
     assert float(text.split("(relative ")[1].split(")")[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["AR_EXAMPLE", "DAR_EXAMPLE"])
+def test_run_computes_the_level_schedule_once_per_system(monkeypatch, capsys, tmp_path, case):
+    # the dg and the et solve of one assembled system read one schedule
+    sizes = []
+    levels = solver._levels
+
+    def counting(up, down, n):
+        sizes.append(n)
+        return levels(up, down, n)
+
+    monkeypatch.setattr(solver, "_levels", counting)
+    argv = ["run", "--case", case, "--methods", "dg,et", "--p", "3", "--n", "2,4"]
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    assert sizes == [8, 32]
 
 
 def test_box_and_rotating_flow_block_gaps_stay_at_rounding_level(monkeypatch, capsys):

@@ -8,8 +8,10 @@
 # temporary git worktree, and the same `run` and `diagnose` commands run in
 # both trees with one BLAS thread. Every CSV and every stdout, the latter
 # without the "written to" line that names the output path, is compared
-# with cmp. One line per file is printed; the exit status is non-zero if
-# any file differs or is missing, or if a command fails.
+# with cmp. One line per file is printed, and for a `run` CSV that differs
+# one more line per method with the largest relative move of its l2error
+# and dgerror over the rows. The exit status is non-zero if any file differs
+# or is missing, or if a command fails.
 set -euo pipefail
 
 base=${1:?usage: tools/compare_outputs.sh BASE}
@@ -51,6 +53,28 @@ outputs() {  # tree, output directory
     done
 }
 
+moves() {  # base CSV, head CSV
+    python3 - "$1" "$2" <<'PY'
+import csv
+import sys
+
+base, head = (list(csv.DictReader(open(path))) for path in sys.argv[1:])
+if not base or "l2error" not in base[0]:
+    sys.exit()  # a diagnose sigma CSV
+if [(r["method"], r["p"], r["h"]) for r in base] != [(r["method"], r["p"], r["h"]) for r in head]:
+    print("          the rows differ")
+    sys.exit()
+largest = {}
+for old, new in zip(base, head):
+    moved = largest.setdefault(old["method"], {"l2error": 0.0, "dgerror": 0.0})
+    for key in moved:
+        a, b = float(old[key]), float(new[key])
+        moved[key] = max(moved[key], abs(b - a) / abs(a) if a else abs(b - a))
+for method, moved in largest.items():
+    print(f"          {method}: l2error {moved['l2error']:.1e}, dgerror {moved['dgerror']:.1e}")
+PY
+}
+
 outputs "$scratch/tree" "$scratch/base"
 outputs "$root" "$scratch/head"
 
@@ -61,6 +85,9 @@ for name in $( (ls "$scratch/base"; ls "$scratch/head") | sort -u); do
     else
         echo "DIFFERS   $name"
         status=1
+        if [[ $name == *.csv && -f $scratch/base/$name && -f $scratch/head/$name ]]; then
+            moves "$scratch/base/$name" "$scratch/head/$name"
+        fi
     fi
 done
 exit $status
