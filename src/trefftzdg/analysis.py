@@ -17,7 +17,7 @@ from .coefficients import require_finite, require_positive
 from .dg_forms import _beta_normal, assemble_global_system, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
 from .local_ops import operator_row_count
-from .solver import TrefftzBlocks, solve_block_coupled, solve_embedded_trefftz
+from .solver import solve_block_coupled
 
 @dataclass
 class ErrorReport:
@@ -204,11 +204,10 @@ def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=0.25):
     equivalence gap. The gap is computed when every element keeps all its
     operator rows, as the coupled block solve needs; otherwise it is NaN.
 
-    The two solves share one :class:`~trefftzdg.solver.TrefftzBlocks`:
-    the product ``T'A [T | L]``, the level schedule and at most one LU,
-    that of ``T'AT``, which the embedded solve makes and against which the
-    coupled solve refines its Schur system; ``S`` is factored only as the
-    fallback. The factorization is dropped before this returns."""
+    One call of :func:`~trefftzdg.solver.solve_block_coupled` makes both
+    solves: one product ``T'A [T | L]`` and at most one LU, that of
+    ``T'AT``, which the embedded solve makes and against which the Schur
+    system is refined; ``S`` is factored only as the fallback."""
     p = space.degree
     embedding = build_embedding(space, coeffs, kind, box_scale=box_scale)
     factors = embedding.factors
@@ -229,12 +228,10 @@ def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=0.25):
     gap = gap_rel = float("nan")
     if np.all(factors.rank == A.shape[1]):
         system = assemble_global_system(space, coeffs, sigma=sigma)
-        shared = TrefftzBlocks(system, embedding)
-        u_emb = solve_embedded_trefftz(system, embedding, shared=shared)
-        u_block = solve_block_coupled(system, embedding, shared=shared)
-        del shared  # and with it the factorization
-        gap = float(np.linalg.norm(u_emb.coeffs - u_block.coeffs))
-        denom = float(np.linalg.norm(u_emb.coeffs))
+        u_block = solve_block_coupled(system, embedding)
+        u_emb = u_block.block_parts["u_E"]
+        gap = float(np.linalg.norm(u_emb - u_block.coeffs))
+        denom = float(np.linalg.norm(u_emb))
         gap_rel = gap / denom if denom > 0 else gap
     return DiagnosticsReport(
         rho_max=float(rho.max()),

@@ -65,8 +65,8 @@ class ExperimentConfig:
                 raise UsageError(f"unknown method {m!r}; expected subset of {METHODS}")
             if m != "dg":
                 _check_kind(coeffs, _LOCAL_KIND[m], f"method {m}")
-        self.p_list = tuple(int(p) for p in self.p_list)
-        self.n_list = tuple(int(n) for n in self.n_list)
+        self.p_list = tuple(_number(int, "--p", p) for p in self.p_list)
+        self.n_list = tuple(_number(int, "--n", n) for n in self.n_list)
         if not self.p_list or not self.n_list:
             raise UsageError("p and n lists must be nonempty")
         for option, values in (("--methods", self.methods), ("--p", self.p_list),
@@ -77,6 +77,15 @@ class ExperimentConfig:
         _check_sizes(self.n_list, self.p_list, coeffs)
         _check_positive_finite(sigma=self.sigma, box_scale=self.box_scale)
         _check_penalty(coeffs, self.sigma)
+
+
+def _number(kind, option, value):
+    """``kind`` of the text of ``value``, so that ``int`` rejects 2.5 rather
+    than truncating it, or a :class:`UsageError` naming ``option`` and the value."""
+    try:
+        return kind(str(value))
+    except (TypeError, ValueError):
+        raise UsageError(f"{option}: {value!r} is not a valid {kind.__name__}") from None
 
 
 def _check_sizes(n_list, p_list=(), coeffs=None):
@@ -291,8 +300,8 @@ def _cmd_run(args):
         p_list=_split_list(p_list) if isinstance(p_list, str) else p_list,
         n_list=_split_list(n_list) if isinstance(n_list, str) else n_list,
         out=out,
-        sigma=float(sigma) if sigma is not None else None,
-        box_scale=float(box_scale),
+        sigma=_number(float, "--sigma", sigma) if sigma is not None else None,
+        box_scale=_number(float, "--box-scale", box_scale),
     )
     run_experiment(config)
     return 0

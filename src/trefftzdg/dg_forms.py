@@ -37,6 +37,7 @@ import scipy.sparse as sparse
 
 from .basis import BATCH_POINTS, BrokenSpace, batches
 from .coefficients import require_finite, require_positive
+from .mesh import occurrences
 
 #: facet matrix entries per batch of the facet loop
 _FACET_ENTRIES = 1 << 16
@@ -137,15 +138,7 @@ def _add_in_order(data, slots, blocks):
     """``data[slots[i]] += blocks[i]`` for each ``i`` in turn: a slot listed
     more than once takes its blocks in order, one occurrence per round, so
     that no round repeats a slot."""
-    n = len(slots)
-    order = np.argsort(slots, kind="stable")
-    ranked = slots[order]
-    # each entry's rank among the entries of its slot, from the index at
-    # which its slot's entries start in the sorted list
-    start = np.arange(n)
-    start[1:][ranked[1:] == ranked[:-1]] = 0
-    occurrence = np.empty(n, dtype=np.intp)
-    occurrence[order] = np.arange(n) - np.maximum.accumulate(start)
+    occurrence = occurrences(slots)
     for r in range(occurrence.max(initial=-1) + 1):
         pick = occurrence == r
         data[slots[pick]] += blocks[pick]

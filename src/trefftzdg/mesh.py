@@ -18,6 +18,16 @@ BOUNDARY = -1
 _ND_LEAF = 16
 
 
+def occurrences(keys):
+    """Each entry's rank among the entries of ``keys`` with its key, in
+    their given order: ``[5, 2, 5, 5]`` gives ``[0, 0, 1, 2]``."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.arange(len(keys)) - np.searchsorted(ranked, ranked)
+    return rank
+
+
 class Mesh2D:
     """Conforming triangulation with per-facet adjacency and normals.
 
@@ -164,11 +174,8 @@ class Mesh2D:
         left = self.facet_left[self.interior_facets]
         right = self.facet_right[self.interior_facets]
         owner, other = np.concatenate([left, right]), np.concatenate([right, left])
-        by_owner = np.argsort(owner, kind="stable")
-        owner, other = owner[by_owner], other[by_owner]
-        slot = np.arange(len(owner)) - np.searchsorted(owner, owner)
         neighbours = np.full((n, 3), n)
-        neighbours[owner, slot] = other
+        neighbours[owner, occurrences(owner)] = other
         # tag[k] == t marks k as in the second half of dissection step t
         tag = np.full(n + 1, -1)
         parts = []

@@ -20,13 +20,13 @@ contract is factored in level order, without fill. The coupled system
 takes its local rows, and its complement basis ``Q_1``, from the
 operators and factors that :func:`~trefftzdg.embedding.build_embedding`
 keeps on the embedding and eliminates its complement unknowns element by
-element with dense batched solves (static condensation), so its only
-global solve is that of the Schur complement on the Trefftz unknowns,
-which has the size and the block pattern of the reduced system. Where
-that is not swept, it is refined against the factorization of the
-reduced matrix ``T'AT``, which it equals up to rounding, and factored
-itself only as the fallback; :class:`TrefftzBlocks` lets the embedded
-and the coupled solve of one system share that factorization. A matrix
+element with dense batched solves (static condensation). It solves the
+reduced system first, from the same product of blocks, and then the
+Schur complement on the Trefftz unknowns, which has the size and the
+block pattern of the reduced system; where that is not swept, it is
+refined against the factorization of ``T'AT`` that the first solve made,
+which it equals up to rounding, and factored itself only as the
+fallback. A matrix
 that reaches the LU is built once, already in solve order:
 :func:`block_matrix` permutes the element-pair blocks as whole blocks and
 converts them in one pass to the CSC matrix with sorted indices that the
@@ -45,6 +45,7 @@ from scipy.sparse.linalg import splu
 
 from .basis import batches
 from .embedding import block_matrix
+from .mesh import occurrences
 
 STANDARD_DG = "STANDARD_DG"
 EMBEDDED_TREFFTZ = "EMBEDDED_TREFFTZ"
@@ -87,26 +88,26 @@ class DiscreteSolution:
         return self.space.eval_function(local, elems, points, gradients)
 
 
-def _direct_solve(ordered, rhs, label, perm, shared=None):
+def _direct_solve(ordered, rhs, label, perm, nearby=None):
     """Solve ``A x = rhs`` by sparse LU under the residual contract, given
     ``ordered = A[perm][:, perm]`` as :func:`block_matrix` builds it: CSC
-    with sorted indices, the unknowns already in solve order.
+    with sorted indices, the unknowns already in solve order. Returns the
+    solution and the factorization it was solved with.
 
-    When ``shared`` (:class:`TrefftzBlocks`) holds a factorization in this
-    order, of ``A`` or of a matrix near it, the solve refines against it
-    for at most :data:`_NEARBY_STEPS` steps first. Otherwise, or if that
-    misses the residual contract, the ordered matrix is factored without
-    pivoting, which keeps the fill of the ordering. If that factorization
-    fails, or its solution misses the residual contract after the
-    refinement step, the solve is repeated on the same matrix with the
-    default COLAMD ordering and partial pivoting; a matrix that fails both
-    raises :class:`SolverError`. ``shared`` keeps the factorization made.
+    Given ``nearby``, the factorization of a matrix near ``A`` in this
+    order, the solve refines against it for at most :data:`_NEARBY_STEPS`
+    steps first. Otherwise, or if that misses the residual contract, the
+    ordered matrix is factored without pivoting, which keeps the fill of
+    the ordering. If that factorization fails, or its solution misses the
+    residual contract after the refinement step, the solve is repeated on
+    the same matrix with the default COLAMD ordering and partial pivoting;
+    a matrix that fails both raises :class:`SolverError`.
     """
     b = rhs[perm]
     y = None
-    if shared is not None and shared.lu is not None:
+    if nearby is not None:
         try:
-            y = _refined(shared.lu, ordered, b, label, _NEARBY_STEPS)
+            y, lu = _refined(nearby, ordered, b, label, _NEARBY_STEPS), nearby
         except SolverError:
             pass  # the matrix itself is factored below
     if y is None:
@@ -114,31 +115,26 @@ def _direct_solve(ordered, rhs, label, perm, shared=None):
             y, lu = _lu_solve(ordered, b, label, pivot=False)
         except SolverError:
             y, lu = _lu_solve(ordered, b, label, pivot=True)
-        if shared is not None:
-            shared.lu = lu
     x = np.empty_like(y)
     x[perm] = y
-    return x
+    return x, lu
 
 
-def _factor(csc, label, pivot):
-    """The sparse LU of ``csc`` in its own order without pivoting, or with
-    ``pivot`` in SuperLU's default ordering with partial pivoting."""
+def _lu_solve(csc, rhs, label, pivot):
+    """One factorization, solve and refinement step; returns the solution
+    and the factorization. The sparse LU of ``csc`` is taken in its own
+    order without pivoting, or with ``pivot`` in SuperLU's default ordering
+    with partial pivoting."""
     try:
         if pivot:
-            return splu(csc)
-        return splu(csc, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+            lu = splu(csc)
+        else:
+            lu = splu(csc, permc_spec="NATURAL", diag_pivot_thresh=0.0)
     except (RuntimeError, ValueError) as exc:
         raise SolverError(
             f"{label}: sparse LU factorization failed ({exc}); "
             f"shape {csc.shape}, nnz {csc.nnz}"
         ) from exc
-
-
-def _lu_solve(csc, rhs, label, pivot):
-    """One factorization (:func:`_factor`), solve and refinement step;
-    returns the solution and the factorization."""
-    lu = _factor(csc, label, pivot)
     return _refined(lu, csc, rhs, label, 1), lu
 
 
@@ -181,11 +177,9 @@ def _block_permutation(order, width):
 def _table(keys, values, n, fill):
     """``(n, m)`` table whose row ``k`` lists the ``values`` of key ``k`` in
     their given order, padded with ``fill``; ``m`` is the largest count."""
-    counts = np.bincount(keys, minlength=n)
-    key = np.argsort(keys, kind="stable")
-    slot = np.arange(len(keys)) - (np.cumsum(counts) - counts)[keys[key]]
-    table = np.full((n, counts.max(initial=0)), fill)
-    table[keys[key], slot] = values[key]
+    slot = occurrences(keys)
+    table = np.full((n, slot.max(initial=-1) + 1), fill)
+    table[keys, slot] = values
     return table
 
 
@@ -290,7 +284,7 @@ def _schedule(system):
     return system.schedule
 
 
-def _ordered_solve(system, blocks, rhs, label, widths=None, shared=None):
+def _ordered_solve(system, blocks, rhs, label, widths=None, nearby=None):
     """Solve the matrix of the element-pair ``blocks`` ``(B, w, w)`` on the
     block pattern of ``system``, ``w`` unknowns per element.
 
@@ -306,8 +300,9 @@ def _ordered_solve(system, blocks, rhs, label, widths=None, shared=None):
     solves it without a factorization; if the sweep returns ``None``, the
     LU runs in that same order and has no fill. Otherwise the graph has a
     cycle, and the LU runs in the nested-dissection
-    :attr:`Mesh2D.element_order`. ``shared`` passes on to
-    :func:`_direct_solve`."""
+    :attr:`Mesh2D.element_order`. ``nearby`` passes on to
+    :func:`_direct_solve`. Returns the solution and the factorization it
+    was solved with, None where the system was swept."""
     A, width = system.blocks, blocks.shape[1]
     schedule = _schedule(system)
     rows, diagonal = schedule.rows, schedule.diagonal
@@ -318,10 +313,10 @@ def _ordered_solve(system, blocks, rhs, label, widths=None, shared=None):
     if schedule.acyclic:
         x = _sweep(A.indices, A.indptr, blocks, rhs, rows, diagonal, schedule.levels)
         if x is not None:
-            return x
+            return x, None
     ordered = block_matrix(blocks, A.indices, A.indptr, schedule.order)
     perm = _block_permutation(schedule.order, width)
-    return _direct_solve(ordered, rhs, label, perm, shared)
+    return _direct_solve(ordered, rhs, label, perm, nearby)
 
 
 def _solution(system, coeffs, method, **fields):
@@ -335,7 +330,7 @@ def _solution(system, coeffs, method, **fields):
 
 def solve_standard_dg(system):
     """Solve the full DG system directly."""
-    x = _ordered_solve(system, system.blocks.data, system.load, "standard DG solve")
+    x, _ = _ordered_solve(system, system.blocks.data, system.load, "standard DG solve")
     return _solution(system, x, STANDARD_DG)
 
 
@@ -368,9 +363,8 @@ def _stack_product(blocks, v):
     return y.ravel()
 
 
-def _check_embedding(system, embedding, shared=None):
-    """Reject an embedding built on another mesh or degree than ``system``,
-    and :class:`TrefftzBlocks` formed for another system or embedding."""
+def _check_embedding(system, embedding):
+    """Reject an embedding built on another mesh or degree than ``system``."""
     space, mesh = system.space, embedding.mesh
     if embedding.kernels.shape[1] != space.ndof_local:
         raise ValueError(
@@ -383,75 +377,37 @@ def _check_embedding(system, embedding, shared=None):
                 f"embedding and system meshes do not match: their {name} differ "
                 f"({mesh.n_elements} and {space.mesh.n_elements} elements)"
             )
-    if shared is not None and (shared.system is not system or shared.embedding is not embedding):
-        raise ValueError("the shared Trefftz blocks were formed for another system or embedding")
 
 
-class TrefftzBlocks:
-    """What the embedded and the coupled solve of ``system`` on
-    ``embedding`` share when both run: the blocks ``coupling`` of
-    ``T'A [T | L]`` (``L`` the complement bases of the coupled solve),
-    whose ``T'AT`` half is the reduced system bit for bit, the level
-    schedule of their block pattern (the system's, :func:`_schedule`), and
-    ``lu``, the factorization that the first LU solve on them makes. The
-    embedded solve factors ``T'AT`` and the coupled solve refines its
-    Schur system against that LU, so the pair factors once. It holds the
-    factorization: drop it with the solves."""
-
-    def __init__(self, system, embedding):
-        _check_embedding(system, embedding)
-        factors = embedding.factors
-        if factors is None:
-            raise ValueError("the block solve needs the local factors build_embedding keeps")
-        n_rows = embedding.local_operators.matrices.shape[1]
-        deficient = np.flatnonzero(factors.rank != n_rows)
-        if deficient.size:
-            k = deficient[0]
-            raise SolverError(
-                f"element {k}: local operator is rank deficient "
-                f"({factors.rank[k]} < {n_rows} rows); block system would be singular"
-            )
-        self.system, self.embedding = system, embedding
-        # L = Q_1, the leading columns of the orthogonal factors of A_K'
-        self.complement = factors.Q[:, :, :n_rows]
-        T = embedding.kernels
-        self.coupling = _pair_blocks(system, T, np.concatenate([T, self.complement], axis=2))
-        self.schedule = _schedule(system)
-        self.lu = None
-
-
-def _reduced_blocks(system, embedding, shared=None):
-    """The blocks ``T_K' B_KL T_L`` of the embedded Trefftz system, the
-    ``T'AT`` half of ``shared`` when given, and its right-hand side
-    ``T' (l - A u_L)``."""
-    _check_embedding(system, embedding, shared)
+def _reduced_blocks(system, embedding, complement=None):
+    """The blocks ``T_K' B_KL T_L`` of the embedded Trefftz system, followed
+    by the columns ``T_K' B_KL complement_L`` when ``complement`` is given,
+    and its right-hand side ``T' (l - A u_L)``."""
     T = embedding.kernels
+    right = T if complement is None else np.concatenate([T, complement], axis=2)
     rhs = _stack_product(np.swapaxes(T, 1, 2), system.load - system.blocks @ embedding.u_L)
-    if shared is None:
-        return _pair_blocks(system, T, T), rhs
-    return shared.coupling[..., :T.shape[2]], rhs
+    return _pair_blocks(system, T, right), rhs
 
 
-def solve_embedded_trefftz(system, embedding, *, shared=None):
+def solve_embedded_trefftz(system, embedding):
     """Solve the reduced Galerkin problem on the embedded Trefftz space.
 
     Returns ``u = T u_T + u_L``; the element-local rows hold exactly by
     construction of the particular solution and the kernel, the global
-    rows to solver tolerance. With ``shared`` (:class:`TrefftzBlocks` of
-    the same system and embedding) the solve takes its blocks and level
-    schedule from there and leaves its factorization of ``T'AT`` there.
+    rows to solver tolerance.
     """
-    blocks, rhs = _reduced_blocks(system, embedding, shared)
-    x = _ordered_solve(
-        system, blocks, rhs, "embedded Trefftz solve", np.diff(embedding.offsets), shared
+    _check_embedding(system, embedding)
+    blocks, rhs = _reduced_blocks(system, embedding)
+    x, _ = _ordered_solve(
+        system, blocks, rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
     )
     coeffs = _stack_product(embedding.kernels, x) + embedding.u_L
     return _solution(system, coeffs, EMBEDDED_TREFFTZ, ndof_trefftz=embedding.ndof_trefftz)
 
 
-def solve_block_coupled(system, embedding, *, shared=None):
+def solve_block_coupled(system, embedding):
     """Solve the coupled 2x2 local/global block system by static
-    condensation.
+    condensation, and the embedded Trefftz system it reduces to.
 
     The unknowns are split per element into a complement-space part ``c_L``
     (spanned by ``L = Q_1``, the leading columns of the orthogonal factor
@@ -461,51 +417,57 @@ def solve_block_coupled(system, embedding, *, shared=None):
     local problems ``A L c_L + A T c_T = l`` and the global ones ``T'A L c_L
     + T'A T c_T = T'g``. By the weak-coupling property of the kernels the
     result matches the embedded solve, which the diagnostics verify
-    numerically.
+    numerically: ``block_parts["u_E"]`` is the embedded solution, equal to
+    that of :func:`solve_embedded_trefftz` bit for bit.
     ``embedding`` comes from :func:`build_embedding`, which keeps the local
     operators it factored and their factors; the local rows are read from
     those stacks.
 
-    The local rows are block diagonal, so the complement unknowns are
-    eliminated element by element (static condensation; Guyan, AIAA J. 3,
-    1965): one batched dense solve gives ``X = (AL)^-1 [AT | l]``, so that
-    ``c_L = x_l - X_T c_T``. The Schur complement ``S = T'AT - T'AL X_T``
-    has the block pattern of ``T'AT`` and is solved with the right-hand
-    side ``T'(g - A L x_l)``. On an acyclic graph it is swept like any
-    system, and factored itself where the sweep falls back. Otherwise it
-    is refined against the factorization of ``T'AT`` in the order of the
-    reduced solve: ``A_K T_K = 0`` makes ``T'AL X_T`` rounding, so a step
-    or two meet the residual contract, and ``S`` is factored only when
-    they do not. With ``shared`` (:class:`TrefftzBlocks`) the solve reuses
-    its blocks, its level schedule and the factorization an embedded solve
-    left there. The residual of the whole 2x2 system, local and global
-    rows, is then checked against the residual contract.
+    One product forms the blocks of ``T'A [T | L]``; its ``T'AT`` half is
+    solved first, as by :func:`solve_embedded_trefftz`. The local rows are
+    block diagonal, so the complement unknowns are eliminated element by
+    element (static condensation; Guyan, AIAA J. 3, 1965): one batched
+    dense solve gives ``X = (AL)^-1 [AT | l]``, so that ``c_L = x_l - X_T
+    c_T``. The Schur complement ``S = T'AT - T'AL X_T`` has the block
+    pattern of ``T'AT`` and is solved with the right-hand side ``T'(g - A L
+    x_l)``. On an acyclic graph it is swept like any system. Otherwise it
+    is refined against the factorization the embedded solve made, in the
+    same order: ``A_K T_K = 0`` makes ``T'AL X_T`` rounding, so a step or
+    two meet the residual contract, and ``S`` is factored only when they
+    do not. The residual of the whole 2x2 system, local and global rows,
+    is then checked against the residual contract.
     """
-    shared = TrefftzBlocks(system, embedding) if shared is None else shared
-    _check_embedding(system, embedding, shared)
+    _check_embedding(system, embedding)
+    factors = embedding.factors
+    if factors is None:
+        raise ValueError("the block solve needs the local factors build_embedding keeps")
     A, load = embedding.local_operators.matrices, embedding.local_operators.rhs
-    n_elements, _, n = A.shape
-    # every element keeps all rows, so every kernel has the full width w
-    L, T = shared.complement, embedding.kernels
+    n_elements, n_rows, n = A.shape
+    deficient = np.flatnonzero(factors.rank != n_rows)
+    if deficient.size:
+        k = deficient[0]
+        raise SolverError(
+            f"element {k}: local operator is rank deficient "
+            f"({factors.rank[k]} < {n_rows} rows); block system would be singular"
+        )
+    # every element keeps all rows, so every kernel has the full width w;
+    # L = Q_1, the leading columns of the orthogonal factors of A_K'
+    L, T = factors.Q[:, :, :n_rows], embedding.kernels
     w = T.shape[2]
+    coupling, reduced_rhs = _reduced_blocks(system, embedding, L)
+    x, lu = _ordered_solve(
+        system, coupling[..., :w], reduced_rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
+    )
+    u_E = _stack_product(T, x) + embedding.u_L
     AL, AT = A @ L, A @ T
     X = np.linalg.solve(AL, np.concatenate([AT, load[..., None]], axis=2))
     X_T, x_l = X[..., :w], X[..., w]
-    blocks, coupling = system.blocks, shared.coupling
+    blocks = system.blocks
     schur = coupling[..., :w] - coupling[..., w:] @ X_T[blocks.indices]
     # the right-hand side is restricted in the order of the reduced system
     Tt = np.swapaxes(T, 1, 2)
     rhs = _stack_product(Tt, system.load - blocks @ (L @ x_l[..., None]).ravel())
-    if shared.lu is None and not shared.schedule.acyclic:
-        # the LU path: factor T'AT, which the Schur system refines against
-        order = shared.schedule.order
-        reduced = block_matrix(coupling[..., :w], blocks.indices, blocks.indptr, order)
-        try:
-            shared.lu = _factor(reduced, "coupled block solve", pivot=False)
-        except SolverError:
-            pass  # the Schur complement itself is factored
-        del reduced
-    c_t = _ordered_solve(system, schur, rhs, "coupled block solve", shared=shared)
+    c_t, _ = _ordered_solve(system, schur, rhs, "coupled block solve", nearby=lu)
     c_T = c_t.reshape(n_elements, w, 1)
     c_L = x_l[..., None] - X_T @ c_T
     # residual of the 2x2 system: local rows per element, global rows
@@ -527,5 +489,5 @@ def solve_block_coupled(system, embedding, *, shared=None):
     u_l, u_t = (L @ c_L).ravel(), (T @ c_T).ravel()
     return _solution(
         system, u_l + u_t, BLOCK_COUPLED, ndof_trefftz=embedding.ndof_trefftz,
-        block_parts={"u_L": u_l, "u_T": u_t, "c_L": c_L.ravel(), "c_T": c_t},
+        block_parts={"u_L": u_l, "u_T": u_t, "c_L": c_L.ravel(), "c_T": c_t, "u_E": u_E},
     )

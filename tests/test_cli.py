@@ -255,6 +255,34 @@ def test_repeated_values_rejected_before_meshing(tmp_path, monkeypatch, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags,config,message",
+    [
+        (["--p", "2.5", "--n", "2"], "", "--p: '2.5'"),
+        (["--p", "2", "--n", "two"], "", "--n: 'two'"),
+        (["--p", "2", "--n", "2"], "sigma = abc\n", "--sigma: 'abc'"),
+        (["--p", "2", "--n", "2"], "box_scale = abc\n", "--box-scale: 'abc'"),
+    ],
+    ids=["p", "n", "config-sigma", "config-box-scale"],
+)
+def test_malformed_numbers_name_their_option(tmp_path, monkeypatch, capsys, flags, config,
+                                             message):
+    import trefftzdg.cli as cli
+
+    def no_mesh(n):
+        raise AssertionError(f"mesh with n={n} built")
+
+    monkeypatch.setattr(cli, "build_structured_mesh", no_mesh)
+    cfg, out = tmp_path / "exp.cfg", tmp_path / "x.csv"
+    cfg.write_text(config)
+    argv = ["run", "--case", "DAR_EXAMPLE", "--methods", "dg", "--config", str(cfg), *flags]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_builds_no_volume_monomial_table_and_no_G(tmp_path, monkeypatch):
     # every method maps the reference basis: assembly, local operators and
     # error norms take the shared reference tables at the volume points,
@@ -339,6 +367,13 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(case="AR_EXAMPLE", methods=("dg",), p_list=(3,),
                          n_list=(4,), out="x.csv", sigma=-1.0)
+    # a degree or a subdivision that is not an integer is not truncated
+    with pytest.raises(ValueError, match="--p: 2.5"):
+        ExperimentConfig(case="AR_EXAMPLE", methods=("dg",), p_list=(2.5,), n_list=(4,),
+                         out="x.csv")
+    with pytest.raises(ValueError, match="--n: True"):
+        ExperimentConfig(case="AR_EXAMPLE", methods=("dg",), p_list=(3,), n_list=(True,),
+                         out="x.csv")
     cfg = ExperimentConfig(case="DAR_EXAMPLE", methods=("dg", "et"),
                            p_list=(3,), n_list=(2,), out="x.csv")
     rows = run_experiment(cfg, write=False)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from trefftzdg.mesh import BOUNDARY, Mesh2D, build_structured_mesh
+from trefftzdg.mesh import BOUNDARY, Mesh2D, build_structured_mesh, occurrences
 
 
 def enumerate_expected_facets(triangles):
@@ -305,3 +305,14 @@ def test_out_of_range_triangle_index_rejected(index):
     triangles[5, 2] = index
     with pytest.raises(ValueError, match=r"^triangle 5 has vertex indices .* outside \[0, 9\)"):
         Mesh2D(vertices=mesh.vertices, triangles=triangles)
+
+
+@pytest.mark.parametrize("size", [0, 1, 50])
+def test_occurrences_rank_each_entry_among_its_equal_keys(size):
+    keys = np.random.default_rng(size).integers(0, 7, size)
+    counts, expected = {}, []
+    for k in keys.tolist():
+        expected.append(counts.get(k, 0))
+        counts[k] = expected[-1] + 1
+    np.testing.assert_array_equal(occurrences(keys), expected)
+    np.testing.assert_array_equal(occurrences(np.array([5, 2, 5, 5])), [0, 0, 1, 2])

@@ -144,6 +144,27 @@ def test_block_solver_matches_embedded(perturbed_mesh, perturbed, case, local_ki
     assert gap <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "case,local_kind,sigma,factorizations",
+    [
+        pytest.param("DAR_EXAMPLE", DAR, 450.0, 1, id="DAR_EXAMPLE-SIP"),
+        pytest.param("AR_EXAMPLE", AR, None, 0, id="AR_EXAMPLE-upwind-swept"),
+        pytest.param("rotating", AR, None, 1, id="rotating_flow-upwind-LU"),
+    ],
+)
+def test_coupled_solve_returns_the_embedded_solution(
+    monkeypatch, case, local_kind, sigma, factorizations
+):
+    coeffs = rotating_flow() if case == "rotating" else builtin_case(case)
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(6), 3), coeffs, sigma=sigma)
+    emb = build_embedding(sys.space, coeffs, local_kind)
+    factored = recording_factorizations(monkeypatch)
+    u = solve_block_coupled(sys, emb)
+    # at most one LU, of T'AT, for the embedded and the Schur solve
+    assert len(factored) == factorizations
+    assert np.array_equal(u.block_parts["u_E"], solve_embedded_trefftz(sys, emb).coeffs)
+
+
 def complement(emb):
     """The complement bases ``Q_1`` ``(E, n, m)`` of the coupled solve."""
     return emb.factors.Q[:, :, : emb.local_operators.matrices.shape[1]]
@@ -235,10 +256,13 @@ def test_coupled_solve_factors_the_reduced_matrix_once(monkeypatch):
     direct = recording_direct_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
     u = solve_block_coupled(sys, emb)
-    # one unpivoted factorization, of the ordered T'AT: the Schur system is
-    # refined against it and meets the residual contract on S itself
-    ((schur, rhs, perm, c_t),) = direct
+    # one unpivoted factorization, of the ordered T'AT, by the embedded
+    # solve: the Schur system is refined against it, in the same order,
+    # and meets the residual contract on S itself
+    (reduced, _, perm_reduced, _), (schur, rhs, perm, c_t) = direct
     ((matrix, options, _),) = factored
+    assert np.array_equal(perm_reduced, perm)
+    assert_sorted_and_equal(reduced, matrix)
     assert options["permc_spec"] == "NATURAL"
     assert_sorted_and_equal(matrix, plain_ordered(projected(sys, emb.kernels, emb.kernels), perm))
     inverse = np.argsort(perm)
@@ -258,7 +282,7 @@ def test_schur_complement_far_from_the_reduced_matrix_is_factored_itself(monkeyp
     handed = recording_handed_matrices(monkeypatch)
     calls = count_factorizations(monkeypatch)
     u = solve_block_coupled(sys, mixed)
-    ((schur, rhs, perm, c_t),) = direct
+    _, (schur, rhs, perm, c_t) = direct
     T = mixed.kernels
     assert_sorted_and_equal(handed[0], plain_ordered(projected(sys, T, T), perm))
     assert_sorted_and_equal(handed[1], schur)
@@ -565,10 +589,10 @@ def recording_ordered_solves(monkeypatch):
     solves = []
     ordered_solve = solver._ordered_solve
 
-    def recording(system, blocks, rhs, label, widths=None, shared=None):
-        x = ordered_solve(system, blocks, rhs, label, widths, shared)
+    def recording(system, blocks, rhs, label, widths=None, nearby=None):
+        x, lu = ordered_solve(system, blocks, rhs, label, widths, nearby)
         solves.append((system, blocks, widths, rhs, label, x))
-        return x
+        return x, lu
 
     monkeypatch.setattr(solver, "_ordered_solve", recording)
     return solves
@@ -596,13 +620,13 @@ def test_ordered_solves_match_plain_lu(
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
     sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
+    # the coupled solve makes the embedded solve and the Schur solve
     if local_kind == AR:
         # acyclic upwind graph: the three solves sweep and none factors
         calls = count_factorizations(monkeypatch)
         with monkeypatch.context() as patch:
             ordered = recording_ordered_solves(patch)
             solve_standard_dg(sys)
-            solve_embedded_trefftz(sys, emb)
             solve_block_coupled(sys, emb)
         assert calls == []
         assert len(ordered) == 3
@@ -612,14 +636,11 @@ def test_ordered_solves_match_plain_lu(
     solves = recording_direct_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
     solve_standard_dg(sys)
-    solve_embedded_trefftz(sys, emb)
     solve_block_coupled(sys, emb)
-    # one unpivoted factorization per solve: the fallback never ran
-    assert [options.get("permc_spec") for _, options, _ in factored] == ["NATURAL"] * 3
-    if local_kind != AR:
-        # on the cyclic SIP graph the coupled solve factors T'AT, the
-        # matrix of the embedded solve, and refines its Schur system on it
-        assert_sorted_and_equal(factored[2][0], factored[1][0])
+    # one unpivoted factorization each of A and T'AT: the fallback never
+    # ran, and the Schur system is refined against the LU of T'AT
+    assert [options.get("permc_spec") for _, options, _ in factored] == ["NATURAL"] * 2
+    assert_sorted_and_equal(factored[1][0], solves[1][0])
     assert len(solves) == 3
     for ordered, rhs, perm, x in solves:
         assert sorted(perm) == list(range(len(rhs)))
@@ -912,7 +933,7 @@ def test_sweep_solves_acyclic_block_systems_like_a_dense_solve(data, acyclic, re
     with pytest.MonkeyPatch.context() as patch:
         sweeps = recording_sweeps(patch)
         perms = recording_direct_solves(patch)
-        x = solver._ordered_solve(system, blocks, rhs, "random block system", widths)
+        x, _ = solver._ordered_solve(system, blocks, rhs, "random block system", widths)
     assert not np.any(x[~keep])
     x, rhs = x[keep], rhs[keep]
     reference = np.linalg.solve(dense, rhs)
@@ -966,9 +987,9 @@ def recording_direct_solves(monkeypatch):
     perms = []
     direct_solve = solver._direct_solve
 
-    def recording(ordered, rhs, label, perm, shared=None):
+    def recording(ordered, rhs, label, perm, nearby=None):
         perms.append(perm)
-        return direct_solve(ordered, rhs, label, perm, shared)
+        return direct_solve(ordered, rhs, label, perm, nearby)
 
     monkeypatch.setattr(solver, "_direct_solve", recording)
     return perms
@@ -981,11 +1002,11 @@ def recording_direct_matrices(monkeypatch):
     solves = []
     direct_solve = solver._direct_solve
 
-    def recording(ordered, rhs, label, perm, shared=None):
+    def recording(ordered, rhs, label, perm, nearby=None):
         handed = ordered.copy()
-        x = direct_solve(ordered, rhs, label, perm, shared)
+        x, lu = direct_solve(ordered, rhs, label, perm, nearby)
         solves.append((handed, rhs, perm, x))
-        return x
+        return x, lu
 
     monkeypatch.setattr(solver, "_direct_solve", recording)
     return solves
@@ -1004,8 +1025,8 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
         sweeps = recording_sweeps(monkeypatch)
         with monkeypatch.context() as patch:
             solves = recording_ordered_solves(patch)
-            solve_embedded_trefftz(sys, emb)
             solve_block_coupled(sys, emb)
+        # the embedded solve of T'AT first, then the Schur solve
         (_, reduced, reduced_widths, *_), (_, schur, schur_widths, *_) = solves
         # only the Schur complement of the Trefftz unknowns is swept, on the
         # block pattern and the unknowns of T'AT: every kernel has the full
@@ -1018,7 +1039,6 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
     direct = recording_direct_matrices(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
-    solve_embedded_trefftz(sys, emb)
     solve_block_coupled(sys, emb)
     (reduced, _, perm_reduced, _), (schur, _, perm_schur, _) = direct
     # the complement unknowns are condensed element by element: only the
@@ -1029,18 +1049,41 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
     assert_sorted(schur)
     assert np.array_equal(schur.indptr, reduced.indptr)
     assert np.array_equal(schur.indices, reduced.indices)
-    (_, _, reduced_lu), (_, _, coupled_lu) = factored
+    # one factorization, of T'AT, which the Schur system is refined
+    # against: in level order where the sweeps fell back, on a cycle in
+    # the mesh order
+    assert len(factored) == 1
     assert_sorted_and_equal(handed[0], reduced)
-    if local_kind == AR:
-        # the acyclic fallback factors the Schur complement itself, in level
-        # order, with no more fill than T'AT
-        assert_sorted_and_equal(handed[1], schur)
-        fill = coupled_lu.L.nnz + coupled_lu.U.nnz
-        assert fill <= reduced_lu.L.nnz + reduced_lu.U.nnz + emb.ndof_trefftz
-    else:
-        # on a cycle the coupled solve factors T'AT and refines against it
-        assert_sorted_and_equal(handed[1], reduced)
-        assert coupled_lu.L.nnz + coupled_lu.U.nnz == reduced_lu.L.nnz + reduced_lu.U.nnz
+
+
+def test_schur_sweep_fallback_factors_the_schur_complement_itself(monkeypatch):
+    # the embedded solve is swept and leaves no LU to refine against, so
+    # where the Schur sweep falls back, S itself is factored, in level
+    # order and without fill
+    coeffs = builtin_case("AR_EXAMPLE")
+    sys = assemble_global_system(BrokenSpace(build_structured_mesh(6), 3), coeffs)
+    emb = build_embedding(sys.space, coeffs, AR)
+    sweep, sweeps = solver._sweep, []
+
+    def first_only(*args):
+        sweeps.append(sweep(*args) if not sweeps else None)
+        return sweeps[-1]
+
+    monkeypatch.setattr(solver, "_sweep", first_only)
+    direct = recording_direct_matrices(monkeypatch)
+    factored = recording_factorizations(monkeypatch)
+    u = solve_block_coupled(sys, emb)
+    assert sweeps[0] is not None and sweeps[1] is None
+    ((schur, _, perm, _),) = direct
+    ((matrix, options, lu),) = factored
+    assert options["permc_spec"] == "NATURAL"
+    assert_sorted_and_equal(matrix, schur)
+    assert schur.shape == (emb.ndof_trefftz, emb.ndof_trefftz)
+    np.testing.assert_array_equal(
+        perm, solver._block_permutation(level_order(sys.blocks), emb.kernels.shape[2])
+    )
+    assert lu.L.nnz + lu.U.nnz <= matrix.nnz + matrix.shape[0]
+    assert_solves_the_block_system(u, sys, emb)
 
 
 def recording_handed_matrices(monkeypatch):
@@ -1108,7 +1151,6 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
         with monkeypatch.context() as patch:
             solves = recording_ordered_solves(patch)
             solve_standard_dg(sys)
-            solve_embedded_trefftz(sys, emb)
             solve_block_coupled(sys, emb)
         # swept: nothing reaches the LU
         assert handed == []
@@ -1118,11 +1160,13 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
     direct = recording_direct_matrices(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
     solve_standard_dg(sys)
-    solve_embedded_trefftz(sys, emb)
+    # the embedded solve of T'AT, then the Schur solve
     solve_block_coupled(sys, emb)
     T = emb.kernels
     perms = [perm for _, _, perm, _ in direct]
-    assert len(handed) == len(direct) == 3
+    # the Schur system is refined against the LU of T'AT: three direct
+    # solves, two factorizations
+    assert len(direct) == 3 and len(handed) == 2
     for matrix, perm, plain in zip(handed[:2], perms, (sys.blocks, projected(sys, T, T))):
         assert_sorted_and_equal(matrix, plain_ordered(plain, perm))
     # the Schur complement has the pattern of the ordered T'AT; its entries
@@ -1132,9 +1176,6 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
     assert np.array_equal(schur.indptr, handed[1].indptr)
     assert np.array_equal(schur.indices, handed[1].indices)
     assert_entrywise_close(schur, expected, rtol=1e-13)
-    # the coupled solve's LU gets T'AT on a cycle, in the order of the
-    # reduced solve, and the Schur complement where an acyclic sweep fell back
-    assert_sorted_and_equal(handed[2], schur if local_kind == AR else handed[1])
 
 
 def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch, zero_odd_operators):

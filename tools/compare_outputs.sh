@@ -10,8 +10,9 @@
 # without the "written to" line that names the output path, is compared
 # with cmp. One line per file is printed, and for a `run` CSV that differs
 # one more line per method with the largest relative move of its l2error
-# and dgerror over the rows. The exit status is non-zero if any file differs
-# or is missing, or if a command fails.
+# and dgerror over the rows. A last line gives the lines added to and
+# deleted from src/ against BASE and their net change. The exit status is
+# non-zero if any file differs or is missing, or if a command fails.
 set -euo pipefail
 
 base=${1:?usage: tools/compare_outputs.sh BASE}
@@ -90,4 +91,7 @@ for name in $( (ls "$scratch/base"; ls "$scratch/head") | sort -u); do
         fi
     fi
 done
+git -C "$root" diff --numstat "$base" -- src | awk '
+    { added += $1; deleted += $2 }
+    END { printf "src/ lines: +%d -%d, net %+d\n", added, deleted, added - deleted }'
 exit $status
