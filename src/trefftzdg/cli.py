@@ -165,15 +165,15 @@ def run_experiment(config, write=True, stream=None):
     for p in config.p_list:
         for n in config.n_list:
             space = BrokenSpace(build_structured_mesh(n), p)
-            system = assemble_global_system(space, coeffs, sigma=config.sigma)
+            system = assemble_global_system(space, coeffs, sigma=config.sigma,
+                                            local_operators=AR in local_kinds.values())
             for method in config.methods:
                 try:
                     if method == "dg":
                         solution = solve_standard_dg(system)
                     else:
-                        embedding = build_embedding(
-                            space, coeffs, local_kinds[method], box_scale=config.box_scale
-                        )
+                        embedding = build_embedding(space, coeffs, local_kinds[method],
+                                                    box_scale=config.box_scale, system=system)
                         solution = solve_embedded_trefftz(system, embedding)
                 except (SolverError, RuntimeError) as exc:
                     raise SolverError(

@@ -37,6 +37,7 @@ import scipy.sparse as sparse
 
 from .basis import BATCH_POINTS, BrokenSpace, batches
 from .coefficients import require_finite, require_positive
+from .local_ops import AR, LocalOperatorBatch, _row_scale, operator_row_count
 from .mesh import occurrences
 
 #: facet matrix entries per batch of the facet loop
@@ -58,8 +59,8 @@ class DgSystem:
     facet mean diffusion ``alpha_facet`` are the penalty data (None for
     the upwind form without diffusion); error norms reuse them.
     ``schedule`` is the level schedule of the block pattern, formed by the
-    first solve of the system and read by every later one
-    (:func:`trefftzdg.solver._schedule`).
+    first solve and read by every later one (:func:`trefftzdg.solver._schedule`);
+    ``local_operators`` the ``AR`` local operators where assembly kept them.
     """
 
     blocks: sparse.bsr_matrix = field(repr=False)
@@ -67,6 +68,7 @@ class DgSystem:
     space: BrokenSpace
     sigma: float = None
     alpha_facet: np.ndarray = None
+    local_operators: LocalOperatorBatch = field(default=None, repr=False, compare=False)
     schedule: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -182,7 +184,7 @@ def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None):
     return _gram(w, test, J) + _gram(w * c_flux, J, N), test
 
 
-def assemble_global_system(space, coeffs, sigma=None):
+def assemble_global_system(space, coeffs, sigma=None, local_operators=False):
     """Assemble the DG matrix and load vector on the broken ``space`` in
     the form the data picks.
 
@@ -192,6 +194,11 @@ def assemble_global_system(space, coeffs, sigma=None):
     wherever the coefficients carry them. Without diffusion it is the
     upwind form, which needs an advection field ``beta``, and the system
     keeps ``sigma = None``. A given ``sigma`` must be positive and finite.
+
+    With ``local_operators``, the upwind form also keeps the ``AR`` local
+    operators: the upwind volume term is their strong form and the basis
+    is orthonormal and graded by degree, so they are the leading
+    ``dim P_{p-1}`` rows of the volume blocks and loads, times ``sqrt(h_K)``.
     """
     if sigma is not None and not 0 < sigma < math.inf:
         raise ValueError(f"the penalty must be a positive finite sigma, got {sigma}")
@@ -226,6 +233,9 @@ def assemble_global_system(space, coeffs, sigma=None):
     data = np.zeros((len(indices), nd, nd))
     load = np.zeros(space.ndof_total)
     means = np.empty(E)
+    m, ops = operator_row_count(AR, space.degree), None
+    if local_operators and not diffusive:
+        ops = LocalOperatorBatch(AR, np.arange(E), np.empty((E, m, nd)), np.empty((E, m)))
 
     # each batch adds its terms in a call of its own, whose temporaries go
     # before the next batch makes its own
@@ -245,9 +255,13 @@ def assemble_global_system(space, coeffs, sigma=None):
             terms["drift"] = require_finite(coeffs.beta(x, y), "beta", "element", elems)
         if has_gamma:
             terms["value"] = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
-        data[diagonal[chunk]] += space.volume_matrices(chunk, w, **terms)
-        fv = require_finite(coeffs.f(x, y), "f", "element", elems)
-        load[chunk.start * nd : chunk.stop * nd] += space.volume_load(chunk, w, fv).ravel()
+        volume = space.volume_matrices(chunk, w, **terms)
+        data[diagonal[chunk]] += volume
+        fl = space.volume_load(chunk, w, require_finite(coeffs.f(x, y), "f", "element", elems))
+        load[chunk.start * nd : chunk.stop * nd] += fl.ravel()
+        if ops is not None:
+            root = _row_scale(AR, space.scales[chunk])[:, None]
+            ops.matrices[chunk], ops.rhs[chunk] = volume[:, :m] * root[..., None], fl[:, :m] * root
 
     def facet_batch(facets, n_sides, bn):
         """The facet matrices and test tables of a batch of ``facets`` in
@@ -306,4 +320,4 @@ def assemble_global_system(space, coeffs, sigma=None):
         boundary_batch(outer[chunk])
 
     blocks = sparse.bsr_matrix((data, indices, indptr), shape=(len(load),) * 2)
-    return DgSystem(load=load, space=space, sigma=sigma, alpha_facet=af, blocks=blocks)
+    return DgSystem(blocks, load, space, sigma=sigma, alpha_facet=af, local_operators=ops)

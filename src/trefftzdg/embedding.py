@@ -3,11 +3,11 @@ stacked QR, and the global block-diagonal embedding they form.
 
 A complete QR of each transposed local operator, ``A_K' = Q_K [R_K; 0]``,
 gives an orthonormal kernel basis, the trailing columns of ``Q_K``, and the
-min-norm (pseudo-inverse) particular solution ``Q_1 R_K^-T l_K``, which is
-orthogonal to the kernel. The leading columns ``Q_1`` span the complement
-of the kernel, the one complement basis of the coupled block solver. The
-singular values of ``R_K``, those of ``A_K``, are a stability diagnostic
-computed only when read.
+min-norm particular solution ``Q_1 R_K^-T l_K``, orthogonal to the kernel,
+with ``R_K^-1`` from one back substitution over all elements. The leading
+columns ``Q_1`` span the complement of the kernel, the one complement basis
+of the coupled block solver. The singular values of ``R_K``, those of
+``A_K``, are a stability diagnostic computed only when read.
 
 The global embedding ``T`` is kept as its diagonal blocks only, the
 kernels padded in front to one width, and the Trefftz unknowns take the
@@ -80,8 +80,9 @@ def _factor(matrices, rhs, elements):
     ``(E, m)``, under the full-row-rank rule of :func:`compute_embedding`.
     With ``m <= n``, an element keeps the stacked QR when
     ``||R||_F ||R^-1||_F``, which bounds ``sigma_1 / sigma_m``, is below
-    ``1 / _GUARD_REL``, as the guard then passes. The others, and every
-    element with ``m > n``, take the SVD."""
+    ``1 / _GUARD_REL``, as the guard then passes; ``R^-1`` comes from a
+    back substitution over all elements at once, one row per step. The
+    others, and every element with ``m > n``, take the SVD."""
     if matrices.size == 0:
         raise ValueError("local operator matrix is empty")
     n_elements, m, n = matrices.shape
@@ -90,14 +91,15 @@ def _factor(matrices, rhs, elements):
     rank, svd = np.full(n_elements, m), np.arange(n_elements)
     if m <= n:
         Q, R = np.linalg.qr(np.swapaxes(matrices, 1, 2), mode="complete")
-        R = R[:, :m]
-        # an exactly singular R would make the whole batched inverse raise
-        invertible = np.all(np.diagonal(R, axis1=1, axis2=2) != 0.0, axis=1)
-        R_inv = np.linalg.inv(np.where(invertible[:, None, None], R, np.eye(m)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            # an inverse that overflows fails the screen
+        R, R_inv = R[:, :m], np.zeros((n_elements, m, m))
+        # a zero pivot (an infinite row), or an inverse that overflows, fails the screen
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for i in reversed(range(m)):  # back substitution, row i of R^-1
+                R_inv[:, i, i] = 1.0
+                R_inv[:, i] -= (R[:, i, None, i + 1:] @ R_inv[:, i + 1:])[:, 0]
+                R_inv[:, i] /= R[:, i, i, None]
             bound = np.linalg.norm(R, axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
-        certified = invertible & (bound < 1.0 / _GUARD_REL)
+        certified = bound < 1.0 / _GUARD_REL
         # the SVD overwrites the other rows; zeros keep inf and nan out of the products
         R_inv[~certified] = 0.0
         uL = (Q[:, :, :m] @ (np.swapaxes(R_inv, 1, 2) @ rhs[..., None]))[..., 0]
@@ -218,12 +220,16 @@ def _global_embedding(mesh, kernels, widths, u_L):
     )
 
 
-def build_embedding(space, coeffs, kind, box_scale=0.25):
+def build_embedding(space, coeffs, kind, box_scale=0.25, system=None):
     """Local operators, their stacked factorization, and the global
     embedding in one sweep. Returns the :class:`GlobalEmbedding`; the
     local operators are kept on the result as the
-    :class:`~trefftzdg.local_ops.LocalOperatorBatch` ``local_operators``."""
-    ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
+    :class:`~trefftzdg.local_ops.LocalOperatorBatch` ``local_operators``,
+    taken from a ``system`` on ``space`` and ``coeffs`` that keeps those of
+    ``kind`` (:func:`~trefftzdg.dg_forms.assemble_global_system`)."""
+    ops = getattr(system, "local_operators", None)
+    if ops is None or ops.kind != kind or system.space is not space:
+        ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
     factors = _factor(ops.matrices, ops.rhs, ops.elements)
     widths = space.ndof_local - factors.rank
     glob = _global_embedding(space.mesh, factors.kernels, widths, factors.uL.ravel())

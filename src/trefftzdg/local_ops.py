@@ -16,16 +16,16 @@ and mapped onto the reference derivatives of the basis. The trial basis is
 orthonormal on its element and graded by degree, so on the space's volume
 rule the test basis is its leading columns, and the operators of a batch
 of elements are one matrix product of the mapped, weighted coefficients
-with the space's shared reference tables
-(:meth:`BrokenSpace.volume_matrices`). The box kind runs element by
-element: its rule and test basis are those of the unit square, built once
-per degree and mapped to each box, and the operator is applied to the
-trial basis at the mapped rule points (:meth:`BrokenSpace.apply`). The
+with the space's reference tables (:meth:`BrokenSpace.volume_matrices`).
+For ``AR`` these are the scaled leading rows of the DG volume blocks, so
+``run`` takes them from assembly. The box kind runs element by element:
+its rule and test basis are those of the unit square, built once per
+degree and mapped to each box, and the operator is applied to the trial
+basis at the mapped rule points (:meth:`BrokenSpace.apply`). The
 quasi-Trefftz kind has one batched point-derivative kernel at the element
 centers, fed with the trial basis derivatives up to order ``p`` there
-(chain rule of the affine map). For every kind but the box one, the
-per-element entry point :func:`assemble_local_operator` is a batch of one
-of the batched code.
+(chain rule of the affine map). For every kind but the box one,
+:func:`assemble_local_operator` is a batch of one of the batched code.
 
 Which kinds fit the PDE data is one rule, :func:`kind_misfit`: every
 kind must represent the whole operator, so the library and the CLI reject

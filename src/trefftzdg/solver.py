@@ -12,8 +12,8 @@ before either solve path sees the blocks. One graph pass picks the path of
 every solve: the level schedule of the element-pair graph
 (:func:`_levels`). When it covers every element, as for upwind DG on a
 flow without cycles, the system is block lower triangular in level order
-and is solved by a block forward sweep (:func:`_sweep`) with batched
-dense solves of the diagonal blocks and no factorization. A graph with a
+and is solved by a block forward sweep (:func:`_sweep`) that gathers one
+level's blocks at a time, with batched dense solves and no LU. A graph with a
 cycle (SIP, a closed flow) is factored by SuperLU in the mesh's
 nested-dissection order; an acyclic one whose sweep misses the residual
 contract is factored in level order, without fill. The coupled system
@@ -217,39 +217,39 @@ def _sweep(indices, indptr, blocks, rhs, rows, diagonal, levels):
     one level of the ``levels`` of :func:`_levels` at a time, or return
     ``None`` so that the caller factors it.
 
-    A level subtracts its stored upwind blocks times the known unknowns,
-    one batched product through a fixed table of as many blocks as an
-    element has upwind neighbours at most, and solves its diagonal blocks
-    in one batched ``np.linalg.solve`` with ``(k, w, 1)`` right-hand
-    sides. A singular diagonal block, or a solution that misses the
-    residual contract on the whole system, returns ``None``.
+    Each level gathers its own blocks from the layout, so the sweep holds
+    one level's blocks at a time: it subtracts its upwind blocks times the
+    known unknowns, one batched product through a fixed table of as many
+    blocks as an element has upwind neighbours at most, and solves its
+    diagonal blocks in one batched ``np.linalg.solve`` with ``(k, w, 1)``
+    right-hand sides. A missing or singular diagonal block, or a solution
+    that misses the residual contract on the whole system, returns ``None``.
     """
     n, width = len(indptr) - 1, blocks.shape[1]
     off = np.flatnonzero(~diagonal)
     order, starts = levels
     rank = np.empty(n + 1, dtype=np.intp)
     rank[order], rank[n] = np.arange(n), n
-    D = np.zeros((n, width, width))
-    D[rank[rows[diagonal]]] = blocks[diagonal]
-    # in level order: each element's upwind blocks, transposed and stacked
-    # (B_kl' for its slots l), and the flat positions of the unknowns x_l
-    # they multiply; a missing slot takes block 0 times the zero row n of x
+    # in level order: the slot of each element's diagonal block, those of
+    # its upwind blocks B_kl and the rows of the unknowns x_l they multiply;
+    # a missing upwind slot takes block 0 times the zero row n of x
+    own = _table(rows[diagonal], np.flatnonzero(diagonal), n, -1)[order]
+    if own.shape[1] != 1 or np.any(own < 0):
+        return None
     slots = _table(rows[off], off, n, 0)[order]
-    upwind = np.swapaxes(blocks, 1, 2)[slots].reshape(n, slots.shape[1] * width, width)
     source = rank[_table(rows[off], indices[off], n, n)[order]]
-    gather = (source[..., None] * width + np.arange(width)).reshape(n, 1, -1)
-    b = rhs.reshape(n, width)[order, :, None]
-    x = np.zeros((n + 1) * width)
+    b, x = rhs.reshape(n, width), np.zeros((n + 1, width))
     # a non-finite block or solution fails the residual check
     with np.errstate(all="ignore"):
         try:
             for start, end in zip(starts[:-1], starts[1:]):
-                known = (x[gather[start:end]] @ upwind[start:end]).reshape(-1, width, 1)
-                level = np.linalg.solve(D[start:end], b[start:end] - known)
-                x[start * width:end * width] = level.ravel()
+                upwind = np.swapaxes(blocks, 1, 2)[slots[start:end]].reshape(end - start, -1, width)
+                known = (x[source[start:end]].reshape(end - start, 1, -1) @ upwind)[:, 0, :, None]
+                rest = b[order[start:end], :, None] - known
+                x[start:end] = np.linalg.solve(blocks[own[start:end, 0]], rest)[..., 0]
         except np.linalg.LinAlgError:
             return None
-        x = x[:n * width].reshape(n, width)[rank[:n]].ravel()
+        x = x[rank[:n]].ravel()
         matrix = sparse.bsr_matrix((blocks, indices, indptr), shape=(n * width, n * width))
         residual = np.linalg.norm(matrix @ x - rhs)
     if not residual <= _RESIDUAL_TOL * max(float(np.linalg.norm(rhs)), np.finfo(float).tiny):

@@ -11,6 +11,7 @@ import pytest
 import sympy as sp
 from scipy.linalg import subspace_angles
 
+from trefftzdg import embedding as embedding_module
 from trefftzdg.analysis import compute_errors, estimate_eoc
 from trefftzdg.basis import BrokenSpace
 from trefftzdg.coefficients import builtin_case, manufactured_case
@@ -322,3 +323,18 @@ def test_criterion_10_property_suites(tmp_path):
         f"ACCEPTANCE criterion-10 PASS (property suites) worst gram dev {worst_gram:.3e}, "
         f"SIP asymmetry {rel:.3e}, deterministic CSV"
     )
+
+
+def test_triangular_inverse_certifies_as_the_general_inverse(kernel_sweep):
+    # the screen of embedding._factor, taken with np.linalg.inv of R
+    for kind, p, n, space, ops, embs in kernel_sweep:
+        factors = embedding_module._factor(ops.matrices, ops.rhs, ops.elements)
+        m = ops.matrices.shape[1]
+        Q, R = np.linalg.qr(np.swapaxes(ops.matrices, 1, 2), mode="complete")
+        R_inv = np.linalg.inv(R[:, :m])
+        bound = np.linalg.norm(R[:, :m], axis=(1, 2)) * np.linalg.norm(R_inv, axis=(1, 2))
+        certified = bound < 1.0 / embedding_module._GUARD_REL
+        np.testing.assert_array_equal(factors.svd_elements, np.flatnonzero(~certified))
+        uL = (Q[:, :, :m] @ (np.swapaxes(R_inv, 1, 2) @ ops.rhs[..., None]))[..., 0]
+        gap = np.linalg.norm(factors.uL[certified] - uL[certified])
+        assert gap <= 1e-14 * np.linalg.norm(uL[certified]), (kind, p, n)

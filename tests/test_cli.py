@@ -482,3 +482,32 @@ def test_penalty_for_data_without_diffusion_is_rejected_before_meshing(
     err = capsys.readouterr().err
     assert "--sigma" in err and "AR_EXAMPLE" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_takes_the_ar_operators_from_assembly(tmp_path, monkeypatch):
+    from trefftzdg import cli, embedding, local_ops
+
+    calls, systems = [], []
+    assemble, operators = cli.assemble_global_system, local_ops.assemble_local_operators
+
+    def counting(kind, *args, **kwargs):
+        calls.append(kind)
+        return operators(kind, *args, **kwargs)
+
+    def recording(*args, **kwargs):
+        systems.append(assemble(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(embedding, "assemble_local_operators", counting)
+    monkeypatch.setattr(local_ops, "assemble_local_operators", counting)
+    monkeypatch.setattr(cli, "assemble_global_system", recording)
+    for methods in ("dg", "et", "dg,et"):
+        out = tmp_path / f"{methods}.csv"
+        assert main(["run", "--case", "AR_EXAMPLE", "--methods", methods,
+                     "--p", "3", "--n", "2,4", "--out", str(out)]) == 0
+    assert calls == []
+    # a dg-only run keeps no local operators; the others keep the AR ones
+    assert [s.local_operators is None for s in systems] == [True] * 2 + [False] * 4
+    # without a system, the library assembles them itself
+    embedding.build_embedding(systems[-1].space, trefftzdg.builtin_case("AR_EXAMPLE"), local_ops.AR)
+    assert calls == [local_ops.AR]

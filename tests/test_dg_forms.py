@@ -16,6 +16,7 @@ from trefftzdg.dg_forms import (
     element_alpha_means,
     facet_alpha,
 )
+from trefftzdg.local_ops import AR, assemble_local_operators
 from trefftzdg.mesh import BOUNDARY, build_structured_mesh
 from trefftzdg.quadrature import facet_quadrature, volume_quadrature
 
@@ -530,3 +531,32 @@ def test_sip_assembly_evaluates_alpha_once_per_volume_point():
     assert len(batches) > 1 and sum(batches) == space.mesh.n_elements
     assert [rows for rows, _ in volume] == batches
     assert np.array_equal(system.alpha_facet, facet_alpha(space, coeffs))
+
+
+@pytest.mark.parametrize("p", range(1, 7))
+@pytest.mark.parametrize("mesh", ["structured", "perturbed", "shuffled"])
+def test_upwind_assembly_keeps_the_ar_local_operators(p, mesh, perturbed_mesh, shuffled_mesh):
+    build = {"structured": build_structured_mesh, "perturbed": perturbed_mesh,
+             "shuffled": shuffled_mesh}[mesh]
+    # n = 32 runs the volume pass in several batches
+    space = BrokenSpace(build(32 if mesh == "structured" else 8), p)
+    coeffs = builtin_case("AR_EXAMPLE")
+    system = assemble_global_system(space, coeffs, local_operators=True)
+    assert len(list(space.element_batches())) > 1 or mesh != "structured"
+    kept, reference = system.local_operators, assemble_local_operators(AR, space, coeffs)
+    assert kept.kind == AR
+    np.testing.assert_array_equal(kept.elements, reference.elements)
+    for ours, theirs in ((kept.matrices, reference.matrices), (kept.rhs, reference.rhs)):
+        assert ours.shape == theirs.shape
+        assert np.linalg.norm(ours - theirs) <= 1e-14 * np.linalg.norm(theirs)
+    # keeping them changes nothing in the system, and is off by default
+    plain = assemble_global_system(space, coeffs)
+    assert plain.local_operators is None
+    np.testing.assert_array_equal(plain.blocks.data, system.blocks.data)
+    np.testing.assert_array_equal(plain.load, system.load)
+
+
+def test_sip_assembly_keeps_no_local_operators():
+    space = BrokenSpace(build_structured_mesh(2), 3)
+    system = assemble_global_system(space, builtin_case("DAR_EXAMPLE"), local_operators=True)
+    assert system.local_operators is None

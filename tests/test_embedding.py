@@ -410,3 +410,34 @@ def test_sigma_csv_matches_the_per_row_writer(tmp_path):
     target = tmp_path / "sigma.csv"
     export_sigma_csv(embeddings, target)
     assert target.read_bytes() == per_row_sigma_csv(embeddings).encode()
+
+
+def test_exactly_zero_pivot_goes_to_the_svd_and_warns_once():
+    rng = np.random.default_rng(7)
+    matrices = np.stack([flat_spectrum_operator(rng, 0.5, 6, 10) for _ in range(4)])
+    # a zero row of A_2 is a zero column of A_2', so the QR leaves an
+    # exactly zero pivot R_22, and back substitution an infinite row
+    matrices[2, 2] = 0.0
+    assert np.linalg.qr(matrices[2].T)[1][2, 2] == 0.0
+    rhs = rng.standard_normal((4, 6))
+    with np.errstate(all="raise"):
+        factors, record = factor_as_batch(matrices, rhs)
+    assert list(factors.svd_elements) == [2]
+    assert list(factors.rank) == [6, 6, 5, 6]
+    assert len(record) == 1 and "1 of 4 elements" in str(record[0].message)
+    assert np.all(np.isfinite(factors.uL))
+
+
+def test_huge_operator_fails_the_screen_without_non_finite_solutions():
+    rng = np.random.default_rng(8)
+    matrices = np.stack([flat_spectrum_operator(rng, 0.5, 6, 10) for _ in range(3)])
+    matrices[1] *= 1e300  # ||R||_F overflows and ||R^-1||_F underflows
+    rhs = rng.standard_normal((3, 6))
+    factors, record = factor_as_batch(matrices, rhs)
+    assert list(factors.svd_elements) == [1]
+    assert list(factors.rank) == [6, 6, 6]
+    assert record == []
+    assert np.all(np.isfinite(factors.uL))
+    # the SVD gives the min-norm solution, about 1e-300 here
+    reference = np.linalg.pinv(matrices[1] / 1e300) @ rhs[1] / 1e300
+    assert np.linalg.norm(factors.uL[1] - reference) <= 1e-12 * np.linalg.norm(reference)

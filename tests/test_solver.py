@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -1259,3 +1260,24 @@ def test_padded_lu_matches_the_sweep_on_mixed_widths(monkeypatch, zero_odd_opera
     assert not np.any(x_lu[~keep])
     residual = np.linalg.norm(matrix @ x_lu[keep] - rhs)
     assert residual <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_sweep_transient_is_a_few_levels_of_blocks(n):
+    space = BrokenSpace(build_structured_mesh(n), 3)
+    system = assemble_global_system(space, builtin_case("AR_EXAMPLE"))
+    solve_standard_dg(system)  # forms the schedule the system keeps
+    schedule = solver._schedule(system)
+    assert schedule.acyclic
+    width = space.ndof_local
+    upwind = np.bincount(schedule.rows[~schedule.diagonal], minlength=space.mesh.n_elements)
+    level = np.diff(schedule.levels[1]).max() * (1 + upwind.max()) * width * width * 8
+    tracemalloc.start()
+    try:
+        solve_standard_dg(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the solution, its residual and the gather tables are a few vectors of
+    # the load's size; of the blocks, the sweep holds one level's at a time
+    assert peak <= 4 * system.load.nbytes + 8 * level

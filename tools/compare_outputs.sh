@@ -30,6 +30,8 @@ commands=(
     "ar-p3|run --case AR_EXAMPLE --methods dg,et --p 3 --n 4,8,16,32"
     "ar-p6|run --case AR_EXAMPLE --methods dg,et --p 6 --n 4,8"
     "ar-et-p6|run --case AR_EXAMPLE --methods et --p 6 --n 16,32"
+    # 254 sweep levels and several volume batches at n = 64
+    "ar-p2|run --case AR_EXAMPLE --methods dg,et --p 2 --n 64"
     "box-p3|run --case BOX_DIFFUSION_2D --methods dg,et,etbox,qt --p 3 --n 4,8,16"
     "dar-p23|run --case DAR_EXAMPLE --methods dg,et,etbox --p 2,3 --n 4,8,16"
     "dar-p6|run --case DAR_EXAMPLE --methods dg,et --p 6 --n 4,8"
