@@ -16,7 +16,7 @@ from .basis import BATCH_POINTS, batches
 from .coefficients import require_finite, require_positive
 from .dg_forms import _beta_normal, assemble_global_system, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
-from .local_ops import operator_row_count
+from .local_ops import BOX_SCALE, _validate, operator_row_count
 from .solver import solve_block_coupled
 
 @dataclass
@@ -198,18 +198,22 @@ def estimate_eoc(pairs):
     return EocEstimate(steps=steps, least_squares=least_squares)
 
 
-def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=0.25):
+def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=BOX_SCALE):
     """Numerical witnesses for the decoupling and local-stability
     assumptions on the broken ``space``, plus the embedded/block
     equivalence gap. The gap is computed when every element keeps all its
     operator rows, as the coupled block solve needs; otherwise it is NaN.
 
-    One call of :func:`~trefftzdg.solver.solve_block_coupled` makes both
-    solves: one product ``T'A [T | L]`` and at most one LU, that of
-    ``T'AT``, which the embedded solve makes and against which the Schur
-    system is refined; ``S`` is factored only as the fallback."""
+    A ``kind`` that does not fit the data fails before any assembly. The
+    one system assembled gives the embedding its ``AR`` operators, and one
+    call of :func:`~trefftzdg.solver.solve_block_coupled` on it makes both
+    solves: one product ``T'A [T | L]`` and at most one LU, that of ``T'AT``,
+    against which the Schur system is refined; ``S`` is factored only as
+    the fallback."""
     p = space.degree
-    embedding = build_embedding(space, coeffs, kind, box_scale=box_scale)
+    _validate(kind, p, coeffs)
+    system = assemble_global_system(space, coeffs, sigma=sigma)
+    embedding = build_embedding(space, coeffs, kind, box_scale=box_scale, system=system)
     factors = embedding.factors
     A = embedding.local_operators.matrices
     a_norm = np.linalg.norm(A, axis=(1, 2))
@@ -227,7 +231,6 @@ def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=0.25):
 
     gap = gap_rel = float("nan")
     if np.all(factors.rank == A.shape[1]):
-        system = assemble_global_system(space, coeffs, sigma=sigma)
         u_block = solve_block_coupled(system, embedding)
         u_emb = u_block.block_parts["u_E"]
         gap = float(np.linalg.norm(u_emb - u_block.coeffs))

@@ -19,7 +19,7 @@ from .basis import BrokenSpace
 from .coefficients import BUILTIN_CASES, builtin_case
 from .dg_forms import assemble_global_system
 from .embedding import build_embedding, export_sigma_csv
-from .local_ops import AR, DAR, DAR_BOX, KINDS, QT_DIFFUSION, kind_misfit
+from .local_ops import AR, BOX_SCALE, DAR, DAR_BOX, KINDS, QT_DIFFUSION, kind_misfit
 from .mesh import build_structured_mesh
 from .solver import SolverError, solve_embedded_trefftz, solve_standard_dg
 
@@ -48,7 +48,7 @@ class ExperimentConfig:
     n_list: tuple
     out: str
     sigma: float = None
-    box_scale: float = 0.25
+    box_scale: float = BOX_SCALE
     coeffs: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -151,13 +151,12 @@ def _check_kind(coeffs, kind, source):
 _LOCAL_KIND = {"et": None, "etbox": DAR_BOX, "qt": QT_DIFFUSION}
 
 
-def run_experiment(config, write=True, stream=None):
+def run_experiment(config):
     """Run the sweep, write the CSV, print per-(method, p) EOC tables.
 
     Returns the list of result rows (dicts). Rows are sorted by
     (method, p, n); one row per (method, p, n) combination.
     """
-    stream = stream if stream is not None else sys.stdout
     coeffs = config.coeffs
     local_kinds = {m: _check_kind(coeffs, _LOCAL_KIND[m], f"method {m}")
                    for m in config.methods if m != "dg"}
@@ -165,8 +164,7 @@ def run_experiment(config, write=True, stream=None):
     for p in config.p_list:
         for n in config.n_list:
             space = BrokenSpace(build_structured_mesh(n), p)
-            system = assemble_global_system(space, coeffs, sigma=config.sigma,
-                                            local_operators=AR in local_kinds.values())
+            system = assemble_global_system(space, coeffs, sigma=config.sigma)
             for method in config.methods:
                 try:
                     if method == "dg":
@@ -193,9 +191,8 @@ def run_experiment(config, write=True, stream=None):
                     }
                 )
     rows.sort(key=lambda r: (r["method"], r["p"], r["n"]))
-    if write:
-        _write_csv(rows, config.out)
-    _print_eoc_tables(rows, config.case, stream)
+    _write_csv(rows, config.out)
+    _print_eoc_tables(rows, config.case)
     return rows
 
 
@@ -210,36 +207,22 @@ def _write_csv(rows, path):
             )
 
 
-def _print_eoc_tables(rows, case, stream):
+def _print_eoc_tables(rows, case):
     groups = {}
     for r in rows:
         groups.setdefault((r["method"], r["p"]), []).append(r)
     for (method, p), group in sorted(groups.items()):
-        stream.write(f"case={case} method={method} p={p}\n")
-        stream.write(
-            f"  {'h':>14} {'l2error':>14} {'EOC':>7} {'dgerror':>14} {'EOC':>7}\n"
-        )
-        prev = None
-        for r in group:
-            eoc_l2 = eoc_dg = ""
-            if prev is not None:
-                l2 = estimate_eoc([(prev["h"], prev["l2error"]), (r["h"], r["l2error"])])
-                dg = estimate_eoc([(prev["h"], prev["dgerror"]), (r["h"], r["dgerror"])])
-                eoc_l2 = f"{l2.steps[0]:7.3f}"
-                eoc_dg = f"{dg.steps[0]:7.3f}"
-            stream.write(
-                f"  {r['h']:14.6e} {r['l2error']:14.6e} {eoc_l2:>7} "
-                f"{r['dgerror']:14.6e} {eoc_dg:>7}\n"
-            )
-            prev = r
-        if len(group) >= 2:
-            pairs_l2 = [(r["h"], r["l2error"]) for r in group]
-            pairs_dg = [(r["h"], r["dgerror"]) for r in group]
-            ls_l2 = estimate_eoc(pairs_l2).least_squares
-            ls_dg = estimate_eoc(pairs_dg).least_squares
-            stream.write(
-                f"  least-squares EOC: l2error {ls_l2:.3f}, dgerror {ls_dg:.3f}\n"
-            )
+        print(f"case={case} method={method} p={p}")
+        print(f"  {'h':>14} {'l2error':>14} {'EOC':>7} {'dgerror':>14} {'EOC':>7}")
+        # the slope of each step, on the row that ends it, and the least-squares slope
+        eoc = {key: estimate_eoc([(r["h"], r[key]) for r in group]) if len(group) > 1 else None
+               for key in ("l2error", "dgerror")}
+        for i, r in enumerate(group):
+            l2, dg = ("" if i == 0 else f"{eoc[key].steps[i - 1]:7.3f}" for key in eoc)
+            print(f"  {r['h']:14.6e} {r['l2error']:14.6e} {l2:>7} {r['dgerror']:14.6e} {dg:>7}")
+        if len(group) > 1:
+            l2, dg = (eoc[key].least_squares for key in eoc)
+            print(f"  least-squares EOC: l2error {l2:.3f}, dgerror {dg:.3f}")
 
 
 def _split_list(text):
@@ -270,11 +253,7 @@ def _cmd_run(args):
     file_values = _load_config_file(args.config) if args.config else {}
 
     def pick(flag, key, default=None):
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        return default
+        return flag if flag is not None else file_values.get(key, default)
 
     case = pick(args.case, "case")
     methods = pick(args.methods, "methods")
@@ -282,7 +261,7 @@ def _cmd_run(args):
     n_list = pick(args.n, "n")
     out = pick(args.out, "out")
     sigma = pick(args.sigma, "sigma")
-    box_scale = pick(args.box_scale, "box_scale", 0.25)
+    box_scale = pick(args.box_scale, "box_scale", BOX_SCALE)
     missing = [
         name
         for name, value in (
@@ -296,9 +275,9 @@ def _cmd_run(args):
     _check_out(out)
     config = ExperimentConfig(
         case=case,
-        methods=_split_list(methods) if isinstance(methods, str) else methods,
-        p_list=_split_list(p_list) if isinstance(p_list, str) else p_list,
-        n_list=_split_list(n_list) if isinstance(n_list, str) else n_list,
+        methods=_split_list(methods),
+        p_list=_split_list(p_list),
+        n_list=_split_list(n_list),
         out=out,
         sigma=_number(float, "--sigma", sigma) if sigma is not None else None,
         box_scale=_number(float, "--box-scale", box_scale),
@@ -329,7 +308,7 @@ def _cmd_diagnose(args):
         f"(relative {report.block_equivalence_gap_rel:.3e})"
     )
     if args.out:
-        export_sigma_csv(report.embedding.factors.embeddings(), args.out)
+        export_sigma_csv(report.embedding.factors, args.out)
         print(f"sigma spectra written to {args.out}")
     return 0
 
@@ -359,7 +338,7 @@ def build_parser():
     run_p.add_argument("--n", help="comma list of mesh subdivisions")
     run_p.add_argument("--sigma", type=float, help="penalty (default 50 p^2)")
     run_p.add_argument("--box-scale", type=float, dest="box_scale",
-                       help="box size relative to h_K (default 0.25)")
+                       help=f"box size relative to h_K (default {BOX_SCALE})")
     run_p.add_argument("--out", help="output CSV path")
     run_p.add_argument("--config", help="key=value config file; flags override")
     run_p.set_defaults(func=_cmd_run)
@@ -370,7 +349,7 @@ def build_parser():
     diag_p.add_argument("--n", type=int, required=True)
     diag_p.add_argument("--kind", help="local operator kind (default: that of the whole PDE)")
     diag_p.add_argument("--sigma", type=float)
-    diag_p.add_argument("--box-scale", type=float, dest="box_scale", default=0.25)
+    diag_p.add_argument("--box-scale", type=float, dest="box_scale", default=BOX_SCALE)
     diag_p.add_argument("--out", help="write singular-value spectra CSV here")
     diag_p.set_defaults(func=_cmd_diagnose)
 

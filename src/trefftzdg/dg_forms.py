@@ -60,7 +60,8 @@ class DgSystem:
     the upwind form without diffusion); error norms reuse them.
     ``schedule`` is the level schedule of the block pattern, formed by the
     first solve and read by every later one (:func:`trefftzdg.solver._schedule`);
-    ``local_operators`` the ``AR`` local operators where assembly kept them.
+    ``local_operators`` the ``AR`` local operators of the upwind form (None
+    for SIP) and ``coeffs`` the data it was assembled from.
     """
 
     blocks: sparse.bsr_matrix = field(repr=False)
@@ -69,6 +70,7 @@ class DgSystem:
     sigma: float = None
     alpha_facet: np.ndarray = None
     local_operators: LocalOperatorBatch = field(default=None, repr=False, compare=False)
+    coeffs: object = field(default=None, repr=False, compare=False)
     schedule: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -176,7 +178,8 @@ def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None):
     T = np.concatenate([t[0] if flux else t for t in traces], axis=-1)
     J = T.copy()
     J[..., space.ndof_local :] *= -1.0
-    test = c_avg[..., None] * T + c_jump[..., None] * J
+    test = np.multiply(c_avg[..., None], T, out=T)  # in place: one table fewer at the peak
+    test += c_jump[..., None] * J
     if not flux:
         return _gram(w, test, J), test
     N = np.concatenate([t[1] for t in traces], axis=-1)
@@ -184,7 +187,7 @@ def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None):
     return _gram(w, test, J) + _gram(w * c_flux, J, N), test
 
 
-def assemble_global_system(space, coeffs, sigma=None, local_operators=False):
+def assemble_global_system(space, coeffs, sigma=None):
     """Assemble the DG matrix and load vector on the broken ``space`` in
     the form the data picks.
 
@@ -195,10 +198,11 @@ def assemble_global_system(space, coeffs, sigma=None, local_operators=False):
     upwind form, which needs an advection field ``beta``, and the system
     keeps ``sigma = None``. A given ``sigma`` must be positive and finite.
 
-    With ``local_operators``, the upwind form also keeps the ``AR`` local
-    operators: the upwind volume term is their strong form and the basis
-    is orthonormal and graded by degree, so they are the leading
-    ``dim P_{p-1}`` rows of the volume blocks and loads, times ``sqrt(h_K)``.
+    The upwind form, built for exactly the data the ``AR`` kind fits, keeps
+    the ``AR`` local operators: the upwind volume term is their strong form
+    and the basis is orthonormal and graded by degree, so they are the
+    leading ``dim P_{p-1}`` rows of the volume blocks and loads, times
+    ``sqrt(h_K)``.
     """
     if sigma is not None and not 0 < sigma < math.inf:
         raise ValueError(f"the penalty must be a positive finite sigma, got {sigma}")
@@ -234,7 +238,7 @@ def assemble_global_system(space, coeffs, sigma=None, local_operators=False):
     load = np.zeros(space.ndof_total)
     means = np.empty(E)
     m, ops = operator_row_count(AR, space.degree), None
-    if local_operators and not diffusive:
+    if not diffusive:
         ops = LocalOperatorBatch(AR, np.arange(E), np.empty((E, m, nd)), np.empty((E, m)))
 
     # each batch adds its terms in a call of its own, whose temporaries go
@@ -320,4 +324,5 @@ def assemble_global_system(space, coeffs, sigma=None, local_operators=False):
         boundary_batch(outer[chunk])
 
     blocks = sparse.bsr_matrix((data, indices, indptr), shape=(len(load),) * 2)
-    return DgSystem(blocks, load, space, sigma=sigma, alpha_facet=af, local_operators=ops)
+    return DgSystem(blocks, load, space, sigma=sigma, alpha_facet=af, local_operators=ops,
+                    coeffs=coeffs)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .local_ops import LocalOperatorBatch, assemble_local_operators
+from .local_ops import BOX_SCALE, LocalOperatorBatch, assemble_local_operators
 from .mesh import Mesh2D
 
 _GUARD_REL = 1e-9
@@ -220,16 +220,26 @@ def _global_embedding(mesh, kernels, widths, u_L):
     )
 
 
-def build_embedding(space, coeffs, kind, box_scale=0.25, system=None):
+def _local_operators(space, coeffs, kind, box_scale, system):
+    """The local operators of ``kind``: those ``system`` keeps, or else assembled."""
+    if system is not None and system.space is not space:
+        raise ValueError("the system was assembled on another space than the embedding's")
+    if system is not None and system.coeffs is not coeffs:
+        raise ValueError("the system was assembled from other data (coeffs) than the embedding's")
+    ops = getattr(system, "local_operators", None)
+    if ops is None or ops.kind != kind:
+        ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
+    return ops
+
+
+def build_embedding(space, coeffs, kind, box_scale=BOX_SCALE, system=None):
     """Local operators, their stacked factorization, and the global
     embedding in one sweep. Returns the :class:`GlobalEmbedding`; the
     local operators are kept on the result as the
     :class:`~trefftzdg.local_ops.LocalOperatorBatch` ``local_operators``,
-    taken from a ``system`` on ``space`` and ``coeffs`` that keeps those of
-    ``kind`` (:func:`~trefftzdg.dg_forms.assemble_global_system`)."""
-    ops = getattr(system, "local_operators", None)
-    if ops is None or ops.kind != kind or system.space is not space:
-        ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
+    taken from a ``system`` (:func:`~trefftzdg.dg_forms.assemble_global_system`)
+    that keeps those of ``kind``; a system of another space or data raises."""
+    ops = _local_operators(space, coeffs, kind, box_scale, system)
     factors = _factor(ops.matrices, ops.rhs, ops.elements)
     widths = space.ndof_local - factors.rank
     glob = _global_embedding(space.mesh, factors.kernels, widths, factors.uL.ravel())
@@ -237,20 +247,17 @@ def build_embedding(space, coeffs, kind, box_scale=0.25, system=None):
     return glob
 
 
-def export_sigma_csv(embeddings, target):
-    """Write singular-value spectra as CSV rows
-    ``element_id,sigma_index,sigma_value``."""
+def export_sigma_csv(factors, target):
+    """Write the singular-value spectra of the stacked :class:`LocalFactors`
+    as CSV rows ``element_id,sigma_index,sigma_value`` to a path or stream."""
+    rows = [
+        f"{element},{i},{s:.16e}\n"
+        for element, spectrum in zip(factors.elements.tolist(), factors.sigma.tolist())
+        for i, s in enumerate(spectrum)
+    ]
+    text = "element_id,sigma_index,sigma_value\n" + "".join(rows)
     if hasattr(target, "write"):
-        _write_sigma(embeddings, target)
+        target.write(text)
     else:
         with open(target, "w", newline="\n") as fh:
-            _write_sigma(embeddings, fh)
-
-
-def _write_sigma(embeddings, fh):
-    rows = [
-        f"{emb.element},{i},{s:.16e}\n"
-        for emb in embeddings
-        for i, s in enumerate(emb.sigma.tolist())
-    ]
-    fh.write("element_id,sigma_index,sigma_value\n" + "".join(rows))
+            fh.write(text)

@@ -18,7 +18,7 @@ rule the test basis is its leading columns, and the operators of a batch
 of elements are one matrix product of the mapped, weighted coefficients
 with the space's reference tables (:meth:`BrokenSpace.volume_matrices`).
 For ``AR`` these are the scaled leading rows of the DG volume blocks, so
-``run`` takes them from assembly. The box kind runs element by element:
+every upwind system keeps them. The box kind runs element by element:
 its rule and test basis are those of the unit square, built once per
 degree and mapped to each box, and the operator is applied to the trial
 basis at the mapped rule points (:meth:`BrokenSpace.apply`). The
@@ -56,6 +56,8 @@ DAR = "DAR"
 DAR_BOX = "DAR_BOX"
 QT_DIFFUSION = "QT_DIFFUSION"
 KINDS = frozenset({AR, DAR, DAR_BOX, QT_DIFFUSION})
+#: default side of the ``DAR_BOX`` boxes relative to the element diameter ``h_K``
+BOX_SCALE = 0.25
 
 
 @dataclass(frozen=True)
@@ -292,7 +294,7 @@ def _box_operator(space, element, coeffs, box_scale):
     return matrix, np.einsum("qi,q->i", qw, f[0])
 
 
-def assemble_local_operator(kind, space, element, coeffs, box_scale=0.25):
+def assemble_local_operator(kind, space, element, coeffs, box_scale=BOX_SCALE):
     """Matrix representation of the local operator on element ``element``
     of the broken space ``space``.
 
@@ -312,7 +314,7 @@ def assemble_local_operator(kind, space, element, coeffs, box_scale=0.25):
     return LocalOperator(kind=kind, element=element, matrix=matrix, rhs=rhs)
 
 
-def assemble_local_operators(kind, space, coeffs, box_scale=0.25):
+def assemble_local_operators(kind, space, coeffs, box_scale=BOX_SCALE):
     """Local operators for every element of a broken space, as one
     :class:`LocalOperatorBatch`.
 

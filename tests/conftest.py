@@ -61,13 +61,14 @@ def sliver_mesh():
 @pytest.fixture
 def zero_odd_operators(monkeypatch):
     """Give every odd element a zero local operator in every embedding
-    built, so that its kernel is the whole local space: kernel widths 4
-    and 10 alternate at AR p = 3."""
-    assemble = embedding.assemble_local_operators
+    built, whether its operators come from a system or are assembled, so
+    that its kernel is the whole local space: kernel widths 4 and 10
+    alternate at AR p = 3."""
+    assemble = embedding._local_operators
 
     def half_zero(*args, **kwargs):
         ops = assemble(*args, **kwargs)
         odd = (ops.elements % 2 == 1)[:, None, None]
         return replace(ops, matrices=np.where(odd, 0.0, 1.0) * ops.matrices)
 
-    monkeypatch.setattr(embedding, "assemble_local_operators", half_zero)
+    monkeypatch.setattr(embedding, "_local_operators", half_zero)

@@ -361,7 +361,7 @@ def test_config_file_rejects_a_repeated_key(tmp_path, monkeypatch, capsys):
         cli._load_config_file(cfg)
 
 
-def test_experiment_config_validation():
+def test_experiment_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(case="AR_EXAMPLE", methods=(), p_list=(3,), n_list=(4,), out="x.csv")
     with pytest.raises(ValueError):
@@ -375,8 +375,8 @@ def test_experiment_config_validation():
         ExperimentConfig(case="AR_EXAMPLE", methods=("dg",), p_list=(3,), n_list=(True,),
                          out="x.csv")
     cfg = ExperimentConfig(case="DAR_EXAMPLE", methods=("dg", "et"),
-                           p_list=(3,), n_list=(2,), out="x.csv")
-    rows = run_experiment(cfg, write=False)
+                           p_list=(3,), n_list=(2,), out=str(tmp_path / "x.csv"))
+    rows = run_experiment(cfg)
     assert len(rows) == 2
 
 
@@ -506,8 +506,29 @@ def test_run_takes_the_ar_operators_from_assembly(tmp_path, monkeypatch):
         assert main(["run", "--case", "AR_EXAMPLE", "--methods", methods,
                      "--p", "3", "--n", "2,4", "--out", str(out)]) == 0
     assert calls == []
-    # a dg-only run keeps no local operators; the others keep the AR ones
-    assert [s.local_operators is None for s in systems] == [True] * 2 + [False] * 4
+    # every upwind system keeps the AR local operators, dg-only ones too
+    assert [s.local_operators.kind for s in systems] == [local_ops.AR] * 6
     # without a system, the library assembles them itself
     embedding.build_embedding(systems[-1].space, trefftzdg.builtin_case("AR_EXAMPLE"), local_ops.AR)
     assert calls == [local_ops.AR]
+
+
+def test_diagnose_takes_the_ar_operators_from_assembly(monkeypatch, capsys):
+    from trefftzdg import embedding, local_ops
+
+    calls = []
+    operators = local_ops.assemble_local_operators
+
+    def counting(kind, *args, **kwargs):
+        calls.append(kind)
+        return operators(kind, *args, **kwargs)
+
+    monkeypatch.setattr(embedding, "assemble_local_operators", counting)
+    monkeypatch.setattr(local_ops, "assemble_local_operators", counting)
+    assert main(["diagnose", "--case", "AR_EXAMPLE", "--p", "3", "--n", "8"]) == 0
+    assert calls == []
+    text = capsys.readouterr().out
+    assert float(text.split("(relative ")[1].split(")")[0]) <= 1e-12
+    # the DAR kinds keep their own pass
+    assert main(["diagnose", "--case", "DAR_EXAMPLE", "--p", "3", "--n", "2"]) == 0
+    assert calls == [local_ops.DAR]

@@ -541,7 +541,7 @@ def test_upwind_assembly_keeps_the_ar_local_operators(p, mesh, perturbed_mesh, s
     # n = 32 runs the volume pass in several batches
     space = BrokenSpace(build(32 if mesh == "structured" else 8), p)
     coeffs = builtin_case("AR_EXAMPLE")
-    system = assemble_global_system(space, coeffs, local_operators=True)
+    system = assemble_global_system(space, coeffs)
     assert len(list(space.element_batches())) > 1 or mesh != "structured"
     kept, reference = system.local_operators, assemble_local_operators(AR, space, coeffs)
     assert kept.kind == AR
@@ -549,14 +549,9 @@ def test_upwind_assembly_keeps_the_ar_local_operators(p, mesh, perturbed_mesh, s
     for ours, theirs in ((kept.matrices, reference.matrices), (kept.rhs, reference.rhs)):
         assert ours.shape == theirs.shape
         assert np.linalg.norm(ours - theirs) <= 1e-14 * np.linalg.norm(theirs)
-    # keeping them changes nothing in the system, and is off by default
-    plain = assemble_global_system(space, coeffs)
-    assert plain.local_operators is None
-    np.testing.assert_array_equal(plain.blocks.data, system.blocks.data)
-    np.testing.assert_array_equal(plain.load, system.load)
 
 
 def test_sip_assembly_keeps_no_local_operators():
     space = BrokenSpace(build_structured_mesh(2), 3)
-    system = assemble_global_system(space, builtin_case("DAR_EXAMPLE"), local_operators=True)
+    system = assemble_global_system(space, builtin_case("DAR_EXAMPLE"))
     assert system.local_operators is None

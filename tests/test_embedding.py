@@ -7,9 +7,10 @@ import sympy as sp
 from scipy.linalg import subspace_angles
 
 from trefftzdg import embedding as embedding_module
-from trefftzdg.analysis import run_diagnostics
+from trefftzdg.analysis import compute_errors, run_diagnostics
 from trefftzdg.basis import BrokenSpace
 from trefftzdg.coefficients import builtin_case, manufactured_case
+from trefftzdg.dg_forms import assemble_global_system
 from trefftzdg.embedding import (
     ElementEmbedding,
     GlobalEmbedding,
@@ -28,6 +29,7 @@ from trefftzdg.local_ops import (
     assemble_local_operators,
 )
 from trefftzdg.mesh import build_structured_mesh
+from trefftzdg.solver import solve_embedded_trefftz
 
 from projection import l2_projection
 from prolongation import prolongation
@@ -181,7 +183,7 @@ def test_mixed_rank_build_matches_reference(zero_odd_operators):
         report = run_diagnostics(space, AR, coeffs)
     assert report.rho_max <= 1e-12
     assert report.dim_table == {3: (10, [4, 10], 6)}
-    spectra = [emb.sigma for emb in glob.factors.embeddings()[::2]]
+    spectra = [emb.sigma for emb in report.embedding.factors.embeddings()[::2]]
     assert report.sigma_min_rel == min(s[-1] / s[0] for s in spectra)
     assert np.isnan(report.block_equivalence_gap)
     assert np.isnan(report.block_equivalence_gap_rel)
@@ -365,7 +367,7 @@ def test_build_embedding_pipeline_and_sigma_csv():
     assert isinstance(glob, GlobalEmbedding)
     assert glob.ndof_trefftz == mesh.n_elements * 5
     buf = io.StringIO()
-    export_sigma_csv(glob.factors.embeddings(), buf)
+    export_sigma_csv(glob.factors, buf)
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "element_id,sigma_index,sigma_value"
     assert len(lines) == 1 + mesh.n_elements * 1  # one singular value per element
@@ -394,6 +396,22 @@ def test_build_embedding_reads_the_stacked_factors(request, mixed):
     assert glob.mesh is gathered.mesh is mesh
 
 
+def test_build_embedding_rejects_a_system_of_other_data():
+    # the AR operators of another problem's system would embed that
+    # problem's kernels: here u_L moved by 0.044 and the l2 error read 0.142
+    x, y = sp.symbols("x y")
+    other = manufactured_case(beta=(1 + x, 1 + y), gamma=1, exact=sp.exp(x * y))
+    space = BrokenSpace(build_structured_mesh(4), 3)
+    system = assemble_global_system(space, builtin_case("AR_EXAMPLE"))
+    with pytest.raises(ValueError, match="assembled from other data"):
+        build_embedding(space, other, AR, system=system)
+    with pytest.raises(ValueError, match="assembled on another space"):
+        build_embedding(BrokenSpace(space.mesh, 3), system.coeffs, AR, system=system)
+    own = assemble_global_system(space, other)
+    solution = solve_embedded_trefftz(own, build_embedding(space, other, AR, system=own))
+    assert compute_errors(solution, other).l2_error < 1e-4
+
+
 def per_row_sigma_csv(embeddings):
     """The sigma CSV written one formatted numpy scalar per row."""
     lines = ["element_id,sigma_index,sigma_value\n"]
@@ -406,10 +424,10 @@ def per_row_sigma_csv(embeddings):
 def test_sigma_csv_matches_the_per_row_writer(tmp_path):
     space = BrokenSpace(build_structured_mesh(2), 6)
     report = run_diagnostics(space, DAR, builtin_case("DAR_EXAMPLE"), sigma=1800.0)
-    embeddings = report.embedding.factors.embeddings()
+    factors = report.embedding.factors
     target = tmp_path / "sigma.csv"
-    export_sigma_csv(embeddings, target)
-    assert target.read_bytes() == per_row_sigma_csv(embeddings).encode()
+    export_sigma_csv(factors, target)
+    assert target.read_bytes() == per_row_sigma_csv(factors.embeddings()).encode()
 
 
 def test_exactly_zero_pivot_goes_to_the_svd_and_warns_once():

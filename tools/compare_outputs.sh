@@ -4,9 +4,9 @@
 #
 #   tools/compare_outputs.sh BASE
 #
-# BASE is any git revision (a branch, a tag, HEAD). It is checked out in a
-# temporary git worktree, and the same `run` and `diagnose` commands run in
-# both trees with one BLAS thread. Every CSV and every stdout, the latter
+# BASE is any git revision (a branch, a tag, HEAD). Its files are exported
+# with git archive into a temporary directory, and the same `run` and
+# `diagnose` commands run in both trees with one BLAS thread. Every CSV and every stdout, the latter
 # without the "written to" line that names the output path, is compared
 # with cmp. One line per file is printed, and for a `run` CSV that differs
 # one more line per method with the largest relative move of its l2error
@@ -18,12 +18,9 @@ set -euo pipefail
 base=${1:?usage: tools/compare_outputs.sh BASE}
 root=$(git rev-parse --show-toplevel)
 scratch=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$scratch/tree" >/dev/null 2>&1 || true
-    rm -rf "$scratch"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --quiet --detach "$scratch/tree" "$base"
+trap 'rm -rf "$scratch"' EXIT
+mkdir "$scratch/tree"
+git -C "$root" archive "$base" | tar -x -C "$scratch/tree"
 
 # name|arguments: a run writes name.csv, a diagnose its sigma CSV name.csv
 commands=(
