@@ -22,7 +22,14 @@ from .coefficients import (
     builtin_case,
     manufactured_case,
 )
-from .dg_forms import DgSystem, assemble_global_system, facet_alpha
+from .dg_forms import (
+    DgSystem,
+    VolumeTerms,
+    assemble_global_system,
+    assemble_volume_terms,
+    facet_alpha,
+    global_system,
+)
 from .embedding import (
     ElementEmbedding,
     GlobalEmbedding,

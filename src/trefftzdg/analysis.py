@@ -14,9 +14,9 @@ import numpy as np
 
 from .basis import BATCH_POINTS, batches
 from .coefficients import require_finite, require_positive
-from .dg_forms import _beta_normal, assemble_global_system, facet_alpha
+from .dg_forms import _beta_normal, assemble_volume_terms, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
-from .local_ops import BOX_SCALE, _validate, operator_row_count
+from .local_ops import BOX_SCALE, _check_box_scale, _validate, operator_row_count
 from .solver import solve_block_coupled
 
 @dataclass
@@ -126,7 +126,9 @@ def compute_errors(solution, coeffs):
         l2_sq += np.sum(w * err**2)
         if upwind:
             beta_vals = require_finite(coeffs.beta(x, y), "beta", "element", elems)
-            beta_sup = max(beta_sup, float(np.max(np.linalg.norm(beta_vals, axis=-1))))
+            # sqrt is monotone: one sqrt of the largest square, not one per point
+            beta_sq = np.einsum("eqd,eqd->eq", beta_vals, beta_vals)
+            beta_sup = max(beta_sup, math.sqrt(float(np.max(beta_sq))))
             directional = np.einsum("eqd,eqd->eq", beta_vals, err_grad)
             weighted_sq += np.sum(mesh.h[batch, None] * w * directional**2)
             continue
@@ -204,16 +206,19 @@ def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=BOX_SCALE):
     equivalence gap. The gap is computed when every element keeps all its
     operator rows, as the coupled block solve needs; otherwise it is NaN.
 
-    A ``kind`` that does not fit the data fails before any assembly. The
-    one system assembled gives the embedding its ``AR`` operators, and one
-    call of :func:`~trefftzdg.solver.solve_block_coupled` on it makes both
-    solves: one product ``T'A [T | L]`` and at most one LU, that of ``T'AT``,
-    against which the Schur system is refined; ``S`` is factored only as
-    the fallback."""
+    A ``kind`` that does not fit the data, or a box scale that is not
+    positive and finite, fails before any assembly. The one volume pass
+    (:func:`~trefftzdg.dg_forms.assemble_volume_terms`) gives the embedding
+    its ``AR`` operators, and one call of
+    :func:`~trefftzdg.solver.solve_block_coupled` on it makes both solves:
+    one facet pass in the Trefftz basis ``[T | u_L | L]`` and at most one
+    LU, that of ``T'AT``, against which the Schur system is refined; ``S``
+    is factored only as the fallback. No DG coupling block is formed."""
     p = space.degree
     _validate(kind, p, coeffs)
-    system = assemble_global_system(space, coeffs, sigma=sigma)
-    embedding = build_embedding(space, coeffs, kind, box_scale=box_scale, system=system)
+    _check_box_scale(box_scale)
+    terms = assemble_volume_terms(space, coeffs, sigma=sigma)
+    embedding = build_embedding(space, coeffs, kind, box_scale=box_scale, system=terms)
     factors = embedding.factors
     A = embedding.local_operators.matrices
     a_norm = np.linalg.norm(A, axis=(1, 2))
@@ -231,7 +236,7 @@ def run_diagnostics(space, kind, coeffs, sigma=None, box_scale=BOX_SCALE):
 
     gap = gap_rel = float("nan")
     if np.all(factors.rank == A.shape[1]):
-        u_block = solve_block_coupled(system, embedding)
+        u_block = solve_block_coupled(terms, embedding)
         u_emb = u_block.block_parts["u_E"]
         gap = float(np.linalg.norm(u_emb - u_block.coeffs))
         denom = float(np.linalg.norm(u_emb))

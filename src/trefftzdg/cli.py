@@ -17,7 +17,7 @@ from pathlib import Path
 from .analysis import compute_errors, estimate_eoc, run_diagnostics
 from .basis import BrokenSpace
 from .coefficients import BUILTIN_CASES, builtin_case
-from .dg_forms import assemble_global_system
+from .dg_forms import assemble_volume_terms, global_system
 from .embedding import build_embedding, export_sigma_csv
 from .local_ops import AR, BOX_SCALE, DAR, DAR_BOX, KINDS, QT_DIFFUSION, kind_misfit
 from .mesh import build_structured_mesh
@@ -155,7 +155,10 @@ def run_experiment(config):
     """Run the sweep, write the CSV, print per-(method, p) EOC tables.
 
     Returns the list of result rows (dicts). Rows are sorted by
-    (method, p, n); one row per (method, p, n) combination.
+    (method, p, n); one row per (method, p, n) combination. Each mesh runs
+    one volume pass, which every method assembles its system from: ``dg``
+    by the facet pass in the broken basis, the Trefftz methods by that in
+    their Trefftz basis, with no DG coupling block.
     """
     coeffs = config.coeffs
     local_kinds = {m: _check_kind(coeffs, _LOCAL_KIND[m], f"method {m}")
@@ -164,15 +167,17 @@ def run_experiment(config):
     for p in config.p_list:
         for n in config.n_list:
             space = BrokenSpace(build_structured_mesh(n), p)
-            system = assemble_global_system(space, coeffs, sigma=config.sigma)
-            for method in config.methods:
+            terms = assemble_volume_terms(space, coeffs, sigma=config.sigma)
+            # dg last: its facet pass takes over the volume blocks the
+            # Trefftz methods read
+            for method in sorted(config.methods, key=lambda method: method == "dg"):
                 try:
                     if method == "dg":
-                        solution = solve_standard_dg(system)
+                        solution = solve_standard_dg(global_system(terms))
                     else:
                         embedding = build_embedding(space, coeffs, local_kinds[method],
-                                                    box_scale=config.box_scale, system=system)
-                        solution = solve_embedded_trefftz(system, embedding)
+                                                    box_scale=config.box_scale, system=terms)
+                        solution = solve_embedded_trefftz(terms, embedding)
                 except (SolverError, RuntimeError) as exc:
                     raise SolverError(
                         f"case={config.case} method={method} p={p} n={n}: {exc}"

@@ -11,7 +11,8 @@ of the coupled block solver. The singular values of ``R_K``, those of
 
 The global embedding ``T`` is kept as its diagonal blocks only, the
 kernels padded in front to one width, and the Trefftz unknowns take the
-same padded layout; the solver applies ``T`` and ``T'`` block by block."""
+same padded layout: the solver assembles the Trefftz system with the
+kernel stack as its per-element basis and applies ``T`` block by block."""
 
 from __future__ import annotations
 
@@ -221,7 +222,8 @@ def _global_embedding(mesh, kernels, widths, u_L):
 
 
 def _local_operators(space, coeffs, kind, box_scale, system):
-    """The local operators of ``kind``: those ``system`` keeps, or else assembled."""
+    """The local operators of ``kind``: those ``system`` (a DG system or
+    volume terms) keeps, or else assembled."""
     if system is not None and system.space is not space:
         raise ValueError("the system was assembled on another space than the embedding's")
     if system is not None and system.coeffs is not coeffs:
@@ -237,8 +239,10 @@ def build_embedding(space, coeffs, kind, box_scale=BOX_SCALE, system=None):
     embedding in one sweep. Returns the :class:`GlobalEmbedding`; the
     local operators are kept on the result as the
     :class:`~trefftzdg.local_ops.LocalOperatorBatch` ``local_operators``,
-    taken from a ``system`` (:func:`~trefftzdg.dg_forms.assemble_global_system`)
-    that keeps those of ``kind``; a system of another space or data raises."""
+    taken from a ``system`` that keeps those of ``kind``: the volume pass
+    (:func:`~trefftzdg.dg_forms.assemble_volume_terms`) of the upwind form,
+    or the DG system assembled from it. A system of another space or data
+    raises."""
     ops = _local_operators(space, coeffs, kind, box_scale, system)
     factors = _factor(ops.matrices, ops.rhs, ops.elements)
     widths = space.ndof_local - factors.rank

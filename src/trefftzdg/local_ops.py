@@ -118,8 +118,7 @@ def compute_box(mesh, element, scale):
     for every unit edge normal ``n``. On structured meshes that allows
     sides up to ``0.2929 h_K``.
     """
-    if not 0 < scale < math.inf:
-        raise ValueError(f"box scale must be positive and finite, got {scale}")
+    _check_box_scale(scale)
     if not 0 <= element < mesh.n_elements:
         raise IndexError(f"element index {element} out of range")
     verts = mesh.vertices[mesh.triangles[element]]
@@ -128,6 +127,12 @@ def compute_box(mesh, element, scale):
     tilt = np.max(np.abs(edges).sum(axis=1) / np.linalg.norm(edges, axis=1))
     side = min(scale * mesh.h[element], 2.0 * mesh.inradii[element] / tilt)
     return ElementBox(center=mesh.incenters[element].copy(), side=float(side))
+
+
+def _check_box_scale(scale):
+    """Reject a box ``scale`` outside ``0 < scale < inf`` (nan included)."""
+    if not 0 < scale < math.inf:
+        raise ValueError(f"box scale must be positive and finite, got {scale}")
 
 
 def kind_misfit(kind, coeffs):

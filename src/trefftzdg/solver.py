@@ -3,27 +3,28 @@ embedded-Trefftz reduced system, and the generic coupled block system.
 
 All variants return coefficient vectors over the full broken basis, so
 error computation downstream is method-agnostic. The Trefftz systems are
-projected block by block from the DG operator's element-pair blocks, never
-through a product of sparse matrices, and their unknowns keep the layout
-of the embedding's padded kernel stack, ``w`` per element: ``T x`` and
-``T' r`` are per-element products (:func:`_stack_product`), and the
-padding of narrower kernels gets a unit diagonal in :func:`_ordered_solve`
-before either solve path sees the blocks. One graph pass picks the path of
-every solve: the level schedule of the element-pair graph
-(:func:`_levels`). When it covers every element, as for upwind DG on a
-flow without cycles, the system is block lower triangular in level order
-and is solved by a block forward sweep (:func:`_sweep`) that gathers one
-level's blocks at a time, with batched dense solves and no LU. A graph with a
-cycle (SIP, a closed flow) is factored by SuperLU in the mesh's
+assembled in the Trefftz basis, by the facet pass of the volume terms in
+the basis ``[T | u_L]`` (:func:`_trefftz_blocks`), on the block layout of
+the DG operator but never from its blocks; a DG system handed in is
+assembled again from its data. Their unknowns keep the layout of the
+embedding's padded kernel stack, ``w`` per element: ``T x`` is a
+per-element product (:func:`_stack_product`), and the padding of narrower
+kernels gets a unit diagonal in :func:`_ordered_solve` before either solve
+path sees the blocks. One graph pass picks the path of every solve: the
+level schedule of the element-pair graph (:func:`_levels`). When it
+covers every element, as for upwind DG on a flow without cycles, the
+system is block lower triangular in level order and is solved by a block
+forward sweep (:func:`_sweep`) that gathers one level's blocks at a time,
+with batched dense solves and no LU. A graph with a cycle (SIP, a closed flow) is factored by SuperLU in the mesh's
 nested-dissection order; an acyclic one whose sweep misses the residual
 contract is factored in level order, without fill. The coupled system
 takes its local rows, and its complement basis ``Q_1``, from the
 operators and factors that :func:`~trefftzdg.embedding.build_embedding`
 keeps on the embedding and eliminates its complement unknowns element by
 element with dense batched solves (static condensation). It solves the
-reduced system first, from the same product of blocks, and then the
-Schur complement on the Trefftz unknowns, which has the size and the
-block pattern of the reduced system; where that is not swept, it is
+reduced system first, from the same facet pass, whose trial basis it
+widens by ``Q_1``, and then the Schur complement on the Trefftz unknowns,
+which has the size and the block pattern of the reduced system; where that is not swept, it is
 refined against the factorization of ``T'AT`` that the first solve made,
 which it equals up to rounding, and factored itself only as the
 fallback. A matrix
@@ -43,7 +44,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .basis import batches
+from .dg_forms import assemble_in_basis, volume_terms
 from .embedding import block_matrix
 from .mesh import occurrences
 
@@ -56,8 +57,6 @@ _RESIDUAL_TOL = 1e-10
 #: coupled solve's Schur complement against ``T'AT``) before the matrix
 #: itself is factored
 _NEARBY_STEPS = 3
-#: entries of the gathered right factors per batch of :func:`_pair_blocks`
-_PAIR_ENTRIES = 1 << 16
 
 
 class SolverError(RuntimeError):
@@ -266,7 +265,7 @@ class _Schedule:
     cycle. Every solve reads it through :func:`_schedule`."""
 
     def __init__(self, system):
-        A = system.blocks
+        A = system.layout
         n = len(A.indptr) - 1
         self.rows = np.repeat(np.arange(n), np.diff(A.indptr))
         self.diagonal = A.indices == self.rows
@@ -276,17 +275,20 @@ class _Schedule:
 
 
 def _schedule(system):
-    """The :class:`_Schedule` of ``system``, formed by its first solve and
-    kept on it for every later one: the standard DG and the Trefftz solves
-    of one system share the block pattern and with it the schedule."""
-    if system.schedule is None:
-        system.schedule = _Schedule(system)
-    return system.schedule
+    """The :class:`_Schedule` of ``system`` (a DG system or the volume
+    terms of one), formed by the first solve on its block layout and kept
+    on the layout for every later one: the DG system of a volume pass and
+    the Trefftz systems assembled from it share the layout and with it the
+    schedule."""
+    if system.layout.schedule is None:
+        system.layout.schedule = _Schedule(system)
+    return system.layout.schedule
 
 
 def _ordered_solve(system, blocks, rhs, label, widths=None, nearby=None):
     """Solve the matrix of the element-pair ``blocks`` ``(B, w, w)`` on the
-    block pattern of ``system``, ``w`` unknowns per element.
+    block layout of ``system`` (a DG system or volume terms), ``w``
+    unknowns per element.
 
     An element of ``widths[k] < w`` has only its last ``widths[k]``
     unknowns, as a narrower kernel in the padded stack has: its leading
@@ -303,7 +305,7 @@ def _ordered_solve(system, blocks, rhs, label, widths=None, nearby=None):
     :attr:`Mesh2D.element_order`. ``nearby`` passes on to
     :func:`_direct_solve`. Returns the solution and the factorization it
     was solved with, None where the system was swept."""
-    A, width = system.blocks, blocks.shape[1]
+    A, width = system.layout, blocks.shape[1]
     schedule = _schedule(system)
     rows, diagonal = schedule.rows, schedule.diagonal
     if widths is not None and np.any(widths < width):
@@ -332,22 +334,6 @@ def solve_standard_dg(system):
     """Solve the full DG system directly."""
     x, _ = _ordered_solve(system, system.blocks.data, system.load, "standard DG solve")
     return _solution(system, x, STANDARD_DG)
-
-
-def _pair_blocks(system, left, right):
-    """The blocks ``left_K' B_KL right_L`` of ``left' A right`` for element
-    stacks ``left`` ``(E, n, w)`` and ``right`` ``(E, n, v)``, one product
-    per stored block ``B_KL`` of the system, in its BSR layout. The
-    products are formed in batches of at most :data:`_PAIR_ENTRIES` entries
-    of the gathered ``right`` factors, so that their temporaries do not
-    grow with the mesh."""
-    A = system.blocks
-    rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
-    leftT = np.swapaxes(left, 1, 2)
-    out = np.empty((len(A.data), left.shape[2], right.shape[2]))
-    for batch in batches(len(A.data), max(1, _PAIR_ENTRIES // right[0].size)):
-        out[batch] = leftT[rows[batch]] @ (A.data[batch] @ right[A.indices[batch]])
-    return out
 
 
 def _stack_product(blocks, v):
@@ -379,14 +365,21 @@ def _check_embedding(system, embedding):
             )
 
 
-def _reduced_blocks(system, embedding, complement=None):
-    """The blocks ``T_K' B_KL T_L`` of the embedded Trefftz system, followed
-    by the columns ``T_K' B_KL complement_L`` when ``complement`` is given,
-    and its right-hand side ``T' (l - A u_L)``."""
+def _trefftz_blocks(terms, embedding, complement=None):
+    """The embedded Trefftz system of the volume ``terms`` on the layout of
+    their DG operator, from one facet pass in the trial basis ``[T | u_L |
+    complement]`` (:func:`~trefftzdg.dg_forms.assemble_in_basis`), tested
+    against the kernels ``T``. Returns the blocks ``T_K' A_KL [T_L |
+    complement_L]``, the restricted load ``T'l`` and the right-hand side
+    ``T'(l - A u_L)``, whose ``T'A u_L`` is the ``u_L`` column summed over
+    each block row. The columns of ``[T | u_L]`` come out of the same
+    operations with or without a complement."""
     T = embedding.kernels
-    right = T if complement is None else np.concatenate([T, complement], axis=2)
-    rhs = _stack_product(np.swapaxes(T, 1, 2), system.load - system.blocks @ embedding.u_L)
-    return _pair_blocks(system, T, right), rhs
+    w = T.shape[2]
+    own = np.concatenate([T, embedding.u_L.reshape(len(T), -1, 1)], axis=2)
+    data, load = assemble_in_basis(terms, [own] if complement is None else [own, complement], w)
+    applied = np.add.reduceat(data[:, :, w], terms.layout.indptr[:-1])
+    return np.delete(data, w, axis=2), load, load - applied.ravel()
 
 
 def solve_embedded_trefftz(system, embedding):
@@ -394,12 +387,15 @@ def solve_embedded_trefftz(system, embedding):
 
     Returns ``u = T u_T + u_L``; the element-local rows hold exactly by
     construction of the particular solution and the kernel, the global
-    rows to solver tolerance.
+    rows to solver tolerance. ``system`` is the volume pass the system is
+    assembled from (:func:`~trefftzdg.dg_forms.assemble_volume_terms`), or
+    a DG system, from whose data it is assembled again.
     """
     _check_embedding(system, embedding)
-    blocks, rhs = _reduced_blocks(system, embedding)
+    terms = volume_terms(system)
+    blocks, _, rhs = _trefftz_blocks(terms, embedding)
     x, _ = _ordered_solve(
-        system, blocks, rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
+        terms, blocks, rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
     )
     coeffs = _stack_product(embedding.kernels, x) + embedding.u_L
     return _solution(system, coeffs, EMBEDDED_TREFFTZ, ndof_trefftz=embedding.ndof_trefftz)
@@ -423,15 +419,17 @@ def solve_block_coupled(system, embedding):
     operators it factored and their factors; the local rows are read from
     those stacks.
 
-    One product forms the blocks of ``T'A [T | L]``; its ``T'AT`` half is
-    solved first, as by :func:`solve_embedded_trefftz`. The local rows are
+    One facet pass in the trial basis ``[T | u_L | L]`` forms the blocks of
+    ``T'A [T | L]`` and ``T'(l - A u_L)``; its ``T'AT`` part is solved
+    first, as by :func:`solve_embedded_trefftz`, whose pass forms the
+    columns of ``[T | u_L]`` by the same operations. The local rows are
     block diagonal, so the complement unknowns are eliminated element by
     element (static condensation; Guyan, AIAA J. 3, 1965): one batched
     dense solve gives ``X = (AL)^-1 [AT | l]``, so that ``c_L = x_l - X_T
     c_T``. The Schur complement ``S = T'AT - T'AL X_T`` has the block
-    pattern of ``T'AT`` and is solved with the right-hand side ``T'(g - A L
-    x_l)``. On an acyclic graph it is swept like any system. Otherwise it
-    is refined against the factorization the embedded solve made, in the
+    pattern of ``T'AT`` and is solved with the right-hand side ``T'g -
+    T'AL x_l``. On an acyclic graph it is swept like any system. Otherwise
+    it is refined against the factorization the embedded solve made, in the
     same order: ``A_K T_K = 0`` makes ``T'AL X_T`` rounding, so a step or
     two meet the residual contract, and ``S`` is factored only when they
     do not. The residual of the whole 2x2 system, local and global rows,
@@ -454,28 +452,28 @@ def solve_block_coupled(system, embedding):
     # L = Q_1, the leading columns of the orthogonal factors of A_K'
     L, T = factors.Q[:, :, :n_rows], embedding.kernels
     w = T.shape[2]
-    coupling, reduced_rhs = _reduced_blocks(system, embedding, L)
+    terms = volume_terms(system)
+    coupling, tg, reduced_rhs = _trefftz_blocks(terms, embedding, L)
     x, lu = _ordered_solve(
-        system, coupling[..., :w], reduced_rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
+        terms, coupling[..., :w], reduced_rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
     )
     u_E = _stack_product(T, x) + embedding.u_L
     AL, AT = A @ L, A @ T
     X = np.linalg.solve(AL, np.concatenate([AT, load[..., None]], axis=2))
     X_T, x_l = X[..., :w], X[..., w]
-    blocks = system.blocks
-    schur = coupling[..., :w] - coupling[..., w:] @ X_T[blocks.indices]
-    # the right-hand side is restricted in the order of the reduced system
-    Tt = np.swapaxes(T, 1, 2)
-    rhs = _stack_product(Tt, system.load - blocks @ (L @ x_l[..., None]).ravel())
-    c_t, _ = _ordered_solve(system, schur, rhs, "coupled block solve", nearby=lu)
+    layout = terms.layout
+    schur = coupling[..., :w] - coupling[..., w:] @ X_T[layout.indices]
+    shape = (n_elements * w, n_elements * n_rows)
+    complement = sparse.bsr_matrix((coupling[..., w:], layout.indices, layout.indptr), shape=shape)
+    rhs = tg - complement @ x_l.ravel()
+    c_t, _ = _ordered_solve(terms, schur, rhs, "coupled block solve", nearby=lu)
     c_T = c_t.reshape(n_elements, w, 1)
     c_L = x_l[..., None] - X_T @ c_T
     # residual of the 2x2 system: local rows per element, global rows
     # through the coupling blocks
     local = (AL @ c_L + AT @ c_T)[..., 0] - load
-    tg = _stack_product(Tt, system.load)
     coupled = sparse.bsr_matrix(
-        (coupling, blocks.indices, blocks.indptr), shape=(len(tg), n_elements * n)
+        (coupling, layout.indices, layout.indptr), shape=(len(tg), n_elements * n)
     )
     glob = coupled @ np.concatenate([c_T, c_L], axis=1).ravel() - tg
     r_local, r_global = np.linalg.norm(local), np.linalg.norm(glob)

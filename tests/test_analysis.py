@@ -21,6 +21,7 @@ from trefftzdg.mesh import build_structured_mesh
 from trefftzdg.quadrature import facet_quadrature, volume_quadrature
 from trefftzdg.solver import DiscreteSolution, solve_standard_dg
 
+from flows import rotating_flow
 from projection import l2_projection
 
 
@@ -223,8 +224,12 @@ def test_error_norms_reject_bad_data(field, kind, name):
 
 
 def two_pass_dg_error(solution, coeffs):
-    """Diffusion-family error norm with the penalty and the upwind facet
-    terms summed in two separate passes over the facets."""
+    """The mesh-dependent error norm on the whole mesh at once, from
+    pulled-back traces, with every facet term summed in a pass of its own:
+    the upwind norm of data without diffusion, with its streamline and
+    facet terms weighted by ``1 / sup |beta|`` over the volume points, or
+    else the diffusion-family norm, its penalty and upwind facet terms in
+    two separate passes."""
     space = solution.space
     mesh = space.mesh
     x, y = space.volume_points[..., 0], space.volume_points[..., 1]
@@ -232,12 +237,6 @@ def two_pass_dg_error(solution, coeffs):
     vals, grads = solution.element_values(np.arange(mesh.n_elements), space.volume_points, True)
     err = coeffs.exact_solution(x, y) - vals
     err_grad = coeffs.exact_gradient()(x, y) - grads
-    vh_sq = np.sum(w * coeffs.alpha(x, y) * np.einsum("eqd,eqd->eq", err_grad, err_grad))
-    if coeffs.gamma is not None:
-        stab = coeffs.gamma(x, y)
-        if coeffs.beta is not None:
-            stab = stab - 0.5 * coeffs.beta.divergence()(x, y)
-        vh_sq += max(0.0, float(np.min(stab))) * np.sum(w * err**2)
     fpts, fw = facet_quadrature(mesh, 2 * space.degree + 2)
     left, right = mesh.facet_left, mesh.facet_right
 
@@ -263,14 +262,26 @@ def two_pass_dg_error(solution, coeffs):
         beta = coeffs.beta(pts[..., 0], pts[..., 1])
         return 0.5 * np.abs(np.einsum("fqd,fd->fq", beta, mesh.facet_normals[facets]))
 
+    if coeffs.alpha is None:
+        beta = coeffs.beta(x, y)
+        sup = np.max(np.hypot(beta[..., 0], beta[..., 1]))
+        streamline = np.einsum("eqd,eqd->eq", beta, err_grad)
+        vh_sq = np.sum(w * err**2) + np.sum(mesh.h[:, None] * w * streamline**2) / sup**2
+        return math.sqrt(vh_sq + facet_pass(lambda facets: 2.0 * upwind(facets) / sup))
+    vh_sq = np.sum(w * coeffs.alpha(x, y) * np.einsum("eqd,eqd->eq", err_grad, err_grad))
+    if coeffs.gamma is not None:
+        stab = coeffs.gamma(x, y)
+        if coeffs.beta is not None:
+            stab = stab - 0.5 * coeffs.beta.divergence()(x, y)
+        vh_sq += max(0.0, float(np.min(stab))) * np.sum(w * err**2)
     if coeffs.beta is None:
         return math.sqrt(vh_sq + facet_pass(penalty))
     return math.sqrt(vh_sq + facet_pass(penalty) + facet_pass(upwind))
 
 
-@pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D"])
+@pytest.mark.parametrize("case", ["DAR_EXAMPLE", "BOX_DIFFUSION_2D", "AR_EXAMPLE", "rotating"])
 def test_shared_facet_jumps_match_two_pass_norm(case):
-    coeffs = builtin_case(case)
+    coeffs = rotating_flow() if case == "rotating" else builtin_case(case)
     mesh = build_structured_mesh(3)
     system = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=450.0)
     solution = solve_standard_dg(system)
@@ -346,12 +357,31 @@ def test_diagnostics_on_ar_example():
 
 def test_diagnostics_reject_an_unknown_kind_before_any_assembly(monkeypatch):
     def no_assembly(*_args, **_kwargs):
-        raise AssertionError("global system assembled")
+        raise AssertionError("volume terms assembled")
 
-    monkeypatch.setattr(analysis, "assemble_global_system", no_assembly)
+    monkeypatch.setattr(analysis, "assemble_volume_terms", no_assembly)
     space = BrokenSpace(build_structured_mesh(2), 3)
     with pytest.raises(ValueError, match="'BOGUS'"):
         run_diagnostics(space, "BOGUS", builtin_case("DAR_EXAMPLE"))
+
+
+@pytest.mark.parametrize("scale", [math.nan, 0.0, -0.25, math.inf])
+@pytest.mark.parametrize("kind", [DAR_BOX, DAR])
+def test_diagnostics_reject_a_bad_box_scale_before_any_assembly(monkeypatch, kind, scale):
+    # the scale is checked at entry, with the kind and the data: no volume
+    # term is computed
+    calls = []
+    volume_matrices = BrokenSpace.volume_matrices
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return volume_matrices(self, *args, **kwargs)
+
+    monkeypatch.setattr(BrokenSpace, "volume_matrices", counting)
+    space = BrokenSpace(build_structured_mesh(2), 3)
+    with pytest.raises(ValueError, match="box scale must be positive and finite"):
+        run_diagnostics(space, kind, builtin_case("BOX_DIFFUSION_2D"), box_scale=scale)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

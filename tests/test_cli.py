@@ -447,8 +447,8 @@ def test_unusable_out_path_is_rejected_before_any_work(tmp_path, monkeypatch, ca
     def no_work(*args, **kwargs):
         raise AssertionError("work started")
 
-    for module, name in ((cli, "build_structured_mesh"), (cli, "assemble_global_system"),
-                         (analysis, "assemble_global_system")):
+    for module, name in ((cli, "build_structured_mesh"), (cli, "assemble_volume_terms"),
+                         (analysis, "assemble_volume_terms")):
         monkeypatch.setattr(module, name, no_work)
     (tmp_path / "file").write_text("")
     out = {"missing": tmp_path / "nonexistent" / "o.csv", "file": tmp_path / "file" / "o.csv",
@@ -488,7 +488,7 @@ def test_run_takes_the_ar_operators_from_assembly(tmp_path, monkeypatch):
     from trefftzdg import cli, embedding, local_ops
 
     calls, systems = [], []
-    assemble, operators = cli.assemble_global_system, local_ops.assemble_local_operators
+    assemble, operators = cli.assemble_volume_terms, local_ops.assemble_local_operators
 
     def counting(kind, *args, **kwargs):
         calls.append(kind)
@@ -500,17 +500,38 @@ def test_run_takes_the_ar_operators_from_assembly(tmp_path, monkeypatch):
 
     monkeypatch.setattr(embedding, "assemble_local_operators", counting)
     monkeypatch.setattr(local_ops, "assemble_local_operators", counting)
-    monkeypatch.setattr(cli, "assemble_global_system", recording)
+    monkeypatch.setattr(cli, "assemble_volume_terms", recording)
     for methods in ("dg", "et", "dg,et"):
         out = tmp_path / f"{methods}.csv"
         assert main(["run", "--case", "AR_EXAMPLE", "--methods", methods,
                      "--p", "3", "--n", "2,4", "--out", str(out)]) == 0
     assert calls == []
-    # every upwind system keeps the AR local operators, dg-only ones too
+    # every upwind volume pass keeps the AR local operators, dg-only ones too
     assert [s.local_operators.kind for s in systems] == [local_ops.AR] * 6
     # without a system, the library assembles them itself
     embedding.build_embedding(systems[-1].space, trefftzdg.builtin_case("AR_EXAMPLE"), local_ops.AR)
     assert calls == [local_ops.AR]
+
+
+def test_run_et_forms_no_dg_coupling_block(tmp_path, monkeypatch):
+    # the Trefftz system is assembled in the Trefftz basis: every facet
+    # matrix of an et run is in the kernels and the particular solution of
+    # its elements, never in the 2 x 10 DG traces of p = 3
+    from trefftzdg import dg_forms
+
+    shapes, facet_terms = set(), dg_forms._facet_terms
+
+    def recording(*args):
+        M, test = facet_terms(*args)
+        shapes.add(M.shape[1:])
+        return M, test
+
+    monkeypatch.setattr(dg_forms, "_facet_terms", recording)
+    for case in ("AR_EXAMPLE", "DAR_EXAMPLE"):
+        assert main(["run", "--case", case, "--methods", "et", "--p", "3", "--n", "2,4",
+                     "--out", str(tmp_path / "et.csv")]) == 0
+    # interior and boundary facets: 4 AR kernel columns and u_L, 7 DAR ones
+    assert shapes == {(10, 10), (5, 5), (16, 16), (8, 8)}
 
 
 def test_diagnose_takes_the_ar_operators_from_assembly(monkeypatch, capsys):

@@ -16,7 +16,7 @@ from trefftzdg.analysis import compute_errors, run_diagnostics
 from trefftzdg.basis import BrokenSpace
 from trefftzdg.cli import main
 from trefftzdg.coefficients import builtin_case, manufactured_case
-from trefftzdg.dg_forms import DgSystem, assemble_global_system
+from trefftzdg.dg_forms import DgSystem, assemble_global_system, volume_terms
 from trefftzdg.embedding import (
     assemble_global_embedding,
     block_matrix,
@@ -265,12 +265,12 @@ def test_coupled_solve_factors_the_reduced_matrix_once(monkeypatch):
     assert np.array_equal(perm_reduced, perm)
     assert_sorted_and_equal(reduced, matrix)
     assert options["permc_spec"] == "NATURAL"
-    assert_sorted_and_equal(matrix, plain_ordered(projected(sys, emb.kernels, emb.kernels), perm))
+    assert_sorted_and_equal(matrix, plain_ordered(trefftz_matrix(sys, emb), perm))
     inverse = np.argsort(perm)
     S = schur[inverse][:, inverse]
     assert np.linalg.norm(S @ c_t - rhs) <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)
     assert np.abs(S - schur_complement(sys, emb)).max() <= 1e-13 * np.abs(S).max()
-    assert (abs(S - projected(sys, emb.kernels, emb.kernels))).max() > 0
+    assert (abs(S - trefftz_matrix(sys, emb))).max() > 0
     assert_solves_the_block_system(u, sys, emb)
 
 
@@ -284,8 +284,7 @@ def test_schur_complement_far_from_the_reduced_matrix_is_factored_itself(monkeyp
     calls = count_factorizations(monkeypatch)
     u = solve_block_coupled(sys, mixed)
     _, (schur, rhs, perm, c_t) = direct
-    T = mixed.kernels
-    assert_sorted_and_equal(handed[0], plain_ordered(projected(sys, T, T), perm))
+    assert_sorted_and_equal(handed[0], plain_ordered(trefftz_matrix(sys, mixed), perm))
     assert_sorted_and_equal(handed[1], schur)
     assert [options.get("permc_spec") for options in calls] == ["NATURAL"] * 2
     inverse = np.argsort(perm)
@@ -381,10 +380,29 @@ def assert_entrywise_close(got, want, rtol=1e-14):
 def reduced_matrix(sys, emb):
     """The embedded Trefftz system ``T' A T`` in the numbering of the
     Trefftz unknowns and ``T' (l - A u_L)``, from the blocks the embedded
-    solve forms, the padding of narrower kernels dropped."""
-    blocks, rhs = solver._reduced_blocks(sys, emb)
-    A, keep = sys.blocks, trailing(np.diff(emb.offsets), emb.kernels.shape[2]).ravel()
+    solve forms in the Trefftz basis, the padding of narrower kernels
+    dropped."""
+    terms = volume_terms(sys)
+    blocks, _, rhs = solver._trefftz_blocks(terms, emb)
+    A, keep = terms.layout, trailing(np.diff(emb.offsets), emb.kernels.shape[2]).ravel()
     return block_matrix(blocks, A.indices, A.indptr)[keep][:, keep], rhs[keep]
+
+
+def trefftz_matrix(sys, emb):
+    """The blocks ``T_K' A_KL T_L`` that the Trefftz solves form, as one
+    CSR matrix on the layout of ``sys``, the padding kept."""
+    terms = volume_terms(sys)
+    blocks = solver._trefftz_blocks(terms, emb)[0]
+    return sparse.bsr_matrix((blocks, terms.layout.indices, terms.layout.indptr)).tocsr()
+
+
+def assert_matches_the_triple_product(sys, emb):
+    """The system the Trefftz basis pass forms is ``T' A T`` and ``T' (l -
+    A u_L)`` of the assembled DG system, to 1e-14 of its largest entry."""
+    matrix, rhs = reduced_matrix(sys, emb)
+    T = prolongation(emb)
+    assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
+    assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -396,10 +414,23 @@ def test_reduced_system_matches_the_triple_product(
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
     sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
     emb = build_embedding(sys.space, coeffs, local_kind)
-    matrix, rhs = reduced_matrix(sys, emb)
-    T = prolongation(emb)
-    assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
-    assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
+    assert_matches_the_triple_product(sys, emb)
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize(
+    "case,local_kind,p", [("AR_EXAMPLE", AR, 1), ("AR_EXAMPLE", AR, 4), ("DAR_EXAMPLE", DAR, 4)]
+)
+def test_reduced_system_matches_the_triple_product_at_other_degrees(
+    perturbed_mesh, perturbed, case, local_kind, p
+):
+    # p = 1: a kernel of one column against the constant; the DAR kinds
+    # start at p = 2
+    coeffs = builtin_case(case)
+    mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
+    sys = assemble_global_system(BrokenSpace(mesh, p), coeffs)
+    emb = build_embedding(sys.space, coeffs, local_kind)
+    assert_matches_the_triple_product(sys, emb)
 
 
 def test_reduced_system_with_mixed_kernel_widths(zero_odd_operators):
@@ -408,11 +439,8 @@ def test_reduced_system_with_mixed_kernel_widths(zero_odd_operators):
     with pytest.warns(UserWarning, match="4 of 8 elements"):
         emb = build_embedding(sys.space, coeffs, AR)
     assert list(np.diff(emb.offsets)) == [4, 10] * 4
-    matrix, rhs = reduced_matrix(sys, emb)
-    T = prolongation(emb)
-    assert matrix.shape == (56, 56)
-    assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
-    assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
+    assert reduced_matrix(sys, emb)[0].shape == (56, 56)
+    assert_matches_the_triple_product(sys, emb)
 
 
 def untouchable(system):
@@ -606,7 +634,7 @@ def assert_match_plain_lu(solves):
     for system, blocks, widths, rhs, _, x in solves:
         full = widths is None
         keep = np.full(len(rhs), True) if full else trailing(widths, blocks.shape[1]).ravel()
-        plain = block_matrix(blocks, system.blocks.indices, system.blocks.indptr)
+        plain = block_matrix(blocks, system.layout.indices, system.layout.indptr)
         reference = splu(plain[keep][:, keep]).solve(rhs[keep])
         assert np.linalg.norm(x[keep] - reference) <= 1e-12 * np.linalg.norm(reference)
         assert not np.any(x[~keep])
@@ -1168,7 +1196,7 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
     # the Schur system is refined against the LU of T'AT: three direct
     # solves, two factorizations
     assert len(direct) == 3 and len(handed) == 2
-    for matrix, perm, plain in zip(handed[:2], perms, (sys.blocks, projected(sys, T, T))):
+    for matrix, perm, plain in zip(handed[:2], perms, (sys.blocks, trefftz_matrix(sys, emb))):
         assert_sorted_and_equal(matrix, plain_ordered(plain, perm))
     # the Schur complement has the pattern of the ordered T'AT; its entries
     # are formed blockwise, so they match plain products to rounding
@@ -1202,7 +1230,7 @@ def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch, zero_odd_
     T, A = emb.kernels, sys.blocks
     pad = ~trailing(np.diff(emb.offsets), T.shape[2])
     rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
-    data = np.swapaxes(T, 1, 2)[rows] @ (A.data @ T[A.indices])
+    data = solver._trefftz_blocks(volume_terms(sys), emb)[0]
     diagonal = rows == A.indices
     data[diagonal] += pad[rows[diagonal], None, :] * np.eye(T.shape[2])
     padded = sparse.bsr_matrix((data, A.indices, A.indptr)).tocsr()

@@ -10,7 +10,8 @@
 # without the "written to" line that names the output path, is compared
 # with cmp. One line per file is printed, and for a `run` CSV that differs
 # one more line per method with the largest relative move of its l2error
-# and dgerror over the rows. A last line gives the lines added to and
+# and dgerror over the rows; for a `diagnose` stdout that differs, its base
+# and head block_equivalence_gap lines. A last line gives the lines added to and
 # deleted from src/ against BASE and their net change. The exit status is
 # non-zero if any file differs or is missing, or if a command fails.
 set -euo pipefail
@@ -87,6 +88,12 @@ for name in $( (ls "$scratch/base"; ls "$scratch/head") | sort -u); do
         status=1
         if [[ $name == *.csv && -f $scratch/base/$name && -f $scratch/head/$name ]]; then
             moves "$scratch/base/$name" "$scratch/head/$name"
+        fi
+        if [[ $name == diagnose-*.out ]]; then
+            for side in base head; do
+                gap=$(grep -h '^block_equivalence_gap' "$scratch/$side/$name" || echo missing)
+                echo "          $side: $gap"
+            done
         fi
     fi
 done
