@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BATCH_POINTS, batches
-from .coefficients import require_finite, require_positive
+from .coefficients import evaluate, require_finite, require_positive
 from .dg_forms import _beta_normal, assemble_volume_terms, facet_alpha
 from .embedding import GlobalEmbedding, build_embedding
 from .local_ops import BOX_SCALE, _check_box_scale, _validate, operator_row_count
@@ -101,7 +101,9 @@ def compute_errors(solution, coeffs):
     batches of as many points), so their temporaries do not grow with the
     mesh. The upwind norm weighs its streamline and facet terms by
     ``1 / sup |beta|``; both vanish where ``beta = 0``, so with zero
-    advection it is the L2 norm."""
+    advection it is the L2 norm. The exact solution, its gradient and the
+    data the norm reads come from one fused evaluation per volume batch
+    (:func:`~trefftzdg.coefficients.evaluate`)."""
     if coeffs.exact_solution is None:
         raise ValueError("error computation requires an exact solution")
     if coeffs.alpha is None and coeffs.beta is None:
@@ -110,9 +112,18 @@ def compute_errors(solution, coeffs):
         raise ValueError("the interior-penalty error norm requires the penalty sigma of the solution")
     space = solution.space
     mesh = space.mesh
-    exact = coeffs.exact_solution
     exact_grad = coeffs.exact_gradient()
     upwind = coeffs.alpha is None
+    # the fields of the volume terms, fused into one evaluation
+    fields = {"u": coeffs.exact_solution, "u_x": exact_grad.fx, "u_y": exact_grad.fy}
+    if upwind:
+        fields["beta_x"], fields["beta_y"] = coeffs.beta.fx, coeffs.beta.fy
+    else:
+        fields["alpha"] = coeffs.alpha
+        if coeffs.gamma is not None:
+            fields["gamma"] = coeffs.gamma
+            if coeffs.beta is not None:
+                fields["div_beta"] = coeffs.beta.divergence()
     # upwind: sum h (beta . grad e)^2; interior penalty: sum alpha |grad e|^2
     l2_sq = weighted_sq = 0.0
     beta_sup, stab_min = 0.0, math.inf
@@ -121,24 +132,27 @@ def compute_errors(solution, coeffs):
         vals, grads = solution.element_values(batch, gradients=True)
         x, y = space.volume_points[batch, :, 0], space.volume_points[batch, :, 1]
         w = space.volume_weights[batch]
-        err = require_finite(exact(x, y), "exact solution", "element", elems) - vals
-        err_grad = require_finite(exact_grad(x, y), "exact gradient", "element", elems) - grads
+        data = dict(zip(fields, evaluate(fields.values(), x, y)))
+        err = require_finite(data["u"], "exact solution", "element", elems) - vals
+        exact_grads = np.stack([data["u_x"], data["u_y"]], axis=-1)
+        err_grad = require_finite(exact_grads, "exact gradient", "element", elems) - grads
         l2_sq += np.sum(w * err**2)
         if upwind:
-            beta_vals = require_finite(coeffs.beta(x, y), "beta", "element", elems)
+            beta_vals = np.stack([data["beta_x"], data["beta_y"]], axis=-1)
+            beta_vals = require_finite(beta_vals, "beta", "element", elems)
             # sqrt is monotone: one sqrt of the largest square, not one per point
             beta_sq = np.einsum("eqd,eqd->eq", beta_vals, beta_vals)
             beta_sup = max(beta_sup, math.sqrt(float(np.max(beta_sq))))
             directional = np.einsum("eqd,eqd->eq", beta_vals, err_grad)
             weighted_sq += np.sum(mesh.h[batch, None] * w * directional**2)
             continue
-        alpha_vals = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
+        alpha_vals = require_positive(data["alpha"], "alpha", "element", elems)
         weighted_sq += np.sum(w * alpha_vals * np.einsum("eqd,eqd->eq", err_grad, err_grad))
         if coeffs.gamma is not None:
-            stab = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
+            stab = require_finite(data["gamma"], "gamma", "element", elems)
             if coeffs.beta is not None:
-                div_beta = coeffs.beta.divergence()(x, y)
-                stab = stab - 0.5 * require_finite(div_beta, "div beta", "element", elems)
+                div_beta = require_finite(data["div_beta"], "div beta", "element", elems)
+                stab = stab - 0.5 * div_beta
             stab_min = min(stab_min, float(np.min(stab)))
 
     if upwind:

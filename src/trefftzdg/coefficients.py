@@ -29,29 +29,47 @@ def _canonicalize(expr):
 
 
 @lru_cache(maxsize=256)
-def _lambdify(expr):
-    """Numpy function of ``expr``, cached: fields of equal expressions,
-    also in cases built anew, share one function."""
+def _lambdify(exprs):
+    """Numpy function of the tuple of expressions ``exprs``, cached: fields
+    of equal expressions, also in cases built anew, share one function. It
+    returns one float array per expression, of the broadcast shape of the
+    points; a constant entry is broadcast to it too."""
     # the generated docstring is never read and costs as much as the rest;
-    # common subexpressions are evaluated once per call
-    fn = sp.lambdify((X, Y), expr, modules="numpy", docstring_limit=0, cse=True)
+    # common subexpressions are evaluated once per call, across the tuple
+    fn = sp.lambdify((X, Y), exprs, modules="numpy", docstring_limit=0, cse=True)
 
     def wrapped(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.asarray(fn(x, y), dtype=float)
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape)
-        return out
+        shape = x.shape if x.shape == y.shape else np.broadcast_shapes(x.shape, y.shape)
+        values = []
+        for value in fn(x, y):
+            if np.shape(value) != shape:
+                # a constant comes back as a scalar, a field of one
+                # coordinate in the shape of that coordinate
+                full = np.empty(shape)
+                full[...] = value
+                value = full
+            values.append(np.asarray(value, dtype=float))
+        return values
 
     return wrapped
 
 
+def evaluate(fields, x, y):
+    """Values of the scalar ``fields`` at the points ``(x, y)``, one array
+    each of their broadcast shape, from one function of all their
+    expressions (cached per tuple of expressions), so that the
+    subexpressions they share are evaluated once. A field's values may
+    differ from those of its own call by rounding where a shared
+    subexpression is formed in another order."""
+    return _lambdify(tuple(field.expr for field in fields))(x, y)
+
+
 class ScalarField:
     """Scalar field on the plane, given by a sympy expression in ``x, y``
-    and evaluable on arrays; :meth:`derivative` gives the exact partial
-    derivatives of any order."""
+    and evaluable on arrays, as the one-field case of :func:`evaluate`;
+    :meth:`derivative` gives the exact partial derivatives of any order."""
 
     def __init__(self, expr):
         self.expr = _canonicalize(expr)
@@ -60,8 +78,8 @@ class ScalarField:
 
     def __call__(self, x, y):
         if self._fn is None:
-            self._fn = _lambdify(self.expr)
-        return self._fn(x, y)
+            self._fn = _lambdify((self.expr,))
+        return self._fn(x, y)[0]
 
     def derivative(self, dx, dy):
         """Field of the partial derivative of order ``(dx, dy)``."""
@@ -79,14 +97,16 @@ class VectorField:
     def __init__(self, fx, fy):
         self.fx = fx if isinstance(fx, ScalarField) else ScalarField(fx)
         self.fy = fy if isinstance(fy, ScalarField) else ScalarField(fy)
+        self._divergence = None
 
     def __call__(self, x, y):
         return np.stack([self.fx(x, y), self.fy(x, y)], axis=-1)
 
     def divergence(self):
-        return ScalarField(
-            sp.diff(self.fx.expr, X) + sp.diff(self.fy.expr, Y)
-        )
+        """Field of the divergence; built on first use, then kept."""
+        if self._divergence is None:
+            self._divergence = ScalarField(sp.diff(self.fx.expr, X) + sp.diff(self.fy.expr, Y))
+        return self._divergence
 
 
 def require_positive(values, field, entity, indices):

@@ -207,7 +207,7 @@ def _gram(w, a, b):
     return np.swapaxes(a * w[..., None], -1, -2) @ b
 
 
-def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None, bases=None):
+def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None, bases=None, width=None):
     """Facet terms in jump/average form of a batch of ``facets`` at the
     space's facet rule, each between its ``s`` elements (K1 and K2, or K1
     alone on the boundary), with weights ``w``, in a per-element basis.
@@ -217,14 +217,17 @@ def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None, bases=None):
     jumps ``J = [phi_1 | -phi_2]`` and the normal derivatives ``N = [d_n
     phi_1 | d_n phi_2]``. Otherwise each side's traces are contracted with
     the columns of its element's stacks ``bases`` ``(E, nd, v_g)`` in turn:
-    the columns of the first stack are the functions tested against, those
-    of every stack the trial functions. The coefficients ``(F, nq)`` weigh
-    the averages, the jumps and the normal fluxes (``c_flux`` None: no
-    diffusion). Returns ``M = gram(w, test, J) + gram(w c_flux, J_0, N)``
-    ``(F, s v_0, s v)``, the tested functions of each side along the rows
-    and its trial functions in the order of the stacks along the columns,
-    whose quadrants are the own and coupling blocks, and the test table
-    ``test = c_avg T_0 + c_jump J_0 + c_flux N_0`` of the first stack.
+    the first ``width`` columns of the first stack (all by default) are the
+    functions tested against, those of every stack the trial functions.
+    The coefficients ``(F, nq)`` weigh the averages, the jumps and the
+    normal fluxes (``c_flux`` None: no diffusion). Returns ``M = gram(w,
+    test, J) + gram(w c_flux, J_0, N)`` ``(F, s width, s v)``, the tested
+    functions of each side along the rows and its trial functions in the
+    order of the stacks along the columns, whose quadrants are the own and
+    coupling blocks, and the test table ``test = c_avg T_0 + c_jump J_0 +
+    c_flux N_0`` of the tested functions. The tables of the tested
+    functions are columns of those of the first stack, so each entry of
+    ``M`` comes out of the same operations whatever ``width``.
     """
     flux = c_flux is not None
     traces = [space.facet_traces(facets, k, normal_derivatives=flux) for k in range(s)]
@@ -237,6 +240,13 @@ def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None, bases=None):
         sides = [t[i] if basis is None else t[i] @ basis[owners[k]] for k, t in enumerate(traces)]
         return np.concatenate(sides, axis=-1), sides[0].shape[-1]
 
+    def tested(table, v):
+        """The first ``width`` of the ``v`` columns of each side of
+        ``table``, side by side, as one C-ordered copy: numpy's contraction
+        of the load rounds by layout, and on this one it rounds as on those
+        columns of the whole table (a fancy-indexed copy does not)."""
+        return np.concatenate([table[..., k * v : k * v + width] for k in range(s)], axis=-1)
+
     blocks = []
     for g, basis in enumerate([None] if bases is None else bases):
         T, v = tables(basis, 0)
@@ -244,11 +254,15 @@ def _facet_terms(space, facets, s, w, c_avg, c_jump, c_flux=None, bases=None):
         J[..., v:] *= -1.0
         N = tables(basis, 1)[0] if flux else None
         if g == 0:
+            T0, J0, N0 = T, J, N
+            if width is not None and width < v:
+                T0, J0 = tested(T, v), tested(J, v)
+                N0 = tested(N, v) if flux else None
             # the test side: in place, one table fewer at the peak
-            test, J0 = np.multiply(c_avg[..., None], T, out=T), J
-            test += c_jump[..., None] * J
+            test = np.multiply(c_avg[..., None], T0, out=T0)
+            test += c_jump[..., None] * J0
             if flux:
-                test += c_flux[..., None] * N
+                test += c_flux[..., None] * N0
         M = _gram(w, test, J)
         if flux:
             M += _gram(w * c_flux, J0, N)
@@ -388,9 +402,9 @@ def assemble_in_basis(terms, bases=None, width=None):
         volume = np.concatenate([projected @ basis for basis in bases], axis=2)
         volume_load = (test_basis @ terms.volume_load[..., None])[..., 0]
     w, v = volume.shape[1:]
-    # the rows of a side in a facet matrix, of which the first w are tested;
-    # the batches depend on these alone, so that the columns of the first
-    # stack come out of the same operations whatever the other stacks
+    # the columns of the first stack, of which the first w are tested; the
+    # batches depend on these alone, so that the columns of the first stack
+    # come out of the same operations whatever the other stacks
     u = nd if bases is None else bases[0].shape[2]
     batch = max(1, _FACET_ENTRIES // (4 * nd * u))
     # each sum starts from zero, which turns -0.0 into 0.0; in place, as
@@ -416,18 +430,18 @@ def assemble_in_basis(terms, bases=None, width=None):
             c_jump = c_jump + (sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
             # the average of a one-sided trace is the trace itself
             c_flux = -alpha / n_sides
-        return _facet_terms(space, facets, n_sides, fw_, c_avg, c_jump, c_flux, bases)
+        return _facet_terms(space, facets, n_sides, fw_, c_avg, c_jump, c_flux, bases, w)
 
     def interior_batch(part, k2_blocks):
         """Write the kept coupling blocks of the interior facets ``part``
         into their slots, add their K1 self blocks to the diagonal blocks
         and leave their K2 self blocks in ``k2_blocks``."""
         M, _ = facet_batch(inner[part], 2, terms.bn_inner[part])
-        for slots, block in zip(pairs[:, part], (M[:, :w, v:], M[:, u : u + w, :v])):
+        for slots, block in zip(pairs[:, part], (M[:, :w, v:], M[:, w:, :v])):
             kept = slots >= 0
             data[slots[kept]] = block[kept]
         _add_in_order(data, diagonal[left[part]], M[:, :w, :v])
-        k2_blocks[...] = M[:, u : u + w, v:]
+        k2_blocks[...] = M[:, w:, v:]
 
     def boundary_batch(facets):
         """Add the self blocks of the boundary ``facets`` to the diagonal
@@ -438,9 +452,9 @@ def assemble_in_basis(terms, bases=None, width=None):
         if coeffs.beta is not None:
             bn = _beta_normal(coeffs, pts, mesh, facets)
         M, test = facet_batch(facets, 1, bn)
-        _add_in_order(data, diagonal[owners], M[:, :w])
+        _add_in_order(data, diagonal[owners], M)
         g = require_finite(coeffs.g_D(pts[..., 0], pts[..., 1]), "g_D", "facet", facets)
-        lb = np.einsum("fq,fqi->fi", fw[facets] * g, test[..., :w])
+        lb = np.einsum("fq,fqi->fi", fw[facets] * g, test)
         np.add.at(load, owners[:, None] * w + np.arange(w), lb)
 
     # interior facets in runs of _SELF_RUN, the K2 self blocks of a run

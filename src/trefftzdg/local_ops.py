@@ -18,14 +18,18 @@ rule the test basis is its leading columns, and the operators of a batch
 of elements are one matrix product of the mapped, weighted coefficients
 with the space's reference tables (:meth:`BrokenSpace.volume_matrices`).
 For ``AR`` these are the scaled leading rows of the DG volume blocks, so
-every upwind system keeps them. The box kind runs element by element:
-its rule and test basis are those of the unit square, built once per
-degree and mapped to each box, and the operator is applied to the trial
-basis at the mapped rule points (:meth:`BrokenSpace.apply`). The
-quasi-Trefftz kind has one batched point-derivative kernel at the element
-centers, fed with the trial basis derivatives up to order ``p`` there
-(chain rule of the affine map). For every kind but the box one,
-:func:`assemble_local_operator` is a batch of one of the batched code.
+every upwind system keeps them. The box kind has one kernel over a
+slice of elements too: the box sides in closed form from mesh arrays,
+the rule and test basis of the unit square, built once per degree and
+mapped to every box, the data at all points from one fused evaluation,
+and the operator applied to the trial basis at the mapped rule points
+(:meth:`BrokenSpace.apply`). The quasi-Trefftz kind has one batched
+point-derivative kernel at the element centers, fed with the trial basis
+derivatives up to order ``p`` there (chain rule of the affine map). For
+every kind, :func:`assemble_local_operator` is a batch of one of the
+batched code. :func:`assemble_local_operators` still runs the box kind
+element by element, as batches of one, because the benchmark's smoke
+test requires per-element calls of it (ROADMAP items 1 and 5).
 
 Which kinds fit the PDE data is one rule, :func:`kind_misfit`: every
 kind must represent the whole operator, so the library and the CLI reject
@@ -48,8 +52,8 @@ from .basis import (
     scaled_monomials,
     space_dimension,
 )
-from .coefficients import require_finite, require_positive
-from .quadrature import box_rule
+from .coefficients import evaluate, require_finite, require_positive
+from .quadrature import box_rule, unit_box_rule
 
 AR = "AR"
 DAR = "DAR"
@@ -116,17 +120,22 @@ def compute_box(mesh, element, scale):
     The incenter lies at the inradius ``r_K`` from every edge line, so a
     square of half-side ``a`` fits exactly when ``a (|n_x| + |n_y|) <= r_K``
     for every unit edge normal ``n``. On structured meshes that allows
-    sides up to ``0.2929 h_K``.
+    sides up to ``0.2929 h_K``. The side is the closed form the box
+    kernel reads for a whole slice of elements (:func:`_box_sides`).
     """
     _check_box_scale(scale)
     if not 0 <= element < mesh.n_elements:
         raise IndexError(f"element index {element} out of range")
-    verts = mesh.vertices[mesh.triangles[element]]
-    edges = np.roll(verts, -1, axis=0) - verts
-    # max_e |n_x| + |n_y|: a unit normal is its edge's unit tangent rotated
-    tilt = np.max(np.abs(edges).sum(axis=1) / np.linalg.norm(edges, axis=1))
-    side = min(scale * mesh.h[element], 2.0 * mesh.inradii[element] / tilt)
+    side = _box_sides(mesh, slice(element, element + 1), scale)[0]
     return ElementBox(center=mesh.incenters[element].copy(), side=float(side))
+
+
+def _box_sides(mesh, elems, scale):
+    """Sides ``min(scale h_K, 2 r_K / tilt_K)`` of the boxes of ``elems``,
+    with the inradii ``r_K`` and the edge tilts of the mesh
+    (:attr:`Mesh2D.edge_tilts`, ``max_e |n_x| + |n_y|`` over the unit edge
+    normals)."""
+    return np.minimum(scale * mesh.h[elems], 2.0 * mesh.inradii[elems] / mesh.edge_tilts[elems])
 
 
 def _check_box_scale(scale):
@@ -172,22 +181,31 @@ def _operator_fields(kind, coeffs, elems, points):
     """The AR, DAR or DAR_BOX operator ``L phi = value phi + drift . grad
     phi + laplacian lap phi`` and the source at per-element points
     ``(E, nq, 2)``, as the dict of coefficients (``drift`` ``(E, nq, 2)``,
-    the others ``(E, nq)``) and ``f``."""
-    x, y = points[..., 0], points[..., 1]
+    the others ``(E, nq)``) and ``f``. Every data field it reads comes
+    from one call of :func:`~trefftzdg.coefficients.evaluate`."""
+    data = {}
+    if coeffs.beta is not None:
+        data["beta_x"], data["beta_y"] = coeffs.beta.fx, coeffs.beta.fy
+    if kind != AR:
+        data["alpha"] = coeffs.alpha
+        data["alpha_x"], data["alpha_y"] = coeffs.alpha.derivative(1, 0), coeffs.alpha.derivative(0, 1)
+    if coeffs.gamma is not None:
+        data["gamma"] = coeffs.gamma
+    data["f"] = coeffs.f
+    values = dict(zip(data, evaluate(data.values(), points[..., 0], points[..., 1])))
     fields = {}
     if coeffs.beta is not None:
-        fields["drift"] = require_finite(coeffs.beta(x, y), "beta", "element", elems)
+        beta = np.stack([values["beta_x"], values["beta_y"]], axis=-1)
+        fields["drift"] = require_finite(beta, "beta", "element", elems)
     if kind != AR:
         # -div(alpha grad phi) = -alpha lap phi - grad alpha . grad phi
-        alpha = require_positive(coeffs.alpha(x, y), "alpha", "element", elems)
-        grad_alpha = np.stack(
-            [coeffs.alpha.derivative(1, 0)(x, y), coeffs.alpha.derivative(0, 1)(x, y)], axis=-1
-        )
+        alpha = require_positive(values["alpha"], "alpha", "element", elems)
+        grad_alpha = np.stack([values["alpha_x"], values["alpha_y"]], axis=-1)
         fields["laplacian"] = -alpha
         fields["drift"] = fields.get("drift", 0.0) - grad_alpha
     if coeffs.gamma is not None:
-        fields["value"] = require_finite(coeffs.gamma(x, y), "gamma", "element", elems)
-    return fields, require_finite(coeffs.f(x, y), "f", "element", elems)
+        fields["value"] = require_finite(values["gamma"], "gamma", "element", elems)
+    return fields, require_finite(values["f"], "f", "element", elems)
 
 
 def _row_scale(kind, s):
@@ -265,9 +283,38 @@ def _leibniz_rows(indices, alpha, points, phi):
     return rows
 
 
-def _batch_operators(kind, space, coeffs, chunk):
-    """Matrices ``(E, m, n)`` and loads ``(E, m)`` of the AR, DAR or
-    QT_DIFFUSION operators of the elements in the slice ``chunk``."""
+def _box_kernel(coeffs, space, chunk, box_scale):
+    """DAR_BOX rows and loads of the elements in the slice ``chunk``: the
+    box sides in closed form (:func:`_box_sides`), the cached unit-square
+    rule mapped onto every box, the data at all points from one fused
+    evaluation, and one contraction of the operator applied to the trial
+    basis there (:meth:`BrokenSpace.apply`) with the weighted unit-square
+    test table. A box of side ``s`` has weights ``s**2`` times the unit
+    ones, test values the unit ones over ``s`` (:func:`_unit_box_test_basis`)
+    and rows scaled by its diameter ``h = s sqrt(2)``, so its table is the
+    unit one times ``s h``.
+    """
+    p = space.degree
+    mesh = space.mesh
+    sides = _box_sides(mesh, chunk, box_scale)
+    # the points of box_rule(center, side, 2p + 4): p + 3 per axis
+    unit_points, unit_weights = unit_box_rule(p + 3)
+    points = sides[:, None, None] * unit_points
+    points += (mesh.incenters[chunk] - sides[:, None] / 2)[:, None]
+    elems = np.arange(chunk.start, chunk.stop)
+    fields, f = _operator_fields(DAR_BOX, coeffs, elems, points)
+    test = _unit_box_test_basis(p) * unit_weights[:, None]
+    scale = sides * (sides * math.sqrt(2.0))
+    matrices = test.T @ space.apply(chunk, points, **fields)
+    matrices *= scale[:, None, None]
+    return matrices, (f @ test) * scale[:, None]
+
+
+def _batch_operators(kind, space, coeffs, chunk, box_scale=BOX_SCALE):
+    """Matrices ``(E, m, n)`` and loads ``(E, m)`` of the ``kind``
+    operators of the elements in the slice ``chunk``."""
+    if kind == DAR_BOX:
+        return _box_kernel(coeffs, space, chunk, box_scale)
     p = space.degree
     elems = np.arange(chunk.start, chunk.stop)
     if kind == QT_DIFFUSION:
@@ -283,65 +330,54 @@ def _batch_operators(kind, space, coeffs, chunk):
             space.volume_load(chunk, w, f, rows=rows))
 
 
-def _box_operator(space, element, coeffs, box_scale):
-    """Matrix and load of the DAR_BOX operator of one element: the
-    unit-square rule and test basis (cached per degree) mapped onto the
-    element's box, and the operator applied to the trial basis at the
-    mapped points."""
-    p = space.degree
-    box = compute_box(space.mesh, element, box_scale)
-    rule = box_rule(box.center, box.side, 2 * p + 4)
-    fields, f = _operator_fields(DAR_BOX, coeffs, [element], rule.points[None])
-    # scaled, weighted test values: A = Q_w^T L(phi) and l = Q_w^T f
-    test = _unit_box_test_basis(p) / box.side
-    qw = test * (_row_scale(DAR_BOX, box.h) * rule.weights)[:, None]
-    matrix = qw.T @ space.apply([element], rule.points[None], **fields)[0]
-    return matrix, np.einsum("qi,q->i", qw, f[0])
-
-
 def assemble_local_operator(kind, space, element, coeffs, box_scale=BOX_SCALE):
     """Matrix representation of the local operator on element ``element``
     of the broken space ``space``.
 
     The rows are tested against an orthonormal basis of the kind's test
     space; the load vector carries the same mesh-size scaling as the
-    operator. The box kind is computed element by element; the others are
-    a batch of one of :func:`assemble_local_operators`.
+    operator. For every kind it is a batch of one, ``slice(element,
+    element + 1)``, of the batched kernels; the element and, for the box
+    kind, the box scale are checked here.
     """
     if not 0 <= element < space.mesh.n_elements:
         raise IndexError(f"element index {element} out of range")
     _validate(kind, space.degree, coeffs)
     if kind == DAR_BOX:
-        matrix, rhs = _box_operator(space, element, coeffs, box_scale)
-    else:
-        matrices, loads = _batch_operators(kind, space, coeffs, slice(element, element + 1))
-        matrix, rhs = matrices[0], loads[0]
-    return LocalOperator(kind=kind, element=element, matrix=matrix, rhs=rhs)
+        _check_box_scale(box_scale)
+    matrices, loads = _batch_operators(kind, space, coeffs, slice(element, element + 1), box_scale)
+    return LocalOperator(kind=kind, element=element, matrix=matrices[0], rhs=loads[0])
 
 
 def assemble_local_operators(kind, space, coeffs, box_scale=BOX_SCALE):
     """Local operators for every element of a broken space, as one
     :class:`LocalOperatorBatch`.
 
-    All kinds but the box one run in the space's element batches
-    (:meth:`BrokenSpace.element_batches`), each written into the stacks
-    before the next is formed: the volume-projected kinds as one product
-    of their weighted coefficients with the space's reference tables, on
-    its volume rule, the quasi-Trefftz kind through the point-derivative
-    kernel at the element centers. The box kind goes element by element
-    through :func:`assemble_local_operator`, as each element has its own
-    box, and the results are stacked.
+    Every kind has one kernel over a slice of elements, and each slice is
+    written into the stacks before the next is formed: the
+    volume-projected kinds as one product of their weighted coefficients
+    with the space's reference tables, on its volume rule, the box kind by
+    its box kernel, the quasi-Trefftz kind through the point-derivative
+    kernel at the element centers. All kinds but the box one run in the
+    space's element batches (:meth:`BrokenSpace.element_batches`); the
+    box kind runs element by element, each a batch of one through
+    :func:`assemble_local_operator`.
     """
     n_elements = space.mesh.n_elements
     _validate(kind, space.degree, coeffs)
+    rows = operator_row_count(kind, space.degree)
+    matrices = np.empty((n_elements, rows, space.ndof_local))
+    loads = np.empty((n_elements, rows))
     if kind == DAR_BOX:
-        ops = [assemble_local_operator(kind, space, k, coeffs, box_scale=box_scale)
-               for k in range(n_elements)]
-        matrices, loads = np.stack([op.matrix for op in ops]), np.stack([op.rhs for op in ops])
+        # one call per element: perfbench/test_perfbench_smoke.py requires
+        # a nonzero local_ops.element_calls on etbox, which only a change
+        # of the benchmark lifts (ROADMAP item 1). Then batching the box
+        # kind (item 5) is this loop over space.element_batches() through
+        # _batch_operators, as for the other kinds
+        for k in range(n_elements):
+            op = assemble_local_operator(kind, space, k, coeffs, box_scale=box_scale)
+            matrices[k], loads[k] = op.matrix, op.rhs
     else:
-        rows = operator_row_count(kind, space.degree)
-        matrices = np.empty((n_elements, rows, space.ndof_local))
-        loads = np.empty((n_elements, rows))
         for batch in space.element_batches():
             matrices[batch], loads[batch] = _batch_operators(kind, space, coeffs, batch)
     return LocalOperatorBatch(kind, np.arange(n_elements), matrices, loads)

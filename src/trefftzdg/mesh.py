@@ -156,6 +156,20 @@ class Mesh2D:
         return len(self.facet_vertices)
 
     @functools.cached_property
+    def edge_tilts(self):
+        """``max_e (|e_x| + |e_y|) / |e|`` over the edges ``e`` of each
+        element: 1 for an edge along an axis, up to ``sqrt(2)`` for one at
+        45 degrees. A unit edge normal is its unit tangent turned, so this
+        is also ``max_e |n_x| + |n_y|``, and an axis-aligned square of
+        half-side ``a`` about the incenter fits in the element exactly when
+        ``a tilt_K <= r_K``. Read-only; computed on first use."""
+        tri = self.vertices[self.triangles]
+        edges = np.roll(tri, -1, axis=1) - tri
+        tilts = np.max(np.abs(edges).sum(axis=2) / np.linalg.norm(edges, axis=2), axis=1)
+        tilts.flags.writeable = False
+        return tilts
+
+    @functools.cached_property
     def element_order(self):
         """Nested-dissection order of the elements (George 1973).
 

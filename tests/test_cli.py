@@ -530,8 +530,9 @@ def test_run_et_forms_no_dg_coupling_block(tmp_path, monkeypatch):
     for case in ("AR_EXAMPLE", "DAR_EXAMPLE"):
         assert main(["run", "--case", case, "--methods", "et", "--p", "3", "--n", "2,4",
                      "--out", str(tmp_path / "et.csv")]) == 0
-    # interior and boundary facets: 4 AR kernel columns and u_L, 7 DAR ones
-    assert shapes == {(10, 10), (5, 5), (16, 16), (8, 8)}
+    # interior and boundary facets: 4 AR kernel columns tested, against
+    # them and u_L; 7 DAR ones. u_L is a trial column only
+    assert shapes == {(8, 10), (4, 5), (14, 16), (7, 8)}
 
 
 def test_diagnose_takes_the_ar_operators_from_assembly(monkeypatch, capsys):

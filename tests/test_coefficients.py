@@ -14,6 +14,7 @@ from trefftzdg.coefficients import (
     ScalarField,
     VectorField,
     builtin_case,
+    evaluate,
     manufactured_case,
 )
 
@@ -239,3 +240,106 @@ def test_fields_match_plain_lambdify(name):
         assert got.shape == x.shape
         scale = np.max(np.abs(want))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * scale, err_msg=str(field.expr))
+
+
+#: every method of the CLI that fits each builtin case
+CASE_METHODS = {
+    "AR_EXAMPLE": "dg,et",
+    "DAR_EXAMPLE": "dg,et,etbox",
+    "BOX_DIFFUSION_2D": "dg,et,etbox,qt",
+    "QT_DIFFUSION": "dg,qt",
+}
+
+
+@pytest.mark.parametrize("name", BUILTIN_CASES)
+def test_fused_evaluation_is_the_per_field_values(monkeypatch, tmp_path, name):
+    # every fused evaluation of a run, by the local operators and by the
+    # error norms, against each field's own call at the same points. The
+    # error norms' field sets are bit for bit, so no error column moves;
+    # so are the operators' ones but for the source of DAR_EXAMPLE, which
+    # shares subexpressions with beta and gamma and rounds differently
+    from trefftzdg import analysis, local_ops
+    from trefftzdg.cli import main
+
+    records = []
+
+    def recording(module):
+        def fused(fields, x, y):
+            fields = list(fields)
+            values = evaluate(fields, x, y)
+            records.append((module, fields, np.copy(x), np.copy(y), values))
+            return values
+
+        return fused
+
+    for module in (analysis, local_ops):
+        monkeypatch.setattr(module, "evaluate", recording(module.__name__))
+    assert main(["run", "--case", name, "--methods", CASE_METHODS[name], "--p", "3",
+                 "--n", "2,4", "--out", str(tmp_path / "run.csv")]) == 0
+    modules = {module for module, *_ in records}
+    # AR takes its operators from assembly, QT_DIFFUSION reads derivatives
+    diffusive_et = name in ("DAR_EXAMPLE", "BOX_DIFFUSION_2D")
+    assert modules == {"trefftzdg.analysis"} | ({"trefftzdg.local_ops"} if diffusive_et else set())
+    source = builtin_case(name).f.expr
+    for module, fields, x, y, values in records:
+        for field, got in zip(fields, values):
+            want = field(x, y)
+            assert got.shape == x.shape and got.dtype == float
+            if name == "DAR_EXAMPLE" and module.endswith("local_ops") and field.expr == source:
+                scale = np.max(np.abs(want))
+                np.testing.assert_allclose(got, want, rtol=0, atol=4e-16 * scale)
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=f"{module}: {field.expr}")
+
+
+def test_fused_constants_come_back_in_the_point_shape():
+    # grad alpha of 1 + x + y is constant: the function returns Python
+    # numbers for it, which come back as float arrays of the points' shape
+    alpha = builtin_case("BOX_DIFFUSION_2D").alpha
+    fields = [alpha, alpha.derivative(1, 0), alpha.derivative(0, 1), ScalarField(0)]
+    x, y = SAMPLES[:6, 0].reshape(2, 3), SAMPLES[:6, 1].reshape(2, 3)
+    values = evaluate(fields, x, y)
+    for value, constant in zip(values, [None, 1.0, 1.0, 0.0]):
+        assert isinstance(value, np.ndarray) and value.dtype == float and value.shape == (2, 3)
+        if constant is not None:
+            np.testing.assert_array_equal(value, np.full((2, 3), constant))
+    np.testing.assert_array_equal(values[0], 1 + x + y)
+    # points that broadcast: a field of one coordinate takes the full shape
+    column, row = SAMPLES[:3, 0][:, None], SAMPLES[:4, 1][None, :]
+    only_x, constant = evaluate([ScalarField(sp.Symbol("x") ** 2), ScalarField(3)], column, row)
+    np.testing.assert_array_equal(only_x, np.broadcast_to(column**2, (3, 4)))
+    np.testing.assert_array_equal(constant, np.full((3, 4), 3.0))
+    # and so does a single field, the one-field case of the same path
+    assert ScalarField(2)(x, y).shape == (2, 3)
+    assert alpha.derivative(1, 0)(0.5, 0.25).shape == ()
+
+
+def test_fused_evaluation_lambdifies_each_tuple_once(monkeypatch):
+    # one function per tuple of expressions, shared by the cases built anew
+    x, y = SAMPLES[:, 0], SAMPLES[:, 1]
+
+    def fields(coeffs):
+        return [coeffs.beta.fx, coeffs.beta.fy, coeffs.alpha, coeffs.alpha.derivative(1, 0),
+                coeffs.gamma, coeffs.f]
+
+    first = evaluate(fields(builtin_case("DAR_EXAMPLE")), x, y)
+    calls = []
+    lambdify = sp.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+    second = evaluate(fields(builtin_case("DAR_EXAMPLE")), x, y)
+    assert calls == []
+    for got, want in zip(second, first):
+        np.testing.assert_array_equal(got, want)
+    # another tuple of the same fields is another function
+    evaluate(fields(builtin_case("DAR_EXAMPLE"))[::-1], x, y)
+    assert len(calls) == 1
+
+
+def test_divergence_is_built_once():
+    beta = builtin_case("DAR_EXAMPLE").beta
+    assert beta.divergence() is beta.divergence()

@@ -555,3 +555,38 @@ def test_sip_assembly_keeps_no_local_operators():
     space = BrokenSpace(build_structured_mesh(2), 3)
     system = assemble_global_system(space, builtin_case("DAR_EXAMPLE"))
     assert system.local_operators is None
+
+
+@pytest.mark.parametrize(
+    "case,kind", [("AR_EXAMPLE", "AR"), ("DAR_EXAMPLE", "DAR"), ("BOX_DIFFUSION_2D", "DAR_BOX")]
+)
+def test_tested_width_drops_rows_and_keeps_every_entry(case, kind):
+    # the Trefftz facet pass tests against the kernels only: u_L is a trial
+    # column, not a tested row. Every kept entry of the blocks is bit for
+    # bit the one tested against [T | u_L]; the load's boundary sums run
+    # over a narrower table, which numpy's contraction may round otherwise
+    from trefftzdg.dg_forms import assemble_in_basis, assemble_volume_terms
+    from trefftzdg.embedding import build_embedding
+
+    coeffs = builtin_case(case)
+    space = BrokenSpace(build_structured_mesh(4), 3)
+    emb = build_embedding(space, coeffs, kind, system=assemble_volume_terms(space, coeffs))
+    T = emb.kernels
+    w = T.shape[2]
+    own = np.concatenate([T, emb.u_L.reshape(len(T), -1, 1)], axis=2)
+    shapes = []
+    facet_terms = dg_forms._facet_terms
+
+    def recording(*args):
+        M, test = facet_terms(*args)
+        shapes.append((M.shape[1:], test.shape[2]))
+        return M, test
+
+    data, load = assemble_in_basis(assemble_volume_terms(space, coeffs), [own])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dg_forms, "_facet_terms", recording)
+        kept, kept_load = assemble_in_basis(assemble_volume_terms(space, coeffs), [own], w)
+    assert set(shapes) == {((2 * w, 2 * (w + 1)), 2 * w), ((w, w + 1), w)}
+    np.testing.assert_array_equal(kept, data[:, :w])
+    want = load.reshape(len(T), w + 1)[:, :w].ravel()
+    np.testing.assert_allclose(kept_load, want, rtol=0, atol=1e-15 * np.abs(want).max())

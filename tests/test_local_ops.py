@@ -22,6 +22,7 @@ from trefftzdg.local_ops import (
     QT_DIFFUSION,
     ElementBox,
     LocalOperatorBatch,
+    _batch_operators,
     _leibniz_rows,
     _unit_box_test_basis,
     assemble_local_operator,
@@ -644,3 +645,58 @@ def test_box_rows_annihilate_an_exact_solution_on_a_turned_sliver(aspect, sliver
     (op,) = assemble_local_operators(DAR_BOX, space, coeffs)
     residual = np.max(np.abs(op.matrix @ c - op.rhs))
     assert residual <= 1e-12 * np.max(np.abs(op.matrix)) * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("mesh_kind", ["structured", "perturbed", "slivers"])
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("box_scale", [0.25, 1e-3, 1e300])
+def test_box_kernel_over_a_slice_is_the_per_element_operators(
+    perturbed_mesh, sliver_mesh, mesh_kind, p, box_scale
+):
+    # the box kernel of a slice of many elements against its batches of one,
+    # on congruent, perturbed and turned needle triangles; 1e300 clips every
+    # box to the largest square inside its element
+    if mesh_kind == "slivers":
+        needles = [sliver_mesh(aspect, turn) for aspect in (1e1, 1e2) for turn in (0.3, 0.7, 2.0)]
+        vertices = np.concatenate([m.vertices + [3.0 * k, 0.0] for k, m in enumerate(needles)])
+        mesh = Mesh2D(vertices=vertices, triangles=np.arange(len(vertices)).reshape(-1, 3))
+    else:
+        mesh = build_structured_mesh(3) if mesh_kind == "structured" else perturbed_mesh(3)
+    coeffs = builtin_case("DAR_EXAMPLE")
+    space = BrokenSpace(mesh, p)
+    matrices, loads = _batch_operators(DAR_BOX, space, coeffs, slice(0, mesh.n_elements), box_scale)
+    for k in range(mesh.n_elements):
+        single = assemble_local_operator(DAR_BOX, space, k, coeffs, box_scale=box_scale)
+        for got, want in ((matrices[k], single.matrix), (loads[k], single.rhs)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_box_operators_take_one_fused_data_call_and_one_apply_per_element(tmp_path, monkeypatch):
+    # the etbox path: per element one evaluation of all the data and one
+    # application of the operator to the trial basis, and no ElementBox or
+    # mapped QuadratureRule: the boxes come from mesh arrays in closed form
+    from trefftzdg import local_ops
+    from trefftzdg.cli import main
+
+    _unit_box_test_basis(3)
+    counts = {"evaluate": 0, "apply": 0}
+    evaluate, apply = local_ops.evaluate, BrokenSpace.apply
+
+    def counting_evaluate(*args):
+        counts["evaluate"] += 1
+        return evaluate(*args)
+
+    def counting_apply(self, *args, **kwargs):
+        counts["apply"] += 1
+        return apply(self, *args, **kwargs)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("per-box object built")
+
+    monkeypatch.setattr(local_ops, "evaluate", counting_evaluate)
+    monkeypatch.setattr(BrokenSpace, "apply", counting_apply)
+    monkeypatch.setattr(local_ops, "compute_box", forbidden)
+    monkeypatch.setattr(local_ops, "box_rule", forbidden)
+    assert main(["run", "--case", "BOX_DIFFUSION_2D", "--methods", "etbox", "--p", "3",
+                 "--n", "2,4", "--out", str(tmp_path / "box.csv")]) == 0
+    assert counts == {"evaluate": 8 + 32, "apply": 8 + 32}

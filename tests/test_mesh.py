@@ -316,3 +316,18 @@ def test_occurrences_rank_each_entry_among_its_equal_keys(size):
         counts[k] = expected[-1] + 1
     np.testing.assert_array_equal(occurrences(keys), expected)
     np.testing.assert_array_equal(occurrences(np.array([5, 2, 5, 5])), [0, 0, 1, 2])
+
+
+def test_edge_tilts_are_the_per_element_formula_and_read_only(perturbed_mesh):
+    mesh = perturbed_mesh(4)
+    tilts = mesh.edge_tilts
+    assert mesh.edge_tilts is tilts
+    for k in range(mesh.n_elements):
+        verts = mesh.vertices[mesh.triangles[k]]
+        edges = np.roll(verts, -1, axis=0) - verts
+        want = np.max(np.abs(edges).sum(axis=1) / np.linalg.norm(edges, axis=1))
+        assert tilts[k] == want
+    # axis-aligned legs and a 45-degree hypotenuse
+    np.testing.assert_allclose(build_structured_mesh(2).edge_tilts, math.sqrt(2.0), rtol=1e-15)
+    with pytest.raises(ValueError):
+        tilts[0] = 1.0

@@ -39,6 +39,8 @@ commands=(
     "diagnose-dar-p6|diagnose --case DAR_EXAMPLE --p 6 --n 12"
     "diagnose-ar-p6|diagnose --case AR_EXAMPLE --p 6 --n 8"
     "diagnose-box-p3|diagnose --case BOX_DIFFUSION_2D --kind DAR_BOX --p 3 --n 8"
+    # box operators at p >= 4, where the local problems amplify rounding
+    "diagnose-box-p6|diagnose --case DAR_EXAMPLE --kind DAR_BOX --p 6 --n 8"
     # SIP systems whose Schur solve is refined against the LU of T'AT
     "diagnose-box-dar-p3|diagnose --case BOX_DIFFUSION_2D --kind DAR --p 3 --n 16"
     "diagnose-dar-p3|diagnose --case DAR_EXAMPLE --p 3 --n 32"
