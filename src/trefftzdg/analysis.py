@@ -14,7 +14,7 @@ import numpy as np
 
 from .basis import BATCH_POINTS, batches
 from .coefficients import evaluate, require_finite, require_positive
-from .dg_forms import _beta_normal, assemble_volume_terms, facet_alpha
+from .dg_forms import _beta_normal, assemble_volume_terms
 from .embedding import GlobalEmbedding, build_embedding
 from .local_ops import BOX_SCALE, _check_box_scale, _validate, operator_row_count
 from .solver import solve_block_coupled
@@ -94,7 +94,8 @@ def _facet_error_jumps(solution, coeffs):
 def compute_errors(solution, coeffs):
     """L2 error and the mesh-dependent norm of ``u_ex - u_h``: the upwind
     norm when ``coeffs`` has no diffusion, otherwise the interior-penalty
-    norm with the penalty ``solution.sigma`` of the solved system.
+    norm with the penalty ``solution.sigma`` and ``solution.alpha_facet``
+    of the solved system.
 
     Both norms are sums over the volume and the facet quadrature points,
     formed batch by batch (:meth:`BrokenSpace.element_batches`, and facet
@@ -108,8 +109,11 @@ def compute_errors(solution, coeffs):
         raise ValueError("error computation requires an exact solution")
     if coeffs.alpha is None and coeffs.beta is None:
         raise ValueError("the upwind error norm without diffusion alpha requires beta")
-    if coeffs.alpha is not None and solution.sigma is None:
-        raise ValueError("the interior-penalty error norm requires the penalty sigma of the solution")
+    if coeffs.alpha is not None and (solution.sigma is None or solution.alpha_facet is None):
+        raise ValueError(
+            "the interior-penalty error norm requires the penalty sigma and the "
+            "alpha_facet of the solution"
+        )
     space = solution.space
     mesh = space.mesh
     exact_grad = coeffs.exact_gradient()
@@ -165,8 +169,6 @@ def compute_errors(solution, coeffs):
         gamma0 = max(0.0, stab_min) if coeffs.gamma is not None else 0.0
         vh_sq = weighted_sq + gamma0 * l2_sq
         af = solution.alpha_facet
-        if af is None:
-            af = facet_alpha(space, coeffs)
 
         def facet_weight(facets, pts):
             # penalty weight, plus the upwind weight where there is advection

@@ -84,9 +84,7 @@ class DgSystem:
     each request, for inspection (tests, nnz counts). ``sigma`` and the
     facet mean diffusion ``alpha_facet`` are the penalty data (None for
     the upwind form without diffusion); error norms reuse them.
-    ``local_operators`` are the ``AR`` local operators of the upwind form
-    (None for SIP), ``coeffs`` the data it was assembled from and
-    ``layout`` the :class:`BlockLayout` of the blocks, shared with the
+    ``layout`` is the :class:`BlockLayout` of the blocks, shared with the
     volume pass it was assembled from.
     """
 
@@ -95,8 +93,6 @@ class DgSystem:
     space: BrokenSpace
     sigma: float = None
     alpha_facet: np.ndarray = None
-    local_operators: LocalOperatorBatch = field(default=None, repr=False, compare=False)
-    coeffs: object = field(default=None, repr=False, compare=False)
     layout: BlockLayout = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -364,8 +360,8 @@ def assemble_in_basis(terms, bases=None, width=None):
     Without ``bases`` the basis is the broken one (``w = v = nd``), and
     the blocks and the load are those of the DG system, whose diagonal
     blocks take over the volume blocks: they leave ``terms``, so that the
-    volume stack and the DG operator are not held at once, and a later
-    pass in another basis makes a new volume pass (:func:`volume_terms`).
+    volume stack and the DG operator are not held at once. The passes in
+    another basis come first.
 
     Otherwise the test functions of element ``K`` are the first ``width``
     columns ``W_K`` of ``bases[0][K]`` (all by default) and its trial
@@ -479,7 +475,7 @@ def global_system(terms):
     layout = terms.layout
     blocks = sparse.bsr_matrix((data, layout.indices, layout.indptr), shape=(len(load),) * 2)
     return DgSystem(blocks, load, terms.space, sigma=terms.sigma, alpha_facet=terms.alpha_facet,
-                    local_operators=terms.local_operators, coeffs=terms.coeffs, layout=layout)
+                    layout=layout)
 
 
 def assemble_global_system(space, coeffs, sigma=None):
@@ -489,16 +485,3 @@ def assemble_global_system(space, coeffs, sigma=None):
     penalty) and the facet pass in the broken basis (:func:`global_system`)."""
     return global_system(assemble_volume_terms(space, coeffs, sigma))
 
-
-def volume_terms(system):
-    """The :class:`VolumeTerms` of ``system``: the terms themselves while
-    they hold their volume blocks, or else a new volume pass on its space,
-    data and penalty, as for a :class:`DgSystem`, whose diagonal blocks
-    hold its facet terms too."""
-    if isinstance(system, VolumeTerms) and system.volume is not None:
-        return system
-    if system.coeffs is None:
-        raise ValueError(
-            "a DgSystem built from its blocks keeps no data to assemble in another basis"
-        )
-    return assemble_volume_terms(system.space, system.coeffs, system.sigma)

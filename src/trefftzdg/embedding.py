@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
+from .dg_forms import VolumeTerms
 from .local_ops import BOX_SCALE, LocalOperatorBatch, assemble_local_operators
 from .mesh import Mesh2D
 
@@ -222,13 +223,17 @@ def _global_embedding(mesh, kernels, widths, u_L):
 
 
 def _local_operators(space, coeffs, kind, box_scale, system):
-    """The local operators of ``kind``: those ``system`` (a DG system or
-    volume terms) keeps, or else assembled."""
-    if system is not None and system.space is not space:
+    """The local operators of ``kind``: those the volume terms ``system``
+    keep, or else assembled."""
+    if system is None:
+        return assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
+    if not isinstance(system, VolumeTerms):
+        raise ValueError("the system must be the volume terms of assemble_volume_terms")
+    if system.space is not space:
         raise ValueError("the system was assembled on another space than the embedding's")
-    if system is not None and system.coeffs is not coeffs:
+    if system.coeffs is not coeffs:
         raise ValueError("the system was assembled from other data (coeffs) than the embedding's")
-    ops = getattr(system, "local_operators", None)
+    ops = system.local_operators
     if ops is None or ops.kind != kind:
         ops = assemble_local_operators(kind, space, coeffs, box_scale=box_scale)
     return ops
@@ -240,8 +245,8 @@ def build_embedding(space, coeffs, kind, box_scale=BOX_SCALE, system=None):
     local operators are kept on the result as the
     :class:`~trefftzdg.local_ops.LocalOperatorBatch` ``local_operators``,
     taken from a ``system`` that keeps those of ``kind``: the volume pass
-    (:func:`~trefftzdg.dg_forms.assemble_volume_terms`) of the upwind form,
-    or the DG system assembled from it. A system of another space or data
+    (:func:`~trefftzdg.dg_forms.assemble_volume_terms`) of the upwind form.
+    A system of another space or data, or one that is not volume terms,
     raises."""
     ops = _local_operators(space, coeffs, kind, box_scale, system)
     factors = _factor(ops.matrices, ops.rhs, ops.elements)

@@ -29,7 +29,7 @@ derivatives up to order ``p`` there (chain rule of the affine map). For
 every kind, :func:`assemble_local_operator` is a batch of one of the
 batched code. :func:`assemble_local_operators` still runs the box kind
 element by element, as batches of one, because the benchmark's smoke
-test requires per-element calls of it (ROADMAP items 1 and 5).
+test requires per-element calls of it (ROADMAP items 22 and 5).
 
 Which kinds fit the PDE data is one rule, :func:`kind_misfit`: every
 kind must represent the whole operator, so the library and the CLI reject
@@ -371,7 +371,7 @@ def assemble_local_operators(kind, space, coeffs, box_scale=BOX_SCALE):
     if kind == DAR_BOX:
         # one call per element: perfbench/test_perfbench_smoke.py requires
         # a nonzero local_ops.element_calls on etbox, which only a change
-        # of the benchmark lifts (ROADMAP item 1). Then batching the box
+        # of the benchmark lifts (ROADMAP item 22). Then batching the box
         # kind (item 5) is this loop over space.element_batches() through
         # _batch_operators, as for the other kinds
         for k in range(n_elements):

@@ -1,39 +1,17 @@
-"""Direct solvers for the standard DG system, the decoupled
-embedded-Trefftz reduced system, and the generic coupled block system.
+"""Direct solvers for the standard DG system, the embedded-Trefftz
+reduced system and the coupled local/global block system. Every solve
+returns coefficients over the full broken basis.
 
-All variants return coefficient vectors over the full broken basis, so
-error computation downstream is method-agnostic. The Trefftz systems are
-assembled in the Trefftz basis, by the facet pass of the volume terms in
+The Trefftz systems are assembled from the volume terms
+(:func:`~trefftzdg.dg_forms.assemble_volume_terms`) by the facet pass in
 the basis ``[T | u_L]`` (:func:`_trefftz_blocks`), on the block layout of
-the DG operator but never from its blocks; a DG system handed in is
-assembled again from its data. Their unknowns keep the layout of the
-embedding's padded kernel stack, ``w`` per element: ``T x`` is a
-per-element product (:func:`_stack_product`), and the padding of narrower
-kernels gets a unit diagonal in :func:`_ordered_solve` before either solve
-path sees the blocks. One graph pass picks the path of every solve: the
-level schedule of the element-pair graph (:func:`_levels`). When it
-covers every element, as for upwind DG on a flow without cycles, the
-system is block lower triangular in level order and is solved by a block
-forward sweep (:func:`_sweep`) that gathers one level's blocks at a time,
-with batched dense solves and no LU. A graph with a cycle (SIP, a closed flow) is factored by SuperLU in the mesh's
-nested-dissection order; an acyclic one whose sweep misses the residual
-contract is factored in level order, without fill. The coupled system
-takes its local rows, and its complement basis ``Q_1``, from the
-operators and factors that :func:`~trefftzdg.embedding.build_embedding`
-keeps on the embedding and eliminates its complement unknowns element by
-element with dense batched solves (static condensation). It solves the
-reduced system first, from the same facet pass, whose trial basis it
-widens by ``Q_1``, and then the Schur complement on the Trefftz unknowns,
-which has the size and the block pattern of the reduced system; where that is not swept, it is
-refined against the factorization of ``T'AT`` that the first solve made,
-which it equals up to rounding, and factored itself only as the
-fallback. A matrix
-that reaches the LU is built once, already in solve order:
-:func:`block_matrix` permutes the element-pair blocks as whole blocks and
-converts them in one pass to the CSC matrix with sorted indices that the
-LU factors. The sweep checks the residual contract on the whole system;
-for the LU, iterative refinement and a pivoting LU as the fallback
-enforce it. The coupled solve also checks it on its whole 2x2 system.
+the DG operator. The level schedule of the element graph (:func:`_levels`)
+picks the path of every solve: a block forward sweep (:func:`_sweep`) when
+it covers every element, else SuperLU in the mesh's nested-dissection
+order (:func:`_ordered_solve`). The coupled solve eliminates its
+complement unknowns element by element and refines its Schur complement
+against the LU of ``T'AT``. Every path enforces the residual contract
+:data:`_RESIDUAL_TOL`.
 """
 
 from __future__ import annotations
@@ -44,7 +22,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .dg_forms import assemble_in_basis, volume_terms
+from .dg_forms import VolumeTerms, assemble_in_basis
 from .embedding import block_matrix
 from .mesh import occurrences
 
@@ -349,8 +327,14 @@ def _stack_product(blocks, v):
     return y.ravel()
 
 
-def _check_embedding(system, embedding):
-    """Reject an embedding built on another mesh or degree than ``system``."""
+def _check_terms(system, embedding):
+    """Reject a ``system`` that is not volume terms holding their volume
+    blocks, and an embedding built on another mesh or degree."""
+    if not isinstance(system, VolumeTerms) or system.volume is None:
+        raise ValueError(
+            "the Trefftz solves take the volume terms of assemble_volume_terms, "
+            "before global_system takes over their volume blocks"
+        )
     space, mesh = system.space, embedding.mesh
     if embedding.kernels.shape[1] != space.ndof_local:
         raise ValueError(
@@ -388,14 +372,12 @@ def solve_embedded_trefftz(system, embedding):
     Returns ``u = T u_T + u_L``; the element-local rows hold exactly by
     construction of the particular solution and the kernel, the global
     rows to solver tolerance. ``system`` is the volume pass the system is
-    assembled from (:func:`~trefftzdg.dg_forms.assemble_volume_terms`), or
-    a DG system, from whose data it is assembled again.
+    assembled from (:func:`~trefftzdg.dg_forms.assemble_volume_terms`).
     """
-    _check_embedding(system, embedding)
-    terms = volume_terms(system)
-    blocks, _, rhs = _trefftz_blocks(terms, embedding)
+    _check_terms(system, embedding)
+    blocks, _, rhs = _trefftz_blocks(system, embedding)
     x, _ = _ordered_solve(
-        terms, blocks, rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
+        system, blocks, rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
     )
     coeffs = _stack_product(embedding.kernels, x) + embedding.u_L
     return _solution(system, coeffs, EMBEDDED_TREFFTZ, ndof_trefftz=embedding.ndof_trefftz)
@@ -435,7 +417,7 @@ def solve_block_coupled(system, embedding):
     do not. The residual of the whole 2x2 system, local and global rows,
     is then checked against the residual contract.
     """
-    _check_embedding(system, embedding)
+    _check_terms(system, embedding)
     factors = embedding.factors
     if factors is None:
         raise ValueError("the block solve needs the local factors build_embedding keeps")
@@ -452,21 +434,20 @@ def solve_block_coupled(system, embedding):
     # L = Q_1, the leading columns of the orthogonal factors of A_K'
     L, T = factors.Q[:, :, :n_rows], embedding.kernels
     w = T.shape[2]
-    terms = volume_terms(system)
-    coupling, tg, reduced_rhs = _trefftz_blocks(terms, embedding, L)
+    coupling, tg, reduced_rhs = _trefftz_blocks(system, embedding, L)
     x, lu = _ordered_solve(
-        terms, coupling[..., :w], reduced_rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
+        system, coupling[..., :w], reduced_rhs, "embedded Trefftz solve", np.diff(embedding.offsets)
     )
     u_E = _stack_product(T, x) + embedding.u_L
     AL, AT = A @ L, A @ T
     X = np.linalg.solve(AL, np.concatenate([AT, load[..., None]], axis=2))
     X_T, x_l = X[..., :w], X[..., w]
-    layout = terms.layout
+    layout = system.layout
     schur = coupling[..., :w] - coupling[..., w:] @ X_T[layout.indices]
     shape = (n_elements * w, n_elements * n_rows)
     complement = sparse.bsr_matrix((coupling[..., w:], layout.indices, layout.indptr), shape=shape)
     rhs = tg - complement @ x_l.ravel()
-    c_t, _ = _ordered_solve(terms, schur, rhs, "coupled block solve", nearby=lu)
+    c_t, _ = _ordered_solve(system, schur, rhs, "coupled block solve", nearby=lu)
     c_T = c_t.reshape(n_elements, w, 1)
     c_L = x_l[..., None] - X_T @ c_T
     # residual of the 2x2 system: local rows per element, global rows

@@ -15,7 +15,7 @@ from trefftzdg.analysis import (
 )
 from trefftzdg.basis import BrokenSpace
 from trefftzdg.coefficients import ScalarField, VectorField, builtin_case, manufactured_case
-from trefftzdg.dg_forms import assemble_global_system
+from trefftzdg.dg_forms import assemble_global_system, facet_alpha
 from trefftzdg.local_ops import AR, DAR, DAR_BOX, QT_DIFFUSION, assemble_local_operators
 from trefftzdg.mesh import build_structured_mesh
 from trefftzdg.quadrature import facet_quadrature, volume_quadrature
@@ -135,7 +135,7 @@ def test_error_norms_absolutely_homogeneous():
     for s in (1.0, -3.5):
         u = DiscreteSolution(
             coeffs=s * base, space=space, method="STANDARD_DG",
-            ndof_full=space.ndof_total, sigma=100.0,
+            ndof_full=space.ndof_total, sigma=100.0, alpha_facet=facet_alpha(space, coeffs),
         )
         reports.append(compute_errors(u, coeffs))
     assert reports[1].l2_error == pytest.approx(3.5 * reports[0].l2_error, rel=1e-12)
@@ -176,6 +176,19 @@ def test_diffusion_norm_requires_the_penalty_of_the_solution():
         ndof_full=space.ndof_total, alpha_facet=np.ones(space.mesh.n_facets),
     )
     with pytest.raises(ValueError, match="sigma"):
+        compute_errors(u, coeffs)
+
+
+def test_diffusion_norm_requires_the_facet_alpha_of_the_solution():
+    # the facet weights are those of the solved system: the norm does not
+    # recompute them from the data
+    coeffs = builtin_case("DAR_EXAMPLE")
+    space = BrokenSpace(build_structured_mesh(1), 2)
+    u = DiscreteSolution(
+        coeffs=np.zeros(space.ndof_total), space=space, method="STANDARD_DG",
+        ndof_full=space.ndof_total, sigma=50.0,
+    )
+    with pytest.raises(ValueError, match="alpha_facet"):
         compute_errors(u, coeffs)
 
 

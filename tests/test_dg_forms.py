@@ -12,6 +12,7 @@ from trefftzdg.basis import BrokenSpace
 from trefftzdg.coefficients import builtin_case, manufactured_case
 from trefftzdg.dg_forms import (
     assemble_global_system,
+    assemble_volume_terms,
     default_sigma,
     element_alpha_means,
     facet_alpha,
@@ -541,9 +542,9 @@ def test_upwind_assembly_keeps_the_ar_local_operators(p, mesh, perturbed_mesh, s
     # n = 32 runs the volume pass in several batches
     space = BrokenSpace(build(32 if mesh == "structured" else 8), p)
     coeffs = builtin_case("AR_EXAMPLE")
-    system = assemble_global_system(space, coeffs)
+    terms = assemble_volume_terms(space, coeffs)
     assert len(list(space.element_batches())) > 1 or mesh != "structured"
-    kept, reference = system.local_operators, assemble_local_operators(AR, space, coeffs)
+    kept, reference = terms.local_operators, assemble_local_operators(AR, space, coeffs)
     assert kept.kind == AR
     np.testing.assert_array_equal(kept.elements, reference.elements)
     for ours, theirs in ((kept.matrices, reference.matrices), (kept.rhs, reference.rhs)):
@@ -553,8 +554,7 @@ def test_upwind_assembly_keeps_the_ar_local_operators(p, mesh, perturbed_mesh, s
 
 def test_sip_assembly_keeps_no_local_operators():
     space = BrokenSpace(build_structured_mesh(2), 3)
-    system = assemble_global_system(space, builtin_case("DAR_EXAMPLE"))
-    assert system.local_operators is None
+    assert assemble_volume_terms(space, builtin_case("DAR_EXAMPLE")).local_operators is None
 
 
 @pytest.mark.parametrize(
@@ -565,7 +565,7 @@ def test_tested_width_drops_rows_and_keeps_every_entry(case, kind):
     # column, not a tested row. Every kept entry of the blocks is bit for
     # bit the one tested against [T | u_L]; the load's boundary sums run
     # over a narrower table, which numpy's contraction may round otherwise
-    from trefftzdg.dg_forms import assemble_in_basis, assemble_volume_terms
+    from trefftzdg.dg_forms import assemble_in_basis
     from trefftzdg.embedding import build_embedding
 
     coeffs = builtin_case(case)

@@ -10,7 +10,7 @@ from trefftzdg import embedding as embedding_module
 from trefftzdg.analysis import compute_errors, run_diagnostics
 from trefftzdg.basis import BrokenSpace
 from trefftzdg.coefficients import builtin_case, manufactured_case
-from trefftzdg.dg_forms import assemble_global_system
+from trefftzdg.dg_forms import assemble_global_system, assemble_volume_terms
 from trefftzdg.embedding import (
     ElementEmbedding,
     GlobalEmbedding,
@@ -402,14 +402,23 @@ def test_build_embedding_rejects_a_system_of_other_data():
     x, y = sp.symbols("x y")
     other = manufactured_case(beta=(1 + x, 1 + y), gamma=1, exact=sp.exp(x * y))
     space = BrokenSpace(build_structured_mesh(4), 3)
-    system = assemble_global_system(space, builtin_case("AR_EXAMPLE"))
+    system = assemble_volume_terms(space, builtin_case("AR_EXAMPLE"))
     with pytest.raises(ValueError, match="assembled from other data"):
         build_embedding(space, other, AR, system=system)
     with pytest.raises(ValueError, match="assembled on another space"):
         build_embedding(BrokenSpace(space.mesh, 3), system.coeffs, AR, system=system)
-    own = assemble_global_system(space, other)
+    own = assemble_volume_terms(space, other)
     solution = solve_embedded_trefftz(own, build_embedding(space, other, AR, system=own))
     assert compute_errors(solution, other).l2_error < 1e-4
+
+
+def test_build_embedding_rejects_a_dg_system():
+    # the DG system keeps no local operators and no data: only the volume
+    # terms it was assembled from are a system of build_embedding
+    coeffs = builtin_case("AR_EXAMPLE")
+    space = BrokenSpace(build_structured_mesh(2), 3)
+    with pytest.raises(ValueError, match="assemble_volume_terms"):
+        build_embedding(space, coeffs, AR, system=assemble_global_system(space, coeffs))
 
 
 def per_row_sigma_csv(embeddings):

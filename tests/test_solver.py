@@ -16,7 +16,13 @@ from trefftzdg.analysis import compute_errors, run_diagnostics
 from trefftzdg.basis import BrokenSpace
 from trefftzdg.cli import main
 from trefftzdg.coefficients import builtin_case, manufactured_case
-from trefftzdg.dg_forms import DgSystem, assemble_global_system, volume_terms
+from trefftzdg.dg_forms import (
+    DgSystem,
+    assemble_global_system,
+    assemble_volume_terms,
+    facet_alpha,
+    global_system,
+)
 from trefftzdg.embedding import (
     assemble_global_embedding,
     block_matrix,
@@ -49,6 +55,13 @@ CASES = [
 ]
 
 
+def assembled(space, coeffs, sigma=None):
+    """The volume terms the Trefftz solves take and the DG system, each
+    from a volume pass of its own, so that both stay solvable in any
+    order."""
+    return assemble_volume_terms(space, coeffs, sigma), assemble_global_system(space, coeffs, sigma)
+
+
 def l2_error(solution, exact):
     space = solution.space
     mesh = space.mesh
@@ -61,34 +74,35 @@ def l2_error(solution, exact):
 def test_zero_data_gives_zero_solutions():
     coeffs = manufactured_case(alpha=1, exact=sp.Integer(0))
     mesh = build_structured_mesh(2)
-    sys = assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=200.0)
-    u_dg = solve_standard_dg(sys)
-    assert np.allclose(u_dg.coeffs, 0.0, atol=1e-12)
-    assert u_dg.method == STANDARD_DG
-    emb = build_embedding(sys.space, coeffs, DAR)
-    u_et = solve_embedded_trefftz(sys, emb)
+    terms = assemble_volume_terms(BrokenSpace(mesh, 2), coeffs, sigma=200.0)
+    emb = build_embedding(terms.space, coeffs, DAR)
+    u_et = solve_embedded_trefftz(terms, emb)
     assert np.allclose(u_et.coeffs, 0.0, atol=1e-12)
     assert u_et.method == EMBEDDED_TREFFTZ
-    u_bl = solve_block_coupled(sys, emb)
+    u_bl = solve_block_coupled(terms, emb)
     assert np.allclose(u_bl.coeffs, 0.0, atol=1e-12)
     assert u_bl.method == BLOCK_COUPLED
+    u_dg = solve_standard_dg(global_system(terms))
+    assert np.allclose(u_dg.coeffs, 0.0, atol=1e-12)
+    assert u_dg.method == STANDARD_DG
 
 
 def test_exactly_representable_solution():
     mesh = build_structured_mesh(2)
     p = 2
-    sys = assemble_global_system(BrokenSpace(mesh, p), LAPLACE_SADDLE, sigma=50.0 * p * p)
+    terms = assemble_volume_terms(BrokenSpace(mesh, p), LAPLACE_SADDLE, sigma=50.0 * p * p)
+    space = terms.space
+    emb = build_embedding(space, LAPLACE_SADDLE, DAR)
+    u_et = solve_embedded_trefftz(terms, emb)
+    sys = global_system(terms)
     u_dg = solve_standard_dg(sys)
     exact = LAPLACE_SADDLE.exact_solution
     assert l2_error(u_dg, exact) < 1e-8
     # projection of the exact solution solves the linear system
-    space = sys.space
     c = l2_projection(space, exact, 2 * p + 4).ravel()
     residual = np.linalg.norm(sys.matrix @ c - sys.load)
     assert residual < 1e-9 * max(1.0, np.linalg.norm(sys.load))
     # embedded Trefftz reproduces the standard solution coefficient-wise
-    emb = build_embedding(space, LAPLACE_SADDLE, DAR)
-    u_et = solve_embedded_trefftz(sys, emb)
     assert np.linalg.norm(u_et.coeffs - u_dg.coeffs) < 1e-8
     assert l2_error(u_et, exact) < 1e-8
 
@@ -107,10 +121,10 @@ def test_residual_contract_on_builtin_runs():
 def test_embedded_error_close_to_standard_ar():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(8)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
-    u_dg = solve_standard_dg(sys)
-    emb = build_embedding(sys.space, coeffs, AR)
-    u_et = solve_embedded_trefftz(sys, emb)
+    terms = assemble_volume_terms(BrokenSpace(mesh, 3), coeffs)
+    emb = build_embedding(terms.space, coeffs, AR)
+    u_et = solve_embedded_trefftz(terms, emb)
+    u_dg = solve_standard_dg(global_system(terms))
     exact = coeffs.exact_solution
     e_dg = l2_error(u_dg, exact)
     e_et = l2_error(u_et, exact)
@@ -122,10 +136,10 @@ def test_local_rows_satisfied_by_embedded_solution():
     coeffs = builtin_case("DAR_EXAMPLE")
     mesh = build_structured_mesh(4)
     p = 3
-    sys = assemble_global_system(BrokenSpace(mesh, p), coeffs, sigma=50.0 * p * p)
-    emb = build_embedding(sys.space, coeffs, DAR)
-    u = solve_embedded_trefftz(sys, emb)
-    nd = sys.space.ndof_local
+    terms = assemble_volume_terms(BrokenSpace(mesh, p), coeffs, sigma=50.0 * p * p)
+    emb = build_embedding(terms.space, coeffs, DAR)
+    u = solve_embedded_trefftz(terms, emb)
+    nd = terms.space.ndof_local
     for k, op in enumerate(emb.local_operators):
         uk = u.coeffs[k * nd : (k + 1) * nd]
         res = np.linalg.norm(op.matrix @ uk - op.rhs)
@@ -137,10 +151,10 @@ def test_local_rows_satisfied_by_embedded_solution():
 def test_block_solver_matches_embedded(perturbed_mesh, perturbed, case, local_kind, sigma):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
-    emb = build_embedding(sys.space, coeffs, local_kind)
-    u_et = solve_embedded_trefftz(sys, emb)
-    u_bl = solve_block_coupled(sys, emb)
+    terms = assemble_volume_terms(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
+    emb = build_embedding(terms.space, coeffs, local_kind)
+    u_et = solve_embedded_trefftz(terms, emb)
+    u_bl = solve_block_coupled(terms, emb)
     gap = np.linalg.norm(u_bl.coeffs - u_et.coeffs) / np.linalg.norm(u_et.coeffs)
     assert gap <= 1e-8
 
@@ -157,13 +171,13 @@ def test_coupled_solve_returns_the_embedded_solution(
     monkeypatch, case, local_kind, sigma, factorizations
 ):
     coeffs = rotating_flow() if case == "rotating" else builtin_case(case)
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(6), 3), coeffs, sigma=sigma)
-    emb = build_embedding(sys.space, coeffs, local_kind)
+    terms = assemble_volume_terms(BrokenSpace(build_structured_mesh(6), 3), coeffs, sigma=sigma)
+    emb = build_embedding(terms.space, coeffs, local_kind)
     factored = recording_factorizations(monkeypatch)
-    u = solve_block_coupled(sys, emb)
+    u = solve_block_coupled(terms, emb)
     # at most one LU, of T'AT, for the embedded and the Schur solve
     assert len(factored) == factorizations
-    assert np.array_equal(u.block_parts["u_E"], solve_embedded_trefftz(sys, emb).coeffs)
+    assert np.array_equal(u.block_parts["u_E"], solve_embedded_trefftz(terms, emb).coeffs)
 
 
 def complement(emb):
@@ -200,10 +214,10 @@ def test_condensed_solution_solves_the_whole_block_system(
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
-    emb = build_embedding(sys.space, coeffs, local_kind)
-    u = solve_block_coupled(sys, emb)
-    assert_solves_the_block_system(u, sys, emb)
+    terms = assemble_volume_terms(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
+    emb = build_embedding(terms.space, coeffs, local_kind)
+    u = solve_block_coupled(terms, emb)
+    assert_solves_the_block_system(u, global_system(terms), emb)
     parts = u.block_parts
     A = np.stack([op.matrix for op in emb.local_operators])
     load = np.stack([op.rhs for op in emb.local_operators])
@@ -226,13 +240,13 @@ def test_condensation_solves_a_block_system_that_does_not_decouple(
     # term of the Schur complement; columns T mixed with the complement
     # make A T of the size of A, and the condensed solve must still hold
     coeffs = builtin_case(case)
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs, sigma=sigma)
-    emb = build_embedding(sys.space, coeffs, local_kind)
+    terms = assemble_volume_terms(BrokenSpace(build_structured_mesh(4), 3), coeffs, sigma=sigma)
+    emb = build_embedding(terms.space, coeffs, local_kind)
     mixed = mixed_kernels(emb)
     A = np.stack([op.matrix for op in emb.local_operators])
     assert np.linalg.norm(A @ mixed.kernels) >= 0.1 * np.linalg.norm(A)
-    u = solve_block_coupled(sys, mixed)
-    assert_solves_the_block_system(u, sys, mixed)
+    u = solve_block_coupled(terms, mixed)
+    assert_solves_the_block_system(u, global_system(terms), mixed)
 
 
 def mixed_kernels(emb):
@@ -246,17 +260,18 @@ def mixed_kernels(emb):
 
 
 def sip_system(n=4, p=3):
-    """The SIP system of ``DAR_EXAMPLE`` and its ``DAR`` embedding."""
+    """The volume terms of the SIP system of ``DAR_EXAMPLE`` and its ``DAR``
+    embedding."""
     coeffs = builtin_case("DAR_EXAMPLE")
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(n), p), coeffs, sigma=450.0)
-    return sys, build_embedding(sys.space, coeffs, DAR)
+    terms = assemble_volume_terms(BrokenSpace(build_structured_mesh(n), p), coeffs, sigma=450.0)
+    return terms, build_embedding(terms.space, coeffs, DAR)
 
 
 def test_coupled_solve_factors_the_reduced_matrix_once(monkeypatch):
-    sys, emb = sip_system()
+    terms, emb = sip_system()
     direct = recording_direct_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
-    u = solve_block_coupled(sys, emb)
+    u = solve_block_coupled(terms, emb)
     # one unpivoted factorization, of the ordered T'AT, by the embedded
     # solve: the Schur system is refined against it, in the same order,
     # and meets the residual contract on S itself
@@ -265,38 +280,40 @@ def test_coupled_solve_factors_the_reduced_matrix_once(monkeypatch):
     assert np.array_equal(perm_reduced, perm)
     assert_sorted_and_equal(reduced, matrix)
     assert options["permc_spec"] == "NATURAL"
-    assert_sorted_and_equal(matrix, plain_ordered(trefftz_matrix(sys, emb), perm))
+    reduced_matrix = trefftz_matrix(terms, emb)
+    assert_sorted_and_equal(matrix, plain_ordered(reduced_matrix, perm))
     inverse = np.argsort(perm)
     S = schur[inverse][:, inverse]
     assert np.linalg.norm(S @ c_t - rhs) <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)
+    sys = global_system(terms)
     assert np.abs(S - schur_complement(sys, emb)).max() <= 1e-13 * np.abs(S).max()
-    assert (abs(S - trefftz_matrix(sys, emb))).max() > 0
+    assert (abs(S - reduced_matrix)).max() > 0
     assert_solves_the_block_system(u, sys, emb)
 
 
 def test_schur_complement_far_from_the_reduced_matrix_is_factored_itself(monkeypatch):
     # mixed kernels make S differ from T'AT at the size of T'AT: refinement
     # against the LU of T'AT misses the contract, and S is factored
-    sys, emb = sip_system()
+    terms, emb = sip_system()
     mixed = mixed_kernels(emb)
     direct = recording_direct_matrices(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
     calls = count_factorizations(monkeypatch)
-    u = solve_block_coupled(sys, mixed)
+    u = solve_block_coupled(terms, mixed)
     _, (schur, rhs, perm, c_t) = direct
-    assert_sorted_and_equal(handed[0], plain_ordered(trefftz_matrix(sys, mixed), perm))
+    assert_sorted_and_equal(handed[0], plain_ordered(trefftz_matrix(terms, mixed), perm))
     assert_sorted_and_equal(handed[1], schur)
     assert [options.get("permc_spec") for options in calls] == ["NATURAL"] * 2
     inverse = np.argsort(perm)
     residual = np.linalg.norm(schur[inverse][:, inverse] @ c_t - rhs)
     assert residual <= solver._RESIDUAL_TOL * np.linalg.norm(rhs)
-    assert_solves_the_block_system(u, sys, mixed)
+    assert_solves_the_block_system(u, global_system(terms), mixed)
 
 
 def test_solves_reject_an_embedding_of_another_degree():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(3)
-    sys4 = assemble_global_system(BrokenSpace(mesh, 4), coeffs)
+    sys4 = assemble_volume_terms(BrokenSpace(mesh, 4), coeffs)
     emb3 = build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
     with pytest.raises(ValueError, match="embedding and system dimensions do not match"):
         solve_embedded_trefftz(sys4, emb3)
@@ -307,16 +324,16 @@ def test_solves_reject_an_embedding_of_another_degree():
 def test_block_splits_differ_but_sums_agree():
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = build_structured_mesh(4)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
-    emb = build_embedding(sys.space, coeffs, AR)
+    terms = assemble_volume_terms(BrokenSpace(mesh, 3), coeffs)
+    emb = build_embedding(terms.space, coeffs, AR)
     # another orthonormal basis of every complement: Q_1 times a seeded
     # random orthogonal m x m matrix
     Q, m = emb.factors.Q.copy(), emb.local_operators.matrices.shape[1]
     rotation = np.linalg.qr(np.random.default_rng(11).standard_normal((m, m)))[0]
     Q[:, :, :m] = Q[:, :, :m] @ rotation
     rotated = replace(emb, factors=replace(emb.factors, Q=Q))
-    u_svd = solve_block_coupled(sys, emb)
-    u_rot = solve_block_coupled(sys, rotated)
+    u_svd = solve_block_coupled(terms, emb)
+    u_rot = solve_block_coupled(terms, rotated)
     total = np.linalg.norm(u_svd.coeffs)
     assert np.linalg.norm(u_svd.coeffs - u_rot.coeffs) <= 1e-8 * total
     # both bases span the same complement, so the split functions agree,
@@ -335,9 +352,9 @@ def test_dof_accounting_ratios():
     ):
         coeffs = builtin_case(case)
         mesh = build_structured_mesh(2)
-        sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
-        emb = build_embedding(sys.space, coeffs, local_kind)
-        u = solve_embedded_trefftz(sys, emb)
+        terms = assemble_volume_terms(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
+        emb = build_embedding(terms.space, coeffs, local_kind)
+        u = solve_embedded_trefftz(terms, emb)
         assert u.ndof_trefftz / u.ndof_full == pytest.approx(expected)
 
 
@@ -349,7 +366,7 @@ def test_solves_reject_an_embedding_of_another_mesh():
     vertices = mesh.vertices.copy()
     interior = np.all((vertices > 0) & (vertices < 1), axis=1)
     vertices[interior] += 0.05
-    moved = assemble_global_system(BrokenSpace(Mesh2D(vertices, mesh.triangles), 3), coeffs)
+    moved = assemble_volume_terms(BrokenSpace(Mesh2D(vertices, mesh.triangles), 3), coeffs)
     emb = build_embedding(BrokenSpace(mesh, 3), coeffs, AR)
     with pytest.raises(ValueError, match="embedding and system meshes do not match"):
         solve_embedded_trefftz(moved, emb)
@@ -357,14 +374,29 @@ def test_solves_reject_an_embedding_of_another_mesh():
         solve_block_coupled(moved, emb)
     # another space on the same mesh, or on an equal mesh built again, fits
     for other in (mesh, build_structured_mesh(4)):
-        sys = assemble_global_system(BrokenSpace(other, 3), coeffs)
-        solve_embedded_trefftz(sys, emb)
-        solve_block_coupled(sys, emb)
+        terms = assemble_volume_terms(BrokenSpace(other, 3), coeffs)
+        solve_embedded_trefftz(terms, emb)
+        solve_block_coupled(terms, emb)
+
+
+def test_trefftz_solves_take_volume_terms_only():
+    # the DG system keeps no data to assemble in the Trefftz basis, and its
+    # facet pass takes over the volume blocks of its terms: neither is
+    # assembled again
+    coeffs = builtin_case("DAR_EXAMPLE")
+    space = BrokenSpace(build_structured_mesh(2), 2)
+    terms = assemble_volume_terms(space, coeffs)
+    emb = build_embedding(space, coeffs, DAR)
+    sys = global_system(terms)
+    for system in (sys, terms):
+        for solve in (solve_embedded_trefftz, solve_block_coupled):
+            with pytest.raises(ValueError, match="assemble_volume_terms"):
+                solve(system, emb)
 
 
 def test_embedding_dimension_mismatch_rejected():
     coeffs = builtin_case("AR_EXAMPLE")
-    sys4 = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs)
+    sys4 = assemble_volume_terms(BrokenSpace(build_structured_mesh(4), 3), coeffs)
     space2 = BrokenSpace(build_structured_mesh(2), 3)
     emb2 = build_embedding(space2, coeffs, AR)
     with pytest.raises(ValueError):
@@ -377,29 +409,29 @@ def assert_entrywise_close(got, want, rtol=1e-14):
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-def reduced_matrix(sys, emb):
-    """The embedded Trefftz system ``T' A T`` in the numbering of the
-    Trefftz unknowns and ``T' (l - A u_L)``, from the blocks the embedded
-    solve forms in the Trefftz basis, the padding of narrower kernels
-    dropped."""
-    terms = volume_terms(sys)
+def reduced_matrix(terms, emb):
+    """The embedded Trefftz system ``T' A T`` of the volume ``terms`` in
+    the numbering of the Trefftz unknowns and ``T' (l - A u_L)``, from the
+    blocks the embedded solve forms in the Trefftz basis, the padding of
+    narrower kernels dropped."""
     blocks, _, rhs = solver._trefftz_blocks(terms, emb)
     A, keep = terms.layout, trailing(np.diff(emb.offsets), emb.kernels.shape[2]).ravel()
     return block_matrix(blocks, A.indices, A.indptr)[keep][:, keep], rhs[keep]
 
 
-def trefftz_matrix(sys, emb):
-    """The blocks ``T_K' A_KL T_L`` that the Trefftz solves form, as one
-    CSR matrix on the layout of ``sys``, the padding kept."""
-    terms = volume_terms(sys)
+def trefftz_matrix(terms, emb):
+    """The blocks ``T_K' A_KL T_L`` that the Trefftz solves form from the
+    volume ``terms``, as one CSR matrix on their layout, the padding kept."""
     blocks = solver._trefftz_blocks(terms, emb)[0]
     return sparse.bsr_matrix((blocks, terms.layout.indices, terms.layout.indptr)).tocsr()
 
 
-def assert_matches_the_triple_product(sys, emb):
+def assert_matches_the_triple_product(terms, emb):
     """The system the Trefftz basis pass forms is ``T' A T`` and ``T' (l -
-    A u_L)`` of the assembled DG system, to 1e-14 of its largest entry."""
-    matrix, rhs = reduced_matrix(sys, emb)
+    A u_L)`` of the DG system of the same ``terms``, to 1e-14 of its
+    largest entry; the DG system then takes over their volume blocks."""
+    matrix, rhs = reduced_matrix(terms, emb)
+    sys = global_system(terms)
     T = prolongation(emb)
     assert_entrywise_close(matrix, T.T @ sys.matrix @ T)
     assert_entrywise_close(rhs, T.T @ (sys.load - sys.matrix @ emb.u_L))
@@ -412,9 +444,9 @@ def test_reduced_system_matches_the_triple_product(
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
-    emb = build_embedding(sys.space, coeffs, local_kind)
-    assert_matches_the_triple_product(sys, emb)
+    terms = assemble_volume_terms(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
+    emb = build_embedding(terms.space, coeffs, local_kind)
+    assert_matches_the_triple_product(terms, emb)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -428,19 +460,19 @@ def test_reduced_system_matches_the_triple_product_at_other_degrees(
     # start at p = 2
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(BrokenSpace(mesh, p), coeffs)
-    emb = build_embedding(sys.space, coeffs, local_kind)
-    assert_matches_the_triple_product(sys, emb)
+    terms = assemble_volume_terms(BrokenSpace(mesh, p), coeffs)
+    emb = build_embedding(terms.space, coeffs, local_kind)
+    assert_matches_the_triple_product(terms, emb)
 
 
 def test_reduced_system_with_mixed_kernel_widths(zero_odd_operators):
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(2), 3), coeffs)
+    terms = assemble_volume_terms(BrokenSpace(build_structured_mesh(2), 3), coeffs)
     with pytest.warns(UserWarning, match="4 of 8 elements"):
-        emb = build_embedding(sys.space, coeffs, AR)
+        emb = build_embedding(terms.space, coeffs, AR)
     assert list(np.diff(emb.offsets)) == [4, 10] * 4
-    assert reduced_matrix(sys, emb)[0].shape == (56, 56)
-    assert_matches_the_triple_product(sys, emb)
+    assert reduced_matrix(terms, emb)[0].shape == (56, 56)
+    assert_matches_the_triple_product(terms, emb)
 
 
 def untouchable(system):
@@ -452,15 +484,15 @@ def test_trefftz_solves_never_use_the_assembled_matrix(
     monkeypatch, case, local_kind, sigma
 ):
     coeffs = builtin_case(case)
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(3), 3), coeffs, sigma=sigma)
-    emb = build_embedding(sys.space, coeffs, local_kind)
-    u_et = solve_embedded_trefftz(sys, emb)
-    u_bl = solve_block_coupled(sys, emb)
+    terms, sys = assembled(BrokenSpace(build_structured_mesh(3), 3), coeffs, sigma)
+    emb = build_embedding(terms.space, coeffs, local_kind)
+    u_et = solve_embedded_trefftz(terms, emb)
+    u_bl = solve_block_coupled(terms, emb)
     monkeypatch.setattr(DgSystem, "matrix", property(untouchable))
     with pytest.raises(AssertionError):
         sys.matrix.tocsc()
-    assert np.array_equal(solve_embedded_trefftz(sys, emb).coeffs, u_et.coeffs)
-    assert np.array_equal(solve_block_coupled(sys, emb).coeffs, u_bl.coeffs)
+    assert np.array_equal(solve_embedded_trefftz(terms, emb).coeffs, u_et.coeffs)
+    assert np.array_equal(solve_block_coupled(terms, emb).coeffs, u_bl.coeffs)
 
 
 @pytest.mark.parametrize(
@@ -480,22 +512,22 @@ def test_standard_solve_reads_the_blocks(monkeypatch, case, sigma):
 
 def test_hand_gathered_embedding_solves_like_build_embedding():
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs)
-    ops = assemble_local_operators(AR, sys.space, coeffs)
-    gathered = assemble_global_embedding(sys.space.mesh, [compute_embedding(op) for op in ops])
+    terms = assemble_volume_terms(BrokenSpace(build_structured_mesh(4), 3), coeffs)
+    ops = assemble_local_operators(AR, terms.space, coeffs)
+    gathered = assemble_global_embedding(terms.space.mesh, [compute_embedding(op) for op in ops])
     assert gathered.factors is None
-    u = solve_embedded_trefftz(sys, gathered).coeffs
-    reference = solve_embedded_trefftz(sys, build_embedding(sys.space, coeffs, AR)).coeffs
+    u = solve_embedded_trefftz(terms, gathered).coeffs
+    reference = solve_embedded_trefftz(terms, build_embedding(terms.space, coeffs, AR)).coeffs
     assert np.linalg.norm(u - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_block_solver_rejects_embedding_without_factors():
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(2), 3), coeffs)
-    ops = assemble_local_operators(AR, sys.space, coeffs)
-    glob = assemble_global_embedding(sys.space.mesh, [compute_embedding(op) for op in ops])
+    terms = assemble_volume_terms(BrokenSpace(build_structured_mesh(2), 3), coeffs)
+    ops = assemble_local_operators(AR, terms.space, coeffs)
+    glob = assemble_global_embedding(terms.space.mesh, [compute_embedding(op) for op in ops])
     with pytest.raises(ValueError, match="build_embedding"):
-        solve_block_coupled(sys, glob)
+        solve_block_coupled(terms, glob)
 
 
 def test_singular_matrix_raises():
@@ -647,8 +679,8 @@ def test_ordered_solves_match_plain_lu(
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
-    emb = build_embedding(sys.space, coeffs, local_kind)
+    terms, sys = assembled(BrokenSpace(mesh, 3), coeffs, sigma)
+    emb = build_embedding(terms.space, coeffs, local_kind)
     # the coupled solve makes the embedded solve and the Schur solve
     if local_kind == AR:
         # acyclic upwind graph: the three solves sweep and none factors
@@ -656,7 +688,7 @@ def test_ordered_solves_match_plain_lu(
         with monkeypatch.context() as patch:
             ordered = recording_ordered_solves(patch)
             solve_standard_dg(sys)
-            solve_block_coupled(sys, emb)
+            solve_block_coupled(terms, emb)
         assert calls == []
         assert len(ordered) == 3
         assert_match_plain_lu(ordered)
@@ -665,7 +697,7 @@ def test_ordered_solves_match_plain_lu(
     solves = recording_direct_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
     solve_standard_dg(sys)
-    solve_block_coupled(sys, emb)
+    solve_block_coupled(terms, emb)
     # one unpivoted factorization each of A and T'AT: the fallback never
     # ran, and the Schur system is refined against the LU of T'AT
     assert [options.get("permc_spec") for _, options, _ in factored] == ["NATURAL"] * 2
@@ -681,25 +713,18 @@ def test_ordered_solves_match_plain_lu(
         assert np.linalg.norm(x - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
-def test_solution_carries_the_systems_facet_alpha(monkeypatch):
+def test_solution_carries_the_systems_facet_alpha():
     coeffs = builtin_case("DAR_EXAMPLE")
     sys = assemble_global_system(BrokenSpace(build_structured_mesh(2), 2), coeffs, sigma=200.0)
     u = solve_standard_dg(sys)
     assert u.alpha_facet is sys.alpha_facet
-    recomputed = compute_errors(
-        solver.DiscreteSolution(
-            coeffs=u.coeffs, space=u.space, method=u.method, ndof_full=u.ndof_full, sigma=u.sigma
-        ),
-        coeffs,
-    )
-
-    def no_recompute(*_args):
-        raise AssertionError("facet alpha recomputed")
-
-    monkeypatch.setattr("trefftzdg.analysis.facet_alpha", no_recompute)
+    recomputed = compute_errors(replace(u, alpha_facet=facet_alpha(u.space, coeffs)), coeffs)
     report = compute_errors(u, coeffs)
     assert report.vh_error == recomputed.vh_error
     assert report.l2_error == recomputed.l2_error
+    # the norm reads the weights of the solution and never recomputes them
+    with pytest.raises(ValueError, match="alpha_facet"):
+        compute_errors(replace(u, alpha_facet=None), coeffs)
 
 
 def element_graph(blocks):
@@ -739,7 +764,7 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
 ):
     coeffs = builtin_case("AR_EXAMPLE")
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
+    terms, sys = assembled(BrokenSpace(mesh, 3), coeffs)
     n = mesh.n_elements
     n_components, _ = connected_components(element_graph(sys.blocks), connection="strong")
     assert n_components == n
@@ -755,7 +780,7 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
     with monkeypatch.context() as patch:
         solves = recording_ordered_solves(patch)
         solve_standard_dg(sys)
-        solve_embedded_trefftz(sys, emb)
+        solve_embedded_trefftz(terms, emb)
     # block lower triangular: swept, with no factorization
     assert factored == []
     assert_match_plain_lu(solves)
@@ -763,7 +788,7 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
     refuse_sweeps(monkeypatch)
     perms = recording_direct_solves(monkeypatch)
     solve_standard_dg(sys)
-    solve_embedded_trefftz(sys, emb)
+    solve_embedded_trefftz(terms, emb)
     assert len(perms) == 2
     for perm, width in zip(perms, (sys.space.ndof_local, emb.kernels.shape[2])):
         np.testing.assert_array_equal(perm, solver._block_permutation(order, width))
@@ -786,10 +811,11 @@ def test_upwind_order_is_block_triangular_and_factors_without_fill(
 def test_acyclic_upwind_order_skips_the_mesh_order(monkeypatch, perturbed_mesh, perturbed):
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
-    emb = build_embedding(sys.space, coeffs, AR)
+    terms = assemble_volume_terms(BrokenSpace(mesh, 3), coeffs)
+    emb = build_embedding(terms.space, coeffs, AR)
+    solve_embedded_trefftz(terms, emb)
+    sys = global_system(terms)
     solve_standard_dg(sys)
-    solve_embedded_trefftz(sys, emb)
     assert "element_order" not in mesh.__dict__
     # the fallback LU runs in level order, so it does not need it either
     refuse_sweeps(monkeypatch)
@@ -814,7 +840,7 @@ def test_sip_order_is_the_mesh_order(monkeypatch, perturbed_mesh, perturbed, cas
 def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
     coeffs = rotating_flow()
     mesh = build_structured_mesh(6)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
+    terms, sys = assembled(BrokenSpace(mesh, 3), coeffs)
     # the flow circles the centre, so the element graph is one component
     n_components, _ = connected_components(element_graph(sys.blocks), connection="strong")
     assert n_components == 1
@@ -822,13 +848,13 @@ def test_rotating_flow_solves_in_one_unpivoted_factorization(monkeypatch):
     perms = recording_direct_solves(monkeypatch)
     factored = recording_factorizations(monkeypatch)
     u_dg = solve_standard_dg(sys)
-    u_et = solve_embedded_trefftz(sys, emb)
+    u_et = solve_embedded_trefftz(terms, emb)
     assert [options["permc_spec"] for _, options, _ in factored] == ["NATURAL"] * 2
     # both LUs run in the mesh order
     assert len(perms) == 2
     for perm, width in zip(perms, (sys.space.ndof_local, emb.kernels.shape[2])):
         np.testing.assert_array_equal(perm, solver._block_permutation(mesh.element_order, width))
-    reduced, rhs = reduced_matrix(sys, emb)
+    reduced, rhs = reduced_matrix(terms, emb)
     # the kernel columns are orthonormal, so T' recovers the Trefftz unknowns
     x_t = prolongation(emb).T @ (u_et.coeffs - emb.u_L)
     for matrix, load, x in ((sys.matrix, sys.load, u_dg.coeffs), (reduced, rhs, x_t)):
@@ -1048,13 +1074,13 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(6) if perturbed else build_structured_mesh(6)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
-    emb = build_embedding(sys.space, coeffs, local_kind)
+    terms = assemble_volume_terms(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
+    emb = build_embedding(terms.space, coeffs, local_kind)
     if local_kind == AR:
         sweeps = recording_sweeps(monkeypatch)
         with monkeypatch.context() as patch:
             solves = recording_ordered_solves(patch)
-            solve_block_coupled(sys, emb)
+            solve_block_coupled(terms, emb)
         # the embedded solve of T'AT first, then the Schur solve
         (_, reduced, reduced_widths, *_), (_, schur, schur_widths, *_) = solves
         # only the Schur complement of the Trefftz unknowns is swept, on the
@@ -1068,7 +1094,7 @@ def test_coupled_solve_eliminates_the_complement_unknowns_first(
     direct = recording_direct_matrices(monkeypatch)
     handed = recording_handed_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
-    solve_block_coupled(sys, emb)
+    solve_block_coupled(terms, emb)
     (reduced, _, perm_reduced, _), (schur, _, perm_schur, _) = direct
     # the complement unknowns are condensed element by element: only the
     # Schur complement of the Trefftz unknowns reaches the direct solve, in
@@ -1090,8 +1116,8 @@ def test_schur_sweep_fallback_factors_the_schur_complement_itself(monkeypatch):
     # where the Schur sweep falls back, S itself is factored, in level
     # order and without fill
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(6), 3), coeffs)
-    emb = build_embedding(sys.space, coeffs, AR)
+    terms = assemble_volume_terms(BrokenSpace(build_structured_mesh(6), 3), coeffs)
+    emb = build_embedding(terms.space, coeffs, AR)
     sweep, sweeps = solver._sweep, []
 
     def first_only(*args):
@@ -1101,8 +1127,9 @@ def test_schur_sweep_fallback_factors_the_schur_complement_itself(monkeypatch):
     monkeypatch.setattr(solver, "_sweep", first_only)
     direct = recording_direct_matrices(monkeypatch)
     factored = recording_factorizations(monkeypatch)
-    u = solve_block_coupled(sys, emb)
+    u = solve_block_coupled(terms, emb)
     assert sweeps[0] is not None and sweeps[1] is None
+    sys = global_system(terms)
     ((schur, _, perm, _),) = direct
     ((matrix, options, lu),) = factored
     assert options["permc_spec"] == "NATURAL"
@@ -1173,14 +1200,14 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
 ):
     coeffs = builtin_case(case)
     mesh = perturbed_mesh(4) if perturbed else build_structured_mesh(4)
-    sys = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=sigma)
-    emb = build_embedding(sys.space, coeffs, local_kind)
+    terms, sys = assembled(BrokenSpace(mesh, 3), coeffs, sigma)
+    emb = build_embedding(terms.space, coeffs, local_kind)
     if local_kind == AR:
         handed = recording_handed_matrices(monkeypatch)
         with monkeypatch.context() as patch:
             solves = recording_ordered_solves(patch)
             solve_standard_dg(sys)
-            solve_block_coupled(sys, emb)
+            solve_block_coupled(terms, emb)
         # swept: nothing reaches the LU
         assert handed == []
         assert_match_plain_lu(solves)
@@ -1190,13 +1217,13 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
     handed = recording_handed_matrices(monkeypatch)
     solve_standard_dg(sys)
     # the embedded solve of T'AT, then the Schur solve
-    solve_block_coupled(sys, emb)
+    solve_block_coupled(terms, emb)
     T = emb.kernels
     perms = [perm for _, _, perm, _ in direct]
     # the Schur system is refined against the LU of T'AT: three direct
     # solves, two factorizations
     assert len(direct) == 3 and len(handed) == 2
-    for matrix, perm, plain in zip(handed[:2], perms, (sys.blocks, trefftz_matrix(sys, emb))):
+    for matrix, perm, plain in zip(handed[:2], perms, (sys.blocks, trefftz_matrix(terms, emb))):
         assert_sorted_and_equal(matrix, plain_ordered(plain, perm))
     # the Schur complement has the pattern of the ordered T'AT; its entries
     # are formed blockwise, so they match plain products to rounding
@@ -1209,14 +1236,14 @@ def test_lu_gets_the_ordered_matrix_with_sorted_indices(
 
 def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch, zero_odd_operators):
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(3), 3), coeffs)
+    terms = assemble_volume_terms(BrokenSpace(build_structured_mesh(3), 3), coeffs)
     with pytest.warns(UserWarning, match="elements have numerically rank deficient"):
-        emb = build_embedding(sys.space, coeffs, AR)
+        emb = build_embedding(terms.space, coeffs, AR)
     handed = recording_handed_matrices(monkeypatch)
     sweeps = recording_sweeps(monkeypatch)
     with monkeypatch.context() as patch:
         solves = recording_ordered_solves(patch)
-        solve_embedded_trefftz(sys, emb)
+        solve_embedded_trefftz(terms, emb)
     # the padded sweep solves the kernels of widths 4 and 10
     assert handed == []
     assert len(sweeps) == 1 and sweeps[0] is not None
@@ -1225,12 +1252,12 @@ def test_mixed_width_reduced_matrix_is_ordered_and_sorted(monkeypatch, zero_odd_
     # padding of the kernels of width 4, ordered and sorted
     refuse_sweeps(monkeypatch)
     perms = recording_direct_solves(monkeypatch)
-    solve_embedded_trefftz(sys, emb)
+    solve_embedded_trefftz(terms, emb)
     assert len(handed) == 1
-    T, A = emb.kernels, sys.blocks
+    T, A = emb.kernels, terms.layout
     pad = ~trailing(np.diff(emb.offsets), T.shape[2])
     rows = np.repeat(np.arange(len(A.indptr) - 1), np.diff(A.indptr))
-    data = solver._trefftz_blocks(volume_terms(sys), emb)[0]
+    data = solver._trefftz_blocks(terms, emb)[0]
     diagonal = rows == A.indices
     data[diagonal] += pad[rows[diagonal], None, :] * np.eye(T.shape[2])
     padded = sparse.bsr_matrix((data, A.indices, A.indptr)).tocsr()
@@ -1266,22 +1293,22 @@ def test_stack_products_match_the_sparse_embedding(request, case, local_kind, p,
 
 def test_padded_lu_matches_the_sweep_on_mixed_widths(monkeypatch, zero_odd_operators):
     coeffs = builtin_case("AR_EXAMPLE")
-    sys = assemble_global_system(BrokenSpace(build_structured_mesh(4), 3), coeffs)
+    terms = assemble_volume_terms(BrokenSpace(build_structured_mesh(4), 3), coeffs)
     with pytest.warns(UserWarning, match="elements have numerically rank deficient"):
-        emb = build_embedding(sys.space, coeffs, AR)
+        emb = build_embedding(terms.space, coeffs, AR)
     with monkeypatch.context() as patch:
         sweeps = recording_sweeps(patch)
         swept_solves = recording_ordered_solves(patch)
-        swept = solve_embedded_trefftz(sys, emb).coeffs
+        swept = solve_embedded_trefftz(terms, emb).coeffs
     assert len(sweeps) == 1 and sweeps[0] is not None
     refuse_sweeps(monkeypatch)
     factored = recording_factorizations(monkeypatch)
     lu_solves = recording_ordered_solves(monkeypatch)
-    factored_coeffs = solve_embedded_trefftz(sys, emb).coeffs
+    factored_coeffs = solve_embedded_trefftz(terms, emb).coeffs
     # the LU factors the padded matrix: one unpivoted factorization
     assert [options.get("permc_spec") for _, options, _ in factored] == ["NATURAL"]
     assert np.linalg.norm(factored_coeffs - swept) <= 1e-12 * np.linalg.norm(swept)
-    matrix, rhs = reduced_matrix(sys, emb)
+    matrix, rhs = reduced_matrix(terms, emb)
     keep = trailing(np.diff(emb.offsets), emb.kernels.shape[2]).ravel()
     ((*_, x_sweep),), ((*_, x_lu),) = swept_solves, lu_solves
     assert np.linalg.norm(x_lu - x_sweep) <= 1e-12 * np.linalg.norm(x_sweep)
