@@ -94,8 +94,7 @@ def _facet_error_jumps(solution, coeffs):
 def compute_errors(solution, coeffs):
     """L2 error and the mesh-dependent norm of ``u_ex - u_h``: the upwind
     norm when ``coeffs`` has no diffusion, otherwise the interior-penalty
-    norm with the penalty ``solution.sigma`` and ``solution.alpha_facet``
-    of the solved system.
+    norm with the per-facet ``solution.penalty`` of the solved system.
 
     Both norms are sums over the volume and the facet quadrature points,
     formed batch by batch (:meth:`BrokenSpace.element_batches`, and facet
@@ -109,11 +108,8 @@ def compute_errors(solution, coeffs):
         raise ValueError("error computation requires an exact solution")
     if coeffs.alpha is None and coeffs.beta is None:
         raise ValueError("the upwind error norm without diffusion alpha requires beta")
-    if coeffs.alpha is not None and (solution.sigma is None or solution.alpha_facet is None):
-        raise ValueError(
-            "the interior-penalty error norm requires the penalty sigma and the "
-            "alpha_facet of the solution"
-        )
+    if coeffs.alpha is not None and solution.penalty is None:
+        raise ValueError("the interior-penalty error norm requires the penalty of the solution")
     space = solution.space
     mesh = space.mesh
     exact_grad = coeffs.exact_gradient()
@@ -168,11 +164,10 @@ def compute_errors(solution, coeffs):
     else:
         gamma0 = max(0.0, stab_min) if coeffs.gamma is not None else 0.0
         vh_sq = weighted_sq + gamma0 * l2_sq
-        af = solution.alpha_facet
 
         def facet_weight(facets, pts):
             # penalty weight, plus the upwind weight where there is advection
-            weight = (solution.sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
+            weight = solution.penalty[facets][:, None]
             if coeffs.beta is not None:
                 weight = weight + 0.5 * np.abs(_beta_normal(coeffs, pts, mesh, facets))
             return weight

@@ -22,18 +22,17 @@ rule point is the image of a point of one of six fixed sets, the edge
 rule nodes ``t`` or ``1 - t`` on one of the three reference edges, so
 facet traces are gathered from the shared :func:`reference_facet_tables`
 (:meth:`BrokenSpace.facet_traces`). Other points are pulled back to the
-reference triangle and the reference derivatives tabulated there
-(:func:`_reference_tabulate`, scaled monomials times per-degree maps
-``D^T C_ref^T`` with ``D`` an exact differentiation matrix in the
-monomial basis). Derivatives of any order follow from the
-reference ones by the exact chain rule of the affine map
+reference triangle, where the scaled monomials times the per-degree maps
+``D^T C_ref^T`` (:func:`_reference_maps`, ``D`` an exact differentiation
+matrix in the monomial basis) give the reference derivatives; a function
+contracts its coefficients with the maps first. Derivatives of any order
+follow from the reference ones by the exact chain rule of the affine map
 (:func:`_chain_rule`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -64,12 +63,6 @@ def polynomial_exponents(degree):
 
 def space_dimension(degree):
     return (degree + 1) * (degree + 2) // 2
-
-
-@dataclass
-class BasisEval:
-    values: np.ndarray
-    gradients: np.ndarray = None
 
 
 def _power_table(values, max_power):
@@ -189,42 +182,37 @@ def _reference_basis(degree):
 _REFERENCE_DERIVATIVES = polynomial_exponents(2)
 
 
-def _derivative_maps(coefficients, degree, order):
-    """``D_b^T coefficients`` over the reference scale to the power ``|b|``
-    for every ``b`` in ``polynomial_exponents(order)`` (``K`` of them):
-    ``(..., dim, K, m)`` from coefficients ``(..., dim, m)`` over the
-    reference triangle's scaled monomials, so that a monomial table times
-    block ``b`` is ``D^b`` of the polynomials."""
-    return np.stack([
-        (derivative_matrix(degree, *b).T @ coefficients) / _REFERENCE_SCALE ** sum(b)
-        for b in polynomial_exponents(order)
-    ], axis=-2)
-
-
 @lru_cache(maxsize=None)
 def _reference_maps(degree, order):
-    """:func:`_derivative_maps` of the reference basis ``C_ref^T``,
-    ``(dim, K, dim)``; read-only, as every evaluation shares them."""
-    maps = _derivative_maps(_reference_basis(degree).T, degree, order)
+    """``D_b^T C_ref^T`` over the reference scale to the power ``|b|`` for
+    every ``b`` in ``polynomial_exponents(order)`` (``K`` of them):
+    ``(dim, K, dim)``, so that a table of the reference triangle's scaled
+    monomials times block ``b`` is ``D^b`` of the reference basis;
+    read-only, as every evaluation shares them."""
+    Ct = _reference_basis(degree).T
+    maps = np.stack([
+        (derivative_matrix(degree, *b).T @ Ct) / _REFERENCE_SCALE ** sum(b)
+        for b in polynomial_exponents(order)
+    ], axis=-2)
     maps.flags.writeable = False
     return maps
 
 
-def _reference_tabulate(zeta, coefficients, degree, order):
-    """Every derivative ``D^b``, ``|b| <= order`` in the graded-lex order of
-    :func:`polynomial_exponents`, of the reference basis (``coefficients``
-    None) or of polynomials with coefficients ``(E, dim, m)`` in it, at
-    reference points ``zeta`` ``(E, nq, 2)``: ``(E, nq, K, dim or m)``."""
-    E, nq = zeta.shape[:2]
+def _reference_monomials(zeta, degree):
+    """The reference triangle's scaled monomials at reference points
+    ``zeta`` ``(E, nq, 2)``: ``(E, nq, dim)``."""
     # one center and scale, broadcast over the elements
-    mono = scaled_monomials(zeta, _REFERENCE_CENTER[None], [_REFERENCE_SCALE], degree)
-    if coefficients is None:
-        maps = _reference_maps(degree, order)
-    else:
-        maps = _derivative_maps(_reference_basis(degree).T @ coefficients, degree, order)
+    return scaled_monomials(zeta, _REFERENCE_CENTER[None], [_REFERENCE_SCALE], degree)
+
+
+def _reference_tabulate(zeta, degree, order):
+    """Every derivative ``D^b``, ``|b| <= order`` in the graded-lex order of
+    :func:`polynomial_exponents`, of the reference basis at reference
+    points ``zeta`` ``(E, nq, 2)``: ``(E, nq, K, dim)``."""
+    maps = _reference_maps(degree, order)
+    out = _reference_monomials(zeta, degree) @ maps.reshape(len(maps), -1)
     # explicit sizes: a -1 cannot be inferred on an empty batch
-    out = mono @ maps.reshape(maps.shape[:-2] + (maps.shape[-2] * maps.shape[-1],))
-    return out.reshape((E, nq) + maps.shape[-2:])
+    return out.reshape(zeta.shape[:2] + maps.shape[1:])
 
 
 def _volume_rule_degree(degree):
@@ -243,7 +231,7 @@ def reference_tables(degree):
     basis takes its values there from this one table.
     """
     bary, _ = duffy_rule_barycentric(_volume_rule_degree(degree))
-    tab = _reference_tabulate(bary[None, :, 1:], None, degree, 2)[0]
+    tab = _reference_tabulate(bary[None, :, 1:], degree, 2)[0]
     tab.flags.writeable = False
     return tab
 
@@ -271,7 +259,7 @@ def reference_facet_tables(degree):
     step = np.roll(_REFERENCE, -1, axis=0) - start
     nodes = np.stack([t, 1.0 - t])
     zeta = start[:, None] + nodes[:, None, :, None] * step[:, None]
-    tab = _reference_tabulate(zeta.reshape(1, -1, 2), None, degree, 1)
+    tab = _reference_tabulate(zeta.reshape(1, -1, 2), degree, 1)
     tab = np.ascontiguousarray(np.moveaxis(tab.reshape(2, 3, len(t), 3, -1), 3, 1))
     tab.flags.writeable = False
     return tab
@@ -295,21 +283,22 @@ def reference_products(degree, pairs, rows=None):
 
 
 def _to_elements(ref, inverses, dets, gradients=False):
-    """Element values and gradients of ``phi_K = phi_ref / sqrt(det J_K)``
-    from reference derivatives ``ref`` ``(E or 1, nq, k, m)`` (the first
-    ``k`` of :data:`_REFERENCE_DERIVATIVES`: 1 or 3), the inverse Jacobians
+    """Values ``(E, nq)`` and, with ``gradients``, gradients ``(E, nq, 2)``
+    of a function ``u_K = u_ref / sqrt(det J_K)`` on the elements from its
+    reference derivatives ``ref`` ``(E, nq, k)`` (the first ``k`` of
+    :data:`_REFERENCE_DERIVATIVES`: 1 or 3), the inverse Jacobians
     ``inverses`` ``(E, 2, 2)`` and ``dets`` ``(E,)``. Gradients are
     ``J_K^-T`` times the reference gradients.
     """
-    r = np.sqrt(dets)[:, None, None]
-    inv = inverses[:, None, None]
-    out = BasisEval(values=ref[:, :, 0] / r)
-    if gradients:
-        out.gradients = np.stack(
-            [inv[..., 0, a] * ref[:, :, 1] + inv[..., 1, a] * ref[:, :, 2] for a in range(2)],
-            axis=-1,
-        ) / r[..., None]
-    return out
+    r = np.sqrt(dets)[:, None]
+    values = ref[..., 0] / r
+    if not gradients:
+        return values
+    inv = inverses[:, None]
+    grads = np.stack(
+        [inv[..., 0, a] * ref[..., 1] + inv[..., 1, a] * ref[..., 2] for a in range(2)], axis=-1
+    )
+    return values, grads / r[..., None]
 
 
 def _operator_terms(inverses, value=None, drift=None, laplacian=None):
@@ -379,26 +368,6 @@ def _monomial_substitution(A, degree):
         S[:, row, high : high + d] = form[:, :1] * previous
         S[:, row, high + 1 : high + d + 1] += form[:, 1:] * previous
     return S
-
-
-def _pull_back(points, origins, adjugates, dets):
-    """Reference coordinates ``zeta = J_K^-1 (x - v0_K)`` of per-element
-    points ``(E, nq, 2)``."""
-    shifted = np.asarray(points, dtype=float) - origins[:, None]
-    # dividing last keeps each vertex's image exact and halves the
-    # rounding on slivers against multiplying by J_K^-1
-    zeta = shifted @ np.swapaxes(adjugates, -1, -2)
-    return zeta / dets[:, None, None]
-
-
-def _element_ids(elems):
-    """Element ids ``elems`` as an index array, a slice as it is. An empty
-    list reads as an empty integer batch (``np.asarray([])`` is a float
-    array, which cannot index); non-integer ids still fail to index."""
-    if isinstance(elems, slice):
-        return elems
-    ids = np.asarray(elems)
-    return ids.astype(np.intp) if ids.size == 0 else ids
 
 
 class BrokenSpace:
@@ -484,16 +453,31 @@ class BrokenSpace:
             dn[on] = (mapped[on] @ table[1:, k].reshape(2, -1)).reshape(-1, *values.shape[1:])
         return values, dn
 
+    def _element_ids(self, elems):
+        """Element ids ``elems`` as an index array, a slice as it is. An id
+        outside ``[0, n_elements)`` raises :class:`IndexError` rather than
+        count from the end. An empty list reads as an empty integer batch
+        (``np.asarray([])`` is a float array, which cannot index);
+        non-integer ids still fail to index."""
+        if isinstance(elems, slice):
+            return elems
+        ids = np.asarray(elems)
+        if ids.size == 0:
+            return ids.astype(np.intp)
+        outside = ids[(ids < 0) | (ids >= self.mesh.n_elements)]
+        if outside.size:
+            raise IndexError(f"element index {outside.flat[0]} out of range")
+        return ids
+
     def _pull_back(self, points, elems):
-        """Reference coordinates of per-element points ``(m, nq, 2)`` of
-        ``elems``, a slice or element ids; an id outside ``[0, n_elements)``
-        raises :class:`IndexError` rather than count from the end."""
-        elems = _element_ids(elems)
-        if not isinstance(elems, slice):
-            outside = elems[(elems < 0) | (elems >= self.mesh.n_elements)]
-            if outside.size:
-                raise IndexError(f"element index {outside.flat[0]} out of range")
-        return _pull_back(points, self.origins[elems], self.adjugates[elems], self.dets[elems])
+        """Reference coordinates ``zeta = J_K^-1 (x - v0_K)`` of per-element
+        points ``(m, nq, 2)`` of ``elems``, a slice or ids checked by
+        :meth:`_element_ids`."""
+        shifted = np.asarray(points, dtype=float) - self.origins[elems][:, None]
+        # dividing last keeps each vertex's image exact and halves the
+        # rounding on slivers against multiplying by J_K^-1
+        zeta = shifted @ np.swapaxes(self.adjugates[elems], -1, -2)
+        return zeta / self.dets[elems][:, None, None]
 
     def volume_matrices(self, elems, weights, value=None, drift=None, laplacian=None,
                         diffusion=None, rows=None):
@@ -533,33 +517,23 @@ class BrokenSpace:
     def eval_function(self, coeffs, elems=slice(None), points=None, gradients=False):
         """Values ``(m, nq)`` and optionally gradients ``(m, nq, 2)`` of the
         function with per-element basis coefficients ``coeffs``
-        ``(n_elements, ndof_local)`` on ``elems``: at per-element ``points``
-        ``(m, nq, 2)``, pulled back to the reference triangle, or at the
-        volume points from the shared tables. Either way the coefficients
-        are contracted first, so no basis table is built.
+        ``(n_elements, ndof_local)`` on ``elems``: at the volume points from
+        the shared tables, or at per-element ``points`` ``(m, nq, 2)``,
+        pulled back to the reference triangle, from the shared
+        :func:`_reference_maps` over its scaled monomials. Either way the
+        coefficients are contracted with the shared table first, so no
+        basis table is built.
         """
-        elems = _element_ids(elems)
+        elems = self._element_ids(elems)
+        c = coeffs[elems]
+        k = 3 if gradients else 1
         if points is None:
-            c = coeffs[elems]
-            k = 3 if gradients else 1
             table = reference_tables(self.degree)[:, :k]
-            ref = (c @ table.reshape(-1, self.ndof_local).T).reshape(len(c), len(table), k, 1)
         else:
-            zeta = self._pull_back(points, elems)
-            ref = _reference_tabulate(zeta, coeffs[elems][..., None], self.degree, int(gradients))
-        ev = _to_elements(ref, self.inverse_jacobians[elems], self.dets[elems], gradients)
-        return (ev.values[..., 0], ev.gradients[..., 0, :]) if gradients else ev.values[..., 0]
-
-    def eval_elements(self, elems, points, gradients=False):
-        """Orthonormal basis values on a batch of elements.
-
-        ``points`` has shape ``(m, nq, 2)`` with one point set per entry of
-        ``elems``; results have a trailing basis axis (and derivative axes).
-        The points are pulled back to the reference triangle and the
-        reference basis is evaluated there in one product.
-        """
-        elems = _element_ids(elems)
-        ref = self._reference_basis_at(elems, points, int(gradients))
+            table = _reference_maps(self.degree, int(gradients))
+        ref = (c @ table.reshape(-1, self.ndof_local).T).reshape(len(c), len(table), k)
+        if points is not None:
+            ref = _reference_monomials(self._pull_back(points, elems), self.degree) @ ref
         return _to_elements(ref, self.inverse_jacobians[elems], self.dets[elems], gradients)
 
     def apply(self, elems, points, value=None, drift=None, laplacian=None):
@@ -570,7 +544,7 @@ class BrokenSpace:
         reference derivatives (:func:`_operator_terms`, as in
         :meth:`volume_matrices`), so no derivative of the element basis is
         tabulated."""
-        elems = _element_ids(elems)
+        elems = self._element_ids(elems)
         ref = self._reference_basis_at(elems, points, 1 if laplacian is None else 2)
         inverses = self.inverse_jacobians[elems]
         derivatives, terms = _operator_terms(inverses, value, drift, laplacian)
@@ -583,7 +557,7 @@ class BrokenSpace:
         basis of ``elems``, graded-lex, at per-element ``points``
         ``(m, nq, 2)``: ``(m, nq, K, ndof_local)``; exact, by
         :func:`_chain_rule`."""
-        elems = _element_ids(elems)
+        elems = self._element_ids(elems)
         ref = self._reference_basis_at(elems, points, order)
         return _chain_rule(ref, self.inverse_jacobians[elems], self.dets[elems], order)
 
@@ -591,5 +565,5 @@ class BrokenSpace:
         """Reference basis derivatives up to ``order`` at the pulled-back
         points, tabulated in one product over all of them."""
         zeta = self._pull_back(points, elems)
-        ref = _reference_tabulate(zeta.reshape(1, -1, 2), None, self.degree, order)
+        ref = _reference_tabulate(zeta.reshape(1, -1, 2), self.degree, order)
         return ref.reshape(zeta.shape[:2] + ref.shape[2:])

@@ -81,9 +81,9 @@ class DgSystem:
     numbering fixes, and the coupling blocks the form can fill, which
     without diffusion are those upwind of each facet by the sign of
     ``beta.n`` at its points. ``matrix`` is a read-only CSR copy built on
-    each request, for inspection (tests, nnz counts). ``sigma`` and the
-    facet mean diffusion ``alpha_facet`` are the penalty data (None for
-    the upwind form without diffusion); error norms reuse them.
+    each request, for inspection (tests, nnz counts). ``penalty`` is the
+    interior-penalty weight of each facet (None for the upwind form
+    without diffusion); error norms reuse it.
     ``layout`` is the :class:`BlockLayout` of the blocks, shared with the
     volume pass it was assembled from.
     """
@@ -91,8 +91,7 @@ class DgSystem:
     blocks: sparse.bsr_matrix = field(repr=False)
     load: np.ndarray
     space: BrokenSpace
-    sigma: float = None
-    alpha_facet: np.ndarray = None
+    penalty: np.ndarray = field(default=None, repr=False)
     layout: BlockLayout = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -113,15 +112,14 @@ class VolumeTerms:
     and what every facet pass reads (:func:`assemble_in_basis`): the volume
     blocks ``volume`` ``(E, nd, nd)`` and loads ``volume_load`` ``(E, nd)``
     of all elements (both None once the DG system took them over), the
-    penalty data ``sigma`` and ``alpha_facet`` (None
-    for the upwind form), ``beta.n`` at the interior facet points
-    ``bn_inner`` and the :class:`BlockLayout` it fixes, and the ``AR``
-    local operators of the upwind form (None for SIP)."""
+    interior-penalty weight ``penalty`` ``sigma alpha_F / |F|`` of each
+    facet (None for the upwind form), ``beta.n`` at the interior facet
+    points ``bn_inner`` and the :class:`BlockLayout` it fixes, and the
+    ``AR`` local operators of the upwind form (None for SIP)."""
 
     space: BrokenSpace
     coeffs: object = field(repr=False)
-    sigma: float
-    alpha_facet: np.ndarray = field(repr=False)
+    penalty: np.ndarray = field(repr=False)
     volume: np.ndarray = field(repr=False)
     volume_load: np.ndarray = field(repr=False)
     bn_inner: np.ndarray = field(repr=False)
@@ -279,7 +277,9 @@ def assemble_volume_terms(space, coeffs, sigma=None):
     the space's degree), plus the upwind advection and reaction terms
     wherever the coefficients carry them. Without diffusion it is the
     upwind form, which needs an advection field ``beta``, and the terms
-    keep ``sigma = None``. A given ``sigma`` must be positive and finite.
+    keep no penalty. A given ``sigma`` must be positive and finite. The
+    penalty of a facet is ``sigma alpha_F / |F|``, with ``alpha_F`` the
+    :func:`facet_alpha` of the data.
 
     The upwind form, built for exactly the data the ``AR`` kind fits, keeps
     the ``AR`` local operators: the upwind volume term is their strong form
@@ -292,9 +292,7 @@ def assemble_volume_terms(space, coeffs, sigma=None):
     diffusive = coeffs.alpha is not None
     if not diffusive and coeffs.beta is None:
         raise ValueError("the upwind form without diffusion alpha requires an advection field beta")
-    if not diffusive:
-        sigma = None
-    elif sigma is None:
+    if diffusive and sigma is None:
         sigma = default_sigma(space.degree)
     mesh = space.mesh
     nd = space.ndof_local
@@ -346,9 +344,9 @@ def assemble_volume_terms(space, coeffs, sigma=None):
 
     for chunk in space.element_batches():
         volume_batch(chunk)
+    penalty = sigma * _facet_means(mesh, means) / mesh.facet_lengths if diffusive else None
     return VolumeTerms(
-        space, coeffs, sigma, _facet_means(mesh, means) if diffusive else None, volume,
-        volume_load, bn_inner, _block_layout(mesh, couples), ops,
+        space, coeffs, penalty, volume, volume_load, bn_inner, _block_layout(mesh, couples), ops,
     )
 
 
@@ -380,7 +378,7 @@ def assemble_in_basis(terms, bases=None, width=None):
     blocks into their slots and adds its self blocks into the diagonal
     ones before the next batch is formed.
     """
-    space, coeffs, sigma, af = terms.space, terms.coeffs, terms.sigma, terms.alpha_facet
+    space, coeffs = terms.space, terms.coeffs
     mesh = space.mesh
     nd = space.ndof_local
     inner, outer = mesh.interior_facets, mesh.boundary_facets
@@ -423,7 +421,7 @@ def assemble_in_basis(terms, bases=None, width=None):
             pts = fpts[facets]
             alpha = coeffs.alpha(pts[..., 0], pts[..., 1])
             alpha = require_positive(alpha, "alpha", "facet", facets)
-            c_jump = c_jump + (sigma * af[facets] / mesh.facet_lengths[facets])[:, None]
+            c_jump = c_jump + terms.penalty[facets][:, None]
             # the average of a one-sided trace is the trace itself
             c_flux = -alpha / n_sides
         return _facet_terms(space, facets, n_sides, fw_, c_avg, c_jump, c_flux, bases, w)
@@ -474,8 +472,7 @@ def global_system(terms):
     data, load = assemble_in_basis(terms)
     layout = terms.layout
     blocks = sparse.bsr_matrix((data, layout.indices, layout.indptr), shape=(len(load),) * 2)
-    return DgSystem(blocks, load, terms.space, sigma=terms.sigma, alpha_facet=terms.alpha_facet,
-                    layout=layout)
+    return DgSystem(blocks, load, terms.space, penalty=terms.penalty, layout=layout)
 
 
 def assemble_global_system(space, coeffs, sigma=None):

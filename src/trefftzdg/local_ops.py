@@ -1,39 +1,16 @@
-"""Per-element operator matrices A_K and load vectors for the local
-problems, covering the volume-projected, box-restricted, and
-point-derivative (quasi-Trefftz) operator kinds.
+"""Per-element local operators ``A_K`` and their loads, of four kinds:
+volume-projected (``AR``, ``DAR``), box-restricted (``DAR_BOX``) and
+point-derivative quasi-Trefftz (``QT_DIFFUSION``).
 
-Rows are expressed against an L2-orthonormal test basis of the kind's
-test space (or the plain multi-index entries for the quasi-Trefftz
-kind), so dual norms of A_K u reduce to Euclidean vector norms. The
-mesh-size scalings baked into each kind keep the induced norms uniform
-in h; diagnostics downstream rely on them.
-
-Every trial basis is the reference-triangle basis mapped to its element
-(:mod:`trefftzdg.basis`). The volume-projected and box-restricted kinds
-write the PDE operator as ``value phi + drift . grad phi + laplacian lap
-phi`` with coefficients evaluated once per point (:func:`_operator_fields`)
-and mapped onto the reference derivatives of the basis. The trial basis is
-orthonormal on its element and graded by degree, so on the space's volume
-rule the test basis is its leading columns, and the operators of a batch
-of elements are one matrix product of the mapped, weighted coefficients
-with the space's reference tables (:meth:`BrokenSpace.volume_matrices`).
-For ``AR`` these are the scaled leading rows of the DG volume blocks, so
-every upwind system keeps them. The box kind has one kernel over a
-slice of elements too: the box sides in closed form from mesh arrays,
-the rule and test basis of the unit square, built once per degree and
-mapped to every box, the data at all points from one fused evaluation,
-and the operator applied to the trial basis at the mapped rule points
-(:meth:`BrokenSpace.apply`). The quasi-Trefftz kind has one batched
-point-derivative kernel at the element centers, fed with the trial basis
-derivatives up to order ``p`` there (chain rule of the affine map). For
-every kind, :func:`assemble_local_operator` is a batch of one of the
-batched code. :func:`assemble_local_operators` still runs the box kind
-element by element, as batches of one, because the benchmark's smoke
-test requires per-element calls of it (ROADMAP items 22 and 5).
-
-Which kinds fit the PDE data is one rule, :func:`kind_misfit`: every
-kind must represent the whole operator, so the library and the CLI reject
-the same pairs.
+Rows are tested against an L2-orthonormal basis of the kind's test space
+(the plain multi-index entries for ``QT_DIFFUSION``) and scaled by the mesh
+size, so dual norms of ``A_K u`` are Euclidean norms, uniform in h. Every
+kind has one kernel over a slice of elements (:func:`_batch_operators`),
+and :func:`assemble_local_operator` is a batch of one of it.
+:func:`assemble_local_operators` still runs the box kind element by
+element, because the benchmark's smoke test requires per-element calls of
+it (ROADMAP items 22 and 5). Which kinds fit the PDE data is one rule,
+:func:`kind_misfit`, shared by the library and the CLI.
 """
 
 from __future__ import annotations
@@ -53,7 +30,7 @@ from .basis import (
     space_dimension,
 )
 from .coefficients import evaluate, require_finite, require_positive
-from .quadrature import box_rule, unit_box_rule
+from .quadrature import unit_box_rule
 
 AR = "AR"
 DAR = "DAR"
@@ -218,8 +195,8 @@ def _row_scale(kind, s):
 @lru_cache(maxsize=None)
 def _unit_box_test_basis(p):
     """Values ``(nq, m)`` of the box kind's test basis on the unit square,
-    at the points of its degree-``2p + 4`` rule; read-only, as every box
-    shares them.
+    at the points of its degree-``2p + 4`` rule, ``unit_box_rule(p + 3)``;
+    read-only, as every box shares them.
 
     The test basis orthonormalizes the scaled monomials about the box
     center, of scale the box diameter, on the box rule. A box of side ``s``
@@ -228,10 +205,9 @@ def _unit_box_test_basis(p):
     scale ``s sqrt(2)``, take the same values. Graded Gram-Schmidt commutes
     with that scaling, so the box's test values are these divided by ``s``.
     """
-    unit = ElementBox(center=np.array([0.5, 0.5]), side=1.0)
-    rule = box_rule(unit.center, unit.side, 2 * p + 4)
-    mono = scaled_monomials(rule.points[None], unit.center[None], [unit.h], p - 2)
-    G = _orthonormalizer(rule.weights[None], mono)
+    points, weights = unit_box_rule(p + 3)
+    mono = scaled_monomials(points[None], [[0.5, 0.5]], [math.sqrt(2.0)], p - 2)
+    G = _orthonormalizer(weights[None], mono)
     values = (mono @ np.swapaxes(G, -1, -2))[0]
     values.flags.writeable = False
     return values

@@ -45,8 +45,8 @@ class SolverError(RuntimeError):
 class DiscreteSolution:
     """Coefficient vector over the full broken basis plus bookkeeping.
 
-    ``sigma`` and ``alpha_facet`` are the penalty data of the solved system,
-    which the error norms reuse.
+    ``penalty`` is the per-facet penalty of the solved system, which the
+    error norms reuse.
     """
 
     coeffs: np.ndarray
@@ -54,8 +54,7 @@ class DiscreteSolution:
     method: str
     ndof_full: int
     ndof_trefftz: int = None
-    sigma: float = None
-    alpha_facet: np.ndarray = field(default=None, repr=False)
+    penalty: np.ndarray = field(default=None, repr=False)
     block_parts: dict = field(default=None, repr=False)
 
     def element_values(self, elems, points=None, gradients=False):
@@ -301,10 +300,10 @@ def _ordered_solve(system, blocks, rhs, label, widths=None, nearby=None):
 
 def _solution(system, coeffs, method, **fields):
     """The solution ``coeffs`` of ``system`` by ``method``, with the
-    system's space and the penalty data the error norms reuse."""
+    system's space and the penalty the error norms reuse."""
     return DiscreteSolution(
         coeffs=coeffs, space=system.space, method=method, ndof_full=system.space.ndof_total,
-        sigma=system.sigma, alpha_facet=system.alpha_facet, **fields,
+        penalty=system.penalty, **fields,
     )
 
 

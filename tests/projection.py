@@ -16,6 +16,6 @@ def l2_projection(space, f, degree, elems=None):
     rules = [triangle_rule(mesh.vertices[mesh.triangles[k]], degree) for k in elems]
     points = np.stack([rule.points for rule in rules])
     weights = np.stack([rule.weights for rule in rules])
-    values = space.eval_elements(elems, points).values
+    values = space.derivatives(elems, points, 0)[..., 0, :]
     f_values = np.asarray(f(points[..., 0], points[..., 1]), dtype=float)
     return np.einsum("eq,eq,eqi->ei", weights, f_values, values)

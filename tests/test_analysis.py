@@ -135,7 +135,8 @@ def test_error_norms_absolutely_homogeneous():
     for s in (1.0, -3.5):
         u = DiscreteSolution(
             coeffs=s * base, space=space, method="STANDARD_DG",
-            ndof_full=space.ndof_total, sigma=100.0, alpha_facet=facet_alpha(space, coeffs),
+            ndof_full=space.ndof_total,
+            penalty=100.0 * facet_alpha(space, coeffs) / mesh.facet_lengths,
         )
         reports.append(compute_errors(u, coeffs))
     assert reports[1].l2_error == pytest.approx(3.5 * reports[0].l2_error, rel=1e-12)
@@ -169,27 +170,36 @@ def test_ar_norm_requires_advection_field():
 
 
 def test_diffusion_norm_requires_the_penalty_of_the_solution():
-    coeffs = builtin_case("DAR_EXAMPLE")
-    space = BrokenSpace(build_structured_mesh(1), 2)
-    u = DiscreteSolution(
-        coeffs=np.zeros(space.ndof_total), space=space, method="STANDARD_DG",
-        ndof_full=space.ndof_total, alpha_facet=np.ones(space.mesh.n_facets),
-    )
-    with pytest.raises(ValueError, match="sigma"):
-        compute_errors(u, coeffs)
-
-
-def test_diffusion_norm_requires_the_facet_alpha_of_the_solution():
     # the facet weights are those of the solved system: the norm does not
     # recompute them from the data
     coeffs = builtin_case("DAR_EXAMPLE")
     space = BrokenSpace(build_structured_mesh(1), 2)
     u = DiscreteSolution(
         coeffs=np.zeros(space.ndof_total), space=space, method="STANDARD_DG",
-        ndof_full=space.ndof_total, sigma=50.0,
+        ndof_full=space.ndof_total,
     )
-    with pytest.raises(ValueError, match="alpha_facet"):
+    with pytest.raises(ValueError, match="requires the penalty of the solution"):
         compute_errors(u, coeffs)
+
+
+def test_diffusion_norm_requires_the_facet_alpha_of_the_solution():
+    # the facet alpha enters the norm through the penalty of the solution,
+    # not from the data: alpha_F = 1 in place of the facet means of
+    # alpha = 1 + x weights the jumps less, and each norm is the two-pass
+    # one of its own penalty
+    coeffs = manufactured_case(alpha=1 + sp.Symbol("x"), exact=sp.Integer(0))
+    mesh = build_structured_mesh(2)
+    space = BrokenSpace(mesh, 2)
+    base = np.random.default_rng(2).standard_normal(space.ndof_total)
+    errors = []
+    for alpha_facet in (facet_alpha(space, coeffs), np.ones(mesh.n_facets)):
+        u = DiscreteSolution(
+            coeffs=base, space=space, method="STANDARD_DG", ndof_full=space.ndof_total,
+            penalty=50.0 * alpha_facet / mesh.facet_lengths,
+        )
+        errors.append(compute_errors(u, coeffs).vh_error)
+        assert errors[-1] == pytest.approx(two_pass_dg_error(u, coeffs), rel=1e-13)
+    assert errors[0] > errors[1]
 
 
 @pytest.mark.parametrize(
@@ -228,7 +238,7 @@ def test_error_norms_reject_bad_data(field, kind, name):
     # a solver hands over its facet weights, so alpha is not re-evaluated there
     u = DiscreteSolution(
         coeffs=np.zeros(space.ndof_total), space=space, method="STANDARD_DG",
-        ndof_full=space.ndof_total, sigma=50.0, alpha_facet=np.ones(mesh.n_facets),
+        ndof_full=space.ndof_total, penalty=50.0 / mesh.facet_lengths,
     )
     with np.errstate(invalid="ignore"), pytest.raises(
         ValueError, match=rf"^{name} must be finite.* element \d+ has {name} = "
@@ -267,8 +277,7 @@ def two_pass_dg_error(solution, coeffs):
         return total + np.sum(fw[bnd] * weight(bnd) * dev**2)
 
     def penalty(facets):
-        base = solution.sigma * solution.alpha_facet[facets] / mesh.facet_lengths[facets]
-        return base[:, None] * np.ones(fpts.shape[1])
+        return solution.penalty[facets][:, None] * np.ones(fpts.shape[1])
 
     def upwind(facets):
         pts = fpts[facets]
@@ -311,7 +320,7 @@ def test_facet_error_jumps_match_pulled_back_traces():
     coeffs_vec = np.random.default_rng(5).standard_normal(space.ndof_total)
     solution = DiscreteSolution(
         coeffs=coeffs_vec, space=space, method="STANDARD_DG", ndof_full=space.ndof_total,
-        sigma=50.0, alpha_facet=np.ones(mesh.n_facets),
+        penalty=50.0 / mesh.facet_lengths,
     )
     fpts, _ = facet_quadrature(mesh, 2 * space.degree + 2)
     inner, outer = mesh.interior_facets, mesh.boundary_facets

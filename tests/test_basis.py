@@ -117,9 +117,9 @@ def test_exponent_ordering():
 def test_constant_mode_on_unit_right_triangle():
     space = BrokenSpace(UNIT_RIGHT, 2)
     pts = np.array([[0.1, 0.2], [0.4, 0.4], [2.0, -1.0]])
-    ev = space.eval_elements([0], pts[None], gradients=True)
-    assert np.allclose(ev.values[0, :, 0], math.sqrt(2.0), atol=1e-12)
-    assert np.allclose(ev.gradients[0, :, 0, :], 0.0, atol=1e-12)
+    derivatives = space.derivatives([0], pts[None], 1)
+    assert np.allclose(derivatives[0, :, 0, 0], math.sqrt(2.0), atol=1e-12)
+    assert np.allclose(derivatives[0, :, 1:, 0], 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -135,7 +135,7 @@ def test_matches_gram_schmidt_oracle(seed):
     rng = np.random.default_rng(seed + 100)
     pts = rng.uniform(0.0, 1.0, size=(20, 2))
     expected = oracle(np.linalg.solve(J, (pts - v0).T).T) / math.sqrt(abs(np.linalg.det(J)))
-    got = space.eval_elements([0], pts[None]).values[0]
+    got = space.derivatives([0], pts[None], 0)[0, :, 0]
     assert np.allclose(got, expected, atol=1e-9)
 
 
@@ -146,7 +146,7 @@ def test_orthonormality_random_elements(degree, seed):
     space = BrokenSpace(mesh, degree)
     # a finer rule than the one the basis was orthonormalized on
     rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * degree + 2)
-    vals = space.eval_elements([0], rule.points[None]).values[0]
+    vals = space.derivatives([0], rule.points[None], 0)[0, :, 0]
     gram = np.einsum("q,qi,qj->ij", rule.weights, vals, vals)
     assert np.max(np.abs(gram - np.eye(space.ndof_local))) < 1e-10
 
@@ -162,7 +162,7 @@ def orthonormality_error(mesh, evaluate, degree):
 
 def element_values(mesh, degree):
     space = BrokenSpace(mesh, degree)
-    return lambda points: space.eval_elements([0], points[None]).values[0]
+    return lambda points: space.derivatives([0], points[None], 0)[0, :, 0]
 
 
 @pytest.mark.parametrize("aspect", [1e1, 1e3])
@@ -199,7 +199,7 @@ def test_turned_sliver_space_is_orthonormal(aspect, sliver_mesh):
         assert np.max(np.abs(mass_matrices(space)[0] - eye)) < 1e-12
         # on a finer rule than the space's
         rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 2 * 6 + 6)
-        values = space.eval_elements([0], rule.points[None]).values[0]
+        values = space.derivatives([0], rule.points[None], 0)[0, :, 0]
         gram = np.einsum("q,qi,qj->ij", rule.weights, values, values)
         assert np.max(np.abs(gram - eye)) < 1e-12
 
@@ -207,62 +207,56 @@ def test_turned_sliver_space_is_orthonormal(aspect, sliver_mesh):
 def test_degree_one_gradients_constant_hessian_zero():
     space = BrokenSpace(UNIT_RIGHT, 1)
     pts = np.random.default_rng(0).uniform(size=(1, 7, 2))
-    gradients = space.eval_elements([0], pts, gradients=True).gradients[0]
-    for j in range(space.ndof_local):
-        assert np.allclose(gradients[:, j, :], gradients[0, j, :], atol=1e-13)
+    derivatives = space.derivatives([0], pts, 2)[0]
+    assert np.allclose(derivatives[:, 1:3], derivatives[0, 1:3], atol=1e-13)
     # the second derivatives (2, 0), (1, 1) and (0, 2)
-    assert np.allclose(space.derivatives([0], pts, 2)[0, :, 3:], 0.0, atol=1e-13)
+    assert np.allclose(derivatives[:, 3:], 0.0, atol=1e-13)
 
 
 def test_one_element_mesh_rejects_out_of_range_element():
     space = BrokenSpace(UNIT_RIGHT, 1)
     for k in (-1, 1):
         with pytest.raises(IndexError, match=f"element index {k} out of range"):
-            space.eval_elements([k], UNIT_RIGHT.centroids[None])
+            space.derivatives([k], UNIT_RIGHT.centroids[None], 0)
 
 
 @pytest.mark.parametrize("k", [-1, -8, 8, 9])
 def test_element_basis_rejects_out_of_range_element(k):
-    # every evaluation at points checks the element ids: negative ones
-    # would otherwise count from the end, as numpy indexing does
+    # every evaluation, at points or at the volume points, checks the
+    # element ids: negative ones would otherwise count from the end, as
+    # numpy indexing does
     space = BrokenSpace(build_structured_mesh(2), 2)
     points = space.mesh.centroids[:1, None]
     coeffs = np.ones((space.mesh.n_elements, space.ndof_local))
-    for evaluate in (lambda e: space.eval_elements(e, points, gradients=True),
-                     lambda e: space.derivatives(e, points, 2),
+    for evaluate in (lambda e: space.derivatives(e, points, 2),
                      lambda e: space.apply(e, points, value=np.ones((1, 1))),
-                     lambda e: space.eval_function(coeffs, e, points)):
+                     lambda e: space.eval_function(coeffs, e, points),
+                     lambda e: space.eval_function(coeffs, e, gradients=True)):
         with pytest.raises(IndexError, match=f"element index {k} out of range"):
             evaluate([k])
         with pytest.raises(IndexError, match=f"element index {k} out of range"):
             evaluate(np.array([7, k]))
     # the last element is in range
-    values = space.eval_elements([7], space.mesh.centroids[7][None, None]).values
-    assert values[0, 0, 0] == pytest.approx(1.0 / math.sqrt(space.mesh.areas[7]))
+    values = space.derivatives([7], space.mesh.centroids[7][None, None], 0)
+    assert values[0, 0, 0, 0] == pytest.approx(1.0 / math.sqrt(space.mesh.areas[7]))
 
 
 def test_derivatives_match_finite_differences():
     mesh = random_triangle_mesh(7)
     space = BrokenSpace(mesh, 4)
     pts = np.random.default_rng(1).uniform(0.2, 0.8, size=(1, 5, 2))
-    ev = space.eval_elements([0], pts, gradients=True)
-    # hessians[..., e, d] = D_e D_d phi, the derivative (2 - e - d, e + d)
-    # at index 3 + e + d of the graded-lex derivatives
-    second = space.derivatives([0], pts, 2)
-    hessians = np.stack(
-        [np.stack([second[:, :, 3 + e + d] for d in range(2)], axis=-1) for e in range(2)],
-        axis=-2,
-    )
+    exact = space.derivatives([0], pts, 2)
     eps = 1e-6
     for d, unit in enumerate(np.eye(2)):
-        vp = space.eval_elements([0], pts + eps * unit, gradients=True)
-        vm = space.eval_elements([0], pts - eps * unit, gradients=True)
-        fd_grad = (vp.values - vm.values) / (2 * eps)
-        scale = np.maximum(np.abs(ev.gradients[..., d]), 1.0)
-        assert np.max(np.abs(fd_grad - ev.gradients[..., d]) / scale) < 1e-6
-        fd_hess = (vp.gradients - vm.gradients) / (2 * eps)
-        hscale = np.maximum(np.abs(hessians[..., d]), 1.0)
-        assert np.max(np.abs(fd_hess - hessians[..., d]) / hscale) < 1e-6
+        vp = space.derivatives([0], pts + eps * unit, 1)
+        vm = space.derivatives([0], pts - eps * unit, 1)
+        # the differences of the value and the gradient along d: D_d phi
+        # and D_e D_d phi, the derivative (2 - e - d, e + d) at index
+        # 3 + e + d of the graded-lex derivatives
+        fd = (vp - vm) / (2 * eps)
+        expected = exact[:, :, [1 + d, 3 + d, 4 + d]]
+        scale = np.maximum(np.abs(expected), 1.0)
+        assert np.max(np.abs(fd - expected) / scale) < 1e-6
 
 
 def test_higher_order_derivative_evaluation():
@@ -294,7 +288,7 @@ def test_broken_space_offsets_and_basis():
     space = BrokenSpace(mesh, degree=2)
     assert space.ndof_local == 6
     assert space.ndof_total == 6 * mesh.n_elements
-    vals = space.eval_elements([3], mesh.centroids[3][None, None]).values
+    vals = space.derivatives([3], mesh.centroids[3][None, None], 0)[..., 0, :]
     assert vals.shape == (1, 1, 6)
     assert vals[0, 0, 0] == pytest.approx(1.0 / math.sqrt(mesh.areas[3]))
 
@@ -345,14 +339,37 @@ def test_volume_table_matches_evaluate_basis(p, perturbed, perturbed_mesh):
         assert np.all(derivatives[..., 3:, :] == 0.0)
 
 
+@pytest.mark.parametrize("kind", ["structured", "perturbed", "sliver"])
+@pytest.mark.parametrize("p", range(1, 7))
+def test_pulled_back_function_is_the_contracted_basis_table(p, kind, perturbed_mesh,
+                                                           sliver_mesh):
+    # a function at pulled-back points contracts its coefficients with the
+    # reference maps before it meets the monomials: the basis derivatives
+    # of the chain rule contracted with the coefficients agree to rounding
+    mesh = {
+        "structured": lambda: build_structured_mesh(3),
+        "perturbed": lambda: perturbed_mesh(3),
+        "sliver": lambda: sliver_mesh(1e2, 0.7),
+    }[kind]()
+    space = BrokenSpace(mesh, p)
+    elems = np.arange(mesh.n_elements)[::-1]
+    points = space.volume_points[elems]
+    coeffs = np.random.default_rng(p).standard_normal((mesh.n_elements, space.ndof_local))
+    vals, grads = space.eval_function(coeffs, elems, points, gradients=True)
+    table = space.derivatives(elems, points, 1)
+    assert_rel_close(vals, contract(table[..., 0, :], coeffs[elems]), 1e-13)
+    for d in range(2):
+        assert_rel_close(grads[..., d], contract(table[..., 1 + d, :], coeffs[elems]), 1e-13)
+
+
 def test_volume_function_matches_basis_table(perturbed_mesh):
     space = BrokenSpace(perturbed_mesh(3), 4)
     coeffs = np.random.default_rng(3).standard_normal((space.mesh.n_elements, space.ndof_local))
     vals, grads = space.eval_function(coeffs, gradients=True)
     elems = np.arange(space.mesh.n_elements)
-    tab = space.eval_elements(elems, space.volume_points, gradients=True)
-    assert_rel_close(vals, contract(tab.values, coeffs), 1e-12)
-    assert_rel_close(grads, contract(tab.gradients, coeffs), 1e-12)
+    tab = space.derivatives(elems, space.volume_points, 1)
+    assert_rel_close(vals, contract(tab[..., 0, :], coeffs), 1e-12)
+    assert_rel_close(grads, contract(np.moveaxis(tab[..., 1:, :], -2, -1), coeffs), 1e-12)
     elems = [4, 0, 7]
     at_points = space.eval_function(coeffs, elems, space.volume_points[elems])
     assert_rel_close(at_points, vals[elems], 1e-12)
@@ -385,24 +402,20 @@ def test_derivative_matrix_agrees_with_derivative_table(degree):
 @pytest.mark.parametrize("npoints", [3, None])
 def test_tabulate_applies_the_derivative_matrix(npoints):
     # the reference derivatives at fewer points than basis functions
-    # (3 < 15) and at more (49 points), of the reference basis itself and
-    # of a batch of polynomials in it: each the derivative matrix applied
+    # (3 < 15) and at more (49 points): each the derivative matrix applied
     # to the reference basis over its scaled monomials
     space = BrokenSpace(build_structured_mesh(2), 4)
     zeta = space._pull_back(space.volume_points[:, :npoints], slice(None))
     E, nq = zeta.shape[:2]
     center = np.broadcast_to(_REFERENCE_CENTER, (E, 2))
     mono = scaled_monomials(zeta, center, np.full(E, _REFERENCE_SCALE), 4)
-    coefficients = np.random.default_rng(4).standard_normal((E, 15, 2))
-    basis = _reference_tabulate(zeta, None, 4, 2)
-    functions = _reference_tabulate(zeta, coefficients, 4, 2)
-    assert basis.shape == (E, nq, 6, 15) and functions.shape == (E, nq, 6, 2)
+    basis = _reference_tabulate(zeta, 4, 2)
+    assert basis.shape == (E, nq, 6, 15)
     Ct = _reference_basis(4).T
     for i, (dx, dy) in enumerate(polynomial_exponents(2)):
         D = derivative_matrix(4, dx, dy)
         expected = mono @ (D.T @ Ct) / _REFERENCE_SCALE ** (dx + dy)
         assert_rel_close(basis[..., i, :], expected, 1e-14)
-        assert_rel_close(functions[..., i, :], expected @ coefficients, 1e-14)
 
 
 @pytest.mark.parametrize("perturbed", [False, True])
@@ -412,11 +425,11 @@ def test_leading_basis_columns_are_the_lower_degree_basis(p, perturbed, perturbe
     mesh = perturbed_mesh(3) if perturbed else build_structured_mesh(3)
     space = BrokenSpace(mesh, p)
     elems = np.arange(mesh.n_elements)
-    values = space.eval_elements(elems, space.volume_points).values
+    values = space.derivatives(elems, space.volume_points, 0)[..., 0, :]
     for q in (p - 1, p - 2):
         if q < 0:
             continue
-        lower = BrokenSpace(mesh, q).eval_elements(elems, space.volume_points).values
+        lower = BrokenSpace(mesh, q).derivatives(elems, space.volume_points, 0)[..., 0, :]
         assert_rel_close(values[..., : space_dimension(q)], lower, 1e-12)
 
 
@@ -463,9 +476,9 @@ def test_element_basis_matches_the_space(p, perturbed, perturbed_mesh):
     derivatives = space.derivatives(elems, space.volume_points, 2)
     for k in range(mesh.n_elements):
         points = space.volume_points[k][None]
-        ev = space.eval_elements([k], points, gradients=True)
-        assert_rel_close(ev.values[0] @ coeffs[k], vals[k], 1e-12)
-        assert_rel_close(np.einsum("qnd,n->qd", ev.gradients[0], coeffs[k]), grads[k], 1e-12)
+        one_vals, one_grads = space.eval_function(coeffs, [k], points, gradients=True)
+        assert_rel_close(one_vals[0], vals[k], 1e-12)
+        assert_rel_close(one_grads[0], grads[k], 1e-12)
         assert_rel_close(space.derivatives([k], points, 2)[0], derivatives[k], 1e-12)
 
 
@@ -490,7 +503,7 @@ def test_space_runs_no_factorization_per_element(monkeypatch, perturbed_mesh):
         laplacian = np.ones(points.shape[:2])
         return (*space.eval_function(coeffs, gradients=True),
                 space.apply(elems, points, laplacian=laplacian),
-                space.eval_elements(elems, points, gradients=True).gradients,
+                *space.eval_function(coeffs, elems, points, gradients=True),
                 space.derivatives(elems, points, 6),
                 space.derivatives([3], points[3][None], 6))
 
@@ -537,10 +550,10 @@ def test_facet_traces_match_pulled_back_evaluation(p, kind, perturbed_mesh, shuf
         sides.append((1, mesh.interior_facets))
     for side, facets in sides:
         elems = (mesh.facet_left, mesh.facet_right)[side][facets]
-        pulled = space.eval_elements(elems, points[facets], gradients=True)
-        normal = np.einsum("fqid,fd->fqi", pulled.gradients, mesh.facet_normals[facets])
+        pulled = space.derivatives(elems, points[facets], 1)
+        normal = np.einsum("fqdi,fd->fqi", pulled[:, :, 1:], mesh.facet_normals[facets])
         values, dn = space.facet_traces(facets, side, normal_derivatives=True)
-        assert_rel_close(values, pulled.values, 1e-13)
+        assert_rel_close(values, pulled[:, :, 0], 1e-13)
         assert_rel_close(dn, normal, 1e-13)
         np.testing.assert_array_equal(space.facet_traces(facets, side), values)
         function = space.eval_function(coeffs, elems, points[facets])
@@ -559,17 +572,17 @@ NO_ELEMENTS = np.arange(0)
 #: evaluations of the space ``s`` with coefficients ``c`` on the element
 #: ids ``e`` (the empty batch in the cases named ``-no-elements``)
 EMPTY_BATCHES = {
-    "eval_elements-no-elements": (
-        lambda s, c, e: s.eval_elements(e, np.empty((0, 4, 2)), gradients=True),
-        [(0, 4, 10), (0, 4, 10, 2)],
-    ),
-    "eval_elements-no-points": (
-        lambda s, c, e: s.eval_elements([0, 5], np.empty((2, 0, 2)), gradients=True),
-        [(2, 0, 10), (2, 0, 10, 2)],
+    "values-and-gradients-no-elements": (
+        lambda s, c, e: (s.derivatives(e, np.empty((0, 4, 2)), 1),),
+        [(0, 4, 3, 10)],
     ),
     "derivatives-no-elements": (
         lambda s, c, e: (s.derivatives(e, np.empty((0, 4, 2)), 2),),
         [(0, 4, 6, 10)],
+    ),
+    "derivatives-no-points": (
+        lambda s, c, e: (s.derivatives([0, 5], np.empty((2, 0, 2)), 1),),
+        [(2, 0, 3, 10)],
     ),
     "apply-no-elements": (
         lambda s, c, e: (s.apply(e, np.empty((0, 4, 2)), value=np.empty((0, 4)),
@@ -579,6 +592,10 @@ EMPTY_BATCHES = {
     "eval_function-points-no-elements": (
         lambda s, c, e: s.eval_function(c, e, np.empty((0, 4, 2)), gradients=True),
         [(0, 4), (0, 4, 2)],
+    ),
+    "eval_function-points-no-points": (
+        lambda s, c, e: s.eval_function(c, [0, 5], np.empty((2, 0, 2)), gradients=True),
+        [(2, 0), (2, 0, 2)],
     ),
     "eval_function-volume-no-elements": (
         lambda s, c, e: s.eval_function(c, e, gradients=True),
@@ -592,10 +609,7 @@ def evaluate_batch(name, elements):
     space = BrokenSpace(build_structured_mesh(2), 3)
     coeffs = np.ones((space.mesh.n_elements, space.ndof_local))
     evaluate, _ = EMPTY_BATCHES[name]
-    result = evaluate(space, coeffs, elements)
-    if hasattr(result, "values"):
-        result = (result.values, result.gradients)
-    return [np.shape(r) for r in result]
+    return [np.shape(r) for r in evaluate(space, coeffs, elements)]
 
 
 @pytest.mark.parametrize("name", EMPTY_BATCHES)

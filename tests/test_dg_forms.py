@@ -316,8 +316,8 @@ def textbook_system(mesh, p, coeffs, sigma):
     af = facet_alpha(space, coeffs) if diffusive else None
 
     def basis(k, point):
-        ev = space.eval_elements([k], np.reshape(point, (1, 1, 2)), gradients=True)
-        return ev.values[0, 0], ev.gradients[0, 0]
+        derivatives = space.derivatives([k], np.reshape(point, (1, 1, 2)), 1)[0, 0]
+        return derivatives[0], derivatives[1:].T
 
     def dofs(*elements):
         return np.concatenate([np.arange(k * nd, (k + 1) * nd) for k in elements])
@@ -411,11 +411,9 @@ def test_ar_coercivity_witness_identity():
         quad = v @ (sys.matrix @ v)
         # independent quadrature of the integration-by-parts identity
         x, y = space.volume_points[..., 0], space.volume_points[..., 1]
-        vals = np.einsum(
-            "eqn,en->eq",
-            space.eval_elements(np.arange(mesh.n_elements), space.volume_points).values,
-            v.reshape(mesh.n_elements, -1),
-        )
+        local = v.reshape(mesh.n_elements, -1)
+        values = space.derivatives(np.arange(mesh.n_elements), space.volume_points, 0)
+        vals = np.einsum("eqn,en->eq", values[..., 0, :], local)
         witness = np.sum(
             space.volume_weights
             * (coeffs.gamma(x, y) - 0.5 * div_beta(x, y))
@@ -424,14 +422,12 @@ def test_ar_coercivity_witness_identity():
         for f in range(mesh.n_facets):
             k1 = mesh.facet_left[f]
             b = coeffs.beta(fpts[f, :, 0], fpts[f, :, 1]) @ mesh.facet_normals[f]
-            tr1 = space.eval_elements([k1], fpts[f][None])\
-                .values[0] @ v.reshape(mesh.n_elements, -1)[k1]
+            tr1 = space.derivatives([k1], fpts[f][None], 0)[0, :, 0] @ local[k1]
             if mesh.facet_right[f] == BOUNDARY:
                 witness += 0.5 * np.sum(fw[f] * np.abs(b) * tr1**2)
             else:
                 k2 = mesh.facet_right[f]
-                tr2 = space.eval_elements([k2], fpts[f][None])\
-                    .values[0] @ v.reshape(mesh.n_elements, -1)[k2]
+                tr2 = space.derivatives([k2], fpts[f][None], 0)[0, :, 0] @ local[k2]
                 witness += 0.5 * np.sum(fw[f] * np.abs(b) * (tr1 - tr2) ** 2)
         assert quad >= 0.9 * witness
         assert quad == pytest.approx(witness, rel=1e-9)
@@ -466,7 +462,10 @@ def test_default_penalty_is_applied_at_assembly(case):
     coeffs, mesh = builtin_case(case), build_structured_mesh(2)
     default = assemble_global_system(BrokenSpace(mesh, 3), coeffs)
     explicit = assemble_global_system(BrokenSpace(mesh, 3), coeffs, sigma=default_sigma(3))
-    assert default.sigma == explicit.sigma == default_sigma(3)
+    lengths = mesh.facet_lengths
+    expected = default_sigma(3) * facet_alpha(BrokenSpace(mesh, 3), coeffs) / lengths
+    assert np.array_equal(default.penalty, expected)
+    assert np.array_equal(explicit.penalty, expected)
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(default.blocks, attr), getattr(explicit.blocks, attr))
     assert np.array_equal(default.load, explicit.load)
@@ -476,8 +475,7 @@ def test_data_without_diffusion_keeps_no_penalty():
     coeffs, mesh = builtin_case("AR_EXAMPLE"), build_structured_mesh(2)
     plain = assemble_global_system(BrokenSpace(mesh, 2), coeffs)
     given = assemble_global_system(BrokenSpace(mesh, 2), coeffs, sigma=5.0)
-    assert plain.sigma is given.sigma is None
-    assert plain.alpha_facet is given.alpha_facet is None
+    assert plain.penalty is given.penalty is None
     assert (plain.matrix != given.matrix).nnz == 0
     assert np.array_equal(plain.load, given.load)
 
@@ -531,7 +529,8 @@ def test_sip_assembly_evaluates_alpha_once_per_volume_point():
     batches = [chunk.stop - chunk.start for chunk in space.element_batches()]
     assert len(batches) > 1 and sum(batches) == space.mesh.n_elements
     assert [rows for rows, _ in volume] == batches
-    assert np.array_equal(system.alpha_facet, facet_alpha(space, coeffs))
+    penalty = default_sigma(2) * facet_alpha(space, coeffs) / space.mesh.facet_lengths
+    assert np.array_equal(system.penalty, penalty)
 
 
 @pytest.mark.parametrize("p", range(1, 7))

@@ -193,8 +193,7 @@ def test_leibniz_matches_finite_differences(seed):
 
 
 def _w_grad(space, c, px, py):
-    ev = space.eval_elements([0], np.array([[[px, py]]]), gradients=True)
-    return ev.gradients[0, 0].T @ c
+    return space.derivatives([0], np.array([[[px, py]]]), 1)[0, 0, 1:] @ c
 
 
 def corners(box):
@@ -434,7 +433,7 @@ def reference_operator(kind, space, k, coeffs, box_scale=0.25):
     else:
         rule = triangle_rule(mesh.vertices[mesh.triangles[k]], 2 * p + 4)
         q_degree = p - 1 if kind == AR else p - 2
-        qv = space.eval_elements([k], rule.points[None]).values[0]
+        qv = space.derivatives([k], rule.points[None], 0)[0, :, 0]
         qv = qv[:, : space_dimension(q_degree)]
         scale = math.sqrt(mesh.h[k]) if kind == AR else mesh.h[k]
     x, y = rule.points[:, 0], rule.points[:, 1]
@@ -640,7 +639,7 @@ def test_box_rows_annihilate_an_exact_solution_on_a_turned_sliver(aspect, sliver
     mesh = sliver_mesh(aspect, 0.7)
     space = BrokenSpace(mesh, 6)
     rule = triangle_rule(mesh.vertices[mesh.triangles[0]], 18)
-    values = space.eval_elements([0], rule.points[None]).values[0]
+    values = space.derivatives([0], rule.points[None], 0)[0, :, 0]
     c = values.T @ (rule.weights * coeffs.exact_solution(rule.points[:, 0], rule.points[:, 1]))
     (op,) = assemble_local_operators(DAR_BOX, space, coeffs)
     residual = np.max(np.abs(op.matrix @ c - op.rhs))
@@ -678,7 +677,6 @@ def test_box_operators_take_one_fused_data_call_and_one_apply_per_element(tmp_pa
     from trefftzdg import local_ops
     from trefftzdg.cli import main
 
-    _unit_box_test_basis(3)
     counts = {"evaluate": 0, "apply": 0}
     evaluate, apply = local_ops.evaluate, BrokenSpace.apply
 
@@ -696,7 +694,8 @@ def test_box_operators_take_one_fused_data_call_and_one_apply_per_element(tmp_pa
     monkeypatch.setattr(local_ops, "evaluate", counting_evaluate)
     monkeypatch.setattr(BrokenSpace, "apply", counting_apply)
     monkeypatch.setattr(local_ops, "compute_box", forbidden)
-    monkeypatch.setattr(local_ops, "box_rule", forbidden)
+    # the unit-square rule is read from its cache, and no box rule is mapped
+    assert not hasattr(local_ops, "box_rule")
     assert main(["run", "--case", "BOX_DIFFUSION_2D", "--methods", "etbox", "--p", "3",
                  "--n", "2,4", "--out", str(tmp_path / "box.csv")]) == 0
     assert counts == {"evaluate": 8 + 32, "apply": 8 + 32}

@@ -714,17 +714,20 @@ def test_ordered_solves_match_plain_lu(
 
 
 def test_solution_carries_the_systems_facet_alpha():
+    # the facet alpha reaches the solution inside the system's penalty
     coeffs = builtin_case("DAR_EXAMPLE")
     sys = assemble_global_system(BrokenSpace(build_structured_mesh(2), 2), coeffs, sigma=200.0)
     u = solve_standard_dg(sys)
-    assert u.alpha_facet is sys.alpha_facet
-    recomputed = compute_errors(replace(u, alpha_facet=facet_alpha(u.space, coeffs)), coeffs)
+    assert u.penalty is sys.penalty
+    mesh = u.space.mesh
+    penalty = 200.0 * facet_alpha(u.space, coeffs) / mesh.facet_lengths
+    recomputed = compute_errors(replace(u, penalty=penalty), coeffs)
     report = compute_errors(u, coeffs)
     assert report.vh_error == recomputed.vh_error
     assert report.l2_error == recomputed.l2_error
     # the norm reads the weights of the solution and never recomputes them
-    with pytest.raises(ValueError, match="alpha_facet"):
-        compute_errors(replace(u, alpha_facet=None), coeffs)
+    with pytest.raises(ValueError, match="penalty"):
+        compute_errors(replace(u, penalty=None), coeffs)
 
 
 def element_graph(blocks):

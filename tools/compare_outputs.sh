@@ -44,6 +44,12 @@ commands=(
     # SIP systems whose Schur solve is refined against the LU of T'AT
     "diagnose-box-dar-p3|diagnose --case BOX_DIFFUSION_2D --kind DAR --p 3 --n 16"
     "diagnose-dar-p3|diagnose --case DAR_EXAMPLE --p 3 --n 32"
+    # n = 6, 12: at the powers of two above, the entries of J_K^-1 are
+    # powers of two and products with them are exact, so a change in the
+    # rounding order of the element maps shows only at these sizes
+    "ar-n6-12|run --case AR_EXAMPLE --methods dg,et --p 3 --n 6,12"
+    "box-n6-12|run --case BOX_DIFFUSION_2D --methods dg,et,etbox,qt --p 3 --n 6,12"
+    "dar-n6-12|run --case DAR_EXAMPLE --methods dg,et,etbox --p 2,6 --n 6,12"
 )
 
 outputs() {  # tree, output directory
